@@ -13,6 +13,7 @@ lists come from ``tokenize_batch``); everything after that is its own.
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -34,24 +35,46 @@ class Bm25Oracle:
     def __init__(self, docnos: list[str], doclens, terms, tfs):
         self.docnos = list(docnos)
         self.doclens = [int(x) for x in np.asarray(doclens)]
-        self._terms = terms
-        self._tfs = tfs
+        # every posting, grouped by term: term t's postings are rows
+        # ``_order[_bounds[c]:_bounds[c + 1]]`` of the flattened lists,
+        # c = ``_code[t]``, in document order
+        flat = pc.list_flatten(terms)
+        if isinstance(flat, pa.ChunkedArray):
+            flat = flat.combine_chunks()
+        enc = pc.dictionary_encode(flat)
+        codes = np.asarray(enc.indices)
+        self._code = {t: c for c, t in enumerate(enc.dictionary.to_pylist())}
+        self._order = np.argsort(codes, kind="stable")
+        self._bounds = np.searchsorted(codes[self._order], np.arange(len(self._code) + 1))
+        self._parents = np.asarray(pc.list_parent_indices(terms))
+        self._flat_tfs = np.asarray(pc.list_flatten(tfs))
         self._postings: dict[str, list[tuple[int, int]]] = {}
+        # per statistics view (keyed by the set's identity; the set is
+        # kept so that its id is not reused): (n, avgdl, {term: postings})
+        self._views: dict[int, tuple[set, int, float, dict]] = {}
 
     def _load(self, needed: set[str]) -> None:
-        missing = sorted(needed - self._postings.keys())
-        if not missing:
-            return
-        flat = pc.list_flatten(self._terms)
-        parents = np.asarray(pc.list_parent_indices(self._terms))
-        tfs = np.asarray(pc.list_flatten(self._tfs))
-        hit = np.asarray(pc.is_in(flat, value_set=pa.array(missing, flat.type)))
-        rows = np.flatnonzero(hit)
-        for t in missing:
-            self._postings[t] = []
-        for term, doc, tf in zip(flat.take(pa.array(rows)).to_pylist(),
-                                 parents[rows].tolist(), tfs[rows].tolist()):
-            self._postings[term].append((doc, tf))
+        for t in needed - self._postings.keys():
+            c = self._code.get(t)
+            rows = self._order[self._bounds[c]:self._bounds[c + 1]] if c is not None else []
+            self._postings[t] = list(zip(self._parents[rows].tolist(),
+                                         self._flat_tfs[rows].tolist()))
+
+    def _view(self, stats_docs: set[int] | None):
+        """(document count, average length, term → postings) over the
+        documents the statistics are taken over."""
+        if stats_docs is None:
+            return len(self.docnos), sum(self.doclens) / max(len(self.docnos), 1), self._postings
+        v = self._views.get(id(stats_docs))
+        if v is None:
+            n = len(stats_docs)
+            avgdl = sum(self.doclens[d] for d in stats_docs) / max(n, 1)
+            v = self._views[id(stats_docs)] = (stats_docs, n, avgdl, {})
+        _, n, avgdl, plists = v
+        for t, plist in self._postings.items():
+            if t not in plists:
+                plists[t] = [(d, tf) for d, tf in plist if d in stats_docs]
+        return n, avgdl, plists
 
     def topk(self, qterms: list[str], k: int, conj: bool = False,
              stats_docs: set[int] | None = None,
@@ -66,19 +89,14 @@ class Bm25Oracle:
         """
         terms = sorted(set(qterms))
         self._load(set(terms))
-        n_stats = len(self.docnos) if stats_docs is None else len(stats_docs)
+        n_stats, avgdl, plists = self._view(stats_docs)
         if n_stats == 0:
             return []
-        sum_dl = (sum(self.doclens) if stats_docs is None
-                  else sum(self.doclens[d] for d in stats_docs))
-        avgdl = sum_dl / n_stats
         acc: dict[int, float] = {}
         hits: dict[int, int] = {}
         n_present = 0
         for t in terms:
-            plist = self._postings[t]
-            if stats_docs is not None:
-                plist = [(d, tf) for d, tf in plist if d in stats_docs]
+            plist = plists[t]
             df = len(plist)
             if df == 0:
                 if conj:
@@ -92,14 +110,18 @@ class Bm25Oracle:
                 dl = self.doclens[d]
                 acc[d] = acc.get(d, 0.0) + idf * tf / (tf + K1 * (1 - B + B * dl / avgdl))
                 hits[d] = hits.get(d, 0) + 1
-        docs = [d for d in acc if not conj or hits[d] == n_present]
+        if conj:
+            acc = {d: s for d, s in acc.items() if hits[d] == n_present}
+        if not acc:
+            return []
+        # every document scoring at least the k-th score (less the
+        # tolerance): the top k, and every document tied with the k-th,
+        # so a caller can tell a legitimately different cut through a tie
+        # from a wrong document
+        kth = heapq.nlargest(k, acc.values())[-1] if len(acc) > k else -math.inf
+        docs = [d for d, s in acc.items() if s >= kth - TOL]
         docs.sort(key=lambda d: (-acc[d], d))
-        # keep every document tied with the k-th, so a caller can tell a
-        # legitimately different cut through a tie from a wrong document
-        end = min(k, len(docs))
-        while 0 < end < len(docs) and acc[docs[end]] >= acc[docs[k - 1]] - TOL:
-            end += 1
-        return [(self.docnos[d], acc[d]) for d in docs[:end]]
+        return [(self.docnos[d], acc[d]) for d in docs]
 
 
 def same_ranking(got: list[tuple[str, float]], want: list[tuple[str, float]],

@@ -181,3 +181,6 @@ def test_a_small_traced_run_prints_exactly_the_declared_metrics(tmp_path):
     assert r.failed == 0 and r.attempted > 0
     assert r.e2e.keys() == bench_cli.declared(False).keys()
     assert r.layer.keys() == bench_cli.declared(True).keys()
+    assert 0 < r.layer["index.searcher.term_miss_frac"] < 1
+    # 512-doc segments are below the Maxscore threshold: bmm runs DAAT
+    assert r.tracer.maxscore_calls == {"masked": 0, "unmasked": 0}

@@ -6,11 +6,13 @@ with timing wrappers for the duration of a traced pass, and
 :meth:`Tracer.uninstall` puts the originals back. Only in-process calls
 are seen, so the traced pass serves through ``QueryEngine(...,
 use_actors=False)``; that way the span tree reaches engine → worker →
-searcher → codecs. Nothing inside the program is edited.
+searcher → codecs. :meth:`Tracer.probing` wraps a few searcher methods
+with counters instead of spans. Nothing inside the program is edited.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import time
@@ -57,6 +59,9 @@ class Tracer:
         self._stack: list[Span] = []
         self._saved: list[tuple[object, str, object]] = []
         self.query_id: int | None = None
+        # filled while probing (see :meth:`probing`)
+        self.decoded_terms: set[tuple[int, int]] = set()
+        self.maxscore_calls = {"masked": 0, "unmasked": 0}
 
     # ---- recording
 
@@ -89,6 +94,52 @@ class Tracer:
         while self._saved:
             owner, attr, fn = self._saved.pop()
             setattr(owner, attr, fn)
+
+    # ---- probes: counters without spans
+
+    def _probe_decode(self, fn):
+        """Wrap a ``SegmentSearcher`` method taking a term index: record
+        (searcher, term) when the call decoded postings."""
+        seen = self.decoded_terms
+
+        @functools.wraps(fn)
+        def probed(searcher, ti, *args, **kwargs):
+            before = searcher.decoded_postings
+            try:
+                return fn(searcher, ti, *args, **kwargs)
+            finally:
+                if searcher.decoded_postings != before:
+                    seen.add((id(searcher), int(ti)))
+
+        return probed
+
+    def _probe_maxscore(self, fn):
+        calls = self.maxscore_calls
+
+        @functools.wraps(fn)
+        def probed(searcher, *args, **kwargs):
+            calls["unmasked" if kwargs.get("mask") is None else "masked"] += 1
+            return fn(searcher, *args, **kwargs)
+
+        return probed
+
+    @contextlib.contextmanager
+    def probing(self):
+        """For the duration: record which (searcher, term) pairs decode
+        postings, through ``SegmentSearcher.postings`` (full list) and
+        ``decode_block`` (one skip block), and count Maxscore calls with
+        and without a candidate mask. No spans; a few attribute reads per
+        call."""
+        S = searcher_mod.SegmentSearcher
+        saved = [(a, getattr(S, a)) for a in ("postings", "decode_block", "query_maxscore")]
+        S.postings = self._probe_decode(S.postings)
+        S.decode_block = self._probe_decode(S.decode_block)
+        S.query_maxscore = self._probe_maxscore(S.query_maxscore)
+        try:
+            yield self
+        finally:
+            for a, fn in saved:
+                setattr(S, a, fn)
 
     def __enter__(self):
         self.install()

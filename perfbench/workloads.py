@@ -5,10 +5,11 @@ end-to-end metric is measured on every workload:
 
 1. set-up, repeated: fresh ``build_index`` → ``QueryEngine`` → first query;
 2. serving: one closed-loop client, one ``search`` at a time per mode,
-   then ``search_batch`` batches;
+   then ``search_batch`` batches (a "fresh" phase in parts, on the
+   set-up engines; the other phases after the steps they follow);
 3. append a second corpus file (append-incremental ``build_index``);
 4. ``delete_docs`` on returned docnos;
-5. ``compact_index`` then ``merge_segments``;
+5. ``compact_index`` then ``merge_segments``, twice;
 6. correctness checks on every index the sequence served.
 
 The workloads differ in corpus, segment size and where the serving
@@ -18,12 +19,10 @@ why.
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import json
 import os
 import shutil
-import signal
 import statistics
 import time
 from dataclasses import dataclass
@@ -48,14 +47,10 @@ QUERY_K = 20        # per-query serving, as in the reference's Table 3.2
 BATCH_K = 10
 BATCH_SIZE = 64
 ORACLE_SAMPLE = 6   # queries per mode and phase checked against the oracle
+                    # (split over the parts of a phase, at least 2 a part)
 MERGE_GROUP = 4
-SETUP_REPS = 3      # set-ups (and appends) per run; the metrics take the median
+RECLAIM_REPS = 2    # compact + merge rounds per run; the metric takes the median
 MARCO_SPEC = ColumnSpec(text_col="text", docno_cols=("doc_id",))
-
-# per-operation time limits (seconds); a call that runs past its limit
-# counts as a failed operation and ends the workload's sequence
-QUERY_TIMEOUT = 30
-BUILD_TIMEOUT = 100
 
 
 @dataclass(frozen=True)
@@ -68,41 +63,29 @@ class Workload:
     queries_per_mode: int       # timed per-query samples per mode per run
     batch_share: float          # share of --seconds spent on batches
     phases: tuple[str, ...]     # the phases that serve (and are timed)
+    setup_reps: int = 3         # set-ups (and appends) per run; the metrics take the median
 
 
 WORKLOADS = {
     w.name: w for w in (
         Workload("code-build-batch", "code", 20_000, 5_000, 65_536,
-                 240, 0.3, ("fresh",)),
+                 240, 0.25, ("fresh",), setup_reps=4),
         Workload("marco-serve", "marco", 17_000, 2_500, 65_536,
                  200, 0.15, ("fresh",)),
-        Workload("lifecycle", "code", 10_000, 2_500, 2_048,
-                 240, 0.3, ("appended", "tombstoned", "reclaimed")),
+        # a first segment at the size where ``bmm`` switches to Maxscore
+        # (``SegmentSearcher.maxscore_min_docs``), so that the tombstoned
+        # phase takes the masked Maxscore path there
+        Workload("lifecycle", "code", 24_576, 4_096, 16_384,
+                 240, 0.25, ("appended", "tombstoned", "reclaimed")),
     )
 }
 
 
 class OpFailed(Exception):
-    """An operation raised or timed out; the sequence cannot go on."""
-
-
-@contextlib.contextmanager
-def deadline(seconds: float):
-    """Raise TimeoutError in the main thread after ``seconds``. Python
-    code sees it at once; a blocking ``ray.get`` inside the program sees it
-    only when the get returns, so a get that never returns is left to the
-    watchdog in run.py."""
-
-    def _expire(signum, frame):
-        raise TimeoutError(f"operation exceeded {seconds}s")
-
-    old = signal.signal(signal.SIGALRM, _expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
+    """An operation raised; the sequence cannot go on. A call that never
+    returns is left to the watchdog in run.py: a per-call timer could not
+    interrupt the blocking ``ray.get`` that every build and actor query
+    waits in."""
 
 
 # ------------------------------------------------------------ processes
@@ -194,8 +177,8 @@ class Run:
         self.cfg = BuildConfig(docs_per_segment=wl.docs_per_segment)
         self.spec = CODE_CORPUS if wl.corpus == "code" else MARCO_SPEC
         self.samples: dict[str, list[float]] = {m: [] for m in MODES}
-        self.batch_queries = 0
-        self.batch_wall = 0.0
+        # median wall of one batch, per phase and mode
+        self.batch_walls: list[float] = []
         self.e2e: dict[str, float] = {}
         self.layer: dict[str, float] = {}
         self.layer_acc: dict[str, list[float]] = {}
@@ -205,12 +188,11 @@ class Run:
 
     # ---- bookkeeping
 
-    def op(self, fn, *args, timeout=QUERY_TIMEOUT, **kwargs):
+    def op(self, fn, *args, **kwargs):
         """Call into the program as one counted operation."""
         self.attempted += 1
         try:
-            with deadline(timeout):
-                return fn(*args, **kwargs)
+            return fn(*args, **kwargs)
         except Exception as e:  # every failure mode of the call is counted
             self.failed += 1
             self.log(f"FAILED {getattr(fn, '__name__', fn)}: {type(e).__name__}: {e}")
@@ -268,7 +250,7 @@ class Run:
 
     def start_engine(self, index_dir: str, first_query: str, use_actors=True):
         t0 = time.perf_counter()
-        eng = self.op(QueryEngine, index_dir, use_actors=use_actors, timeout=BUILD_TIMEOUT)
+        eng = self.op(QueryEngine, index_dir, use_actors=use_actors)
         self.op(eng.search, first_query, QUERY_K, "bmm")
         return eng, time.perf_counter() - t0
 
@@ -299,32 +281,40 @@ class Run:
 
     # ---- set-up
 
-    def setup(self) -> list[str]:
-        """Fresh build + engine start, ``SETUP_REPS`` times. Returns the
-        indexes; each is appended to later, and the last one serves."""
-        walls, builds, loads, summaries = [], [], [], []
+    def setup(self) -> tuple[list[str], list]:
+        """Fresh build + engine start, ``setup_reps`` times. A workload
+        with a "fresh" phase serves it in parts, one on each set-up's
+        engine, so that the timed serving is spread over the set-up time
+        and a slow spell of the host lands on one part only. Returns the
+        indexes, each appended to later, and the timed ``daat`` results of
+        the "fresh" phase."""
+        walls, builds, loads, summaries, fresh = [], [], [], [], []
+        view = {"stats_docs": self.base_docs, "cand_docs": self.base_docs}
         probe = self.queries(1)[0]
         # the first build, compaction and merge of a session also start
         # worker processes and load the code their tasks run; an untimed
         # pass over the small second file pays that, so that the timed
         # operations are alike
         warm = os.path.join(self.work, "warmup")
-        self.op(build_index, self.extra, warm, self.cfg, self.spec, timeout=BUILD_TIMEOUT)
+        self.op(build_index, self.extra, warm, self.cfg, self.spec)
         self.op(delete_docs, warm, self.docnos[-1:])
-        self.op(compact_index, warm, warm + "-compacted", timeout=BUILD_TIMEOUT)
-        self.op(merge_segments, warm + "-compacted", warm + "-merged", MERGE_GROUP,
-                timeout=BUILD_TIMEOUT)
+        self.op(compact_index, warm, warm + "-compacted")
+        self.op(merge_segments, warm + "-compacted", warm + "-merged", MERGE_GROUP)
         for d in ("", "-compacted", "-merged"):
             shutil.rmtree(warm + d)
-        for r in range(SETUP_REPS):
+        for r in range(self.wl.setup_reps):
             idx = os.path.join(self.work, f"setup{r}")
             t0 = time.perf_counter()
-            s = self.op(build_index, self.base, idx, self.cfg, self.spec, timeout=BUILD_TIMEOUT)
+            s = self.op(build_index, self.base, idx, self.cfg, self.spec)
             built = time.perf_counter() - t0
             self.rss.sample()
             eng, load = self.start_engine(idx, probe)
             walls.append(time.perf_counter() - t0)
-            self.release(eng)
+            if "fresh" in self.wl.phases:
+                fresh += self.serve(idx, "fresh", view, set(), eng, probe,
+                                    (r, self.wl.setup_reps))
+            else:
+                self.release(eng)
             builds.append(built)
             loads.append(load)
             summaries.append(s)
@@ -337,7 +327,7 @@ class Run:
             self.layer[f"index.build.{stage}_s"] = _median(
                 [x["stage_secs"][stage] for x in summaries])
         self._layout_metrics(idx, s)
-        return [os.path.join(self.work, f"setup{r}") for r in range(SETUP_REPS)]
+        return [os.path.join(self.work, f"setup{r}") for r in range(self.wl.setup_reps)], fresh
 
     def append(self, indexes: list[str]) -> str:
         """Append-incremental build of the second file onto every set-up
@@ -345,8 +335,7 @@ class Run:
         walls = []
         for idx in indexes:
             t0 = time.perf_counter()
-            s = self.op(build_index, [self.base, self.extra], idx, self.cfg, self.spec,
-                        timeout=BUILD_TIMEOUT)
+            s = self.op(build_index, [self.base, self.extra], idx, self.cfg, self.spec)
             walls.append(time.perf_counter() - t0)
             self.rss.sample()
         for idx in indexes[:-1]:
@@ -384,13 +373,19 @@ class Run:
 
     # ---- serving
 
-    def serve(self, idx: str, phase: str, oracle_view: dict, banned: set[str]) -> list:
-        """Serve one timed phase and check it. Returns the results of the
-        timed ``daat`` stream."""
-        per_mode = max(20, self.wl.queries_per_mode // len(self.wl.phases))
+    def serve(self, idx: str, phase: str, oracle_view: dict, banned: set[str],
+              eng=None, first: str | None = None, part: tuple[int, int] = (0, 1)) -> list:
+        """Serve part ``part[0]`` of ``part[1]`` of one timed phase, on
+        ``eng`` (started by the caller with ``first`` as its first query)
+        or on a new engine, check it and release the engine. Returns the
+        results of the timed ``daat`` stream."""
+        n_parts = part[1]
+        per_mode = max(20, self.wl.queries_per_mode // len(self.wl.phases) // n_parts)
         warm = max(10, per_mode // 6)
         streams = {m: (self.queries(warm), self.queries(per_mode)) for m in MODES}
-        eng, _ = self.start_engine(idx, streams["daat"][0][0])
+        if eng is None:
+            first = streams["daat"][0][0]
+            eng, _ = self.start_engine(idx, first)
         results: dict[str, list] = {m: [] for m in MODES}
         try:
             for i in range(warm):
@@ -407,38 +402,41 @@ class Run:
                     t0 = time.perf_counter()
                     results[mode].append(self.op(eng.search, streams[mode][1][i], QUERY_K, mode))
                     self.samples[mode].append(time.perf_counter() - t0)
-            batches = self._batches(eng)
-            self._check(eng, phase, streams, results, batches, oracle_view, banned)
+            batches = self._batches(eng, n_parts)
+            self._check(eng, phase, streams, results, batches, oracle_view, banned,
+                        max(2, ORACLE_SAMPLE // n_parts))
         finally:
             self.release(eng)
-        self.mark(f"{phase} serving")
-        if self.trace:
-            self._trace_phase(idx, streams)
+        self.mark(f"{phase} serving" + (f" {part[0] + 1}/{n_parts}" if n_parts > 1 else ""))
+        if self.trace and part[0] == n_parts - 1:
+            self._trace_phase(idx, streams, first)
             self.mark(f"{phase} traced serving")
         return results["daat"]
 
-    def _batches(self, eng) -> list:
+    def _batches(self, eng, n_parts: int) -> list:
         """Closed-loop ``search_batch`` over distinct batches, alternating
         ``daat`` and ``bmm``, until the phase's share of --seconds is used.
-        Returns the first two batches for the checks."""
-        box = self.seconds * self.wl.batch_share / len(self.wl.phases)
+        Keeps the median batch wall per mode (a slow spell of the host
+        lands on a few batches, not on the median). Returns the first two
+        batches for the checks."""
+        box = self.seconds * self.wl.batch_share / len(self.wl.phases) / n_parts
         self.op(eng.search_batch, self.queries(BATCH_SIZE), BATCH_K, "bmm")  # warm-up
-        kept, n_q, i = [], 0, 0
+        kept, walls, i = [], {"daat": [], "bmm": []}, 0
         gc.collect()
         t_start = time.perf_counter()
-        while time.perf_counter() - t_start < box:
+        while time.perf_counter() - t_start < box or i < 2:
             qs = self.queries(BATCH_SIZE)
             mode = ("daat", "bmm")[i % 2]
+            t0 = time.perf_counter()
             out = self.op(eng.search_batch, qs, BATCH_K, mode)
-            n_q += len(qs)
+            walls[mode].append(time.perf_counter() - t0)
             if i < 2:
                 kept.append((mode, qs, out))
             i += 1
-        self.batch_wall += time.perf_counter() - t_start
-        self.batch_queries += n_q
+        self.batch_walls += [_median(w) for w in walls.values()]
         return kept
 
-    def _check(self, eng, phase, streams, results, batches, view, banned) -> None:
+    def _check(self, eng, phase, streams, results, batches, view, banned, sample) -> None:
         """Post-timing correctness: every timed daat/bmm query agrees with
         the other mode; a sample of every mode and of the batches matches
         the oracle; no deleted docno is returned."""
@@ -452,10 +450,10 @@ class Run:
                         self.mismatch(f"{phase} {mode} vs {other}: {chunk[j]!r}")
         checks = [(mode, q, r, QUERY_K)
                   for mode in MODES
-                  for q, r in list(zip(streams[mode][1], results[mode]))[:ORACLE_SAMPLE]]
+                  for q, r in list(zip(streams[mode][1], results[mode]))[:sample]]
         checks += [(mode, q, r, BATCH_K)
                    for mode, qs, out in batches
-                   for q, r in list(zip(qs, out))[:ORACLE_SAMPLE]]
+                   for q, r in list(zip(qs, out))[:sample]]
         for mode, q, r, k in checks:
             want = self.oracle.topk(eng.normalize_query(q), k,
                                     conj=mode == "daat_conj", **view)
@@ -469,60 +467,41 @@ class Run:
 
     # ---- traced pass (--trace 1)
 
-    def _trace_phase(self, idx: str, streams: dict) -> None:
-        """Serve the phase's timed streams again through an in-process
-        engine, untraced, then fresh streams traced, and derive the
-        per-layer metrics from the spans."""
+    def _trace_phase(self, idx: str, streams: dict, first: str) -> None:
+        """Per-layer metrics of one phase, from an in-process engine.
+
+        1. Replay the phase's warm-up and timed streams in the order they
+           were timed through the actors, with the term probes on: the
+           same queries on the same cache history give the actor round
+           trip (``scatter_gather_ms``) and the share of query-term
+           lookups that had to decode (``term_miss_frac``).
+        2. Serve fresh streams, tracing every other query: the spans give
+           the layer times, and traced minus untraced medians over the
+           one stream give the price of the trace.
+        """
         tr = self.tracer
         n = max(20, len(streams["daat"][1]) // 2)
         phase_first = len(tr.spans)
         with tr:
-            eng, _ = self.start_engine(idx, streams["daat"][0][0], use_actors=False)
+            eng, _ = self.start_engine(idx, first, use_actors=False)
         self.acc("index.searcher.load_s", sum(
             s.end - s.start for s in tr.spans[phase_first:] if s.name == "searcher.load"))
         searchers = [s for w in eng.workers for s in w.searchers]
         try:
+            gc.collect()
+            gc.freeze()
+            self._replay(eng, searchers, streams)
             for mode in MODES:
-                w_qs, t_qs = streams[mode]
-                for q in w_qs:
-                    self.op(eng.search, q, QUERY_K, mode)
-                untraced = []
-                for q in t_qs[:n]:
-                    t0 = time.perf_counter()
-                    self.op(eng.search, q, QUERY_K, mode)
-                    untraced.append(time.perf_counter() - t0)
-                # the actor-served samples of the same queries
-                actor = self.samples[mode][-len(t_qs):][:n]
-                self.acc(f"index.engine.scatter_gather_ms.{mode}",
-                         (_median(actor) - _median(untraced)) * 1e3)
-                traced, decoded, df_sum = [], 0, 0
-                first = len(tr.spans)
-                with tr:
-                    for q in self.queries(n):
-                        tr.query_id = (tr.query_id or 0) + 1
-                        toks = eng.normalize_query(q)
-                        df_sum += sum(int(s.df_local[s.term_index[t]])
-                                      for s in searchers for t in toks if t in s.term_index)
-                        before = sum(s.decoded_postings for s in searchers)
-                        t0 = time.perf_counter()
-                        self.op(eng.search, q, QUERY_K, mode)
-                        traced.append(time.perf_counter() - t0)
-                        decoded += sum(s.decoded_postings for s in searchers) - before
-                self._query_spans(mode, tr.spans[first:], n)
-                self.acc("tracing.overhead_ms_per_query",
-                         (_median(traced) - _median(untraced)) * 1e3)
-                self.acc(f"index.searcher.decoded_postings_per_query.{mode}", decoded / n)
-                if mode == "bmm":
-                    self.acc("index.searcher.decoded_frac.bmm", decoded / max(df_sum, 1))
+                self._traced_stream(eng, searchers, mode, n)
             first = len(tr.spans)
             with tr:
                 for i in range(4):
                     self.op(eng.search_batch, self.queries(BATCH_SIZE), BATCH_K,
                             ("daat", "bmm")[i % 2])
             self._batch_spans(tr.spans[first:])
-            # codec work over the whole traced window: engine construction
+            # codec work over the traced windows: engine construction
             # (which decodes the hottest lists up front), then the traced
-            # streams and batches
+            # queries and batches
             for codec in ("varbyte", "unary"):
                 calls = [s for s in tr.spans[phase_first:] if s.name == f"codecs.{codec}.decode"]
                 self.acc(f"codecs.{codec}.decode_calls", len(calls))
@@ -530,6 +509,81 @@ class Run:
                 self.acc(f"codecs.{codec}.decode_s", sum(s.end - s.start for s in calls))
         finally:
             self.release(eng)
+
+    @staticmethod
+    def _lookups(searchers, toks: list[str], mode: str) -> set[tuple[int, int]]:
+        """(searcher, term) pairs a query looks up: its terms present in
+        each segment's lexicon (for ``daat_conj``, none in a segment that
+        lacks one of them)."""
+        out = set()
+        for s in searchers:
+            tis = [s.term_index.get(t) for t in toks]
+            if mode == "daat_conj" and None in tis:
+                continue
+            out.update((id(s), int(ti)) for ti in tis if ti is not None)
+        return out
+
+    def _replay(self, eng, searchers, streams) -> None:
+        tr = self.tracer
+        warm, timed = streams["daat"]
+        for i in range(len(warm)):
+            for mode in MODES:
+                self.op(eng.search, streams[mode][0][i], QUERY_K, mode)
+        local: dict[str, list[float]] = {m: [] for m in MODES}
+        lookups, misses, terms = 0, 0, set()
+        tr.maxscore_calls.update(masked=0, unmasked=0)
+        with tr.probing():
+            for i in range(len(timed)):
+                for mode in MODES:
+                    q = streams[mode][1][i]
+                    toks = eng.normalize_query(q)
+                    terms.update(toks)
+                    keys = self._lookups(searchers, toks, mode)
+                    tr.decoded_terms.clear()
+                    t0 = time.perf_counter()
+                    self.op(eng.search, q, QUERY_K, mode)
+                    local[mode].append(time.perf_counter() - t0)
+                    lookups += len(keys)
+                    misses += len(keys & tr.decoded_terms)
+        for mode in MODES:
+            # the actor-served samples of the same queries, in the same order
+            actor = self.samples[mode][-len(timed):]
+            self.acc(f"index.engine.scatter_gather_ms.{mode}",
+                     (_median(actor) - _median(local[mode])) * 1e3)
+        self.acc("index.searcher.term_miss_frac", misses / max(lookups, 1))
+        self.log(f"{self.wl.name}: timed streams: {len(terms)} distinct query terms, "
+                 f"{lookups} (segment, term) lookups, {misses} decoded "
+                 f"({misses / max(lookups, 1):.3f}); Maxscore segment calls "
+                 f"masked {tr.maxscore_calls['masked']}, "
+                 f"unmasked {tr.maxscore_calls['unmasked']}")
+
+    def _traced_stream(self, eng, searchers, mode: str, n: int) -> None:
+        """``2n`` fresh queries, every other one traced."""
+        tr = self.tracer
+        traced, plain, decoded, df_sum = [], [], 0, 0
+        first = len(tr.spans)
+        for j, q in enumerate(self.queries(2 * n)):
+            toks = eng.normalize_query(q)
+            df_sum += sum(int(s.df_local[s.term_index[t]])
+                          for s in searchers for t in toks if t in s.term_index)
+            before = sum(s.decoded_postings for s in searchers)
+            on = j % 2 == 0
+            if on:
+                tr.query_id = (tr.query_id or 0) + 1
+                tr.install()
+            try:
+                t0 = time.perf_counter()
+                self.op(eng.search, q, QUERY_K, mode)
+                (traced if on else plain).append(time.perf_counter() - t0)
+            finally:
+                if on:
+                    tr.uninstall()
+            decoded += sum(s.decoded_postings for s in searchers) - before
+        self._query_spans(mode, tr.spans[first:], n)
+        self.acc("tracing.overhead_ms_per_query", (_median(traced) - _median(plain)) * 1e3)
+        self.acc(f"index.searcher.decoded_postings_per_query.{mode}", decoded / (2 * n))
+        if mode == "bmm":
+            self.acc("index.searcher.decoded_frac.bmm", decoded / max(df_sum, 1))
 
     def _query_spans(self, mode: str, spans: list, n: int) -> None:
         selfs = self.tracer.self_times(spans)
@@ -561,11 +615,8 @@ class Run:
         self.make_oracle()
         self.mark("oracle tokenization")
         wl = self.wl
-        base_view = {"stats_docs": self.base_docs, "cand_docs": self.base_docs}
-        indexes = self.setup()
+        indexes, fresh = self.setup()
         self.mark("set-up")
-        fresh = (self.serve(indexes[-1], "fresh", base_view, set())
-                 if "fresh" in wl.phases else None)
         idx = self.append(indexes)
         full_view = {"stats_docs": None, "cand_docs": None}
         appended = (self.serve(idx, "appended", full_view, set())
@@ -582,25 +633,33 @@ class Run:
         if "tombstoned" in wl.phases:
             self.serve(idx, "tombstoned", {"stats_docs": None, "cand_docs": alive}, banned)
 
-        cmp_dir, mrg_dir = os.path.join(self.work, "compacted"), os.path.join(self.work, "merged")
-        t0 = time.perf_counter()
-        self.op(compact_index, idx, cmp_dir, timeout=BUILD_TIMEOUT)
-        compact_s = time.perf_counter() - t0
-        self.rss.sample()
-        t0 = time.perf_counter()
-        self.op(merge_segments, cmp_dir, mrg_dir, MERGE_GROUP, timeout=BUILD_TIMEOUT)
-        merge_s = time.perf_counter() - t0
-        self.rss.sample()
+        compacts, merges = [], []
+        for r in range(RECLAIM_REPS):
+            if r:
+                shutil.rmtree(cmp_dir)
+                shutil.rmtree(mrg_dir)
+            cmp_dir = os.path.join(self.work, f"compacted{r}")
+            mrg_dir = os.path.join(self.work, f"merged{r}")
+            t0 = time.perf_counter()
+            self.op(compact_index, idx, cmp_dir)
+            compacts.append(time.perf_counter() - t0)
+            self.rss.sample()
+            t0 = time.perf_counter()
+            self.op(merge_segments, cmp_dir, mrg_dir, MERGE_GROUP)
+            merges.append(time.perf_counter() - t0)
+            self.rss.sample()
         self.mark("compact + merge")
-        self.e2e["reclaim_docs_per_s"] = len(alive) / (compact_s + merge_s)
-        self.layer["index.build.compact_s"] = compact_s
-        self.layer["index.build.merge_s"] = merge_s
+        self.e2e["reclaim_docs_per_s"] = len(alive) / _median(
+            [c + m for c, m in zip(compacts, merges)])
+        self.layer["index.build.compact_s"] = _median(compacts)
+        self.layer["index.build.merge_s"] = _median(merges)
         if "reclaimed" in wl.phases:
             self.serve(mrg_dir, "reclaimed", {"stats_docs": alive, "cand_docs": alive}, banned)
 
         for mode in MODES:
             self.e2e[f"query_p50_ms.{mode}"] = _median(self.samples[mode]) * 1e3
-        self.e2e["batch_qps"] = self.batch_queries / self.batch_wall
+        # as if each phase served one batch of each mode
+        self.e2e["batch_qps"] = BATCH_SIZE * len(self.batch_walls) / sum(self.batch_walls)
         self.e2e["peak_rss_mb"] = self.rss.mb
         for name, xs in self.layer_acc.items():
             self.layer[name] = statistics.fmean(xs)
