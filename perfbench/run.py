@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 perfbench/run.py --workload code-build-batch --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload marco-serve --seed 1 --seconds 10 --trace 0
     python3 perfbench/run.py --workload all --seed 1
 
 Each workload runs in its own child process with its own Ray session,
@@ -25,7 +25,7 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOAD_NAMES = ("code-build-batch", "marco-serve", "lifecycle")
+WORKLOAD_NAMES = ("marco-serve", "lifecycle")
 # a run must end within 180 s; the watchdog leaves room to clean up
 WATCHDOG_S = 165
 # Keep the session's worker processes instead of killing idle ones and
@@ -79,7 +79,9 @@ def child(args) -> int:
     wl = workloads.WORKLOADS[args.workload]
     work = os.path.join(HERE, ".work", f"{wl.name}-{os.getpid()}")
     os.makedirs(work)
-    ray.init(num_cpus=len(os.sched_getaffinity(0)), include_dashboard=False,
+    # A one-CPU Ray session: one task or one actor at a time, whatever the
+    # machine has, so that runs on hosts of different sizes do alike
+    ray.init(num_cpus=1, include_dashboard=False,
              log_to_driver=False, object_store_memory=512 << 20,
              _system_config=RAY_SYSTEM_CONFIG)
     ray.data.DataContext.get_current().enable_progress_bars = False

@@ -146,6 +146,30 @@ def test_undeclared_metric_is_refused():
         bench_cli.result_line({**metrics, "made_up_ms": 1.0}, decl, 10, 0, True)
 
 
+def test_stolen_time_is_left_out_of_timings(tmp_path):
+    import time
+
+    import workloads
+
+    stolen, wanted = workloads.Steal().ticks()
+    assert 0 <= stolen <= wanted
+
+    class FakeSteal:
+        def ticks(self):
+            return 110, 1400
+
+    r = workloads.Run(workloads.WORKLOADS["lifecycle"], 1, 1.0, False,
+                      str(tmp_path), lambda m: None)
+    r.steal = FakeSteal()
+    # two wall seconds in which the CPUs wanted 400 ticks and got 300
+    t0 = (time.perf_counter() - 2.0, 10, 1000)
+    assert r.busy(t0) == pytest.approx(1.5, abs=0.01)
+    _, share = r.unstolen_share((time.perf_counter() - 2.0, 10, 1000))
+    assert share == pytest.approx(0.75)
+    # no tick counted in the window: nothing is taken off
+    assert r.busy((time.perf_counter() - 2.0, 110, 1400)) == pytest.approx(2.0, abs=0.01)
+
+
 def test_benchmark_json_follows_contract():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)

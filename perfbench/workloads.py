@@ -1,4 +1,4 @@
-"""The three workloads and the sequence every one of them runs.
+"""The workloads and the sequence every one of them runs.
 
 Every workload runs the same index lifecycle on its own corpus, so every
 end-to-end metric is measured on every workload:
@@ -15,6 +15,11 @@ end-to-end metric is measured on every workload:
 The workloads differ in corpus, segment size and where the serving
 time goes; ``Workload`` records each one's choices and README.md says
 why.
+
+Every timing leaves out the share of the time the hypervisor kept the
+run's CPUs from running while they had work (``Steal``): on a shared
+host that share changes from run to run and would otherwise move every
+figure with it.
 """
 
 from __future__ import annotations
@@ -68,15 +73,13 @@ class Workload:
 
 WORKLOADS = {
     w.name: w for w in (
-        Workload("code-build-batch", "code", 20_000, 5_000, 65_536,
-                 240, 0.25, ("fresh",), setup_reps=4),
         Workload("marco-serve", "marco", 17_000, 2_500, 65_536,
-                 200, 0.15, ("fresh",)),
+                 300, 0.15, ("fresh",)),
         # a first segment at the size where ``bmm`` switches to Maxscore
         # (``SegmentSearcher.maxscore_min_docs``), so that the tombstoned
         # phase takes the masked Maxscore path there
         Workload("lifecycle", "code", 24_576, 4_096, 16_384,
-                 240, 0.25, ("appended", "tombstoned", "reclaimed")),
+                 360, 0.25, ("appended", "tombstoned", "reclaimed")),
     )
 }
 
@@ -154,11 +157,41 @@ class PeakRss:
         return self.peak_kb / 1024
 
 
+class Steal:
+    """Time the hypervisor kept this process's CPUs from running while
+    they had work: the ``steal`` column of their ``/proc/stat`` lines,
+    beside the time they ran (user, nice, system, irq, softirq), both
+    summed over the CPUs. The kernel counts steal in place of the run
+    time it displaced, at the scheduler tick, so over a window of a
+    second or more the stolen share of the time the CPUs wanted to run
+    reads to within about a percent."""
+
+    def __init__(self):
+        self.keys = {f"cpu{c}" for c in os.sched_getaffinity(0)}
+
+    def ticks(self) -> tuple[int, int]:
+        """(stolen, ran + stolen) since boot, in clock ticks."""
+        stolen = wanted = 0
+        with open("/proc/stat") as f:
+            for line in f:
+                fields = line.split()
+                if fields and fields[0] in self.keys:
+                    user, nice, system, _idle, _iowait, irq, softirq, steal = map(
+                        int, fields[1:9])
+                    stolen += steal
+                    wanted += user + nice + system + irq + softirq + steal
+        return stolen, wanted
+
+
 # ----------------------------------------------------------- the runner
 
 
 def _median(xs):
     return float(statistics.median(xs))
+
+
+def _secs(xs) -> str:
+    return "[" + ", ".join(f"{x:.2f}" for x in xs) + "] s"
 
 
 def _dir_bytes(path: str) -> int:
@@ -183,6 +216,9 @@ class Run:
         self.layer: dict[str, float] = {}
         self.layer_acc: dict[str, list[float]] = {}
         self.tracer = Tracer()
+        self.steal = Steal()
+        # wall and stolen seconds over every timed window, for the log
+        self.timed_wall = self.timed_stolen = 0.0
         # query streams are numbered so that no two passes share queries
         self._stream = 0
 
@@ -204,6 +240,26 @@ class Run:
     def mismatch(self, what: str) -> None:
         self.failed += 1
         self.log(f"WRONG RESULT: {what}")
+
+    def clock(self) -> tuple[float, int, int]:
+        """Start of a timed window: wall seconds and ``Steal.ticks``."""
+        return (time.perf_counter(), *self.steal.ticks())
+
+    def unstolen_share(self, t0: tuple[float, int, int]) -> tuple[float, float]:
+        """(wall seconds since ``t0``, share of the CPUs' wanted time that
+        was not stolen meanwhile)."""
+        w1, stolen, wanted = self.clock()
+        wall = w1 - t0[0]
+        stolen, wanted = stolen - t0[1], wanted - t0[2]
+        share = 1 - stolen / wanted if wanted > 0 else 1.0
+        self.timed_wall += wall
+        self.timed_stolen += wall * (1 - share)
+        return wall, share
+
+    def busy(self, t0: tuple[float, int, int]) -> float:
+        """Wall seconds since ``t0``, less the stolen share."""
+        wall, share = self.unstolen_share(t0)
+        return wall * share
 
     def acc(self, name: str, value: float) -> None:
         self.layer_acc.setdefault(name, []).append(value)
@@ -239,9 +295,9 @@ class Run:
             docnos += d
             texts += t
         n_bytes = sum(len(t.encode()) for t in texts)
-        t0 = time.perf_counter()
+        t0 = self.clock()
         doclens, terms, tfs = tokenize_batch(texts, self.cfg.profile)
-        self.layer["normalizer.tokenize_mb_per_s"] = n_bytes / 1e6 / (time.perf_counter() - t0)
+        self.layer["normalizer.tokenize_mb_per_s"] = n_bytes / 1e6 / self.busy(t0)
         self.oracle = Bm25Oracle(docnos, doclens, terms, tfs)
         self.docnos = docnos
         self.base_docs = set(range(self.wl.n_docs))
@@ -249,10 +305,10 @@ class Run:
     # ---- engine lifetime
 
     def start_engine(self, index_dir: str, first_query: str, use_actors=True):
-        t0 = time.perf_counter()
+        t0 = self.clock()
         eng = self.op(QueryEngine, index_dir, use_actors=use_actors)
         self.op(eng.search, first_query, QUERY_K, "bmm")
-        return eng, time.perf_counter() - t0
+        return eng, self.busy(t0)
 
     def release(self, eng) -> None:
         """Kill the engine's actors, then wait until their CPUs are free
@@ -281,21 +337,27 @@ class Run:
 
     # ---- set-up
 
-    def setup(self) -> tuple[list[str], list]:
-        """Fresh build + engine start, ``setup_reps`` times. A workload
+    def setup(self) -> tuple[str, list]:
+        """Fresh build + engine start, then an append-incremental build of
+        the second file onto that index, ``setup_reps`` times. A workload
         with a "fresh" phase serves it in parts, one on each set-up's
-        engine, so that the timed serving is spread over the set-up time
-        and a slow spell of the host lands on one part only. Returns the
-        indexes, each appended to later, and the timed ``daat`` results of
-        the "fresh" phase."""
-        walls, builds, loads, summaries, fresh = [], [], [], [], []
+        engine before the append. Builds, appends and serving are thus
+        spread over the whole set-up, and a slow spell of the host (they
+        last seconds here) lands on one of each only. Returns the last
+        appended index, which serves from then on, and the timed ``daat``
+        results of the "fresh" phase."""
+        walls, builds, loads, appends, summaries, fresh = [], [], [], [], [], []
         view = {"stats_docs": self.base_docs, "cand_docs": self.base_docs}
         probe = self.queries(1)[0]
         # the first build, compaction and merge of a session also start
-        # worker processes and load the code their tasks run; an untimed
-        # pass over the small second file pays that, so that the timed
-        # operations are alike
+        # worker processes and load the code their tasks run, and the
+        # first build of the base file ran 30-60 % slower than the next
+        # ones; untimed passes pay that (a build of the base file, then a
+        # build, delete, compaction and merge of the small second file),
+        # so that the timed operations are alike
         warm = os.path.join(self.work, "warmup")
+        self.op(build_index, self.base, warm + "-base", self.cfg, self.spec)
+        shutil.rmtree(warm + "-base")
         self.op(build_index, self.extra, warm, self.cfg, self.spec)
         self.op(delete_docs, warm, self.docnos[-1:])
         self.op(compact_index, warm, warm + "-compacted")
@@ -304,12 +366,12 @@ class Run:
             shutil.rmtree(warm + d)
         for r in range(self.wl.setup_reps):
             idx = os.path.join(self.work, f"setup{r}")
-            t0 = time.perf_counter()
+            t0 = self.clock()
             s = self.op(build_index, self.base, idx, self.cfg, self.spec)
-            built = time.perf_counter() - t0
+            built = self.busy(t0)
             self.rss.sample()
             eng, load = self.start_engine(idx, probe)
-            walls.append(time.perf_counter() - t0)
+            walls.append(built + load)
             if "fresh" in self.wl.phases:
                 fresh += self.serve(idx, "fresh", view, set(), eng, probe,
                                     (r, self.wl.setup_reps))
@@ -318,33 +380,28 @@ class Run:
             builds.append(built)
             loads.append(load)
             summaries.append(s)
+            if r == self.wl.setup_reps - 1:
+                self.e2e["index_bytes_per_posting"] = _dir_bytes(idx) / s["n_postings"]
+                self._layout_metrics(idx, s)
+            t0 = self.clock()
+            a = self.op(build_index, [self.base, self.extra], idx, self.cfg, self.spec)
+            appends.append(self.busy(t0))
+            self.rss.sample()
+            if r < self.wl.setup_reps - 1:
+                shutil.rmtree(idx)
+        self.log(f"{self.wl.name}: builds {_secs(builds)}, engine starts {_secs(loads)}, "
+                 f"appends {_secs(appends)}; stages "
+                 f"{[{k: round(v, 2) for k, v in x['stage_secs'].items()} for x in summaries]}")
         self.e2e["setup_s"] = _median(walls)
         self.e2e["build_docs_per_s"] = self.wl.n_docs / _median(builds)
         self.layer["index.engine.load_s"] = _median(loads)
-        s = summaries[-1]
-        self.e2e["index_bytes_per_posting"] = _dir_bytes(idx) / s["n_postings"]
         for stage in ("tokenize", "global_stats", "assemble"):
             self.layer[f"index.build.{stage}_s"] = _median(
                 [x["stage_secs"][stage] for x in summaries])
-        self._layout_metrics(idx, s)
-        return [os.path.join(self.work, f"setup{r}") for r in range(self.wl.setup_reps)], fresh
-
-    def append(self, indexes: list[str]) -> str:
-        """Append-incremental build of the second file onto every set-up
-        index; the last one stays for the rest of the sequence."""
-        walls = []
-        for idx in indexes:
-            t0 = time.perf_counter()
-            s = self.op(build_index, [self.base, self.extra], idx, self.cfg, self.spec)
-            walls.append(time.perf_counter() - t0)
-            self.rss.sample()
-        for idx in indexes[:-1]:
-            shutil.rmtree(idx)
-        self.e2e["append_docs_per_s"] = self.wl.n_append / _median(walls)
-        self.layer["index.build.append_s"] = _median(walls)
-        self.layer["index.build.segments"] = s["n_segments"]
-        self.mark("append")
-        return indexes[-1]
+        self.e2e["append_docs_per_s"] = self.wl.n_append / _median(appends)
+        self.layer["index.build.append_s"] = _median(appends)
+        self.layer["index.build.segments"] = a["n_segments"]
+        return idx, fresh
 
     def _layout_metrics(self, idx: str, summary: dict) -> None:
         """Assemble sub-stage times and bytes per posting by file part,
@@ -397,11 +454,19 @@ class Run:
             gc.freeze()
             # modes take turns query by query, so a slow spell of the host
             # lands on every mode alike
+            lat: dict[str, list[float]] = {m: [] for m in MODES}
+            window = self.clock()
             for i in range(per_mode):
                 for mode in MODES:
                     t0 = time.perf_counter()
                     results[mode].append(self.op(eng.search, streams[mode][1][i], QUERY_K, mode))
-                    self.samples[mode].append(time.perf_counter() - t0)
+                    lat[mode].append(time.perf_counter() - t0)
+            # steal is counted per tick, too coarse to charge to single
+            # queries: every latency of the window gives up the window's
+            # stolen share
+            _, share = self.unstolen_share(window)
+            for mode in MODES:
+                self.samples[mode] += [x * share for x in lat[mode]]
             batches = self._batches(eng, n_parts)
             self._check(eng, phase, streams, results, batches, oracle_view, banned,
                         max(2, ORACLE_SAMPLE // n_parts))
@@ -423,7 +488,8 @@ class Run:
         self.op(eng.search_batch, self.queries(BATCH_SIZE), BATCH_K, "bmm")  # warm-up
         kept, walls, i = [], {"daat": [], "bmm": []}, 0
         gc.collect()
-        t_start = time.perf_counter()
+        window = self.clock()
+        t_start = window[0]
         while time.perf_counter() - t_start < box or i < 2:
             qs = self.queries(BATCH_SIZE)
             mode = ("daat", "bmm")[i % 2]
@@ -433,7 +499,8 @@ class Run:
             if i < 2:
                 kept.append((mode, qs, out))
             i += 1
-        self.batch_walls += [_median(w) for w in walls.values()]
+        _, share = self.unstolen_share(window)
+        self.batch_walls += [_median(w) * share for w in walls.values()]
         return kept
 
     def _check(self, eng, phase, streams, results, batches, view, banned, sample) -> None:
@@ -532,6 +599,7 @@ class Run:
         local: dict[str, list[float]] = {m: [] for m in MODES}
         lookups, misses, terms = 0, 0, set()
         tr.maxscore_calls.update(masked=0, unmasked=0)
+        window = self.clock()
         with tr.probing():
             for i in range(len(timed)):
                 for mode in MODES:
@@ -545,11 +613,12 @@ class Run:
                     local[mode].append(time.perf_counter() - t0)
                     lookups += len(keys)
                     misses += len(keys & tr.decoded_terms)
+        _, share = self.unstolen_share(window)
         for mode in MODES:
             # the actor-served samples of the same queries, in the same order
             actor = self.samples[mode][-len(timed):]
             self.acc(f"index.engine.scatter_gather_ms.{mode}",
-                     (_median(actor) - _median(local[mode])) * 1e3)
+                     (_median(actor) - _median(local[mode]) * share) * 1e3)
         self.acc("index.searcher.term_miss_frac", misses / max(lookups, 1))
         self.log(f"{self.wl.name}: timed streams: {len(terms)} distinct query terms, "
                  f"{lookups} (segment, term) lookups, {misses} decoded "
@@ -615,9 +684,8 @@ class Run:
         self.make_oracle()
         self.mark("oracle tokenization")
         wl = self.wl
-        indexes, fresh = self.setup()
-        self.mark("set-up")
-        idx = self.append(indexes)
+        idx, fresh = self.setup()
+        self.mark("set-up and appends")
         full_view = {"stats_docs": None, "cand_docs": None}
         appended = (self.serve(idx, "appended", full_view, set())
                     if "appended" in wl.phases else fresh)
@@ -625,9 +693,9 @@ class Run:
         # delete up to 2% of the corpus, chosen among returned docnos
         returned = sorted({hit[1] for r in appended for hit in r})
         victims = returned[: max(1, (wl.n_docs + wl.n_append) // 50)]
-        t0 = time.perf_counter()
+        t0 = self.clock()
         self.op(delete_docs, idx, victims)
-        self.layer["index.tombstone.delete_s"] = time.perf_counter() - t0
+        self.layer["index.tombstone.delete_s"] = self.busy(t0)
         banned = set(victims)
         alive = {i for i, d in enumerate(self.docnos) if d not in banned}
         if "tombstoned" in wl.phases:
@@ -640,14 +708,15 @@ class Run:
                 shutil.rmtree(mrg_dir)
             cmp_dir = os.path.join(self.work, f"compacted{r}")
             mrg_dir = os.path.join(self.work, f"merged{r}")
-            t0 = time.perf_counter()
+            t0 = self.clock()
             self.op(compact_index, idx, cmp_dir)
-            compacts.append(time.perf_counter() - t0)
+            compacts.append(self.busy(t0))
             self.rss.sample()
-            t0 = time.perf_counter()
+            t0 = self.clock()
             self.op(merge_segments, cmp_dir, mrg_dir, MERGE_GROUP)
-            merges.append(time.perf_counter() - t0)
+            merges.append(self.busy(t0))
             self.rss.sample()
+        self.log(f"{self.wl.name}: compactions {_secs(compacts)}, merges {_secs(merges)}")
         self.mark("compact + merge")
         self.e2e["reclaim_docs_per_s"] = len(alive) / _median(
             [c + m for c, m in zip(compacts, merges)])
@@ -663,3 +732,6 @@ class Run:
         self.e2e["peak_rss_mb"] = self.rss.mb
         for name, xs in self.layer_acc.items():
             self.layer[name] = statistics.fmean(xs)
+        self.log(f"{wl.name}: {self.timed_stolen:.2f} s of {self.timed_wall:.2f} s timed "
+                 f"were stolen ({self.timed_stolen / max(self.timed_wall, 1e-9):.1%}) "
+                 f"and left out of every timing")
