@@ -57,13 +57,14 @@ def main() -> None:
 
     merged = "/tmp/bench2m_idx_m32"
     shutil.rmtree(merged, ignore_errors=True)
-    os.environ.setdefault("SEPPRAY_MERGE_TASK_CPUS", "1")  # parallel merge (see bench.py)
+    os.environ.setdefault("SEPPRAY_MERGE_TASK_CPUS", "1")  # parallel merge
     t0 = time.perf_counter()
     m = merge_segments(idx, merged, group_size=32)
     out["merge32_wall_s"] = round(time.perf_counter() - t0, 1)
     out["merge32_segments"] = m["n_segments"]
 
-    # serving in a fresh session (bench.py's residue rationale)
+    # serving in a fresh session: build/merge workers left behind by
+    # the session above would otherwise share the CPUs with the actors
     ray.shutdown()
     time.sleep(12)
     ray.init(address="local", num_cpus=args.cpus, include_dashboard=False)

@@ -16,9 +16,7 @@ import ray
 
 sys.path.insert(0, ".")
 
-TABLES = (
-    "region nation customer supplier part orders lineitem events documents embeddings"
-).split()
+TABLES = ("documents", "embeddings")
 
 
 def to_pandas(obj) -> pd.DataFrame:

@@ -2,7 +2,7 @@
 top-k query engine, built from scratch with the query/data-processing
 capabilities of the C++ reference engine (scarburato/searchenginepp), plus
 large-scale training-data pipeline operators (dedup, similarity search,
-text analysis, multimodal plumbing)."""
+text analysis, filters, sampling, training export)."""
 
 __version__ = "0.1.0"
 

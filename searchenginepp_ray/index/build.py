@@ -49,6 +49,7 @@ from ..normalizer.batch import tokenize_batch
 from ..codecs import varbyte
 from ..sources.parquet_corpus import ColumnSpec, CorpusShard, corpus_shards, read_shard
 from . import scorer as scorer_mod
+from .hash_partition import _key_hash, _shuffle_width, hash_groupby_apply
 
 #: On-disk build format version, folded into the lineage key so caches
 #: from older layouts (single-file global lexicon, seg-less partials)
@@ -229,8 +230,6 @@ def _global_stage_single(
     tiny. Returns sum_doclen."""
     import pandas as pd
 
-    from ..pipelines.agg import _key_hash
-
     t = pa.concat_tables([pq.read_table(f) for f in partial_files])
     sum_doclen = int(pc.sum(t["doclen_part"]).as_py() or 0)
     part = (_key_hash(t, ["term"]) % np.uint64(P)).astype(np.int32)
@@ -251,8 +250,6 @@ def _fanout_split(files: list[str], P: int) -> list:
     arms), and return ``[sum_doclen_slice, piece_0, …, piece_{P-1}]``
     via ``num_returns`` so each wave-2 task fetches only its own
     partition's pieces from the object store."""
-    from ..pipelines.agg import _key_hash
-
     t = pa.concat_tables([pq.read_table(f) for f in files])
     sum_doclen = int(pc.sum(t["doclen_part"]).as_py() or 0)
     part = (_key_hash(t, ["term"]) % np.uint64(P)).astype(np.int64)
@@ -477,8 +474,6 @@ def _global_stage(docs_dir: str, global_dir: str, n_docs: int,
     seg_df_dir = os.path.join(global_dir, "seg_df")
     os.makedirs(term_df_dir)
     os.makedirs(seg_df_dir)
-    from ..pipelines.agg import hash_groupby_apply  # no import cycle
-    from ..pipelines.dedup import _shuffle_width
 
     pdir = os.path.join(docs_dir, "_partials")
     partial_files = sorted(

@@ -155,7 +155,7 @@ def verify_term_postings(out_dir: str) -> dict:
     the checker runs at any table size."""
     import ray.data
 
-    from ..pipelines.agg import hash_groupby_apply
+    from .hash_partition import hash_groupby_apply
 
     def check(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["term", "salt"], kind="mergesort")

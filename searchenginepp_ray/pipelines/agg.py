@@ -1,78 +1,22 @@
-"""Hash-partitioned groupby-apply — the scale-safe replacement for
-``Dataset.groupby(keys).aggregate(...)`` when the key cardinality is
-non-trivial.
-
-Ray Data's native aggregate pays per-GROUP Python overhead (~1 ms/group
-measured on 2.49: 14k groups ≈ 65 s for a trivial double Sum). This
-helper keeps the all-to-all exchange but makes the per-partition work one
-VECTORIZED pandas groupby: rows are hash-partitioned on the key columns
-into ``P`` coarse partitions (P tracks cluster CPUs, so partition sizes
-shrink as the cluster grows), each partition holds every row of its keys,
-and the per-partition callable aggregates them in C.
+"""Aggregation helpers over :func:`..index.hash_partition.hash_groupby_apply`
+(the hash-partitioned groupby shared with the index build): named
+aggregations, and the within-run pair enumerator used by the
+posting-list pair joins.
 
 Used by every pipeline whose group count scales with the data (per-term,
-per-window, per-content-hash, per-pair aggregates). Native
+per-content-hash, per-pair aggregates). Native
 ``.aggregate()`` remains fine for tiny key spaces (per-label, per-type).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 import ray.data
 
-from .dedup import _GOLDEN, _hash_strings, _shuffle_width, _splitmix64
-
-
-def _key_hash(t: pa.Table, keys: Sequence[str]) -> np.ndarray:
-    """Vectorized 64-bit combined hash of the key columns."""
-    h = np.zeros(len(t), dtype=np.uint64)
-    for k in keys:
-        col = t[k]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
-            v = _hash_strings(col)
-        elif pa.types.is_binary(col.type) or pa.types.is_large_binary(col.type):
-            v = _hash_strings(col)
-        else:
-            v = col.to_numpy(zero_copy_only=False).astype(np.uint64, copy=False)
-        h = _splitmix64((h * _GOLDEN) ^ v)
-    return h
-
-
-def hash_groupby_apply(
-    ds: ray.data.Dataset,
-    keys: Sequence[str],
-    fn: Callable[[pd.DataFrame], pd.DataFrame],
-    P: int | None = None,
-    keep_part: bool = False,
-) -> ray.data.Dataset:
-    """``fn`` (a vectorized pandas aggregation over the key columns) is
-    applied once per hash partition; every row of a key lands in exactly
-    one partition, so the result equals a global groupby.
-
-    ``keep_part=True`` passes the ``_part`` column (the partition id)
-    through to ``fn`` — for callables that write partition-addressed
-    side outputs (e.g. the index build's partitioned global lexicon)."""
-    P = P or _shuffle_width()
-    keys = list(keys)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = (_key_hash(t, keys) % np.uint64(P)).astype(np.int32)
-        return t.append_column("_part", pa.array(part))
-
-    def apply(df: pd.DataFrame) -> pd.DataFrame:
-        return fn(df) if keep_part else fn(df.drop(columns=["_part"]))
-
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(apply, batch_format="pandas")
-    )
+from ..index.hash_partition import hash_groupby_apply
 
 
 def hash_groupby_sum(

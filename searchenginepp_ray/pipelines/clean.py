@@ -93,30 +93,32 @@ def corpus_clean(
 
 
 def _mark_members(
-    ds, key_col: str, members, member_col: str, payload_cols: list[str],
+    ds, key_col: str, members, member_col: str, payload: dict[str, pa.DataType],
     keep_matching: bool,
 ):
     """Distributed semi-/anti-join: keep ``ds`` rows whose ``key_col``
     does (``keep_matching=True``) or does not appear in
-    ``members[member_col]``. One hash-partition exchange over the union;
-    membership testing is one vectorized ``np.isin`` per partition —
-    nothing is collected on the driver."""
-    from .agg import hash_groupby_apply
+    ``members[member_col]``. Output columns are the ``payload`` columns
+    (name -> Arrow type), or ``doc_id`` (the key) when ``payload`` is
+    empty. One hash-partition exchange over the union; membership
+    testing is one vectorized ``np.isin`` per partition — nothing is
+    collected on the driver."""
+    from ..index.hash_partition import hash_groupby_apply
 
     def mem_rows(t: pa.Table) -> pa.Table:
         n = len(t)
         cols = {"_k": t[member_col].cast(pa.int64()),
                 "_is_mem": pa.array(np.ones(n, np.int8))}
-        for c in payload_cols:
-            cols[c] = pa.array(np.zeros(n, np.int64))
+        for c, typ in payload.items():
+            cols[c] = pa.array(np.zeros(n, np.int64)).cast(typ)
         return pa.table(cols)
 
     def row_rows(t: pa.Table) -> pa.Table:
         n = len(t)
         cols = {"_k": t[key_col].cast(pa.int64()),
                 "_is_mem": pa.array(np.zeros(n, np.int8))}
-        for c in payload_cols:
-            cols[c] = t[c].cast(pa.int64())
+        for c, typ in payload.items():
+            cols[c] = t[c].cast(typ)
         return pa.table(cols)
 
     u = ds.map_batches(row_rows, batch_format="pyarrow").union(
@@ -130,7 +132,7 @@ def _mark_members(
         rows = df[df["_is_mem"] == 0]
         hit = np.isin(rows["_k"].to_numpy(), mem)
         out = rows[hit if keep_matching else ~hit]
-        return out[payload_cols] if len(payload_cols) else pd.DataFrame(
+        return out[list(payload)] if payload else pd.DataFrame(
             {"doc_id": out["_k"].to_numpy()}
         )
 
@@ -146,7 +148,7 @@ def texts_for_keepers(sf_dir: str, keepers):
     driver-side id set)."""
     import pandas as pd
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .text_stats import documents_ds
 
     def doc_rows(t: pa.Table) -> pa.Table:
@@ -206,7 +208,7 @@ def corpus_clean_neardup(
     erase that content from the output).
 
     Fully distributed: pair filtering is two hash-partition semi-joins,
-    the component labels come from :func:`..pipelines.graph.connected_components`
+    the component labels come from :func:`.graph.connected_components`
     (min-label propagation over the pairs Dataset, one scalar per round
     to the driver), and losers are removed by a distributed anti-join —
     no driver-side union-find, no id broadcast."""
@@ -222,7 +224,7 @@ def corpus_clean_neardup(
     ).materialize()  # reused three times below (id+md5-sized)
 
     # restrict the pair graph to passers (both endpoints must pass)
-    pair_cols = ["doc_a", "doc_b"]
+    pair_cols = {"doc_a": pa.int64(), "doc_b": pa.int64()}
     pairs = _mark_members(pairs, "doc_a", passers, "doc_id", pair_cols, True)
     pairs = _mark_members(pairs, "doc_b", passers, "doc_id", pair_cols, True)
 
@@ -236,4 +238,4 @@ def corpus_clean_neardup(
     ).map_batches(lambda t: t.select(["doc_id"]), batch_format="pyarrow")
 
     # ... minus the near-dup losers (distributed anti-join)
-    return _mark_members(keepers, "doc_id", losers, "node", [], False)
+    return _mark_members(keepers, "doc_id", losers, "node", {}, False)

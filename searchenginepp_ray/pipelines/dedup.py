@@ -32,19 +32,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..index.hash_partition import _GOLDEN, _hash_strings, _shuffle_width, _splitmix64
 from .text_stats import documents_ds
-
-# deterministic 64-bit mix (splitmix64) for minhash permutations
-_MASK = (1 << 64) - 1
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    x = (x + 0x9E3779B97F4A7C15) & np.uint64(_MASK)
-    z = x
-    z = ((z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & np.uint64(_MASK)
-    z = ((z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & np.uint64(_MASK)
-    return z ^ (z >> np.uint64(31))
 
 
 def _splitmix64_inplace(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -80,44 +69,7 @@ def _scratch_u64(name: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf[:n].reshape(shape)
 
 
-def _shuffle_width() -> int:
-    """Coarse hash-partition width — scales with the cluster, never a
-    hard-coded constant."""
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(8, 2 * cpus)
-
-
 # ---------- vectorized tokenize/hash kernels ----------
-
-#: Hash implementation is chosen ONCE at import (polars present or not)
-#: and never falls back at runtime: this hash drives hash-partition
-#: assignment and LSH bucket keys, so a silent per-call fallback on a
-#: worker where polars errs would place identical keys in different
-#: partitions with no error. A missing-everywhere polars still works
-#: (pandas siphash); a flaky polars raises loudly instead of diverging.
-try:
-    import polars as _pl  # noqa: N816
-except ImportError:  # pragma: no cover - both paths covered by tests
-    _pl = None
-
-
-def _hash_strings(arr) -> np.ndarray:
-    """C-speed deterministic 64-bit hash of every string in an Arrow
-    array (polars xxhash with a fixed seed; pandas siphash when polars is
-    absent at import). One call per batch — the replacement for per-token
-    Python blake2b."""
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    if len(arr) == 0:
-        return np.empty(0, dtype=np.uint64)
-    if _pl is not None:
-        return _pl.from_arrow(arr).hash(seed=0).to_numpy().astype(np.uint64, copy=False)
-    import pandas as pd
-
-    return pd.util.hash_array(
-        np.asarray(arr.to_pylist(), dtype=object)
-    ).astype(np.uint64, copy=False)
-
 
 _EMPTY_HASH: np.uint64 | None = None
 
@@ -207,17 +159,17 @@ def _shingle_hash_batch(texts, shingle: int) -> tuple[np.ndarray, np.ndarray]:
 
     short = np.flatnonzero(~full)
     if len(short):
-        eh = _empty_hash()
-        for d in short:
-            th = h[offsets[d] : offsets[d] + counts[d]]
-            first = np.uint64(th[0]) if counts[d] > 0 else eh
-            acc = _splitmix64(np.array([first], dtype=np.uint64))[0]
-            for j in range(1, shingle):
-                nxt = np.uint64(th[j]) if j < counts[d] else eh
-                acc = _splitmix64(
-                    np.array([(acc * _GOLDEN) ^ nxt], dtype=np.uint64)
-                )[0]
-            out[out_offs[d]] = acc
+        # the same fold over each short doc's tokens padded to `shingle`
+        # with the empty-token hash (index len(h) of the padded array);
+        # array arithmetic wraps mod 2^64 without overflow warnings
+        hp = np.append(h, _empty_hash())
+        j = np.arange(shingle)
+        idx = np.where(j < counts[short, None], offsets[short, None] + j, len(h))
+        toks = hp[idx]
+        acc = _splitmix64(toks[:, 0])
+        for c in range(1, shingle):
+            acc = _splitmix64((acc * _GOLDEN) ^ toks[:, c])
+        out[out_offs[short]] = acc
     return out, sh_counts
 
 
@@ -995,7 +947,7 @@ def dup_components_best(
     argmax kernel. Integer-exact throughout: no float tie hazard."""
     import pandas as pd
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .text_stats import token_count
 
     comp = dup_components(sf_dir, shingle, thr_num, thr_den,
@@ -1108,7 +1060,7 @@ def span_dedup(sf_dir: str, width: int = 10):
     never enter the dedup flow — always kept."""
     import pandas as pd
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
 
     W = int(width)
 
@@ -1158,7 +1110,7 @@ def _reassemble_minus_drops(sf_dir: str, drops, W: int):
     (doc_id, n_spans, n_kept, clean_md5) for every doc."""
     import pandas as pd
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .duck import md5_hex
 
     def tag_docs(t: pa.Table) -> pa.Table:
@@ -1234,7 +1186,7 @@ def boilerplate_spans(sf_dir: str, width: int = 10, min_count: int = 2):
     kept."""
     import pandas as pd
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
 
     W = int(width)
     N = int(min_count)
@@ -1268,12 +1220,12 @@ def dedup_incremental(sf_dir: str, mod: int = 2):
 
     Scale shape: ONE content-hash-keyed exchange carries (md5, doc_id,
     side) rows from both slices — the anti-join happens where the hash
-    co-locates, exactly the :func:`~.relational.shuffle_semi_join`
+    co-locates, exactly the :func:`~.clean._mark_members` anti-join
     shape keyed on content instead of an id; nothing is broadcast and
     neither slice is materialized anywhere."""
     import pandas as pd
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .duck import md5_hex
 
     def tag(t: pa.Table) -> pa.Table:
@@ -1489,7 +1441,7 @@ def dedup_incremental_minhash(sf_dir: str, mod: int = 2, shingle: int = 3,
     import pandas as pd
     import pyarrow.parquet as pq
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
 
     if index_dir is None:
         index_dir = minhash_band_index_build(
@@ -1669,7 +1621,7 @@ def corpus_diff(sf_dir: str, add_mod: int = 13, add_res: int = 3,
     import pandas as pd
     import pyarrow.compute as pc
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .duck import md5_hex
     from .text_stats import documents_ds
 
@@ -1738,7 +1690,8 @@ def containment_pairs(sf_dir: str, shingle: int = 3, thr_num: int = 4,
     import pandas as pd
     import pyarrow.parquet as pq_
 
-    from .agg import hash_groupby_apply, hash_groupby_sum
+    from ..index.hash_partition import hash_groupby_apply
+    from .agg import hash_groupby_sum
 
     path = sf_dir if sf_dir.endswith(".parquet") \
         else f"{sf_dir}/documents.parquet"

@@ -89,7 +89,8 @@ def doc_embedding(sf_dir: str, dims: int = DIMS) -> ray.data.Dataset:
     """(doc_id, dim, weight): feature-hashed TF-IDF document embedding in
     long format. ``weight`` is rounded to 6 dp for oracle comparability
     (cross-engine log2/summation ULPs are ~1e-14 absolute)."""
-    from .agg import hash_groupby_apply, hash_groupby_sum
+    from ..index.hash_partition import hash_groupby_apply
+    from .agg import hash_groupby_sum
     from .text_stats import term_counts_ds
 
     n_docs = float(_n_docs(sf_dir))
@@ -151,7 +152,7 @@ def doc_keywords(sf_dir: str, m: int = 5) -> ray.data.Dataset:
     only the reported weight is rounded (shared floor rule)."""
     import pandas as pd
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .text_stats import round6_half_up, term_counts_ds
 
     n_docs = float(_n_docs(sf_dir))
@@ -197,7 +198,7 @@ def doc_embedding_vectors(sf_dir: str, dims: int = DIMS,
     with a single per-partition scatter (no per-doc Python).
     ``dtype=np.float64`` keeps full precision (used by :func:`text_knn`,
     whose oracle comparison needs the rounded weights bit-exact)."""
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
 
     dt = dtype or np.float32
 
@@ -327,7 +328,8 @@ def doc_similarity_pairs(sf_dir: str, threshold: float = 0.6,
     doc-keyed exchanges attach ||a|| and ||b|| (the norms table scales
     with the corpus, so it is exchanged, never broadcast). Pair traffic
     is Σ_{df≤cap} C(df,2) — bounded by the df cap, not N²."""
-    from .agg import hash_groupby_apply, hash_groupby_sum
+    from ..index.hash_partition import hash_groupby_apply
+    from .agg import hash_groupby_sum
     from .text_stats import round6_half_up, term_counts_ds
 
     n_docs_i = _n_docs(sf_dir)

@@ -33,7 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from .agg import hash_groupby_apply
+from ..index.hash_partition import hash_groupby_apply
 from .text_stats import documents_ds
 
 
@@ -292,10 +292,9 @@ def training_export(sf_dir: str, n_shards: int = 8,
     where ids_md5 checksums the ordered (doc_id, chunk_idx) assignment
     — the single value the DuckDB oracle reproduces end-to-end, making
     the WHOLE composition value-checked, not just its stages."""
-    from .clean import corpus_clean, texts_for_keepers
+    from .clean import _mark_members, corpus_clean, texts_for_keepers
     from .duck import md5_bucket
     from .filters import decontaminate
-    from .relational import shuffle_semi_join
 
     out_dir = out_dir or tempfile.mkdtemp(prefix="seppray_train_", dir="/tmp")
     os.makedirs(out_dir, exist_ok=True)
@@ -311,9 +310,9 @@ def training_export(sf_dir: str, n_shards: int = 8,
 
     cont = decontaminate(sf_dir, bench_mod=bench_mod).map_batches(
         contaminated_only, batch_format="pyarrow")
-    survivors = shuffle_semi_join(
+    survivors = _mark_members(
         keepers.map_batches(non_bench, batch_format="pyarrow"),
-        cont, "doc_id", "doc_id", [], anti=True,
+        "doc_id", cont, "doc_id", {}, keep_matching=False,
     )
     chunks = chunk_ds(texts_for_keepers(sf_dir, survivors), keep_text=True)
 

@@ -160,7 +160,7 @@ def _bench_gram_hashes(sf_dir: str, w: int, bench_mod: int) -> np.ndarray:
     benchmark subset is small by construction; per-batch partials are
     already deduped, so what reaches the driver is bounded by the
     benchmark gram vocabulary, not the corpus."""
-    from .dedup import _hash_strings
+    from ..index.hash_partition import _hash_strings
 
     def partial(t: pa.Table) -> pa.Table:
         mask = np.asarray(t["doc_id"].to_numpy() % bench_mod == 0)
@@ -209,7 +209,7 @@ def decontaminate(sf_dir: str, w: int = 3, bench_mod: int = 97):
     bench_ref = ray.put(_bench_gram_hashes(sf_dir, w, bench_mod))
 
     def flag(t: pa.Table) -> pa.Table:
-        from .dedup import _hash_strings
+        from ..index.hash_partition import _hash_strings
 
         bench = ray.get(bench_ref)
         mask = np.asarray(t["doc_id"].to_numpy() % bench_mod != 0)
@@ -245,8 +245,7 @@ def compression_ratio(sf_dir: str, level: int = 6):
     pinned by pytest against direct zlib calls plus an ordering
     property on constructed repetitive/normal/random docs. Scale shape:
     one streaming pass; zlib runs C-side per doc (the accepted per-row
-    shape for opaque codec work, cf. multimodal), no exchanges at
-    all."""
+    shape for opaque codec work), no exchanges at all."""
     import zlib
 
     def per_doc(t: pa.Table) -> pa.Table:
@@ -277,7 +276,7 @@ def compression_ratio(sf_dir: str, level: int = 6):
 
 def compression_ratio_stored(sf_dir: str):
     """Degenerate-parameter hash gate for :func:`compression_ratio`
-    (the knn_hnsw_exact pattern): zlib level 0 emits STORED deflate
+    (the knn_ivf_full_probe pattern): zlib level 0 emits STORED deflate
     blocks, and below one block boundary the output size is the closed
     form ``n + 11`` (2-byte zlib header + 5-byte stored-block header +
     payload + 4-byte adler32) — one SQL expression. The pipeline still
@@ -401,8 +400,8 @@ def dup_span_stats(sf_dir: str, w: int = 8):
     token stream — and nothing corpus-sized touches the driver."""
     import pandas as pd
 
-    from .agg import hash_groupby_apply, hash_groupby_sum
-    from .dedup import _hash_strings
+    from ..index.hash_partition import _hash_strings, hash_groupby_apply
+    from .agg import hash_groupby_sum
 
     def explode(t: pa.Table) -> pa.Table:
         doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -471,7 +470,7 @@ def collocations(sf_dir: str, min_count: int = 5, k: int = 20):
     two totals come from one cheap pre-pass of per-batch scalar sums."""
     import pandas as pd
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
 
     def count_scalars(t: pa.Table) -> pa.Table:
         _, flat, n_tokens = _words_flat(t["text"])
@@ -937,8 +936,7 @@ def split_leakage(sf_dir: str, w: int = 8, val_frac: float = 0.1,
     doc_id-only streaming count. Text never crosses a wire."""
     import pandas as pd
 
-    from .agg import hash_groupby_apply
-    from .dedup import _hash_strings
+    from ..index.hash_partition import _hash_strings, hash_groupby_apply
     from .sample import _threshold_hex, split_codes
     from .text_stats import documents_ds
 

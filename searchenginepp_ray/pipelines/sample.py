@@ -100,7 +100,7 @@ def hll_distinct_terms(sf_dir: str, p: int = _HLL_P):
     estimate is approximate by design)."""
     import pandas as pd
 
-    from .dedup import _hash_strings
+    from ..index.hash_partition import _hash_strings
     from .text_stats import term_counts_ds
 
     def partial(t: pa.Table) -> pa.Table:
@@ -131,9 +131,53 @@ def hll_distinct_terms(sf_dir: str, p: int = _HLL_P):
     )
 
 
+# ---- portable HyperLogLog kernel (:func:`vocab_distinct_hll`): 52-bit
+# md5-prefix hashes, M_REG registers, ρ from EXACT integer bit_length,
+# harmonic denominator as an exact int64 — every piece reproducible
+# verbatim in SQL ----
+
+M_REG = 512           # registers (2^9); bucket = hash % M_REG
+RHO_MAX = 44          # 1 + (52 − 9) suffix bits
+#: α·m²·2^RHO_MAX — every constant derived from the layout, so the
+#: register geometry can't silently desynchronize from the estimate
+#: (the SQL oracles' literals are generated from the same values)
+ALPHA_NUM = (0.7213 / (1.0 + 1.079 / M_REG)) * float(M_REG * M_REG) \
+    * float(1 << RHO_MAX)
+
+
+def _bit_length(v: np.ndarray) -> np.ndarray:
+    v = v.astype(np.int64).copy()
+    n = np.zeros(len(v), np.int64)
+    for k in (32, 16, 8, 4, 2, 1):
+        big = v >= (np.int64(1) << np.int64(k))
+        n[big] += k
+        v[big] >>= k
+    n += (v > 0).astype(np.int64)
+    return n
+
+
+def hll_bucket_rho(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(bucket, ρ) for 52-bit portable hashes."""
+    return h % M_REG, RHO_MAX - _bit_length(h // M_REG)
+
+
+def hll_estimate(regs: np.ndarray) -> tuple[float, int]:
+    """(estimate, zero_registers) from a dense M_REG register vector —
+    one correctly-rounded division over the exact-int64 denominator,
+    identical small-range branch to the SQL twins."""
+    denom = int((np.int64(1) << (RHO_MAX - regs)).sum())
+    zeros = int((regs == 0).sum())
+    e_raw = ALPHA_NUM / denom
+    if e_raw <= 2.5 * M_REG and zeros > 0:
+        est = float(M_REG) * np.log(float(M_REG) / zeros)
+    else:
+        est = e_raw
+    return est, zeros
+
+
 def vocab_distinct_hll(sf_dir: str):
     """Distinct-VOCABULARY HyperLogLog on the PORTABLE register kernel
-    (events.py: 52-bit md5 hashes, 512 registers, exact integer ρ and
+    (52-bit md5 hashes, 512 registers, exact integer ρ and
     denominator) — the ORACLE-HASH-CHECKED sibling of
     :func:`hll_distinct_terms` (which keeps the higher-precision 2^14
     xxhash geometry but is rows-only; this one trades precision for a
@@ -148,7 +192,6 @@ def vocab_distinct_hll(sf_dir: str):
 
     from .agg import hash_groupby_sum
     from .duck import md5_prefix_int
-    from .events import M_REG, hll_bucket_rho, hll_estimate
     from .text_stats import term_counts_ds
 
     def partial(t: pa.Table) -> pa.Table:
@@ -289,7 +332,8 @@ def quality_select(sf_dir: str, q_num: int = 1, q_den: int = 2):
 
     from ..config import SIMPLE_PROFILE
     from ..normalizer.batch import tokenize_batch
-    from .agg import hash_groupby_apply, hash_groupby_sum
+    from ..index.hash_partition import hash_groupby_apply
+    from .agg import hash_groupby_sum
     from .text_stats import documents_ds
 
     def score(t: pa.Table) -> pa.Table:
@@ -396,7 +440,7 @@ def source_cap(sf_dir: str, cap: int = 15, salt: str = "cap1"):
     drop-in scale path (rank keys are already on an integer grid)."""
     import pandas as pd
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .duck import md5_prefix_int
     from .text_stats import documents_ds
 
@@ -494,7 +538,7 @@ def lang_mix_sample(sf_dir: str, weights_pm: dict[str, int] | None = None,
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .duck import md5_prefix_int
     from .text_stats import documents_ds
 
@@ -566,7 +610,7 @@ def epoch_shuffle(sf_dir: str, epoch: int = 1, shard_size: int = 100,
     doc_id join; the permutation itself is metadata-sized."""
     import pandas as pd
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .duck import md5_hex
     from .text_stats import documents_ds
 
@@ -636,7 +680,7 @@ def curriculum_order(sf_dir: str):
     import pandas as pd
     import ray
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .text_stats import quality_score
 
     def to_key(t: pa.Table) -> pa.Table:

@@ -511,7 +511,7 @@ def label_centroids(sf_dir: str):
     label bincount), so the exchange carries label-count × dims floats
     per batch regardless of row count; the final divide runs over the
     tiny label key space."""
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .text_stats import _read_blocks
 
     path = f"{sf_dir}/embeddings.parquet"
@@ -874,7 +874,7 @@ def semantic_dedup(sf_dir: str, k: int = 8, iters: int = 3,
             "centroid_cos": pa.array([], pa.float64()),
             "keep": pa.array([], pa.int64())})
 
-    from .dedup import _shuffle_width
+    from ..index.hash_partition import _shuffle_width
 
     P = _shuffle_width()
 
@@ -907,7 +907,7 @@ def knn_graph(sf_dir: str, k: int = 5, chunk: int = 2048):
     scaling cardinality. Returns (vec_id, neighbor_id, rank, cosine)."""
     import pyarrow.parquet as pq
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .dedup import _read_row_range, _rg_offsets
 
     path = f"{sf_dir}/embeddings.parquet"

@@ -149,7 +149,7 @@ def corpus_report(sf_dir: str):
     import pandas as pd
 
     from ..normalizer.batch import tokenize_batch
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .duck import md5_hex
 
     def rows(t: pa.Table) -> pa.Table:
@@ -354,7 +354,8 @@ def unigram_logprob(sf_dir: str):
     matching the SQL side's join-over-toks semantics."""
     import pandas as pd
 
-    from .agg import hash_groupby_apply, hash_groupby_sum
+    from ..index.hash_partition import hash_groupby_apply
+    from .agg import hash_groupby_sum
 
     tc = term_counts_ds(sf_dir)
     T = float(
@@ -626,7 +627,7 @@ def term_complete(sf_dir: str, prefix: str = "s", k: int = 10):
     semantics ride the hash-partitioned vocabulary instead."""
     import pandas as pd
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
 
     def partial(t: pa.Table) -> pa.Table:
         terms = pc.list_flatten(t["terms"])
@@ -683,8 +684,8 @@ def bigram_logprob(sf_dir: str):
 
     from ..config import SIMPLE_PROFILE
     from ..normalizer.batch import ordered_tokens_batch
-    from .agg import hash_groupby_apply, hash_groupby_sum
-    from .dedup import _hash_strings
+    from ..index.hash_partition import _hash_strings, hash_groupby_apply
+    from .agg import hash_groupby_sum
 
     V = float(term_df(sf_dir).count())
 
@@ -846,7 +847,7 @@ def vocab_stats(sf_dir: str):
     driver combines P rows."""
     import pandas as pd
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
 
     def ctf_partial(t: pa.Table) -> pa.Table:
         flat = pc.list_flatten(t["terms"])
@@ -910,7 +911,7 @@ def term_df_drift(sf_dir: str, k: int = 20, add_mod: int = 13,
     import pyarrow.compute as pc
 
     from ..normalizer.batch import tokenize_batch
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
 
     def df_partials(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)

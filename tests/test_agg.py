@@ -5,7 +5,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from searchenginepp_ray.pipelines.agg import hash_groupby_apply, hash_groupby_sum
+from searchenginepp_ray.index.hash_partition import hash_groupby_apply
+from searchenginepp_ray.pipelines.agg import hash_groupby_sum
 
 
 def test_hash_groupby_sum_equals_global_groupby(ray_session):

@@ -1,10 +1,15 @@
 """Composed clean → index → search pipeline: the Ray side (corpus_clean
 keepers semi-joined to texts, full index rebuild, BM25 serving) must
 equal a DuckDB oracle that cleans in SQL and recomputes the whole scoring
-stack (tf, doclen, N, avgdl, df) over the cleaned corpus."""
+stack (tf, doclen, N, avgdl, df) over the cleaned corpus. Also the
+distributed semi/anti-join (``clean._mark_members``) the clean and
+export pipelines share, vs pandas ``isin``."""
 
 import duckdb
+import numpy as np
 import pandas as pd
+import pyarrow as pa
+import ray.data
 
 from searchenginepp_ray.pipelines import clean, search_docs
 from searchenginepp_ray.pipelines import oracle_sql as osql
@@ -53,3 +58,19 @@ def test_search_cleaned_matches_sql_oracle(ray_session):
         .reset_index(drop=True)
     )
     assert daat["doc_id"].tolist() == got["doc_id"].tolist()
+
+
+def test_semi_and_anti_join(ray_session):
+    rng = np.random.default_rng(3)
+    left = pd.DataFrame({"k": rng.integers(0, 100, 2000),
+                         "v": rng.random(2000)})
+    right = pd.DataFrame({"rk": rng.integers(50, 150, 500)})
+    lds = ray.data.from_pandas(left).repartition(4)
+    rds = ray.data.from_pandas(right).repartition(3)
+    for anti in (False, True):
+        got = clean._mark_members(lds, "k", rds, "rk", {"v": pa.float64()},
+                                  keep_matching=not anti).to_pandas()
+        m = left["k"].isin(right["rk"].unique())
+        want = left[~m if anti else m]
+        assert len(got) == len(want)
+        assert sorted(got["v"].tolist()) == sorted(want["v"].tolist())

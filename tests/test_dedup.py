@@ -37,11 +37,35 @@ def test_shingle_fold_is_order_sensitive():
     assert s1[0] == s2[0]
 
 
+def _fold_ref(toks: list[int]) -> int:
+    """Scalar shingle fold in Python ints mod 2^64: acc = sm(t0), then
+    acc = sm((acc * GOLDEN) ^ t) for each later token."""
+    m = (1 << 64) - 1
+
+    def sm(x):
+        z = (x + 0x9E3779B97F4A7C15) & m
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & m
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & m
+        return z ^ (z >> 31)
+
+    acc = sm(toks[0])
+    for t in toks[1:]:
+        acc = sm(((acc * 0x9E3779B97F4A7C15) & m) ^ t)
+    return acc
+
+
 def test_shingle_counts_and_short_doc_padding():
     texts = ["a b c d", "a b", "", "one two three"]
     S, shc = dedup._shingle_hash_batch(pa.array(texts), 3)
     assert shc.tolist() == [2, 1, 1, 1]
     assert len(S) == 5
+    # docs shorter than the shingle are padded with the empty-token hash
+    eh = int(dedup._empty_hash())
+    th = [[int(h) for h in dedup._token_hash_batch(pa.array([t]))[0]]
+          for t in texts]
+    want = [_fold_ref(th[0][:3]), _fold_ref(th[0][1:]),
+            _fold_ref(th[1] + [eh]), _fold_ref([eh] * 3), _fold_ref(th[3])]
+    assert S.tolist() == want
 
 
 def test_shingle_hash_batch_property():

@@ -98,7 +98,7 @@ def test_doc_similarity_pairs_matches_bruteforce(ray_session, sf_dir):
             if not shared:
                 continue
             dot = sum(w[a][t] * w[b][t] for t in shared)
-            c6 = float(round6_half_up(np.array([dot / (nrm[a] * nrm[b])])))
+            c6 = float(round6_half_up(np.array([dot / (nrm[a] * nrm[b])]))[0])
             if c6 >= threshold:
                 rows.append((a, b, c6))
     want = (pd.DataFrame(rows, columns=["doc_a", "doc_b", "cosine"])

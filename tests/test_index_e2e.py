@@ -1267,7 +1267,7 @@ def test_fanout_waves_are_replay_safe(ray_session, tmp_path_factory):
     files = sorted(os.path.join(pdir, f) for f in os.listdir(pdir)
                    if f.endswith(".parquet"))
     # replay with the same cluster-derived width the build used
-    from searchenginepp_ray.pipelines.dedup import _shuffle_width
+    from searchenginepp_ray.index.hash_partition import _shuffle_width
     _global_stage_fanout(files, 200, os.path.join(gdir, "term_df"),
                          os.path.join(gdir, "seg_df"), _shuffle_width())
     after = snap(gdir)

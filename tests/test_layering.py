@@ -1,0 +1,44 @@
+"""The engine core (index build and serving, normalizer, codecs, corpus
+sources, lineage state, effectiveness functions, config) must not import
+the ``pipelines`` package, not even inside a function: pipelines build on
+the core, never the other way round."""
+
+import ast
+import pathlib
+
+PKG = pathlib.Path(__file__).resolve().parent.parent / "searchenginepp_ray"
+CORE = ["index", "normalizer", "codecs", "sources", "state", "functions"]
+
+
+def _core_modules() -> list[pathlib.Path]:
+    files = [PKG / "config.py"]
+    for sub in CORE:
+        files += sorted((PKG / sub).rglob("*.py"))
+    return files
+
+
+def _imported_modules(path: pathlib.Path) -> list[tuple[int, str]]:
+    """(line, dotted name) of every import, relative ones resolved
+    against the module's own package."""
+    pkg = list(path.relative_to(PKG.parent).with_suffix("").parts[:-1])
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = pkg[: len(pkg) - node.level + 1] if node.level else []
+            mod = ".".join(base + ([node.module] if node.module else []))
+            out += [(node.lineno, f"{mod}.{a.name}") for a in node.names]
+    return out
+
+
+def test_core_does_not_import_pipelines():
+    files = _core_modules()
+    assert len(files) > 20
+    bad = [
+        f"{p.relative_to(PKG.parent)}:{line}: {name}"
+        for p in files
+        for line, name in _imported_modules(p)
+        if name.startswith("searchenginepp_ray.pipelines")
+    ]
+    assert bad == []
