@@ -4,7 +4,7 @@
 sf0.001 ``documents`` table with the reference's CI normalizer profile,
 then BM25 top-k through the segment-actor engine). ``queries()`` exposes
 every implemented operator from SURVEY.md §2 plus the training-data
-operators (dedup / similarity / text analysis / sampling / export); each
+operators (dedup / similarity / text analysis / windows); each
 SQL-expressible one has a matching DuckDB oracle in ``oracle_sql()``.
 
 Ray is initialised by the driver BEFORE this module is imported; nothing
@@ -27,7 +27,7 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    from searchenginepp_ray.pipelines import clean, dedup, sample, similarity, text_stats
+    from searchenginepp_ray.pipelines import clean, dedup, events, relational, sample, similarity, text_stats
     from searchenginepp_ray.pipelines import search_docs
 
     return {
@@ -63,6 +63,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # one masked pass per facet over cached per-actor masks
         "search_bm25_grouped_topk":
             lambda sf: search_docs.search_topk_grouped(sf),
+        # supervised model training as a pipeline: logistic regression
+        # by full-batch GD on hashed bag-of-words features (feature
+        # pass touches text once; each iteration = one streaming pass
+        # over the materialized features, P x 65 floats to the driver)
+        "logreg_train": lambda sf: _classifier().logreg_train(sf),
+        # multinomial naive-Bayes lang classifier trained on the corpus's
+        # own labels and applied back: one term-keyed exchange (postings
+        # + map-side (term,lang) ctf partials), one doc-keyed argmax
+        # exchange, confusion-matrix output
+        "naive_bayes_lang": lambda sf: _classifier().naive_bayes_lang(sf),
         "search_bm25_conj_topk": lambda sf: search_docs.search_topk(sf, mode="daat_conj", scorer="bm25"),
         "search_tfidf_topk": lambda sf: search_docs.search_topk(sf, mode="daat", scorer="tfidf"),
         "search_bm25_bmm_topk": lambda sf: search_docs.search_topk(sf, mode="bmm", scorer="bm25"),
@@ -312,6 +322,163 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "hll_distinct_terms": lambda sf: sample.hll_distinct_terms(sf),
         # the PORTABLE-register HLL sibling — oracle-hash-checked
         "vocab_distinct_hll": lambda sf: sample.vocab_distinct_hll(sf),
+        # --- relational (distributed hash join / broadcast dim join /
+        # map-side-combined group aggregate over the TPC-H side tables) ---
+        "nation_revenue": lambda sf: relational.nation_revenue(sf),
+        "pricing_summary": lambda sf: relational.pricing_summary(sf),
+        # --- stream-shaped ---
+        "windowed_agg": lambda sf: events.windowed_agg(sf),
+        "sliding_window_agg": lambda sf: events.sliding_window_agg(sf),
+        "sessionize": lambda sf: events.sessionize(sf),
+        "event_type_stats": lambda sf: events.event_type_stats(sf),
+        # composed sessionize -> distribution readout: exact session-
+        # duration quantiles from a domain-bounded histogram exchange
+        "session_duration_quantiles":
+            lambda sf: events.session_duration_quantiles(sf),
+        # semi-structured JSON props extraction + per-type aggregate —
+        # DuckDB's C JSON parser as the shared per-batch kernel
+        "event_props_stats": lambda sf: events.event_props_stats(sf),
+        # first-order Markov transition matrix over per-user event
+        # streams: per-partition vectorized pair reduction, then a
+        # transition-matrix-sized exchange + per-prev normalization
+        "event_transitions": lambda sf: events.event_transitions(sf),
+        # conversion-funnel analysis: ordered step completion per user
+        # (earliest-completion chain), one user-keyed exchange
+        "funnel_analysis": lambda sf: events.funnel_analysis(sf),
+        # cohort retention matrix (first-active-period cohorts ×
+        # return offsets; one user-keyed exchange, grid-bounded agg)
+        "cohort_retention": lambda sf: events.cohort_retention(sf),
+        # per-type z-score anomaly flags (exact integer-cent moments,
+        # broadcast stats, outlier-rows-only output) and a pivot/wide
+        # reshape that runs on the bounded aggregate, never raw rows
+        "event_outliers": lambda sf: events.event_outliers(sf),
+        "event_weekday_pivot": lambda sf: events.event_weekday_pivot(sf),
+        # event-time joins Ray Data lacks natively (hash exchange on the
+        # equality key + vectorized per-partition temporal kernel)
+        "asof_join": lambda sf: events.asof_join(sf),
+        "range_join": lambda sf: events.range_join(sf),
+        # grouped top-k at scaling key cardinality (map-side partial
+        # top-k) and exact histogram-based quantiles (exchange bounded
+        # by the value domain, not the row count)
+        "top_events_per_user": lambda sf: events.top_events_per_user(sf),
+        "value_quantiles": lambda sf: events.value_quantiles(sf),
+        # log-linear HDR quantile sketch: the unbounded-domain scale
+        # path (<= 64*m count buckets regardless of rows; exact IEEE
+        # bucket math so the WHOLE sketch is oracle-hash-checked)
+        "price_quantiles_hdr":
+            lambda sf: events.price_quantiles_hdr(sf),
+        # per-user running window functions (cumsum in exact integer
+        # cents + lag) — one exchange, vectorized per-partition kernel
+        "user_value_running": lambda sf: events.user_value_running(sf),
+        # exact global RANK() without a global sort: domain-bounded
+        # histogram exchange + broadcast prefix offsets + streaming map
+        "global_value_rank": lambda sf: events.global_value_rank(sf),
+        # exact grouped COUNT DISTINCT (two-level: dedup exchange on
+        # (type,user) spreads hot types over the full partition width)
+        "event_user_distinct": lambda sf: events.event_user_distinct(sf),
+        # grouped HLL sketch, bit-reproducible in SQL (exact-integer
+        # registers + one correctly-rounded division) — hash-checked
+        "event_user_distinct_hll":
+            lambda sf: events.event_user_distinct_hll(sf),
+        # distributed anti-join / left-outer aggregate join
+        "customers_without_orders":
+            lambda sf: relational.customers_without_orders(sf),
+        "customer_order_counts":
+            lambda sf: relational.customer_order_counts(sf),
+        # OLAP rollup (finest level via one map-side-combined exchange;
+        # coarser levels derived from the tiny aggregate) in exact cents
+        "order_rollup": lambda sf: relational.order_rollup(sf),
+        # grouped-agg -> GLOBAL top-k (exact-integer revenue; one
+        # exchange + per-partition partial top-k + P*k driver merge)
+        "top_orders_by_revenue":
+            lambda sf: relational.top_orders_by_revenue(sf),
+        # TPC-H Q3: the CHAINED multi-join (custkey semi-join, then an
+        # orderkey aggregate join — re-partition between hops), filters
+        # pushed to the scans, exact-integer revenue, global top-k
+        # TPC-H Q10: 4-table chain (orderkey -> custkey -> broadcast
+        # nation), exact-cents revenue, global top-20
+        "returned_item_report":
+            lambda sf: relational.returned_item_report(sf),
+        # TPC-H Q17: correlated per-part average filter as an exact
+        # integer cross-multiplication, one partkey exchange
+        "small_order_revenue":
+            lambda sf: relational.small_order_revenue(sf),
+        # TPC-H Q18: HAVING-then-join-back — group-aggregate cut on the
+        # fact table, surviving keys re-join orders + customer
+        "large_volume_orders":
+            lambda sf: relational.large_volume_orders(sf),
+        # TPC-H Q13: left-outer-then-histogram — per-customer order
+        # counts incl. zero, collapsed to a count-of-counts
+        "order_count_distribution":
+            lambda sf: relational.order_count_distribution(sf),
+        # TPC-H Q21: the EXISTS/NOT-EXISTS pair over sibling rows —
+        # sole-late supplier on multi-supplier finished orders
+        "suppliers_kept_waiting":
+            lambda sf: relational.suppliers_kept_waiting(sf),
+        # TPC-H Q22: scalar-subquery threshold (exact integer
+        # cross-multiply) + anti-join to orders, per-nation totals
+        "idle_customer_balance":
+            lambda sf: relational.idle_customer_balance(sf),
+        # TPC-H Q7: the two-dimension-chains shape — supplier nation
+        # and customer nation reach the fact row via DIFFERENT join
+        # keys; three chained exchanges, fact shrinking at each hop
+        "nation_trade_volume":
+            lambda sf: relational.nation_trade_volume(sf),
+        # TPC-H Q19: disjunctive mixed-attribute predicate join — the
+        # filter can't be pushed to either side; union-of-clauses scan
+        # pruning + clause-bitmask fact partials + co-located OR
+        "discounted_revenue":
+            lambda sf: relational.discounted_revenue(sf),
+        # TPC-H Q16 shape: grouped COUNT DISTINCT + anti-join over the
+        # fact-derived part-supplier relation (blacklist broadcast,
+        # map-side pair dedup, two exchanges)
+        "part_supplier_counts":
+            lambda sf: relational.part_supplier_counts(sf),
+        # TPC-H Q12: late-shipment priority counts — fact rows cross ONE
+        # orderkey exchange tagged-union with priority-flagged orders
+        "shipment_priority":
+            lambda sf: relational.shipment_priority(sf),
+        # TPC-H Q4: EXISTS correlated on the outer row's own attribute
+        # (max-shipdate map-side collapse, one orderkey exchange)
+        "order_priority_late":
+            lambda sf: relational.order_priority_late(sf),
+        # TPC-H Q14: conditional-ratio aggregate (promo / total share)
+        "promo_revenue_share":
+            lambda sf: relational.promo_revenue_share(sf),
+        # TPC-H Q15: global argmax with ties (per-partition max rows)
+        "top_supplier_revenue":
+            lambda sf: relational.top_supplier_revenue(sf),
+        # TPC-H Q8: ratio-of-conditional-aggregates over the 4-hop star
+        "nation_market_share":
+            lambda sf: relational.nation_market_share(sf),
+        # TPC-H Q9: profit (rev − retail·qty) per (nation, year)
+        "product_profit":
+            lambda sf: relational.product_profit(sf),
+        "order_shipping_priority":
+            lambda sf: relational.order_shipping_priority(sf),
+        # TPC-H Q5: the DEEPEST chain (6 tables, three different join
+        # keys back-to-back) with the c_nation == s_nation locality
+        # predicate applied at co-location; region filters pushed to
+        # the customer/supplier scans, exact-integer revenue
+        # TPC-H Q6: the fully pushed-down filter aggregate (all
+        # predicates at the scan, exact-integer revenue)
+        "revenue_forecast": lambda sf: relational.revenue_forecast(sf),
+        # monthly exact-cents revenue + closed-form OLS trend line
+        # (regression over the month-domain-bounded aggregate)
+        "revenue_trend": lambda sf: relational.revenue_trend(sf),
+        "local_supplier_volume":
+            lambda sf: relational.local_supplier_volume(sf),
+        # exact quantiles over an UNBOUNDED value domain: distributed
+        # selection by iterative histogram refinement (2-3 broadcast-
+        # edge passes + one bounded band collect; no exchange, no sort)
+        "price_quantiles": lambda sf: relational.price_quantiles(sf),
+        # data profiling: per-column exact ndv/nulls/min/max/mean over
+        # lineitem — partials for the algebraic stats, ONE shared
+        # (colid, key64) exchange for every column's distinct count
+        "table_profile": lambda sf: relational.table_profile(sf),
+        # ingest-gate data validation: every declared FK (anti-join
+        # violation count) + unique key, one key-hash exchange each
+        "integrity_check": lambda sf: relational.integrity_check(sf),
         # per-stratum content-addressed sampling (corpus rebalancing)
         # budgeted per-group curation: exact top-q% per lang by
         # quality score — grouped selection at scaling k with NO sort
@@ -337,6 +504,38 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # curriculum ordering: exact global rank by (quality DESC,
         # doc_id) via histogram offsets on the bounded 6 dp score grid
         "curriculum_order": lambda sf: sample.curriculum_order(sf),
+        # fixed-iteration PageRank over the part co-purchase graph —
+        # iterative distributed algorithm, rank state never on the driver
+        # bounded multi-source BFS (hop distances from seed parts):
+        # one co-partition relaxation + one min merge per round
+        "part_bfs": lambda sf: _graph().part_bfs(sf),
+        # true fixpoint connected components of the co-purchase graph
+        # (label propagation + pointer jumping; one scalar per round
+        # to the driver)
+        "part_components": lambda sf: _graph().part_components(sf),
+        # Dataset-form equivalence twin of part_pagerank_bsp (the
+        # served path): gated at 2 unrolled iterations — enough to
+        # exercise every exchange shape once while keeping the sf0.1
+        # sweep cheap; the BSP entry carries the 5-iteration gate
+        "part_pagerank": lambda sf: _graph().part_pagerank(sf, iters=2),
+        # item-item collaborative filtering ("also bought"): per-part
+        # top-k by incidence-cosine; support cut before attach traffic
+        "part_recommendations":
+            lambda sf: _graph().part_recommendations(sf),
+        # PERSONALIZED PageRank: teleport mass restricted to a seed
+        # part set — proximity-to-seeds instead of global centrality
+        "part_pagerank_seeded":
+            lambda sf: _graph().part_pagerank_seeded(sf),
+        # exact distributed triangle census (degree-ordered wedge
+        # generation + pair-key co-partition closing)
+        "part_triangles": lambda sf: _graph().part_triangles(sf),
+        # per-node local clustering coefficient (census machinery with
+        # per-corner triangle attribution + a degree join)
+        "part_clustering": lambda sf: _graph().part_clustering(sf),
+        # same recurrence through the edge-STATIONARY raw-actor BSP
+        # engine (edges and rank shards pinned per actor; only
+        # contribution partials move per superstep)
+        "part_pagerank_bsp": lambda sf: _graph().part_pagerank_bsp(sf),
         # deterministic content-addressed shard export + manifest
         # checksums (the terminal training-export stage)
         # sequence-packing planner: every doc's position in the
@@ -396,10 +595,22 @@ def _filters():
     return filters
 
 
+def _classifier():
+    from searchenginepp_ray.pipelines import classifier
+
+    return classifier
+
+
 def _export():
     from searchenginepp_ray.pipelines import export
 
     return export
+
+
+def _graph():
+    from searchenginepp_ray.pipelines import graph
+
+    return graph
 
 
 def oracle_sql() -> dict[str, str]:
@@ -419,6 +630,7 @@ def oracle_sql() -> dict[str, str]:
         "search_bm25_appended_topk": osql.search_topk_sql("bm25",
                                                           conj=False),
         "search_bm25_grouped_topk": osql.search_topk_grouped_sql(),
+        "logreg_train": osql.logreg_train_sql(),
         "search_bm25_conj_topk": osql.search_topk_sql("bm25", conj=True),
         "search_tfidf_topk": osql.search_topk_sql("tfidf", conj=False),
         "search_bm25_bmm_topk": osql.search_topk_sql("bm25", conj=False),
@@ -441,6 +653,8 @@ def oracle_sql() -> dict[str, str]:
         "search_snippets": osql.search_snippets_sql(),
         "search_hybrid_rrf": osql.search_hybrid_rrf_sql(),
         "retrieval_triplets": osql.retrieval_triplets_sql(),
+        "event_outliers": osql.event_outliers_sql(),
+        "event_weekday_pivot": osql.event_weekday_pivot_sql(),
         "repetition_stats": osql.repetition_stats_sql(),
         "pii_redact": osql.pii_redact_sql(),
         "decontaminate": osql.decontaminate_sql(),
@@ -489,6 +703,52 @@ def oracle_sql() -> dict[str, str]:
         "knn_graph": osql.knn_graph_sql(),
         "deterministic_sample": osql.deterministic_sample_sql(),
         "compression_ratio_stored": osql.compression_ratio_stored_sql(),
+        "nation_revenue": osql.nation_revenue_sql(),
+        "pricing_summary": osql.pricing_summary_sql(),
+        "windowed_agg": osql.windowed_agg_sql(),
+        "sliding_window_agg": osql.sliding_window_agg_sql(),
+        "sessionize": osql.sessionize_sql(),
+        "session_duration_quantiles":
+            osql.session_duration_quantiles_sql(),
+        "event_type_stats": osql.event_type_stats_sql(),
+        "event_props_stats": osql.event_props_stats_sql(),
+        "naive_bayes_lang": osql.naive_bayes_lang_sql(),
+        "event_transitions": osql.event_transitions_sql(),
+        "funnel_analysis": osql.funnel_analysis_sql(),
+        "cohort_retention": osql.cohort_retention_sql(),
+        "asof_join": osql.asof_join_sql(),
+        "range_join": osql.range_join_sql(),
+        "top_events_per_user": osql.top_events_per_user_sql(),
+        "value_quantiles": osql.value_quantiles_sql(),
+        "price_quantiles_hdr": osql.price_quantiles_hdr_sql(),
+        "user_value_running": osql.user_value_running_sql(),
+        "global_value_rank": osql.global_value_rank_sql(),
+        "event_user_distinct": osql.event_user_distinct_sql(),
+        "event_user_distinct_hll": osql.event_user_distinct_hll_sql(),
+        "customers_without_orders": osql.customers_without_orders_sql(),
+        "customer_order_counts": osql.customer_order_counts_sql(),
+        "order_rollup": osql.order_rollup_sql(),
+        "top_orders_by_revenue": osql.top_orders_by_revenue_sql(),
+        "order_shipping_priority": osql.order_shipping_priority_sql(),
+        "returned_item_report": osql.returned_item_report_sql(),
+        "small_order_revenue": osql.small_order_revenue_sql(),
+        "large_volume_orders": osql.large_volume_orders_sql(),
+        "order_count_distribution": osql.order_count_distribution_sql(),
+        "suppliers_kept_waiting": osql.suppliers_kept_waiting_sql(),
+        "idle_customer_balance": osql.idle_customer_balance_sql(),
+        "nation_trade_volume": osql.nation_trade_volume_sql(),
+        "discounted_revenue": osql.discounted_revenue_sql(),
+        "part_supplier_counts": osql.part_supplier_counts_sql(),
+        "order_priority_late": osql.order_priority_late_sql(),
+        "shipment_priority": osql.shipment_priority_sql(),
+        "promo_revenue_share": osql.promo_revenue_share_sql(),
+        "top_supplier_revenue": osql.top_supplier_revenue_sql(),
+        "nation_market_share": osql.nation_market_share_sql(),
+        "product_profit": osql.product_profit_sql(),
+        "revenue_forecast": osql.revenue_forecast_sql(),
+        "revenue_trend": osql.revenue_trend_sql(),
+        "local_supplier_volume": osql.local_supplier_volume_sql(),
+        "price_quantiles": osql.price_quantiles_sql(),
         "term_complete": osql.term_complete_sql(),
         "term_heavy_hitters": osql.term_heavy_hitters_sql(),
         "vocab_stats": osql.vocab_stats_sql(),
@@ -496,6 +756,8 @@ def oracle_sql() -> dict[str, str]:
         "corpus_report": osql.corpus_report_sql(),
         "term_df_drift": osql.term_df_drift_sql(),
         "search_boolean": osql.search_boolean_sql(),
+        "table_profile": osql.table_profile_sql(),
+        "integrity_check": osql.integrity_check_sql(),
         "quality_select": osql.quality_select_sql(),
         "stratified_sample": osql.stratified_sample_sql(),
         "simhash_md5": osql.simhash_md5_sql(),
@@ -506,6 +768,14 @@ def oracle_sql() -> dict[str, str]:
         "dataset_split": osql.dataset_split_sql(),
         "epoch_shuffle": osql.epoch_shuffle_sql(),
         "curriculum_order": osql.curriculum_order_sql(),
+        "part_pagerank": osql.part_pagerank_sql(iters=2),
+        "part_recommendations": osql.part_recommendations_sql(),
+        "part_pagerank_seeded": osql.part_pagerank_seeded_sql(),
+        "part_bfs": osql.part_bfs_sql(),
+        "part_components": osql.part_components_sql(),
+        "part_triangles": osql.part_triangles_sql(),
+        "part_clustering": osql.part_clustering_sql(),
+        "part_pagerank_bsp": osql.part_pagerank_sql(),
         "doc_embedding": osql.doc_embedding_sql(),
         "doc_keywords": osql.doc_keywords_sql(),
         "doc_similarity_pairs": osql.doc_similarity_pairs_sql(),
@@ -520,10 +790,12 @@ def oracle_sql() -> dict[str, str]:
         # rows-only (non-SQL-expressible): minhash_dedup_pairs (float
         # jaccard variant; the exact-integer ngram_jaccard_dedup IS
         # oracle-checked), simhash (internal 64-bit hash), knn_ivf +
-        # embedding_near_dup_lsh (approximate by design; hash-gated
-        # degenerate twins exist where exactness is reachable),
+        # embedding_near_dup_lsh (approximate by design;
+        # hash-gated degenerate twins exist where exactness is
+        # reachable),
         # hll_distinct_terms (xxhash precision tier; the portable
-        # vocab_distinct_hll IS hash-checked), compression_ratio (default-level zlib block
+        # vocab_distinct_hll and event_user_distinct_hll ARE
+        # hash-checked), compression_ratio (default-level zlib block
         # chunking; the level-0 compression_ratio_stored twin IS
         # hash-checked), bpe_train/tokenize
         # (iterative merge semantics)

@@ -16,7 +16,9 @@ import ray
 
 sys.path.insert(0, ".")
 
-TABLES = ("documents", "embeddings")
+TABLES = (
+    "region nation customer supplier part orders lineitem events documents embeddings"
+).split()
 
 
 def to_pandas(obj) -> pd.DataFrame:

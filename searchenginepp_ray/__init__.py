@@ -2,7 +2,8 @@
 top-k query engine, built from scratch with the query/data-processing
 capabilities of the C++ reference engine (scarburato/searchenginepp), plus
 large-scale training-data pipeline operators (dedup, similarity search,
-text analysis, filters, sampling, training export)."""
+text analysis, filters, sampling, training export, relational,
+event-time and graph operators)."""
 
 __version__ = "0.1.0"
 

@@ -129,7 +129,8 @@ def naive_bayes_lang(sf_dir: str) -> "ray.data.Dataset":
     argmax identical values."""
     from ..config import SIMPLE_PROFILE
     from ..normalizer.batch import tokenize_batch
-    from .agg import hash_groupby_apply, hash_groupby_sum
+    from ..index.hash_partition import hash_groupby_apply
+    from .agg import hash_groupby_sum
     from .text_stats import documents_ds, round6_half_up, term_df
 
     def tok(t: pa.Table) -> pa.Table:

@@ -135,3 +135,22 @@ def md5_u64_halves(arr) -> tuple:
         "FROM _sepp_h64_in").arrow()
     return (_plain(out["h1"]).to_numpy(zero_copy_only=False).astype(np.int64),
             _plain(out["h2"]).to_numpy(zero_copy_only=False).astype(np.int64))
+
+
+def json_int(arr, key: str):
+    """Vectorized JSON integer extraction ``CAST(j ->> '<key>' AS
+    BIGINT)`` over a string column — DuckDB's C JSON parser as the
+    per-batch kernel (Arrow has no JSON extraction kernel), the same
+    expression a SQL oracle evaluates verbatim. Missing keys / invalid
+    JSON yield nulls."""
+    import numpy as np
+
+    arr = _plain(arr)
+    if len(arr) == 0:
+        return np.empty(0, np.float64)
+    con = connection()
+    con.register("_sepp_json_in", pa.table({"j": arr}))
+    out = con.execute(
+        f"SELECT CAST(j ->> '{key}' AS BIGINT) AS v FROM _sepp_json_in"
+    ).arrow()
+    return _plain(out["v"]).to_numpy(zero_copy_only=False)

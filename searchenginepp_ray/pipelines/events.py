@@ -107,7 +107,7 @@ def sliding_window_agg(sf_dir: str, window_s: int = 3600, slide_s: int = 900):
         res = g.agg(["count", "sum"]).reset_index()
         return res.rename(columns={"count": "n_part", "sum": "sum_part"})
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
 
     def agg_fn(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["event_type", "window_start"], as_index=False,
@@ -211,7 +211,7 @@ def sessionize(sf_dir: str, gap_s: int = 1800):
             }
         )
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
 
     return hash_groupby_apply(
         events_ds(sf_dir, ["user_id", "ts"]), ["user_id"], per_partition
@@ -254,7 +254,8 @@ def event_transitions(sf_dir: str):
         g["n"] = g["n"].astype(np.int64)
         return g
 
-    from .agg import hash_groupby_apply, hash_groupby_sum
+    from ..index.hash_partition import hash_groupby_apply
+    from .agg import hash_groupby_sum
     from .text_stats import round6_half_up
 
     parts = hash_groupby_apply(
@@ -296,7 +297,7 @@ def asof_join(sf_dir: str, left_type: str = "purchase",
     ``pandas.merge_asof``: a C-speed binary-search walk over the sorted
     right side, no per-row Python. Timestamps are emitted as epoch
     microseconds (BIGINT) so the oracle comparison is precision-exact."""
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
 
     out_cols = ["event_id", "user_id", "ts_us", "matched_event_id",
                 "matched_ts_us", "gap_us"]
@@ -346,7 +347,7 @@ def range_join(sf_dir: str, window_s: int = 86_400,
     C-speed kernel Arrow/pandas lack, and Ray owns all parallelism. The
     window bound keeps per-pair fan-out finite (no unwindowed cross
     products reach the exchange)."""
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .duck import connection
 
     def per_partition(df: pd.DataFrame) -> pd.DataFrame:
@@ -385,7 +386,7 @@ def top_events_per_user(sf_dir: str, k: int = 2):
     exchange on ``user_id`` and a vectorized per-partition final top-k —
     the grouped analogue of the scorer's top-k heap (SURVEY §2.6 O-family
     / A7), with no global sort anywhere."""
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
 
     order = dict(by=["user_id", "value", "event_id"],
                  ascending=[True, False, True], kind="stable")
@@ -418,7 +419,8 @@ def value_quantiles(sf_dir: str, qs: tuple = (0.5, 0.9, 0.99)):
     from each type's cumulative histogram in one vectorized pass. This is
     the exact-quantile shape that never sorts or co-locates the raw
     rows (an all-to-all over data-scaling values would)."""
-    from .agg import hash_groupby_apply, hash_groupby_sum
+    from ..index.hash_partition import hash_groupby_apply
+    from .agg import hash_groupby_sum
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         cents = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
@@ -554,7 +556,7 @@ def user_value_running(sf_dir: str):
     2-decimal quantity, same fixed-point grid ``value_quantiles`` uses),
     so the oracle comparison is order-ULP-free; the lag column moves raw
     values without arithmetic and is bit-exact by construction."""
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
 
     def per_partition(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
@@ -603,7 +605,8 @@ def event_user_distinct(sf_dir: str):
     the full partition width — no single-reducer hot key), each partition
     counts its now-globally-unique pairs per type, and the final sum runs
     over the tiny type key space."""
-    from .agg import hash_groupby_apply, hash_groupby_sum
+    from ..index.hash_partition import hash_groupby_apply
+    from .agg import hash_groupby_sum
 
     def batch_dedup(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates(["event_type", "user_id"])
@@ -623,50 +626,6 @@ def event_user_distinct(sf_dir: str):
     return hash_groupby_sum(
         partials, ["event_type"], {"n_users": ("n_part", "sum")}
     )
-
-
-# ---- portable HyperLogLog kernel (shared by the grouped event sketch
-# and the corpus-term sketch in sample.py): 52-bit md5-prefix hashes,
-# M_REG registers, ρ from EXACT integer bit_length, harmonic denominator
-# as an exact int64 — every piece reproducible verbatim in SQL ----
-
-M_REG = 512           # registers (2^9); bucket = hash % M_REG
-RHO_MAX = 44          # 1 + (52 − 9) suffix bits
-#: α·m²·2^RHO_MAX — every constant derived from the layout, so the
-#: register geometry can't silently desynchronize from the estimate
-#: (the SQL oracles' literals are generated from the same values)
-ALPHA_NUM = (0.7213 / (1.0 + 1.079 / M_REG)) * float(M_REG * M_REG) \
-    * float(1 << RHO_MAX)
-
-
-def _bit_length(v: np.ndarray) -> np.ndarray:
-    v = v.astype(np.int64).copy()
-    n = np.zeros(len(v), np.int64)
-    for k in (32, 16, 8, 4, 2, 1):
-        big = v >= (np.int64(1) << np.int64(k))
-        n[big] += k
-        v[big] >>= k
-    n += (v > 0).astype(np.int64)
-    return n
-
-
-def hll_bucket_rho(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(bucket, ρ) for 52-bit portable hashes."""
-    return h % M_REG, RHO_MAX - _bit_length(h // M_REG)
-
-
-def hll_estimate(regs: np.ndarray) -> tuple[float, int]:
-    """(estimate, zero_registers) from a dense M_REG register vector —
-    one correctly-rounded division over the exact-int64 denominator,
-    identical small-range branch to the SQL twins."""
-    denom = int((np.int64(1) << (RHO_MAX - regs)).sum())
-    zeros = int((regs == 0).sum())
-    e_raw = ALPHA_NUM / denom
-    if e_raw <= 2.5 * M_REG and zeros > 0:
-        est = float(M_REG) * np.log(float(M_REG) / zeros)
-    else:
-        est = e_raw
-    return est, zeros
 
 
 def event_user_distinct_hll(sf_dir: str):
@@ -695,7 +654,8 @@ def event_user_distinct_hll(sf_dir: str):
     (event_type, zero_registers, hll_users) on the 6 dp floor grid."""
     import pyarrow.compute as pc
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
+    from .sample import M_REG, hll_bucket_rho, hll_estimate
 
     def partials(t: pa.Table) -> pd.DataFrame:
         from .duck import md5_prefix_int
@@ -886,7 +846,7 @@ def funnel_analysis(sf_dir: str,
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
 
     steps = tuple(steps)
 
@@ -958,7 +918,8 @@ def cohort_retention(sf_dir: str, bucket_s: int = 7 * 86400):
     import pyarrow as pa
     import pyarrow.compute as pc  # noqa: F401  (symmetry with siblings)
 
-    from .agg import hash_groupby_apply, hash_groupby_sum
+    from ..index.hash_partition import hash_groupby_apply
+    from .agg import hash_groupby_sum
 
     def pick(t: pa.Table) -> pa.Table:
         # normalize the timestamp unit first: parquet writers vary
@@ -1062,7 +1023,8 @@ def session_duration_quantiles(sf_dir: str, gap_s: int = 1800,
     DOMAIN (≤ seconds in a session, never the session count). Quantiles
     interpolate the cumulative histogram with the same quantile_cont
     rule as :func:`value_quantiles`."""
-    from .agg import hash_groupby_apply, hash_groupby_sum
+    from ..index.hash_partition import hash_groupby_apply
+    from .agg import hash_groupby_sum
 
     def per_partition(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:

@@ -539,14 +539,106 @@ def embedding_norm_stats_sql() -> str:
 FROM embeddings GROUP BY label"""
 
 
+def windowed_agg_sql(window_s: int = 3600) -> str:
+    return f"""SELECT event_type,
+       (epoch_us(ts) // 1000000 // {window_s}) * {window_s} AS window_start,
+       CAST(COUNT(*) AS BIGINT) AS n_events,
+       ROUND(SUM(value), 4) AS value_sum,
+       MIN(value) AS value_min,
+       MAX(value) AS value_max
+FROM events GROUP BY event_type, window_start"""
+
+
+def sliding_window_agg_sql(window_s: int = 3600, slide_s: int = 900) -> str:
+    """Oracle for pipelines.events.sliding_window_agg: expand each event
+    into every covering window start (a multiple of slide_s)."""
+    return f"""
+SELECT event_type,
+       CAST(k * {slide_s} AS BIGINT) AS window_start,
+       CAST(COUNT(*) AS BIGINT) AS n_events,
+       ROUND(SUM(value), 4) AS value_sum
+FROM (SELECT event_type, value, epoch_us(ts) // 1000000 AS e FROM events),
+     unnest(range((e - {window_s}) // {slide_s} + 1, e // {slide_s} + 1)) AS r(k)
+GROUP BY 1, 2
+"""
+
+
+def sessionize_sql(gap_s: int = 1800) -> str:
+    return f"""WITH e AS (SELECT user_id, epoch_us(ts) // 1000000 AS t FROM events),
+o AS (SELECT user_id, t, lag(t) OVER (PARTITION BY user_id ORDER BY t) AS pt FROM e),
+s AS (SELECT user_id, t,
+             CASE WHEN pt IS NULL OR t - pt > {gap_s} THEN 1 ELSE 0 END AS ns
+      FROM o),
+g AS (SELECT user_id, t,
+             SUM(ns) OVER (PARTITION BY user_id ORDER BY t
+                           ROWS UNBOUNDED PRECEDING) AS sid
+      FROM s),
+c AS (SELECT user_id, sid, COUNT(*) AS n FROM g GROUP BY user_id, sid)
+SELECT user_id,
+       CAST(SUM(n) AS BIGINT) AS n_events,
+       CAST(COUNT(*) AS BIGINT) AS n_sessions,
+       CAST(MAX(n) AS BIGINT) AS max_session_events
+FROM c GROUP BY user_id"""
+
+
+def event_type_stats_sql() -> str:
+    return """SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n,
+       ROUND(SUM(value), 4) AS value_sum
+FROM events GROUP BY event_type"""
+
+
+def event_user_distinct_hll_sql() -> str:
+    """Oracle for events.event_user_distinct_hll: the SAME HyperLogLog
+    sketch evaluated in SQL — 52-bit md5-prefix hash, bucket = hash %
+    512, ρ = 44 − bit_length of the 43-bit suffix (bit_length via the
+    exact smear+popcount identity, no float log2), harmonic denominator
+    as an exact BIGINT Σ 1<<(44−M), identical α·m²·2^44/denom estimate
+    and small-range branch. Register-for-register identical to the Ray
+    side, so the hash gate pins the sketch bit-exactly."""
+    return """
+WITH h AS (
+  SELECT event_type,
+         CAST(('0x' || substr(md5(CAST(user_id AS VARCHAR)), 1, 13))
+              AS BIGINT) AS v
+  FROM events),
+r0 AS (SELECT event_type, v % 512 AS bucket, v // 512 AS x FROM h),
+s1 AS (SELECT event_type, bucket, x | (x >> 1) AS a FROM r0),
+s2 AS (SELECT event_type, bucket, a | (a >> 2) AS a FROM s1),
+s3 AS (SELECT event_type, bucket, a | (a >> 4) AS a FROM s2),
+s4 AS (SELECT event_type, bucket, a | (a >> 8) AS a FROM s3),
+s5 AS (SELECT event_type, bucket, a | (a >> 16) AS a FROM s4),
+s6 AS (SELECT event_type, bucket, a | (a >> 32) AS a FROM s5),
+r AS (SELECT event_type, bucket,
+             44 - bit_count(CAST(a AS BIGINT)) AS rho FROM s6),
+regs AS (SELECT event_type, bucket, MAX(rho) AS m FROM r GROUP BY 1, 2),
+grid AS (
+  SELECT et.event_type, g.bucket
+  FROM (SELECT DISTINCT event_type FROM events) et,
+       (SELECT unnest(generate_series(0, 511)) AS bucket) g),
+filled AS (
+  SELECT grid.event_type, grid.bucket, coalesce(regs.m, 0) AS m
+  FROM grid LEFT JOIN regs USING (event_type, bucket)),
+agg AS (
+  SELECT event_type,
+         CAST(SUM(CAST(1 AS BIGINT) << (44 - m)) AS BIGINT) AS denom,
+         CAST(SUM(CASE WHEN m = 0 THEN 1 ELSE 0 END) AS BIGINT) AS zeros
+  FROM filled GROUP BY event_type),
+est AS (
+  SELECT event_type, zeros,
+         (0.7213 / (1.0 + 1.079 / 512.0)) * 262144.0 * 17592186044416.0
+             / denom AS e_raw
+  FROM agg)
+SELECT event_type, zeros AS zero_registers,
+       floor(CASE WHEN e_raw <= 1280.0 AND zeros > 0
+             THEN 512.0 * ln(512.0 / zeros) ELSE e_raw END * 1e6 + 0.5)
+           / 1e6 AS hll_users
+FROM est"""
+
+
 def vocab_distinct_hll_sql() -> str:
-    """Oracle for sample.vocab_distinct_hll: the SAME HyperLogLog sketch
-    over the corpus's distinct vocabulary (shared tok CTE), evaluated in
-    SQL — 52-bit md5-prefix hash, bucket = hash % 512, ρ = 44 −
-    bit_length of the 43-bit suffix (bit_length via the exact
-    smear+popcount identity, no float log2), harmonic denominator as an
-    exact BIGINT Σ 1<<(44−M), identical α·m²·2^44/denom estimate and
-    small-range branch. Register-for-register identical to the Ray side;
+    """Oracle for sample.vocab_distinct_hll: the identical portable HLL
+    over the corpus's distinct vocabulary (shared tok CTE) — same
+    register math as event_user_distinct_hll_sql, global (no grouping),
     one output row."""
     return f"""WITH {tok_cte()},
 vocab AS (SELECT DISTINCT term FROM toks),
@@ -594,6 +686,40 @@ SELECT doc_id,
              / greatest(octet_length(encode(text)), 1) * 1e6 + 0.5) / 1e6
            AS ratio
 FROM documents"""
+
+
+def price_quantiles_hdr_sql(m: int = 16,
+                            qs: tuple = (0.25, 0.5, 0.9, 0.99)) -> str:
+    """Oracle for events.price_quantiles_hdr: the ENTIRE log-linear
+    sketch reproduced in SQL — exponent from the binary digit count
+    (exact), power-of-two mantissa bucketing (exact IEEE ops),
+    cumulative rank pick at ceil(q·n), representative
+    floor((1 + s/m)·2^e)."""
+    vals = ", ".join(f"({q})" for q in qs)
+    return f"""
+WITH x AS (
+  SELECT CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT) AS c
+  FROM orders WHERE floor(o_totalprice * 100 + 0.5) > 0),
+b AS (
+  SELECT (length(printf('%b', c)) - 1) * {m}
+         + CAST(floor((CAST(c AS DOUBLE)
+                       / power(2.0, length(printf('%b', c)) - 1) - 1.0)
+                      * {m}) AS BIGINT) AS bid,
+         COUNT(*) AS cnt
+  FROM x GROUP BY 1),
+cum AS (SELECT bid, SUM(cnt) OVER (ORDER BY bid) AS cum,
+               SUM(cnt) OVER () AS n
+        FROM b),
+qv(q) AS (VALUES {vals})
+SELECT CAST(q AS DOUBLE) AS q,
+       (SELECT CAST(floor((1.0 + (bid % {m}) * 1.0 / {m})
+                          * power(2.0, bid // {m})) AS BIGINT)
+        FROM cum
+        WHERE cum >= greatest(CAST(ceil(CAST(q AS DOUBLE) * n) AS BIGINT),
+                              1)
+        ORDER BY bid LIMIT 1) AS est_cents,
+       (SELECT CAST(n AS BIGINT) FROM cum LIMIT 1) AS n
+FROM qv"""
 
 
 def doc_fingerprint_sql(window: int = 4) -> str:
@@ -726,6 +852,98 @@ def bpe_token_count_sql() -> str:
     """
 
 
+def nation_revenue_sql() -> str:
+    """Oracle for relational.nation_revenue: orders ⋈ customer ⋈ nation
+    revenue rollup (distributed shuffle join + broadcast dim lookup)."""
+    return """
+        SELECT n_name,
+               ROUND(SUM(o_totalprice), 2) AS revenue,
+               CAST(COUNT(*) AS BIGINT) AS n_orders
+        FROM orders
+        JOIN customer ON o_custkey = c_custkey
+        JOIN nation ON c_nationkey = n_nationkey
+        GROUP BY n_name
+    """
+
+
+def pricing_summary_sql(cutoff: str = "2000-12-01") -> str:
+    """Oracle for relational.pricing_summary (the TPC-H Q1 shape)."""
+    return f"""
+        SELECT l_returnflag, l_linestatus,
+               ROUND(SUM(l_quantity), 2) AS sum_qty,
+               ROUND(SUM(l_extendedprice), 2) AS sum_base_price,
+               ROUND(SUM(l_extendedprice * (1 - l_discount)), 2) AS sum_disc_price,
+               ROUND(SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)), 2)
+                   AS sum_charge,
+               ROUND(SUM(l_quantity) / COUNT(*), 6) AS avg_qty,
+               ROUND(SUM(l_extendedprice) / COUNT(*), 6) AS avg_price,
+               ROUND(SUM(l_discount) / COUNT(*), 6) AS avg_disc,
+               CAST(COUNT(*) AS BIGINT) AS count_order
+        FROM lineitem
+        WHERE l_shipdate <= TIMESTAMP '{cutoff}'
+        GROUP BY l_returnflag, l_linestatus
+    """
+
+
+def asof_join_sql(left_type: str = "purchase", right_type: str = "click") -> str:
+    """Oracle for events.asof_join — the as-of semantics spelled out as a
+    deterministic window spec (ties on ts break to the larger event_id,
+    matching merge_asof's last-row-wins over the (ts, event_id) sort)."""
+    return f"""
+        SELECT p.event_id, p.user_id, epoch_us(p.ts) AS ts_us,
+               COALESCE(c.event_id, -1) AS matched_event_id,
+               COALESCE(epoch_us(c.ts), -1) AS matched_ts_us,
+               COALESCE(epoch_us(p.ts) - epoch_us(c.ts), -1) AS gap_us
+        FROM (SELECT * FROM events WHERE event_type = '{left_type}') p
+        LEFT JOIN (SELECT * FROM events WHERE event_type = '{right_type}') c
+          ON p.user_id = c.user_id AND c.ts <= p.ts
+        QUALIFY row_number() OVER (PARTITION BY p.event_id
+                                   ORDER BY c.ts DESC, c.event_id DESC) = 1
+    """
+
+
+def range_join_sql(window_s: int = 86_400, left_type: str = "purchase",
+                   right_type: str = "click") -> str:
+    """Oracle for events.range_join (trailing-window band join)."""
+    return f"""
+        SELECT p.event_id, p.user_id, c.event_id AS matched_event_id,
+               epoch_us(p.ts) - epoch_us(c.ts) AS gap_us
+        FROM (SELECT * FROM events WHERE event_type = '{left_type}') p
+        JOIN (SELECT * FROM events WHERE event_type = '{right_type}') c
+          ON p.user_id = c.user_id
+         AND c.ts BETWEEN p.ts - INTERVAL {int(window_s)} SECOND AND p.ts
+    """
+
+
+def top_events_per_user_sql(k: int = 2) -> str:
+    """Oracle for events.top_events_per_user (grouped top-k, deterministic
+    tie-break)."""
+    return f"""
+        SELECT user_id,
+               CAST(row_number() OVER w AS BIGINT) AS rnk,
+               event_id, value
+        FROM events
+        WINDOW w AS (PARTITION BY user_id ORDER BY value DESC, event_id ASC)
+        QUALIFY row_number() OVER w <= {int(k)}
+    """
+
+
+def value_quantiles_sql(qs: tuple = (0.5, 0.9, 0.99)) -> str:
+    """Oracle for events.value_quantiles — quantile_cont over the same
+    2-decimal fixed-point grid the histogram uses."""
+    cols = ",\n               ".join(
+        f"floor(quantile_cont(round(value, 2), {q}) * 1e6 + 0.5) / 1e6 "
+        f"AS p{int(q * 100)}"
+        for q in qs
+    )
+    return f"""
+        SELECT event_type,
+               CAST(COUNT(*) AS BIGINT) AS n_events,
+               {cols}
+        FROM events GROUP BY event_type
+    """
+
+
 def dup_components_sql(shingle: int = 3, thr_num: int = 4,
                        thr_den: int = 5) -> str:
     """Oracle for dedup.dup_components: recursive-CTE reachability
@@ -797,6 +1015,81 @@ def deterministic_sample_sql(frac: float = 0.1) -> str:
         FROM documents
         WHERE substr(md5(CAST(doc_id AS VARCHAR)), 1, {len(thr)}) < '{thr}'
     """
+
+
+def event_transitions_sql() -> str:
+    """Oracle for events.event_transitions: per-user consecutive-event
+    pairs via LAG over the same (ts, event_id) total order, global pair
+    counts, P(next|prev) on the shared 6 dp grid."""
+    return """WITH ordered AS (
+    SELECT user_id, event_type,
+           LAG(event_type) OVER (
+               PARTITION BY user_id ORDER BY ts, event_id) AS prev_type
+    FROM events
+),
+counts AS (
+    SELECT prev_type, event_type AS next_type,
+           CAST(COUNT(*) AS BIGINT) AS n
+    FROM ordered WHERE prev_type IS NOT NULL
+    GROUP BY prev_type, event_type
+)
+SELECT prev_type, next_type, n,
+       floor(n * 1.0 / SUM(n) OVER (PARTITION BY prev_type) * 1e6 + 0.5)
+           / 1e6 AS prob
+FROM counts"""
+
+
+def naive_bayes_lang_sql() -> str:
+    """Oracle for classifier.naive_bayes_lang: multinomial NB with
+    add-one smoothing, recomputed in SQL with the identical decomposition
+    log2 p(l) + Σ tf·log2(ctf_{t,l}+1) − n_d·log2(T_l+V) and the shared
+    6 dp grid + lang-ASC argmax tie-break. Zero-token docs are excluded
+    (no dl row); unseen (term, lang) pairs contribute log2(1)=0 and are
+    simply absent from the join."""
+    return f"""WITH {tok_cte()},
+tf AS (SELECT doc_id, term, COUNT(*) AS tf FROM toks GROUP BY doc_id, term),
+dl AS (SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n FROM toks GROUP BY doc_id),
+v AS (SELECT CAST(COUNT(DISTINCT term) AS DOUBLE) AS v FROM toks),
+nn AS (SELECT CAST(COUNT(*) AS DOUBLE) AS n FROM documents),
+pri AS (SELECT lang, CAST(COUNT(*) AS DOUBLE) AS nd FROM documents GROUP BY lang),
+tl AS (SELECT d.lang, CAST(COUNT(*) AS DOUBLE) AS t
+       FROM toks JOIN documents d USING (doc_id) GROUP BY d.lang),
+ctfl AS (SELECT t.term, d.lang, CAST(COUNT(*) AS DOUBLE) AS c
+         FROM toks t JOIN documents d USING (doc_id) GROUP BY t.term, d.lang),
+spart AS (SELECT tf.doc_id, c.lang, SUM(tf.tf * log2(c.c + 1)) AS s
+          FROM tf JOIN ctfl c USING (term) GROUP BY tf.doc_id, c.lang),
+cand AS (
+    SELECT dl.doc_id, p.lang,
+           log2(p.nd / (SELECT n FROM nn))
+             + COALESCE(s.s, 0.0)
+             - dl.n * log2(COALESCE(t.t, 0) + (SELECT v FROM v)) AS score
+    FROM dl CROSS JOIN pri p
+    LEFT JOIN spart s ON s.doc_id = dl.doc_id AND s.lang = p.lang
+    LEFT JOIN tl t ON t.lang = p.lang
+),
+pred AS (
+    SELECT doc_id, lang,
+           row_number() OVER (PARTITION BY doc_id
+               ORDER BY floor(score * 1e6 + 0.5) / 1e6 DESC, lang ASC) AS rn
+    FROM cand
+)
+SELECT d.lang, p.lang AS lang_pred, CAST(COUNT(*) AS BIGINT) AS n_docs
+FROM pred p JOIN documents d USING (doc_id)
+WHERE p.rn = 1
+GROUP BY d.lang, p.lang"""
+
+
+def event_props_stats_sql() -> str:
+    """Oracle for events.event_props_stats: the identical JSON
+    extraction expression, aggregated per type."""
+    return """WITH x AS (
+    SELECT event_type, CAST(props ->> 'k' AS BIGINT) AS k FROM events)
+SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n_events,
+       CAST(SUM(k) AS BIGINT) AS k_sum,
+       CAST(MIN(k) AS BIGINT) AS k_min,
+       CAST(MAX(k) AS BIGINT) AS k_max,
+       floor(SUM(k) * 1.0 / COUNT(*) * 1e6 + 0.5) / 1e6 AS k_avg
+FROM x GROUP BY event_type"""
 
 
 def corpus_diff_sql(add_mod: int = 13, add_res: int = 3, rm_res: int = 7,
@@ -907,6 +1200,53 @@ SELECT source, lang, CAST(COUNT(*) AS BIGINT) AS n_docs,
 FROM j GROUP BY source, lang"""
 
 
+def customers_without_orders_sql(priority: str = "1-URGENT") -> str:
+    """Oracle for relational.customers_without_orders (distributed
+    anti-join; only deduplicated right-side keys cross the exchange)."""
+    return f"""
+        SELECT c_custkey, c_name, c_acctbal
+        FROM customer
+        WHERE NOT EXISTS (SELECT 1 FROM orders
+                          WHERE o_custkey = c_custkey
+                            AND o_orderpriority = '{priority}')
+    """
+
+
+def customer_order_counts_sql() -> str:
+    """Oracle for relational.customer_order_counts (LEFT OUTER aggregate
+    join — customers with zero orders kept at 0/0.0)."""
+    return """
+        SELECT c_custkey, c_mktsegment,
+               CAST(COUNT(o_totalprice) AS BIGINT) AS n_orders,
+               ROUND(COALESCE(SUM(o_totalprice), 0), 2) AS total_spent
+        FROM customer LEFT JOIN orders ON c_custkey = o_custkey
+        GROUP BY c_custkey, c_mktsegment
+    """
+
+
+def user_value_running_sql() -> str:
+    """Oracle for events.user_value_running: per-user running sum (exact
+    integer cents — the same fixed-point grid value_quantiles uses, so
+    the comparison is summation-order-exact) + lag."""
+    return """
+        SELECT event_id, user_id,
+               CAST(SUM(CAST(round(value * 100) AS BIGINT)) OVER w
+                    AS BIGINT) AS cum_value_cents,
+               LAG(value) OVER w AS prev_value
+        FROM events
+        WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
+    """
+
+
+def event_user_distinct_sql() -> str:
+    """Oracle for events.event_user_distinct (exact grouped
+    COUNT DISTINCT, twin of the HLL sketch)."""
+    return """
+        SELECT event_type, CAST(COUNT(DISTINCT user_id) AS BIGINT) AS n_users
+        FROM events GROUP BY event_type
+    """
+
+
 def stratified_sample_sql(fracs: dict | None = None,
                           default_frac: float | None = None) -> str:
     """Oracle for sample.stratified_sample — the per-stratum md5 rule as
@@ -926,6 +1266,108 @@ def stratified_sample_sql(fracs: dict | None = None,
               CASE lang {arms}
                  ELSE '{_threshold_hex(default_frac)}' END
     """
+
+
+def part_components_sql(rounds: int = 12) -> str:
+    """Oracle for graph.part_components: plain min-label propagation
+    unrolled ``rounds`` times over the distinct co-purchase pair graph.
+    The required rounds grow with the graph's min-propagation diameter
+    (measured: 2 at sf0.01, 3 at sf0.1), so the unroll carries a wide
+    margin; the engine's pointer jumping accelerates but cannot change
+    the fixpoint the unroll converges to."""
+    its = []
+    for i in range(1, int(rounds) + 1):
+        its.append(f"""d{i} AS (
+    SELECT node, MIN(lbl) AS lbl FROM (
+        SELECT node, lbl FROM d{i - 1}
+        UNION ALL
+        SELECT e.b AS node, d.lbl AS lbl
+        FROM d{i - 1} d JOIN edges e ON e.a = d.node
+    ) GROUP BY node
+)""")
+    chain = ",\n".join(its)
+    return f"""
+WITH pairs AS MATERIALIZED (
+    SELECT DISTINCT l1.l_partkey AS a, l2.l_partkey AS b
+    FROM lineitem l1
+    JOIN lineitem l2 ON l1.l_orderkey = l2.l_orderkey
+    WHERE l1.l_partkey < l2.l_partkey
+),
+edges AS MATERIALIZED (
+    -- materialized: each unrolled round re-references edges; without
+    -- this DuckDB re-expands the parquet scan per round and a deep
+    -- unroll exhausts file descriptors
+    SELECT a, b FROM pairs UNION ALL SELECT b AS a, a AS b FROM pairs
+),
+d0 AS (
+    SELECT DISTINCT a AS node, a AS lbl FROM edges
+),
+{chain}
+SELECT node AS part_key, CAST(lbl AS BIGINT) AS component
+FROM d{int(rounds)}"""
+
+
+def part_bfs_sql(seed_mod: int = 31, rounds: int = 3) -> str:
+    """Oracle for graph.part_bfs: the level-synchronous BFS relaxation
+    unrolled as chained min-merge CTEs over the distinct co-purchase
+    pair graph."""
+    its = []
+    for i in range(1, rounds + 1):
+        its.append(f"""d{i} AS (
+    SELECT node, MIN(dist) AS dist FROM (
+        SELECT node, dist FROM d{i - 1}
+        UNION ALL
+        SELECT p.dst AS node, d.dist + 1 AS dist
+        FROM d{i - 1} d JOIN pairs p ON p.src = d.node
+    ) GROUP BY node
+)""")
+    chain = ",\n".join(its)
+    return f"""
+WITH pairs AS (
+    SELECT DISTINCT l1.l_partkey AS src, l2.l_partkey AS dst
+    FROM lineitem l1
+    JOIN lineitem l2 ON l1.l_orderkey = l2.l_orderkey
+    WHERE l1.l_partkey <> l2.l_partkey
+),
+d0 AS (
+    SELECT DISTINCT src AS node, 0 AS dist FROM pairs
+    WHERE src % {int(seed_mod)} = 0
+),
+{chain}
+SELECT node, CAST(dist AS BIGINT) AS dist FROM d{rounds}"""
+
+
+def part_pagerank_sql(damping: float = 0.85, iters: int = 5) -> str:
+    """Oracle for graph.part_pagerank: the fixed-iteration recurrence
+    unrolled as chained CTEs over the DISTINCT co-purchase pair graph
+    (symmetric ⇒ no dangling nodes ⇒ the plain SUM form is exact)."""
+    its = []
+    for i in range(1, iters + 1):
+        its.append(f"""r{i} AS (
+    SELECT p.dst AS node,
+           (1 - {damping}) / (SELECT n FROM nn)
+           + {damping} * SUM(r.pr / d.deg) AS pr
+    FROM pairs p
+    JOIN r{i - 1} r ON r.node = p.src
+    JOIN deg d ON d.src = p.src
+    GROUP BY p.dst
+)""")
+    chain = ",\n".join(its)
+    return f"""
+WITH pairs AS (
+    SELECT DISTINCT l1.l_partkey AS src, l2.l_partkey AS dst
+    FROM lineitem l1
+    JOIN lineitem l2 ON l1.l_orderkey = l2.l_orderkey
+                    AND l1.l_partkey <> l2.l_partkey
+),
+deg AS (
+    SELECT src, CAST(COUNT(*) AS DOUBLE) AS deg FROM pairs GROUP BY src
+),
+nn AS (SELECT CAST(COUNT(*) AS DOUBLE) AS n FROM deg),
+r0 AS (SELECT src AS node, 1.0 / (SELECT n FROM nn) AS pr FROM deg),
+{chain}
+SELECT node AS part_key, ROUND(pr, 10) AS pagerank FROM r{iters}
+"""
 
 
 def doc_embedding_sql(dims: int = 64) -> str:
@@ -949,6 +1391,22 @@ SELECT t.doc_id,
 FROM tf t JOIN dfs d USING (term)
 GROUP BY t.doc_id, dim
 """
+
+
+def top_orders_by_revenue_sql(k: int = 10) -> str:
+    """Oracle for relational.top_orders_by_revenue: exact-integer revenue
+    in 1e-4 units, rank ties on o_orderkey ASC."""
+    return f"""WITH rev AS (
+    SELECT l_orderkey AS o_orderkey,
+           SUM(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)
+               * (100 - CAST(floor(l_discount * 100 + 0.5) AS BIGINT))) AS rev_e4
+    FROM lineitem GROUP BY l_orderkey),
+r AS (
+    SELECT o_orderkey, rev_e4,
+           row_number() OVER (ORDER BY rev_e4 DESC, o_orderkey ASC) AS rank
+    FROM rev)
+SELECT o_orderkey, CAST(rank AS BIGINT) AS rank, rev_e4 / 10000.0 AS revenue
+FROM r WHERE rank <= {int(k)}"""
 
 
 def dataset_split_sql(val_frac: float = 0.1, test_frac: float = 0.1,
@@ -1476,6 +1934,20 @@ SELECT shard_id,
 FROM sh GROUP BY shard_id"""
 
 
+def order_rollup_sql() -> str:
+    """Oracle for relational.order_rollup — GROUP BY ROLLUP in exact
+    integer cents."""
+    return """
+WITH o AS (
+    SELECT o_orderpriority, o_orderstatus,
+           CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT) AS cents
+    FROM orders)
+SELECT o_orderpriority, o_orderstatus,
+       CAST(SUM(cents) AS BIGINT) AS total_cents,
+       CAST(COUNT(*) AS BIGINT) AS n_orders
+FROM o GROUP BY ROLLUP (o_orderpriority, o_orderstatus)"""
+
+
 def knn_graph_sql(k: int = 5) -> str:
     """Oracle for similarity.knn_graph — exact all-vs-all cosine top-k,
     self excluded, (cos DESC, neighbor ASC) tie-break."""
@@ -1493,6 +1965,167 @@ ranked AS (
 SELECT vec_id, neighbor_id, CAST(rank AS BIGINT) AS rank,
        floor(cos * 1e6 + 0.5) / 1e6 AS cosine
 FROM ranked WHERE rank <= {int(k)}"""
+
+
+def order_shipping_priority_sql(segment: str = "BUILDING",
+                                cutoff: str = "1998-07-01",
+                                k: int = 10) -> str:
+    """Oracle for relational.order_shipping_priority (TPC-H Q3 shape):
+    3-table chain, exact-integer 1e-4 revenue, rank ties on o_orderkey
+    ASC. The order date is compared/emitted as epoch microseconds so the
+    text canon is precision-exact."""
+    return f"""WITH rev AS (
+    SELECT l_orderkey,
+           SUM(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)
+               * (100 - CAST(floor(l_discount * 100 + 0.5) AS BIGINT))) AS rev_e4
+    FROM lineitem WHERE l_shipdate > TIMESTAMP '{cutoff}'
+    GROUP BY l_orderkey),
+j AS (
+    SELECT o.o_orderkey, rev.rev_e4, o.o_orderdate, o.o_orderpriority
+    FROM orders o
+    JOIN customer c ON o.o_custkey = c.c_custkey
+    JOIN rev ON rev.l_orderkey = o.o_orderkey
+    WHERE c.c_mktsegment = '{segment}'
+      AND o.o_orderdate < TIMESTAMP '{cutoff}'),
+r AS (
+    SELECT *, row_number() OVER (ORDER BY rev_e4 DESC, o_orderkey ASC) AS rank
+    FROM j)
+SELECT o_orderkey, CAST(rank AS BIGINT) AS rank, rev_e4 / 10000.0 AS revenue,
+       CAST(epoch_us(o_orderdate) AS BIGINT) AS o_orderdate_us,
+       o_orderpriority
+FROM r WHERE rank <= {int(k)}"""
+
+
+def returned_item_report_sql(date_lo: str = "1996-01-01",
+                             date_hi: str = "1996-04-01",
+                             k: int = 20) -> str:
+    """Oracle for relational.returned_item_report (TPC-H Q10 shape):
+    4-table chain, exact-integer 1e-4 revenue, rank ties on c_custkey
+    ASC."""
+    return f"""WITH rev AS (
+    SELECT l_orderkey,
+           SUM(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)
+               * (100 - CAST(floor(l_discount * 100 + 0.5) AS BIGINT))) AS rev_e4
+    FROM lineitem WHERE l_returnflag = 'R'
+    GROUP BY l_orderkey),
+cr AS (
+    SELECT o.o_custkey AS c_custkey, SUM(rev.rev_e4) AS rev_e4
+    FROM orders o JOIN rev ON rev.l_orderkey = o.o_orderkey
+    WHERE o.o_orderdate >= TIMESTAMP '{date_lo}'
+      AND o.o_orderdate < TIMESTAMP '{date_hi}'
+    GROUP BY o.o_custkey),
+j AS (
+    SELECT c.c_custkey, c.c_name, n.n_name, c.c_acctbal, cr.rev_e4
+    FROM cr
+    JOIN customer c USING (c_custkey)
+    JOIN nation n ON n.n_nationkey = c.c_nationkey),
+r AS (
+    SELECT *, row_number() OVER (ORDER BY rev_e4 DESC, c_custkey ASC) AS rank
+    FROM j)
+SELECT c_custkey, c_name, n_name, c_acctbal,
+       CAST(rank AS BIGINT) AS rank, rev_e4 / 10000.0 AS revenue
+FROM r WHERE rank <= {int(k)}"""
+
+
+def large_volume_orders_sql(qty_threshold: int = 200, k: int = 100) -> str:
+    """Oracle for relational.large_volume_orders (TPC-H Q18): the
+    HAVING cut on the identical integer quantity-cents grid, join-back
+    to orders and customer, deterministic top-k."""
+    thr_c = int(qty_threshold) * 100
+    return f"""WITH q AS (
+  SELECT l_orderkey,
+         CAST(SUM(CAST(floor(l_quantity * 100 + 0.5) AS BIGINT))
+              AS BIGINT) AS q_c
+  FROM lineitem GROUP BY l_orderkey
+  HAVING SUM(CAST(floor(l_quantity * 100 + 0.5) AS BIGINT)) > {thr_c}),
+j AS (
+  SELECT c.c_custkey, c.c_name, o.o_orderkey, o.o_orderdate,
+         o.o_totalprice, q.q_c
+  FROM q
+  JOIN orders o ON o.o_orderkey = q.l_orderkey
+  JOIN customer c ON c.c_custkey = o.o_custkey),
+r AS (
+  SELECT *, row_number() OVER (ORDER BY o_totalprice DESC,
+                               o_orderdate ASC, o_orderkey ASC) AS rank
+  FROM j)
+SELECT CAST(c_custkey AS BIGINT) AS c_custkey, c_name,
+       CAST(o_orderkey AS BIGINT) AS o_orderkey, o_orderdate,
+       o_totalprice, q_c / 100.0 AS total_qty, CAST(rank AS BIGINT) AS rank
+FROM r WHERE rank <= {int(k)}"""
+
+
+def small_order_revenue_sql(brand: str = "Brand#12") -> str:
+    """Oracle for relational.small_order_revenue (TPC-H Q17 shape): the
+    correlated per-part average as an exact integer cross-multiplication
+    (5·q·cnt < sum on the cents grid)."""
+    return f"""WITH lc AS (
+    SELECT l_partkey,
+           CAST(floor(l_quantity * 100 + 0.5) AS BIGINT) AS q_c,
+           CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT) AS p_c
+    FROM lineitem
+    WHERE l_partkey IN (SELECT p_partkey FROM part
+                        WHERE p_brand = '{brand}')),
+agg AS (SELECT l_partkey, SUM(q_c) AS s, CAST(COUNT(*) AS BIGINT) AS n
+        FROM lc GROUP BY l_partkey),
+sel AS (SELECT lc.p_c FROM lc JOIN agg USING (l_partkey)
+        WHERE 5 * lc.q_c * agg.n < agg.s)
+SELECT CAST(COALESCE(SUM(p_c), 0) AS BIGINT) AS total_cents,
+       floor(COALESCE(SUM(p_c), 0) / 100.0 / 7.0 * 1e6 + 0.5) / 1e6
+           AS avg_yearly
+FROM sel"""
+
+
+def table_profile_sql() -> str:
+    """Oracle for relational.table_profile: per-column exact profile over
+    lineitem in one wide row. Decimal distinct/mean run on the exact
+    cents grid (the identical floor rule); timestamps on epoch µs."""
+    from .relational import (_PROFILE_DEC, _PROFILE_INT, _PROFILE_STR,
+                             _PROFILE_TS)
+
+    parts = ["CAST(COUNT(*) AS BIGINT) AS n_rows"]
+    for c in _PROFILE_INT:
+        parts += [
+            f"CAST(COUNT(DISTINCT {c}) AS BIGINT) AS {c}_ndv",
+            f"CAST(COUNT(*) - COUNT({c}) AS BIGINT) AS {c}_nulls",
+            f"CAST(MIN({c}) AS BIGINT) AS {c}_min",
+            f"CAST(MAX({c}) AS BIGINT) AS {c}_max",
+        ]
+    for c in _PROFILE_DEC:
+        cents = f"CAST(floor({c} * 100 + 0.5) AS BIGINT)"
+        parts += [
+            f"CAST(COUNT(DISTINCT {cents}) AS BIGINT) AS {c}_ndv",
+            f"CAST(COUNT(*) - COUNT({c}) AS BIGINT) AS {c}_nulls",
+            f"MIN({cents}) / 100.0 AS {c}_min",
+            f"MAX({cents}) / 100.0 AS {c}_max",
+            f"floor(SUM({cents}) / (100.0 * COUNT({c})) * 1e6 + 0.5) / 1e6 AS {c}_mean",
+        ]
+    for c in _PROFILE_STR:
+        parts += [
+            f"CAST(COUNT(DISTINCT {c}) AS BIGINT) AS {c}_ndv",
+            f"CAST(COUNT(*) - COUNT({c}) AS BIGINT) AS {c}_nulls",
+            f"MIN({c}) AS {c}_min",
+            f"MAX({c}) AS {c}_max",
+        ]
+    for c in _PROFILE_TS:
+        parts += [
+            f"CAST(COUNT(DISTINCT {c}) AS BIGINT) AS {c}_ndv",
+            f"CAST(COUNT(*) - COUNT({c}) AS BIGINT) AS {c}_nulls",
+            f"CAST(epoch_us(MIN({c})) AS BIGINT) AS {c}_min",
+            f"CAST(epoch_us(MAX({c})) AS BIGINT) AS {c}_max",
+        ]
+    sel = ",\n       ".join(parts)
+    return f"SELECT {sel}\nFROM lineitem"
+
+
+def global_value_rank_sql() -> str:
+    """Oracle for events.global_value_rank: SQL RANK() over the same
+    2-decimal cents grid (DESC, ties share)."""
+    return """
+SELECT event_id, value,
+       CAST(RANK() OVER (
+           ORDER BY CAST(round(value * 100, 0) AS BIGINT) DESC) AS BIGINT)
+           AS rnk
+FROM events"""
 
 
 def phrase_search_sql(phrases: tuple[str, ...] | None = None) -> str:
@@ -1602,6 +2235,97 @@ FROM ranked r
 JOIN fp ON fp.query_id = r.query_id AND fp.doc_id = r.doc_id
 JOIN tarr ta ON ta.doc_id = r.doc_id
 WHERE r.rank <= {int(k)}"""
+
+
+def event_outliers_sql(z_thresh: float = 3.0) -> str:
+    """Oracle for events.event_outliers: identical integer-cent moment
+    sums and the identical mean/σ/z operand order."""
+    return f"""WITH c AS (
+    SELECT event_id, event_type, value,
+           CAST(round(value * 100) AS BIGINT) AS cents
+    FROM events
+),
+st AS (SELECT event_type, COUNT(*) AS n,
+              CAST(SUM(cents) AS BIGINT) AS s,
+              CAST(SUM(cents * cents) AS BIGINT) AS ss
+       FROM c GROUP BY event_type),
+z AS (SELECT c.event_id, c.event_type, c.value,
+             (c.cents - s * 1.0 / n)
+               / sqrt(ss * 1.0 / n - (s * 1.0 / n) * (s * 1.0 / n)) AS z
+      FROM c JOIN st USING (event_type))
+SELECT event_id, event_type, value, floor(z * 1e6 + 0.5) / 1e6 AS z
+FROM z WHERE abs(z) >= {float(z_thresh)}"""
+
+
+def event_weekday_pivot_sql() -> str:
+    """Oracle for events.event_weekday_pivot (ISO weekday columns)."""
+    cols = ",\n       ".join(
+        f"CAST(SUM(CASE WHEN isodow(ts) = {d} THEN 1 ELSE 0 END) AS BIGINT) AS dow{d}"
+        for d in range(1, 8))
+    return f"""SELECT event_type,
+       {cols}
+FROM events GROUP BY event_type"""
+
+
+def part_triangles_sql() -> str:
+    """Oracle for graph.part_triangles: naive 3-way self-join triangle
+    count over the distinct a<b co-purchase edge set."""
+    return """WITH d AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem),
+e AS (SELECT DISTINCT x.l_partkey AS a, y.l_partkey AS b
+      FROM d x JOIN d y ON x.l_orderkey = y.l_orderkey
+                       AND x.l_partkey < y.l_partkey)
+SELECT (SELECT CAST(COUNT(DISTINCT n) AS BIGINT)
+        FROM (SELECT a AS n FROM e UNION ALL SELECT b FROM e)) AS n_nodes,
+       (SELECT CAST(COUNT(*) AS BIGINT) FROM e) AS n_edges,
+       (SELECT CAST(COUNT(*) AS BIGINT)
+        FROM e e1
+        JOIN e e2 ON e2.a = e1.a AND e2.b > e1.b
+        JOIN e e3 ON e3.a = e1.b AND e3.b = e2.b) AS n_triangles"""
+
+
+def local_supplier_volume_sql(region: str = "ASIA",
+                              date_from: str = "1996-01-01",
+                              date_to: str = "1997-01-01") -> str:
+    """Oracle for relational.local_supplier_volume (TPC-H Q5 shape):
+    6-table chain with the c_nationkey = s_nationkey locality predicate;
+    revenue in the shared exact-integer 1e-4 rule."""
+    return f"""SELECT n_name,
+       SUM(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)
+           * (100 - CAST(floor(l_discount * 100 + 0.5) AS BIGINT)))
+           / 10000.0 AS revenue
+FROM customer
+JOIN orders   ON c_custkey = o_custkey
+JOIN lineitem ON l_orderkey = o_orderkey
+JOIN supplier ON l_suppkey = s_suppkey
+JOIN nation   ON s_nationkey = n_nationkey
+JOIN region   ON n_regionkey = r_regionkey
+WHERE c_nationkey = s_nationkey
+  AND r_name = '{region}'
+  AND o_orderdate >= TIMESTAMP '{date_from}'
+  AND o_orderdate <  TIMESTAMP '{date_to}'
+GROUP BY n_name"""
+
+
+def price_quantiles_sql(qs: tuple = (0.01, 0.25, 0.5, 0.75, 0.99)) -> str:
+    """Oracle for relational.price_quantiles: explicit rank selection
+    (k = max(1, ceil(q*N)), 1-indexed k-th smallest) over exact integer
+    cents — no quantile-function interpolation-semantics guessing."""
+    arms = "\nUNION ALL\n".join(
+        f"""SELECT CAST({q} AS DOUBLE) AS q,
+       GREATEST(1, CAST(ceil({q} * n) AS BIGINT)) AS rank,
+       cents, cents / 100.0 AS price
+FROM r WHERE rk = GREATEST(1, CAST(ceil({q} * n) AS BIGINT))"""
+        for q in qs
+    )
+    return f"""WITH c AS (
+    SELECT CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT) AS cents
+    FROM orders),
+r AS (
+    SELECT cents,
+           row_number() OVER (ORDER BY cents) AS rk,
+           COUNT(*) OVER () AS n
+    FROM c)
+{arms}"""
 
 
 def term_complete_sql(prefix: str = "s", k: int = 10) -> str:
@@ -1982,6 +2706,74 @@ SELECT CAST(rank AS BIGINT) AS rank, doc_id, logw,
 FROM r WHERE rank <= {int(n_out)}"""
 
 
+def funnel_analysis_sql(
+        steps: tuple[str, ...] = ("view", "click", "purchase")) -> str:
+    """Oracle for events.funnel_analysis: the earliest-completion chain
+    as s chained per-user MIN CTEs with strict ts inequality."""
+    steps = tuple(steps)
+    esc = [s.replace("'", "''") for s in steps]
+    parts = [f"""s1 AS (SELECT user_id, MIN(ts) AS t1 FROM events
+    WHERE event_type = '{esc[0]}' GROUP BY user_id)"""]
+    for i in range(1, len(steps)):
+        parts.append(f"""s{i + 1} AS (
+    SELECT e.user_id, MIN(e.ts) AS t{i + 1}
+    FROM events e JOIN s{i} USING (user_id)
+    WHERE e.event_type = '{esc[i]}' AND e.ts > s{i}.t{i}
+    GROUP BY e.user_id)""")
+    unions = "\nUNION ALL\n".join(
+        f"SELECT CAST({i + 1} AS BIGINT) AS step, '{esc[i]}' AS event_type,"
+        f" CAST(COUNT(*) AS BIGINT) AS n_users FROM s{i + 1}"
+        for i in range(len(steps)))
+    return "WITH " + ",\n".join(parts) + "\n" + unions
+
+
+def revenue_forecast_sql(year: int = 1995, disc_lo: int = 5,
+                         disc_hi: int = 7, max_qty: int = 24) -> str:
+    """Oracle for relational.revenue_forecast: TPC-H Q6 on the exact
+    cents grid (identical floor half-up cents conversion, integer
+    product sum)."""
+    return f"""SELECT
+  CAST(COALESCE(SUM(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)
+                    * CAST(floor(l_discount * 100 + 0.5) AS BIGINT)), 0)
+       AS BIGINT) AS revenue_e4,
+  CAST(COUNT(*) AS BIGINT) AS n_lineitems
+FROM lineitem
+WHERE l_shipdate >= TIMESTAMP '{year}-01-01'
+  AND l_shipdate < TIMESTAMP '{year + 1}-01-01'
+  AND CAST(floor(l_discount * 100 + 0.5) AS BIGINT)
+      BETWEEN {int(disc_lo)} AND {int(disc_hi)}
+  AND l_quantity < {int(max_qty)}"""
+
+
+def part_clustering_sql() -> str:
+    """Oracle for graph.part_clustering: per-node triangle membership
+    from the 3-way self-join (each triangle counted once via
+    e1.a < e1.b < e2.b, attributed to all three corners), degree from
+    the edge union, cc on the shared round6 grid."""
+    return """WITH d AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem),
+e AS (SELECT DISTINCT x.l_partkey AS a, y.l_partkey AS b
+      FROM d x JOIN d y ON x.l_orderkey = y.l_orderkey
+                       AND x.l_partkey < y.l_partkey),
+deg AS (SELECT node, CAST(COUNT(*) AS BIGINT) AS degree
+        FROM (SELECT a AS node FROM e UNION ALL SELECT b FROM e)
+        GROUP BY node),
+tri AS (SELECT e1.a AS x, e1.b AS y, e2.b AS z
+        FROM e e1
+        JOIN e e2 ON e2.a = e1.a AND e2.b > e1.b
+        JOIN e e3 ON e3.a = e1.b AND e3.b = e2.b),
+tn AS (SELECT node, CAST(COUNT(*) AS BIGINT) AS n_triangles
+       FROM (SELECT x AS node FROM tri UNION ALL SELECT y FROM tri
+             UNION ALL SELECT z FROM tri)
+       GROUP BY node)
+SELECT d.node, d.degree,
+       CAST(COALESCE(tn.n_triangles, 0) AS BIGINT) AS n_triangles,
+       CASE WHEN d.degree >= 2
+            THEN floor(2.0 * COALESCE(tn.n_triangles, 0)
+                       / (d.degree * (d.degree - 1)) * 1e6 + 0.5) / 1e6
+            ELSE 0.0 END AS cc
+FROM deg d LEFT JOIN tn USING (node)"""
+
+
 def term_heavy_hitters_sql(k: int = 2000) -> str:
     """Oracle for text_stats.term_heavy_hitters: exact grouped counts
     with the identical integer threshold (freq · k > T)."""
@@ -1990,6 +2782,22 @@ tot AS (SELECT CAST(COUNT(*) AS BIGINT) AS t FROM toks)
 SELECT term, CAST(COUNT(*) AS BIGINT) AS freq
 FROM toks GROUP BY term
 HAVING CAST(COUNT(*) AS BIGINT) * {int(k)} > (SELECT t FROM tot)"""
+
+
+def cohort_retention_sql(bucket_s: int = 7 * 86400) -> str:
+    """Oracle for events.cohort_retention: distinct (user, period) grid
+    joined to each user's minimum period."""
+    b = int(bucket_s)
+    return f"""WITH uw AS (
+  SELECT DISTINCT user_id,
+         epoch_us(ts) // 1000000 // {b} AS wk
+  FROM events),
+c AS (SELECT user_id, MIN(wk) AS cohort FROM uw GROUP BY user_id)
+SELECT CAST(c.cohort AS BIGINT) AS cohort_week,
+       CAST(uw.wk - c.cohort AS BIGINT) AS week_offset,
+       CAST(COUNT(*) AS BIGINT) AS n_users
+FROM uw JOIN c USING (user_id)
+GROUP BY cohort_week, week_offset"""
 
 
 def retrieval_triplets_sql(n_queries: int = 5, n_hard: int = 3,
@@ -2087,6 +2895,80 @@ SELECT n.doc_id, n.text_md5
 FROM h n
 WHERE n.is_new AND NOT EXISTS (
   SELECT 1 FROM h b WHERE NOT b.is_new AND b.text_md5 = n.text_md5)"""
+
+
+def order_count_distribution_sql(excl_priority: str = "1-URGENT") -> str:
+    """Oracle for relational.order_count_distribution (TPC-H Q13): left
+    outer count per customer (priority exclusion in place of the
+    comment filter the testdata lacks), then the count-of-counts."""
+    return f"""WITH o AS (
+  SELECT o_custkey, COUNT(*) AS cnt FROM orders
+  WHERE o_orderpriority <> '{excl_priority}' GROUP BY o_custkey),
+per_cust AS (
+  SELECT c.c_custkey, CAST(COALESCE(o.cnt, 0) AS BIGINT) AS c_count
+  FROM customer c LEFT JOIN o ON o.o_custkey = c.c_custkey)
+SELECT c_count, CAST(COUNT(*) AS BIGINT) AS custdist
+FROM per_cust GROUP BY c_count
+ORDER BY custdist DESC, c_count DESC"""
+
+
+def suppliers_kept_waiting_sql(region: str = "EUROPE",
+                               late_days: int = 1400,
+                               k: int = 100) -> str:
+    """Oracle for relational.suppliers_kept_waiting (TPC-H Q21): the
+    exists/not-exists pair expressed on the (orderkey, suppkey,
+    max shipdate) reduction — identical integer-microsecond lateness
+    rule, identical (numwait DESC, s_name ASC) order."""
+    return f"""WITH f AS (
+  SELECT l_orderkey, l_suppkey, MAX(l_shipdate) AS mx
+  FROM lineitem GROUP BY l_orderkey, l_suppkey),
+j AS (
+  SELECT f.l_orderkey, f.l_suppkey,
+         (f.mx > o.o_orderdate + INTERVAL {int(late_days)} DAY) AS late
+  FROM f JOIN orders o ON o.o_orderkey = f.l_orderkey
+  WHERE o.o_orderstatus = 'F'),
+per AS (
+  SELECT l_orderkey, COUNT(*) AS n_supp,
+         SUM(CASE WHEN late THEN 1 ELSE 0 END) AS n_late
+  FROM j GROUP BY l_orderkey),
+q AS (
+  SELECT j.l_suppkey FROM j JOIN per USING (l_orderkey)
+  WHERE j.late AND per.n_supp >= 2 AND per.n_late = 1)
+SELECT s.s_name, CAST(COUNT(*) AS BIGINT) AS numwait
+FROM q
+JOIN supplier s ON s.s_suppkey = q.l_suppkey
+JOIN nation n ON n.n_nationkey = s.s_nationkey
+JOIN region r ON r.r_regionkey = n.n_regionkey
+WHERE r.r_name = '{region}'
+GROUP BY s.s_name
+ORDER BY numwait DESC, s_name ASC
+LIMIT {int(k)}"""
+
+
+def idle_customer_balance_sql(
+        nation_keys: tuple = (0, 1, 2, 3, 4, 5, 6),
+        since: str = "2000-01-01") -> str:
+    """Oracle for relational.idle_customer_balance (TPC-H Q22): the
+    identical integer cross-multiplied above-average rule + NOT EXISTS
+    anti-join against orders placed since the cutoff, totals in exact
+    cents."""
+    keys = ", ".join(str(int(x)) for x in sorted(nation_keys))
+    return f"""WITH pool AS (
+  SELECT c_custkey, c_nationkey,
+         CAST(floor(c_acctbal * 100 + 0.5) AS BIGINT) AS bal_c
+  FROM customer
+  WHERE c_nationkey IN ({keys}) AND c_acctbal > 0.0),
+stats AS (SELECT SUM(bal_c) AS total_c, COUNT(*) AS n FROM pool),
+idle AS (
+  SELECT p.c_nationkey, p.bal_c FROM pool p, stats
+  WHERE p.bal_c * stats.n > stats.total_c
+    AND NOT EXISTS (SELECT 1 FROM orders o
+                    WHERE o.o_custkey = p.c_custkey
+                      AND o.o_orderdate >= TIMESTAMP '{since}'))
+SELECT n.n_name, CAST(COUNT(*) AS BIGINT) AS numcust,
+       CAST(SUM(i.bal_c) AS BIGINT) AS totacctbal_c
+FROM idle i JOIN nation n ON n.n_nationkey = i.c_nationkey
+GROUP BY n.n_name ORDER BY n.n_name"""
 
 
 def split_leakage_sql(w: int = 8, val_frac: float = 0.1,
@@ -2256,6 +3138,233 @@ def search_topk_grouped_sql(k: int = 3) -> str:
     """Oracle for search_docs.search_topk_grouped: the shared BM25
     stack ranked per (query, lang)."""
     return _bm25_ranked_sql(k, grouped_by_lang=True)
+
+
+def logreg_train_sql(dims: int = 64, iters: int = 5, lr: float = 0.5,
+                     pos_lang: str = "en") -> str:
+    """Oracle for classifier.logreg_train: the full-batch GD recurrence
+    unrolled as chained CTEs — identical md5 feature-hash rule,
+    identical floor(x·1e9+0.5)/1e9 rounding of each gradient and weight
+    update, so both engines iterate on identical doubles."""
+    D = int(dims)
+    its = []
+    for i in range(1, int(iters) + 1):
+        its.append(f"""z{i} AS (
+    SELECT f.doc_id, SUM(w.v * f.x) AS z
+    FROM feat f JOIN w{i - 1} w USING (j) GROUP BY f.doc_id
+),
+g{i} AS (
+    SELECT f.j,
+           floor(SUM((1.0 / (1.0 + exp(-z.z)) - lab.y) * f.x)
+                 / (SELECT v FROM nn) * 1e9 + 0.5) / 1e9 AS g
+    FROM feat f JOIN z{i} z USING (doc_id) JOIN lab USING (doc_id)
+    GROUP BY f.j
+),
+w{i} AS (
+    SELECT w.j,
+           floor((w.v - {float(lr)} * COALESCE(g.g, 0.0)) * 1e9 + 0.5)
+               / 1e9 AS v
+    FROM w{i - 1} w LEFT JOIN g{i} g USING (j)
+)""")
+    chain = ",\n".join(its)
+    return f"""WITH {_word_toks_cte()},
+ft AS (SELECT doc_id, unnest(w) AS term FROM wtoks),
+ntk AS (SELECT doc_id, CAST(len(w) AS DOUBLE) AS n FROM wtoks),
+bct AS (SELECT doc_id,
+               CAST(('0x' || substr(md5(term), 1, 8)) AS BIGINT) % {D} AS j,
+               CAST(COUNT(*) AS DOUBLE) AS c
+        FROM ft GROUP BY doc_id, j),
+feat AS (
+    SELECT b.doc_id, b.j, b.c / ntk.n AS x
+    FROM bct b JOIN ntk USING (doc_id) WHERE ntk.n > 0
+    UNION ALL
+    SELECT doc_id, {D} AS j, 1.0 AS x FROM documents),
+lab AS (SELECT doc_id,
+               CASE WHEN lang = '{pos_lang}' THEN 1.0 ELSE 0.0 END AS y
+        FROM documents),
+nn AS (SELECT CAST(COUNT(*) AS DOUBLE) AS v FROM documents),
+w0 AS (SELECT unnest(range({D + 1})) AS j, 0.0 AS v),
+{chain}
+SELECT CAST(j AS BIGINT) AS dim, v AS weight
+FROM w{int(iters)} ORDER BY dim"""
+
+
+def nation_trade_volume_sql(nation_a: int = 1, nation_b: int = 2,
+                            date_lo: str = "1995-01-01",
+                            date_hi: str = "1997-01-01") -> str:
+    """Oracle for relational.nation_trade_volume (TPC-H Q7): identical
+    integer cents grid, both shipping directions, cross-nation only."""
+    na, nb = int(nation_a), int(nation_b)
+    return f"""SELECT s.s_nationkey AS supp_nation,
+       c.c_nationkey AS cust_nation,
+       CAST(EXTRACT(year FROM l.l_shipdate) AS BIGINT) AS l_year,
+       CAST(SUM(CAST(floor(l.l_extendedprice * 100 + 0.5) AS BIGINT)
+                * (100 - CAST(floor(l.l_discount * 100 + 0.5) AS BIGINT)))
+            AS BIGINT) AS revenue_c
+FROM lineitem l
+JOIN supplier s ON s.s_suppkey = l.l_suppkey
+JOIN orders o ON o.o_orderkey = l.l_orderkey
+JOIN customer c ON c.c_custkey = o.o_custkey
+WHERE s.s_nationkey IN ({na}, {nb})
+  AND c.c_nationkey IN ({na}, {nb})
+  AND s.s_nationkey <> c.c_nationkey
+  AND l.l_shipdate >= TIMESTAMP '{date_lo}'
+  AND l.l_shipdate < TIMESTAMP '{date_hi}'
+GROUP BY 1, 2, 3
+ORDER BY 1, 2, 3"""
+
+
+def discounted_revenue_sql(clauses: tuple | None = None) -> str:
+    """Oracle for relational.discounted_revenue (TPC-H Q19): the
+    disjunction written directly, identical integer cents grid."""
+    from .relational import DISCOUNT_CLAUSES
+
+    cs = clauses or DISCOUNT_CLAUSES
+    ors = " OR ".join(
+        f"(p.p_brand = '{b}' AND p.p_size BETWEEN {slo} AND {shi} "
+        f"AND l.l_quantity BETWEEN {qlo} AND {qhi})"
+        for (b, slo, shi, qlo, qhi) in cs)
+    return f"""SELECT CAST(COALESCE(SUM(
+    CAST(floor(l.l_extendedprice * 100 + 0.5) AS BIGINT)
+    * (100 - CAST(floor(l.l_discount * 100 + 0.5) AS BIGINT))), 0)
+    AS BIGINT) AS revenue_c
+FROM lineitem l JOIN part p ON p.p_partkey = l.l_partkey
+WHERE {ors}"""
+
+
+def part_supplier_counts_sql(excl_brand: str = "Brand#1",
+                             excl_type: str = "PROMO",
+                             k: int = 20) -> str:
+    """Oracle for relational.part_supplier_counts (TPC-H Q16 shape):
+    the part↔supplier relation derived from lineitem, identical
+    exclusions, deterministic top-k."""
+    return f"""WITH ps AS (
+  SELECT DISTINCT l_partkey, l_suppkey FROM lineitem),
+ok AS (
+  SELECT ps.l_partkey, ps.l_suppkey FROM ps
+  WHERE NOT EXISTS (SELECT 1 FROM supplier s
+                    WHERE s.s_suppkey = ps.l_suppkey
+                      AND s.s_acctbal < 0.0)),
+cls AS (
+  SELECT p.p_brand, p.p_type, p.p_size, ok.l_suppkey
+  FROM ok JOIN part p ON p.p_partkey = ok.l_partkey
+  WHERE p.p_brand <> '{excl_brand}' AND p.p_type <> '{excl_type}')
+SELECT p_brand, p_type, CAST(p_size AS BIGINT) AS p_size,
+       CAST(COUNT(DISTINCT l_suppkey) AS BIGINT) AS supplier_cnt
+FROM cls GROUP BY p_brand, p_type, p_size
+ORDER BY supplier_cnt DESC, p_brand, p_type, p_size
+LIMIT {int(k)}"""
+
+
+def order_priority_late_sql(late_days: int = 10,
+                            date_lo: str = "1996-01-01",
+                            date_hi: str = "1996-07-01") -> str:
+    """Oracle for relational.order_priority_late (TPC-H Q4): the EXISTS
+    correlated on the outer row's own orderdate, identical lateness
+    contract (strictly more than ``late_days`` past the order date)."""
+    return f"""SELECT o_orderpriority,
+       CAST(COUNT(*) AS BIGINT) AS order_count
+FROM orders o
+WHERE o.o_orderdate >= TIMESTAMP '{date_lo}'
+  AND o.o_orderdate < TIMESTAMP '{date_hi}'
+  AND EXISTS (SELECT 1 FROM lineitem l
+              WHERE l.l_orderkey = o.o_orderkey
+                AND l.l_shipdate > o.o_orderdate
+                    + INTERVAL {int(late_days)} DAY)
+GROUP BY o_orderpriority
+ORDER BY o_orderpriority"""
+
+
+def promo_revenue_share_sql(promo_type: str = "PROMO",
+                            date_lo: str = "1996-01-01",
+                            date_hi: str = "1996-03-01") -> str:
+    """Oracle for relational.promo_revenue_share (TPC-H Q14): identical
+    integer 1e-4 revenue grid; the share divides the same two BIGINTs
+    on the shared floor(x*1e6+0.5)/1e6 grid."""
+    return f"""WITH rev AS (
+  SELECT CAST(floor(l.l_extendedprice * 100 + 0.5) AS BIGINT)
+         * (100 - CAST(floor(l.l_discount * 100 + 0.5) AS BIGINT)) AS r4,
+         p.p_type = '{promo_type}' AS promo
+  FROM lineitem l JOIN part p ON p.p_partkey = l.l_partkey
+  WHERE l.l_shipdate >= TIMESTAMP '{date_lo}'
+    AND l.l_shipdate < TIMESTAMP '{date_hi}')
+SELECT CAST(COALESCE(SUM(CASE WHEN promo THEN r4 END), 0) AS BIGINT)
+         AS promo_revenue_c4,
+       CAST(COALESCE(SUM(r4), 0) AS BIGINT) AS total_revenue_c4,
+       floor(100.0 * COALESCE(SUM(CASE WHEN promo THEN r4 END), 0)
+             / SUM(r4) * 1000000 + 0.5) / 1000000 AS promo_share
+FROM rev"""
+
+
+def top_supplier_revenue_sql(date_lo: str = "1996-01-01",
+                             date_hi: str = "1996-04-01") -> str:
+    """Oracle for relational.top_supplier_revenue (TPC-H Q15): the
+    revenue view + global-max equality, ties kept, identical grid."""
+    return f"""WITH revenue AS (
+  SELECT l_suppkey,
+         CAST(SUM(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)
+                  * (100 - CAST(floor(l_discount * 100 + 0.5) AS BIGINT)))
+              AS BIGINT) AS total_c4
+  FROM lineitem
+  WHERE l_shipdate >= TIMESTAMP '{date_lo}'
+    AND l_shipdate < TIMESTAMP '{date_hi}'
+  GROUP BY l_suppkey)
+SELECT CAST(s.s_suppkey AS BIGINT) AS s_suppkey, s.s_name,
+       r.total_c4 AS total_revenue_c4
+FROM supplier s JOIN revenue r ON r.l_suppkey = s.s_suppkey
+WHERE r.total_c4 = (SELECT MAX(total_c4) FROM revenue)
+ORDER BY s_suppkey"""
+
+
+def nation_market_share_sql(nation: int = 1, region: str = "EUROPE",
+                            p_type: str = "ECONOMY",
+                            date_lo: str = "1995-01-01",
+                            date_hi: str = "1997-01-01") -> str:
+    """Oracle for relational.nation_market_share (TPC-H Q8): identical
+    star join, integer 1e-4 revenue grid and floor-rounded share."""
+    return f"""WITH vol AS (
+  SELECT CAST(EXTRACT(year FROM o.o_orderdate) AS BIGINT) AS o_year,
+         CAST(floor(l.l_extendedprice * 100 + 0.5) AS BIGINT)
+         * (100 - CAST(floor(l.l_discount * 100 + 0.5) AS BIGINT)) AS r4,
+         s.s_nationkey = {int(nation)} AS is_nat
+  FROM lineitem l
+  JOIN part p ON p.p_partkey = l.l_partkey
+  JOIN supplier s ON s.s_suppkey = l.l_suppkey
+  JOIN orders o ON o.o_orderkey = l.l_orderkey
+  JOIN customer c ON c.c_custkey = o.o_custkey
+  JOIN nation n ON n.n_nationkey = c.c_nationkey
+  JOIN region r ON r.r_regionkey = n.n_regionkey
+  WHERE p.p_type = '{p_type}' AND r.r_name = '{region}'
+    AND o.o_orderdate >= TIMESTAMP '{date_lo}'
+    AND o.o_orderdate < TIMESTAMP '{date_hi}')
+SELECT o_year,
+       CAST(COALESCE(SUM(CASE WHEN is_nat THEN r4 END), 0) AS BIGINT)
+         AS nation_revenue_c4,
+       CAST(SUM(r4) AS BIGINT) AS total_revenue_c4,
+       floor(COALESCE(SUM(CASE WHEN is_nat THEN r4 END), 0) * 1.0
+             / SUM(r4) * 1000000 + 0.5) / 1000000 AS mkt_share
+FROM vol GROUP BY o_year ORDER BY o_year"""
+
+
+def product_profit_sql(name_prefix: str = "red") -> str:
+    """Oracle for relational.product_profit (TPC-H Q9, retail-cost
+    adaptation): profit = rev4 − retail_c·qty_c, every factor snapped
+    to its own cents grid before the all-integer subtraction."""
+    return f"""SELECT CAST(s.s_nationkey AS BIGINT) AS nation,
+       CAST(EXTRACT(year FROM o.o_orderdate) AS BIGINT) AS o_year,
+       CAST(SUM(
+         CAST(floor(l.l_extendedprice * 100 + 0.5) AS BIGINT)
+         * (100 - CAST(floor(l.l_discount * 100 + 0.5) AS BIGINT))
+         - CAST(floor(p.p_retailprice * 100 + 0.5) AS BIGINT)
+           * CAST(floor(l.l_quantity * 100 + 0.5) AS BIGINT))
+       AS BIGINT) AS profit_c4
+FROM lineitem l
+JOIN part p ON p.p_partkey = l.l_partkey
+JOIN supplier s ON s.s_suppkey = l.l_suppkey
+JOIN orders o ON o.o_orderkey = l.l_orderkey
+WHERE p.p_name LIKE '{name_prefix}%'
+GROUP BY 1, 2
+ORDER BY 1, 2"""
 
 
 def search_near_sql(queries: tuple | None = None) -> str:
@@ -2501,6 +3610,29 @@ SELECT query_id, CAST(rank AS BIGINT) AS rank, vec_id, score10
 FROM picked{int(k)}"""
 
 
+def integrity_check_sql() -> str:
+    """Oracle for relational.integrity_check: per-constraint FK anti-join
+    counts and duplicate-key counts, one UNION ALL branch per declared
+    constraint (same declarations, same order-insensitive rows)."""
+    from .relational import INTEGRITY_FKS, INTEGRITY_UNIQUES
+
+    branches = []
+    for child, ckey, parent, pkey in INTEGRITY_FKS:
+        branches.append(f"""SELECT '{child}.{ckey}->{parent}.{pkey}' AS check_name,
+       (SELECT CAST(COUNT(*) AS BIGINT) FROM {child}) AS n,
+       (SELECT CAST(COUNT(*) AS BIGINT) FROM {child} c
+        LEFT JOIN (SELECT DISTINCT {pkey} FROM {parent}) p
+               ON c.{ckey} = p.{pkey}
+        WHERE p.{pkey} IS NULL) AS violations""")
+    for table, key in INTEGRITY_UNIQUES:
+        branches.append(f"""SELECT '{table}.{key} unique' AS check_name,
+       (SELECT CAST(COUNT(*) AS BIGINT) FROM {table}) AS n,
+       (SELECT CAST(COUNT(*) AS BIGINT) FROM
+          (SELECT {key} FROM {table} GROUP BY {key}
+           HAVING COUNT(*) > 1)) AS violations""")
+    return "\nUNION ALL\n".join(branches)
+
+
 def search_more_like_this_sql(seed_ids: tuple | None = None,
                               m_terms: int = 5, k: int = 10) -> str:
     """Oracle for search_docs.search_more_like_this: per seed doc, the
@@ -2573,6 +3705,25 @@ SELECT CAST(row_number() OVER (ORDER BY quality DESC, doc_id ASC)
 FROM q"""
 
 
+def shipment_priority_sql(late_days: int = 60,
+                          date_lo: str = "1996-01-01",
+                          date_hi: str = "1998-01-01") -> str:
+    """Oracle for relational.shipment_priority (TPC-H Q12): identical
+    lateness contract (strictly more than ``late_days`` past the order
+    date) and high-priority set."""
+    return f"""SELECT l_linestatus,
+       CAST(COALESCE(SUM(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH')
+                     THEN 1 ELSE 0 END), 0) AS BIGINT) AS high_line_count,
+       CAST(COALESCE(SUM(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH')
+                     THEN 0 ELSE 1 END), 0) AS BIGINT) AS low_line_count
+FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey
+WHERE l.l_shipdate >= TIMESTAMP '{date_lo}'
+  AND l.l_shipdate < TIMESTAMP '{date_hi}'
+  AND l.l_shipdate > o.o_orderdate + INTERVAL {int(late_days)} DAY
+GROUP BY l_linestatus
+ORDER BY l_linestatus"""
+
+
 def doc_similarity_pairs_sql(threshold: float = 0.6,
                              max_df_frac: float = 0.05) -> str:
     """Oracle for embed.doc_similarity_pairs: identical df cap (both
@@ -2613,6 +3764,32 @@ JOIN norms na ON na.doc_id = doc_a
 JOIN norms nb ON nb.doc_id = doc_b
 WHERE floor(dot / (na.nrm * nb.nrm) * 1000000 + 0.5) / 1000000
       >= {threshold}"""
+
+
+def session_duration_quantiles_sql(gap_s: int = 1800,
+                                   qs: tuple = (0.25, 0.5, 0.75,
+                                                0.9, 0.99)) -> str:
+    """Oracle for events.session_duration_quantiles: the sessionize CTE
+    chain + per-session MAX(t)−MIN(t) + quantile_cont (the identical
+    linear-interpolation rule the histogram pass evaluates)."""
+    cols = ",\n       ".join(
+        # CAST, not *1.0: DECIMAL would truncate the interpolation scale
+        f"floor(quantile_cont(CAST(dur AS DOUBLE), {q}) * 1e6 + 0.5) / 1e6 "
+        f"AS p{int(q * 100)}"
+        for q in qs)
+    return f"""WITH e AS (SELECT user_id, epoch_us(ts) // 1000000 AS t FROM events),
+o AS (SELECT user_id, t, lag(t) OVER (PARTITION BY user_id ORDER BY t) AS pt FROM e),
+s AS (SELECT user_id, t,
+             CASE WHEN pt IS NULL OR t - pt > {gap_s} THEN 1 ELSE 0 END AS ns
+      FROM o),
+g AS (SELECT user_id, t,
+             SUM(ns) OVER (PARTITION BY user_id ORDER BY t
+                           ROWS UNBOUNDED PRECEDING) AS sid
+      FROM s),
+d AS (SELECT user_id, sid, MAX(t) - MIN(t) AS dur FROM g GROUP BY user_id, sid)
+SELECT CAST(COUNT(*) AS BIGINT) AS n_sessions,
+       {cols}
+FROM d"""
 
 
 def containment_pairs_sql(shingle: int = 3, thr_num: int = 4,
@@ -2660,6 +3837,36 @@ FROM pairs
 JOIN sh sa ON sa.doc_id = doc_a
 JOIN sh sb ON sb.doc_id = doc_b
 WHERE n_common * {thr_den} >= {thr_num} * LEAST(len(sa.s), len(sb.s))"""
+
+
+def part_recommendations_sql(k: int = 5, min_co: int = 2) -> str:
+    """Oracle for graph.part_recommendations: item-item cosine over
+    binary order-incidence vectors, identical support cut, rank on the
+    shared 6 dp floor grid (the inputs are the same exact integers, so
+    the doubles agree even unrounded)."""
+    return f"""WITH po AS (
+    SELECT DISTINCT l_orderkey AS o, l_partkey AS p FROM lineitem),
+n AS (SELECT p, CAST(COUNT(*) AS BIGINT) AS np FROM po GROUP BY p),
+co AS (
+    SELECT x.p AS a, y.p AS b, CAST(COUNT(*) AS BIGINT) AS co
+    FROM po x JOIN po y ON x.o = y.o AND x.p < y.p
+    GROUP BY x.p, y.p
+    HAVING COUNT(*) >= {int(min_co)}),
+dir AS (SELECT a AS src, b AS dst, co FROM co
+        UNION ALL SELECT b, a, co FROM co),
+sc AS (
+    SELECT src, dst,
+           floor(co / sqrt(CAST(ns.np * nd.np AS DOUBLE)) * 1000000 + 0.5)
+               / 1000000 AS score
+    FROM dir JOIN n ns ON ns.p = src JOIN n nd ON nd.p = dst),
+r AS (
+    SELECT src, dst, score,
+           row_number() OVER (PARTITION BY src
+                              ORDER BY score DESC, dst ASC) AS rank
+    FROM sc)
+SELECT CAST(src AS BIGINT) AS part_key, CAST(dst AS BIGINT) AS rec_part,
+       CAST(rank AS BIGINT) AS rank, score
+FROM r WHERE rank <= {int(k)}"""
 
 
 def search_hit_counts_sql() -> str:
@@ -2738,3 +3945,75 @@ ORDER BY {drift} DESC, COALESCE(o.term, n.term) ASC
 LIMIT {int(k)}"""
 
 
+def revenue_trend_sql() -> str:
+    """Oracle for relational.revenue_trend: exact-cents monthly sums,
+    month index by dense calendar rank, identical closed-form OLS
+    moments and 6 dp floor grid."""
+    return """WITH m AS (
+    SELECT CAST(date_part('year', o_orderdate) * 12
+                + date_part('month', o_orderdate) AS BIGINT) AS ym,
+           CAST(SUM(CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT))
+               AS BIGINT) AS cents
+    FROM orders GROUP BY 1),
+r AS (SELECT cents,
+             CAST(row_number() OVER (ORDER BY ym) - 1 AS BIGINT) AS t
+      FROM m),
+s AS (SELECT CAST(COUNT(*) AS BIGINT) AS n,
+             CAST(SUM(t) AS BIGINT) AS st,
+             CAST(SUM(cents) AS BIGINT) AS sy,
+             CAST(SUM(t * cents) AS BIGINT) AS sty,
+             CAST(SUM(t * t) AS BIGINT) AS stt
+      FROM r),
+f AS (SELECT n,
+             CAST(n * sty - st * sy AS DOUBLE)
+                 / CAST(n * stt - st * st AS DOUBLE) AS slope_c
+      FROM s),
+g AS (SELECT n, slope_c,
+             (sy - slope_c * st) / CAST(n AS DOUBLE) AS intercept_c
+      FROM f JOIN s USING (n))
+SELECT n AS n_months,
+       floor(slope_c / 100.0 * 1000000 + 0.5) / 1000000 AS slope,
+       floor(intercept_c / 100.0 * 1000000 + 0.5) / 1000000 AS intercept,
+       floor((intercept_c + slope_c * n) / 100.0 * 1000000 + 0.5)
+           / 1000000 AS next_forecast
+FROM g"""
+
+
+def part_pagerank_seeded_sql(damping: float = 0.85, iters: int = 5,
+                             seed_mod: int = 10) -> str:
+    """Oracle for graph.part_pagerank_seeded: the personalized
+    recurrence unrolled — teleport mass only to seed nodes
+    (node % seed_mod == 0), identical init and per-iteration base."""
+    seed_base = (f"CASE WHEN p.dst % {seed_mod} = 0 THEN "
+                 f"(1 - {damping}) / (SELECT ns FROM nseed) ELSE 0 END")
+    its = []
+    for i in range(1, iters + 1):
+        its.append(f"""r{i} AS (
+    SELECT p.dst AS node,
+           {seed_base}
+           + {damping} * SUM(r.pr / d.deg) AS pr
+    FROM pairs p
+    JOIN r{i - 1} r ON r.node = p.src
+    JOIN deg d ON d.src = p.src
+    GROUP BY p.dst
+)""")
+    chain = ",\n".join(its)
+    return f"""
+WITH pairs AS (
+    SELECT DISTINCT l1.l_partkey AS src, l2.l_partkey AS dst
+    FROM lineitem l1
+    JOIN lineitem l2 ON l1.l_orderkey = l2.l_orderkey
+                    AND l1.l_partkey <> l2.l_partkey
+),
+deg AS (
+    SELECT src, CAST(COUNT(*) AS DOUBLE) AS deg FROM pairs GROUP BY src
+),
+nseed AS (SELECT CAST(COUNT(*) AS DOUBLE) AS ns FROM deg
+          WHERE src % {seed_mod} = 0),
+r0 AS (SELECT src AS node,
+              CASE WHEN src % {seed_mod} = 0
+                   THEN 1.0 / (SELECT ns FROM nseed) ELSE 0 END AS pr
+       FROM deg),
+{chain}
+SELECT node AS part_key, ROUND(pr, 10) AS pagerank FROM r{iters}
+"""

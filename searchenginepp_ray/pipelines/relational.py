@@ -72,7 +72,7 @@ def shuffle_join(
     on the hash-shuffle aggregator-actor machinery that wedges on this
     host (the HASH_SHUFFLE strategy probe — BASELINE host notes), so the
     tagged-union exchange stays."""
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
 
     overlap = set(left_cols) & set(right_cols)
     if overlap:
@@ -265,7 +265,7 @@ def shuffle_semi_join(
     exchange — deduplicated map-side per batch first — so the shuffled
     payload is left rows + right distinct keys, never right payloads.
     Output columns: ``[left_key] + left_cols``."""
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
 
     def tag_left(t: pa.Table) -> pa.Table:
         k = t[left_key]
@@ -334,7 +334,7 @@ def customer_order_counts(sf_dir: str):
     total spend (0 / 0.0 for customers with no orders). The fact side is
     pre-aggregated map-side to one row per custkey per batch, so the
     exchange carries customer rows + order PARTIALS, never raw orders."""
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
 
     cust = table_ds(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     orders = table_ds(sf_dir, "orders", ["o_custkey", "o_totalprice"])
@@ -440,7 +440,7 @@ def top_orders_by_revenue(sf_dir: str, k: int = 10):
     width, not the data)."""
     import pandas as pd
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
 
     li = table_ds(sf_dir, "lineitem",
                   ["l_orderkey", "l_extendedprice", "l_discount"])
@@ -496,7 +496,7 @@ def order_shipping_priority(sf_dir: str, segment: str = "BUILDING",
     ≤ P×k driver merge (bounded by the shuffle width, not the data)."""
     import pyarrow.dataset as pads
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .text_stats import _read_blocks
 
     cut = pa.scalar(pd.Timestamp(cutoff), pa.timestamp("us"))
@@ -605,8 +605,9 @@ def table_profile(sf_dir: str):
     exact cents grid for decimals (collision-free by construction);
     strings use the 64-bit content hash — the same no-collision stance
     as the dedup family, pinned here by the exact SQL oracle."""
-    from .agg import hash_groupby_apply, hash_groupby_sum
-    from .dedup import _hash_strings
+    from ..index.hash_partition import hash_groupby_apply
+    from .agg import hash_groupby_sum
+    from ..index.hash_partition import _hash_strings
 
     all_cols = [*_PROFILE_INT, *_PROFILE_DEC, *_PROFILE_STR, *_PROFILE_TS]
     colid = {c: i for i, c in enumerate(all_cols)}
@@ -1027,7 +1028,7 @@ def returned_item_report(sf_dir: str, date_lo: str = "1996-01-01",
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq_
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .text_stats import _read_blocks
 
     lo = pa.scalar(pd.Timestamp(date_lo), pa.timestamp("us"))
@@ -1158,7 +1159,7 @@ def small_order_revenue(sf_dir: str, brand: str = "Brand#12"):
     never materializes globally."""
     import pyarrow.dataset as pads
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .text_stats import _read_blocks
 
     parts = ray.data.read_parquet(
@@ -1233,7 +1234,7 @@ def large_volume_orders(sf_dir: str, qty_threshold: int = 200,
     selectivity, not the fact table. Hop 2 is ONE custkey exchange with
     the customer dimension. Global top-k = per-partition partial top-k
     → ≤ P×k driver merge."""
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .text_stats import _read_blocks
 
     thr_c = int(qty_threshold) * 100  # exact cents grid
@@ -1350,7 +1351,8 @@ def order_count_distribution(sf_dir: str,
     the shuffle width, not the customer count."""
     import pyarrow.dataset as pads
 
-    from .agg import hash_groupby_apply, hash_groupby_sum
+    from ..index.hash_partition import hash_groupby_apply
+    from .agg import hash_groupby_sum
 
     from .text_stats import _read_blocks
 
@@ -1425,7 +1427,7 @@ def suppliers_kept_waiting(sf_dir: str, region: str = "EUROPE",
     merge at P×k rows."""
     import pyarrow.dataset as pads
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .text_stats import _read_blocks
 
     nat = pd.read_parquet(f"{sf_dir}/nation.parquet",
@@ -1667,7 +1669,7 @@ def nation_trade_volume(sf_dir: str, nation_a: int = 1, nation_b: int = 2,
     (supp_nation, cust_nation, l_year, revenue_c)."""
     import pyarrow.dataset as pads
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .text_stats import _read_blocks
 
     na, nb = int(nation_a), int(nation_b)
@@ -1842,7 +1844,7 @@ def discounted_revenue(sf_dir: str, clauses: tuple = DISCOUNT_CLAUSES):
     one revenue partial per partition."""
     import pyarrow.dataset as pads
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .text_stats import _read_blocks
 
     brands = sorted({c[0] for c in clauses})
@@ -1944,7 +1946,7 @@ def part_supplier_counts(sf_dir: str, excl_brand: str = "Brand#1",
     class. Per-partition partial top-k caps the driver merge."""
     import pyarrow.dataset as pads
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .text_stats import _read_blocks
 
     bl = ray.data.read_parquet(
@@ -2047,7 +2049,7 @@ def order_priority_late(sf_dir: str, late_days: int = 10,
     (o_orderpriority, order_count)."""
     import pyarrow.dataset as pads
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .text_stats import _read_blocks
 
     lpath = f"{sf_dir}/lineitem.parquet"
@@ -2139,7 +2141,7 @@ def promo_revenue_share(sf_dir: str, promo_type: str = "PROMO",
     rows of two ints."""
     import pyarrow.dataset as pads
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .text_stats import _read_blocks, round6_half_up
 
     lpath = f"{sf_dir}/lineitem.parquet"
@@ -2215,7 +2217,7 @@ def top_supplier_revenue(sf_dir: str, date_lo: str = "1996-01-01",
     corpus-sized on the driver."""
     import pyarrow.dataset as pads
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .text_stats import _read_blocks
 
     lpath = f"{sf_dir}/lineitem.parquet"
@@ -2285,7 +2287,7 @@ def nation_market_share(sf_dir: str, nation: int = 1,
     bounded by (surviving keys × group arity), not raw lineitems."""
     import pyarrow.dataset as pads
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .text_stats import _read_blocks
 
     nat = pd.read_parquet(f"{sf_dir}/nation.parquet",
@@ -2492,7 +2494,7 @@ def product_profit(sf_dir: str, name_prefix: str = "red"):
     so hop traffic shrinks with the surviving key count."""
     import pyarrow.dataset as pads
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .text_stats import _read_blocks
 
     lpath = f"{sf_dir}/lineitem.parquet"
@@ -2665,7 +2667,7 @@ def _fk_check(sf_dir: str, child: str, ckey: str,
     key-hash exchange of map-side-reduced (key, child_n, parent_seen)
     partials — traffic is key-domain-sized on both sides, never
     row-sized, and the anti-join happens where the key co-locates."""
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
 
     def cpart(t: pa.Table) -> pa.Table:
         k, n = np.unique(
@@ -2777,7 +2779,7 @@ def shipment_priority(sf_dir: str, late_days: int = 60,
     relational surface for the LLM-pipeline family)."""
     import pyarrow.dataset as pads
 
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .text_stats import _read_blocks
 
     lo = pa.scalar(pd.Timestamp(date_lo), pa.timestamp("us"))
@@ -2863,7 +2865,7 @@ def revenue_trend(sf_dir: str) -> pd.DataFrame:
     bounded aggregate, so both engines divide identical doubles —
     everything after the aggregate is O(months), not O(rows).
     Reference parity: none (beyond-reference; analytics surface)."""
-    from .agg import hash_groupby_apply
+    from ..index.hash_partition import hash_groupby_apply
     from .text_stats import _read_blocks
 
     opath = f"{sf_dir}/orders.parquet"
@@ -2902,7 +2904,7 @@ def revenue_trend(sf_dir: str) -> pd.DataFrame:
     from .text_stats import round6_half_up
 
     def r6(x: float) -> float:
-        return float(round6_half_up(np.array([x])))
+        return float(round6_half_up(np.array([x]))[0])
 
     return pd.DataFrame([{
         "n_months": np.int64(n),

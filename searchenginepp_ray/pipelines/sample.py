@@ -131,10 +131,10 @@ def hll_distinct_terms(sf_dir: str, p: int = _HLL_P):
     )
 
 
-# ---- portable HyperLogLog kernel (:func:`vocab_distinct_hll`): 52-bit
-# md5-prefix hashes, M_REG registers, ρ from EXACT integer bit_length,
-# harmonic denominator as an exact int64 — every piece reproducible
-# verbatim in SQL ----
+# ---- portable HyperLogLog kernel (:func:`vocab_distinct_hll` and
+# ``events.event_user_distinct_hll``): 52-bit md5-prefix hashes, M_REG
+# registers, ρ from EXACT integer bit_length, harmonic denominator as an
+# exact int64 — every piece reproducible verbatim in SQL ----
 
 M_REG = 512           # registers (2^9); bucket = hash % M_REG
 RHO_MAX = 44          # 1 + (52 − 9) suffix bits

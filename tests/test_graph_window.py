@@ -368,7 +368,7 @@ def test_part_recommendations_matches_pandas(ray_session):
     rows = []
     for (a, b), c in co.items():
         s = float(round6_half_up(
-            np.array([c / np.sqrt(npart[a] * npart[b])])))
+            np.array([c / np.sqrt(npart[a] * npart[b])]))[0])
         rows.append((a, b, s))
         rows.append((b, a, s))
     df = pd.DataFrame(rows, columns=["part_key", "rec_part", "score"])
