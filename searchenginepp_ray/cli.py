@@ -278,7 +278,12 @@ def main(argv=None) -> int:
                    choices=("daat", "daat_conj", "bmm", "bmm_ref"))  # reference -a/-b
     q.add_argument("-s", "--scorer", default="bm25",
                    choices=("bm25", "tfidf", "tfidf_fast"))  # reference -s (+F4 flag)
-    q.add_argument("-t", "--workers", type=int, default=None)  # reference -t
+    q.add_argument("-t", "--workers", type=int, default=None,  # reference -t
+                   help="shards of segments to serve from (default: "
+                        "min(segments, CPUs)); 2 or more run as Ray "
+                        "actors in parallel, 1 runs in this process "
+                        "(an actor call costs about 1.7 ms on a 1-CPU "
+                        "host)")
     q.add_argument("-r", "--run-name", default="seppray")  # reference -r
     q.add_argument("--query", help="one-shot query text (else read qid\\ttext from stdin)")
     q.add_argument("-i", "--interactive", action="store_true",
@@ -289,7 +294,11 @@ def main(argv=None) -> int:
                    help="normalizer profile; 'auto' (default) adopts the "
                         "profile recorded in the index's metadata")
     q.add_argument("--docs-per-segment", type=int, default=65_536)
-    q.add_argument("--no-actors", action="store_true")
+    q.add_argument("--no-actors", action="store_true",
+                   help="serve every shard in this process; a pool of "
+                        "one shard already does, with no Ray actor "
+                        "round trip (about 1.7 ms per call on a 1-CPU "
+                        "host)")
     q.add_argument("--num-cpus", type=int, default=None)
     q.add_argument("--phrase", action="store_true",
                    help="exact-phrase retrieval over the positional "

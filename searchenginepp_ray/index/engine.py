@@ -7,12 +7,25 @@ per-segment top-k into a global top-k.
 
 Scale shape: the reference runs one thread per segment
 (src/engine.cpp:99-117) because it has ≤ a handful of segments; a 10^12-doc
-index has thousands of docid-range segments, so here a bounded pool of
-``num_workers`` Ray actors each *owns a contiguous shard of segments*
-(loaded once in ``__init__`` — ST3 in SURVEY §2.3). A query fans out as one
-remote call per actor (k results per segment merged inside the actor —
-gather traffic is k·num_workers, not k·num_segments). ``use_actors=False``
-runs the same code in-process for tests/tools.
+index has thousands of docid-range segments, so here the segments are split
+round-robin into ``num_workers`` shards (default ``min(segments, CPUs)``)
+and each shard is one ``SegmentGroupWorker`` that loads its segments once
+in ``__init__`` (ST3 in SURVEY §2.3). A query fans out as one call per
+worker (k results per segment merged inside the worker — gather traffic
+is k·num_workers, not k·num_segments).
+
+Where the workers run: with 2 or more shards they are Ray actors
+(``max_restarts=-1``, ``max_task_retries=-1``), so shards score in
+parallel and a killed actor restarts with identical state. With one
+shard (the default on a 1-CPU session) nothing can run in parallel, so the
+worker lives in the caller's process and ``use_actors`` reads False. An
+actor call costs about 1.7 ms per round trip on a 1-CPU host (the same
+message over a ``multiprocessing`` pipe: 0.07 ms), more than the
+searcher's own work on a sparse query; a Ray compiled graph cuts the call
+to about 0.3 ms but its actor spins a full CPU while idle. An in-process
+engine holds no Ray CPU, so builds and compactions started beside it
+still run. ``use_actors=False`` forces in-process workers at any shard
+count.
 
 The cross-segment merge sorts by (score desc, docid asc) — deterministic
 where the reference's unstable sort is not (src/engine.cpp:124).
@@ -138,10 +151,13 @@ class SegmentGroupWorker:
         ]
 
     @staticmethod
-    def _merge(per_seg, n_queries, k):
+    def _merge(parts, n_queries, k):
+        """Per query, the top ``k`` of every part's (docid, docno, score)
+        rows by (score desc, docid asc); a part is a segment's or a
+        worker's per-query results."""
         out = []
         for qi in range(n_queries):
-            merged = [r for res in per_seg for r in res[qi]]
+            merged = [r for res in parts for r in res[qi]]
             merged.sort(key=lambda r: (-r[2], r[0]))
             out.append(merged[:k])
         return out
@@ -219,7 +235,6 @@ class QueryEngine:
         tombs = load_tombstones(index_dir)
         if tombs:
             args["tombstones"] = tombs
-        self.use_actors = use_actors
         if num_workers is None:
             if use_actors:
                 cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
@@ -231,7 +246,10 @@ class QueryEngine:
         for i, d in enumerate(self.seg_dirs):
             shards[i % num_workers].append(d)
         shards = [s for s in shards if s]
-        if use_actors:
+        # one shard has nothing to run in parallel with: serve it in the
+        # caller's process rather than pay the actor round trip per call
+        self.use_actors = use_actors and len(shards) > 1
+        if self.use_actors:
             actor_cls = ray.remote(SegmentGroupWorker)
             # fault-tolerant serving: worker state is a pure read-once
             # view of the on-disk segments, so a died actor (node loss,
@@ -249,10 +267,31 @@ class QueryEngine:
 
     # ---------- query path ----------
 
+    def _scatter(self, method: str, *args) -> list:
+        """Call ``method`` on every worker and gather the per-worker
+        results in worker order: one remote call per actor, or a plain
+        call on each in-process worker."""
+        if self.use_actors:
+            return ray.get([getattr(w, method).remote(*args) for w in self.workers])
+        return [getattr(w, method)(*args) for w in self.workers]
+
+    @staticmethod
+    def _concat(per_worker, n_queries) -> list:
+        """Per query, every worker's rows in worker order (segments hold
+        disjoint docs, so the concatenation is the union)."""
+        return [[r for w in per_worker for r in w[qi]] for qi in range(n_queries)]
+
     def normalize_query(self, text: str) -> list[str]:
         """Same normalizer as the build; dedup+sort (reference
         src/engine.cpp:88-96)."""
         return sorted(set(normalize_tokens(text, self.profile)))
+
+    def _query_tokens(self, queries) -> list[list[str]]:
+        """Normalize string queries; pre-tokenized ones are dedup+sorted."""
+        return [
+            self.normalize_query(q) if isinstance(q, str) else sorted(set(q))
+            for q in queries
+        ]
 
     def search(self, query: str | list[str], k: int = 10, mode: str = "daat",
                scorer_name: str | None = None):
@@ -260,25 +299,12 @@ class QueryEngine:
 
     def search_batch(self, queries, k: int = 10, mode: str = "daat",
                      scorer_name: str | None = None):
-        """Batch scatter/gather: one remote call per worker for the whole
-        batch (amortizes RPC), then a tiny driver-side merge per query
+        """Batch scatter/gather: one call per worker for the whole batch
+        (amortizes RPC), then a tiny driver-side merge per query
         (k × num_workers rows)."""
-        toks = [
-            self.normalize_query(q) if isinstance(q, str) else sorted(set(q))
-            for q in queries
-        ]
-        if self.use_actors:
-            per_worker = ray.get(
-                [w.query_batch.remote(toks, k, mode, scorer_name) for w in self.workers]
-            )
-        else:
-            per_worker = [w.query_batch(toks, k, mode, scorer_name) for w in self.workers]
-        out = []
-        for qi in range(len(toks)):
-            merged = [r for w in per_worker for r in w[qi]]
-            merged.sort(key=lambda r: (-r[2], r[0]))
-            out.append(merged[:k])
-        return out
+        toks = self._query_tokens(queries)
+        per_worker = self._scatter("query_batch", toks, k, mode, scorer_name)
+        return SegmentGroupWorker._merge(per_worker, len(toks), k)
 
     def search_after_batch(self, queries, k: int = 10, cursors=None,
                            scorer_name: str | None = None):
@@ -292,25 +318,10 @@ class QueryEngine:
         deterministic doubles from the same code path as the pass that
         produced the cursor, so the equality compare is exact). A None
         cursor (previous page was short) yields an empty page."""
-        toks = [
-            self.normalize_query(q) if isinstance(q, str) else sorted(set(q))
-            for q in queries
-        ]
+        toks = self._query_tokens(queries)
         cursors = list(cursors) if cursors is not None else [None] * len(toks)
-        if self.use_actors:
-            per_worker = ray.get(
-                [w.query_after_batch.remote(toks, k, cursors, scorer_name)
-                 for w in self.workers]
-            )
-        else:
-            per_worker = [w.query_after_batch(toks, k, cursors, scorer_name)
-                          for w in self.workers]
-        out = []
-        for qi in range(len(toks)):
-            merged = [r for w in per_worker for r in w[qi]]
-            merged.sort(key=lambda r: (-r[2], r[0]))
-            out.append(merged[:k])
-        return out
+        per_worker = self._scatter("query_after_batch", toks, k, cursors, scorer_name)
+        return SegmentGroupWorker._merge(per_worker, len(toks), k)
 
     def search_count_batch(self, queries):
         """Exact total hit counts per query (the "about N results"
@@ -318,16 +329,8 @@ class QueryEngine:
         of (n_or, n_and). Per-segment candidate counting with no scoring
         or top-k, summed across workers — counts are additive because
         segment docid ranges partition the corpus."""
-        toks = [
-            self.normalize_query(q) if isinstance(q, str) else sorted(set(q))
-            for q in queries
-        ]
-        if self.use_actors:
-            per_worker = ray.get(
-                [w.hit_count_batch.remote(toks) for w in self.workers]
-            )
-        else:
-            per_worker = [w.hit_count_batch(toks) for w in self.workers]
+        toks = self._query_tokens(queries)
+        per_worker = self._scatter("hit_count_batch", toks)
         return [
             (sum(w[qi][0] for w in per_worker),
              sum(w[qi][1] for w in per_worker))
@@ -349,24 +352,11 @@ class QueryEngine:
         per query a list of (docid, term, contribution). Second
         scatter/gather is hit-pruned — only the k hit docs' skip blocks
         decode on segments that don't hold them hot."""
-        toks = [
-            self.normalize_query(q) if isinstance(q, str) else sorted(set(q))
-            for q in queries
-        ]
+        toks = self._query_tokens(queries)
         top = self.search_batch(toks, k, mode, scorer_name)
         docids_batch = [[r[0] for r in res] for res in top]
-        if self.use_actors:
-            per_worker = ray.get(
-                [w.explain_batch.remote(toks, docids_batch, scorer_name)
-                 for w in self.workers]
-            )
-        else:
-            per_worker = [w.explain_batch(toks, docids_batch, scorer_name)
-                          for w in self.workers]
-        expl = [
-            [r for w in per_worker for r in w[qi]] for qi in range(len(toks))
-        ]
-        return top, expl
+        per_worker = self._scatter("explain_batch", toks, docids_batch, scorer_name)
+        return top, self._concat(per_worker, len(toks))
 
     def search_lm_batch(self, queries, k: int = 10, mu: float = 2000.0):
         """Dirichlet query-likelihood retrieval (beyond-reference scorer
@@ -378,32 +368,15 @@ class QueryEngine:
         Exact at any segment count: ctf and T are global, the candidate
         set is the union over segments, and the merge is deterministic
         (score desc, docid asc)."""
-        toks = [
-            self.normalize_query(q) if isinstance(q, str) else sorted(set(q))
-            for q in queries
-        ]
+        toks = self._query_tokens(queries)
         union = sorted({t for q in toks for t in q})
-        if self.use_actors:
-            maps = ray.get([w.term_ctf_batch.remote(union) for w in self.workers])
-        else:
-            maps = [w.term_ctf_batch(union) for w in self.workers]
         ctf: dict[str, int] = {}
-        for m in maps:
+        for m in self._scatter("term_ctf_batch", union):
             for t, c in m.items():
                 ctf[t] = ctf.get(t, 0) + c
         T = int(self.meta["sum_doclen"])
-        if self.use_actors:
-            per_worker = ray.get(
-                [w.lm_batch.remote(toks, k, mu, ctf, T) for w in self.workers]
-            )
-        else:
-            per_worker = [w.lm_batch(toks, k, mu, ctf, T) for w in self.workers]
-        out = []
-        for qi in range(len(toks)):
-            merged = [r for w in per_worker for r in w[qi]]
-            merged.sort(key=lambda r: (-r[2], r[0]))
-            out.append(merged[:k])
-        return out
+        per_worker = self._scatter("lm_batch", toks, k, mu, ctf, T)
+        return SegmentGroupWorker._merge(per_worker, len(toks), k)
 
     def search_batch_filtered(self, queries, k: int, column: str, value,
                               src_path: str, scorer_name: str | None = None,
@@ -411,30 +384,17 @@ class QueryEngine:
         """Metadata-filtered retrieval: exact BM25/TF-IDF top-k among
         the docs whose ``column == value`` in the source corpus parquet
         (faceted search). The predicate — not a doc list — ships to the
-        workers; every segment actor builds and caches its own candidate
+        workers; every segment worker builds and caches its own candidate
         mask from a pruned two-column read of its docno range
         (:meth:`SegmentSearcher.predicate_mask`), so the filter side
         never funnels through the driver at any corpus size. Scoring
         statistics (idf, avgdl) remain the FULL index's — the filter
         restricts candidates, not the collection model."""
-        toks = [
-            self.normalize_query(q) if isinstance(q, str) else sorted(set(q))
-            for q in queries
-        ]
+        toks = self._query_tokens(queries)
         fp = f"{os.path.abspath(src_path)}::{column}={value!r}"
-        args = (toks, k, scorer_name, src_path, column, value, fp, mode)
-        if self.use_actors:
-            per_worker = ray.get(
-                [w.query_batch_filtered.remote(*args) for w in self.workers]
-            )
-        else:
-            per_worker = [w.query_batch_filtered(*args) for w in self.workers]
-        out = []
-        for qi in range(len(toks)):
-            merged = [r for w in per_worker for r in w[qi]]
-            merged.sort(key=lambda r: (-r[2], r[0]))
-            out.append(merged[:k])
-        return out
+        per_worker = self._scatter("query_batch_filtered", toks, k, scorer_name,
+                                   src_path, column, value, fp, mode)
+        return SegmentGroupWorker._merge(per_worker, len(toks), k)
 
     def phrase_search_batch(self, phrases: list[str]):
         """Indexed exact-phrase retrieval over the positional sidecar:
@@ -444,23 +404,12 @@ class QueryEngine:
         dedup/sort — adjacency is the whole point), so phrase semantics
         live in the same normalized token space as the index. Requires
         an index built with ``BuildConfig(positions=True)``."""
-        from ..normalizer.word_normalizer import normalize_tokens
-
         toks = [
             normalize_tokens(p, self.profile) if isinstance(p, str) else p
             for p in phrases
         ]
-        if self.use_actors:
-            per_worker = ray.get(
-                [w.phrase_batch.remote(toks) for w in self.workers])
-        else:
-            per_worker = [w.phrase_batch(toks) for w in self.workers]
-        out = []
-        for qi in range(len(toks)):
-            hits = [h for w in per_worker for h in w[qi]]
-            hits.sort()
-            out.append(hits)
-        return out
+        per_worker = self._scatter("phrase_batch", toks)
+        return [sorted(h) for h in self._concat(per_worker, len(toks))]
 
     def near_search_batch(self, queries):
         """Proximity retrieval over the positional sidecar: per
@@ -468,8 +417,6 @@ class QueryEngine:
         the index profile — every doc where the two terms co-occur
         within ``window`` tokens, with the doc's MINIMUM occurrence
         distance, as ``[(docno, min_dist), ...]`` sorted by docno."""
-        from ..normalizer.word_normalizer import normalize_tokens
-
         norm = []
         for a, b, w in queries:
             ta = normalize_tokens(a, self.profile)
@@ -484,38 +431,17 @@ class QueryEngine:
             # a term that normalizes away can never match
             norm.append((ta[0] if ta else "\x00", tb[0] if tb else "\x00",
                          int(w)))
-        if self.use_actors:
-            per_worker = ray.get(
-                [w_.near_batch.remote(norm) for w_ in self.workers])
-        else:
-            per_worker = [w_.near_batch(norm) for w_ in self.workers]
-        out = []
-        for qi in range(len(norm)):
-            hits = [h for w_ in per_worker for h in w_[qi]]
-            hits.sort()
-            out.append(hits)
-        return out
+        per_worker = self._scatter("near_batch", norm)
+        return [sorted(h) for h in self._concat(per_worker, len(norm))]
 
     def prox_min_dists_batch(self, pair_lists, docno_lists):
         """Re-ranking support: per query, a dict docno → minimum
         occurrence distance over any of its term ``pairs`` that
         co-occur, restricted to that query's candidate ``docnos``
         (candidate-sized traffic; posting-bounded segment work)."""
-        if self.use_actors:
-            per_worker = ray.get([
-                w.prox_batch.remote(pair_lists, docno_lists)
-                for w in self.workers])
-        else:
-            per_worker = [w.prox_batch(pair_lists, docno_lists)
-                          for w in self.workers]
-        out = []
-        for qi in range(len(pair_lists)):
-            d: dict[str, int] = {}
-            for w in per_worker:
-                for docno, m in w[qi]:  # disjoint segments: no conflicts
-                    d[docno] = m
-            out.append(d)
-        return out
+        per_worker = self._scatter("prox_batch", pair_lists, docno_lists)
+        # disjoint segments: no docno appears in two workers' rows
+        return [dict(rows) for rows in self._concat(per_worker, len(pair_lists))]
 
     def trec_lines(self, query_id, results, run_name: str = "seppray") -> list[str]:
         """TREC run format (reference src/engine.cpp:132-135)."""

@@ -1108,6 +1108,7 @@ def test_actor_pool_survives_worker_kill(built, tmp_path_factory):
     aeng = QueryEngine(engine.index_dir, use_actors=True, num_workers=2,
                        num_cpus_per_actor=0.1)
     q = "hash sort merge"
+    assert aeng.use_actors is True and len(aeng.workers) == 2
     before = aeng.search(q, k=10)
     assert before == engine.search(q, k=10)
     ray.kill(aeng.workers[0], no_restart=False)
@@ -1214,6 +1215,7 @@ def test_serving_survives_actor_kill(built):
     eng = QueryEngine(summary["out_dir"], use_actors=True, num_workers=2,
                       cfg=BuildConfig(docs_per_segment=300))
     try:
+        assert eng.use_actors is True and len(eng.workers) == 2
         before = eng.search_batch(QUERIES, k=K, mode="bmm")
         ray.kill(eng.workers[0], no_restart=False)
         after = eng.search_batch(QUERIES, k=K, mode="bmm")
