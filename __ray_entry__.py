@@ -117,7 +117,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "retrieval_triplets":
             lambda sf: search_docs.retrieval_triplets(sf),
         "index_stats": lambda sf: search_docs.index_stats(sf),
-        "term_postings_global": lambda sf: search_docs.term_postings_global(sf),
         "index_term_df": lambda sf: search_docs.index_term_df(sf),
         # --- text analysis ---
         "quality_score": lambda sf: text_stats.quality_score(sf),
@@ -642,7 +641,6 @@ def oracle_sql() -> dict[str, str]:
         "search_lm_dirichlet": osql.search_lm_dirichlet_sql(),
         "search_bm25_cleaned_topk": osql.search_topk_cleaned_sql("bm25"),
         "index_stats": osql.index_stats_sql(),
-        "term_postings_global": osql.term_postings_global_sql(),
         "index_term_df": osql.term_df_sql(),
         "quality_score": osql.quality_score_sql(),
         "lang_id": osql.lang_id_sql(),

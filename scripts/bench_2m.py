@@ -26,10 +26,6 @@ def main() -> None:
                     help="reuse /tmp/bench2m_idx from a previous run")
     args = ap.parse_args()
 
-    # One heavy task per core. The old cpus//16 cap predates the round-5
-    # fan-out global stage; re-measured after it: TASK_CPUS=1 builds 2M
-    # rows in 10.4 s vs 16.8 s capped (192.7k vs 119k docs/s).
-    os.environ.setdefault("SEPPRAY_TASK_CPUS", "1")
     import ray
 
     ray.init(address="local", num_cpus=args.cpus, include_dashboard=False)
@@ -57,7 +53,6 @@ def main() -> None:
 
     merged = "/tmp/bench2m_idx_m32"
     shutil.rmtree(merged, ignore_errors=True)
-    os.environ.setdefault("SEPPRAY_MERGE_TASK_CPUS", "1")  # parallel merge
     t0 = time.perf_counter()
     m = merge_segments(idx, merged, group_size=32)
     out["merge32_wall_s"] = round(time.perf_counter() - t0, 1)

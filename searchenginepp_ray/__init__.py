@@ -36,9 +36,9 @@ def _tune_allocator() -> None:
         # Ray sizes OMP_NUM_THREADS to the task's num_cpus, which makes
         # Arrow kernels spawn per-task thread pools; across many workers
         # that multiplies concurrently-allocating threads. Pin compute to
-        # one thread per process (override with SEPPRAY_ARROW_THREADS).
-        _pa.set_cpu_count(int(_os.environ.get("SEPPRAY_ARROW_THREADS", "1")))
-        _pa.set_io_thread_count(int(_os.environ.get("SEPPRAY_ARROW_IO_THREADS", "2")))
+        # one thread per process and I/O to two.
+        _pa.set_cpu_count(1)
+        _pa.set_io_thread_count(2)
         # polars (used for vectorized string hashing) defaults to one
         # thread per core — same oversubscription problem as Arrow above.
         # Must be set before polars is first imported.

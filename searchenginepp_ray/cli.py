@@ -274,8 +274,11 @@ def main(argv=None) -> int:
     q = sub.add_parser("query", help="serve top-k queries over a built index")
     q.add_argument("index_dir")
     q.add_argument("-k", type=int, default=10)  # reference -k
-    q.add_argument("-a", "--algorithm", default="daat",
-                   choices=("daat", "daat_conj", "bmm", "bmm_ref"))  # reference -a/-b
+    q.add_argument("-a", "--algorithm", default="daat",  # reference -a/-b
+                   choices=("daat", "daat_conj", "bmm"),
+                   help="daat: disjunctive; daat_conj: every term must "
+                        "match; bmm: Block-Max Maxscore, the same results "
+                        "as daat with pruning")
     q.add_argument("-s", "--scorer", default="bm25",
                    choices=("bm25", "tfidf", "tfidf_fast"))  # reference -s (+F4 flag)
     q.add_argument("-t", "--workers", type=int, default=None,  # reference -t

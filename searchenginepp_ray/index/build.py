@@ -11,9 +11,9 @@ any stage/partition whose manifest matches):
    (segment = docid range, replacing the reference's 700 MB chunk cut,
    reference src/builder.cpp:23, 304-330).
 2. **Global stats** — the tokenize tasks already wrote vocabulary-sized
-   per-shard df/doclen partials; a tiny ``groupby("term").sum`` over them
-   (the partial/final pattern replacing the reference's k-way lexicon
-   merge, reference src/builder.cpp:127-170) yields the global lexicon +
+   per-shard df/doclen partials; one task sums them per term (the
+   partial/final pattern replacing the reference's k-way lexicon merge,
+   reference src/builder.cpp:127-170) into the global lexicon +
    collection metadata (reference src/builder.cpp:177-181) without
    re-reading the tokenized table.
 3. **Assemble segments** — one task per segment reads its partition,
@@ -49,7 +49,7 @@ from ..normalizer.batch import tokenize_batch
 from ..codecs import varbyte
 from ..sources.parquet_corpus import ColumnSpec, CorpusShard, corpus_shards, read_shard
 from . import scorer as scorer_mod
-from .hash_partition import _key_hash, _shuffle_width, hash_groupby_apply
+from .hash_partition import _key_hash, _shuffle_width
 
 #: On-disk build format version, folded into the lineage key so caches
 #: from older layouts (single-file global lexicon, seg-less partials)
@@ -179,7 +179,7 @@ class TokenizeShards:
 def _finalize_term_part(df, n_docs: int, term_df_dir: str):
     """Stage-2 term-partition kernel: global df + idf for this term-hash
     partition, written as one file of the partitioned global lexicon;
-    returns the (seg, term, df, idf) rows for the per-segment exchange."""
+    returns the partition's (seg, term, df, idf) rows."""
     part = int(df["_part"].iloc[0])
     g = df.groupby("term", as_index=False, sort=True).agg(df=("df_part", "sum"))
     g["idf"] = scorer_mod.idf(n_docs, g["df"].to_numpy())
@@ -193,12 +193,9 @@ def _finalize_term_part(df, n_docs: int, term_df_dir: str):
     return st[["seg", "term", "df", "idf"]]
 
 
-def _write_seg_df(df, seg_df_dir: str):
-    """Stage-2 segment-partition kernel: each segment's vocabulary slice
-    of the global lexicon, term-sorted for searchsorted semi-joins."""
-    import pandas as pd
-
-    rows = []
+def _write_seg_df(df, seg_df_dir: str) -> None:
+    """Stage-2 segment kernel: each segment's vocabulary slice of the
+    global lexicon, term-sorted for searchsorted semi-joins."""
     for seg, sub in df.groupby("seg", sort=False):
         sub = sub.sort_values("term")  # searchsorted order
         d = os.path.join(seg_df_dir, f"seg={int(seg)}")
@@ -210,11 +207,6 @@ def _write_seg_df(df, seg_df_dir: str):
             tmp,
         )
         os.replace(tmp, final)
-        rows.append({"seg": int(seg), "n_terms": len(sub)})
-    return pd.DataFrame(rows) if rows else pd.DataFrame(
-        {"seg": pd.Series([], dtype=np.int64),
-         "n_terms": pd.Series([], dtype=np.int64)}
-    )
 
 
 @ray.remote
@@ -222,12 +214,10 @@ def _global_stage_single(
     partial_files: list[str], n_docs: int, term_df_dir: str, seg_df_dir: str,
     P: int,
 ) -> int:
-    """Build stage 2 in one task — the small-vocabulary arm of the
-    cost-based dispatch. Runs the SAME kernels over the same term-hash
-    partition ids as the distributed arm (same term_df/part-K layout,
-    same per-seg files, byte-identical), just without the two all-to-all
-    exchanges, which cost more than the data when the partial set is
-    tiny. Returns sum_doclen."""
+    """Build stage 2 in one task: hash the partial rows' terms into
+    ``P`` partitions, finalize each into ``term_df/part-K``, then write
+    every segment's slice. A corpus whose documents normalize to no
+    terms has empty partials and writes neither. Returns sum_doclen."""
     import pandas as pd
 
     t = pa.concat_tables([pq.read_table(f) for f in partial_files])
@@ -239,95 +229,8 @@ def _global_stage_single(
         _finalize_term_part(sub, n_docs, term_df_dir)
         for _, sub in df.groupby("_part", sort=False)
     ]
-    _write_seg_df(pd.concat(seg_parts, ignore_index=True), seg_df_dir)
-    return sum_doclen
-
-
-@ray.remote
-def _fanout_split(files: list[str], P: int) -> list:
-    """Fan-out arm wave 1: read a slice of the partial files, hash-
-    partition rows by term (same hash, same ``P`` as the other two
-    arms), and return ``[sum_doclen_slice, piece_0, …, piece_{P-1}]``
-    via ``num_returns`` so each wave-2 task fetches only its own
-    partition's pieces from the object store."""
-    t = pa.concat_tables([pq.read_table(f) for f in files])
-    sum_doclen = int(pc.sum(t["doclen_part"]).as_py() or 0)
-    part = (_key_hash(t, ["term"]) % np.uint64(P)).astype(np.int64)
-    order = np.argsort(part, kind="stable")
-    t = t.take(pa.array(order))  # take copies: slices below are views of a fresh table
-    bounds = np.searchsorted(part[order], np.arange(P + 1))
-    return [sum_doclen] + [
-        t.slice(bounds[k], bounds[k + 1] - bounds[k]) for k in range(P)
-    ]
-
-
-@ray.remote
-def _fanout_finalize(part: int, n_docs: int, term_df_dir: str, W: int,
-                     *pieces: pa.Table) -> list:
-    """Fan-out arm wave 2: one term-hash partition, the SAME
-    :func:`_finalize_term_part` kernel as both other arms (groupby sums
-    are order-independent ints, keys sorted, so the part-K file is
-    byte-identical regardless of which arm ran). Returns the partition's
-    (seg, term, df, idf) rows split ``seg % W`` ways for wave 3."""
-    import pandas as pd
-
-    tabs = [p for p in pieces if p.num_rows]
-    empty = pa.table({"seg": pa.array([], pa.int32()),
-                      "term": pa.array([], pa.string()),
-                      "df": pa.array([], pa.int64()),
-                      "idf": pa.array([], pa.float64())})
-    if not tabs:
-        # empty partition: no part-K file, matching the other arms
-        return [empty] * W
-    df = pa.concat_tables(tabs).to_pandas()
-    df["_part"] = part
-    st = _finalize_term_part(df, n_docs, term_df_dir)
-    out = pa.Table.from_pandas(
-        st[["seg", "term", "df", "idf"]], preserve_index=False)
-    w = np.mod(st["seg"].to_numpy().astype(np.int64), W)
-    return [out.filter(pa.array(w == i)) if (w == i).any() else empty
-            for i in range(W)]
-
-
-@ray.remote
-def _fanout_write_seg(seg_df_dir: str, *tables: pa.Table) -> int:
-    """Fan-out arm wave 3: write the per-segment lexicon slices for the
-    segments routed here (``_write_seg_df`` sorts each segment's rows by
-    term, so file bytes are independent of arrival order)."""
-    tabs = [t for t in tables if t.num_rows]
-    if tabs:
-        _write_seg_df(pa.concat_tables(tabs).to_pandas(), seg_df_dir)
-    return 0
-
-
-def _global_stage_fanout(partial_files: list[str], n_docs: int,
-                         term_df_dir: str, seg_df_dir: str, P: int) -> int:
-    """Build stage 2 as three waves of plain Ray tasks — the middle arm
-    of the cost-based dispatch. Same kernels, same term-hash partition
-    ids, byte-identical ``global/`` output (pinned by
-    test_global_stage_paths_identical), but parallel across the cluster
-    without the per-exchange fixed cost of the Dataset arm, which
-    dominates at the few-hundred-MB partial sets where the single-task
-    arm is a flat serial constant. Returns sum_doclen."""
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    M = max(1, min(len(partial_files), cpus))
-    W = P
-    split = [
-        _fanout_split.options(num_returns=P + 1).remote(partial_files[j::M], P)
-        for j in range(M)
-    ]
-    doclen_refs = [refs[0] for refs in split]
-    finalize = [
-        _fanout_finalize.options(num_returns=W).remote(
-            k, n_docs, term_df_dir, W, *[refs[1 + k] for refs in split])
-        for k in range(P)
-    ]
-    writes = [
-        _fanout_write_seg.remote(seg_df_dir, *[refs[w] for refs in finalize])
-        for w in range(W)
-    ]
-    sum_doclen = sum(ray.get(doclen_refs))
-    ray.get(writes)
+    if seg_parts:
+        _write_seg_df(pd.concat(seg_parts, ignore_index=True), seg_df_dir)
     return sum_doclen
 
 
@@ -444,30 +347,18 @@ def _stage_marker(path: str, key: str) -> bool:
         return False
 
 
-def _task_num_cpus() -> float:
-    """CPU slots per heavy build task.
-
-    Default 1 (one task per core — the right answer on real multi-node
-    clusters). ``SEPPRAY_TASK_CPUS`` overrides; on virtualized single
-    hosts whose memory-fault path degrades with many concurrently
-    allocating processes, a value like 4 caps the number of simultaneous
-    heavy tasks at ``cluster_cpus / 4`` while leaving semantics unchanged.
-    """
-    v = os.environ.get("SEPPRAY_TASK_CPUS")
-    if v:
-        return float(v)
-    return 1.0
-
-
 def _global_stage(docs_dir: str, global_dir: str, n_docs: int,
                   cfg: BuildConfig, lineage_key: str) -> None:
     """Build stage 2 (global stats): aggregate the per-shard
-    ``docs/_partials`` into the partitioned global lexicon
-    (``global/term_df/part-K``) + per-segment semi-join slices
+    ``docs/_partials`` in one task into the partitioned global lexicon
+    (``global/term_df/part-K``, ``K`` a term hash mod
+    :func:`_shuffle_width`) + per-segment semi-join slices
     (``global/seg_df/seg=N``) and write ``global/metadata.json``.
     Shared by :func:`build_index` and :func:`compact_index` — both run
     it over a docs/ layout, so a compacted index's global state is
-    byte-identical to a fresh build's over the same alive docs."""
+    byte-identical to a fresh build's over the same alive docs. Every
+    file is rewritten from the partials, so a rerun over an existing
+    ``global/`` reproduces it byte for byte."""
     shutil.rmtree(global_dir, ignore_errors=True)
     os.makedirs(global_dir)
     term_df_dir = os.path.join(global_dir, "term_df")
@@ -481,56 +372,11 @@ def _global_stage(docs_dir: str, global_dir: str, n_docs: int,
         for f in os.listdir(pdir)
         if f.endswith(".parquet")
     )
-    # the same partition width in both dispatch arms, fixed on the
-    # driver, so their term_df/part-K layouts are identical
-    P = _shuffle_width()
-    psize = sum(os.path.getsize(f) for f in partial_files)
-    # Cost-based three-way dispatch, all three arms byte-identical
-    # (pinned by test_global_stage_paths_identical):
-    #   tiny    -> one task (exchange fixed costs exceed the data)
-    #   medium  -> fan-out task waves (parallel, no Dataset exchange
-    #              fixed cost; removes the flat serial constant that
-    #              capped strong scaling at 2M-row corpora)
-    #   huge    -> Dataset arm (backpressure + spill for vocabularies
-    #              that outgrow task heaps)
-    single_cap = (
-        int(os.environ.get("SEPPRAY_GLOBAL_SINGLE_TASK_MB", "16")) << 20
+    sum_doclen = ray.get(
+        _global_stage_single.remote(
+            partial_files, n_docs, term_df_dir, seg_df_dir, _shuffle_width()
+        )
     )
-    # bytes alone under-dispatch: a big corpus with a bounded vocabulary
-    # has TINY partials spread over hundreds of files feeding thousands
-    # of per-segment writes — serial per-file latency, not data volume,
-    # is what the single task pays (measured 2.4 s at 2M docs / 3.9 MB /
-    # 489 files). File count is the proxy for that latency.
-    single_files_cap = int(
-        os.environ.get("SEPPRAY_GLOBAL_SINGLE_TASK_FILES", "64"))
-    fanout_cap = (
-        int(os.environ.get("SEPPRAY_GLOBAL_FANOUT_MB", "4096")) << 20
-    )
-    if psize <= single_cap and len(partial_files) <= single_files_cap:
-        sum_doclen = ray.get(
-            _global_stage_single.remote(
-                partial_files, n_docs, term_df_dir, seg_df_dir, P
-            )
-        )
-    elif psize <= fanout_cap:
-        sum_doclen = _global_stage_fanout(
-            partial_files, n_docs, term_df_dir, seg_df_dir, P
-        )
-    else:
-        parts_ds = ray.data.read_parquet(pdir)
-        sum_doclen = int(parts_ds.sum("doclen_part") or 0)
-        seg_rows = hash_groupby_apply(
-            parts_ds,
-            ["term"],
-            lambda df: _finalize_term_part(df, n_docs, term_df_dir),
-            P=P,
-            keep_part=True,
-        )
-        # consuming the manifest rows executes the partitioned writes;
-        # only (seg, n_terms) scalars ever reach the driver
-        hash_groupby_apply(
-            seg_rows, ["seg"], lambda df: _write_seg_df(df, seg_df_dir), P=P
-        ).count()
     n_terms_global = sum(
         pq.read_metadata(os.path.join(term_df_dir, f)).num_rows
         for f in os.listdir(term_df_dir)
@@ -672,7 +518,7 @@ def build_index(
             ds.map_batches(
                 TokenizeShards(spec, cfg, docs_dir=docs_dir),
                 batch_format="pyarrow", batch_size=None,
-                num_cpus=_task_num_cpus(),
+                num_cpus=1,
             ).materialize()
         with open(marker1, "w") as f:
             f.write(lineage_key)
@@ -681,17 +527,12 @@ def build_index(
     _t0 = _time.perf_counter()
 
     # ---- stage 2: global stats (df + metadata) ----
-    # Fully distributed — the driver never holds a term. The per-shard
-    # (seg, term) partials are hash-partitioned BY TERM; each partition
-    # task computes its slice of the global df + idf, writes it as one
-    # file of the partitioned global lexicon (global/term_df/part-K),
-    # and emits (seg, term, df, idf) rows that a second exchange BY SEG
-    # turns into per-segment semi-join files (global/seg_df/seg=N) —
-    # exactly the vocabulary each assemble task needs, pre-sorted, read
-    # with one pruned file read instead of a whole-lexicon broadcast.
-    # (The reference merges its lexicon on one thread and mmaps it
-    # everywhere, src/builder.cpp:127-181 — fine at 14 MB, not at the
-    # tens-of-GB vocabulary of a 100 TB code corpus.)
+    # One task merges the vocabulary-sized per-shard (seg, term)
+    # partials, as the reference merges its lexicon on one thread
+    # (src/builder.cpp:127-181): the global lexicon is written
+    # term-hash-partitioned (global/term_df/part-K) and each segment's
+    # slice of it (global/seg_df/seg=N) is exactly the vocabulary its
+    # assemble task needs, pre-sorted, read with one pruned file read.
     marker2 = os.path.join(out_dir, "_global_done")
     if force or not _stage_marker(marker2, lineage_key):
         _global_stage(docs_dir, global_dir, n_docs_total, cfg, lineage_key)
@@ -749,8 +590,7 @@ def _assemble_stage(out_dir: str, docs_dir: str, global_dir: str,
         [{"seg": s} for s in seg_ids], override_num_blocks=len(seg_ids)
     )
     return seg_ds.map_batches(
-        assemble, batch_format="pyarrow", batch_size=None,
-        num_cpus=_task_num_cpus()
+        assemble, batch_format="pyarrow", batch_size=None, num_cpus=1
     ).take_all()
 
 
@@ -1267,8 +1107,7 @@ def read_segment_postings(seg_dir: str) -> dict:
 #: bound on a merge task's DECODED working set (flat int64 arrays are
 #: ~10-20× the encoded bytes, so this is what actually sizes task RSS).
 #: 4M postings ≈ 4M × ~50 B of flats/scratch ≈ 200 MB peak per chunk.
-MERGE_CHUNK_POSTINGS = int(os.environ.get(
-    "SEPPRAY_MERGE_CHUNK_POSTINGS", str(4_000_000)))
+MERGE_CHUNK_POSTINGS = 4_000_000
 
 
 class MergeAssemble(AssembleSegment):
@@ -1279,19 +1118,18 @@ class MergeAssemble(AssembleSegment):
     STREAMING by term range: the task holds every source segment's term
     table in its ENCODED form (byte streams stay varbyte/unary), then
     decodes → merges → re-encodes one bounded chunk of the merged
-    vocabulary at a time (``SEPPRAY_MERGE_CHUNK_POSTINGS`` postings per
-    chunk, cut at term boundaries). Peak RSS per task is therefore
-    encoded-segment size + ONE chunk's decoded flats — constant in the
-    merged-segment size — instead of the whole merged segment decoded
-    at once. Every lexicon row is term-local, so chunk tables
-    concatenate into the final segment table with no offset fixup."""
+    vocabulary at a time (``chunk_postings`` postings per chunk, default
+    :data:`MERGE_CHUNK_POSTINGS`, cut at term boundaries). Peak RSS per
+    task is therefore encoded-segment size + ONE chunk's decoded flats —
+    constant in the merged-segment size — instead of the whole merged
+    segment decoded at once. Every lexicon row is term-local, so chunk
+    tables concatenate into the final segment table with no offset
+    fixup."""
 
     def __init__(self, src_index_dir: str, chunk_postings: int | None = None,
                  **kwargs):
         super().__init__(**kwargs)
         self.src_index_dir = src_index_dir
-        # captured driver-side and serialized with the callable, so the
-        # env override works regardless of worker-process environment
         self.chunk_postings = int(chunk_postings or MERGE_CHUNK_POSTINGS)
 
     def _assemble(self, seg: int) -> dict:
@@ -1430,12 +1268,11 @@ def read_global_term_df(
 ) -> pa.Table:
     """Read the build's global lexicon (term → df, idf), term-sorted.
 
-    The lexicon is stored term-hash-PARTITIONED (``global/term_df/part-K``)
-    so stage 2 never funnels it through one process; this helper is for
-    tools/tests that genuinely want the whole table (vocabulary-sized —
-    callers at 100 TB scale should prefer the per-segment
-    ``global/seg_df/seg=N`` slices or a pruned read of the partitions).
-    Falls back to the pre-fmt3 single-file layout."""
+    Stage 2 writes the lexicon term-hash-partitioned
+    (``global/term_df/part-K``); this helper reads every partition back
+    into one vocabulary-sized table. Serving and assembly read only the
+    per-segment ``global/seg_df/seg=N`` slices instead. Falls back to
+    the pre-fmt3 single-file layout."""
     d = os.path.join(index_dir, "global", "term_df")
     if os.path.isdir(d):
         t = pads.dataset(d).to_table(columns=columns)
@@ -1568,19 +1405,12 @@ def merge_segments(
     seg_ds = ray.data.from_items(
         [{"seg": m} for m in sorted(groups)], override_num_blocks=len(groups)
     )
-    # Merge concurrency. The round-4 streaming term-range merge bounds
-    # each task's working set to the chunk budget, which flipped the
-    # old fault-bound guidance ("one worker fastest", measured when a
-    # task held a whole merged segment): re-measured at 2M docs ×32
-    # post-streaming, fully parallel merges in 4.0 s vs 33.6 s
-    # serialized, byte-identical output. Default one task per core;
-    # SEPPRAY_MERGE_TASK_CPUS overrides.
-    merge_cpus = int(os.environ.get(
-        "SEPPRAY_MERGE_TASK_CPUS", _task_num_cpus()
-    ))
+    # One task per core: the streaming term-range merge bounds each
+    # task's working set to the chunk budget (re-measured at 2M docs
+    # ×32: fully parallel merges 4.0 s vs 33.6 s serialized,
+    # byte-identical output).
     manifests = seg_ds.map_batches(
-        assemble, batch_format="pyarrow", batch_size=None,
-        num_cpus=merge_cpus,
+        assemble, batch_format="pyarrow", batch_size=None, num_cpus=1,
     ).take_all()
 
     summary = {
@@ -1684,9 +1514,10 @@ def compact_index(index_dir: str, out_dir: str, force: bool = False) -> dict:
     Scale shape: stage A maps over doc-part files (one counting pass
     for dense renumber offsets — scalars to the driver — then one
     filter+renumber+write pass, each task writing its own partitioned
-    output); stages 2-3 are the build's own distributed machinery. The
-    tombstone set is delete-sized and ray.put-broadcast once.
-    Idempotent/resumable via the same stage markers as a build."""
+    output); stages 2-3 are the build's own machinery. The tombstone
+    set is delete-sized and ray.put-broadcast once. Idempotent/resumable
+    via the same stage markers as a build. Raises ``ValueError`` before
+    writing ``out_dir`` when every document is tombstoned."""
     import time as _time
 
     from .tombstone import load_tombstones
@@ -1713,7 +1544,28 @@ def compact_index(index_dir: str, out_dir: str, force: bool = False) -> dict:
          + hashlib.sha256("\x00".join(tombs).encode()).hexdigest()).encode()
     ).hexdigest()[:16]
 
+    # ---- stage A1: alive rows per doc file, before anything is written
+    # (two-column pruned reads; only scalars come back) ----
     src_docs = os.path.join(index_dir, "docs")
+    tomb_ref = ray.put(tombs)
+    files = sorted(
+        os.path.join(src_docs, d, f)
+        for d in os.listdir(src_docs)
+        if d.startswith("seg=")
+        for f in os.listdir(os.path.join(src_docs, d))
+        if f.endswith(".parquet")
+    )
+    counts = ray.get([_alive_count.remote(f, tomb_ref) for f in files])
+    # global docid order = per-file min docid order (each doc file
+    # covers a contiguous, disjoint docid range by construction)
+    counts = [c for c in sorted(counts, key=lambda c: c["min_docid"])
+              if c["n_alive"] > 0]
+    if not counts:
+        raise ValueError(
+            f"cannot compact {index_dir}: no live documents "
+            "(every document is tombstoned)")
+    n_alive_total = int(sum(c["n_alive"] for c in counts))
+
     out_docs = os.path.join(out_dir, "docs")
     out_global = os.path.join(out_dir, "global")
     os.makedirs(out_dir, exist_ok=True)
@@ -1734,38 +1586,20 @@ def compact_index(index_dir: str, out_dir: str, force: bool = False) -> dict:
                     os.remove(os.path.join(out_dir, d))
     stage_secs: dict[str, float] = {}
 
-    # ---- stage A: filtered + renumbered docs ----
+    # ---- stage A2: filtered + renumbered docs ----
     marker_a = os.path.join(out_dir, "_docs_done")
     if force or not _stage_marker(marker_a, lineage_key):
         shutil.rmtree(out_docs, ignore_errors=True)
-        tomb_ref = ray.put(tombs)
-        files = sorted(
-            os.path.join(src_docs, d, f)
-            for d in os.listdir(src_docs)
-            if d.startswith("seg=")
-            for f in os.listdir(os.path.join(src_docs, d))
-            if f.endswith(".parquet")
-        )
-        counts = ray.get([_alive_count.remote(f, tomb_ref) for f in files])
-        # global docid order = per-file min docid order (each doc file
-        # covers a contiguous, disjoint docid range by construction)
-        counts = [c for c in sorted(counts, key=lambda c: c["min_docid"])
-                  if c["n_alive"] > 0]
         bases = 1 + np.concatenate(
             ([0], np.cumsum([c["n_alive"] for c in counts])[:-1])
-        ).astype(np.int64) if counts else np.zeros(0, np.int64)
+        ).astype(np.int64)
         ray.get([
             _compact_doc_file.remote(
                 c["file"], tomb_ref, int(b), cfg.docs_per_segment, out_docs)
             for c, b in zip(counts, bases)
         ])
-        n_alive_total = int(sum(c["n_alive"] for c in counts))
-        with open(os.path.join(out_dir, "_n_docs.json"), "w") as f:
-            json.dump({"n_docs": n_alive_total}, f)
         with open(marker_a, "w") as f:
             f.write(lineage_key)
-    with open(os.path.join(out_dir, "_n_docs.json")) as f:
-        n_alive_total = json.load(f)["n_docs"]
     stage_secs["compact_docs"] = _time.perf_counter() - t0
     _t = _time.perf_counter()
 

@@ -105,7 +105,7 @@ def hash_groupby_apply(
 
     ``keep_part=True`` passes the ``_part`` column (the partition id)
     through to ``fn`` — for callables that write partition-addressed
-    side outputs (e.g. the index build's partitioned global lexicon)."""
+    side outputs (e.g. the graph pipelines' partitioned shard files)."""
     P = P or _shuffle_width()
     keys = list(keys)
 

@@ -23,20 +23,20 @@ Scoring semantics are rank-identical to the reference:
   (strict ``>``, reference src/index/Index.hpp:60-77) and its final
   cross-segment sort leaves equal scores in unspecified order
   (src/engine.cpp:124); we document the deterministic choice.
-- ``mode="bmm"`` — vectorized Maxscore with sigma-ordered safe pruning
-  (:meth:`SegmentSearcher.query_maxscore`); results are exactly DAAT's
-  (the quantization-truncated sigmas get their one-quantum margin back,
-  so the bound is sound).
-- ``mode="bmm_ref"`` — the reference's per-posting Block-Max Maxscore
-  cursor loop (reference src/index/Index.cpp:15-133), including its
-  fixed-point-truncated upper bounds (types.hpp:120-131): like the
-  reference binary, it can deviate from DAAT when the kth-score boundary
-  falls inside a 0.01 quantization gap.
+- ``mode="bmm"`` — the one Block-Max Maxscore path (the reference's
+  src/index/Index.cpp:15-133): vectorized Maxscore with sigma-ordered
+  safe pruning (:meth:`SegmentSearcher.query_maxscore`), decoding
+  non-generator lists only at the skip blocks that hold candidates.
+  Results are exactly DAAT's (the quantization-truncated sigmas get
+  their one-quantum margin back, so the bound is sound); segments below
+  ``maxscore_min_docs`` serve ``bmm`` through DAAT, the cheaper plan
+  with the same results.
+- ``mode="boolean"`` — conjunctive positive terms with ``-term``
+  exclusions.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 from collections import OrderedDict
@@ -58,75 +58,6 @@ def _np_offsets(binary_arr) -> tuple[np.ndarray, np.ndarray]:
     offsets = np.frombuffer(bufs[1], dtype=np.int64)[arr.offset : arr.offset + len(arr) + 1]
     values = np.frombuffer(bufs[2], dtype=np.uint8)
     return offsets, values
-
-
-class _RefCursor:
-    """Lazy posting cursor for the reference-faithful BMM loop: decodes
-    ONE skip block at a time from the stored skip offsets (the
-    reference's mmap'd cursor repositioning, src/index/Index.cpp:169-214
-    + src/util/memory.cpp:9-61) and scores the block on decode. A
-    non-essential list whose blocks are never probed is never decoded."""
-
-    __slots__ = ("s", "ti", "scorer", "df", "pos", "sigma", "ubs",
-                 "_blk", "_d", "_sc", "_start")
-
-    def __init__(self, searcher, ti: int, scorer, ubs: np.ndarray, sigma: float):
-        self.s = searcher
-        self.ti = ti
-        self.scorer = scorer
-        self.df = int(searcher.df_local[ti])
-        self.pos = 0
-        self.sigma = sigma
-        self.ubs = ubs
-        self._blk = -1
-        self._d = None
-        self._sc = None
-        self._start = 0
-
-    def _load(self, b: int) -> None:
-        if b != self._blk:
-            s = self.s
-            d, tf = s.block(self.ti, b)
-            local = (d.astype(np.int64) - s.base_docid)
-            self._sc = self.scorer.score(tf, s.idf[self.ti], s.doclen[local], s.avgdl)
-            self._d = d
-            self._blk = b
-            self._start = b * s.skip_block_size
-
-    def exhausted(self) -> bool:
-        return self.pos >= self.df
-
-    def docid(self) -> int:
-        b = self.pos // self.s.skip_block_size
-        self._load(b)
-        return int(self._d[self.pos - self._start])
-
-    def score(self) -> float:
-        b = self.pos // self.s.skip_block_size
-        self._load(b)
-        return float(self._sc[self.pos - self._start])
-
-    def block_ub(self) -> float:
-        return float(self.ubs[min(self.pos // self.s.skip_block_size,
-                                  len(self.ubs) - 1)])
-
-    def next_geq(self, target: int) -> None:
-        """Advance (never backward) to the first posting >= target: block
-        jump through the last-docid skip array, then an in-block binary
-        search — whole-list decode never happens."""
-        s = self.s
-        sl = s._skip_last_v[s._skip_offs[self.ti] : s._skip_offs[self.ti + 1]]
-        b = int(np.searchsorted(sl, target, side="left"))
-        cur_b = self.pos // s.skip_block_size
-        if b < cur_b:
-            b = cur_b
-        if b >= len(sl):
-            self.pos = self.df
-            return
-        self._load(b)
-        p = self._start + int(np.searchsorted(self._d, target, side="left"))
-        if p > self.pos:
-            self.pos = p
 
 
 class SegmentSearcher:
@@ -292,13 +223,6 @@ class SegmentSearcher:
     def n_blocks(self, ti: int) -> int:
         B = self.skip_block_size
         return (int(self.df_local[ti]) + B - 1) // B
-
-    def block_of(self, ti: int, docid: int) -> int:
-        """Index of the skip block that may contain ``docid`` (global id):
-        the first block whose last docid >= docid — the reference's skip-
-        pointer jump (src/index/Index.cpp:169-189)."""
-        sl = self._skip_last_v[self._skip_offs[ti] : self._skip_offs[ti + 1]]
-        return int(np.searchsorted(sl, docid, side="left"))
 
     def block(self, ti: int, blk: int) -> tuple[np.ndarray, np.ndarray]:
         """LRU-cached :meth:`decode_block`."""
@@ -683,99 +607,7 @@ class SegmentSearcher:
             )
         return out
 
-    # ---------- BMM (Q4) ----------
-
-    def query_bmm(self, qterms: list[str], k: int, scorer=None):
-        """Block-Max Maxscore, mirroring reference src/index/Index.cpp:15-133.
-
-        Lists sorted by whole-list sigma ascending; essential lists (from
-        the pivot up) are scored DAAT-style; non-essential lists are
-        probed right-to-left only while the accumulated block upper bounds
-        can still beat θ. Uses the quantized sigmas/block-UBs, so pruning
-        decisions match the reference bit-for-bit; final scores equal
-        DAAT's up to float addition order (the reference adds in
-        sigma-order too).
-        """
-        scorer = scorer or self.default_scorer
-        idxs = self._resolve_terms(qterms, conj=False)
-        if not idxs:
-            return []
-        use_bm25 = isinstance(scorer, Bm25Scorer)
-        sigmas = (self.bm25_sigma if use_bm25 else self.tfidf_sigma)[idxs]
-        order = np.argsort(sigmas, kind="stable")
-        ub_vals = self._skip_bm25_v if use_bm25 else self._skip_tfidf_v
-        lists = [
-            _RefCursor(
-                self, idxs[j], scorer,
-                ub_vals[self._skip_offs[idxs[j]] : self._skip_offs[idxs[j] + 1]],
-                float(sigmas[j]),
-            )
-            for j in order
-        ]
-
-        upper_bounds = np.cumsum([c.sigma for c in lists])
-        heap: list[tuple[float, int]] = []  # min-heap of (score, -docid)
-        theta = 0.0
-        pivot = 0
-        curr = min(c.docid() for c in lists)
-
-        while lists and pivot < len(lists):
-            score = 0.0
-            nxt = np.iinfo(np.int64).max
-            # essential lists
-            for c in lists[pivot:]:
-                if not c.exhausted() and c.docid() == curr:
-                    score += c.score()
-                    c.pos += 1
-                if not c.exhausted():
-                    nxt = min(nxt, c.docid())
-            # non-essential lists, right to left, while UBs can beat θ —
-            # their blocks decode ONLY here, and only while the bound says
-            # the probe can still matter
-            if pivot != 0 and score + upper_bounds[pivot - 1] > theta:
-                bub = np.cumsum([c.block_ub() for c in lists[:pivot]])
-                for i in range(pivot - 1, -1, -1):
-                    if score + bub[i] <= theta:
-                        break
-                    c = lists[i]
-                    c.next_geq(curr)
-                    if not c.exhausted() and c.docid() == curr:
-                        score += c.score()
-            # heap insert (strict >, reference Index.hpp:60-77)
-            if len(heap) < k or score > heap[0][0]:
-                heapq.heappush(heap, (score, -curr))
-                if len(heap) > k:
-                    heapq.heappop(heap)
-                # θ is only a valid pruning threshold once the heap is
-                # full — with fewer than k results every doc must still
-                # be examined (reference keeps θ=0 until size==k)
-                if len(heap) == k:
-                    theta = heap[0][0]
-                while pivot < len(lists) and upper_bounds[pivot] <= theta:
-                    pivot += 1
-            # drop exhausted lists, shifting the pivot when a list before
-            # it is removed (reference src/index/Index.cpp:107-127; like
-            # the reference, upper_bounds is *not* rebuilt — stale bounds
-            # are only larger, so pruning stays safe)
-            kept = []
-            for c in lists:
-                if c.exhausted():
-                    if pivot > len(kept):
-                        pivot -= 1
-                else:
-                    kept.append(c)
-            lists = kept
-            if nxt == np.iinfo(np.int64).max:
-                break
-            curr = nxt
-
-        results = [(-negd, s) for s, negd in heap]
-        results.sort(key=lambda r: (-r[1], r[0]))
-        return [
-            (d, self.docnos[d - self.base_docid].as_py(), s) for d, s in results
-        ]
-
-    # ---------- vectorized Maxscore (fast path for Q4's semantics) ----------
+    # ---------- Block-Max Maxscore (Q4), vectorized ----------
 
     def query_maxscore(self, qterms: list[str], k: int, scorer=None,
                        mask: np.ndarray | None = None):
@@ -811,8 +643,7 @@ class SegmentSearcher:
         # quantum BELOW the true list max; add the quantum back so the
         # bound is safe and results stay exactly DAAT's. (The reference's
         # own BMM prunes with the truncated value and can therefore
-        # deviate from its DAAT at quantization boundaries — mirrored
-        # faithfully by mode="bmm_ref".)
+        # deviate from its DAAT at quantization boundaries.)
         upper_bounds = np.cumsum(sigmas[order] + 0.01)
 
         # LAZY traversal: only candidate-GENERATOR lists (descending sigma
@@ -959,15 +790,6 @@ class SegmentSearcher:
                 return self.query_daat(qterms, k, conj=False, scorer=scorer,
                                        mask=alive)
             return self.query_maxscore(qterms, k, scorer=scorer, mask=alive)
-        if mode == "bmm_ref":
-            if alive is not None:
-                # the ref-faithful cursor loop predates masks; deletes are
-                # beyond-reference, so serve them through the equivalent
-                # masked Maxscore (same results up to the reference's own
-                # quantization deviations)
-                return self.query_maxscore(qterms, k, scorer=scorer,
-                                           mask=alive)
-            return self.query_bmm(qterms, k, scorer=scorer)
         raise ValueError(f"unknown mode {mode!r}")
 
     def query_batch(self, queries: list[list[str]], k: int, mode: str = "daat",

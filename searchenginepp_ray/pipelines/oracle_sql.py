@@ -819,16 +819,6 @@ WHERE n.doc_id % {m} <> 0
 """
 
 
-def term_postings_global_sql() -> str:
-    """Oracle for index.term_index.term_postings_stats over the
-    simple-profile documents index: per-term global (df, tf)."""
-    return f"""WITH {tok_cte()}
-SELECT term,
-       CAST(COUNT(DISTINCT doc_id) AS BIGINT) AS df,
-       CAST(COUNT(*) AS BIGINT) AS tf
-FROM toks GROUP BY term"""
-
-
 def embedding_near_dup_sql(threshold: float = 0.45) -> str:
     return f"""
         SELECT a.vec_id AS vec_a, b.vec_id AS vec_b,

@@ -549,26 +549,6 @@ def index_term_df(sf_dir: str, simple: bool = True) -> pd.DataFrame:
     return df.astype({"df": "int64"}).sort_values("term").reset_index(drop=True)
 
 
-def term_postings_global(sf_dir: str) -> pd.DataFrame:
-    """Term-partitioned global posting lists via the explicit salted
-    groupby(term) shuffle (index.term_index) over the simple-profile
-    documents index; returns per-term (df, tf) read back from the packed
-    lists — the salted-shuffle invariants are asserted en route."""
-    from ..index.term_index import (
-        build_term_postings, term_postings_stats, verify_term_postings,
-    )
-
-    get_engine(sf_dir, simple=True)  # ensure the docs/ + global/ exist
-    idx_dir = _index_dir(sf_dir, _cfg(True))
-    out_dir = os.path.join(idx_dir, "term_postings")
-    if not os.path.isdir(out_dir):
-        build_term_postings(idx_dir, out_dir, num_partitions=4,
-                            hot_df=50, salt_range=100)
-    v = verify_term_postings(out_dir)
-    assert v["violations"] == 0, v
-    return term_postings_stats(out_dir)
-
-
 def search_snippets(sf_dir: str, k: int = 10, mode: str = "bmm",
                     n_ctx: int = 3) -> pd.DataFrame:
     """BM25 top-k with deterministic hit highlighting: for each result

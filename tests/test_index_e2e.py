@@ -175,46 +175,6 @@ def test_query_batch_equals_per_query(built):
     assert len(s._dense_cache) > 0
 
 
-def test_global_stage_paths_identical(ray_session, tmp_path_factory, monkeypatch):
-    """Build stage 2's cost-based three-way dispatch: the single-task
-    arm (tiny partial sets), the fan-out task-wave arm (medium), and the
-    two-exchange Dataset arm (huge) must all produce a byte-identical
-    global/ directory — same term_df/part-K hash layout, same
-    per-segment lexicon slices, same metadata-relevant stats."""
-    import os
-
-    tmp = tmp_path_factory.mktemp("g2")
-    corpus_path = str(tmp / "corpus.parquet")
-    write_corpus(corpus_path, 350, seed=9, rows_per_group=64)
-    cfg = BuildConfig(docs_per_segment=120)
-
-    monkeypatch.setenv("SEPPRAY_GLOBAL_SINGLE_TASK_MB", "1024")
-    build_index(corpus_path, str(tmp / "idx_single"), cfg, CODE_CORPUS)
-    monkeypatch.setenv("SEPPRAY_GLOBAL_SINGLE_TASK_MB", "0")
-    monkeypatch.setenv("SEPPRAY_GLOBAL_FANOUT_MB", "1024")
-    build_index(corpus_path, str(tmp / "idx_fanout"), cfg, CODE_CORPUS)
-    monkeypatch.setenv("SEPPRAY_GLOBAL_FANOUT_MB", "0")
-    build_index(corpus_path, str(tmp / "idx_dist"), cfg, CODE_CORPUS)
-
-    def files(root):
-        out = {}
-        for dirpath, _, names in os.walk(root):
-            for n in names:
-                p = os.path.join(dirpath, n)
-                out[os.path.relpath(p, root)] = p
-        return out
-
-    a = files(str(tmp / "idx_single" / "global"))
-    assert any("term_df" in k for k in a)
-    for other in ("idx_fanout", "idx_dist"):
-        b = files(str(tmp / other / "global"))
-        assert set(a) == set(b)
-        for rel in sorted(a):
-            with open(a[rel], "rb") as fa, open(b[rel], "rb") as fb:
-                assert fa.read() == fb.read(), \
-                    f"global/{rel} differs: idx_single vs {other}"
-
-
 def test_sha256_invariant(built):
     """Per-row content sha256 carried through the doc index unchanged."""
     import hashlib
@@ -296,38 +256,25 @@ def test_tfidf_fast_log_scorer(built):
         assert len(daat) > 0
 
 
-def test_bmm_ref_scores_faithful(built):
-    """mode="bmm_ref" (the reference's cursor loop with truncated
-    fixed-point bounds) returns correct scores for every doc it returns;
-    its result set may deviate from DAAT's only at a 0.01 quantization
-    boundary (the reference binary has the same property)."""
-    import random
+def test_bmm_ref_mode_is_rejected(built):
+    """``bmm`` is the one Block-Max mode: the engine and the query CLI
+    both refuse the removed ``bmm_ref`` cursor loop."""
+    from searchenginepp_ray import cli
 
-    _, oracle, engine = built
-    rng = random.Random(4)
-    vocab = "return hash index query search merge sort static const int".split()
-    queries = [" ".join(rng.sample(vocab, rng.randint(1, 4))) for _ in range(20)]
-    for q, ref, daat in zip(
-        queries,
-        engine.search_batch(queries, k=K, mode="bmm_ref"),
-        engine.search_batch(queries, k=K, mode="daat"),
-    ):
-        daat_scores = {d: s for d, _, s in daat}
-        kth = daat[-1][2] if daat else 0.0
-        for d, _, s in ref:
-            if d in daat_scores:
-                assert s == pytest.approx(daat_scores[d], rel=1e-12)
-            else:
-                # only quantization-boundary substitutions allowed
-                assert abs(s - kth) <= 0.0100001, (q, d, s, kth)
+    _, _, engine = built
+    with pytest.raises(ValueError, match="unknown mode"):
+        engine.search("hash sort", k=5, mode="bmm_ref")
+    with pytest.raises(SystemExit):
+        cli.main(["query", engine.index_dir, "-a", "bmm_ref",
+                  "--query", "hash sort"])
 
 
 def test_lazy_bmm_decodes_fewer_postings(ray_session, tmp_path_factory):
-    """The lazy BMM paths must touch strictly fewer postings than a full
+    """The lazy BMM path must touch strictly fewer postings than a full
     decode of every query list (the reference never decodes whole lists —
     src/index/Index.cpp:169-214), while returning results identical to
-    DAAT (mode="bmm") / faithful (mode="bmm_ref"). Needs multi-block
-    lists, so the index is built with a tiny skip_block_size."""
+    DAAT. Needs multi-block lists, so the index is built with a tiny
+    skip_block_size."""
     from searchenginepp_ray.index.searcher import SegmentSearcher
     from searchenginepp_ray.sources.corpus_gen import write_corpus
 
@@ -341,27 +288,25 @@ def test_lazy_bmm_decodes_fewer_postings(ray_session, tmp_path_factory):
 
     queries = ["hash index merge sort", "return if else for int",
                "query search vector string buffer"]
-    for mode in ("bmm", "bmm_ref"):
-        s = SegmentSearcher(
-            f"{out_dir}/db_0", n_docs_global=summary["n_docs"],
-            avgdl=summary["avgdl"], prewarm_df=None,
-        )
-        s.maxscore_min_docs = 0  # force the lazy Maxscore path
-        full_cost = 0
-        for q in queries:
-            toks = engine.normalize_query(q)
-            idxs = s._resolve_terms(toks, conj=False)
-            full_cost += int(s.df_local[idxs].sum())
-        results = {}
-        for q in queries:
-            results[q] = s.query(engine.normalize_query(q), k=3, mode=mode)
-        assert 0 < s.decoded_postings < full_cost, (mode, s.decoded_postings, full_cost)
-        if mode == "bmm":  # lazy pruning must not change results vs DAAT
-            for q in queries:
-                daat = s.query(engine.normalize_query(q), k=3, mode="daat")
-                assert [(d, sc) for d, _, sc in results[q]] == [
-                    (d, sc) for d, _, sc in daat
-                ]
+    s = SegmentSearcher(
+        f"{out_dir}/db_0", n_docs_global=summary["n_docs"],
+        avgdl=summary["avgdl"], prewarm_df=None,
+    )
+    s.maxscore_min_docs = 0  # force the lazy Maxscore path
+    full_cost = 0
+    for q in queries:
+        toks = engine.normalize_query(q)
+        idxs = s._resolve_terms(toks, conj=False)
+        full_cost += int(s.df_local[idxs].sum())
+    results = {}
+    for q in queries:
+        results[q] = s.query(engine.normalize_query(q), k=3, mode="bmm")
+    assert 0 < s.decoded_postings < full_cost, (s.decoded_postings, full_cost)
+    for q in queries:  # lazy pruning must not change results vs DAAT
+        daat = s.query(engine.normalize_query(q), k=3, mode="daat")
+        assert [(d, sc) for d, _, sc in results[q]] == [
+            (d, sc) for d, _, sc in daat
+        ]
 
 
 def test_crash_resume_tokenize_stage(ray_session, tmp_path_factory):
@@ -419,38 +364,6 @@ def test_crash_resume_tokenize_stage(ray_session, tmp_path_factory):
             a = open(os.path.join(full_dir, d, "terms.parquet"), "rb").read()
             b = open(os.path.join(crash_dir, d, "terms.parquet"), "rb").read()
             assert a == b, f"segment {d} differs after crash-resume"
-
-
-def test_term_partitioned_salted_shuffle(built, tmp_path_factory):
-    """The explicit salted groupby(term) shuffle builds term-partitioned
-    global posting lists whose per-term df equals the doc-partitioned
-    index's, and whose salt sub-lists concatenate docid-sorted."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    from searchenginepp_ray.index.term_index import (
-        build_term_postings, term_postings_stats, verify_term_postings,
-    )
-
-    summary, oracle, _ = built
-    out_dir = os.path.join(summary["out_dir"], "term_postings_test")
-    build_term_postings(summary["out_dir"], out_dir, num_partitions=4,
-                        hot_df=100, salt_range=97)
-    v = verify_term_postings(out_dir)
-    assert v["violations"] == 0, v
-    stats = term_postings_stats(out_dir)
-    # df parity with the global lexicon of the doc-partitioned build
-    from searchenginepp_ray.index.build import read_global_term_df
-
-    gdf = read_global_term_df(
-        summary["out_dir"], columns=["term", "df"]
-    ).to_pandas().sort_values("term").reset_index(drop=True)
-    assert stats["term"].tolist() == gdf["term"].tolist()
-    assert stats["df"].tolist() == gdf["df"].astype(int).tolist()
-    # salting actually happened: at least one hot term has >1 sub-list
-    t = pq.read_table(out_dir, columns=["term", "salt"]).to_pandas()
-    assert (t.groupby("term")["salt"].nunique() > 1).any()
 
 
 def test_tsv_source_matches_parquet(ray_session, tmp_path_factory):
@@ -1096,6 +1009,62 @@ def test_compact_index_equals_fresh_build(built, tmp_path_factory):
         os.path.join(out, segs[0], "terms.parquet")) == mt
 
 
+def test_compact_all_tombstoned_raises(ray_session, tmp_path_factory):
+    """Compacting an index whose every doc is tombstoned has nothing to
+    build: it raises a ValueError naming the cause before it writes
+    out_dir."""
+    import os
+
+    from searchenginepp_ray.index.build import compact_index
+    from searchenginepp_ray.index.tombstone import delete_docs
+
+    tmp = tmp_path_factory.mktemp("compact_all_dead")
+    corpus_path = str(tmp / "corpus.parquet")
+    write_corpus(corpus_path, 50, seed=3, rows_per_group=16)
+    src = str(tmp / "idx")
+    build_index(corpus_path, src, BuildConfig(docs_per_segment=20),
+                CODE_CORPUS)
+    t = pq.read_table(corpus_path)
+    delete_docs(src, [docno_of(r, p, c) for r, p, c in zip(
+        t["repo"].to_pylist(), t["path"].to_pylist(),
+        t["commit"].to_pylist())])
+    out = str(tmp / "compacted")
+    with pytest.raises(ValueError, match="no live documents"):
+        compact_index(src, out)
+    assert not os.path.exists(out)
+
+
+def test_termless_corpus_builds_and_serves_empty(ray_session,
+                                                 tmp_path_factory):
+    """Documents that normalize to no terms (stopwords, blanks) build an
+    index with an empty global lexicon that answers every mode with no
+    hits."""
+    import json
+    import os
+
+    import pyarrow as pa
+
+    from searchenginepp_ray.sources.parquet_corpus import DOCUMENTS_CORPUS
+
+    tmp = tmp_path_factory.mktemp("termless")
+    corpus_path = str(tmp / "corpus.parquet")
+    pq.write_table(pa.table({"doc_id": ["1", "2", "3"],
+                             "text": ["the a an", "and the of", "  "]}),
+                   corpus_path)
+    out_dir = str(tmp / "idx")
+    summary = build_index(corpus_path, out_dir, BuildConfig(),
+                          DOCUMENTS_CORPUS)
+    assert summary["n_docs"] == 3
+    assert summary["n_terms_global"] == 0
+    assert summary["n_postings"] == 0
+    with open(os.path.join(out_dir, "global", "metadata.json")) as f:
+        assert json.load(f)["n_terms_global"] == 0
+    eng = QueryEngine(out_dir, use_actors=False)
+    queries = ["the a an", "hash sort", "hash -of"]
+    for mode in ("daat", "daat_conj", "bmm", "boolean"):
+        assert eng.search_batch(queries, k=5, mode=mode) == [[], [], []], mode
+
+
 def test_actor_pool_survives_worker_kill(built, tmp_path_factory):
     """Serving fault tolerance: the segment actors are read-once views
     of the on-disk index, spawned with max_restarts/max_task_retries,
@@ -1229,28 +1198,21 @@ def test_serving_survives_actor_kill(built):
             ray.kill(w, no_restart=True)
 
 
-def test_fanout_waves_are_replay_safe(ray_session, tmp_path_factory):
-    """Ray retries tasks on worker loss; the fan-out arm's wave tasks
-    must be idempotent replays — re-running finalize and seg-write over
-    the same inputs rewrites byte-identical files (atomic tmp+replace),
-    and re-running the whole arm over an existing global/ dir changes
-    nothing."""
+def test_global_stage_is_replay_safe(ray_session, tmp_path_factory):
+    """Ray retries a lost stage-2 task and a crashed build reruns the
+    stage: re-running ``_global_stage`` over an existing global/ must
+    leave every file byte-identical."""
+    import json
     import os
 
-    from searchenginepp_ray.index.build import _global_stage_fanout
+    from searchenginepp_ray.index.build import _global_stage
 
-    tmp = tmp_path_factory.mktemp("fanout")
+    tmp = tmp_path_factory.mktemp("replay")
     corpus_path = str(tmp / "corpus.parquet")
     write_corpus(corpus_path, 200, seed=5, rows_per_group=32)
     cfg = BuildConfig(docs_per_segment=64)
     idx = str(tmp / "idx")
-    os.environ["SEPPRAY_GLOBAL_SINGLE_TASK_MB"] = "0"
-    os.environ["SEPPRAY_GLOBAL_FANOUT_MB"] = "1024"
-    try:
-        build_index(corpus_path, idx, cfg, CODE_CORPUS)
-    finally:
-        os.environ.pop("SEPPRAY_GLOBAL_SINGLE_TASK_MB", None)
-        os.environ.pop("SEPPRAY_GLOBAL_FANOUT_MB", None)
+    build_index(corpus_path, idx, cfg, CODE_CORPUS)
 
     gdir = os.path.join(idx, "global")
 
@@ -1264,14 +1226,12 @@ def test_fanout_waves_are_replay_safe(ray_session, tmp_path_factory):
         return out
 
     before = snap(gdir)
-    # replay the whole arm in place (simulating a retried driver call)
-    pdir = os.path.join(idx, "docs", "_partials")
-    files = sorted(os.path.join(pdir, f) for f in os.listdir(pdir)
-                   if f.endswith(".parquet"))
-    # replay with the same cluster-derived width the build used
-    from searchenginepp_ray.index.hash_partition import _shuffle_width
-    _global_stage_fanout(files, 200, os.path.join(gdir, "term_df"),
-                         os.path.join(gdir, "seg_df"), _shuffle_width())
+    assert any(k.startswith("term_df") for k in before)
+    assert any(k.startswith("seg_df") for k in before)
+    with open(os.path.join(gdir, "metadata.json")) as f:
+        meta = json.load(f)
+    _global_stage(os.path.join(idx, "docs"), gdir, meta["n_docs"], cfg,
+                  meta["lineage_key"])
     after = snap(gdir)
     assert set(before) == set(after)
     for k in before:

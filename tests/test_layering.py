@@ -42,3 +42,40 @@ def test_core_does_not_import_pipelines():
         if name.startswith("searchenginepp_ray.pipelines")
     ]
     assert bad == []
+
+
+def _is_environ(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "environ") or (
+        isinstance(node, ast.Name) and node.id == "environ")
+
+
+def _env_reads(path: pathlib.Path) -> list[tuple[int, str]]:
+    """(line, name) of every ``os.environ[...]``, ``os.environ.get/pop/
+    setdefault(...)`` and ``os.getenv(...)`` with a literal name."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        key = None
+        if isinstance(node, ast.Subscript) and _is_environ(node.value):
+            key = node.slice
+        elif isinstance(node, ast.Call) and node.args:
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+            if name == "getenv" or (name in ("get", "pop", "setdefault")
+                                    and _is_environ(f.value)):
+                key = node.args[0]
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            out.append((node.lineno, key.value))
+    return out
+
+
+def test_core_reads_no_tuning_knobs():
+    """The engine core has one code path per job, so it reads no
+    ``SEPPRAY_*`` tuning knob from the environment."""
+    files = _core_modules() + [PKG / "__init__.py"]
+    bad = [
+        f"{p.relative_to(PKG.parent)}:{line}: {name}"
+        for p in files
+        for line, name in _env_reads(p)
+        if name.startswith("SEPPRAY_")
+    ]
+    assert bad == []
