@@ -49,6 +49,7 @@ import struct
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..codecs import unary, varbyte
@@ -169,7 +170,7 @@ def import_reference_index(
         sum_doclen, n_docs = struct.unpack("<QQ", f.read(16))
     with open(os.path.join(ref_dir, "global_lexicon"), "rb") as f:
         gl = parse_disk_map(f.read(), 1)
-    g_terms = np.asarray([t for t, _ in gl], dtype=object)
+    g_terms = pa.array([t for t, _ in gl], pa.string())
     g_df = np.asarray([v[0] for _, v in gl], dtype=np.int64)
     g_idf = np.log2(np.float64(n_docs) / g_df.astype(np.float64))
     avgdl = sum_doclen / n_docs
@@ -206,7 +207,8 @@ def import_reference_index(
 
         # decode every term's postings (absolute-docid VarByte slices,
         # per-term unary freq slices) in lexicon (= sorted term) order
-        uniq_terms = np.asarray([t for t, _ in lex], dtype=object)
+        lex_terms = [t for t, _ in lex]
+        uniq_terms = pa.array(lex_terms, pa.string())
         df_local = np.asarray([v[4] for _, v in lex], dtype=np.int64)
         docid_parts, tf_parts = [], []
         for (_t, (sd, ed, sf, ef, df)) in lex:
@@ -230,7 +232,7 @@ def import_reference_index(
         by_doc_tfs: list[list[int]] = [[] for _ in range(len(docnos))]
         for i in order:
             li = int(docid_s[i]) - base_docid
-            by_doc_terms[li].append(str(uniq_terms[codes_s[i]]))
+            by_doc_terms[li].append(lex_terms[codes_s[i]])
             by_doc_tfs[li].append(int(tf_s[i]))
         seg_docs_dir = os.path.join(docs_root, f"seg={seg}")
         os.makedirs(seg_docs_dir, exist_ok=True)
@@ -259,13 +261,13 @@ def import_reference_index(
 
         # per-segment global-df semi-join slice — what merge_segments /
         # compaction read (_load_global_for); without it a post-import
-        # merge would silently see an empty global lexicon
-        gidx = np.searchsorted(g_terms, uniq_terms)
-        assert (g_terms[gidx] == uniq_terms).all(), "local ⊄ global lexicon"
+        # merge would silently see an empty global lexicon (the encode
+        # above already refused any term missing from g_terms)
+        gidx = pc.index_in(uniq_terms, value_set=g_terms).to_numpy()
         seg_df_dir = os.path.join(out_dir, "global", "seg_df", f"seg={seg}")
         os.makedirs(seg_df_dir, exist_ok=True)
         pq.write_table(pa.table({
-            "term": pa.array(list(uniq_terms), pa.string()),
+            "term": uniq_terms,
             "df": pa.array(g_df[gidx]),
             "idf": pa.array(g_idf[gidx]),
         }), os.path.join(seg_df_dir, "terms.parquet"))
@@ -275,7 +277,7 @@ def import_reference_index(
     gdir = os.path.join(out_dir, "global")
     os.makedirs(gdir, exist_ok=True)
     pq.write_table(pa.table({
-        "term": pa.array(list(g_terms), pa.string()),
+        "term": g_terms,
         "df": pa.array(g_df),
         "idf": pa.array(g_idf),
     }), os.path.join(gdir, "term_df.parquet"))
