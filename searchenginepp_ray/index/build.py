@@ -9,7 +9,10 @@ any stage/partition whose manifest matches):
    process-cached) → per-doc rows ``(docid, docno, doclen, sha256, seg,
    terms, tfs)`` written as Parquet partitioned by ``seg``
    (segment = docid range, replacing the reference's 700 MB chunk cut,
-   reference src/builder.cpp:23, 304-330).
+   reference src/builder.cpp:23, 304-330), plus per-shard (seg, term)
+   df partials counted from the tokenizer's pair codes. The stage is
+   columnar from the Parquet read to the Parquet write: no document
+   text, token, term or docno becomes a Python object on a warm build.
 2. **Global stats** — the tokenize tasks already wrote vocabulary-sized
    per-shard df/doclen partials; one task sums them per term with an
    Arrow ``group_by`` (the partial/final pattern replacing the
@@ -23,7 +26,7 @@ any stage/partition whose manifest matches):
    writes ``db_<seg>/terms.parquet`` + a lineage manifest.
 
 Stages 2-3 rerun over the whole index on every append and compaction,
-so they stay in Arrow and numpy end to end: terms are Arrow string
+so they too stay in Arrow and numpy end to end: terms are Arrow string
 arrays (dictionary-encoded, sorted by the dictionary permutation,
 looked up in the global lexicon with ``pc.index_in``), never Python
 strings, and no pandas frame is built. Integrity checks raise
@@ -52,7 +55,7 @@ import ray
 import ray.data
 
 from ..config import BuildConfig
-from ..normalizer.batch import tokenize_batch
+from ..normalizer.batch import sorted_codes, string_array, tokenize_codes, value_bytes
 from ..codecs import varbyte
 from ..sources.parquet_corpus import ColumnSpec, CorpusShard, corpus_shards, read_shard
 from . import scorer as scorer_mod
@@ -82,32 +85,35 @@ DOCS_SCHEMA_POS = DOCS_SCHEMA.append(pa.field("poss", pa.list_(pa.uint32())))
 
 
 class TokenizeShards:
-    """map_batches callable over shard-descriptor rows.
+    """map_batches callable over shard-descriptor rows: build stage 1.
 
-    Stateless task-compatible: normalizer state (stem cache, compiled
-    regexes) lives at module level and is built once per worker process.
+    Stateless task-compatible: normalizer state (the Arrow stem memo)
+    lives at module level and is built once per worker process.
 
-    When constructed with ``docs_dir`` the task writes its own partitioned
-    Parquet output (``seg=N/part-<shard>.parquet``, write-temp-then-rename
-    so retries are idempotent) and returns only tiny manifest rows — the
+    Columnar from the Parquet read to the Parquet write: docnos are
+    joined column-wise in Arrow, ``sha256`` hashes slices of the text
+    column's value buffer, the tokenizer runs on the Arrow column
+    (:func:`..normalizer.batch.tokenize_codes`), and the per-segment df
+    partials are counted from its (doc, term) pair codes — no document
+    text, token, term or docno becomes a Python object on a warm build.
+
+    Each task writes its own partitioned Parquet output
+    (``seg=N/part-<shard>.parquet``, write-temp-then-rename so retries
+    are idempotent) and returns only tiny manifest rows — the
     multi-hundred-MB tokenized blocks never transit the object store,
     which is both the 100 TB-scale shape (each task streams to shared
     storage) and much faster on plasma-constrained hosts.
     """
 
-    def __init__(self, spec: ColumnSpec, cfg: BuildConfig, docs_dir: str | None = None):
+    def __init__(self, spec: ColumnSpec, cfg: BuildConfig, docs_dir: str):
         self.spec = spec
         self.cfg = cfg
         self.docs_dir = docs_dir
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        shards = [_shard_from_item(row) for row in batch.to_pylist()]
-        if self.docs_dir is None:
-            out_tables = [self._tokenize_shard(s) for s in shards]
-            return pa.concat_tables(out_tables) if out_tables else pa.table([], schema=DOCS_SCHEMA)
         rows = []
-        for s in shards:
-            rows.extend(self._tokenize_and_write(s))
+        for row in batch.to_pylist():
+            rows.extend(self._tokenize_and_write(_shard_from_item(row)))
         return pa.Table.from_pylist(
             rows,
             schema=pa.schema(
@@ -116,7 +122,7 @@ class TokenizeShards:
         )
 
     def _tokenize_and_write(self, shard) -> list[dict]:
-        t = self._tokenize_shard(shard)
+        t, partials = self._tokenize_shard(shard)
         out = []
         # a shard spans at most a couple of docid-range segments
         for seg in pc.unique(t["seg"]).to_pylist():
@@ -138,49 +144,69 @@ class TokenizeShards:
             pdir, f"part-{shard.base_docid:012d}-{_shard_ordinal(shard):05d}.parquet"
         )
         ptmp = pfinal + ".tmp"
-        pq.write_table(_partial_df(t), ptmp)
+        pq.write_table(partials, ptmp)
         os.replace(ptmp, pfinal)
         return out
 
-    def _tokenize_shard(self, shard) -> pa.Table:
+    def _tokenize_shard(self, shard) -> tuple[pa.Table, pa.Table]:
+        """The shard's doc rows and its (segment, term) df partials."""
         cols = list(dict.fromkeys((*self.spec.docno_cols, self.spec.text_col)))
         t = _read_shard_any(shard, cols)
-        texts = t[self.spec.text_col].to_pylist()
-        docno_parts = [t[c].to_pylist() for c in self.spec.docno_cols]
-        fmt = self.spec.docno_format()
+        docnos = _docnos(t, self.spec)
+        texts = string_array(t[self.spec.text_col])
         n = len(texts)
 
         docids = np.arange(shard.base_docid, shard.base_docid + n, dtype=np.uint64)
         segs = ((docids - 1) // self.cfg.docs_per_segment).astype(np.int32)
-        docnos = [fmt.format(*(p[i] for p in docno_parts)) for i in range(n)]
-        sha256s = [hashlib.sha256(x.encode("utf8")).hexdigest() for x in texts]
-        # vectorized tokenizer: per-doc term-sorted unique terms + tfs
-        # (the lexicon is term-sorted everywhere in the reference,
-        # std::map, reference src/indexBuilder/IndexBuilder.hpp:41)
+        offs, vals = value_bytes(texts)
+        mv = memoryview(vals)
+        sha256s = [hashlib.sha256(mv[a:b]).hexdigest()
+                   for a, b in zip(offs[:-1].tolist(), offs[1:].tolist())]
+        # per-doc term-sorted unique terms + tfs (the lexicon is
+        # term-sorted everywhere in the reference, std::map, reference
+        # src/indexBuilder/IndexBuilder.hpp:41)
+        tok = tokenize_codes(texts, self.cfg.profile, positions=self.cfg.positions)
         cols_out = {}
         if self.cfg.positions:
-            from ..normalizer.batch import tokenize_batch_positions
-
-            doclens, terms_list, tfs_list, pos_list = \
-                tokenize_batch_positions(texts, self.cfg.profile)
-            cols_out["poss"] = pos_list.cast(pa.list_(pa.uint32()))
-        else:
-            doclens, terms_list, tfs_list = tokenize_batch(
-                texts, self.cfg.profile)
-
-        return pa.table(
+            cols_out["poss"] = tok.poss.cast(pa.list_(pa.uint32()))
+        docs = pa.table(
             {
                 "docid": docids,
-                "docno": pa.array(docnos, pa.string()),
-                "doclen": doclens,
+                "docno": docnos,
+                "doclen": tok.doclens,
                 "sha256": pa.array(sha256s, pa.string()),
                 "seg": segs,
-                "terms": terms_list.cast(pa.list_(pa.string())),
-                "tfs": tfs_list.cast(pa.list_(pa.uint32())),
+                "terms": tok.terms.cast(pa.list_(pa.string())),
+                "tfs": tok.tfs.cast(pa.list_(pa.uint32())),
                 **cols_out,
             },
             schema=DOCS_SCHEMA_POS if self.cfg.positions else DOCS_SCHEMA,
         )
+        return docs, _partials(segs, tok.doclens, tok.pair_doc, tok.pair_term,
+                               tok.vocab)
+
+
+def _docnos(t: pa.Table, spec: ColumnSpec) -> pa.Array:
+    """``spec.docno_format()`` applied column-wise: each docno column
+    cast to string and joined with the format's ``:``/``@`` separators
+    by ``binary_join_element_wise`` — the same bytes ``str.format`` gave
+    per row (a null renders as ``None``, as ``str.format`` renders it).
+    Only string and integer columns format identically, so any other
+    type is refused."""
+    _, *seps, _ = spec.docno_format().split("{}")
+    parts = []
+    for c in spec.docno_cols:
+        typ = t.schema.field(c).type
+        if not (pa.types.is_string(typ) or pa.types.is_large_string(typ)
+                or pa.types.is_integer(typ)):
+            raise ValueError(
+                f"docno column {c!r} has type {typ}; only string and "
+                "integer docno columns are supported")
+        parts.append(pc.fill_null(pc.cast(t[c], pa.string()), "None"))
+    out = parts[0]
+    for sep, part in zip(seps, parts[1:]):
+        out = pc.binary_join_element_wise(out, part, sep)
+    return out.combine_chunks()
 
 
 def _write_sorted_slices(t: pa.Table, key: np.ndarray, path_of) -> None:
@@ -231,45 +257,48 @@ def _global_stage_single(
     return sum_doclen
 
 
-def _partial_df(batch: pa.Table) -> pa.Table:
-    """Per-(segment, term) partial document frequency (terms are unique
-    per doc; a shard spans at most a couple of segments), plus each
-    segment's doclen sum spread on its first row (so the global groupby
-    yields Σdoclen for free without a second pass over the docs).
+_EMPTY_PARTIALS = pa.table(
+    {
+        "term": pa.array([], pa.string()),
+        "seg": pa.array([], pa.int32()),
+        "df_part": pa.array([], pa.int64()),
+        "doclen_part": pa.array([], pa.int64()),
+    }
+)
+
+
+def _partials(segs: np.ndarray, doclens: np.ndarray, pair_doc: np.ndarray,
+              pair_term: np.ndarray, vocab: pa.Array) -> pa.Table:
+    """Per-(segment, term) partial document frequency, counted with one
+    ``np.bincount`` per segment over the (doc, term) pair codes (terms
+    are unique per doc; a shard spans at most a couple of segments),
+    plus each segment's doclen sum spread on its first row (so the
+    global groupby yields Σdoclen for free without a second pass over
+    the docs). Rows come out term-sorted within each segment.
 
     Carrying the segment id is what lets build stage 2 emit per-SEGMENT
     global-df semi-join files instead of materializing one global lexicon
     on the driver and broadcasting it to every assemble task."""
+    pair_seg = segs[pair_doc]
     out = []
-    for seg in pc.unique(batch["seg"]).to_pylist():
-        part = batch.filter(pc.equal(batch["seg"], seg))
-        flat = pc.list_flatten(part["terms"])
-        vc = flat.value_counts()
-        n = len(vc)
-        if n == 0:
+    for seg in np.unique(segs):
+        df = np.bincount(pair_term[pair_seg == seg], minlength=len(vocab))
+        nz = np.flatnonzero(df)
+        if len(nz) == 0:
             continue
-        doclen_part = np.zeros(n, dtype=np.int64)
-        doclen_part[0] = int(pc.sum(part["doclen"]).as_py() or 0)
+        doclen_part = np.zeros(len(nz), dtype=np.int64)
+        doclen_part[0] = int(doclens[segs == seg].sum())
         out.append(
             pa.table(
                 {
-                    "term": vc.field("values"),
-                    "seg": pa.array(np.full(n, seg, np.int32)),
-                    "df_part": vc.field("counts").cast(pa.int64()),
-                    "doclen_part": pa.array(doclen_part, pa.int64()),
+                    "term": vocab.take(pa.array(nz)),
+                    "seg": pa.array(np.full(len(nz), seg, np.int32)),
+                    "df_part": pa.array(df[nz].astype(np.int64)),
+                    "doclen_part": pa.array(doclen_part),
                 }
             )
         )
-    if not out:
-        return pa.table(
-            {
-                "term": pa.array([], pa.string()),
-                "seg": pa.array([], pa.int32()),
-                "df_part": pa.array([], pa.int64()),
-                "doclen_part": pa.array([], pa.int64()),
-            }
-        )
-    return pa.concat_tables(out)
+    return pa.concat_tables(out) if out else _EMPTY_PARTIALS
 
 
 def _shard_ordinal(shard) -> int:
@@ -511,14 +540,9 @@ def build_index(
             if f"part-{s.base_docid:012d}-{_shard_ordinal(s):05d}.parquet" not in done
         ]
         if shard_items:
-            ds = ray.data.from_items(shard_items, override_num_blocks=len(shard_items))
             # tasks write their own seg=N/part-*.parquet files; only tiny
             # manifest rows come back through the object store
-            ds.map_batches(
-                TokenizeShards(spec, cfg, docs_dir=docs_dir),
-                batch_format="pyarrow", batch_size=None,
-                num_cpus=1,
-            ).materialize()
+            _map_tasks(shard_items, TokenizeShards(spec, cfg, docs_dir))
         with open(marker1, "w") as f:
             f.write(lineage_key)
         os.remove(wip)
@@ -585,19 +609,19 @@ def _assemble_stage(out_dir: str, docs_dir: str, global_dir: str,
         lineage_key=lineage_key,
         force=force,
     )
-    return _map_segments(seg_ids, assemble)
+    return _map_tasks([{"seg": s} for s in seg_ids], assemble)
 
 
-def _map_segments(segs: list[int], assemble) -> list[dict]:
-    """Run ``assemble`` with one Ray Data task per segment id; returns
-    the manifests. A task's exception keeps its own type (a refusal
+def _map_tasks(items: list[dict], fn) -> list[dict]:
+    """Run ``fn`` with one Ray Data task per item; returns its output
+    rows. Every Ray Data build stage (tokenize, assemble, merge) runs
+    through here, so a task's exception keeps its own type (a refusal
     stays a ``ValueError``) instead of Ray Data's ``UserCodeException``
     wrapper."""
-    ds = ray.data.from_items([{"seg": s} for s in segs],
-                             override_num_blocks=len(segs))
+    ds = ray.data.from_items(items, override_num_blocks=len(items))
     ds.context.raise_original_map_exception = True
     return ds.map_batches(
-        assemble, batch_format="pyarrow", batch_size=None, num_cpus=1
+        fn, batch_format="pyarrow", batch_size=None, num_cpus=1
     ).take_all()
 
 
@@ -1435,7 +1459,7 @@ def merge_segments(
     # task's working set to the chunk budget (re-measured at 2M docs
     # ×32: fully parallel merges 4.0 s vs 33.6 s serialized,
     # byte-identical output).
-    manifests = _map_segments(sorted(groups), assemble)
+    manifests = _map_tasks([{"seg": s} for s in sorted(groups)], assemble)
 
     summary = {
         "n_docs": meta["n_docs"],
@@ -1513,7 +1537,11 @@ def _compact_doc_file(doc_file: str, tomb_ref, new_base: int,
     os.makedirs(pdir, exist_ok=True)
     pfinal = os.path.join(pdir, name)
     ptmp = pfinal + ".tmp"
-    pq.write_table(_partial_df(t), ptmp)
+    terms = t["terms"].combine_chunks()
+    pair_term, vocab = sorted_codes(pc.list_flatten(terms))
+    pair_doc = np.repeat(np.arange(n), np.asarray(pc.list_value_length(terms)))
+    pq.write_table(_partials(segs, t["doclen"].to_numpy(), pair_doc,
+                             pair_term, vocab), ptmp)
     os.replace(ptmp, pfinal)
     return n
 

@@ -1,17 +1,26 @@
-"""Vectorized (Arrow/numpy) batch tokenizer — the build-time hot path.
+"""Columnar (Arrow/numpy) batch tokenizer — the build-time hot path.
 
 Semantics are identical to the scalar :func:`..word_normalizer.term_frequencies`
-applied per document (pinned by ``tests/test_normalizer.py::test_batch_matches_scalar``);
-the shape is batch-first so the per-*token* work runs in C:
+applied per document (pinned by
+``tests/test_normalizer.py::test_batch_tokenizer_matches_scalar``). The
+documents stay one Arrow string array from input to output; a document,
+token or vocabulary word becomes a Python string only when it carries
+mojibake or misses the stem memo:
 
-1. per-doc Python: mojibake check/fix (rare) + ONE ``str.translate`` that
-   applies punctuation→spaces and lowercasing in a single pass (their
-   domains are disjoint — asserted below);
-2. Arrow: split on ASCII whitespace, flatten, stopword/length filter,
-   dictionary-encode the surviving token stream;
-3. Python touches only the *vocabulary* (stemming unique tokens, memoized);
-4. numpy: collapse stem-equal tokens, count (doc, term) pairs, rebuild
-   per-doc term-sorted ``terms``/``tfs`` lists and doclens.
+1. bytes: mojibake docs are found by ``searchsorted`` of the
+   ``C2 [80-A0|AD]`` hits into the offsets, fixed in Python (rare) and
+   spliced back; then one numpy pass over the whole value buffer maps
+   punctuation → spaces and lowercases (their domains are disjoint —
+   asserted below). Every mapping keeps the byte length, so the offsets
+   are kept;
+2. Arrow: split on ASCII whitespace, flatten, dictionary-encode the token
+   stream, stopword/length filter on the vocabulary;
+3. Arrow: stem the kept vocabulary through a process-level surface → stem
+   memo of two Arrow string arrays (``pc.index_in``); only misses reach
+   Python (:func:`..porter2.stem_uncached`). Equal stems collapse with
+   ``dictionary_encode`` + ``array_sort_indices``;
+4. numpy: count (doc, term) pairs, rebuild per-doc term-sorted
+   ``terms``/``tfs`` lists and doclens.
 
 Reference pipeline being reproduced: src/normalizer/WordNormalizer.cpp:30-85
 (punctuation src/normalizer/PunctuationRemover.cpp:17-33, latin1
@@ -21,14 +30,16 @@ Snowball english stemmer src/normalizer/WordNormalizer.cpp:12-18).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import NormalizerProfile
-from .latin1 import _LOWER_TABLE, _ASCII_LOWER_TABLE, fix_latin1_mojibake, looks_like_mojibake
-from .porter2 import stem
-from .punctuation import _TRANSLATE_TABLE
+from .latin1 import _LOWER_TABLE, fix_latin1_mojibake
+from .porter2 import _CACHE_MAX, stem_uncached
+from .punctuation import _TRANSLATE_TABLE, PUN_1_BYTE, PUN_2_BYTE, PUN_3_BYTE
 from .stop_words import STOP_WORDS
 
 # punctuation marks and uppercase letters are disjoint code-point sets, so
@@ -39,31 +50,18 @@ _STOPWORDS_ARR = pa.array(sorted(STOP_WORDS), pa.string())
 
 # ---- byte-level translate (the reference itself operates on UTF-8 bytes) ----
 # ASCII positions (punct-1B marks + \v\f\r → space, A-Z → a-z) are safe to
-# map with bytes.translate on UTF-8: continuation bytes are ≥ 0x80 and lead
-# bytes ≥ 0xC0, so no multi-byte sequence contains a mapped byte.  \v\f\r
-# join \n\t in mapping to ' ' (all C-locale whitespace ⇒ token boundaries
-# unchanged) so the later split is on a single literal space.
-import re as _re
-
-from .punctuation import PUN_1_BYTE, PUN_2_BYTE, PUN_3_BYTE
-
-
-def _ascii_tbl(lower_ascii_only: bool) -> bytes:
-    tbl = bytearray(range(256))
-    for c in PUN_1_BYTE:
-        tbl[ord(c)] = 0x20
-    for c in "\v\f\r":
-        tbl[ord(c)] = 0x20
-    for c in range(ord("A"), ord("Z") + 1):
-        tbl[c] = c + 0x20
-    return bytes(tbl)
-
-
-_TBL_BYTES = _ascii_tbl(True)  # ASCII part is identical for both profiles
+# map byte-wise on UTF-8: continuation bytes are ≥ 0x80 and lead bytes
+# ≥ 0xC0, so no multi-byte sequence contains a mapped byte.  \v\f\r join
+# \n\t in mapping to ' ' (all C-locale whitespace ⇒ token boundaries
+# unchanged) so the later split is on a single literal space. The ASCII
+# part is identical for both lowercase profiles.
+_TBL_NP = np.arange(256, dtype=np.uint8)
+_TBL_NP[[ord(c) for c in (*PUN_1_BYTE, *"\v\f\r")]] = 0x20
+_TBL_NP[ord("A"):ord("Z") + 1] += 0x20
 
 # ---- vectorized multi-byte passes --------------------------------------
 # The 2/3-byte punctuation marks and latin1-uppercase pairs are replaced
-# IN PLACE on a mutable byte view with numpy instead of regex-alternation
+# IN PLACE on the translated copy with numpy instead of regex-alternation
 # ``re.sub`` (which scans byte-by-byte through each of the ~55 branches).
 # Correctness relies on UTF-8 self-synchronization: lead bytes (>= 0xC2)
 # never appear as continuation bytes, so every candidate position is a
@@ -75,43 +73,41 @@ _P2_SEQS = [c.encode("utf8") for c in PUN_2_BYTE]
 _P3_SEQS = [c.encode("utf8") for c in PUN_3_BYTE]
 assert all(len(s) == 2 for s in _P2_SEQS) and all(len(s) == 3 for s in _P3_SEQS)
 
-import numpy as _np
-
-_P2_LEADS = _np.array(sorted({s[0] for s in _P2_SEQS}), _np.uint8)
-_P2_CODES = _np.array(sorted((s[0] << 8) | s[1] for s in _P2_SEQS), _np.uint16)
-_P3_LEADS = _np.array(sorted({s[0] for s in _P3_SEQS}), _np.uint8)
-_P3_CODES = _np.array(
-    sorted((s[0] << 16) | (s[1] << 8) | s[2] for s in _P3_SEQS), _np.uint32
+_P2_LEADS = np.array(sorted({s[0] for s in _P2_SEQS}), np.uint8)
+_P2_CODES = np.array(sorted((s[0] << 8) | s[1] for s in _P2_SEQS), np.uint16)
+_P3_LEADS = np.array(sorted({s[0] for s in _P3_SEQS}), np.uint8)
+_P3_CODES = np.array(
+    sorted((s[0] << 16) | (s[1] << 8) | s[2] for s in _P3_SEQS), np.uint32
 )
 assert not (set(_P2_LEADS.tolist()) | set(_P3_LEADS.tolist())) & {0xC2, 0xC3} - {0xC2}
 
 
-def _translate_blob(blob: bytes, latin1_case: bool) -> bytes:
-    blob = blob.translate(_TBL_BYTES)
-    probe = _np.frombuffer(blob, _np.uint8)
-    lead_pos = _np.flatnonzero(probe >= 0xC2)  # all mark/case leads are >= C2
+def _translate_blob(blob: np.ndarray, latin1_case: bool) -> np.ndarray:
+    """Punctuation → spaces and lowercase over UTF-8 bytes, into a new
+    writable array of the same length (every mapping is byte-length
+    preserving, so the caller keeps its offsets)."""
+    arr = _TBL_NP[blob]
+    lead_pos = np.flatnonzero(arr >= 0xC2)  # all mark/case leads are >= C2
     if len(lead_pos) == 0:
-        return blob
-    buf = bytearray(blob)
-    arr = _np.frombuffer(buf, _np.uint8)  # writable view of the copy
+        return arr
     n = len(arr)
     leads = arr[lead_pos]
 
-    p2 = lead_pos[_np.isin(leads, _P2_LEADS) & (lead_pos + 1 < n)]
+    p2 = lead_pos[np.isin(leads, _P2_LEADS) & (lead_pos + 1 < n)]
     if len(p2):
-        u16 = (arr[p2].astype(_np.uint16) << 8) | arr[p2 + 1]
-        hit = p2[_np.isin(u16, _P2_CODES)]
+        u16 = (arr[p2].astype(np.uint16) << 8) | arr[p2 + 1]
+        hit = p2[np.isin(u16, _P2_CODES)]
         arr[hit] = 0x20
         arr[hit + 1] = 0x20
 
-    p3 = lead_pos[_np.isin(leads, _P3_LEADS) & (lead_pos + 2 < n)]
+    p3 = lead_pos[np.isin(leads, _P3_LEADS) & (lead_pos + 2 < n)]
     if len(p3):
         u32 = (
-            (arr[p3].astype(_np.uint32) << 16)
-            | (arr[p3 + 1].astype(_np.uint32) << 8)
+            (arr[p3].astype(np.uint32) << 16)
+            | (arr[p3 + 1].astype(np.uint32) << 8)
             | arr[p3 + 2]
         )
-        hit = p3[_np.isin(u32, _P3_CODES)]
+        hit = p3[np.isin(u32, _P3_CODES)]
         arr[hit] = 0x20
         arr[hit + 1] = 0x20
         arr[hit + 2] = 0x20
@@ -125,59 +121,115 @@ def _translate_blob(blob: bytes, latin1_case: bool) -> bytes:
             trail = arr[pl + 1]
             hit = pl[(trail >= 0x80) & (trail <= 0x9F)]
             arr[hit + 1] += 0x20
-    return bytes(buf)
+    return arr
 
 
-def _mojibake_doc_ids(blob: bytes) -> _np.ndarray:
-    """Indices (into the NUL-joined doc list) of docs whose bytes contain
-    the latin1-double-encoding indicator ``C2 [80-A0 | AD]`` — exactly the
-    docs where :func:`looks_like_mojibake` fires, located with two
-    vectorized passes instead of a per-doc regex."""
-    arr = _np.frombuffer(blob, _np.uint8)
-    c2 = _np.flatnonzero(arr[:-1] == 0xC2) if len(arr) > 1 else _np.empty(0, _np.int64)
-    if len(c2) == 0:
-        return _np.empty(0, _np.int64)
-    nxt = arr[c2 + 1]
+def string_array(texts) -> pa.StringArray:
+    """The documents as one ``string`` array: a list is wrapped once, a
+    ``ChunkedArray`` combined, ``large_string`` cast; a null document
+    reads as empty."""
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    elif not isinstance(texts, pa.Array):
+        texts = pa.array(texts, pa.string())
+    if texts.type != pa.string():
+        texts = texts.cast(pa.string())
+    if texts.null_count:
+        texts = pc.fill_null(texts, "")
+    return texts
+
+
+def value_bytes(arr: pa.StringArray) -> tuple[np.ndarray, np.ndarray]:
+    """``(offsets, values)`` of a string array: its ``len + 1`` offsets
+    as int64 rebased to 0, and a zero-copy ``uint8`` view of the value
+    bytes they index (the array's own offset honoured)."""
+    _, off_buf, data = arr.buffers()
+    offs = np.frombuffer(off_buf, np.int32, len(arr) + 1, arr.offset * 4)
+    offs = offs.astype(np.int64)
+    base = offs[0]
+    if data is None:
+        return offs - base, np.empty(0, np.uint8)
+    return offs - base, np.frombuffer(data, np.uint8)[base:offs[-1]]
+
+
+def _mojibake_doc_ids(vals: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """Indices of the docs whose bytes contain the latin1-double-encoding
+    indicator ``C2 [80-A0 | AD]`` — exactly the docs where
+    :func:`looks_like_mojibake` fires: the hits' positions located in the
+    offsets with one ``searchsorted`` instead of a per-doc regex. A C2
+    lead is never a doc's last byte in valid UTF-8, so a pair never
+    straddles two docs."""
+    c2 = np.flatnonzero(vals[:-1] == 0xC2)
+    nxt = vals[c2 + 1]
     hits = c2[((nxt >= 0x80) & (nxt <= 0xA0)) | (nxt == 0xAD)]
-    if len(hits) == 0:
-        return _np.empty(0, _np.int64)
-    nul_pos = _np.flatnonzero(arr == 0)
-    return _np.unique(_np.searchsorted(nul_pos, hits))
+    return np.unique(np.searchsorted(offs, hits, side="right") - 1)
 
 
-def _prepare_texts(texts: list[str], profile: NormalizerProfile) -> list[str]:
-    if any("\x00" in t for t in texts):  # NUL joiner unsafe → per-doc path
-        if profile.fix_latin1:
-            texts = [
-                fix_latin1_mojibake(t) if looks_like_mojibake(t) else t
-                for t in texts
-            ]
-        return [
-            _translate_blob(t.encode("utf8"), profile.latin1_case).decode("utf8")
-            for t in texts
-        ]
-    blob = "\x00".join(texts).encode("utf8")
+def _prepare(arr: pa.StringArray, profile: NormalizerProfile) -> pa.StringArray:
+    """Mojibake fix (rare docs only, in Python) then the byte-level
+    translate over the whole value buffer, keeping its offsets."""
+    offs, vals = value_bytes(arr)
     if profile.fix_latin1:
-        moji = _mojibake_doc_ids(blob)
+        moji = _mojibake_doc_ids(vals, offs)
         if len(moji):
-            texts = list(texts)
-            for i in moji:
-                texts[i] = fix_latin1_mojibake(texts[i])
-            blob = "\x00".join(texts).encode("utf8")
-    return _translate_blob(blob, profile.latin1_case).decode("utf8").split("\x00")
+            mask = np.zeros(len(arr), dtype=bool)
+            mask[moji] = True
+            fixed = [fix_latin1_mojibake(arr[int(i)].as_py()) for i in moji]
+            arr = pc.replace_with_mask(arr, pa.array(mask),
+                                       pa.array(fixed, pa.string()))
+            offs, vals = value_bytes(arr)
+    blob = _translate_blob(vals, profile.latin1_case)
+    return pa.StringArray.from_buffers(
+        len(arr), pa.py_buffer(offs.astype(np.int32)), pa.py_buffer(blob))
 
 
-_TOK_SCRATCH: dict[str, _np.ndarray] = {}
+#: build-side stem memo: surface → stem as two aligned Arrow string
+#: arrays, so a warm build stems its vocabulary without Python strings
+_MEMO_SURFACE = pa.array([], pa.string())
+_MEMO_STEM = pa.array([], pa.string())
 
 
-def _tok_scratch(name: str, n: int, dtype) -> _np.ndarray:
+def _stem_vocab(words: pa.StringArray) -> pa.Array:
+    """Stem distinct ``words`` through the Arrow memo (``pc.index_in``);
+    only the misses reach Python (:func:`stem_uncached`) and join the
+    memo, up to its ``_CACHE_MAX`` entries."""
+    global _MEMO_SURFACE, _MEMO_STEM
+    stems = _MEMO_STEM.take(pc.index_in(words, value_set=_MEMO_SURFACE))
+    if not stems.null_count:
+        return stems
+    miss = stems.is_null()
+    new = words.filter(miss)
+    new_stems = pa.array([stem_uncached(w) for w in new.to_pylist()], pa.string())
+    room = _CACHE_MAX - len(_MEMO_SURFACE)
+    if room > 0:
+        _MEMO_SURFACE = pa.concat_arrays([_MEMO_SURFACE, new[:room]])
+        _MEMO_STEM = pa.concat_arrays([_MEMO_STEM, new_stems[:room]])
+    return pc.replace_with_mask(stems, miss, new_stems)
+
+
+def sorted_codes(values: pa.Array) -> tuple[np.ndarray, pa.Array]:
+    """``(codes, vocab)``: the distinct values in sorted order and each
+    value's position in them — Arrow's ``dictionary_encode`` with its
+    dictionary reordered by ``array_sort_indices``. UTF-8 byte order is
+    code-point order, the reference's ``std::map`` term order."""
+    de = values.dictionary_encode()
+    order = np.asarray(pc.array_sort_indices(de.dictionary))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank[np.asarray(de.indices)], de.dictionary.take(pa.array(order))
+
+
+_TOK_SCRATCH: dict[str, np.ndarray] = {}
+
+
+def _tok_scratch(name: str, n: int, dtype) -> np.ndarray:
     """Grow-only per-process scratch — fresh multi-MB temporaries pay
     ~100 µs/page first-touch on fault-pathological hosts, so the hot
     token-stream arrays are reused across batches (same pattern as
     ``pipelines.dedup._scratch_u64``)."""
     buf = _TOK_SCRATCH.get(name)
     if buf is None or buf.size < n:
-        buf = _np.empty(max(n + n // 4, 1024), dtype=dtype)
+        buf = np.empty(max(n + n // 4, 1024), dtype=dtype)
         _TOK_SCRATCH[name] = buf
     return buf[:n]
 
@@ -192,7 +244,7 @@ def _empty_term_lists(n: int):
     return np.zeros(n, dtype=np.uint64), empty_terms, empty_tfs
 
 
-def _mapped_stream(texts: list[str], profile: NormalizerProfile):
+def _mapped_stream(texts, profile: NormalizerProfile):
     """Shared vectorized head of :func:`tokenize_batch` /
     :func:`ordered_tokens_batch`: prepare → split → dictionary-encode the
     token stream, run every per-token filter (empties, stopwords, the
@@ -205,7 +257,7 @@ def _mapped_stream(texts: list[str], profile: NormalizerProfile):
     ``full_map[raw code]`` is the final term code (dropped codes map to
     the sentinel ``n_terms``, which sorts after every real term).
     """
-    arr = pa.array(_prepare_texts(texts, profile), pa.string())
+    arr = _prepare(string_array(texts), profile)
     # all C-locale whitespace was mapped to ' ' in the translate pass, so a
     # literal split suffices; empties from runs of spaces are filtered below
     toks = pc.split_pattern(arr, " ")
@@ -223,30 +275,24 @@ def _mapped_stream(texts: list[str], profile: NormalizerProfile):
     if profile.stemming:
         keep = pc.and_(keep, pc.invert(pc.is_in(vocab_pa, value_set=_STOPWORDS_ARR)))
         keep = pc.and_(keep, pc.less_equal(vlen, 240))
-    keep_np = np.asarray(keep)
-    kept_idx = np.flatnonzero(keep_np)
-    vocab = vocab_pa.to_pylist()
+    kept_idx = np.flatnonzero(np.asarray(keep))
+    kept = vocab_pa.take(pa.array(kept_idx))
     if profile.stemming:
-        kept_terms = [stem(vocab[i]) for i in kept_idx]
-    else:
-        kept_terms = [vocab[i] for i in kept_idx]
-    # collapse stem-equal tokens; np.unique on str objects sorts
-    # lexicographically == the reference's std::map term order
-    final_vocab, stem_code = np.unique(
-        np.asarray(kept_terms, dtype=object), return_inverse=True
-    )
+        kept = _stem_vocab(kept)
+    # collapse stem-equal tokens into the sorted final vocabulary
+    stem_code, final_vocab = sorted_codes(kept)
     n_terms = len(final_vocab)
     if n_terms == 0:
         return None
 
     # raw dictionary code -> final term code, dropped codes -> sentinel
-    full_map = np.full(len(vocab), n_terms, dtype=np.int64)
+    full_map = np.full(len(vocab_pa), n_terms, dtype=np.int64)
     full_map[kept_idx] = stem_code
     tok_counts = np.asarray(pc.list_value_length(toks)).astype(np.int64)
-    return tok_counts, codes, full_map, pa.array(final_vocab, pa.string()), n_terms
+    return tok_counts, codes, full_map, final_vocab, n_terms
 
 
-def ordered_tokens_batch(texts: list[str], profile: NormalizerProfile):
+def ordered_tokens_batch(texts, profile: NormalizerProfile):
     """Normalized token stream per document, ORDER-PRESERVING — the batch
     twin of :func:`..word_normalizer.normalize_tokens` (equality pinned by
     ``tests/test_normalizer.py``). Same vectorized head as
@@ -272,13 +318,25 @@ def ordered_tokens_batch(texts: list[str], profile: NormalizerProfile):
     return pa.LargeListArray.from_arrays(offsets, values)
 
 
-def tokenize_batch(texts: list[str], profile: NormalizerProfile):
-    """Tokenize a batch of documents.
+class Tokenized(NamedTuple):
+    """:func:`tokenize_codes` output: the public per-doc lists plus the
+    (doc, term) pair codes they were built from. ``pair_doc`` is
+    non-decreasing, ``pair_term`` indexes the sorted ``vocab``."""
 
-    Returns ``(doclens, term_lists, tf_lists)`` where ``doclens`` is an
-    ``np.uint64`` array and the lists are Arrow ``ListArray``s of per-doc
-    term-sorted unique terms and their frequencies — the same content as
-    ``sorted(term_frequencies(text).items())`` per doc.
+    doclens: np.ndarray
+    terms: pa.Array
+    tfs: pa.Array
+    poss: pa.Array | None
+    pair_doc: np.ndarray
+    pair_term: np.ndarray
+    vocab: pa.Array
+
+
+def tokenize_codes(texts, profile: NormalizerProfile,
+                   positions: bool = False) -> Tokenized:
+    """The tokenizer core behind :func:`tokenize_batch` and
+    :func:`tokenize_batch_positions`; index builds call it directly to
+    count per-segment dfs from the pair codes.
 
     The stream-sized work is one Arrow dictionary-encode, one in-place
     int64 sort and a run-length pass on reused scratch; every filter and
@@ -286,46 +344,85 @@ def tokenize_batch(texts: list[str], profile: NormalizerProfile):
     then fan back out through the dictionary codes. Dropped tokens map to
     a sentinel code that sorts past the real terms of each doc and is cut
     after the run-length pass — no stream-sized boolean filter copies.
+
+    With ``positions`` the sort is a stable argsort instead: a token's
+    position is its pre-sort stream order, which the in-place sort
+    discards, so positional builds pay one extra stream-sized
+    permutation.
     """
     n = len(texts)
     ms = _mapped_stream(texts, profile)
     if ms is None:
-        return _empty_term_lists(n)
-    tok_counts, codes, full_map, final_vocab_pa, n_terms = ms
-    n_tok = len(codes)
-
-    # (doc, term) pair counts via one in-place sort + run-length encode on
-    # scratch, sorted by (doc, term-code) == per-doc term-sorted order
+        doclens, terms_list, tfs_list = _empty_term_lists(n)
+        empty_pos = pa.LargeListArray.from_arrays(
+            np.zeros(n + 1, dtype=np.int64), pa.array([], pa.uint32())
+        ) if positions else None
+        no_pairs = np.zeros(0, dtype=np.int64)
+        return Tokenized(doclens, terms_list, tfs_list, empty_pos,
+                         no_pairs, no_pairs, pa.array([], pa.string()))
+    tok_counts, codes, full_map, final_vocab, n_terms = ms
     width = n_terms + 1
-    key = _tok_scratch("key", n_tok, np.int64)
-    np.take(full_map, codes, out=key)
-    key += np.repeat(np.arange(n, dtype=np.int64) * width, tok_counts)
-    key.sort()
+    pos_list = None
+    if positions:
+        stream = full_map[codes]  # final term code per token, stream order
+        doc_idx = np.repeat(np.arange(n, dtype=np.int64), tok_counts)
+        keep = stream < n_terms
+        kd = doc_idx[keep]
+        kept_per_doc = np.bincount(kd, minlength=n)
+        doc_offs = np.concatenate(([0], np.cumsum(kept_per_doc))).astype(np.int64)
+        # kd is non-decreasing, so position-within-doc is one subtraction
+        pos = (np.arange(len(kd), dtype=np.int64) - doc_offs[kd]).astype(np.uint32)
+        key = kd * width + stream[keep]
+        order = np.argsort(key, kind="stable")  # keeps stream order per pair
+        key = key[order]
+        # per-doc flat positions, (doc, term, stream order) sorted; the
+        # doc boundaries are the kept-token doc offsets
+        pos_list = pa.LargeListArray.from_arrays(doc_offs, pa.array(pos[order]))
+    else:
+        # (doc, term) pair counts via one in-place sort + run-length
+        # encode on scratch, sorted by (doc, term-code) == per-doc
+        # term-sorted order
+        key = _tok_scratch("key", len(codes), np.int64)
+        np.take(full_map, codes, out=key)
+        key += np.repeat(np.arange(n, dtype=np.int64) * width, tok_counts)
+        key.sort()
+    n_tok = len(key)
     change = _tok_scratch("chg", n_tok, bool)
     change[0] = True
     np.not_equal(key[1:], key[:-1], out=change[1:])
     starts = np.flatnonzero(change)
     pair_key = key[starts]
-    counts = np.diff(np.append(starts, n_tok))
+    tf = np.diff(np.append(starts, n_tok))
     pair_doc = pair_key // width
     pair_term = pair_key - pair_doc * width
     real = pair_term < n_terms  # cut the per-doc sentinel runs
-    pair_doc, pair_term, tf = pair_doc[real], pair_term[real], counts[real]
+    pair_doc, pair_term, tf = pair_doc[real], pair_term[real], tf[real]
 
     doclens = np.bincount(pair_doc, weights=tf, minlength=n).astype(np.uint64)
     pairs_per_doc = np.bincount(pair_doc, minlength=n)
     offsets = np.concatenate(([0], np.cumsum(pairs_per_doc))).astype(np.int64)
-
-    # gather term strings Arrow-side: one vocab-sized object->Arrow
-    # conversion + a C-speed take, instead of materializing a pair-count
-    # sized Python string array per batch
-    term_values = final_vocab_pa.take(pa.array(pair_term, pa.int64()))
+    # term strings gathered Arrow-side with one C-speed take
+    term_values = final_vocab.take(pa.array(pair_term, pa.int64()))
     terms_list = pa.LargeListArray.from_arrays(offsets, term_values)
     tfs_list = pa.LargeListArray.from_arrays(offsets, pa.array(tf, pa.uint32()))
-    return doclens, terms_list, tfs_list
+    return Tokenized(doclens, terms_list, tfs_list, pos_list,
+                     pair_doc, pair_term, final_vocab)
 
 
-def tokenize_batch_positions(texts: list[str], profile: NormalizerProfile):
+def tokenize_batch(texts, profile: NormalizerProfile):
+    """Tokenize a batch of documents (a list of ``str``, or an Arrow
+    string array or ``ChunkedArray``).
+
+    Returns ``(doclens, term_lists, tf_lists)`` where ``doclens`` is an
+    ``np.uint64`` array and the lists are Arrow ``ListArray``s of per-doc
+    term-sorted unique terms and their frequencies — the same content as
+    ``sorted(term_frequencies(text).items())`` per doc.
+    """
+    t = tokenize_codes(texts, profile)
+    return t.doclens, t.terms, t.tfs
+
+
+def tokenize_batch_positions(texts, profile: NormalizerProfile):
     """Position-carrying twin of :func:`tokenize_batch` for POSITIONAL
     index builds: additionally returns, per document, the 0-based token
     positions (within the document's KEPT, normalized token stream) of
@@ -336,57 +433,7 @@ def tokenize_batch_positions(texts: list[str], profile: NormalizerProfile):
 
     Returns ``(doclens, term_lists, tf_lists, pos_lists)``; the first
     three are element-identical to :func:`tokenize_batch`'s output
-    (pytest-pinned). Uses an argsort instead of the in-place key sort —
-    positions are the pre-sort stream order, which the in-place path
-    discards; positional builds pay this one extra stream-sized
-    permutation, non-positional builds keep the cheaper path.
+    (pytest-pinned).
     """
-    n = len(texts)
-    ms = _mapped_stream(texts, profile)
-    if ms is None:
-        doclens, terms_list, tfs_list = _empty_term_lists(n)
-        empty_pos = pa.LargeListArray.from_arrays(
-            np.zeros(n + 1, dtype=np.int64), pa.array([], pa.uint32()))
-        return doclens, terms_list, tfs_list, empty_pos
-    tok_counts, codes, full_map, final_vocab_pa, n_terms = ms
-
-    stream = full_map[codes]  # final term code per token, stream order
-    doc_idx = np.repeat(np.arange(n, dtype=np.int64), tok_counts)
-    keep = stream < n_terms
-    kd = doc_idx[keep]
-    kt = stream[keep]
-    kept_per_doc = np.bincount(kd, minlength=n)
-    doc_offs = np.concatenate(([0], np.cumsum(kept_per_doc))).astype(np.int64)
-    # kd is non-decreasing, so position-within-doc is one subtraction
-    pos = (np.arange(len(kd), dtype=np.int64) - doc_offs[kd]).astype(np.uint32)
-
-    width = n_terms + 1
-    key = kd * width + kt
-    order = np.argsort(key, kind="stable")  # keeps stream order per pair
-    key_s = key[order]
-    pos_s = pos[order]
-    n_tok = len(key_s)
-    if n_tok == 0:
-        doclens, terms_list, tfs_list = _empty_term_lists(n)
-        empty_pos = pa.LargeListArray.from_arrays(
-            np.zeros(n + 1, dtype=np.int64), pa.array([], pa.uint32()))
-        return doclens, terms_list, tfs_list, empty_pos
-    change = np.empty(n_tok, dtype=bool)
-    change[0] = True
-    np.not_equal(key_s[1:], key_s[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    pair_key = key_s[starts]
-    tf = np.diff(np.append(starts, n_tok))
-    pair_doc = pair_key // width
-    pair_term = pair_key - pair_doc * width
-
-    doclens = np.bincount(pair_doc, weights=tf, minlength=n).astype(np.uint64)
-    pairs_per_doc = np.bincount(pair_doc, minlength=n)
-    offsets = np.concatenate(([0], np.cumsum(pairs_per_doc))).astype(np.int64)
-    term_values = final_vocab_pa.take(pa.array(pair_term, pa.int64()))
-    terms_list = pa.LargeListArray.from_arrays(offsets, term_values)
-    tfs_list = pa.LargeListArray.from_arrays(offsets, pa.array(tf, pa.uint32()))
-    # per-doc flat positions: pos_s is already (doc, term, stream-order)
-    # sorted; the doc boundaries are the kept-token doc offsets
-    pos_list = pa.LargeListArray.from_arrays(doc_offs, pa.array(pos_s))
-    return doclens, terms_list, tfs_list, pos_list
+    t = tokenize_codes(texts, profile, positions=True)
+    return t.doclens, t.terms, t.tfs, t.poss

@@ -7,12 +7,20 @@ reference engine stems with libstemmer's ``english`` stemmer
 same algorithm, so stems are identical. No stemmer wheel is available in
 this environment, hence the from-spec implementation.
 
-The module-level :func:`stem` is memoized per process; the vocabulary of
-any corpus is far smaller than its token stream, so in the hot tokenizer
-path stemming amortizes to a dict lookup.
+Each suffix step looks its suffix up by the word's tail — one dict
+lookup by the word's last two letters, then ``str.endswith`` over the
+few suffixes that end in them, longest first — instead of scanning the
+step's whole suffix list. Wherever two suffixes of a step overlap the
+longer one wins, as the spec's "longest suffix" rule asks.
+
+The module-level :func:`stem` is memoized per process (the query-side
+memo). Index builds stem their vocabulary through the Arrow memo in
+:mod:`.batch`, which calls :func:`stem_uncached` for its misses only.
 """
 
 from __future__ import annotations
+
+import re
 
 VOWELS = frozenset("aeiouy")
 DOUBLES = ("bb", "dd", "ff", "gg", "mm", "nn", "pp", "rr", "tt")
@@ -56,27 +64,48 @@ _STEP4_SUFFIXES = (
 )
 
 
-def _is_vowel(word: str, i: int) -> bool:
-    return word[i] in VOWELS
+def _by_tail(pairs) -> dict[str, tuple[tuple[str, str], ...]]:
+    """``{last two letters: ((suffix, replacement), ...)}``, each tuple
+    longest suffix first. Every suffix has at least two letters."""
+    out: dict[str, list[tuple[str, str]]] = {}
+    for suf, rep in sorted(pairs, key=lambda p: -len(p[0])):
+        out.setdefault(suf[-2:], []).append((suf, rep))
+    return {tail: tuple(sufs) for tail, sufs in out.items()}
+
+
+_STEP1B = _by_tail((("eedly", "ee"), ("eed", "ee"), ("ingly", ""),
+                    ("edly", ""), ("ing", ""), ("ed", "")))
+_STEP2 = _by_tail(_STEP2_SUFFIXES)
+_STEP3 = _by_tail(_STEP3_SUFFIXES)
+_STEP4 = _by_tail((suf, "") for suf in _STEP4_SUFFIXES)
+
+
+def _longest_suffix(word: str, table) -> tuple[int, str] | None:
+    """``(length, replacement)`` of the longest suffix of ``word`` in a
+    :func:`_by_tail` table, or None: one dict lookup by the word's last
+    two letters, then ``endswith`` over the few suffixes sharing them."""
+    for suf, rep in table.get(word[-2:], ()):
+        if word.endswith(suf):
+            return len(suf), rep
+    return None
+
+
+# a vowel followed by a non-vowel; R1 and R2 end just after the first
+# one (R1 after one of the special prefixes, if the word starts with it)
+_VOWEL_NONVOWEL = re.compile("[aeiouy][^aeiouy]")
+_R1 = re.compile("gener|commun|arsen|[^aeiouy]*[aeiouy]+[^aeiouy]")
 
 
 def _compute_r1(word: str) -> int:
     """R1 = region after the first non-vowel following a vowel; with the
     spec's special prefixes gener-, commun-, arsen-."""
-    for prefix in ("gener", "commun", "arsen"):
-        if word.startswith(prefix):
-            return len(prefix)
-    for i in range(len(word) - 1):
-        if _is_vowel(word, i) and not _is_vowel(word, i + 1):
-            return i + 2
-    return len(word)
+    m = _R1.match(word)
+    return m.end() if m else len(word)
 
 
 def _compute_r2(word: str, r1: int) -> int:
-    for i in range(r1, len(word) - 1):
-        if _is_vowel(word, i) and not _is_vowel(word, i + 1):
-            return i + 2
-    return len(word)
+    m = _VOWEL_NONVOWEL.search(word, r1)
+    return m.end() if m else len(word)
 
 
 def _ends_short_syllable(word: str) -> bool:
@@ -84,7 +113,7 @@ def _ends_short_syllable(word: str) -> bool:
     end, or (b) vowel + non-vowel at the very beginning of the word."""
     n = len(word)
     if n == 2:
-        return _is_vowel(word, 0) and not _is_vowel(word, 1)
+        return word[0] in VOWELS and word[1] not in VOWELS
     if n >= 3:
         c1, c2, c3 = word[-3], word[-2], word[-1]
         return (
@@ -118,60 +147,59 @@ def stem_uncached(word: str) -> str:
         return _EXCEPTIONS1[word]
 
     # Mark consonant-y: initial y, or y after a vowel, is a consonant (Y)
-    chars = list(word)
-    if chars[0] == "y":
-        chars[0] = "Y"
-    for i in range(1, len(chars)):
-        if chars[i] == "y" and chars[i - 1] in VOWELS:
-            chars[i] = "Y"
-    word = "".join(chars)
+    if "y" in word:
+        chars = list(word)
+        if chars[0] == "y":
+            chars[0] = "Y"
+        for i in range(1, len(chars)):
+            if chars[i] == "y" and chars[i - 1] in VOWELS:
+                chars[i] = "Y"
+        word = "".join(chars)
 
     r1 = _compute_r1(word)
     r2 = _compute_r2(word, r1)
 
     # Step 0: longest of  '  's  's'
-    for suf in ("'s'", "'s", "'"):
-        if word.endswith(suf):
-            word = word[: -len(suf)]
-            break
+    if "'" in word:
+        for suf in ("'s'", "'s", "'"):
+            if word.endswith(suf):
+                word = word[: -len(suf)]
+                break
 
     # Step 1a
-    if word.endswith("sses"):
-        word = word[:-2]
-    elif word.endswith(("ied", "ies")):
-        word = word[:-3] + ("i" if len(word) > 4 else "ie")
-    elif word.endswith(("us", "ss")):
-        pass
-    elif word.endswith("s"):
-        # delete if the preceding word part contains a vowel not
+    if word.endswith("s"):
+        if word.endswith("sses"):
+            word = word[:-2]
+        elif word.endswith("ies"):
+            word = word[:-3] + ("i" if len(word) > 4 else "ie")
+        elif word.endswith(("us", "ss")):
+            pass
+        # delete the s if the preceding word part contains a vowel not
         # immediately before the s
-        if _contains_vowel(word[:-2]):
+        elif _contains_vowel(word[:-2]):
             word = word[:-1]
+    elif word.endswith("ied"):
+        word = word[:-3] + ("i" if len(word) > 4 else "ie")
 
     if word in _EXCEPTIONS2:
         return word
 
-    # Step 1b
-    step1b_done = False
-    for suf, cond_r1 in (("eedly", True), ("eed", True)):
-        if word.endswith(suf):
-            if len(word) - len(suf) >= r1:
-                word = word[: -len(suf)] + "ee"
-            step1b_done = True
-            break
-    if not step1b_done:
-        for suf in ("ingly", "edly", "ing", "ed"):
-            if word.endswith(suf):
-                stem_part = word[: -len(suf)]
-                if _contains_vowel(stem_part):
-                    word = stem_part
-                    if word.endswith(("at", "bl", "iz")):
-                        word += "e"
-                    elif word.endswith(DOUBLES):
-                        word = word[:-1]
-                    elif _is_short(word, r1):
-                        word += "e"
-                break
+    # Step 1b: eed/eedly (replacement "ee") need R1; ed/edly/ing/ingly
+    # (replacement "") need a vowel before them
+    m = _longest_suffix(word, _STEP1B)
+    if m is not None:
+        k, rep = m
+        if rep:
+            if len(word) - k >= r1:
+                word = word[:-k] + rep
+        elif _contains_vowel(word[:-k]):
+            word = word[:-k]
+            if word.endswith(("at", "bl", "iz")):
+                word += "e"
+            elif word.endswith(DOUBLES):
+                word = word[:-1]
+            elif _is_short(word, r1):
+                word += "e"
 
     # Step 1c: y/Y → i if preceded by a non-vowel which is not word-initial
     if (
@@ -182,11 +210,11 @@ def stem_uncached(word: str) -> str:
         word = word[:-1] + "i"
 
     # Step 2 (suffix must lie in R1)
-    for suf, rep in _STEP2_SUFFIXES:
-        if word.endswith(suf):
-            if len(word) - len(suf) >= r1:
-                word = word[: -len(suf)] + rep
-            break
+    m = _longest_suffix(word, _STEP2)
+    if m is not None:
+        k, rep = m
+        if len(word) - k >= r1:
+            word = word[:-k] + rep
     else:
         if word.endswith("ogi"):
             if len(word) - 3 >= r1 and len(word) >= 4 and word[-4] == "l":
@@ -196,22 +224,22 @@ def stem_uncached(word: str) -> str:
                 word = word[:-2]
 
     # Step 3 (suffix in R1; "ative" additionally requires R2)
-    for suf, rep in _STEP3_SUFFIXES:
-        if word.endswith(suf):
-            if len(word) - len(suf) >= r1:
-                word = word[: -len(suf)] + rep
-            break
+    m = _longest_suffix(word, _STEP3)
+    if m is not None:
+        k, rep = m
+        if len(word) - k >= r1:
+            word = word[:-k] + rep
     else:
         if word.endswith("ative"):
             if len(word) - 5 >= r1 and len(word) - 5 >= r2:
                 word = word[:-5]
 
     # Step 4 (suffix in R2)
-    for suf in _STEP4_SUFFIXES:
-        if word.endswith(suf):
-            if len(word) - len(suf) >= r2:
-                word = word[: -len(suf)]
-            break
+    m = _longest_suffix(word, _STEP4)
+    if m is not None:
+        k = m[0]
+        if len(word) - k >= r2:
+            word = word[:-k]
     else:
         if word.endswith("ion"):
             if len(word) - 3 >= r2 and len(word) >= 4 and word[-4] in "st":

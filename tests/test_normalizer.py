@@ -1,6 +1,11 @@
 """Normalizer goldens, ported from the reference's unit tests
 (reference tests/test_normalizer.cpp) plus Porter2 spec vectors."""
 
+import hashlib
+
+import numpy as np
+import pyarrow as pa
+
 from searchenginepp_ray.config import FULL_PROFILE, SIMPLE_PROFILE, NormalizerProfile
 from searchenginepp_ray.normalizer import (
     STOP_WORDS,
@@ -146,13 +151,22 @@ def test_batch_tokenizer_matches_scalar():
         NormalizerProfile(stemming=True, fix_latin1=False, latin1_case=False),
         NormalizerProfile(stemming=False, fix_latin1=True, latin1_case=True),
     ]
+    # the same rows as a list, a two-chunk ChunkedArray and a slice with
+    # a non-zero offset into a larger array
+    inputs = [
+        texts,
+        pa.chunked_array([texts[:120], texts[120:]], pa.string()),
+        pa.array(["Ã© skipped head", "x\x00y"] + texts, pa.string()).slice(2),
+    ]
     for prof in profiles:
-        doclens, terms, tfs = tokenize_batch(texts, prof)
-        tl, fl = terms.to_pylist(), tfs.to_pylist()
-        for i, t in enumerate(texts):
-            exp = sorted(term_frequencies(t, prof).items())
-            assert list(zip(tl[i], fl[i])) == exp, (prof, i)
-            assert doclens[i] == sum(v for _, v in exp)
+        for batch in inputs:
+            doclens, terms, tfs = tokenize_batch(batch, prof)
+            tl, fl = terms.to_pylist(), tfs.to_pylist()
+            assert len(tl) == len(texts)
+            for i, t in enumerate(texts):
+                exp = sorted(term_frequencies(t, prof).items())
+                assert list(zip(tl[i], fl[i])) == exp, (prof, type(batch), i)
+                assert doclens[i] == sum(v for _, v in exp)
 
 
 def test_batch_tokenizer_fuzz_unicode():
@@ -176,3 +190,71 @@ def test_batch_tokenizer_fuzz_unicode():
                 assert doclens[i] == sum(v for _, v in exp)
 
     check()
+
+
+def _stem_pin_words() -> list[str]:
+    """A generated syllable vocabulary, the code corpus vocabulary, and
+    every Step 0-5 suffix appended to a set of generated stems."""
+    from searchenginepp_ray.sources.corpus_gen import VOCAB
+
+    rng = np.random.default_rng(20261018)
+    cons = list("bcdfghjklmnpqrstvwxz") + ["th", "sh", "ch", "st", "tr", "bl", "y"]
+    vows = list("aeiouy") + ["ee", "oo", "ea", "ai", "ie"]
+    syl = np.array([c + v for c in cons for v in vows]
+                   + [v + c for v in vows for c in cons], dtype=object)
+    words = set()
+    for n in (1, 2, 3, 4):
+        picks = syl[rng.integers(0, len(syl), size=(4000, n))]
+        words.update("".join(row) for row in picks)
+    words.update(w.lower() for w in VOCAB)
+    suffixes = (
+        "'s' 's ' sses ied ies us ss s eedly eed ingly edly ing ed y "
+        "ization ational fulness ousness iveness tional biliti lessli entli "
+        "ation alism aliti ousli iviti fulli enci anci abli izer ator alli "
+        "bli ogi logi li cli alize icate iciti ical ful ness ative ement "
+        "ance ence able ible ment ant ent ism ate iti ous ive ize al er ic "
+        "ion sion tion e l ll"
+    ).split()
+    stems = ["gener", "commun", "arsen", "bat", "hop", "cry", "fly", "sky",
+             "y", "ay", "oy", "a", "be", "tri"]
+    stems += list(dict.fromkeys(
+        "".join(r) for r in syl[rng.integers(0, len(syl), size=(300, 2))]))
+    words.update(s + suf for s in stems for suf in suffixes)
+    words.update("'" + w for w in sorted(words)[:500])
+    return sorted(words)
+
+
+def test_porter2_stem_pin():
+    """The stems of 36k generated words hash to the digest recorded from
+    the list-scanning suffix steps the tail lookups replaced."""
+    from searchenginepp_ray.normalizer.porter2 import stem_uncached
+
+    words = _stem_pin_words()
+    h = hashlib.sha256()
+    for w in words:
+        h.update(f"{w}\t{stem_uncached(w)}\n".encode("utf8"))
+    assert len(words) == 36310
+    assert h.hexdigest() == (
+        "6bb3822806ff8baa40c7d7a0b7a1cde20e758df97dff1e0e225d63fdf3e63cca")
+
+
+def test_stem_memo_at_cap(monkeypatch):
+    """The build-side Arrow memo answers known words from the memo and
+    new words through the stemmer; once at its cap it stops growing but
+    keeps stemming correctly."""
+    from searchenginepp_ray.normalizer import batch
+    from searchenginepp_ray.normalizer.porter2 import stem_uncached
+
+    known = ["running", "nations", "happiness"]
+    monkeypatch.setattr(batch, "_MEMO_SURFACE", pa.array(known, pa.string()))
+    monkeypatch.setattr(batch, "_MEMO_STEM", pa.array(
+        [stem_uncached(w) for w in known], pa.string()))
+    monkeypatch.setattr(batch, "_CACHE_MAX", 5)
+    words = ["generously", "running", "cats", "happiness", "flying",
+             "conditional", "nations"]
+    for _ in range(2):
+        got = batch._stem_vocab(pa.array(words, pa.string())).to_pylist()
+        assert got == [stem_uncached(w) for w in words]
+        assert batch._MEMO_SURFACE.to_pylist() == known + ["generously", "cats"]
+        assert batch._MEMO_STEM.to_pylist() == [
+            stem_uncached(w) for w in batch._MEMO_SURFACE.to_pylist()]

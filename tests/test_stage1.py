@@ -1,0 +1,131 @@
+"""Build stage 1 (``TokenizeShards``): columnar docnos, the df partials
+counted from the tokenizer's pair codes, and refusal of docno columns
+the columnar join cannot format."""
+
+import glob
+import os
+import shutil
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import pytest
+
+from searchenginepp_ray.config import BuildConfig
+from searchenginepp_ray.index.build import _docnos, build_index, compact_index
+from searchenginepp_ray.index.tombstone import delete_docs
+from searchenginepp_ray.sources.corpus_gen import generate_corpus
+from searchenginepp_ray.sources.parquet_corpus import ColumnSpec
+
+
+def test_docnos_match_str_format():
+    """String and integer docno columns join to exactly the bytes
+    ``str.format(docno_format)`` gave row by row, nulls included."""
+    t = pa.table({
+        "repo": pa.array(["a/b", "Ünï", None, "", "x:y@z"], pa.string()),
+        "path": pa.array(["src/m.py", "東京.rs", "p", None, "q"],
+                         pa.large_string()),
+        "commit": pa.array([7, -3, None, 0, 2**40], pa.int64()),
+        "n": pa.array([1, 2, 3, 2**64 - 1, 0], pa.uint64()),
+        "i8": pa.array([-128, 127, 0, None, 5], pa.int8()),
+    })
+    for cols in [("repo",), ("commit",), ("n",), ("repo", "path"),
+                 ("repo", "path", "commit"), ("n", "i8", "repo"),
+                 ("i8", "commit", "path", "repo")]:
+        spec = ColumnSpec(text_col="unused", docno_cols=cols)
+        fmt = spec.docno_format()
+        exp = [fmt.format(*row) for row in
+               zip(*(t[c].to_pylist() for c in cols))]
+        got = _docnos(t, spec)
+        assert got.type == pa.string()
+        assert got.to_pylist() == exp, cols
+
+
+def _write(tmp, name, table, rows_per_group=64):
+    corpus = tmp / name
+    corpus.mkdir()
+    pq.write_table(table, str(corpus / "a.parquet"), row_group_size=rows_per_group)
+    return str(corpus)
+
+
+def test_float_docno_column_refused(ray_session, tmp_path):
+    """A float docno column would format differently in Arrow than in
+    ``str.format``; the build refuses it with the task's own
+    ``ValueError`` before any doc file is written."""
+    t = pa.table({"doc_id": pa.array([1.0, 2.5, 3.0], pa.float64()),
+                  "text": ["alpha beta", "beta gamma", "gamma delta"]})
+    corpus = _write(tmp_path, "corpus", t)
+    idx = str(tmp_path / "idx")
+    spec = ColumnSpec(text_col="text", docno_cols=("doc_id",))
+    with pytest.raises(ValueError, match="docno column 'doc_id'"):
+        build_index(corpus, idx, BuildConfig(docs_per_segment=2), spec)
+    assert not glob.glob(os.path.join(idx, "docs", "seg=*", "*.parquet"))
+
+
+def _value_counts_partials(docs: pa.Table) -> tuple[dict, dict]:
+    """The (seg, term) → df and seg → Σdoclen a per-segment
+    ``value_counts`` over the doc rows' term lists gives."""
+    df, dl = {}, {}
+    for seg in pc.unique(docs["seg"]).to_pylist():
+        part = docs.filter(pc.equal(docs["seg"], seg))
+        vc = pc.list_flatten(part["terms"]).value_counts()
+        for term, n in zip(vc.field("values").to_pylist(),
+                           vc.field("counts").to_pylist()):
+            df[(seg, term)] = n
+        if len(vc):
+            dl[seg] = int(pc.sum(part["doclen"]).as_py())
+    return df, dl
+
+
+def _check_partials(idx: str) -> int:
+    """Every ``_partials`` file equals the value-counts partials of the
+    doc parts written under the same name; returns the files checked."""
+    pfiles = sorted(glob.glob(os.path.join(idx, "docs", "_partials", "*.parquet")))
+    for pf in pfiles:
+        name = os.path.basename(pf)
+        parts = []
+        for f in glob.glob(os.path.join(idx, "docs", "seg=*", name)):
+            seg = int(os.path.basename(os.path.dirname(f)).split("=")[1])
+            d = pq.read_table(f, columns=["doclen", "terms"])
+            parts.append(d.append_column(
+                "seg", pa.array(np.full(len(d), seg, np.int32))))
+        exp_df, exp_dl = _value_counts_partials(pa.concat_tables(parts))
+        p = pq.read_table(pf)
+        rows = list(zip(p["seg"].to_pylist(), p["term"].to_pylist(),
+                        p["df_part"].to_pylist(), p["doclen_part"].to_pylist()))
+        assert {(s, t): n for s, t, n, _ in rows} == exp_df
+        assert len(rows) == len(exp_df)
+        got_dl = {}
+        for s, _, _, d in rows:
+            got_dl[s] = got_dl.get(s, 0) + d
+        assert got_dl == exp_dl
+        for seg in set(got_dl):  # term-sorted within each segment
+            terms = [t for s, t, _, _ in rows if s == seg]
+            assert terms == sorted(terms)
+    return len(pfiles)
+
+
+@pytest.mark.parametrize("positions", [False, True],
+                         ids=["plain", "positions"])
+def test_code_partials_match_value_counts(ray_session, tmp_path, positions):
+    """The partials counted from the tokenizer's pair codes (build) and
+    from dictionary-encoded term lists (compaction) equal the
+    value-counts partials per (segment, term)."""
+    t = generate_corpus(300, seed=5)
+    corpus = _write(tmp_path, "corpus", t)
+    cfg = BuildConfig(docs_per_segment=100, positions=positions)
+    idx = str(tmp_path / "idx")
+    build_index(corpus, idx, cfg)
+    assert _check_partials(idx) == 5  # 64-row shards, some span two segments
+
+    src = str(tmp_path / "tombstoned")
+    shutil.copytree(idx, src)
+    docnos = pa.concat_tables(
+        [pq.read_table(f, columns=["docno"])
+         for f in glob.glob(os.path.join(idx, "docs", "seg=*", "*.parquet"))]
+    )["docno"].to_pylist()
+    delete_docs(src, sorted(docnos)[::5])
+    compacted = str(tmp_path / "compacted")
+    compact_index(src, compacted)
+    assert _check_partials(compacted) >= 1
