@@ -4,7 +4,7 @@
 sf0.001 ``documents`` table with the reference's CI normalizer profile,
 then BM25 top-k through the segment-actor engine). ``queries()`` exposes
 every implemented operator from SURVEY.md §2 plus the training-data
-operators (dedup / similarity / text analysis / windows); each
+operators (dedup / similarity / text analysis / sampling); each
 SQL-expressible one has a matching DuckDB oracle in ``oracle_sql()``.
 
 Ray is initialised by the driver BEFORE this module is imported; nothing
@@ -27,7 +27,7 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    from searchenginepp_ray.pipelines import clean, dedup, events, relational, sample, similarity, text_stats
+    from searchenginepp_ray.pipelines import clean, dedup, relational, sample, similarity, text_stats
     from searchenginepp_ray.pipelines import search_docs
 
     return {
@@ -325,60 +325,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # map-side-combined group aggregate over the TPC-H side tables) ---
         "nation_revenue": lambda sf: relational.nation_revenue(sf),
         "pricing_summary": lambda sf: relational.pricing_summary(sf),
-        # --- stream-shaped ---
-        "windowed_agg": lambda sf: events.windowed_agg(sf),
-        "sliding_window_agg": lambda sf: events.sliding_window_agg(sf),
-        "sessionize": lambda sf: events.sessionize(sf),
-        "event_type_stats": lambda sf: events.event_type_stats(sf),
-        # composed sessionize -> distribution readout: exact session-
-        # duration quantiles from a domain-bounded histogram exchange
-        "session_duration_quantiles":
-            lambda sf: events.session_duration_quantiles(sf),
-        # semi-structured JSON props extraction + per-type aggregate —
-        # DuckDB's C JSON parser as the shared per-batch kernel
-        "event_props_stats": lambda sf: events.event_props_stats(sf),
-        # first-order Markov transition matrix over per-user event
-        # streams: per-partition vectorized pair reduction, then a
-        # transition-matrix-sized exchange + per-prev normalization
-        "event_transitions": lambda sf: events.event_transitions(sf),
-        # conversion-funnel analysis: ordered step completion per user
-        # (earliest-completion chain), one user-keyed exchange
-        "funnel_analysis": lambda sf: events.funnel_analysis(sf),
-        # cohort retention matrix (first-active-period cohorts ×
-        # return offsets; one user-keyed exchange, grid-bounded agg)
-        "cohort_retention": lambda sf: events.cohort_retention(sf),
-        # per-type z-score anomaly flags (exact integer-cent moments,
-        # broadcast stats, outlier-rows-only output) and a pivot/wide
-        # reshape that runs on the bounded aggregate, never raw rows
-        "event_outliers": lambda sf: events.event_outliers(sf),
-        "event_weekday_pivot": lambda sf: events.event_weekday_pivot(sf),
-        # event-time joins Ray Data lacks natively (hash exchange on the
-        # equality key + vectorized per-partition temporal kernel)
-        "asof_join": lambda sf: events.asof_join(sf),
-        "range_join": lambda sf: events.range_join(sf),
-        # grouped top-k at scaling key cardinality (map-side partial
-        # top-k) and exact histogram-based quantiles (exchange bounded
-        # by the value domain, not the row count)
-        "top_events_per_user": lambda sf: events.top_events_per_user(sf),
-        "value_quantiles": lambda sf: events.value_quantiles(sf),
-        # log-linear HDR quantile sketch: the unbounded-domain scale
-        # path (<= 64*m count buckets regardless of rows; exact IEEE
-        # bucket math so the WHOLE sketch is oracle-hash-checked)
-        "price_quantiles_hdr":
-            lambda sf: events.price_quantiles_hdr(sf),
-        # per-user running window functions (cumsum in exact integer
-        # cents + lag) — one exchange, vectorized per-partition kernel
-        "user_value_running": lambda sf: events.user_value_running(sf),
-        # exact global RANK() without a global sort: domain-bounded
-        # histogram exchange + broadcast prefix offsets + streaming map
-        "global_value_rank": lambda sf: events.global_value_rank(sf),
-        # exact grouped COUNT DISTINCT (two-level: dedup exchange on
-        # (type,user) spreads hot types over the full partition width)
-        "event_user_distinct": lambda sf: events.event_user_distinct(sf),
-        # grouped HLL sketch, bit-reproducible in SQL (exact-integer
-        # registers + one correctly-rounded division) — hash-checked
-        "event_user_distinct_hll":
-            lambda sf: events.event_user_distinct_hll(sf),
         # distributed anti-join / left-outer aggregate join
         "customers_without_orders":
             lambda sf: relational.customers_without_orders(sf),
@@ -503,38 +449,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # curriculum ordering: exact global rank by (quality DESC,
         # doc_id) via histogram offsets on the bounded 6 dp score grid
         "curriculum_order": lambda sf: sample.curriculum_order(sf),
-        # fixed-iteration PageRank over the part co-purchase graph —
-        # iterative distributed algorithm, rank state never on the driver
-        # bounded multi-source BFS (hop distances from seed parts):
-        # one co-partition relaxation + one min merge per round
-        "part_bfs": lambda sf: _graph().part_bfs(sf),
-        # true fixpoint connected components of the co-purchase graph
-        # (label propagation + pointer jumping; one scalar per round
-        # to the driver)
-        "part_components": lambda sf: _graph().part_components(sf),
-        # Dataset-form equivalence twin of part_pagerank_bsp (the
-        # served path): gated at 2 unrolled iterations — enough to
-        # exercise every exchange shape once while keeping the sf0.1
-        # sweep cheap; the BSP entry carries the 5-iteration gate
-        "part_pagerank": lambda sf: _graph().part_pagerank(sf, iters=2),
-        # item-item collaborative filtering ("also bought"): per-part
-        # top-k by incidence-cosine; support cut before attach traffic
-        "part_recommendations":
-            lambda sf: _graph().part_recommendations(sf),
-        # PERSONALIZED PageRank: teleport mass restricted to a seed
-        # part set — proximity-to-seeds instead of global centrality
-        "part_pagerank_seeded":
-            lambda sf: _graph().part_pagerank_seeded(sf),
-        # exact distributed triangle census (degree-ordered wedge
-        # generation + pair-key co-partition closing)
-        "part_triangles": lambda sf: _graph().part_triangles(sf),
-        # per-node local clustering coefficient (census machinery with
-        # per-corner triangle attribution + a degree join)
-        "part_clustering": lambda sf: _graph().part_clustering(sf),
-        # same recurrence through the edge-STATIONARY raw-actor BSP
-        # engine (edges and rank shards pinned per actor; only
-        # contribution partials move per superstep)
-        "part_pagerank_bsp": lambda sf: _graph().part_pagerank_bsp(sf),
         # deterministic content-addressed shard export + manifest
         # checksums (the terminal training-export stage)
         # sequence-packing planner: every doc's position in the
@@ -606,11 +520,6 @@ def _export():
     return export
 
 
-def _graph():
-    from searchenginepp_ray.pipelines import graph
-
-    return graph
-
 
 def oracle_sql() -> dict[str, str]:
     from searchenginepp_ray.pipelines import oracle_sql as osql
@@ -651,8 +560,6 @@ def oracle_sql() -> dict[str, str]:
         "search_snippets": osql.search_snippets_sql(),
         "search_hybrid_rrf": osql.search_hybrid_rrf_sql(),
         "retrieval_triplets": osql.retrieval_triplets_sql(),
-        "event_outliers": osql.event_outliers_sql(),
-        "event_weekday_pivot": osql.event_weekday_pivot_sql(),
         "repetition_stats": osql.repetition_stats_sql(),
         "pii_redact": osql.pii_redact_sql(),
         "decontaminate": osql.decontaminate_sql(),
@@ -703,26 +610,7 @@ def oracle_sql() -> dict[str, str]:
         "compression_ratio_stored": osql.compression_ratio_stored_sql(),
         "nation_revenue": osql.nation_revenue_sql(),
         "pricing_summary": osql.pricing_summary_sql(),
-        "windowed_agg": osql.windowed_agg_sql(),
-        "sliding_window_agg": osql.sliding_window_agg_sql(),
-        "sessionize": osql.sessionize_sql(),
-        "session_duration_quantiles":
-            osql.session_duration_quantiles_sql(),
-        "event_type_stats": osql.event_type_stats_sql(),
-        "event_props_stats": osql.event_props_stats_sql(),
         "naive_bayes_lang": osql.naive_bayes_lang_sql(),
-        "event_transitions": osql.event_transitions_sql(),
-        "funnel_analysis": osql.funnel_analysis_sql(),
-        "cohort_retention": osql.cohort_retention_sql(),
-        "asof_join": osql.asof_join_sql(),
-        "range_join": osql.range_join_sql(),
-        "top_events_per_user": osql.top_events_per_user_sql(),
-        "value_quantiles": osql.value_quantiles_sql(),
-        "price_quantiles_hdr": osql.price_quantiles_hdr_sql(),
-        "user_value_running": osql.user_value_running_sql(),
-        "global_value_rank": osql.global_value_rank_sql(),
-        "event_user_distinct": osql.event_user_distinct_sql(),
-        "event_user_distinct_hll": osql.event_user_distinct_hll_sql(),
         "customers_without_orders": osql.customers_without_orders_sql(),
         "customer_order_counts": osql.customer_order_counts_sql(),
         "order_rollup": osql.order_rollup_sql(),
@@ -766,14 +654,6 @@ def oracle_sql() -> dict[str, str]:
         "dataset_split": osql.dataset_split_sql(),
         "epoch_shuffle": osql.epoch_shuffle_sql(),
         "curriculum_order": osql.curriculum_order_sql(),
-        "part_pagerank": osql.part_pagerank_sql(iters=2),
-        "part_recommendations": osql.part_recommendations_sql(),
-        "part_pagerank_seeded": osql.part_pagerank_seeded_sql(),
-        "part_bfs": osql.part_bfs_sql(),
-        "part_components": osql.part_components_sql(),
-        "part_triangles": osql.part_triangles_sql(),
-        "part_clustering": osql.part_clustering_sql(),
-        "part_pagerank_bsp": osql.part_pagerank_sql(),
         "doc_embedding": osql.doc_embedding_sql(),
         "doc_keywords": osql.doc_keywords_sql(),
         "doc_similarity_pairs": osql.doc_similarity_pairs_sql(),
@@ -792,8 +672,7 @@ def oracle_sql() -> dict[str, str]:
         # hash-gated degenerate twins exist where exactness is
         # reachable),
         # hll_distinct_terms (xxhash precision tier; the portable
-        # vocab_distinct_hll and event_user_distinct_hll ARE
-        # hash-checked), compression_ratio (default-level zlib block
+        # vocab_distinct_hll IS hash-checked), compression_ratio (default-level zlib block
         # chunking; the level-0 compression_ratio_stored twin IS
         # hash-checked), bpe_train/tokenize
         # (iterative merge semantics)

@@ -17,7 +17,7 @@ import ray
 sys.path.insert(0, ".")
 
 TABLES = (
-    "region nation customer supplier part orders lineitem events documents embeddings"
+    "region nation customer supplier part orders lineitem documents embeddings"
 ).split()
 
 

@@ -134,8 +134,7 @@ def naive_bayes_lang(sf_dir: str) -> "ray.data.Dataset":
     from .text_stats import documents_ds, round6_half_up, term_df
 
     def tok(t: pa.Table) -> pa.Table:
-        doclens, terms_list, tfs_list = tokenize_batch(
-            t["text"].to_pylist(), SIMPLE_PROFILE)
+        doclens, terms_list, tfs_list = tokenize_batch(t["text"], SIMPLE_PROFILE)
         return pa.table({
             "doc_id": t["doc_id"],
             "lang": t["lang"],

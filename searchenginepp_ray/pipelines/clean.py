@@ -38,14 +38,13 @@ def _clean_pass(
     stops_arr = pa.array(QUALITY_STOPS, pa.string())
 
     def passer(t: pa.Table) -> pa.Table:
-        texts = t["text"].to_pylist()
-        n = len(texts)
+        n = len(t)
         if n == 0:
             return pa.table(
                 {"doc_id": pa.array([], pa.int64()),
                  "text_md5": pa.array([], pa.string())}
             )
-        doclens, terms_list, tfs_list = tokenize_batch(texts, SIMPLE_PROFILE)
+        doclens, terms_list, tfs_list = tokenize_batch(t["text"], SIMPLE_PROFILE)
         n_tok = doclens.astype(np.int64)
         n_dis = np.asarray(pc.list_value_length(terms_list)).astype(np.int64)
         flat_terms = pc.list_flatten(terms_list)

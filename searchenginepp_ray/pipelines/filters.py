@@ -326,7 +326,7 @@ def decontaminate_bloom(sf_dir: str, w: int = 3, bench_mod: int = 97,
     Bit-reproducible across engines: positions come from the portable
     md5 prefix (exact integer ops only), so the SQL oracle builds the
     IDENTICAL filter and the driver hash-gates the whole mechanism —
-    sketch twins (`event_user_distinct_hll`, this) are hash-checked,
+    sketch twins (`vocab_distinct_hll`, this) are hash-checked,
     not rows-only. Returns (doc_id, contaminated_bloom) for non-bench
     docs."""
     import ray
@@ -719,8 +719,7 @@ def importance_weights(sf_dir: str, target_lang: str = "en",
     B = int(n_buckets)
 
     def doc_terms(t: pa.Table) -> pa.Table:
-        doclens, terms_list, tfs_list = tokenize_batch(
-            t["text"].to_pylist(), SIMPLE_PROFILE)
+        doclens, terms_list, tfs_list = tokenize_batch(t["text"], SIMPLE_PROFILE)
         return pa.table({"doc_id": t["doc_id"],
                          "lang": t["lang"],
                          "terms": terms_list, "tfs": tfs_list})

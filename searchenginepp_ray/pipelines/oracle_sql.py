@@ -539,107 +539,10 @@ def embedding_norm_stats_sql() -> str:
 FROM embeddings GROUP BY label"""
 
 
-def windowed_agg_sql(window_s: int = 3600) -> str:
-    return f"""SELECT event_type,
-       (epoch_us(ts) // 1000000 // {window_s}) * {window_s} AS window_start,
-       CAST(COUNT(*) AS BIGINT) AS n_events,
-       ROUND(SUM(value), 4) AS value_sum,
-       MIN(value) AS value_min,
-       MAX(value) AS value_max
-FROM events GROUP BY event_type, window_start"""
-
-
-def sliding_window_agg_sql(window_s: int = 3600, slide_s: int = 900) -> str:
-    """Oracle for pipelines.events.sliding_window_agg: expand each event
-    into every covering window start (a multiple of slide_s)."""
-    return f"""
-SELECT event_type,
-       CAST(k * {slide_s} AS BIGINT) AS window_start,
-       CAST(COUNT(*) AS BIGINT) AS n_events,
-       ROUND(SUM(value), 4) AS value_sum
-FROM (SELECT event_type, value, epoch_us(ts) // 1000000 AS e FROM events),
-     unnest(range((e - {window_s}) // {slide_s} + 1, e // {slide_s} + 1)) AS r(k)
-GROUP BY 1, 2
-"""
-
-
-def sessionize_sql(gap_s: int = 1800) -> str:
-    return f"""WITH e AS (SELECT user_id, epoch_us(ts) // 1000000 AS t FROM events),
-o AS (SELECT user_id, t, lag(t) OVER (PARTITION BY user_id ORDER BY t) AS pt FROM e),
-s AS (SELECT user_id, t,
-             CASE WHEN pt IS NULL OR t - pt > {gap_s} THEN 1 ELSE 0 END AS ns
-      FROM o),
-g AS (SELECT user_id, t,
-             SUM(ns) OVER (PARTITION BY user_id ORDER BY t
-                           ROWS UNBOUNDED PRECEDING) AS sid
-      FROM s),
-c AS (SELECT user_id, sid, COUNT(*) AS n FROM g GROUP BY user_id, sid)
-SELECT user_id,
-       CAST(SUM(n) AS BIGINT) AS n_events,
-       CAST(COUNT(*) AS BIGINT) AS n_sessions,
-       CAST(MAX(n) AS BIGINT) AS max_session_events
-FROM c GROUP BY user_id"""
-
-
-def event_type_stats_sql() -> str:
-    return """SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n,
-       ROUND(SUM(value), 4) AS value_sum
-FROM events GROUP BY event_type"""
-
-
-def event_user_distinct_hll_sql() -> str:
-    """Oracle for events.event_user_distinct_hll: the SAME HyperLogLog
-    sketch evaluated in SQL — 52-bit md5-prefix hash, bucket = hash %
-    512, ρ = 44 − bit_length of the 43-bit suffix (bit_length via the
-    exact smear+popcount identity, no float log2), harmonic denominator
-    as an exact BIGINT Σ 1<<(44−M), identical α·m²·2^44/denom estimate
-    and small-range branch. Register-for-register identical to the Ray
-    side, so the hash gate pins the sketch bit-exactly."""
-    return """
-WITH h AS (
-  SELECT event_type,
-         CAST(('0x' || substr(md5(CAST(user_id AS VARCHAR)), 1, 13))
-              AS BIGINT) AS v
-  FROM events),
-r0 AS (SELECT event_type, v % 512 AS bucket, v // 512 AS x FROM h),
-s1 AS (SELECT event_type, bucket, x | (x >> 1) AS a FROM r0),
-s2 AS (SELECT event_type, bucket, a | (a >> 2) AS a FROM s1),
-s3 AS (SELECT event_type, bucket, a | (a >> 4) AS a FROM s2),
-s4 AS (SELECT event_type, bucket, a | (a >> 8) AS a FROM s3),
-s5 AS (SELECT event_type, bucket, a | (a >> 16) AS a FROM s4),
-s6 AS (SELECT event_type, bucket, a | (a >> 32) AS a FROM s5),
-r AS (SELECT event_type, bucket,
-             44 - bit_count(CAST(a AS BIGINT)) AS rho FROM s6),
-regs AS (SELECT event_type, bucket, MAX(rho) AS m FROM r GROUP BY 1, 2),
-grid AS (
-  SELECT et.event_type, g.bucket
-  FROM (SELECT DISTINCT event_type FROM events) et,
-       (SELECT unnest(generate_series(0, 511)) AS bucket) g),
-filled AS (
-  SELECT grid.event_type, grid.bucket, coalesce(regs.m, 0) AS m
-  FROM grid LEFT JOIN regs USING (event_type, bucket)),
-agg AS (
-  SELECT event_type,
-         CAST(SUM(CAST(1 AS BIGINT) << (44 - m)) AS BIGINT) AS denom,
-         CAST(SUM(CASE WHEN m = 0 THEN 1 ELSE 0 END) AS BIGINT) AS zeros
-  FROM filled GROUP BY event_type),
-est AS (
-  SELECT event_type, zeros,
-         (0.7213 / (1.0 + 1.079 / 512.0)) * 262144.0 * 17592186044416.0
-             / denom AS e_raw
-  FROM agg)
-SELECT event_type, zeros AS zero_registers,
-       floor(CASE WHEN e_raw <= 1280.0 AND zeros > 0
-             THEN 512.0 * ln(512.0 / zeros) ELSE e_raw END * 1e6 + 0.5)
-           / 1e6 AS hll_users
-FROM est"""
-
-
 def vocab_distinct_hll_sql() -> str:
     """Oracle for sample.vocab_distinct_hll: the identical portable HLL
-    over the corpus's distinct vocabulary (shared tok CTE) — same
-    register math as event_user_distinct_hll_sql, global (no grouping),
-    one output row."""
+    over the corpus's distinct vocabulary (shared tok CTE), one output
+    row."""
     return f"""WITH {tok_cte()},
 vocab AS (SELECT DISTINCT term FROM toks),
 h AS (SELECT CAST(('0x' || substr(md5(term), 1, 13)) AS BIGINT) AS v
@@ -686,40 +589,6 @@ SELECT doc_id,
              / greatest(octet_length(encode(text)), 1) * 1e6 + 0.5) / 1e6
            AS ratio
 FROM documents"""
-
-
-def price_quantiles_hdr_sql(m: int = 16,
-                            qs: tuple = (0.25, 0.5, 0.9, 0.99)) -> str:
-    """Oracle for events.price_quantiles_hdr: the ENTIRE log-linear
-    sketch reproduced in SQL — exponent from the binary digit count
-    (exact), power-of-two mantissa bucketing (exact IEEE ops),
-    cumulative rank pick at ceil(q·n), representative
-    floor((1 + s/m)·2^e)."""
-    vals = ", ".join(f"({q})" for q in qs)
-    return f"""
-WITH x AS (
-  SELECT CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT) AS c
-  FROM orders WHERE floor(o_totalprice * 100 + 0.5) > 0),
-b AS (
-  SELECT (length(printf('%b', c)) - 1) * {m}
-         + CAST(floor((CAST(c AS DOUBLE)
-                       / power(2.0, length(printf('%b', c)) - 1) - 1.0)
-                      * {m}) AS BIGINT) AS bid,
-         COUNT(*) AS cnt
-  FROM x GROUP BY 1),
-cum AS (SELECT bid, SUM(cnt) OVER (ORDER BY bid) AS cum,
-               SUM(cnt) OVER () AS n
-        FROM b),
-qv(q) AS (VALUES {vals})
-SELECT CAST(q AS DOUBLE) AS q,
-       (SELECT CAST(floor((1.0 + (bid % {m}) * 1.0 / {m})
-                          * power(2.0, bid // {m})) AS BIGINT)
-        FROM cum
-        WHERE cum >= greatest(CAST(ceil(CAST(q AS DOUBLE) * n) AS BIGINT),
-                              1)
-        ORDER BY bid LIMIT 1) AS est_cents,
-       (SELECT CAST(n AS BIGINT) FROM cum LIMIT 1) AS n
-FROM qv"""
 
 
 def doc_fingerprint_sql(window: int = 4) -> str:
@@ -875,65 +744,6 @@ def pricing_summary_sql(cutoff: str = "2000-12-01") -> str:
     """
 
 
-def asof_join_sql(left_type: str = "purchase", right_type: str = "click") -> str:
-    """Oracle for events.asof_join — the as-of semantics spelled out as a
-    deterministic window spec (ties on ts break to the larger event_id,
-    matching merge_asof's last-row-wins over the (ts, event_id) sort)."""
-    return f"""
-        SELECT p.event_id, p.user_id, epoch_us(p.ts) AS ts_us,
-               COALESCE(c.event_id, -1) AS matched_event_id,
-               COALESCE(epoch_us(c.ts), -1) AS matched_ts_us,
-               COALESCE(epoch_us(p.ts) - epoch_us(c.ts), -1) AS gap_us
-        FROM (SELECT * FROM events WHERE event_type = '{left_type}') p
-        LEFT JOIN (SELECT * FROM events WHERE event_type = '{right_type}') c
-          ON p.user_id = c.user_id AND c.ts <= p.ts
-        QUALIFY row_number() OVER (PARTITION BY p.event_id
-                                   ORDER BY c.ts DESC, c.event_id DESC) = 1
-    """
-
-
-def range_join_sql(window_s: int = 86_400, left_type: str = "purchase",
-                   right_type: str = "click") -> str:
-    """Oracle for events.range_join (trailing-window band join)."""
-    return f"""
-        SELECT p.event_id, p.user_id, c.event_id AS matched_event_id,
-               epoch_us(p.ts) - epoch_us(c.ts) AS gap_us
-        FROM (SELECT * FROM events WHERE event_type = '{left_type}') p
-        JOIN (SELECT * FROM events WHERE event_type = '{right_type}') c
-          ON p.user_id = c.user_id
-         AND c.ts BETWEEN p.ts - INTERVAL {int(window_s)} SECOND AND p.ts
-    """
-
-
-def top_events_per_user_sql(k: int = 2) -> str:
-    """Oracle for events.top_events_per_user (grouped top-k, deterministic
-    tie-break)."""
-    return f"""
-        SELECT user_id,
-               CAST(row_number() OVER w AS BIGINT) AS rnk,
-               event_id, value
-        FROM events
-        WINDOW w AS (PARTITION BY user_id ORDER BY value DESC, event_id ASC)
-        QUALIFY row_number() OVER w <= {int(k)}
-    """
-
-
-def value_quantiles_sql(qs: tuple = (0.5, 0.9, 0.99)) -> str:
-    """Oracle for events.value_quantiles — quantile_cont over the same
-    2-decimal fixed-point grid the histogram uses."""
-    cols = ",\n               ".join(
-        f"floor(quantile_cont(round(value, 2), {q}) * 1e6 + 0.5) / 1e6 "
-        f"AS p{int(q * 100)}"
-        for q in qs
-    )
-    return f"""
-        SELECT event_type,
-               CAST(COUNT(*) AS BIGINT) AS n_events,
-               {cols}
-        FROM events GROUP BY event_type
-    """
-
-
 def dup_components_sql(shingle: int = 3, thr_num: int = 4,
                        thr_den: int = 5) -> str:
     """Oracle for dedup.dup_components: recursive-CTE reachability
@@ -1007,28 +817,6 @@ def deterministic_sample_sql(frac: float = 0.1) -> str:
     """
 
 
-def event_transitions_sql() -> str:
-    """Oracle for events.event_transitions: per-user consecutive-event
-    pairs via LAG over the same (ts, event_id) total order, global pair
-    counts, P(next|prev) on the shared 6 dp grid."""
-    return """WITH ordered AS (
-    SELECT user_id, event_type,
-           LAG(event_type) OVER (
-               PARTITION BY user_id ORDER BY ts, event_id) AS prev_type
-    FROM events
-),
-counts AS (
-    SELECT prev_type, event_type AS next_type,
-           CAST(COUNT(*) AS BIGINT) AS n
-    FROM ordered WHERE prev_type IS NOT NULL
-    GROUP BY prev_type, event_type
-)
-SELECT prev_type, next_type, n,
-       floor(n * 1.0 / SUM(n) OVER (PARTITION BY prev_type) * 1e6 + 0.5)
-           / 1e6 AS prob
-FROM counts"""
-
-
 def naive_bayes_lang_sql() -> str:
     """Oracle for classifier.naive_bayes_lang: multinomial NB with
     add-one smoothing, recomputed in SQL with the identical decomposition
@@ -1067,19 +855,6 @@ SELECT d.lang, p.lang AS lang_pred, CAST(COUNT(*) AS BIGINT) AS n_docs
 FROM pred p JOIN documents d USING (doc_id)
 WHERE p.rn = 1
 GROUP BY d.lang, p.lang"""
-
-
-def event_props_stats_sql() -> str:
-    """Oracle for events.event_props_stats: the identical JSON
-    extraction expression, aggregated per type."""
-    return """WITH x AS (
-    SELECT event_type, CAST(props ->> 'k' AS BIGINT) AS k FROM events)
-SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n_events,
-       CAST(SUM(k) AS BIGINT) AS k_sum,
-       CAST(MIN(k) AS BIGINT) AS k_min,
-       CAST(MAX(k) AS BIGINT) AS k_max,
-       floor(SUM(k) * 1.0 / COUNT(*) * 1e6 + 0.5) / 1e6 AS k_avg
-FROM x GROUP BY event_type"""
 
 
 def corpus_diff_sql(add_mod: int = 13, add_res: int = 3, rm_res: int = 7,
@@ -1214,29 +989,6 @@ def customer_order_counts_sql() -> str:
     """
 
 
-def user_value_running_sql() -> str:
-    """Oracle for events.user_value_running: per-user running sum (exact
-    integer cents — the same fixed-point grid value_quantiles uses, so
-    the comparison is summation-order-exact) + lag."""
-    return """
-        SELECT event_id, user_id,
-               CAST(SUM(CAST(round(value * 100) AS BIGINT)) OVER w
-                    AS BIGINT) AS cum_value_cents,
-               LAG(value) OVER w AS prev_value
-        FROM events
-        WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-    """
-
-
-def event_user_distinct_sql() -> str:
-    """Oracle for events.event_user_distinct (exact grouped
-    COUNT DISTINCT, twin of the HLL sketch)."""
-    return """
-        SELECT event_type, CAST(COUNT(DISTINCT user_id) AS BIGINT) AS n_users
-        FROM events GROUP BY event_type
-    """
-
-
 def stratified_sample_sql(fracs: dict | None = None,
                           default_frac: float | None = None) -> str:
     """Oracle for sample.stratified_sample — the per-stratum md5 rule as
@@ -1256,108 +1008,6 @@ def stratified_sample_sql(fracs: dict | None = None,
               CASE lang {arms}
                  ELSE '{_threshold_hex(default_frac)}' END
     """
-
-
-def part_components_sql(rounds: int = 12) -> str:
-    """Oracle for graph.part_components: plain min-label propagation
-    unrolled ``rounds`` times over the distinct co-purchase pair graph.
-    The required rounds grow with the graph's min-propagation diameter
-    (measured: 2 at sf0.01, 3 at sf0.1), so the unroll carries a wide
-    margin; the engine's pointer jumping accelerates but cannot change
-    the fixpoint the unroll converges to."""
-    its = []
-    for i in range(1, int(rounds) + 1):
-        its.append(f"""d{i} AS (
-    SELECT node, MIN(lbl) AS lbl FROM (
-        SELECT node, lbl FROM d{i - 1}
-        UNION ALL
-        SELECT e.b AS node, d.lbl AS lbl
-        FROM d{i - 1} d JOIN edges e ON e.a = d.node
-    ) GROUP BY node
-)""")
-    chain = ",\n".join(its)
-    return f"""
-WITH pairs AS MATERIALIZED (
-    SELECT DISTINCT l1.l_partkey AS a, l2.l_partkey AS b
-    FROM lineitem l1
-    JOIN lineitem l2 ON l1.l_orderkey = l2.l_orderkey
-    WHERE l1.l_partkey < l2.l_partkey
-),
-edges AS MATERIALIZED (
-    -- materialized: each unrolled round re-references edges; without
-    -- this DuckDB re-expands the parquet scan per round and a deep
-    -- unroll exhausts file descriptors
-    SELECT a, b FROM pairs UNION ALL SELECT b AS a, a AS b FROM pairs
-),
-d0 AS (
-    SELECT DISTINCT a AS node, a AS lbl FROM edges
-),
-{chain}
-SELECT node AS part_key, CAST(lbl AS BIGINT) AS component
-FROM d{int(rounds)}"""
-
-
-def part_bfs_sql(seed_mod: int = 31, rounds: int = 3) -> str:
-    """Oracle for graph.part_bfs: the level-synchronous BFS relaxation
-    unrolled as chained min-merge CTEs over the distinct co-purchase
-    pair graph."""
-    its = []
-    for i in range(1, rounds + 1):
-        its.append(f"""d{i} AS (
-    SELECT node, MIN(dist) AS dist FROM (
-        SELECT node, dist FROM d{i - 1}
-        UNION ALL
-        SELECT p.dst AS node, d.dist + 1 AS dist
-        FROM d{i - 1} d JOIN pairs p ON p.src = d.node
-    ) GROUP BY node
-)""")
-    chain = ",\n".join(its)
-    return f"""
-WITH pairs AS (
-    SELECT DISTINCT l1.l_partkey AS src, l2.l_partkey AS dst
-    FROM lineitem l1
-    JOIN lineitem l2 ON l1.l_orderkey = l2.l_orderkey
-    WHERE l1.l_partkey <> l2.l_partkey
-),
-d0 AS (
-    SELECT DISTINCT src AS node, 0 AS dist FROM pairs
-    WHERE src % {int(seed_mod)} = 0
-),
-{chain}
-SELECT node, CAST(dist AS BIGINT) AS dist FROM d{rounds}"""
-
-
-def part_pagerank_sql(damping: float = 0.85, iters: int = 5) -> str:
-    """Oracle for graph.part_pagerank: the fixed-iteration recurrence
-    unrolled as chained CTEs over the DISTINCT co-purchase pair graph
-    (symmetric ⇒ no dangling nodes ⇒ the plain SUM form is exact)."""
-    its = []
-    for i in range(1, iters + 1):
-        its.append(f"""r{i} AS (
-    SELECT p.dst AS node,
-           (1 - {damping}) / (SELECT n FROM nn)
-           + {damping} * SUM(r.pr / d.deg) AS pr
-    FROM pairs p
-    JOIN r{i - 1} r ON r.node = p.src
-    JOIN deg d ON d.src = p.src
-    GROUP BY p.dst
-)""")
-    chain = ",\n".join(its)
-    return f"""
-WITH pairs AS (
-    SELECT DISTINCT l1.l_partkey AS src, l2.l_partkey AS dst
-    FROM lineitem l1
-    JOIN lineitem l2 ON l1.l_orderkey = l2.l_orderkey
-                    AND l1.l_partkey <> l2.l_partkey
-),
-deg AS (
-    SELECT src, CAST(COUNT(*) AS DOUBLE) AS deg FROM pairs GROUP BY src
-),
-nn AS (SELECT CAST(COUNT(*) AS DOUBLE) AS n FROM deg),
-r0 AS (SELECT src AS node, 1.0 / (SELECT n FROM nn) AS pr FROM deg),
-{chain}
-SELECT node AS part_key, ROUND(pr, 10) AS pagerank FROM r{iters}
-"""
 
 
 def doc_embedding_sql(dims: int = 64) -> str:
@@ -2107,17 +1757,6 @@ def table_profile_sql() -> str:
     return f"SELECT {sel}\nFROM lineitem"
 
 
-def global_value_rank_sql() -> str:
-    """Oracle for events.global_value_rank: SQL RANK() over the same
-    2-decimal cents grid (DESC, ties share)."""
-    return """
-SELECT event_id, value,
-       CAST(RANK() OVER (
-           ORDER BY CAST(round(value * 100, 0) AS BIGINT) DESC) AS BIGINT)
-           AS rnk
-FROM events"""
-
-
 def phrase_search_sql(phrases: tuple[str, ...] | None = None) -> str:
     """Oracle for filters.phrase_search: per phrase, overlapping
     consecutive-token occurrence counts via the gram-position CTE
@@ -2225,52 +1864,6 @@ FROM ranked r
 JOIN fp ON fp.query_id = r.query_id AND fp.doc_id = r.doc_id
 JOIN tarr ta ON ta.doc_id = r.doc_id
 WHERE r.rank <= {int(k)}"""
-
-
-def event_outliers_sql(z_thresh: float = 3.0) -> str:
-    """Oracle for events.event_outliers: identical integer-cent moment
-    sums and the identical mean/σ/z operand order."""
-    return f"""WITH c AS (
-    SELECT event_id, event_type, value,
-           CAST(round(value * 100) AS BIGINT) AS cents
-    FROM events
-),
-st AS (SELECT event_type, COUNT(*) AS n,
-              CAST(SUM(cents) AS BIGINT) AS s,
-              CAST(SUM(cents * cents) AS BIGINT) AS ss
-       FROM c GROUP BY event_type),
-z AS (SELECT c.event_id, c.event_type, c.value,
-             (c.cents - s * 1.0 / n)
-               / sqrt(ss * 1.0 / n - (s * 1.0 / n) * (s * 1.0 / n)) AS z
-      FROM c JOIN st USING (event_type))
-SELECT event_id, event_type, value, floor(z * 1e6 + 0.5) / 1e6 AS z
-FROM z WHERE abs(z) >= {float(z_thresh)}"""
-
-
-def event_weekday_pivot_sql() -> str:
-    """Oracle for events.event_weekday_pivot (ISO weekday columns)."""
-    cols = ",\n       ".join(
-        f"CAST(SUM(CASE WHEN isodow(ts) = {d} THEN 1 ELSE 0 END) AS BIGINT) AS dow{d}"
-        for d in range(1, 8))
-    return f"""SELECT event_type,
-       {cols}
-FROM events GROUP BY event_type"""
-
-
-def part_triangles_sql() -> str:
-    """Oracle for graph.part_triangles: naive 3-way self-join triangle
-    count over the distinct a<b co-purchase edge set."""
-    return """WITH d AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem),
-e AS (SELECT DISTINCT x.l_partkey AS a, y.l_partkey AS b
-      FROM d x JOIN d y ON x.l_orderkey = y.l_orderkey
-                       AND x.l_partkey < y.l_partkey)
-SELECT (SELECT CAST(COUNT(DISTINCT n) AS BIGINT)
-        FROM (SELECT a AS n FROM e UNION ALL SELECT b FROM e)) AS n_nodes,
-       (SELECT CAST(COUNT(*) AS BIGINT) FROM e) AS n_edges,
-       (SELECT CAST(COUNT(*) AS BIGINT)
-        FROM e e1
-        JOIN e e2 ON e2.a = e1.a AND e2.b > e1.b
-        JOIN e e3 ON e3.a = e1.b AND e3.b = e2.b) AS n_triangles"""
 
 
 def local_supplier_volume_sql(region: str = "ASIA",
@@ -2696,27 +2289,6 @@ SELECT CAST(rank AS BIGINT) AS rank, doc_id, logw,
 FROM r WHERE rank <= {int(n_out)}"""
 
 
-def funnel_analysis_sql(
-        steps: tuple[str, ...] = ("view", "click", "purchase")) -> str:
-    """Oracle for events.funnel_analysis: the earliest-completion chain
-    as s chained per-user MIN CTEs with strict ts inequality."""
-    steps = tuple(steps)
-    esc = [s.replace("'", "''") for s in steps]
-    parts = [f"""s1 AS (SELECT user_id, MIN(ts) AS t1 FROM events
-    WHERE event_type = '{esc[0]}' GROUP BY user_id)"""]
-    for i in range(1, len(steps)):
-        parts.append(f"""s{i + 1} AS (
-    SELECT e.user_id, MIN(e.ts) AS t{i + 1}
-    FROM events e JOIN s{i} USING (user_id)
-    WHERE e.event_type = '{esc[i]}' AND e.ts > s{i}.t{i}
-    GROUP BY e.user_id)""")
-    unions = "\nUNION ALL\n".join(
-        f"SELECT CAST({i + 1} AS BIGINT) AS step, '{esc[i]}' AS event_type,"
-        f" CAST(COUNT(*) AS BIGINT) AS n_users FROM s{i + 1}"
-        for i in range(len(steps)))
-    return "WITH " + ",\n".join(parts) + "\n" + unions
-
-
 def revenue_forecast_sql(year: int = 1995, disc_lo: int = 5,
                          disc_hi: int = 7, max_qty: int = 24) -> str:
     """Oracle for relational.revenue_forecast: TPC-H Q6 on the exact
@@ -2735,35 +2307,6 @@ WHERE l_shipdate >= TIMESTAMP '{year}-01-01'
   AND l_quantity < {int(max_qty)}"""
 
 
-def part_clustering_sql() -> str:
-    """Oracle for graph.part_clustering: per-node triangle membership
-    from the 3-way self-join (each triangle counted once via
-    e1.a < e1.b < e2.b, attributed to all three corners), degree from
-    the edge union, cc on the shared round6 grid."""
-    return """WITH d AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem),
-e AS (SELECT DISTINCT x.l_partkey AS a, y.l_partkey AS b
-      FROM d x JOIN d y ON x.l_orderkey = y.l_orderkey
-                       AND x.l_partkey < y.l_partkey),
-deg AS (SELECT node, CAST(COUNT(*) AS BIGINT) AS degree
-        FROM (SELECT a AS node FROM e UNION ALL SELECT b FROM e)
-        GROUP BY node),
-tri AS (SELECT e1.a AS x, e1.b AS y, e2.b AS z
-        FROM e e1
-        JOIN e e2 ON e2.a = e1.a AND e2.b > e1.b
-        JOIN e e3 ON e3.a = e1.b AND e3.b = e2.b),
-tn AS (SELECT node, CAST(COUNT(*) AS BIGINT) AS n_triangles
-       FROM (SELECT x AS node FROM tri UNION ALL SELECT y FROM tri
-             UNION ALL SELECT z FROM tri)
-       GROUP BY node)
-SELECT d.node, d.degree,
-       CAST(COALESCE(tn.n_triangles, 0) AS BIGINT) AS n_triangles,
-       CASE WHEN d.degree >= 2
-            THEN floor(2.0 * COALESCE(tn.n_triangles, 0)
-                       / (d.degree * (d.degree - 1)) * 1e6 + 0.5) / 1e6
-            ELSE 0.0 END AS cc
-FROM deg d LEFT JOIN tn USING (node)"""
-
-
 def term_heavy_hitters_sql(k: int = 2000) -> str:
     """Oracle for text_stats.term_heavy_hitters: exact grouped counts
     with the identical integer threshold (freq · k > T)."""
@@ -2772,22 +2315,6 @@ tot AS (SELECT CAST(COUNT(*) AS BIGINT) AS t FROM toks)
 SELECT term, CAST(COUNT(*) AS BIGINT) AS freq
 FROM toks GROUP BY term
 HAVING CAST(COUNT(*) AS BIGINT) * {int(k)} > (SELECT t FROM tot)"""
-
-
-def cohort_retention_sql(bucket_s: int = 7 * 86400) -> str:
-    """Oracle for events.cohort_retention: distinct (user, period) grid
-    joined to each user's minimum period."""
-    b = int(bucket_s)
-    return f"""WITH uw AS (
-  SELECT DISTINCT user_id,
-         epoch_us(ts) // 1000000 // {b} AS wk
-  FROM events),
-c AS (SELECT user_id, MIN(wk) AS cohort FROM uw GROUP BY user_id)
-SELECT CAST(c.cohort AS BIGINT) AS cohort_week,
-       CAST(uw.wk - c.cohort AS BIGINT) AS week_offset,
-       CAST(COUNT(*) AS BIGINT) AS n_users
-FROM uw JOIN c USING (user_id)
-GROUP BY cohort_week, week_offset"""
 
 
 def retrieval_triplets_sql(n_queries: int = 5, n_hard: int = 3,
@@ -3756,32 +3283,6 @@ WHERE floor(dot / (na.nrm * nb.nrm) * 1000000 + 0.5) / 1000000
       >= {threshold}"""
 
 
-def session_duration_quantiles_sql(gap_s: int = 1800,
-                                   qs: tuple = (0.25, 0.5, 0.75,
-                                                0.9, 0.99)) -> str:
-    """Oracle for events.session_duration_quantiles: the sessionize CTE
-    chain + per-session MAX(t)−MIN(t) + quantile_cont (the identical
-    linear-interpolation rule the histogram pass evaluates)."""
-    cols = ",\n       ".join(
-        # CAST, not *1.0: DECIMAL would truncate the interpolation scale
-        f"floor(quantile_cont(CAST(dur AS DOUBLE), {q}) * 1e6 + 0.5) / 1e6 "
-        f"AS p{int(q * 100)}"
-        for q in qs)
-    return f"""WITH e AS (SELECT user_id, epoch_us(ts) // 1000000 AS t FROM events),
-o AS (SELECT user_id, t, lag(t) OVER (PARTITION BY user_id ORDER BY t) AS pt FROM e),
-s AS (SELECT user_id, t,
-             CASE WHEN pt IS NULL OR t - pt > {gap_s} THEN 1 ELSE 0 END AS ns
-      FROM o),
-g AS (SELECT user_id, t,
-             SUM(ns) OVER (PARTITION BY user_id ORDER BY t
-                           ROWS UNBOUNDED PRECEDING) AS sid
-      FROM s),
-d AS (SELECT user_id, sid, MAX(t) - MIN(t) AS dur FROM g GROUP BY user_id, sid)
-SELECT CAST(COUNT(*) AS BIGINT) AS n_sessions,
-       {cols}
-FROM d"""
-
-
 def containment_pairs_sql(shingle: int = 3, thr_num: int = 4,
                           thr_den: int = 5,
                           max_df_frac: float = 0.05) -> str:
@@ -3827,36 +3328,6 @@ FROM pairs
 JOIN sh sa ON sa.doc_id = doc_a
 JOIN sh sb ON sb.doc_id = doc_b
 WHERE n_common * {thr_den} >= {thr_num} * LEAST(len(sa.s), len(sb.s))"""
-
-
-def part_recommendations_sql(k: int = 5, min_co: int = 2) -> str:
-    """Oracle for graph.part_recommendations: item-item cosine over
-    binary order-incidence vectors, identical support cut, rank on the
-    shared 6 dp floor grid (the inputs are the same exact integers, so
-    the doubles agree even unrounded)."""
-    return f"""WITH po AS (
-    SELECT DISTINCT l_orderkey AS o, l_partkey AS p FROM lineitem),
-n AS (SELECT p, CAST(COUNT(*) AS BIGINT) AS np FROM po GROUP BY p),
-co AS (
-    SELECT x.p AS a, y.p AS b, CAST(COUNT(*) AS BIGINT) AS co
-    FROM po x JOIN po y ON x.o = y.o AND x.p < y.p
-    GROUP BY x.p, y.p
-    HAVING COUNT(*) >= {int(min_co)}),
-dir AS (SELECT a AS src, b AS dst, co FROM co
-        UNION ALL SELECT b, a, co FROM co),
-sc AS (
-    SELECT src, dst,
-           floor(co / sqrt(CAST(ns.np * nd.np AS DOUBLE)) * 1000000 + 0.5)
-               / 1000000 AS score
-    FROM dir JOIN n ns ON ns.p = src JOIN n nd ON nd.p = dst),
-r AS (
-    SELECT src, dst, score,
-           row_number() OVER (PARTITION BY src
-                              ORDER BY score DESC, dst ASC) AS rank
-    FROM sc)
-SELECT CAST(src AS BIGINT) AS part_key, CAST(dst AS BIGINT) AS rec_part,
-       CAST(rank AS BIGINT) AS rank, score
-FROM r WHERE rank <= {int(k)}"""
 
 
 def search_hit_counts_sql() -> str:
@@ -3967,43 +3438,3 @@ SELECT n AS n_months,
        floor((intercept_c + slope_c * n) / 100.0 * 1000000 + 0.5)
            / 1000000 AS next_forecast
 FROM g"""
-
-
-def part_pagerank_seeded_sql(damping: float = 0.85, iters: int = 5,
-                             seed_mod: int = 10) -> str:
-    """Oracle for graph.part_pagerank_seeded: the personalized
-    recurrence unrolled — teleport mass only to seed nodes
-    (node % seed_mod == 0), identical init and per-iteration base."""
-    seed_base = (f"CASE WHEN p.dst % {seed_mod} = 0 THEN "
-                 f"(1 - {damping}) / (SELECT ns FROM nseed) ELSE 0 END")
-    its = []
-    for i in range(1, iters + 1):
-        its.append(f"""r{i} AS (
-    SELECT p.dst AS node,
-           {seed_base}
-           + {damping} * SUM(r.pr / d.deg) AS pr
-    FROM pairs p
-    JOIN r{i - 1} r ON r.node = p.src
-    JOIN deg d ON d.src = p.src
-    GROUP BY p.dst
-)""")
-    chain = ",\n".join(its)
-    return f"""
-WITH pairs AS (
-    SELECT DISTINCT l1.l_partkey AS src, l2.l_partkey AS dst
-    FROM lineitem l1
-    JOIN lineitem l2 ON l1.l_orderkey = l2.l_orderkey
-                    AND l1.l_partkey <> l2.l_partkey
-),
-deg AS (
-    SELECT src, CAST(COUNT(*) AS DOUBLE) AS deg FROM pairs GROUP BY src
-),
-nseed AS (SELECT CAST(COUNT(*) AS DOUBLE) AS ns FROM deg
-          WHERE src % {seed_mod} = 0),
-r0 AS (SELECT src AS node,
-              CASE WHEN src % {seed_mod} = 0
-                   THEN 1.0 / (SELECT ns FROM nseed) ELSE 0 END AS pr
-       FROM deg),
-{chain}
-SELECT node AS part_key, ROUND(pr, 10) AS pagerank FROM r{iters}
-"""

@@ -752,8 +752,7 @@ def local_supplier_volume(sf_dir: str, region: str = "ASIA",
     # hop 1 (custkey): order rows pick up their customer's nation.
     # Each hop is materialized: an exchange is a semantic barrier
     # anyway, and three chained union+groupby stages in ONE streaming
-    # DAG measured 3x slower than hop-by-hop execution (the same
-    # wide-plan lesson as the PageRank iterations)
+    # DAG measured 3x slower than hop-by-hop execution
     j1 = shuffle_join(orders, cust, "o_custkey", "c_custkey",
                       ["o_orderkey"], ["c_nationkey"]).materialize()
 
@@ -820,9 +819,8 @@ def price_quantiles(sf_dir: str, qs: tuple = (0.01, 0.25, 0.5, 0.75, 0.99),
     distributed selection by iterative histogram refinement (the
     classic multi-pass k-th-smallest).
 
-    :func:`~searchenginepp_ray.pipelines.events.value_quantiles` exploits
-    a domain-bounded histogram; this is the complementary shape for
-    domains too large to histogram at once. Each round broadcasts ≤
+    A domain-bounded histogram needs one bin per value; this shape is
+    for domains too large to histogram at once. Each round broadcasts ≤
     ``fanout × len(qs)`` integer band edges, streams ONE pruned-column
     pass that bins values into its target's band (everything outside all
     bands is dropped at the batch), and returns only per-(target, bin)

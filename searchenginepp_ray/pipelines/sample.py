@@ -131,10 +131,10 @@ def hll_distinct_terms(sf_dir: str, p: int = _HLL_P):
     )
 
 
-# ---- portable HyperLogLog kernel (:func:`vocab_distinct_hll` and
-# ``events.event_user_distinct_hll``): 52-bit md5-prefix hashes, M_REG
-# registers, ρ from EXACT integer bit_length, harmonic denominator as an
-# exact int64 — every piece reproducible verbatim in SQL ----
+# ---- portable HyperLogLog kernel (:func:`vocab_distinct_hll`): 52-bit
+# md5-prefix hashes, M_REG registers, ρ from EXACT integer bit_length,
+# harmonic denominator as an exact int64 — every piece reproducible
+# verbatim in SQL ----
 
 M_REG = 512           # registers (2^9); bucket = hash % M_REG
 RHO_MAX = 44          # 1 + (52 − 9) suffix bits
@@ -337,8 +337,7 @@ def quality_select(sf_dir: str, q_num: int = 1, q_den: int = 2):
     from .text_stats import documents_ds
 
     def score(t: pa.Table) -> pa.Table:
-        doclens, terms_list, _ = tokenize_batch(
-            t["text"].to_pylist(), SIMPLE_PROFILE)
+        doclens, terms_list, _ = tokenize_batch(t["text"], SIMPLE_PROFILE)
         n_dis = pc.list_value_length(terms_list) \
             .to_numpy(zero_copy_only=False).astype(np.int64)
         safe = np.maximum(doclens.astype(np.int64), 1)

@@ -595,7 +595,7 @@ def search_snippets(sf_dir: str, k: int = 10, mode: str = "bmm",
         if len(t) == 0:
             return empty
         doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        toks = ordered_tokens_batch(t["text"].to_pylist(), SIMPLE_PROFILE)
+        toks = ordered_tokens_batch(t["text"], SIMPLE_PROFILE)
         counts = np.asarray(pc.list_value_length(toks)).astype(np.int64)
         offsets = np.concatenate(([0], np.cumsum(counts)))
         flat = pc.list_flatten(toks)

@@ -98,7 +98,7 @@ def _read_blocks(path: str, target_rows: int = 2000) -> int:
 def _tokenize_batch(batch: pa.Table) -> pa.Table:
     from ..normalizer.batch import ordered_tokens_batch
 
-    toks = ordered_tokens_batch(batch["text"].to_pylist(), SIMPLE_PROFILE)
+    toks = ordered_tokens_batch(batch["text"], SIMPLE_PROFILE)
     return pa.table({"doc_id": batch["doc_id"], "tokens": toks})
 
 
@@ -113,9 +113,7 @@ def term_counts_ds(sf_dir: str) -> ray.data.Dataset:
     from ..normalizer.batch import tokenize_batch
 
     def tok(t: pa.Table) -> pa.Table:
-        doclens, terms_list, tfs_list = tokenize_batch(
-            t["text"].to_pylist(), SIMPLE_PROFILE
-        )
+        doclens, terms_list, tfs_list = tokenize_batch(t["text"], SIMPLE_PROFILE)
         return pa.table(
             {
                 "doc_id": t["doc_id"],
@@ -153,8 +151,7 @@ def corpus_report(sf_dir: str):
     from .duck import md5_hex
 
     def rows(t: pa.Table) -> pa.Table:
-        doclens, _terms, _tfs = tokenize_batch(
-            t["text"].to_pylist(), SIMPLE_PROFILE)
+        doclens, _terms, _tfs = tokenize_batch(t["text"], SIMPLE_PROFILE)
         return pa.table({
             "h": md5_hex(t["text"]),
             "lang": t["lang"],
@@ -690,7 +687,7 @@ def bigram_logprob(sf_dir: str):
     V = float(term_df(sf_dir).count())
 
     def explode(t: pa.Table) -> pa.Table:
-        la = ordered_tokens_batch(t["text"].to_pylist(), SIMPLE_PROFILE)
+        la = ordered_tokens_batch(t["text"], SIMPLE_PROFILE)
         n = np.diff(np.asarray(la.offsets, dtype=np.int64))
         flat = la.values
         doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -927,8 +924,7 @@ def term_df_drift(sf_dir: str, k: int = 20, add_mod: int = 13,
             sel = texts.filter(pa.array(keep))
             if len(sel) == 0:
                 continue
-            _, terms_list, _ = tokenize_batch(sel.to_pylist(),
-                                              SIMPLE_PROFILE)
+            _, terms_list, _ = tokenize_batch(sel, SIMPLE_PROFILE)
             flat = pc.list_flatten(terms_list)  # unique per doc already
             vc = flat.value_counts()
             n = len(vc)

@@ -1,7 +1,8 @@
 """The engine core (index build and serving, normalizer, codecs, corpus
 sources, lineage state, effectiveness functions, config) must not import
 the ``pipelines`` package, not even inside a function: pipelines build on
-the core, never the other way round."""
+the core, never the other way round. No module of the package reads a
+``SEPPRAY_*`` tuning knob."""
 
 import ast
 import pathlib
@@ -68,10 +69,12 @@ def _env_reads(path: pathlib.Path) -> list[tuple[int, str]]:
     return out
 
 
-def test_core_reads_no_tuning_knobs():
-    """The engine core has one code path per job, so it reads no
-    ``SEPPRAY_*`` tuning knob from the environment."""
-    files = _core_modules() + [PKG / "__init__.py"]
+def test_package_reads_no_tuning_knobs():
+    """No module of the package, nor ``__ray_entry__.py``, reads a
+    ``SEPPRAY_*`` tuning knob from the environment: each job has one
+    code path."""
+    files = sorted(PKG.rglob("*.py")) + [PKG.parent / "__ray_entry__.py"]
+    assert len(files) > 40
     bad = [
         f"{p.relative_to(PKG.parent)}:{line}: {name}"
         for p in files
