@@ -69,16 +69,26 @@ def _env_reads(path: pathlib.Path) -> list[tuple[int, str]]:
     return out
 
 
+def _knob_reads(files: list[pathlib.Path]) -> list[str]:
+    return [
+        f"{p.relative_to(PKG.parent)}:{line}: {name}"
+        for p in files
+        for line, name in _env_reads(p)
+        if name.startswith("SEPPRAY_")
+    ]
+
+
+def test_core_reads_no_tuning_knobs():
+    """The engine core has one code path per job, so it reads no
+    ``SEPPRAY_*`` tuning knob from the environment."""
+    files = _core_modules() + [PKG / "__init__.py"]
+    assert _knob_reads(files) == []
+
+
 def test_package_reads_no_tuning_knobs():
     """No module of the package, nor ``__ray_entry__.py``, reads a
     ``SEPPRAY_*`` tuning knob from the environment: each job has one
     code path."""
     files = sorted(PKG.rglob("*.py")) + [PKG.parent / "__ray_entry__.py"]
     assert len(files) > 40
-    bad = [
-        f"{p.relative_to(PKG.parent)}:{line}: {name}"
-        for p in files
-        for line, name in _env_reads(p)
-        if name.startswith("SEPPRAY_")
-    ]
-    assert bad == []
+    assert _knob_reads(files) == []

@@ -752,20 +752,3 @@ def test_revenue_trend_matches_numpy_polyfit(ray_session, sf_dir):
     assert abs(got["intercept"] - intercept_c / 100.0) < 1e-4
     assert abs(got["next_forecast"]
                - (intercept_c + slope_c * len(monthly)) / 100.0) < 1e-4
-
-
-def test_semi_and_anti_join(ray_session):
-    from searchenginepp_ray.pipelines.relational import shuffle_semi_join
-
-    rng = np.random.default_rng(3)
-    left = pd.DataFrame({"k": rng.integers(0, 100, 2000),
-                         "v": rng.random(2000)})
-    right = pd.DataFrame({"rk": rng.integers(50, 150, 500)})
-    lds = ray.data.from_pandas(left).repartition(4)
-    rds = ray.data.from_pandas(right).repartition(3)
-    for anti in (False, True):
-        got = shuffle_semi_join(lds, rds, "k", "rk", ["v"], anti=anti).to_pandas()
-        m = left["k"].isin(right["rk"].unique())
-        want = left[~m if anti else m]
-        assert len(got) == len(want)
-        assert sorted(got["v"].tolist()) == sorted(want["v"].tolist())
