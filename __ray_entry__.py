@@ -3,9 +3,10 @@
 ``entry()`` runs the flagship pipeline (full inverted-index build over the
 sf0.001 ``documents`` table with the reference's CI normalizer profile,
 then BM25 top-k through the segment-actor engine). ``queries()`` exposes
-every implemented operator from SURVEY.md §2 plus the training-data
-operators (dedup / similarity / text analysis / sampling); each
-SQL-expressible one has a matching DuckDB oracle in ``oracle_sql()``.
+the search operators from SURVEY.md §2 plus the training-data operators
+(dedup / similarity / text analysis / filters / sampling / export); each
+SQL-expressible one has a matching DuckDB oracle over the ``documents``
+and ``embeddings`` tables in ``oracle_sql()``.
 
 Ray is initialised by the driver BEFORE this module is imported; nothing
 here calls ``ray.init``/``ray.shutdown``.
@@ -27,7 +28,7 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    from searchenginepp_ray.pipelines import clean, dedup, relational, sample, similarity, text_stats
+    from searchenginepp_ray.pipelines import clean, dedup, sample, similarity, text_stats
     from searchenginepp_ray.pipelines import search_docs
 
     return {
@@ -321,109 +322,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "hll_distinct_terms": lambda sf: sample.hll_distinct_terms(sf),
         # the PORTABLE-register HLL sibling — oracle-hash-checked
         "vocab_distinct_hll": lambda sf: sample.vocab_distinct_hll(sf),
-        # --- relational (distributed hash join / broadcast dim join /
-        # map-side-combined group aggregate over the TPC-H side tables) ---
-        "nation_revenue": lambda sf: relational.nation_revenue(sf),
-        "pricing_summary": lambda sf: relational.pricing_summary(sf),
-        # distributed anti-join / left-outer aggregate join
-        "customers_without_orders":
-            lambda sf: relational.customers_without_orders(sf),
-        "customer_order_counts":
-            lambda sf: relational.customer_order_counts(sf),
-        # OLAP rollup (finest level via one map-side-combined exchange;
-        # coarser levels derived from the tiny aggregate) in exact cents
-        "order_rollup": lambda sf: relational.order_rollup(sf),
-        # grouped-agg -> GLOBAL top-k (exact-integer revenue; one
-        # exchange + per-partition partial top-k + P*k driver merge)
-        "top_orders_by_revenue":
-            lambda sf: relational.top_orders_by_revenue(sf),
-        # TPC-H Q3: the CHAINED multi-join (custkey semi-join, then an
-        # orderkey aggregate join — re-partition between hops), filters
-        # pushed to the scans, exact-integer revenue, global top-k
-        # TPC-H Q10: 4-table chain (orderkey -> custkey -> broadcast
-        # nation), exact-cents revenue, global top-20
-        "returned_item_report":
-            lambda sf: relational.returned_item_report(sf),
-        # TPC-H Q17: correlated per-part average filter as an exact
-        # integer cross-multiplication, one partkey exchange
-        "small_order_revenue":
-            lambda sf: relational.small_order_revenue(sf),
-        # TPC-H Q18: HAVING-then-join-back — group-aggregate cut on the
-        # fact table, surviving keys re-join orders + customer
-        "large_volume_orders":
-            lambda sf: relational.large_volume_orders(sf),
-        # TPC-H Q13: left-outer-then-histogram — per-customer order
-        # counts incl. zero, collapsed to a count-of-counts
-        "order_count_distribution":
-            lambda sf: relational.order_count_distribution(sf),
-        # TPC-H Q21: the EXISTS/NOT-EXISTS pair over sibling rows —
-        # sole-late supplier on multi-supplier finished orders
-        "suppliers_kept_waiting":
-            lambda sf: relational.suppliers_kept_waiting(sf),
-        # TPC-H Q22: scalar-subquery threshold (exact integer
-        # cross-multiply) + anti-join to orders, per-nation totals
-        "idle_customer_balance":
-            lambda sf: relational.idle_customer_balance(sf),
-        # TPC-H Q7: the two-dimension-chains shape — supplier nation
-        # and customer nation reach the fact row via DIFFERENT join
-        # keys; three chained exchanges, fact shrinking at each hop
-        "nation_trade_volume":
-            lambda sf: relational.nation_trade_volume(sf),
-        # TPC-H Q19: disjunctive mixed-attribute predicate join — the
-        # filter can't be pushed to either side; union-of-clauses scan
-        # pruning + clause-bitmask fact partials + co-located OR
-        "discounted_revenue":
-            lambda sf: relational.discounted_revenue(sf),
-        # TPC-H Q16 shape: grouped COUNT DISTINCT + anti-join over the
-        # fact-derived part-supplier relation (blacklist broadcast,
-        # map-side pair dedup, two exchanges)
-        "part_supplier_counts":
-            lambda sf: relational.part_supplier_counts(sf),
-        # TPC-H Q12: late-shipment priority counts — fact rows cross ONE
-        # orderkey exchange tagged-union with priority-flagged orders
-        "shipment_priority":
-            lambda sf: relational.shipment_priority(sf),
-        # TPC-H Q4: EXISTS correlated on the outer row's own attribute
-        # (max-shipdate map-side collapse, one orderkey exchange)
-        "order_priority_late":
-            lambda sf: relational.order_priority_late(sf),
-        # TPC-H Q14: conditional-ratio aggregate (promo / total share)
-        "promo_revenue_share":
-            lambda sf: relational.promo_revenue_share(sf),
-        # TPC-H Q15: global argmax with ties (per-partition max rows)
-        "top_supplier_revenue":
-            lambda sf: relational.top_supplier_revenue(sf),
-        # TPC-H Q8: ratio-of-conditional-aggregates over the 4-hop star
-        "nation_market_share":
-            lambda sf: relational.nation_market_share(sf),
-        # TPC-H Q9: profit (rev − retail·qty) per (nation, year)
-        "product_profit":
-            lambda sf: relational.product_profit(sf),
-        "order_shipping_priority":
-            lambda sf: relational.order_shipping_priority(sf),
-        # TPC-H Q5: the DEEPEST chain (6 tables, three different join
-        # keys back-to-back) with the c_nation == s_nation locality
-        # predicate applied at co-location; region filters pushed to
-        # the customer/supplier scans, exact-integer revenue
-        # TPC-H Q6: the fully pushed-down filter aggregate (all
-        # predicates at the scan, exact-integer revenue)
-        "revenue_forecast": lambda sf: relational.revenue_forecast(sf),
-        # monthly exact-cents revenue + closed-form OLS trend line
-        # (regression over the month-domain-bounded aggregate)
-        "revenue_trend": lambda sf: relational.revenue_trend(sf),
-        "local_supplier_volume":
-            lambda sf: relational.local_supplier_volume(sf),
-        # exact quantiles over an UNBOUNDED value domain: distributed
-        # selection by iterative histogram refinement (2-3 broadcast-
-        # edge passes + one bounded band collect; no exchange, no sort)
-        "price_quantiles": lambda sf: relational.price_quantiles(sf),
-        # data profiling: per-column exact ndv/nulls/min/max/mean over
-        # lineitem — partials for the algebraic stats, ONE shared
-        # (colid, key64) exchange for every column's distinct count
-        "table_profile": lambda sf: relational.table_profile(sf),
-        # ingest-gate data validation: every declared FK (anti-join
-        # violation count) + unique key, one key-hash exchange each
-        "integrity_check": lambda sf: relational.integrity_check(sf),
         # per-stratum content-addressed sampling (corpus rebalancing)
         # budgeted per-group curation: exact top-q% per lang by
         # quality score — grouped selection at scaling k with NO sort
@@ -608,33 +506,7 @@ def oracle_sql() -> dict[str, str]:
         "knn_graph": osql.knn_graph_sql(),
         "deterministic_sample": osql.deterministic_sample_sql(),
         "compression_ratio_stored": osql.compression_ratio_stored_sql(),
-        "nation_revenue": osql.nation_revenue_sql(),
-        "pricing_summary": osql.pricing_summary_sql(),
         "naive_bayes_lang": osql.naive_bayes_lang_sql(),
-        "customers_without_orders": osql.customers_without_orders_sql(),
-        "customer_order_counts": osql.customer_order_counts_sql(),
-        "order_rollup": osql.order_rollup_sql(),
-        "top_orders_by_revenue": osql.top_orders_by_revenue_sql(),
-        "order_shipping_priority": osql.order_shipping_priority_sql(),
-        "returned_item_report": osql.returned_item_report_sql(),
-        "small_order_revenue": osql.small_order_revenue_sql(),
-        "large_volume_orders": osql.large_volume_orders_sql(),
-        "order_count_distribution": osql.order_count_distribution_sql(),
-        "suppliers_kept_waiting": osql.suppliers_kept_waiting_sql(),
-        "idle_customer_balance": osql.idle_customer_balance_sql(),
-        "nation_trade_volume": osql.nation_trade_volume_sql(),
-        "discounted_revenue": osql.discounted_revenue_sql(),
-        "part_supplier_counts": osql.part_supplier_counts_sql(),
-        "order_priority_late": osql.order_priority_late_sql(),
-        "shipment_priority": osql.shipment_priority_sql(),
-        "promo_revenue_share": osql.promo_revenue_share_sql(),
-        "top_supplier_revenue": osql.top_supplier_revenue_sql(),
-        "nation_market_share": osql.nation_market_share_sql(),
-        "product_profit": osql.product_profit_sql(),
-        "revenue_forecast": osql.revenue_forecast_sql(),
-        "revenue_trend": osql.revenue_trend_sql(),
-        "local_supplier_volume": osql.local_supplier_volume_sql(),
-        "price_quantiles": osql.price_quantiles_sql(),
         "term_complete": osql.term_complete_sql(),
         "term_heavy_hitters": osql.term_heavy_hitters_sql(),
         "vocab_stats": osql.vocab_stats_sql(),
@@ -642,8 +514,6 @@ def oracle_sql() -> dict[str, str]:
         "corpus_report": osql.corpus_report_sql(),
         "term_df_drift": osql.term_df_drift_sql(),
         "search_boolean": osql.search_boolean_sql(),
-        "table_profile": osql.table_profile_sql(),
-        "integrity_check": osql.integrity_check_sql(),
         "quality_select": osql.quality_select_sql(),
         "stratified_sample": osql.stratified_sample_sql(),
         "simhash_md5": osql.simhash_md5_sql(),

@@ -1,42 +1,2 @@
-"""Scalar-function registry — the engine's user-extension surface
-(reference §2.11: pluggable ``QueryScorer`` hierarchy,
-src/index/query_scorer.hpp:7-17, selected by CLI flag src/engine.cpp:40-49).
-
-``SCORERS`` maps scorer names to factories (the Python analog of the
-reference's runtime scorer selection); ``FUNCTIONS`` exposes the F1–F9
-scalar kernels (SURVEY.md §2.8) for reuse outside the engine.
-"""
-
-from __future__ import annotations
-
-from ..codecs import unary, varbyte
-from ..index import scorer as _scorer
-
-#: name → zero/kw-arg factory, mirroring the reference's -s flag values
-SCORERS = {
-    "bm25": lambda k1=0.82, b=0.68: _scorer.Bm25Scorer(k1, b),
-    "tfidf": lambda **_: _scorer.TfidfScorer(),
-    # F4: the reference's USE_FAST_LOG integer-log TFIDF (off by default
-    # in its build; here a selectable scorer)
-    "tfidf_fast": lambda **_: _scorer.TfidfFastLogScorer(),
-}
-
-
-def register_scorer(name: str, factory) -> None:
-    """Register a custom scorer factory (returns an object with
-    ``score(tf, idf, dl, avgdl)`` and ``sigma`` semantics)."""
-    SCORERS[name] = factory
-
-
-#: F1–F9 scalar kernels
-FUNCTIONS = {
-    "idf": _scorer.idf,                              # F2: log2(N/df)
-    "quantize_scores": _scorer.quantize_scores,      # F9: uint64(score*100)
-    "dequantize_scores": _scorer.dequantize_scores,  # F9 inverse
-    "varbyte_encode": varbyte.encode,                # F5
-    "varbyte_decode": varbyte.decode,                # F5
-    "unary_encode": unary.encode,                    # F6
-    "unary_decode": unary.decode,                    # F6
-    "serialize_bit_offset": unary.serialize_bit_offset,      # F7
-    "deserialize_bit_offset": unary.deserialize_bit_offset,  # F7
-}
+"""Effectiveness functions: TREC run/qrels parsing and mAP/nDCG@k/P@k
+(``effectiveness``), used by the CLI ``eval`` command."""

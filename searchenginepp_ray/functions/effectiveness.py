@@ -92,8 +92,3 @@ def evaluate_run(
         "n_queries": len(per_q),
     }
     return {"summary": summary, "per_query": per_q}
-
-
-def evaluate_trec(run_lines, qrels_lines, k: int = 10) -> dict:
-    """Convenience: evaluate raw TREC-format line iterables."""
-    return evaluate_run(parse_run(run_lines), parse_qrels(qrels_lines), k)

@@ -119,10 +119,6 @@ class TfidfFastLogScorer:
         return seg_term_row["tfidf_sigma"]
 
 
-SCORERS = {"bm25": Bm25Scorer, "tfidf": TfidfScorer,
-           "tfidf_fast": TfidfFastLogScorer}
-
-
 def make_scorer(name: str, k1: float = BM25_K1, b: float = BM25_B):
     if name == "bm25":
         return Bm25Scorer(k1, b)

@@ -267,97 +267,6 @@ def minhash_signatures(
     return documents_ds(sf_dir).map_batches(sig, batch_format="pyarrow")
 
 
-def _bands_table(t: pa.Table, num_perm: int, bands: int) -> pa.Table:
-    """(band_id, band_hash, doc_id) rows from a signatures batch."""
-    rows_per_band = num_perm // bands
-    n = len(t)
-    if n == 0:
-        return pa.table(
-            {"band_id": pa.array([], pa.int32()),
-             "band_hash": pa.array([], pa.uint64()),
-             "doc_id": pa.array([], pa.int64())}
-        )
-    sig_col = t["sig"]
-    if isinstance(sig_col, pa.ChunkedArray):
-        sig_col = sig_col.combine_chunks()
-    sigs = sig_col.flatten().to_numpy(zero_copy_only=False).reshape(n, num_perm)
-    band_ids = np.tile(np.arange(bands, dtype=np.int32), n)
-    doc_ids = np.repeat(t["doc_id"].to_numpy(), bands)
-    bh = np.empty(n * bands, dtype=np.uint64)
-    for b in range(bands):
-        chunk = sigs[:, b * rows_per_band : (b + 1) * rows_per_band]
-        acc = np.zeros(n, dtype=np.uint64)
-        for c in range(rows_per_band):
-            acc = _splitmix64(acc ^ chunk[:, c])
-        bh[b::bands] = acc
-    return pa.table(
-        {"band_id": pa.array(band_ids), "band_hash": pa.array(bh),
-         "doc_id": pa.array(doc_ids)}
-    )
-
-
-def _banded(sf_dir: str, num_perm: int, bands: int, shingle: int, P: int):
-    """Band rows with a coarse ``_part`` column: the groupby key is the
-    P-way hash partition of band_hash — P tasks each process their whole
-    partition vectorized (never one Python call per bucket)."""
-
-    def to_bands(t: pa.Table) -> pa.Table:
-        bt = _bands_table(t, num_perm, bands)
-        part = (bt["band_hash"].to_numpy() % np.uint64(P)).astype(np.int32)
-        return bt.append_column("_part", pa.array(part))
-
-    return (
-        minhash_signatures(sf_dir, num_perm, shingle)
-        .map_batches(to_bands, batch_format="pyarrow")
-        .groupby("_part")
-    )
-
-
-def _dup_runs(band: np.ndarray, bh: np.ndarray, doc: np.ndarray):
-    """Sorted views + [start, end) of every (band, hash) run with >= 2
-    docs. The run scan is vectorized; only dup runs (rare) are yielded."""
-    order = np.lexsort((doc, bh, band))
-    band_s, bh_s, doc_s = band[order], bh[order], doc[order]
-    change = np.empty(len(order), dtype=bool)
-    change[0] = True
-    change[1:] = (band_s[1:] != band_s[:-1]) | (bh_s[1:] != bh_s[:-1])
-    run_starts = np.flatnonzero(change)
-    run_ends = np.append(run_starts[1:], len(order))
-    sel = (run_ends - run_starts) >= 2
-    return band_s, bh_s, doc_s, run_starts[sel], run_ends[sel]
-
-
-def minhash_lsh_candidates(
-    sf_dir: str, num_perm: int = 64, bands: int = 16, shingle: int = 3
-) -> ray.data.Dataset:
-    """LSH banding: rows of every (band, bucket) with >= 2 docs."""
-    P = _shuffle_width()
-
-    def buckets(t: pa.Table) -> pa.Table:
-        band = t["band_id"].to_numpy()
-        bh = t["band_hash"].to_numpy()
-        doc = t["doc_id"].to_numpy()
-        if len(band) == 0:
-            return pa.table(
-                {"band_id": pa.array([], pa.int32()),
-                 "band_hash": pa.array([], pa.uint64()),
-                 "doc_id": pa.array([], pa.int64())}
-            )
-        band_s, bh_s, doc_s, starts, ends = _dup_runs(band, bh, doc)
-        keep = np.concatenate(
-            [np.arange(s, e) for s, e in zip(starts, ends)]
-        ) if len(starts) else np.empty(0, dtype=np.int64)
-        return pa.table(
-            {"band_id": pa.array(band_s[keep]),
-             "band_hash": pa.array(bh_s[keep]),
-             "doc_id": pa.array(doc_s[keep])}
-        )
-
-    return _banded(sf_dir, num_perm, bands, shingle, P).map_groups(
-        buckets, batch_format="pyarrow"
-    )
-
-
 def _set_blob(S: np.ndarray, shc: np.ndarray) -> pa.LargeBinaryArray:
     """Per-doc DISTINCT sorted shingle hashes packed as little-endian u64
     bytes (one blob per doc — binary survives shuffles that typed lists

@@ -711,39 +711,6 @@ def bpe_token_count_sql() -> str:
     """
 
 
-def nation_revenue_sql() -> str:
-    """Oracle for relational.nation_revenue: orders ⋈ customer ⋈ nation
-    revenue rollup (distributed shuffle join + broadcast dim lookup)."""
-    return """
-        SELECT n_name,
-               ROUND(SUM(o_totalprice), 2) AS revenue,
-               CAST(COUNT(*) AS BIGINT) AS n_orders
-        FROM orders
-        JOIN customer ON o_custkey = c_custkey
-        JOIN nation ON c_nationkey = n_nationkey
-        GROUP BY n_name
-    """
-
-
-def pricing_summary_sql(cutoff: str = "2000-12-01") -> str:
-    """Oracle for relational.pricing_summary (the TPC-H Q1 shape)."""
-    return f"""
-        SELECT l_returnflag, l_linestatus,
-               ROUND(SUM(l_quantity), 2) AS sum_qty,
-               ROUND(SUM(l_extendedprice), 2) AS sum_base_price,
-               ROUND(SUM(l_extendedprice * (1 - l_discount)), 2) AS sum_disc_price,
-               ROUND(SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)), 2)
-                   AS sum_charge,
-               ROUND(SUM(l_quantity) / COUNT(*), 6) AS avg_qty,
-               ROUND(SUM(l_extendedprice) / COUNT(*), 6) AS avg_price,
-               ROUND(SUM(l_discount) / COUNT(*), 6) AS avg_disc,
-               CAST(COUNT(*) AS BIGINT) AS count_order
-        FROM lineitem
-        WHERE l_shipdate <= TIMESTAMP '{cutoff}'
-        GROUP BY l_returnflag, l_linestatus
-    """
-
-
 def dup_components_sql(shingle: int = 3, thr_num: int = 4,
                        thr_den: int = 5) -> str:
     """Oracle for dedup.dup_components: recursive-CTE reachability
@@ -965,30 +932,6 @@ SELECT source, lang, CAST(COUNT(*) AS BIGINT) AS n_docs,
 FROM j GROUP BY source, lang"""
 
 
-def customers_without_orders_sql(priority: str = "1-URGENT") -> str:
-    """Oracle for relational.customers_without_orders (distributed
-    anti-join; only deduplicated right-side keys cross the exchange)."""
-    return f"""
-        SELECT c_custkey, c_name, c_acctbal
-        FROM customer
-        WHERE NOT EXISTS (SELECT 1 FROM orders
-                          WHERE o_custkey = c_custkey
-                            AND o_orderpriority = '{priority}')
-    """
-
-
-def customer_order_counts_sql() -> str:
-    """Oracle for relational.customer_order_counts (LEFT OUTER aggregate
-    join — customers with zero orders kept at 0/0.0)."""
-    return """
-        SELECT c_custkey, c_mktsegment,
-               CAST(COUNT(o_totalprice) AS BIGINT) AS n_orders,
-               ROUND(COALESCE(SUM(o_totalprice), 0), 2) AS total_spent
-        FROM customer LEFT JOIN orders ON c_custkey = o_custkey
-        GROUP BY c_custkey, c_mktsegment
-    """
-
-
 def stratified_sample_sql(fracs: dict | None = None,
                           default_frac: float | None = None) -> str:
     """Oracle for sample.stratified_sample — the per-stratum md5 rule as
@@ -1031,22 +974,6 @@ SELECT t.doc_id,
 FROM tf t JOIN dfs d USING (term)
 GROUP BY t.doc_id, dim
 """
-
-
-def top_orders_by_revenue_sql(k: int = 10) -> str:
-    """Oracle for relational.top_orders_by_revenue: exact-integer revenue
-    in 1e-4 units, rank ties on o_orderkey ASC."""
-    return f"""WITH rev AS (
-    SELECT l_orderkey AS o_orderkey,
-           SUM(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)
-               * (100 - CAST(floor(l_discount * 100 + 0.5) AS BIGINT))) AS rev_e4
-    FROM lineitem GROUP BY l_orderkey),
-r AS (
-    SELECT o_orderkey, rev_e4,
-           row_number() OVER (ORDER BY rev_e4 DESC, o_orderkey ASC) AS rank
-    FROM rev)
-SELECT o_orderkey, CAST(rank AS BIGINT) AS rank, rev_e4 / 10000.0 AS revenue
-FROM r WHERE rank <= {int(k)}"""
 
 
 def dataset_split_sql(val_frac: float = 0.1, test_frac: float = 0.1,
@@ -1574,20 +1501,6 @@ SELECT shard_id,
 FROM sh GROUP BY shard_id"""
 
 
-def order_rollup_sql() -> str:
-    """Oracle for relational.order_rollup — GROUP BY ROLLUP in exact
-    integer cents."""
-    return """
-WITH o AS (
-    SELECT o_orderpriority, o_orderstatus,
-           CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT) AS cents
-    FROM orders)
-SELECT o_orderpriority, o_orderstatus,
-       CAST(SUM(cents) AS BIGINT) AS total_cents,
-       CAST(COUNT(*) AS BIGINT) AS n_orders
-FROM o GROUP BY ROLLUP (o_orderpriority, o_orderstatus)"""
-
-
 def knn_graph_sql(k: int = 5) -> str:
     """Oracle for similarity.knn_graph — exact all-vs-all cosine top-k,
     self excluded, (cos DESC, neighbor ASC) tie-break."""
@@ -1605,156 +1518,6 @@ ranked AS (
 SELECT vec_id, neighbor_id, CAST(rank AS BIGINT) AS rank,
        floor(cos * 1e6 + 0.5) / 1e6 AS cosine
 FROM ranked WHERE rank <= {int(k)}"""
-
-
-def order_shipping_priority_sql(segment: str = "BUILDING",
-                                cutoff: str = "1998-07-01",
-                                k: int = 10) -> str:
-    """Oracle for relational.order_shipping_priority (TPC-H Q3 shape):
-    3-table chain, exact-integer 1e-4 revenue, rank ties on o_orderkey
-    ASC. The order date is compared/emitted as epoch microseconds so the
-    text canon is precision-exact."""
-    return f"""WITH rev AS (
-    SELECT l_orderkey,
-           SUM(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)
-               * (100 - CAST(floor(l_discount * 100 + 0.5) AS BIGINT))) AS rev_e4
-    FROM lineitem WHERE l_shipdate > TIMESTAMP '{cutoff}'
-    GROUP BY l_orderkey),
-j AS (
-    SELECT o.o_orderkey, rev.rev_e4, o.o_orderdate, o.o_orderpriority
-    FROM orders o
-    JOIN customer c ON o.o_custkey = c.c_custkey
-    JOIN rev ON rev.l_orderkey = o.o_orderkey
-    WHERE c.c_mktsegment = '{segment}'
-      AND o.o_orderdate < TIMESTAMP '{cutoff}'),
-r AS (
-    SELECT *, row_number() OVER (ORDER BY rev_e4 DESC, o_orderkey ASC) AS rank
-    FROM j)
-SELECT o_orderkey, CAST(rank AS BIGINT) AS rank, rev_e4 / 10000.0 AS revenue,
-       CAST(epoch_us(o_orderdate) AS BIGINT) AS o_orderdate_us,
-       o_orderpriority
-FROM r WHERE rank <= {int(k)}"""
-
-
-def returned_item_report_sql(date_lo: str = "1996-01-01",
-                             date_hi: str = "1996-04-01",
-                             k: int = 20) -> str:
-    """Oracle for relational.returned_item_report (TPC-H Q10 shape):
-    4-table chain, exact-integer 1e-4 revenue, rank ties on c_custkey
-    ASC."""
-    return f"""WITH rev AS (
-    SELECT l_orderkey,
-           SUM(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)
-               * (100 - CAST(floor(l_discount * 100 + 0.5) AS BIGINT))) AS rev_e4
-    FROM lineitem WHERE l_returnflag = 'R'
-    GROUP BY l_orderkey),
-cr AS (
-    SELECT o.o_custkey AS c_custkey, SUM(rev.rev_e4) AS rev_e4
-    FROM orders o JOIN rev ON rev.l_orderkey = o.o_orderkey
-    WHERE o.o_orderdate >= TIMESTAMP '{date_lo}'
-      AND o.o_orderdate < TIMESTAMP '{date_hi}'
-    GROUP BY o.o_custkey),
-j AS (
-    SELECT c.c_custkey, c.c_name, n.n_name, c.c_acctbal, cr.rev_e4
-    FROM cr
-    JOIN customer c USING (c_custkey)
-    JOIN nation n ON n.n_nationkey = c.c_nationkey),
-r AS (
-    SELECT *, row_number() OVER (ORDER BY rev_e4 DESC, c_custkey ASC) AS rank
-    FROM j)
-SELECT c_custkey, c_name, n_name, c_acctbal,
-       CAST(rank AS BIGINT) AS rank, rev_e4 / 10000.0 AS revenue
-FROM r WHERE rank <= {int(k)}"""
-
-
-def large_volume_orders_sql(qty_threshold: int = 200, k: int = 100) -> str:
-    """Oracle for relational.large_volume_orders (TPC-H Q18): the
-    HAVING cut on the identical integer quantity-cents grid, join-back
-    to orders and customer, deterministic top-k."""
-    thr_c = int(qty_threshold) * 100
-    return f"""WITH q AS (
-  SELECT l_orderkey,
-         CAST(SUM(CAST(floor(l_quantity * 100 + 0.5) AS BIGINT))
-              AS BIGINT) AS q_c
-  FROM lineitem GROUP BY l_orderkey
-  HAVING SUM(CAST(floor(l_quantity * 100 + 0.5) AS BIGINT)) > {thr_c}),
-j AS (
-  SELECT c.c_custkey, c.c_name, o.o_orderkey, o.o_orderdate,
-         o.o_totalprice, q.q_c
-  FROM q
-  JOIN orders o ON o.o_orderkey = q.l_orderkey
-  JOIN customer c ON c.c_custkey = o.o_custkey),
-r AS (
-  SELECT *, row_number() OVER (ORDER BY o_totalprice DESC,
-                               o_orderdate ASC, o_orderkey ASC) AS rank
-  FROM j)
-SELECT CAST(c_custkey AS BIGINT) AS c_custkey, c_name,
-       CAST(o_orderkey AS BIGINT) AS o_orderkey, o_orderdate,
-       o_totalprice, q_c / 100.0 AS total_qty, CAST(rank AS BIGINT) AS rank
-FROM r WHERE rank <= {int(k)}"""
-
-
-def small_order_revenue_sql(brand: str = "Brand#12") -> str:
-    """Oracle for relational.small_order_revenue (TPC-H Q17 shape): the
-    correlated per-part average as an exact integer cross-multiplication
-    (5·q·cnt < sum on the cents grid)."""
-    return f"""WITH lc AS (
-    SELECT l_partkey,
-           CAST(floor(l_quantity * 100 + 0.5) AS BIGINT) AS q_c,
-           CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT) AS p_c
-    FROM lineitem
-    WHERE l_partkey IN (SELECT p_partkey FROM part
-                        WHERE p_brand = '{brand}')),
-agg AS (SELECT l_partkey, SUM(q_c) AS s, CAST(COUNT(*) AS BIGINT) AS n
-        FROM lc GROUP BY l_partkey),
-sel AS (SELECT lc.p_c FROM lc JOIN agg USING (l_partkey)
-        WHERE 5 * lc.q_c * agg.n < agg.s)
-SELECT CAST(COALESCE(SUM(p_c), 0) AS BIGINT) AS total_cents,
-       floor(COALESCE(SUM(p_c), 0) / 100.0 / 7.0 * 1e6 + 0.5) / 1e6
-           AS avg_yearly
-FROM sel"""
-
-
-def table_profile_sql() -> str:
-    """Oracle for relational.table_profile: per-column exact profile over
-    lineitem in one wide row. Decimal distinct/mean run on the exact
-    cents grid (the identical floor rule); timestamps on epoch µs."""
-    from .relational import (_PROFILE_DEC, _PROFILE_INT, _PROFILE_STR,
-                             _PROFILE_TS)
-
-    parts = ["CAST(COUNT(*) AS BIGINT) AS n_rows"]
-    for c in _PROFILE_INT:
-        parts += [
-            f"CAST(COUNT(DISTINCT {c}) AS BIGINT) AS {c}_ndv",
-            f"CAST(COUNT(*) - COUNT({c}) AS BIGINT) AS {c}_nulls",
-            f"CAST(MIN({c}) AS BIGINT) AS {c}_min",
-            f"CAST(MAX({c}) AS BIGINT) AS {c}_max",
-        ]
-    for c in _PROFILE_DEC:
-        cents = f"CAST(floor({c} * 100 + 0.5) AS BIGINT)"
-        parts += [
-            f"CAST(COUNT(DISTINCT {cents}) AS BIGINT) AS {c}_ndv",
-            f"CAST(COUNT(*) - COUNT({c}) AS BIGINT) AS {c}_nulls",
-            f"MIN({cents}) / 100.0 AS {c}_min",
-            f"MAX({cents}) / 100.0 AS {c}_max",
-            f"floor(SUM({cents}) / (100.0 * COUNT({c})) * 1e6 + 0.5) / 1e6 AS {c}_mean",
-        ]
-    for c in _PROFILE_STR:
-        parts += [
-            f"CAST(COUNT(DISTINCT {c}) AS BIGINT) AS {c}_ndv",
-            f"CAST(COUNT(*) - COUNT({c}) AS BIGINT) AS {c}_nulls",
-            f"MIN({c}) AS {c}_min",
-            f"MAX({c}) AS {c}_max",
-        ]
-    for c in _PROFILE_TS:
-        parts += [
-            f"CAST(COUNT(DISTINCT {c}) AS BIGINT) AS {c}_ndv",
-            f"CAST(COUNT(*) - COUNT({c}) AS BIGINT) AS {c}_nulls",
-            f"CAST(epoch_us(MIN({c})) AS BIGINT) AS {c}_min",
-            f"CAST(epoch_us(MAX({c})) AS BIGINT) AS {c}_max",
-        ]
-    sel = ",\n       ".join(parts)
-    return f"SELECT {sel}\nFROM lineitem"
 
 
 def phrase_search_sql(phrases: tuple[str, ...] | None = None) -> str:
@@ -1864,51 +1627,6 @@ FROM ranked r
 JOIN fp ON fp.query_id = r.query_id AND fp.doc_id = r.doc_id
 JOIN tarr ta ON ta.doc_id = r.doc_id
 WHERE r.rank <= {int(k)}"""
-
-
-def local_supplier_volume_sql(region: str = "ASIA",
-                              date_from: str = "1996-01-01",
-                              date_to: str = "1997-01-01") -> str:
-    """Oracle for relational.local_supplier_volume (TPC-H Q5 shape):
-    6-table chain with the c_nationkey = s_nationkey locality predicate;
-    revenue in the shared exact-integer 1e-4 rule."""
-    return f"""SELECT n_name,
-       SUM(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)
-           * (100 - CAST(floor(l_discount * 100 + 0.5) AS BIGINT)))
-           / 10000.0 AS revenue
-FROM customer
-JOIN orders   ON c_custkey = o_custkey
-JOIN lineitem ON l_orderkey = o_orderkey
-JOIN supplier ON l_suppkey = s_suppkey
-JOIN nation   ON s_nationkey = n_nationkey
-JOIN region   ON n_regionkey = r_regionkey
-WHERE c_nationkey = s_nationkey
-  AND r_name = '{region}'
-  AND o_orderdate >= TIMESTAMP '{date_from}'
-  AND o_orderdate <  TIMESTAMP '{date_to}'
-GROUP BY n_name"""
-
-
-def price_quantiles_sql(qs: tuple = (0.01, 0.25, 0.5, 0.75, 0.99)) -> str:
-    """Oracle for relational.price_quantiles: explicit rank selection
-    (k = max(1, ceil(q*N)), 1-indexed k-th smallest) over exact integer
-    cents — no quantile-function interpolation-semantics guessing."""
-    arms = "\nUNION ALL\n".join(
-        f"""SELECT CAST({q} AS DOUBLE) AS q,
-       GREATEST(1, CAST(ceil({q} * n) AS BIGINT)) AS rank,
-       cents, cents / 100.0 AS price
-FROM r WHERE rk = GREATEST(1, CAST(ceil({q} * n) AS BIGINT))"""
-        for q in qs
-    )
-    return f"""WITH c AS (
-    SELECT CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT) AS cents
-    FROM orders),
-r AS (
-    SELECT cents,
-           row_number() OVER (ORDER BY cents) AS rk,
-           COUNT(*) OVER () AS n
-    FROM c)
-{arms}"""
 
 
 def term_complete_sql(prefix: str = "s", k: int = 10) -> str:
@@ -2289,24 +2007,6 @@ SELECT CAST(rank AS BIGINT) AS rank, doc_id, logw,
 FROM r WHERE rank <= {int(n_out)}"""
 
 
-def revenue_forecast_sql(year: int = 1995, disc_lo: int = 5,
-                         disc_hi: int = 7, max_qty: int = 24) -> str:
-    """Oracle for relational.revenue_forecast: TPC-H Q6 on the exact
-    cents grid (identical floor half-up cents conversion, integer
-    product sum)."""
-    return f"""SELECT
-  CAST(COALESCE(SUM(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)
-                    * CAST(floor(l_discount * 100 + 0.5) AS BIGINT)), 0)
-       AS BIGINT) AS revenue_e4,
-  CAST(COUNT(*) AS BIGINT) AS n_lineitems
-FROM lineitem
-WHERE l_shipdate >= TIMESTAMP '{year}-01-01'
-  AND l_shipdate < TIMESTAMP '{year + 1}-01-01'
-  AND CAST(floor(l_discount * 100 + 0.5) AS BIGINT)
-      BETWEEN {int(disc_lo)} AND {int(disc_hi)}
-  AND l_quantity < {int(max_qty)}"""
-
-
 def term_heavy_hitters_sql(k: int = 2000) -> str:
     """Oracle for text_stats.term_heavy_hitters: exact grouped counts
     with the identical integer threshold (freq · k > T)."""
@@ -2412,80 +2112,6 @@ SELECT n.doc_id, n.text_md5
 FROM h n
 WHERE n.is_new AND NOT EXISTS (
   SELECT 1 FROM h b WHERE NOT b.is_new AND b.text_md5 = n.text_md5)"""
-
-
-def order_count_distribution_sql(excl_priority: str = "1-URGENT") -> str:
-    """Oracle for relational.order_count_distribution (TPC-H Q13): left
-    outer count per customer (priority exclusion in place of the
-    comment filter the testdata lacks), then the count-of-counts."""
-    return f"""WITH o AS (
-  SELECT o_custkey, COUNT(*) AS cnt FROM orders
-  WHERE o_orderpriority <> '{excl_priority}' GROUP BY o_custkey),
-per_cust AS (
-  SELECT c.c_custkey, CAST(COALESCE(o.cnt, 0) AS BIGINT) AS c_count
-  FROM customer c LEFT JOIN o ON o.o_custkey = c.c_custkey)
-SELECT c_count, CAST(COUNT(*) AS BIGINT) AS custdist
-FROM per_cust GROUP BY c_count
-ORDER BY custdist DESC, c_count DESC"""
-
-
-def suppliers_kept_waiting_sql(region: str = "EUROPE",
-                               late_days: int = 1400,
-                               k: int = 100) -> str:
-    """Oracle for relational.suppliers_kept_waiting (TPC-H Q21): the
-    exists/not-exists pair expressed on the (orderkey, suppkey,
-    max shipdate) reduction — identical integer-microsecond lateness
-    rule, identical (numwait DESC, s_name ASC) order."""
-    return f"""WITH f AS (
-  SELECT l_orderkey, l_suppkey, MAX(l_shipdate) AS mx
-  FROM lineitem GROUP BY l_orderkey, l_suppkey),
-j AS (
-  SELECT f.l_orderkey, f.l_suppkey,
-         (f.mx > o.o_orderdate + INTERVAL {int(late_days)} DAY) AS late
-  FROM f JOIN orders o ON o.o_orderkey = f.l_orderkey
-  WHERE o.o_orderstatus = 'F'),
-per AS (
-  SELECT l_orderkey, COUNT(*) AS n_supp,
-         SUM(CASE WHEN late THEN 1 ELSE 0 END) AS n_late
-  FROM j GROUP BY l_orderkey),
-q AS (
-  SELECT j.l_suppkey FROM j JOIN per USING (l_orderkey)
-  WHERE j.late AND per.n_supp >= 2 AND per.n_late = 1)
-SELECT s.s_name, CAST(COUNT(*) AS BIGINT) AS numwait
-FROM q
-JOIN supplier s ON s.s_suppkey = q.l_suppkey
-JOIN nation n ON n.n_nationkey = s.s_nationkey
-JOIN region r ON r.r_regionkey = n.n_regionkey
-WHERE r.r_name = '{region}'
-GROUP BY s.s_name
-ORDER BY numwait DESC, s_name ASC
-LIMIT {int(k)}"""
-
-
-def idle_customer_balance_sql(
-        nation_keys: tuple = (0, 1, 2, 3, 4, 5, 6),
-        since: str = "2000-01-01") -> str:
-    """Oracle for relational.idle_customer_balance (TPC-H Q22): the
-    identical integer cross-multiplied above-average rule + NOT EXISTS
-    anti-join against orders placed since the cutoff, totals in exact
-    cents."""
-    keys = ", ".join(str(int(x)) for x in sorted(nation_keys))
-    return f"""WITH pool AS (
-  SELECT c_custkey, c_nationkey,
-         CAST(floor(c_acctbal * 100 + 0.5) AS BIGINT) AS bal_c
-  FROM customer
-  WHERE c_nationkey IN ({keys}) AND c_acctbal > 0.0),
-stats AS (SELECT SUM(bal_c) AS total_c, COUNT(*) AS n FROM pool),
-idle AS (
-  SELECT p.c_nationkey, p.bal_c FROM pool p, stats
-  WHERE p.bal_c * stats.n > stats.total_c
-    AND NOT EXISTS (SELECT 1 FROM orders o
-                    WHERE o.o_custkey = p.c_custkey
-                      AND o.o_orderdate >= TIMESTAMP '{since}'))
-SELECT n.n_name, CAST(COUNT(*) AS BIGINT) AS numcust,
-       CAST(SUM(i.bal_c) AS BIGINT) AS totacctbal_c
-FROM idle i JOIN nation n ON n.n_nationkey = i.c_nationkey
-GROUP BY n.n_name ORDER BY n.n_name"""
 
 
 def split_leakage_sql(w: int = 8, val_frac: float = 0.1,
@@ -2704,184 +2330,6 @@ w0 AS (SELECT unnest(range({D + 1})) AS j, 0.0 AS v),
 {chain}
 SELECT CAST(j AS BIGINT) AS dim, v AS weight
 FROM w{int(iters)} ORDER BY dim"""
-
-
-def nation_trade_volume_sql(nation_a: int = 1, nation_b: int = 2,
-                            date_lo: str = "1995-01-01",
-                            date_hi: str = "1997-01-01") -> str:
-    """Oracle for relational.nation_trade_volume (TPC-H Q7): identical
-    integer cents grid, both shipping directions, cross-nation only."""
-    na, nb = int(nation_a), int(nation_b)
-    return f"""SELECT s.s_nationkey AS supp_nation,
-       c.c_nationkey AS cust_nation,
-       CAST(EXTRACT(year FROM l.l_shipdate) AS BIGINT) AS l_year,
-       CAST(SUM(CAST(floor(l.l_extendedprice * 100 + 0.5) AS BIGINT)
-                * (100 - CAST(floor(l.l_discount * 100 + 0.5) AS BIGINT)))
-            AS BIGINT) AS revenue_c
-FROM lineitem l
-JOIN supplier s ON s.s_suppkey = l.l_suppkey
-JOIN orders o ON o.o_orderkey = l.l_orderkey
-JOIN customer c ON c.c_custkey = o.o_custkey
-WHERE s.s_nationkey IN ({na}, {nb})
-  AND c.c_nationkey IN ({na}, {nb})
-  AND s.s_nationkey <> c.c_nationkey
-  AND l.l_shipdate >= TIMESTAMP '{date_lo}'
-  AND l.l_shipdate < TIMESTAMP '{date_hi}'
-GROUP BY 1, 2, 3
-ORDER BY 1, 2, 3"""
-
-
-def discounted_revenue_sql(clauses: tuple | None = None) -> str:
-    """Oracle for relational.discounted_revenue (TPC-H Q19): the
-    disjunction written directly, identical integer cents grid."""
-    from .relational import DISCOUNT_CLAUSES
-
-    cs = clauses or DISCOUNT_CLAUSES
-    ors = " OR ".join(
-        f"(p.p_brand = '{b}' AND p.p_size BETWEEN {slo} AND {shi} "
-        f"AND l.l_quantity BETWEEN {qlo} AND {qhi})"
-        for (b, slo, shi, qlo, qhi) in cs)
-    return f"""SELECT CAST(COALESCE(SUM(
-    CAST(floor(l.l_extendedprice * 100 + 0.5) AS BIGINT)
-    * (100 - CAST(floor(l.l_discount * 100 + 0.5) AS BIGINT))), 0)
-    AS BIGINT) AS revenue_c
-FROM lineitem l JOIN part p ON p.p_partkey = l.l_partkey
-WHERE {ors}"""
-
-
-def part_supplier_counts_sql(excl_brand: str = "Brand#1",
-                             excl_type: str = "PROMO",
-                             k: int = 20) -> str:
-    """Oracle for relational.part_supplier_counts (TPC-H Q16 shape):
-    the part↔supplier relation derived from lineitem, identical
-    exclusions, deterministic top-k."""
-    return f"""WITH ps AS (
-  SELECT DISTINCT l_partkey, l_suppkey FROM lineitem),
-ok AS (
-  SELECT ps.l_partkey, ps.l_suppkey FROM ps
-  WHERE NOT EXISTS (SELECT 1 FROM supplier s
-                    WHERE s.s_suppkey = ps.l_suppkey
-                      AND s.s_acctbal < 0.0)),
-cls AS (
-  SELECT p.p_brand, p.p_type, p.p_size, ok.l_suppkey
-  FROM ok JOIN part p ON p.p_partkey = ok.l_partkey
-  WHERE p.p_brand <> '{excl_brand}' AND p.p_type <> '{excl_type}')
-SELECT p_brand, p_type, CAST(p_size AS BIGINT) AS p_size,
-       CAST(COUNT(DISTINCT l_suppkey) AS BIGINT) AS supplier_cnt
-FROM cls GROUP BY p_brand, p_type, p_size
-ORDER BY supplier_cnt DESC, p_brand, p_type, p_size
-LIMIT {int(k)}"""
-
-
-def order_priority_late_sql(late_days: int = 10,
-                            date_lo: str = "1996-01-01",
-                            date_hi: str = "1996-07-01") -> str:
-    """Oracle for relational.order_priority_late (TPC-H Q4): the EXISTS
-    correlated on the outer row's own orderdate, identical lateness
-    contract (strictly more than ``late_days`` past the order date)."""
-    return f"""SELECT o_orderpriority,
-       CAST(COUNT(*) AS BIGINT) AS order_count
-FROM orders o
-WHERE o.o_orderdate >= TIMESTAMP '{date_lo}'
-  AND o.o_orderdate < TIMESTAMP '{date_hi}'
-  AND EXISTS (SELECT 1 FROM lineitem l
-              WHERE l.l_orderkey = o.o_orderkey
-                AND l.l_shipdate > o.o_orderdate
-                    + INTERVAL {int(late_days)} DAY)
-GROUP BY o_orderpriority
-ORDER BY o_orderpriority"""
-
-
-def promo_revenue_share_sql(promo_type: str = "PROMO",
-                            date_lo: str = "1996-01-01",
-                            date_hi: str = "1996-03-01") -> str:
-    """Oracle for relational.promo_revenue_share (TPC-H Q14): identical
-    integer 1e-4 revenue grid; the share divides the same two BIGINTs
-    on the shared floor(x*1e6+0.5)/1e6 grid."""
-    return f"""WITH rev AS (
-  SELECT CAST(floor(l.l_extendedprice * 100 + 0.5) AS BIGINT)
-         * (100 - CAST(floor(l.l_discount * 100 + 0.5) AS BIGINT)) AS r4,
-         p.p_type = '{promo_type}' AS promo
-  FROM lineitem l JOIN part p ON p.p_partkey = l.l_partkey
-  WHERE l.l_shipdate >= TIMESTAMP '{date_lo}'
-    AND l.l_shipdate < TIMESTAMP '{date_hi}')
-SELECT CAST(COALESCE(SUM(CASE WHEN promo THEN r4 END), 0) AS BIGINT)
-         AS promo_revenue_c4,
-       CAST(COALESCE(SUM(r4), 0) AS BIGINT) AS total_revenue_c4,
-       floor(100.0 * COALESCE(SUM(CASE WHEN promo THEN r4 END), 0)
-             / SUM(r4) * 1000000 + 0.5) / 1000000 AS promo_share
-FROM rev"""
-
-
-def top_supplier_revenue_sql(date_lo: str = "1996-01-01",
-                             date_hi: str = "1996-04-01") -> str:
-    """Oracle for relational.top_supplier_revenue (TPC-H Q15): the
-    revenue view + global-max equality, ties kept, identical grid."""
-    return f"""WITH revenue AS (
-  SELECT l_suppkey,
-         CAST(SUM(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)
-                  * (100 - CAST(floor(l_discount * 100 + 0.5) AS BIGINT)))
-              AS BIGINT) AS total_c4
-  FROM lineitem
-  WHERE l_shipdate >= TIMESTAMP '{date_lo}'
-    AND l_shipdate < TIMESTAMP '{date_hi}'
-  GROUP BY l_suppkey)
-SELECT CAST(s.s_suppkey AS BIGINT) AS s_suppkey, s.s_name,
-       r.total_c4 AS total_revenue_c4
-FROM supplier s JOIN revenue r ON r.l_suppkey = s.s_suppkey
-WHERE r.total_c4 = (SELECT MAX(total_c4) FROM revenue)
-ORDER BY s_suppkey"""
-
-
-def nation_market_share_sql(nation: int = 1, region: str = "EUROPE",
-                            p_type: str = "ECONOMY",
-                            date_lo: str = "1995-01-01",
-                            date_hi: str = "1997-01-01") -> str:
-    """Oracle for relational.nation_market_share (TPC-H Q8): identical
-    star join, integer 1e-4 revenue grid and floor-rounded share."""
-    return f"""WITH vol AS (
-  SELECT CAST(EXTRACT(year FROM o.o_orderdate) AS BIGINT) AS o_year,
-         CAST(floor(l.l_extendedprice * 100 + 0.5) AS BIGINT)
-         * (100 - CAST(floor(l.l_discount * 100 + 0.5) AS BIGINT)) AS r4,
-         s.s_nationkey = {int(nation)} AS is_nat
-  FROM lineitem l
-  JOIN part p ON p.p_partkey = l.l_partkey
-  JOIN supplier s ON s.s_suppkey = l.l_suppkey
-  JOIN orders o ON o.o_orderkey = l.l_orderkey
-  JOIN customer c ON c.c_custkey = o.o_custkey
-  JOIN nation n ON n.n_nationkey = c.c_nationkey
-  JOIN region r ON r.r_regionkey = n.n_regionkey
-  WHERE p.p_type = '{p_type}' AND r.r_name = '{region}'
-    AND o.o_orderdate >= TIMESTAMP '{date_lo}'
-    AND o.o_orderdate < TIMESTAMP '{date_hi}')
-SELECT o_year,
-       CAST(COALESCE(SUM(CASE WHEN is_nat THEN r4 END), 0) AS BIGINT)
-         AS nation_revenue_c4,
-       CAST(SUM(r4) AS BIGINT) AS total_revenue_c4,
-       floor(COALESCE(SUM(CASE WHEN is_nat THEN r4 END), 0) * 1.0
-             / SUM(r4) * 1000000 + 0.5) / 1000000 AS mkt_share
-FROM vol GROUP BY o_year ORDER BY o_year"""
-
-
-def product_profit_sql(name_prefix: str = "red") -> str:
-    """Oracle for relational.product_profit (TPC-H Q9, retail-cost
-    adaptation): profit = rev4 − retail_c·qty_c, every factor snapped
-    to its own cents grid before the all-integer subtraction."""
-    return f"""SELECT CAST(s.s_nationkey AS BIGINT) AS nation,
-       CAST(EXTRACT(year FROM o.o_orderdate) AS BIGINT) AS o_year,
-       CAST(SUM(
-         CAST(floor(l.l_extendedprice * 100 + 0.5) AS BIGINT)
-         * (100 - CAST(floor(l.l_discount * 100 + 0.5) AS BIGINT))
-         - CAST(floor(p.p_retailprice * 100 + 0.5) AS BIGINT)
-           * CAST(floor(l.l_quantity * 100 + 0.5) AS BIGINT))
-       AS BIGINT) AS profit_c4
-FROM lineitem l
-JOIN part p ON p.p_partkey = l.l_partkey
-JOIN supplier s ON s.s_suppkey = l.l_suppkey
-JOIN orders o ON o.o_orderkey = l.l_orderkey
-WHERE p.p_name LIKE '{name_prefix}%'
-GROUP BY 1, 2
-ORDER BY 1, 2"""
 
 
 def search_near_sql(queries: tuple | None = None) -> str:
@@ -3127,29 +2575,6 @@ SELECT query_id, CAST(rank AS BIGINT) AS rank, vec_id, score10
 FROM picked{int(k)}"""
 
 
-def integrity_check_sql() -> str:
-    """Oracle for relational.integrity_check: per-constraint FK anti-join
-    counts and duplicate-key counts, one UNION ALL branch per declared
-    constraint (same declarations, same order-insensitive rows)."""
-    from .relational import INTEGRITY_FKS, INTEGRITY_UNIQUES
-
-    branches = []
-    for child, ckey, parent, pkey in INTEGRITY_FKS:
-        branches.append(f"""SELECT '{child}.{ckey}->{parent}.{pkey}' AS check_name,
-       (SELECT CAST(COUNT(*) AS BIGINT) FROM {child}) AS n,
-       (SELECT CAST(COUNT(*) AS BIGINT) FROM {child} c
-        LEFT JOIN (SELECT DISTINCT {pkey} FROM {parent}) p
-               ON c.{ckey} = p.{pkey}
-        WHERE p.{pkey} IS NULL) AS violations""")
-    for table, key in INTEGRITY_UNIQUES:
-        branches.append(f"""SELECT '{table}.{key} unique' AS check_name,
-       (SELECT CAST(COUNT(*) AS BIGINT) FROM {table}) AS n,
-       (SELECT CAST(COUNT(*) AS BIGINT) FROM
-          (SELECT {key} FROM {table} GROUP BY {key}
-           HAVING COUNT(*) > 1)) AS violations""")
-    return "\nUNION ALL\n".join(branches)
-
-
 def search_more_like_this_sql(seed_ids: tuple | None = None,
                               m_terms: int = 5, k: int = 10) -> str:
     """Oracle for search_docs.search_more_like_this: per seed doc, the
@@ -3220,25 +2645,6 @@ SELECT CAST(row_number() OVER (ORDER BY quality DESC, doc_id ASC)
             AS BIGINT) AS rank,
        doc_id, quality
 FROM q"""
-
-
-def shipment_priority_sql(late_days: int = 60,
-                          date_lo: str = "1996-01-01",
-                          date_hi: str = "1998-01-01") -> str:
-    """Oracle for relational.shipment_priority (TPC-H Q12): identical
-    lateness contract (strictly more than ``late_days`` past the order
-    date) and high-priority set."""
-    return f"""SELECT l_linestatus,
-       CAST(COALESCE(SUM(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH')
-                     THEN 1 ELSE 0 END), 0) AS BIGINT) AS high_line_count,
-       CAST(COALESCE(SUM(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH')
-                     THEN 0 ELSE 1 END), 0) AS BIGINT) AS low_line_count
-FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey
-WHERE l.l_shipdate >= TIMESTAMP '{date_lo}'
-  AND l.l_shipdate < TIMESTAMP '{date_hi}'
-  AND l.l_shipdate > o.o_orderdate + INTERVAL {int(late_days)} DAY
-GROUP BY l_linestatus
-ORDER BY l_linestatus"""
 
 
 def doc_similarity_pairs_sql(threshold: float = 0.6,
@@ -3404,37 +2810,3 @@ SELECT COALESCE(o.term, n.term) AS term,
 FROM df_old o FULL OUTER JOIN df_new n ON o.term = n.term
 ORDER BY {drift} DESC, COALESCE(o.term, n.term) ASC
 LIMIT {int(k)}"""
-
-
-def revenue_trend_sql() -> str:
-    """Oracle for relational.revenue_trend: exact-cents monthly sums,
-    month index by dense calendar rank, identical closed-form OLS
-    moments and 6 dp floor grid."""
-    return """WITH m AS (
-    SELECT CAST(date_part('year', o_orderdate) * 12
-                + date_part('month', o_orderdate) AS BIGINT) AS ym,
-           CAST(SUM(CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT))
-               AS BIGINT) AS cents
-    FROM orders GROUP BY 1),
-r AS (SELECT cents,
-             CAST(row_number() OVER (ORDER BY ym) - 1 AS BIGINT) AS t
-      FROM m),
-s AS (SELECT CAST(COUNT(*) AS BIGINT) AS n,
-             CAST(SUM(t) AS BIGINT) AS st,
-             CAST(SUM(cents) AS BIGINT) AS sy,
-             CAST(SUM(t * cents) AS BIGINT) AS sty,
-             CAST(SUM(t * t) AS BIGINT) AS stt
-      FROM r),
-f AS (SELECT n,
-             CAST(n * sty - st * sy AS DOUBLE)
-                 / CAST(n * stt - st * st AS DOUBLE) AS slope_c
-      FROM s),
-g AS (SELECT n, slope_c,
-             (sy - slope_c * st) / CAST(n AS DOUBLE) AS intercept_c
-      FROM f JOIN s USING (n))
-SELECT n AS n_months,
-       floor(slope_c / 100.0 * 1000000 + 0.5) / 1000000 AS slope,
-       floor(intercept_c / 100.0 * 1000000 + 0.5) / 1000000 AS intercept,
-       floor((intercept_c + slope_c * n) / 100.0 * 1000000 + 0.5)
-           / 1000000 AS next_forecast
-FROM g"""

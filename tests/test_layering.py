@@ -2,10 +2,13 @@
 sources, lineage state, effectiveness functions, config) must not import
 the ``pipelines`` package, not even inside a function: pipelines build on
 the core, never the other way round. No module of the package reads a
-``SEPPRAY_*`` tuning knob."""
+``SEPPRAY_*`` tuning knob, and every top-level name of the package is
+referenced somewhere besides its own definition."""
 
 import ast
+import collections
 import pathlib
+import re
 
 PKG = pathlib.Path(__file__).resolve().parent.parent / "searchenginepp_ray"
 CORE = ["index", "normalizer", "codecs", "sources", "state", "functions"]
@@ -92,3 +95,46 @@ def test_package_reads_no_tuning_knobs():
     files = sorted(PKG.rglob("*.py")) + [PKG.parent / "__ray_entry__.py"]
     assert len(files) > 40
     assert _knob_reads(files) == []
+
+
+def _top_level_names(path: pathlib.Path) -> list[tuple[int, str]]:
+    """(line, name) of every top-level ``def``, ``class`` and assigned
+    name of a module, dunders skipped."""
+    out = []
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for t in targets:
+                for n in ast.walk(t):
+                    if isinstance(n, ast.Name):
+                        out.append((n.lineno, n.id))
+    return [(line, name) for line, name in out
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_top_level_name_is_referenced():
+    """A top-level name that nothing mentions outside its own definition
+    line is dead code. The search reads the package, ``__ray_entry__.py``,
+    the tests, the scripts and the benchmark harness."""
+    root = PKG.parent
+    files = (sorted(PKG.rglob("*.py")) + [root / "__ray_entry__.py"]
+             + sorted((root / "tests").rglob("*.py"))
+             + sorted((root / "scripts").glob("*.py"))
+             + sorted((root / "perfbench").glob("*.py"))
+             + sorted((root / "perfbench" / "tests").glob("*.py")))
+    texts = {p: p.read_text() for p in files}
+    words = collections.Counter()
+    for text in texts.values():
+        words.update(re.findall(r"\w+", text))
+    dead = []
+    for mod in sorted(PKG.rglob("*.py")):
+        src = texts[mod].splitlines()
+        for line, name in _top_level_names(mod):
+            own = re.findall(r"\w+", src[line - 1]).count(name)
+            if words[name] == own:
+                dead.append(f"{mod.relative_to(root)}:{line}: {name}")
+    assert dead == []

@@ -1,16 +1,10 @@
-"""Relational operators: shuffle_join vs a global pandas merge, and the
-two TPC-H-shaped pipelines vs DuckDB over the real side tables."""
+"""shuffle_join vs a global pandas merge (integer and string keys)."""
 
-import duckdb
 import numpy as np
 import pandas as pd
 import ray.data
 
-from searchenginepp_ray.pipelines.relational import (
-    nation_revenue,
-    pricing_summary,
-    shuffle_join,
-)
+from searchenginepp_ray.pipelines.relational import shuffle_join
 
 
 def test_shuffle_join_equals_pandas_merge(ray_session):
@@ -44,44 +38,6 @@ def test_shuffle_join_equals_pandas_merge(ray_session):
     pd.testing.assert_frame_equal(got[want.columns], want, check_dtype=False)
 
 
-def _duck(sf_dir):
-    con = duckdb.connect()
-    for t in ["orders", "customer", "nation", "lineitem"]:
-        con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
-    return con
-
-
-def test_nation_revenue_matches_duckdb(ray_session, sf_dir):
-    from searchenginepp_ray.pipelines.oracle_sql import nation_revenue_sql
-
-    got = (
-        nation_revenue(sf_dir).to_pandas()
-        .sort_values("n_name").reset_index(drop=True)
-    )
-    con = _duck(sf_dir)
-    want = (
-        con.sql(nation_revenue_sql()).df()
-        .sort_values("n_name").reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got[want.columns], want, check_dtype=False)
-
-
-def test_pricing_summary_matches_duckdb(ray_session, sf_dir):
-    from searchenginepp_ray.pipelines.oracle_sql import pricing_summary_sql
-
-    keys = ["l_returnflag", "l_linestatus"]
-    got = (
-        pricing_summary(sf_dir).to_pandas()
-        .sort_values(keys).reset_index(drop=True)
-    )
-    con = _duck(sf_dir)
-    want = (
-        con.sql(pricing_summary_sql()).df()
-        .sort_values(keys).reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got[want.columns], want, check_dtype=False)
-
-
 def test_shuffle_join_string_keys(ray_session):
     left = pd.DataFrame({"lk": ["a", "b", "b", "c"], "lv": [1, 2, 3, 4]})
     right = pd.DataFrame({"rk": ["b", "c", "c", "x"], "rv": [10, 20, 30, 40]})
@@ -99,656 +55,3 @@ def test_shuffle_join_string_keys(ray_session):
         .sort_values(["lk", "lv", "rv"]).reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(got[want.columns], want, check_dtype=False)
-
-
-def test_order_rollup_levels_consistent(ray_session, sf_dir):
-    from searchenginepp_ray.pipelines.relational import order_rollup
-
-    out = order_rollup(sf_dir)
-    fine = out[out["o_orderstatus"].notna()]
-    lvl1 = out[out["o_orderstatus"].isna() & out["o_orderpriority"].notna()]
-    total = out[out["o_orderpriority"].isna()]
-    assert len(total) == 1
-    assert total["total_cents"].iloc[0] == fine["total_cents"].sum()
-    assert total["n_orders"].iloc[0] == fine["n_orders"].sum()
-    g = fine.groupby("o_orderpriority")["total_cents"].sum()
-    for prio, row in lvl1.set_index("o_orderpriority").iterrows():
-        assert row["total_cents"] == g[prio]
-
-
-def test_top_orders_by_revenue_rank_invariants(ray_session):
-    from searchenginepp_ray.pipelines.relational import top_orders_by_revenue
-
-    df = top_orders_by_revenue("/root/testdata/sf0.001", k=10)
-    assert list(df["rank"]) == list(range(1, len(df) + 1))
-    # revenue non-increasing; equal-revenue neighbors ordered by orderkey
-    rev = df["revenue"].to_numpy()
-    assert (rev[:-1] >= rev[1:]).all()
-    ok = df["o_orderkey"].to_numpy()
-    same = rev[:-1] == rev[1:]
-    assert (ok[:-1][same] < ok[1:][same]).all()
-
-
-def test_order_shipping_priority_matches_duckdb(ray_session, sf_dir):
-    from searchenginepp_ray.pipelines.oracle_sql import (
-        order_shipping_priority_sql,
-    )
-    from searchenginepp_ray.pipelines.relational import order_shipping_priority
-
-    got = order_shipping_priority(sf_dir).reset_index(drop=True)
-    con = _duck(sf_dir)
-    want = con.sql(order_shipping_priority_sql()).df()
-    want = want.sort_values("rank").reset_index(drop=True)
-    assert list(got["rank"]) == list(range(1, len(got) + 1))
-    pd.testing.assert_frame_equal(
-        got[want.columns], want, check_dtype=False)
-
-
-def test_order_shipping_priority_empty_segment(ray_session, sf_dir):
-    from searchenginepp_ray.pipelines.relational import order_shipping_priority
-
-    # a segment with no customers: the chain yields zero rows, not an error
-    out = order_shipping_priority(sf_dir, segment="NO-SUCH-SEGMENT")
-    assert len(out) == 0
-
-
-def test_table_profile_matches_duckdb(ray_session, sf_dir):
-    from searchenginepp_ray.pipelines.oracle_sql import table_profile_sql
-    from searchenginepp_ray.pipelines.relational import table_profile
-
-    got = table_profile(sf_dir).reset_index(drop=True)
-    con = _duck(sf_dir)
-    want = con.sql(table_profile_sql()).df()
-    assert sorted(got.columns) == sorted(want.columns)
-    for c in want.columns:
-        g, w = got[c].iloc[0], want[c].iloc[0]
-        if isinstance(w, float):
-            assert abs(g - w) < 1e-9, c
-        else:
-            assert g == w, c
-
-
-def test_table_profile_counts_nulls(ray_session, tmp_path):
-    # constructed table with actual NULLs and duplicates: the profile's
-    # null counter and exact ndv must see them
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from searchenginepp_ray.pipelines.relational import (
-        _PROFILE_DEC, _PROFILE_INT, _PROFILE_STR, _PROFILE_TS, table_profile,
-    )
-
-    n = 100
-    cols = {}
-    for c in _PROFILE_INT:
-        cols[c] = pa.array([None if i % 10 == 0 else i % 7
-                            for i in range(n)], pa.int64())
-    for c in _PROFILE_DEC:
-        cols[c] = pa.array([None if i % 25 == 0 else (i % 5) * 1.25
-                            for i in range(n)], pa.float64())
-    for c in _PROFILE_STR:
-        cols[c] = pa.array([None if i % 50 == 0 else "sv" + str(i % 3)
-                            for i in range(n)], pa.string())
-    for c in _PROFILE_TS:
-        cols[c] = pa.array([None if i % 20 == 0 else 1_000_000 * (i % 11)
-                            for i in range(n)], pa.timestamp("us"))
-    d = tmp_path / "prof"
-    d.mkdir()
-    pq.write_table(pa.table(cols), str(d / "lineitem.parquet"))
-    out = table_profile(str(d))
-    assert out["n_rows"].iloc[0] == n
-    assert out[f"{_PROFILE_INT[0]}_nulls"].iloc[0] == 10
-    assert out[f"{_PROFILE_DEC[0]}_nulls"].iloc[0] == 4
-    assert out[f"{_PROFILE_STR[0]}_nulls"].iloc[0] == 2
-    assert out[f"{_PROFILE_TS[0]}_nulls"].iloc[0] == 5
-
-
-def test_local_supplier_volume_matches_duckdb(ray_session, sf_dir):
-    from searchenginepp_ray.pipelines.oracle_sql import local_supplier_volume_sql
-    from searchenginepp_ray.pipelines.relational import local_supplier_volume
-
-    con = duckdb.connect()
-    for t in ["customer", "orders", "lineitem", "supplier", "nation", "region"]:
-        con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
-    got = (local_supplier_volume(sf_dir).to_pandas()
-           .sort_values("n_name").reset_index(drop=True))
-    want = (con.sql(local_supplier_volume_sql()).df()
-            .sort_values("n_name").reset_index(drop=True))
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
-
-
-def test_local_supplier_volume_empty_region(ray_session, sf_dir):
-    from searchenginepp_ray.pipelines.relational import local_supplier_volume
-
-    out = local_supplier_volume(sf_dir, region="NO-SUCH-REGION",
-                                date_from="1996-01-01", date_to="1996-02-01")
-    assert out.count() == 0
-
-
-def test_price_quantiles_matches_duckdb(ray_session, sf_dir):
-    from searchenginepp_ray.pipelines.oracle_sql import price_quantiles_sql
-    from searchenginepp_ray.pipelines.relational import price_quantiles
-
-    con = duckdb.connect()
-    con.sql(f"CREATE VIEW orders AS SELECT * FROM '{sf_dir}/orders.parquet'")
-    got = price_quantiles(sf_dir).sort_values("q").reset_index(drop=True)
-    want = (con.sql(price_quantiles_sql()).df()
-            .sort_values("q").reset_index(drop=True))
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
-
-
-def test_price_quantiles_forced_iteration(ray_session, tmp_path):
-    """Tiny fanout + band_cap force several refinement rounds; the
-    result must equal the rank rule applied to the sorted array."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    rng = np.random.default_rng(7)
-    # heavy ties + wide spread + negatives-free price-like values
-    v = np.concatenate([
-        rng.integers(1, 10_000_000, 50_000),
-        np.full(5_000, 123_456),
-    ]) / 100.0
-    d = tmp_path / "sf"
-    d.mkdir()
-    pq.write_table(pa.table({"o_totalprice": v}), str(d / "orders.parquet"),
-                   row_group_size=4096)
-
-    from searchenginepp_ray.pipelines.relational import price_quantiles
-    qs = (0.001, 0.25, 0.5, 0.9, 0.999)
-    got = price_quantiles(str(d), qs=qs, band_cap=64, fanout=8)
-    cents = np.sort(np.floor(v * 100 + 0.5).astype(np.int64))
-    n = len(cents)
-    for _, row in got.iterrows():
-        k = max(1, int(np.ceil(row["q"] * n)))
-        assert row["rank"] == k
-        assert row["cents"] == cents[k - 1], row["q"]
-
-
-def test_returned_item_report_invariants(ray_session, sf_dir):
-    import numpy as np
-
-    from searchenginepp_ray.pipelines.relational import returned_item_report
-
-    got = returned_item_report(sf_dir)
-    assert len(got) == 20
-    assert got["rank"].tolist() == list(range(1, 21))
-    rev = got["revenue"].to_numpy()
-    assert (np.diff(rev) <= 1e-9).all()  # descending
-    assert got["n_name"].notna().all()
-    assert got["c_custkey"].is_unique
-
-
-def test_small_order_revenue_matches_pandas(ray_session, sf_dir):
-    import numpy as np
-    import pandas as pd
-
-    from searchenginepp_ray.pipelines.relational import small_order_revenue
-
-    got = small_order_revenue(sf_dir)
-    part = pd.read_parquet(f"{sf_dir}/part.parquet",
-                           columns=["p_partkey", "p_brand"])
-    li = pd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_quantity", "l_extendedprice"])
-    li = li[li["l_partkey"].isin(part[part["p_brand"] == "Brand#12"]["p_partkey"])]
-    q = np.floor(li["l_quantity"].to_numpy() * 100 + 0.5).astype(np.int64)
-    p = np.floor(li["l_extendedprice"].to_numpy() * 100 + 0.5).astype(np.int64)
-    df = pd.DataFrame({"k": li["l_partkey"].to_numpy(), "q": q, "p": p})
-    g = df.groupby("k")["q"]
-    keep = 5 * df["q"].to_numpy() * g.transform("size").to_numpy() \
-        < g.transform("sum").to_numpy()
-    want = int(df["p"].to_numpy()[keep].sum())
-    assert int(got["total_cents"].iloc[0]) == want
-    assert abs(got["avg_yearly"].iloc[0] - want / 100.0 / 7.0) < 1e-6
-
-
-def test_large_volume_orders_matches_pandas(ray_session, sf_dir):
-    import numpy as np
-    import pandas as pd
-
-    from searchenginepp_ray.pipelines.relational import large_volume_orders
-
-    thr, k = 150, 10
-    got = large_volume_orders(sf_dir, qty_threshold=thr, k=k)
-    li = pd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_quantity"])
-    li["q_c"] = np.floor(li["l_quantity"].to_numpy() * 100 + 0.5) \
-        .astype(np.int64)
-    q = li.groupby("l_orderkey", as_index=False)["q_c"].sum()
-    q = q[q["q_c"] > thr * 100]
-    orders = pd.read_parquet(f"{sf_dir}/orders.parquet")
-    cust = pd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_name"])
-    j = q.merge(orders, left_on="l_orderkey", right_on="o_orderkey") \
-         .merge(cust, left_on="o_custkey", right_on="c_custkey")
-    j = j.sort_values(["o_totalprice", "o_orderdate", "o_orderkey"],
-                      ascending=[False, True, True]).head(k) \
-         .reset_index(drop=True)
-    assert got["o_orderkey"].tolist() == j["o_orderkey"].tolist()
-    assert got["c_custkey"].tolist() == j["c_custkey"].tolist()
-    assert np.allclose(got["total_qty"], j["q_c"].to_numpy() / 100.0)
-    assert got["rank"].tolist() == list(range(1, len(got) + 1))
-
-
-def test_order_count_distribution_matches_pandas(ray_session, sf_dir):
-    import numpy as np
-    import pandas as pd
-
-    from searchenginepp_ray.pipelines.relational import (
-        order_count_distribution)
-
-    got = order_count_distribution(sf_dir)
-    cust = pd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey"])
-    orders = pd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_orderpriority"])
-    o = orders[orders["o_orderpriority"] != "1-URGENT"] \
-        .groupby("o_custkey", as_index=False).size()
-    j = cust.merge(o, left_on="c_custkey", right_on="o_custkey",
-                   how="left")
-    counts = j["size"].fillna(0).astype(np.int64)
-    want = counts.value_counts().rename_axis("c_count") \
-        .reset_index(name="custdist") \
-        .sort_values(["custdist", "c_count"], ascending=[False, False]) \
-        .reset_index(drop=True)
-    got = got.sort_values(["custdist", "c_count"],
-                          ascending=[False, False]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
-    # zero-order customers are present in the histogram
-    assert int(got.set_index("c_count")["custdist"].get(0, 0)) \
-        == int((counts == 0).sum())
-
-
-def test_suppliers_kept_waiting_matches_pandas(ray_session, sf_dir):
-    import numpy as np
-    import pandas as pd
-
-    from searchenginepp_ray.pipelines.relational import (
-        suppliers_kept_waiting)
-
-    region, late_days = "EUROPE", 1400
-    got = suppliers_kept_waiting(sf_dir, region=region,
-                                 late_days=late_days, k=100)
-
-    li = pd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_suppkey", "l_shipdate"])
-    orders = pd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderdate", "o_orderstatus"])
-    orders = orders[orders["o_orderstatus"] == "F"]
-    f = li.groupby(["l_orderkey", "l_suppkey"], as_index=False)[
-        "l_shipdate"].max()
-    j = f.merge(orders, left_on="l_orderkey", right_on="o_orderkey")
-    j["late"] = (j["l_shipdate"] - j["o_orderdate"]).dt.days > late_days
-    per = j.groupby("l_orderkey").agg(n_supp=("l_suppkey", "size"),
-                                      n_late=("late", "sum"))
-    j = j.merge(per, on="l_orderkey")
-    q = j[j["late"] & (j["n_supp"] >= 2) & (j["n_late"] == 1)]
-    supp = pd.read_parquet(f"{sf_dir}/supplier.parquet")
-    nat = pd.read_parquet(f"{sf_dir}/nation.parquet")
-    reg = pd.read_parquet(f"{sf_dir}/region.parquet")
-    dim = supp.merge(nat, left_on="s_nationkey", right_on="n_nationkey") \
-        .merge(reg, left_on="n_regionkey", right_on="r_regionkey")
-    dim = dim[dim["r_name"] == region]
-    w = q.merge(dim, left_on="l_suppkey", right_on="s_suppkey") \
-        .groupby("s_name", as_index=False).size() \
-        .rename(columns={"size": "numwait"}) \
-        .sort_values(["numwait", "s_name"], ascending=[False, True]) \
-        .head(100).reset_index(drop=True)
-    assert got["s_name"].tolist() == w["s_name"].tolist()
-    assert got["numwait"].to_numpy(np.int64).tolist() \
-        == w["numwait"].to_numpy(np.int64).tolist()
-
-
-def test_idle_customer_balance_matches_pandas(ray_session, sf_dir):
-    import numpy as np
-    import pandas as pd
-
-    from searchenginepp_ray.pipelines.relational import (
-        idle_customer_balance)
-
-    nkeys, since = (0, 1, 2, 3, 4, 5, 6), "2000-01-01"
-    got = idle_customer_balance(sf_dir, nation_keys=nkeys, since=since)
-
-    cust = pd.read_parquet(f"{sf_dir}/customer.parquet")
-    pool = cust[cust["c_nationkey"].isin(nkeys)
-                & (cust["c_acctbal"] > 0.0)].copy()
-    pool["bal_c"] = np.floor(pool["c_acctbal"].to_numpy() * 100
-                             + 0.5).astype(np.int64)
-    n, total = len(pool), pool["bal_c"].sum()
-    rich = pool[pool["bal_c"] * n > total]
-    orders = pd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_custkey", "o_orderdate"])
-    active = set(orders.loc[orders["o_orderdate"]
-                            >= pd.Timestamp(since), "o_custkey"])
-    idle = rich[~rich["c_custkey"].isin(active)]
-    nat = pd.read_parquet(f"{sf_dir}/nation.parquet")
-    want = idle.merge(nat, left_on="c_nationkey",
-                      right_on="n_nationkey") \
-        .groupby("n_name", as_index=False).agg(
-            numcust=("bal_c", "size"), totacctbal_c=("bal_c", "sum")) \
-        .sort_values("n_name").reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
-    assert len(got) > 0  # the cutoff keeps the op non-degenerate
-
-
-def test_nation_trade_volume_matches_pandas(ray_session, sf_dir):
-    import numpy as np
-    import pandas as pd
-
-    from searchenginepp_ray.pipelines.relational import nation_trade_volume
-
-    # nations with suppliers at sf0.001 (the fixture scale)
-    na, nb, lo, hi = 3, 8, "1995-01-01", "1997-01-01"
-    got = nation_trade_volume(sf_dir, na, nb, lo, hi)
-
-    li = pd.read_parquet(f"{sf_dir}/lineitem.parquet")
-    li = li[(li["l_shipdate"] >= pd.Timestamp(lo))
-            & (li["l_shipdate"] < pd.Timestamp(hi))]
-    sup = pd.read_parquet(f"{sf_dir}/supplier.parquet")
-    cus = pd.read_parquet(f"{sf_dir}/customer.parquet")
-    orders = pd.read_parquet(f"{sf_dir}/orders.parquet")
-    j = li.merge(sup, left_on="l_suppkey", right_on="s_suppkey") \
-          .merge(orders, left_on="l_orderkey", right_on="o_orderkey") \
-          .merge(cus, left_on="o_custkey", right_on="c_custkey")
-    j = j[j["s_nationkey"].isin([na, nb]) & j["c_nationkey"].isin([na, nb])
-          & (j["s_nationkey"] != j["c_nationkey"])]
-    p = np.floor(j["l_extendedprice"].to_numpy() * 100 + 0.5).astype(np.int64)
-    d = np.floor(j["l_discount"].to_numpy() * 100 + 0.5).astype(np.int64)
-    j = j.assign(rev=p * (100 - d), l_year=j["l_shipdate"].dt.year)
-    want = j.groupby(["s_nationkey", "c_nationkey", "l_year"],
-                     as_index=False)["rev"].sum() \
-        .sort_values(["s_nationkey", "c_nationkey", "l_year"]) \
-        .reset_index(drop=True)
-    assert got["supp_nation"].tolist() == want["s_nationkey"].tolist()
-    assert got["cust_nation"].tolist() == want["c_nationkey"].tolist()
-    assert got["l_year"].tolist() == want["l_year"].tolist()
-    assert got["revenue_c"].tolist() == want["rev"].tolist()
-    assert len(got) >= 2  # both directions present
-
-
-def test_discounted_revenue_matches_pandas(ray_session, sf_dir):
-    import numpy as np
-    import pandas as pd
-
-    from searchenginepp_ray.pipelines.relational import (
-        DISCOUNT_CLAUSES, discounted_revenue)
-
-    got = int(discounted_revenue(sf_dir)["revenue_c"].iloc[0])
-    li = pd.read_parquet(f"{sf_dir}/lineitem.parquet")
-    part = pd.read_parquet(f"{sf_dir}/part.parquet")
-    j = li.merge(part, left_on="l_partkey", right_on="p_partkey")
-    keep = np.zeros(len(j), bool)
-    for b, slo, shi, qlo, qhi in DISCOUNT_CLAUSES:
-        keep |= ((j["p_brand"] == b) & j["p_size"].between(slo, shi)
-                 & j["l_quantity"].between(qlo, qhi)).to_numpy()
-    p = np.floor(j["l_extendedprice"].to_numpy() * 100 + 0.5).astype(np.int64)
-    d = np.floor(j["l_discount"].to_numpy() * 100 + 0.5).astype(np.int64)
-    want = int((p * (100 - d))[keep].sum())
-    assert got == want
-    assert got > 0
-
-
-def test_part_supplier_counts_matches_pandas(ray_session, sf_dir):
-    import pandas as pd
-
-    from searchenginepp_ray.pipelines.relational import part_supplier_counts
-
-    k = 15
-    got = part_supplier_counts(sf_dir, k=k)
-    li = pd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_partkey", "l_suppkey"]) \
-        .drop_duplicates()
-    sup = pd.read_parquet(f"{sf_dir}/supplier.parquet")
-    bad = set(sup.loc[sup["s_acctbal"] < 0, "s_suppkey"])
-    li = li[~li["l_suppkey"].isin(bad)]
-    part = pd.read_parquet(f"{sf_dir}/part.parquet")
-    part = part[(part["p_brand"] != "Brand#1")
-                & (part["p_type"] != "PROMO")]
-    j = li.merge(part, left_on="l_partkey", right_on="p_partkey")
-    want = (j.drop_duplicates(["p_brand", "p_type", "p_size", "l_suppkey"])
-            .groupby(["p_brand", "p_type", "p_size"], as_index=False)
-            .agg(supplier_cnt=("l_suppkey", "size"))
-            .sort_values(["supplier_cnt", "p_brand", "p_type", "p_size"],
-                         ascending=[False, True, True, True])
-            .head(k).reset_index(drop=True))
-    pd.testing.assert_frame_equal(got[want.columns], want,
-                                  check_dtype=False)
-    assert len(got) > 0
-
-
-def test_order_priority_late_matches_pandas(ray_session, sf_dir):
-    from searchenginepp_ray.pipelines.relational import order_priority_late
-
-    late, lo, hi = 10, "1996-01-01", "1996-07-01"
-    got = order_priority_late(sf_dir, late, lo, hi)
-
-    orders = pd.read_parquet(f"{sf_dir}/orders.parquet")
-    orders = orders[(orders["o_orderdate"] >= pd.Timestamp(lo))
-                    & (orders["o_orderdate"] < pd.Timestamp(hi))]
-    li = pd.read_parquet(f"{sf_dir}/lineitem.parquet")
-    mx = li.groupby("l_orderkey", as_index=False)["l_shipdate"].max()
-    j = orders.merge(mx, left_on="o_orderkey", right_on="l_orderkey")
-    lateflag = j["l_shipdate"] > j["o_orderdate"] + pd.Timedelta(days=late)
-    want = (j[lateflag].groupby("o_orderpriority").size()
-            .sort_index())
-    assert got["o_orderpriority"].tolist() == want.index.tolist()
-    assert got["order_count"].tolist() == want.tolist()
-    assert len(got) >= 2
-
-
-def test_promo_revenue_share_matches_pandas(ray_session, sf_dir):
-    from searchenginepp_ray.pipelines.relational import promo_revenue_share
-
-    lo, hi = "1996-01-01", "1996-03-01"
-    got = promo_revenue_share(sf_dir, "PROMO", lo, hi)
-
-    li = pd.read_parquet(f"{sf_dir}/lineitem.parquet")
-    li = li[(li["l_shipdate"] >= pd.Timestamp(lo))
-            & (li["l_shipdate"] < pd.Timestamp(hi))]
-    part = pd.read_parquet(f"{sf_dir}/part.parquet")
-    j = li.merge(part, left_on="l_partkey", right_on="p_partkey")
-    p = np.floor(j["l_extendedprice"].to_numpy() * 100 + 0.5).astype(np.int64)
-    d = np.floor(j["l_discount"].to_numpy() * 100 + 0.5).astype(np.int64)
-    rev = p * (100 - d)
-    promo = rev[(j["p_type"] == "PROMO").to_numpy()].sum()
-    total = rev.sum()
-    assert got["promo_revenue_c4"].iloc[0] == promo
-    assert got["total_revenue_c4"].iloc[0] == total
-    assert got["promo_share"].iloc[0] == np.floor(
-        100.0 * promo / total * 1e6 + 0.5) / 1e6
-    assert 0 < got["promo_share"].iloc[0] < 100
-
-
-def test_top_supplier_revenue_matches_pandas(ray_session, sf_dir):
-    from searchenginepp_ray.pipelines.relational import top_supplier_revenue
-
-    lo, hi = "1996-01-01", "1996-04-01"
-    got = top_supplier_revenue(sf_dir, lo, hi)
-
-    li = pd.read_parquet(f"{sf_dir}/lineitem.parquet")
-    li = li[(li["l_shipdate"] >= pd.Timestamp(lo))
-            & (li["l_shipdate"] < pd.Timestamp(hi))]
-    p = np.floor(li["l_extendedprice"].to_numpy() * 100 + 0.5).astype(np.int64)
-    d = np.floor(li["l_discount"].to_numpy() * 100 + 0.5).astype(np.int64)
-    per = li.assign(rev=p * (100 - d)).groupby("l_suppkey")["rev"].sum()
-    best = per.max()
-    winners = sorted(per[per == best].index.tolist())
-    assert got["s_suppkey"].tolist() == winners
-    assert (got["total_revenue_c4"] == best).all()
-    sup = pd.read_parquet(f"{sf_dir}/supplier.parquet")
-    names = sup.set_index("s_suppkey")["s_name"]
-    assert got["s_name"].tolist() == [names[w] for w in winners]
-
-
-def test_top_supplier_revenue_keeps_ties(ray_session, tmp_path):
-    """Two suppliers engineered to the same exact total must both
-    appear (per-partition argmax can't drop a cross-partition tie)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from searchenginepp_ray.pipelines.relational import top_supplier_revenue
-
-    d = tmp_path / "sf"
-    d.mkdir()
-    n = 400
-    li = pa.table({
-        "l_suppkey": pa.array([i % 100 for i in range(n)], pa.int64()),
-        "l_extendedprice": pa.array([10.0] * n),
-        "l_discount": pa.array([0.0] * n),
-        "l_shipdate": pa.array([pd.Timestamp("1996-02-01")] * n,
-                               pa.timestamp("us")),
-    })
-    pq.write_table(li, d / "lineitem.parquet", row_group_size=64)
-    supp = pa.table({
-        "s_suppkey": pa.array(list(range(100)), pa.int64()),
-        "s_name": pa.array([f"S{i:03d}" for i in range(100)]),
-    })
-    pq.write_table(supp, d / "supplier.parquet")
-    got = top_supplier_revenue(str(d), "1996-01-01", "1996-04-01")
-    # every supplier has identical revenue: ALL 100 are winners
-    assert got["s_suppkey"].tolist() == list(range(100))
-    assert got["s_name"].tolist() == [f"S{i:03d}" for i in range(100)]
-    assert (got["total_revenue_c4"] == 4 * 1000 * 100).all()
-
-
-def test_nation_market_share_matches_pandas(ray_session, sf_dir):
-    from searchenginepp_ray.pipelines.relational import nation_market_share
-
-    got = nation_market_share(sf_dir, nation=1, region="EUROPE",
-                              p_type="ECONOMY")
-
-    li = pd.read_parquet(f"{sf_dir}/lineitem.parquet")
-    part = pd.read_parquet(f"{sf_dir}/part.parquet")
-    sup = pd.read_parquet(f"{sf_dir}/supplier.parquet")
-    orders = pd.read_parquet(f"{sf_dir}/orders.parquet")
-    cus = pd.read_parquet(f"{sf_dir}/customer.parquet")
-    nat = pd.read_parquet(f"{sf_dir}/nation.parquet")
-    reg = pd.read_parquet(f"{sf_dir}/region.parquet")
-    rk = reg.loc[reg["r_name"] == "EUROPE", "r_regionkey"]
-    nk = nat.loc[nat["n_regionkey"].isin(rk), "n_nationkey"]
-    j = (li.merge(part[part["p_type"] == "ECONOMY"],
-                  left_on="l_partkey", right_on="p_partkey")
-         .merge(sup, left_on="l_suppkey", right_on="s_suppkey")
-         .merge(orders, left_on="l_orderkey", right_on="o_orderkey")
-         .merge(cus[cus["c_nationkey"].isin(nk)],
-                left_on="o_custkey", right_on="c_custkey"))
-    j = j[(j["o_orderdate"] >= pd.Timestamp("1995-01-01"))
-          & (j["o_orderdate"] < pd.Timestamp("1997-01-01"))]
-    p = np.floor(j["l_extendedprice"].to_numpy() * 100 + 0.5).astype(np.int64)
-    d = np.floor(j["l_discount"].to_numpy() * 100 + 0.5).astype(np.int64)
-    j = j.assign(rev=p * (100 - d), year=j["o_orderdate"].dt.year)
-    tot = j.groupby("year")["rev"].sum()
-    num = j[j["s_nationkey"] == 1].groupby("year")["rev"].sum() \
-        .reindex(tot.index, fill_value=0)
-    assert got["o_year"].tolist() == tot.index.tolist()
-    assert got["total_revenue_c4"].tolist() == tot.tolist()
-    assert got["nation_revenue_c4"].tolist() == num.tolist()
-    want_share = np.floor(num.to_numpy() / tot.to_numpy() * 1e6 + 0.5) / 1e6
-    assert got["mkt_share"].tolist() == want_share.tolist()
-    assert len(got) == 2  # both window years present
-
-
-def test_product_profit_matches_pandas(ray_session, sf_dir):
-    from searchenginepp_ray.pipelines.relational import product_profit
-
-    got = product_profit(sf_dir, "red")
-
-    li = pd.read_parquet(f"{sf_dir}/lineitem.parquet")
-    part = pd.read_parquet(f"{sf_dir}/part.parquet")
-    sup = pd.read_parquet(f"{sf_dir}/supplier.parquet")
-    orders = pd.read_parquet(f"{sf_dir}/orders.parquet")
-    j = (li.merge(part[part["p_name"].str.startswith("red")],
-                  left_on="l_partkey", right_on="p_partkey")
-         .merge(sup, left_on="l_suppkey", right_on="s_suppkey")
-         .merge(orders, left_on="l_orderkey", right_on="o_orderkey"))
-    p = np.floor(j["l_extendedprice"].to_numpy() * 100 + 0.5).astype(np.int64)
-    d = np.floor(j["l_discount"].to_numpy() * 100 + 0.5).astype(np.int64)
-    q = np.floor(j["l_quantity"].to_numpy() * 100 + 0.5).astype(np.int64)
-    rc = np.floor(j["p_retailprice"].to_numpy() * 100 + 0.5).astype(np.int64)
-    j = j.assign(profit=p * (100 - d) - rc * q,
-                 year=j["o_orderdate"].dt.year)
-    want = j.groupby(["s_nationkey", "year"], as_index=False)["profit"] \
-        .sum().sort_values(["s_nationkey", "year"]).reset_index(drop=True)
-    assert got["nation"].tolist() == want["s_nationkey"].tolist()
-    assert got["o_year"].tolist() == want["year"].tolist()
-    assert got["profit_c4"].tolist() == want["profit"].tolist()
-    assert len(got) > 10
-
-
-def test_integrity_check_planted_violations(ray_session, tmp_path):
-    """FK anti-join and duplicate-key counting pinned on a constructed
-    star schema with known violations."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from searchenginepp_ray.pipelines.relational import (
-        _fk_check,
-        _unique_check,
-    )
-
-    d = str(tmp_path)
-    pq.write_table(pa.table({"c_custkey": [1, 2, 3, 3]}),
-                   f"{d}/customer.parquet", row_group_size=2)
-    pq.write_table(
-        pa.table({"o_orderkey": [10, 11, 12, 13, 14],
-                  "o_custkey": [1, 2, 3, 99, 98]}),
-        f"{d}/orders.parquet", row_group_size=2)
-
-    n, v = _fk_check(d, "orders", "o_custkey", "customer", "c_custkey")
-    assert (n, v) == (5, 2)  # custkeys 99 and 98 are orphans
-    n, v = _unique_check(d, "customer", "c_custkey")
-    assert (n, v) == (4, 1)  # key 3 duplicated
-    n, v = _unique_check(d, "orders", "o_orderkey")
-    assert (n, v) == (5, 0)
-
-    # and the real testdata star schema is clean
-    from searchenginepp_ray.pipelines.relational import integrity_check
-
-    rep = integrity_check("/root/testdata/sf0.001")
-    assert (rep["violations"] == 0).all()
-    assert len(rep) == 12
-
-
-def test_shipment_priority_matches_pandas(ray_session, sf_dir):
-    from searchenginepp_ray.pipelines.relational import shipment_priority
-
-    late, lo, hi = 60, "1996-01-01", "1998-01-01"
-    got = shipment_priority(sf_dir, late, lo, hi)
-
-    li = pd.read_parquet(f"{sf_dir}/lineitem.parquet")
-    li = li[(li["l_shipdate"] >= pd.Timestamp(lo))
-            & (li["l_shipdate"] < pd.Timestamp(hi))]
-    orders = pd.read_parquet(f"{sf_dir}/orders.parquet")
-    j = li.merge(orders, left_on="l_orderkey", right_on="o_orderkey")
-    j = j[j["l_shipdate"] > j["o_orderdate"] + pd.Timedelta(days=late)]
-    hi_ = j["o_orderpriority"].isin(["1-URGENT", "2-HIGH"])
-    want = (j.assign(high=hi_.astype(int), low=(~hi_).astype(int))
-            .groupby("l_linestatus")[["high", "low"]].sum().sort_index())
-    assert got["l_linestatus"].tolist() == want.index.tolist()
-    assert got["high_line_count"].tolist() == want["high"].tolist()
-    assert got["low_line_count"].tolist() == want["low"].tolist()
-    assert len(got) == 2  # both linestatus values present at sf0.001+
-
-
-def test_revenue_trend_matches_numpy_polyfit(ray_session, sf_dir):
-    from searchenginepp_ray.pipelines.relational import revenue_trend
-
-    got = revenue_trend(sf_dir).iloc[0]
-    orders = pd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderdate", "o_totalprice"])
-    ym = (orders["o_orderdate"].dt.year * 12
-          + orders["o_orderdate"].dt.month)
-    cents = np.floor(orders["o_totalprice"].to_numpy() * 100 + 0.5)
-    monthly = (pd.DataFrame({"ym": ym, "c": cents})
-               .groupby("ym")["c"].sum().sort_index())
-    t = np.arange(len(monthly), dtype=np.float64)
-    slope_c, intercept_c = np.polyfit(t, monthly.to_numpy(np.float64), 1)
-    assert got["n_months"] == len(monthly)
-    assert abs(got["slope"] - slope_c / 100.0) < 1e-4
-    assert abs(got["intercept"] - intercept_c / 100.0) < 1e-4
-    assert abs(got["next_forecast"]
-               - (intercept_c + slope_c * len(monthly)) / 100.0) < 1e-4
