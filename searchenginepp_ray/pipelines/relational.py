@@ -1,9 +1,16 @@
-"""Distributed inner equi-join over two Ray datasets.
+"""Relational operators over Ray datasets and the TPC-H-style side
+tables.
 
-:func:`shuffle_join` ships each side's payload through ONE
-hash-partition exchange on the join key (every key's rows co-locate in
-exactly one partition); the per-partition merge is vectorized pandas.
-Right for two data-scaling sides.
+* :func:`shuffle_join` ships each side's payload through ONE
+  hash-partition exchange on the join key (every key's rows co-locate in
+  exactly one partition); the per-partition merge is vectorized pandas.
+  Right for two data-scaling sides.
+* :func:`shuffle_semi_join` keeps (or, anti, drops) left rows whose key
+  appears on the right; only the right side's deduplicated keys cross
+  the exchange.
+* :func:`top_supplier_revenue` (TPC-H Q15) pre-aggregates per batch
+  (map-side combiner) and keeps every supplier tied at the global
+  maximum revenue.
 """
 
 from __future__ import annotations
@@ -11,7 +18,23 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
+
+
+def _cents_arrow(col: pa.ChunkedArray | pa.Array) -> pa.Array:
+    """floor(x·100 + 0.5) as int64 — the shared cents snap, in Arrow
+    kernels (bit-identical to numpy's ``floor(x*100 + 0.5)``: same IEEE
+    float64 ops)."""
+    return pc.cast(pc.floor(pc.add(pc.multiply(col, 100.0), 0.5)),
+                   pa.int64())
+
+
+def _rev4_arrow(price, discount) -> pa.Array:
+    """Exact 1e-4-unit revenue ``price_c·(100 − disc_c)`` in Arrow."""
+    p = _cents_arrow(price)
+    d = _cents_arrow(discount)
+    return pc.multiply(p, pc.subtract(pa.scalar(100, pa.int64()), d))
 
 
 def shuffle_join(
@@ -89,3 +112,123 @@ def shuffle_join(
         return j.rename(columns={"_k": left_key})
 
     return hash_groupby_apply(u, ["_k"], merge)
+
+
+def shuffle_semi_join(
+    left: ray.data.Dataset,
+    right: ray.data.Dataset,
+    left_key: str,
+    right_key: str,
+    left_cols: list[str],
+    anti: bool = False,
+) -> ray.data.Dataset:
+    """Distributed semi-join (``anti=False``: keep left rows whose key
+    appears on the right) / anti-join (``anti=True``: keep left rows
+    whose key does NOT). Only the right side's KEY column crosses the
+    exchange — deduplicated map-side per batch first — so the shuffled
+    payload is left rows + right distinct keys, never right payloads.
+    Output columns: ``[left_key] + left_cols``."""
+    from ..index.hash_partition import hash_groupby_apply
+
+    def tag_left(t: pa.Table) -> pa.Table:
+        k = t[left_key]
+        if pa.types.is_integer(k.type):
+            k = k.cast(pa.int64())
+        out = {"_k": k, "_side": pa.array(np.zeros(len(t), np.int8))}
+        for c in left_cols:
+            out[c] = t[c]
+        return pa.table(out)
+
+    def tag_right(t: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        k = t[right_key]
+        if isinstance(k, pa.ChunkedArray):
+            k = k.combine_chunks()
+        if pa.types.is_integer(k.type):
+            k = k.cast(pa.int64())
+        k = pc.unique(k)  # map-side dedup: keys only cross the exchange
+        out = {"_k": k, "_side": pa.array(np.ones(len(k), np.int8))}
+        lsch = dict(zip(left.schema().names, left.schema().types))
+        for c in left_cols:
+            typ = lsch[c]
+            out[c] = pa.nulls(len(k), type=typ if isinstance(typ, pa.DataType)
+                              else pa.from_numpy_dtype(np.dtype(typ)))
+        return pa.table(out)
+
+    u = left.map_batches(tag_left, batch_format="pyarrow").union(
+        right.map_batches(tag_right, batch_format="pyarrow")
+    )
+
+    def filt(df: pd.DataFrame) -> pd.DataFrame:
+        l = df[df["_side"] == 0]
+        rkeys = df.loc[df["_side"] == 1, "_k"].unique()
+        m = l["_k"].isin(rkeys)
+        out = l.loc[~m if anti else m, ["_k"] + left_cols]
+        return out.rename(columns={"_k": left_key})
+
+    return hash_groupby_apply(u, ["_k"], filt)
+
+
+def top_supplier_revenue(sf_dir: str, date_lo: str = "1996-01-01",
+                         date_hi: str = "1996-04-01"):
+    """TPC-H Q15 (top supplier): suppliers whose revenue over the
+    shipdate window equals the GLOBAL maximum (all of them — ties
+    kept), with names attached. Revenue in exact 1e-4 units so the
+    max-equality has no float hazard. Returns
+    (s_suppkey, s_name, total_revenue_c4) ordered by suppkey.
+
+    Scale shape: map-side (suppkey, rev4) partials → ONE suppkey
+    exchange; each partition emits only its own argmax row set (any
+    global winner is its partition's max), so the driver sees ≤ P×ties
+    rows, takes the max of maxes, and attaches names with one
+    winner-key-pruned read of supplier — no second exchange, nothing
+    corpus-sized on the driver."""
+    import pyarrow.dataset as pads
+
+    from ..index.hash_partition import hash_groupby_apply
+    from .text_stats import _read_blocks
+
+    lpath = f"{sf_dir}/lineitem.parquet"
+    li = ray.data.read_parquet(
+        lpath, columns=["l_suppkey", "l_extendedprice", "l_discount"],
+        filter=((pads.field("l_shipdate") >= pd.Timestamp(date_lo))
+                & (pads.field("l_shipdate") < pd.Timestamp(date_hi))),
+        override_num_blocks=_read_blocks(lpath, target_rows=20_000),
+    )
+
+    def li_partials(t: pa.Table) -> pa.Table:
+        # Arrow-native hot kernel (lineitem-scale map-side combiner)
+        g = pa.table({
+            "_k": pc.cast(t["l_suppkey"], pa.int64()),
+            "rev4": _rev4_arrow(t["l_extendedprice"], t["l_discount"]),
+        }).group_by(["_k"]).aggregate([("rev4", "sum")])
+        return pa.table({"_k": g["_k"], "rev4": g["rev4_sum"]})
+
+    def part_max(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby("_k", as_index=False)["rev4"].sum()
+        return g[g["rev4"].to_numpy() == g["rev4"].max()]
+
+    cand = hash_groupby_apply(
+        li.map_batches(li_partials, batch_format="pyarrow"),
+        ["_k"], part_max).to_pandas()
+    if len(cand) == 0:
+        return pd.DataFrame({
+            "s_suppkey": pd.Series([], dtype=np.int64),
+            "s_name": pd.Series([], dtype=object),
+            "total_revenue_c4": pd.Series([], dtype=np.int64)})
+    best = cand["rev4"].max()
+    winners = cand[cand["rev4"].to_numpy() == best] \
+        .sort_values("_k").reset_index(drop=True)
+    names = ray.data.read_parquet(
+        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"],
+        filter=pads.field("s_suppkey").isin(
+            [int(x) for x in winners["_k"]]),
+    ).to_pandas()
+    out = winners.merge(names, left_on="_k", right_on="s_suppkey") \
+        .sort_values("s_suppkey").reset_index(drop=True)
+    return pd.DataFrame({
+        "s_suppkey": out["s_suppkey"].to_numpy(np.int64),
+        "s_name": out["s_name"].astype(object),
+        "total_revenue_c4": out["rev4"].to_numpy(np.int64),
+    })

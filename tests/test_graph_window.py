@@ -1,6 +1,26 @@
-"""The stratified sample's per-stratum rates and determinism."""
+"""Semi/anti joins (vs pandas isin) and the stratified sample's per-stratum
+rates and determinism."""
 
+import numpy as np
 import pandas as pd
+import ray.data
+
+
+def test_semi_and_anti_join(ray_session):
+    from searchenginepp_ray.pipelines.relational import shuffle_semi_join
+
+    rng = np.random.default_rng(3)
+    left = pd.DataFrame({"k": rng.integers(0, 100, 2000),
+                         "v": rng.random(2000)})
+    right = pd.DataFrame({"rk": rng.integers(50, 150, 500)})
+    lds = ray.data.from_pandas(left).repartition(4)
+    rds = ray.data.from_pandas(right).repartition(3)
+    for anti in (False, True):
+        got = shuffle_semi_join(lds, rds, "k", "rk", ["v"], anti=anti).to_pandas()
+        m = left["k"].isin(right["rk"].unique())
+        want = left[~m if anti else m]
+        assert len(got) == len(want)
+        assert sorted(got["v"].tolist()) == sorted(want["v"].tolist())
 
 
 def test_stratified_sample_rates_and_determinism(ray_session, sf_dir):
