@@ -319,24 +319,26 @@ def ordered_tokens_batch(texts, profile: NormalizerProfile):
 
 
 class Tokenized(NamedTuple):
-    """:func:`tokenize_codes` output: the public per-doc lists plus the
-    (doc, term) pair codes they were built from. ``pair_doc`` is
-    non-decreasing, ``pair_term`` indexes the sorted ``vocab``."""
+    """:func:`tokenize_codes` output: the (doc, term) pair codes the
+    per-doc lists are built from. ``pair_doc`` is non-decreasing,
+    ``pair_term`` indexes the sorted ``vocab`` and ``tf`` counts each
+    pair's occurrences; pairs are (doc, term)-sorted. ``pos`` (positional
+    tokenizing only) holds every pair's ``tf`` occurrence positions,
+    flat, in pair order."""
 
     doclens: np.ndarray
-    terms: pa.Array
-    tfs: pa.Array
-    poss: pa.Array | None
     pair_doc: np.ndarray
     pair_term: np.ndarray
+    tf: np.ndarray
+    pos: np.ndarray | None
     vocab: pa.Array
 
 
 def tokenize_codes(texts, profile: NormalizerProfile,
                    positions: bool = False) -> Tokenized:
     """The tokenizer core behind :func:`tokenize_batch` and
-    :func:`tokenize_batch_positions`; index builds call it directly to
-    count per-segment dfs from the pair codes.
+    :func:`tokenize_batch_positions`; index builds call it directly and
+    keep the pair codes, so no term string is gathered per posting.
 
     The stream-sized work is one Arrow dictionary-encode, one in-place
     int64 sort and a run-length pass on reused scratch; every filter and
@@ -353,16 +355,13 @@ def tokenize_codes(texts, profile: NormalizerProfile,
     n = len(texts)
     ms = _mapped_stream(texts, profile)
     if ms is None:
-        doclens, terms_list, tfs_list = _empty_term_lists(n)
-        empty_pos = pa.LargeListArray.from_arrays(
-            np.zeros(n + 1, dtype=np.int64), pa.array([], pa.uint32())
-        ) if positions else None
-        no_pairs = np.zeros(0, dtype=np.int64)
-        return Tokenized(doclens, terms_list, tfs_list, empty_pos,
-                         no_pairs, no_pairs, pa.array([], pa.string()))
+        none = np.zeros(0, dtype=np.int64)
+        return Tokenized(np.zeros(n, dtype=np.uint64), none, none, none,
+                         np.zeros(0, dtype=np.uint32) if positions else None,
+                         pa.array([], pa.string()))
     tok_counts, codes, full_map, final_vocab, n_terms = ms
     width = n_terms + 1
-    pos_list = None
+    pos = None
     if positions:
         stream = full_map[codes]  # final term code per token, stream order
         doc_idx = np.repeat(np.arange(n, dtype=np.int64), tok_counts)
@@ -375,9 +374,8 @@ def tokenize_codes(texts, profile: NormalizerProfile,
         key = kd * width + stream[keep]
         order = np.argsort(key, kind="stable")  # keeps stream order per pair
         key = key[order]
-        # per-doc flat positions, (doc, term, stream order) sorted; the
-        # doc boundaries are the kept-token doc offsets
-        pos_list = pa.LargeListArray.from_arrays(doc_offs, pa.array(pos[order]))
+        # flat positions, (doc, term, stream order) sorted
+        pos = pos[order]
     else:
         # (doc, term) pair counts via one in-place sort + run-length
         # encode on scratch, sorted by (doc, term-code) == per-doc
@@ -397,16 +395,22 @@ def tokenize_codes(texts, profile: NormalizerProfile,
     pair_term = pair_key - pair_doc * width
     real = pair_term < n_terms  # cut the per-doc sentinel runs
     pair_doc, pair_term, tf = pair_doc[real], pair_term[real], tf[real]
-
     doclens = np.bincount(pair_doc, weights=tf, minlength=n).astype(np.uint64)
-    pairs_per_doc = np.bincount(pair_doc, minlength=n)
+    return Tokenized(doclens, pair_doc, pair_term, tf, pos, final_vocab)
+
+
+def _term_lists(t: Tokenized):
+    """Per-doc term-sorted term and tf lists of a :class:`Tokenized`
+    (the term strings gathered Arrow-side with one C-speed ``take``)."""
+    n = len(t.doclens)
+    if len(t.vocab) == 0:
+        return _empty_term_lists(n)
+    pairs_per_doc = np.bincount(t.pair_doc, minlength=n)
     offsets = np.concatenate(([0], np.cumsum(pairs_per_doc))).astype(np.int64)
-    # term strings gathered Arrow-side with one C-speed take
-    term_values = final_vocab.take(pa.array(pair_term, pa.int64()))
-    terms_list = pa.LargeListArray.from_arrays(offsets, term_values)
-    tfs_list = pa.LargeListArray.from_arrays(offsets, pa.array(tf, pa.uint32()))
-    return Tokenized(doclens, terms_list, tfs_list, pos_list,
-                     pair_doc, pair_term, final_vocab)
+    terms_list = pa.LargeListArray.from_arrays(
+        offsets, t.vocab.take(pa.array(t.pair_term, pa.int64())))
+    tfs_list = pa.LargeListArray.from_arrays(offsets, pa.array(t.tf, pa.uint32()))
+    return t.doclens, terms_list, tfs_list
 
 
 def tokenize_batch(texts, profile: NormalizerProfile):
@@ -418,8 +422,7 @@ def tokenize_batch(texts, profile: NormalizerProfile):
     term-sorted unique terms and their frequencies — the same content as
     ``sorted(term_frequencies(text).items())`` per doc.
     """
-    t = tokenize_codes(texts, profile)
-    return t.doclens, t.terms, t.tfs
+    return _term_lists(tokenize_codes(texts, profile))
 
 
 def tokenize_batch_positions(texts, profile: NormalizerProfile):
@@ -436,4 +439,6 @@ def tokenize_batch_positions(texts, profile: NormalizerProfile):
     (pytest-pinned).
     """
     t = tokenize_codes(texts, profile, positions=True)
-    return t.doclens, t.terms, t.tfs, t.poss
+    doc_offs = np.concatenate(([0], np.cumsum(t.doclens.astype(np.int64))))
+    return (*_term_lists(t),
+            pa.LargeListArray.from_arrays(doc_offs, pa.array(t.pos, pa.uint32())))

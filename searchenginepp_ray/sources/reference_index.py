@@ -35,7 +35,10 @@ The importer re-encodes postings into this engine's segment layout
 (delta-gap VarByte with block restarts, per-term unary, sigmas/skips
 recomputed with the build's own kernels via ``AssembleSegment``), bakes
 idf = log2(N/df) from the reference's global lexicon, and writes the
-``docs/`` + ``global/`` state the serving stack expects. Sigma/skip
+``global/`` state the serving stack expects plus ``docs/``, the
+document index ``(docid, docno, doclen)`` — the reference's
+``document_index``. The postings are kept in the segments only; merge
+and compaction decode them from there, as for a native build. Sigma/skip
 values from the reference file are deliberately IGNORED — they are
 2-decimal quantized on disk, whereas this engine recomputes exact
 bounds; ranks are unaffected (upper bounds only gate pruning).
@@ -159,7 +162,7 @@ def import_reference_index(
     ``profile`` must name the normalizer the REFERENCE index was built
     with (it only affects query-time tokenization — the postings are
     taken verbatim)."""
-    from ..index.build import AssembleSegment
+    from ..index.build import DOCS_SCHEMA, AssembleSegment
 
     cfg = cfg or BuildConfig(profile=profile)
     if cfg.positions:
@@ -225,31 +228,19 @@ def import_reference_index(
         dl_arr = doclens
         dl_s = dl_arr[(docid_s.astype(np.int64) - base_docid)]
 
-        # docs/seg=N part (serving reads docid/docno/doclen; terms/tfs
-        # are reconstructed per doc so merge/compaction work too)
-        order = np.lexsort((codes_s, docid_s))
-        by_doc_terms: list[list[str]] = [[] for _ in range(len(docnos))]
-        by_doc_tfs: list[list[int]] = [[] for _ in range(len(docnos))]
-        for i in order:
-            li = int(docid_s[i]) - base_docid
-            by_doc_terms[li].append(lex_terms[codes_s[i]])
-            by_doc_tfs[li].append(int(tf_s[i]))
+        # the document index part (docs/seg=N); the postings live in the
+        # segment alone, which append and compaction decode
         seg_docs_dir = os.path.join(docs_root, f"seg={seg}")
         os.makedirs(seg_docs_dir, exist_ok=True)
         doc_file = os.path.join(seg_docs_dir,
                                 f"part-{base_docid:012d}-00000.parquet")
         docids_arr = np.arange(base_docid, base_docid + len(docnos),
                                dtype=np.uint64)
-        # on-disk doc-part schema = DOCS_SCHEMA minus the seg column
-        # (seg is the partition directory, cf. _compact_doc_file)
         pq.write_table(pa.table({
             "docid": pa.array(docids_arr),
             "docno": pa.array(docnos, pa.string()),
             "doclen": pa.array(dl_arr.astype(np.uint64)),
-            "sha256": pa.array([""] * len(docnos), pa.string()),
-            "terms": pa.array(by_doc_terms, pa.list_(pa.string())),
-            "tfs": pa.array(by_doc_tfs, pa.list_(pa.uint32())),
-        }), doc_file)
+        }, schema=DOCS_SCHEMA), doc_file)
 
         # shared encode tail: identical sigma/skip construction to a
         # native build (block restarts, exact upper bounds)

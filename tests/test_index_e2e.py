@@ -175,24 +175,6 @@ def test_query_batch_equals_per_query(built):
     assert len(s._dense_cache) > 0
 
 
-def test_sha256_invariant(built):
-    """Per-row content sha256 carried through the doc index unchanged."""
-    import hashlib
-    summary, _, engine = built
-    seg_dir = engine.seg_dirs[0]
-    import json, pyarrow.dataset as pads
-    with open(f"{seg_dir}/manifest.json") as f:
-        files = json.load(f)["doc_files"]
-    dt = pads.dataset(files).to_table(columns=["docid", "sha256"])
-    # recompute from the source corpus for a sample
-    from searchenginepp_ray.sources.corpus_gen import generate_corpus
-    corpus = generate_corpus(5, seed=42)
-    want = [hashlib.sha256(t.encode()).hexdigest() for t in corpus["content"].to_pylist()]
-    got = dict(zip(dt["docid"].to_pylist(), dt["sha256"].to_pylist()))
-    for i, w in enumerate(want):
-        assert got[i + 1] == w
-
-
 def test_resume_skips_built_segments(built, tmp_path_factory):
     """Re-running build with identical inputs is a no-op (checkpointed)."""
     summary, _, engine = built
@@ -309,12 +291,13 @@ def test_lazy_bmm_decodes_fewer_postings(ray_session, tmp_path_factory):
         ]
 
 
-def test_crash_resume_tokenize_stage(ray_session, tmp_path_factory):
+def test_crash_resume_tokenize_stage(ray_session, tmp_path_factory,
+                                     monkeypatch):
     """A build interrupted mid-tokenize resumes from completed shards:
     only missing shards re-run, and the finished index is identical."""
-    import json
     import os
-    import shutil
+
+    from searchenginepp_ray.index import build
 
     tmp = tmp_path_factory.mktemp("resume")
     corpus_path = str(tmp / "corpus.parquet")
@@ -323,20 +306,32 @@ def test_crash_resume_tokenize_stage(ray_session, tmp_path_factory):
     full_dir = str(tmp / "full")
     want = build_index(corpus_path, full_dir, cfg, CODE_CORPUS)
 
-    # simulate a crash: stage-1 half-finished (drop the done-marker, the
-    # last three shard partials and one seg part file), wip marker present
+    # a real crash after stages 1-2: no segment was assembled, so the
+    # postings exist only in the stage-1 runs
     crash_dir = str(tmp / "crashed")
-    shutil.copytree(full_dir, crash_dir)
+
+    def crash(*a, **k):
+        raise RuntimeError("crash before assembly")
+
+    monkeypatch.setattr(build, "_assemble_stage", crash)
+    with pytest.raises(RuntimeError, match="crash before assembly"):
+        build_index(corpus_path, crash_dir, cfg, CODE_CORPUS)
+    monkeypatch.undo()
+    assert not any(d.startswith("db_") for d in os.listdir(crash_dir))
+
+    # stage 1 half-finished: drop the done-markers and the last three
+    # shards' partials and runs; the wip marker is present
     os.remove(os.path.join(crash_dir, "_docs_done"))
     os.remove(os.path.join(crash_dir, "_global_done"))
-    shutil.rmtree(os.path.join(crash_dir, "global"))
-    for d in os.listdir(crash_dir):
-        if d.startswith("db_"):
-            shutil.rmtree(os.path.join(crash_dir, d))
     pdir = os.path.join(crash_dir, "docs", "_partials")
+    runs = os.path.join(crash_dir, "docs", "_runs")
     victims = sorted(os.listdir(pdir))[-3:]
     for v in victims:
         os.remove(os.path.join(pdir, v))
+        name = v[: -len(".parquet")] + ".arrow"
+        for seg in os.listdir(runs):
+            if os.path.exists(os.path.join(runs, seg, name)):
+                os.remove(os.path.join(runs, seg, name))
     with open(os.path.join(full_dir, "_docs_done")) as f:
         key = f.read()
     with open(os.path.join(crash_dir, "_docs_wip"), "w") as f:
@@ -345,6 +340,7 @@ def test_crash_resume_tokenize_stage(ray_session, tmp_path_factory):
     surviving = {
         (d, f): os.path.getmtime(os.path.join(crash_dir, "docs", d, f))
         for d in os.listdir(os.path.join(crash_dir, "docs"))
+        if d != "_runs"
         for f in os.listdir(os.path.join(crash_dir, "docs", d))
     }
     got = build_index(corpus_path, crash_dir, cfg, CODE_CORPUS)

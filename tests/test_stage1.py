@@ -15,7 +15,8 @@ import pytest
 from searchenginepp_ray.config import BuildConfig
 from searchenginepp_ray.index.build import _docnos, build_index, compact_index
 from searchenginepp_ray.index.tombstone import delete_docs
-from searchenginepp_ray.sources.corpus_gen import generate_corpus
+from searchenginepp_ray.normalizer.batch import tokenize_batch
+from searchenginepp_ray.sources.corpus_gen import docno_of, generate_corpus
 from searchenginepp_ray.sources.parquet_corpus import ColumnSpec
 
 
@@ -63,9 +64,12 @@ def test_float_docno_column_refused(ray_session, tmp_path):
     assert not glob.glob(os.path.join(idx, "docs", "seg=*", "*.parquet"))
 
 
-def _value_counts_partials(docs: pa.Table) -> tuple[dict, dict]:
+def _value_counts_partials(docs: pa.Table, profile) -> tuple[dict, dict]:
     """The (seg, term) → df and seg → Σdoclen a per-segment
-    ``value_counts`` over the doc rows' term lists gives."""
+    ``value_counts`` over the docs' re-tokenized term lists gives."""
+    doclens, terms, _ = tokenize_batch(docs["text"], profile)
+    docs = docs.append_column("terms", terms).append_column(
+        "doclen", pa.array(doclens))
     df, dl = {}, {}
     for seg in pc.unique(docs["seg"]).to_pylist():
         part = docs.filter(pc.equal(docs["seg"], seg))
@@ -78,19 +82,21 @@ def _value_counts_partials(docs: pa.Table) -> tuple[dict, dict]:
     return df, dl
 
 
-def _check_partials(idx: str) -> int:
+def _check_partials(idx: str, texts: dict, profile) -> int:
     """Every ``_partials`` file equals the value-counts partials of the
-    doc parts written under the same name; returns the files checked."""
+    corpus rows of the doc parts written under the same name, tokenized
+    again; returns the files checked."""
     pfiles = sorted(glob.glob(os.path.join(idx, "docs", "_partials", "*.parquet")))
     for pf in pfiles:
         name = os.path.basename(pf)
         parts = []
         for f in glob.glob(os.path.join(idx, "docs", "seg=*", name)):
             seg = int(os.path.basename(os.path.dirname(f)).split("=")[1])
-            d = pq.read_table(f, columns=["doclen", "terms"])
-            parts.append(d.append_column(
-                "seg", pa.array(np.full(len(d), seg, np.int32))))
-        exp_df, exp_dl = _value_counts_partials(pa.concat_tables(parts))
+            docnos = pq.read_table(f, columns=["docno"])["docno"].to_pylist()
+            parts.append(pa.table({
+                "text": [texts[d] for d in docnos],
+                "seg": pa.array(np.full(len(docnos), seg, np.int32))}))
+        exp_df, exp_dl = _value_counts_partials(pa.concat_tables(parts), profile)
         p = pq.read_table(pf)
         rows = list(zip(p["seg"].to_pylist(), p["term"].to_pylist(),
                         p["df_part"].to_pylist(), p["doclen_part"].to_pylist()))
@@ -110,14 +116,18 @@ def _check_partials(idx: str) -> int:
                          ids=["plain", "positions"])
 def test_code_partials_match_value_counts(ray_session, tmp_path, positions):
     """The partials counted from the tokenizer's pair codes (build) and
-    from dictionary-encoded term lists (compaction) equal the
-    value-counts partials per (segment, term)."""
+    from decoded segment postings (compaction) equal the value-counts
+    partials per (segment, term)."""
     t = generate_corpus(300, seed=5)
     corpus = _write(tmp_path, "corpus", t)
     cfg = BuildConfig(docs_per_segment=100, positions=positions)
+    texts = {docno_of(r, p, c): x for r, p, c, x in zip(
+        t["repo"].to_pylist(), t["path"].to_pylist(),
+        t["commit"].to_pylist(), t["content"].to_pylist())}
     idx = str(tmp_path / "idx")
     build_index(corpus, idx, cfg)
-    assert _check_partials(idx) == 5  # 64-row shards, some span two segments
+    # 64-row shards, some span two segments
+    assert _check_partials(idx, texts, cfg.profile) == 5
 
     src = str(tmp_path / "tombstoned")
     shutil.copytree(idx, src)
@@ -128,4 +138,4 @@ def test_code_partials_match_value_counts(ray_session, tmp_path, positions):
     delete_docs(src, sorted(docnos)[::5])
     compacted = str(tmp_path / "compacted")
     compact_index(src, compacted)
-    assert _check_partials(compacted) >= 1
+    assert _check_partials(compacted, texts, cfg.profile) >= 1
