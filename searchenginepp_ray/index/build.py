@@ -514,7 +514,10 @@ def build_index(
 
     Resumable: each super-stage writes a marker keyed on the input shard
     list + build params; a rerun with the same key skips the stage, and
-    segment assembly additionally skips per-segment on its manifest.
+    segment assembly additionally skips per-segment on its manifest. A
+    segment's files are replaced before its manifest is written, and a
+    positional segment's two tables are both written whole before
+    either replace, so a rerun after a crash at any point resumes.
 
     Append-incremental: when the old shard list is a prefix of the new
     one (same params and format), only the new shards tokenize; each
@@ -748,6 +751,7 @@ def _decode_segment(seg_dir: str, positions: bool) -> tuple[Run, tuple[int, int]
     """A built segment's postings as one term-sorted run, and the
     (base docid, doc count) its manifest records. Raises ``ValueError``
     when the segment is missing."""
+    _finish_replace(seg_dir)
     if not _segment_exists(seg_dir):
         raise ValueError(f"{seg_dir} is missing: its postings cannot be "
                          "decoded; rebuild with force=True")
@@ -758,6 +762,18 @@ def _decode_segment(seg_dir: str, positions: bool) -> tuple[Run, tuple[int, int]
     codes = np.repeat(np.arange(len(dec["df"]), dtype=np.int64), dec["df"])
     return (Run(dec["terms"], codes, dec["docids"], dec["tfs"], pos),
             (int(m["base_docid"]), int(m["n_docs"])))
+
+
+def _finish_replace(seg_dir: str) -> None:
+    """Complete a positional segment write that stopped between its
+    ``terms.parquet`` and ``positions.parquet`` replaces. The segment
+    writer finishes both temporary files before either replace, so a
+    ``positions.parquet.tmp`` without a ``terms.parquet.tmp`` beside it
+    is whole and matches the ``terms.parquet`` in place."""
+    tmp = os.path.join(seg_dir, "positions.parquet.tmp")
+    if (os.path.exists(tmp)
+            and not os.path.exists(os.path.join(seg_dir, "terms.parquet.tmp"))):
+        os.replace(tmp, os.path.join(seg_dir, "positions.parquet"))
 
 
 def _map_tasks(items: list[dict], fn) -> list[dict]:
@@ -851,7 +867,7 @@ class AssembleSegment:
         _t = _time.perf_counter()
 
         if len(docid) == 0 or not any(len(r.docids) for r in runs):
-            return self._write_empty(seg, files)
+            return self._write_empty(seg, files, docid, doclen)
         base0 = int(docid[0])
         if int(docid[-1]) - base0 != len(docid) - 1:
             raise ValueError(
@@ -888,41 +904,38 @@ class AssembleSegment:
 
     def _segment_runs(self, seg: int, files: list[str],
                       parts: list[pa.Table]) -> list[Run]:
-        """The segment's postings as runs over ascending docid ranges: a
-        doc part's stage-1 run where one exists, else the old segment's
-        decoded postings of the docs in parts without a run. Only those
-        docids are taken from ``db_<seg>``, so postings a crashed earlier
-        assembly already wrote there for docs that have runs never count
-        twice."""
-        spans = sorted((pc.min(p["docid"]).as_py(), pc.max(p["docid"]).as_py(), f)
-                       for f, p in zip(files, parts) if len(p))
-        ranges = []  # (lo, hi, run path or None), docid order
-        for lo, hi, f in spans:
+        """The segment's postings as runs in docid order: the old
+        segment's decoded postings of the docs in parts without a run
+        (an append's old docs, which precede every new doc), then each
+        doc part's stage-1 run. Only the docids of parts without a run
+        are taken from ``db_<seg>``, so postings a crashed earlier
+        assembly already wrote there for docs that have runs never
+        count twice."""
+        runs, run_lo, no_run = [], [], []
+        for f, p in zip(files, parts):
             rp = _run_path(self.docs_dir, seg, f)
             if os.path.exists(rp):
-                ranges.append((lo, hi, rp))
-            elif ranges and ranges[-1][2] is None and ranges[-1][1] + 1 == lo:
-                ranges[-1] = (ranges[-1][0], hi, None)
-            else:
-                ranges.append((lo, hi, None))
-        runs, old = [], None
-        for lo, hi, rp in ranges:
-            if rp is not None:
                 runs.append(_read_run(rp))
-                continue
-            if old is None:
-                old, (old_lo, old_n) = _decode_segment(
-                    os.path.join(self.out_dir, f"db_{seg}"), self.cfg.positions)
-            if lo < old_lo or hi >= old_lo + old_n:
-                raise ValueError(
-                    f"segment {seg}: docs {lo}..{hi} have no posting run and "
-                    f"db_{seg} holds docs {old_lo}..{old_lo + old_n - 1} only; "
-                    "rebuild with force=True")
-            keep = (old.docids >= lo) & (old.docids <= hi)
-            runs.append(Run(
-                old.vocab, old.codes[keep], old.docids[keep], old.tfs[keep],
-                None if old.pos is None else old.pos[np.repeat(keep, old.tfs)]))
-        return runs
+                if len(p):
+                    run_lo.append(pc.min(p["docid"]).as_py())
+            elif len(p):
+                no_run.append(p["docid"])
+        if not no_run:
+            return runs
+        docids = pa.chunked_array(no_run)
+        lo, hi = pc.min(docids).as_py(), pc.max(docids).as_py()
+        old, (old_lo, old_n) = _decode_segment(
+            os.path.join(self.out_dir, f"db_{seg}"), self.cfg.positions)
+        if lo < old_lo or hi >= min([old_lo + old_n] + run_lo):
+            raise ValueError(
+                f"segment {seg}: docs {lo}..{hi} have no posting run and "
+                f"db_{seg} holds docs {old_lo}..{old_lo + old_n - 1} only; "
+                "rebuild with force=True")
+        keep = (old.docids >= lo) & (old.docids <= hi)
+        return [Run(
+            old.vocab, old.codes[keep], old.docids[keep], old.tfs[keep],
+            None if old.pos is None else old.pos[np.repeat(keep, old.tfs)]),
+        ] + runs
 
     def _encode_write(self, seg, files, docid, doclen, uniq_terms, codes_s,
                       docid_s, tf_s, dl_s, _timings, pos_s=None) -> dict:
@@ -1111,16 +1124,19 @@ class AssembleSegment:
         manifest_path = os.path.join(seg_dir, "manifest.json")
         terms_table = (terms_tables[0] if len(terms_tables) == 1
                        else pa.concat_tables(terms_tables).combine_chunks())
-        os.makedirs(seg_dir, exist_ok=True)
-        tmp = os.path.join(seg_dir, "terms.parquet.tmp")
-        pq.write_table(terms_table, tmp)
-        os.replace(tmp, os.path.join(seg_dir, "terms.parquet"))
+        out = {"terms.parquet": terms_table}
         if pos_tables is not None:
-            pos_table = (pos_tables[0] if len(pos_tables) == 1
-                         else pa.concat_tables(pos_tables).combine_chunks())
-            tmp = os.path.join(seg_dir, "positions.parquet.tmp")
-            pq.write_table(pos_table, tmp)
-            os.replace(tmp, os.path.join(seg_dir, "positions.parquet"))
+            out["positions.parquet"] = (
+                pos_tables[0] if len(pos_tables) == 1
+                else pa.concat_tables(pos_tables).combine_chunks())
+        os.makedirs(seg_dir, exist_ok=True)
+        # every file is written whole before the first replace, so a
+        # crash between the replaces leaves what _finish_replace needs
+        for name, table in out.items():
+            pq.write_table(table, os.path.join(seg_dir, name + ".tmp"))
+        for name in out:
+            os.replace(os.path.join(seg_dir, name + ".tmp"),
+                       os.path.join(seg_dir, name))
         _timings["write"] = _time.perf_counter() - _t
 
         manifest = {
@@ -1146,9 +1162,11 @@ class AssembleSegment:
         os.replace(tmp, manifest_path)
         return manifest
 
-    def _write_empty(self, seg: int, files: list[str]) -> dict:
-        seg_dir = os.path.join(self.out_dir, f"db_{seg}")
-        os.makedirs(seg_dir, exist_ok=True)
+    def _write_empty(self, seg: int, files: list[str], docid: np.ndarray,
+                     doclen: np.ndarray) -> dict:
+        """A segment without postings: no docs, or docs that are all
+        empty or stopword-only. Its manifest still records those docs,
+        so an append or a compaction decodes it like any other."""
         empty = pa.table(
             {
                 "term": pa.array([], pa.string()),
@@ -1166,27 +1184,12 @@ class AssembleSegment:
                 "skip_freq_off": pa.array([], pa.list_(pa.uint64())),
             }
         )
-        pq.write_table(empty, os.path.join(seg_dir, "terms.parquet"))
-        if self.cfg.positions:
-            # the positional sidecar must exist (empty) for every
-            # positional segment — the merge reads it unconditionally
-            pq.write_table(
-                pa.table({"term": pa.array([], pa.string()),
-                          "pos_bytes": pa.array([], pa.large_binary())}),
-                os.path.join(seg_dir, "positions.parquet"))
-        manifest = {
-            "seg": seg, "base_docid": 0, "n_docs": 0, "n_terms": 0,
-            "n_postings": 0, "sum_doclen": 0, "doc_files": files,
-            "docid_encoding": "varbyte-dgap-blockrestart", "freq_encoding": "unary-lsb",
-            "positions": self.cfg.positions,
-            "skip_block_size": self.cfg.skip_block_size,
-            "params_id": self.cfg.params_id,
-            "profile_id": self.cfg.profile.profile_id,
-            "lineage_key": self.lineage_key,
-        }
-        with open(os.path.join(seg_dir, "manifest.json"), "w") as f:
-            json.dump(manifest, f)
-        return manifest
+        # the positional sidecar must exist (empty) for every
+        # positional segment — the merge reads it unconditionally
+        pos = [pa.table({"term": pa.array([], pa.string()),
+                         "pos_bytes": pa.array([], pa.large_binary())})]
+        return self._write_segment(seg, files, docid, doclen, [empty],
+                                   pos if self.cfg.positions else None, 0, {})
 
 
 def _ranges(counts: np.ndarray) -> np.ndarray:
@@ -1395,7 +1398,7 @@ class MergeAssemble(AssembleSegment):
         _t = _time.perf_counter()
 
         if len(docid) == 0 or int(lens.sum()) == 0:
-            return self._write_empty(seg, files)
+            return self._write_empty(seg, files, docid, doclen)
 
         # term union: dictionary-encode the concatenated per-segment term
         # columns (row count = Σ per-seg vocab, not Σ postings)

@@ -7,9 +7,9 @@ exactly (the searcher's alive-mask routes through the same masked
 DAAT/Maxscore machinery as faceted search, so a deleted doc can never
 appear in, or displace anything from, a top-k). Collection statistics
 (idf, avgdl, sigmas) intentionally keep the deleted docs until a
-merge/compaction reclaims them — the standard tombstone contract
-(deletes must be cheap and immediately visible; statistics converge
-when the index is next rebuilt over the alive corpus — see below).
+compaction reclaims them — the standard tombstone contract (deletes
+must be cheap and immediately visible; statistics converge when the
+index is compacted — see below).
 Beyond-reference: the C++ engine has no delete path at all.
 
 Scale shape: the tombstone set is delete-sized, not corpus-sized — one
@@ -18,15 +18,13 @@ and turned into a per-segment bool mask inside each actor (an ``is_in``
 against the segment's own docnos; segments with no deleted docs keep a
 ``None`` mask and an untouched fast path).
 
-PHYSICAL reclaim is a rebuild, not a merge: ``merge_segments`` carries
-the tombstone file into the merged index (the masked serving view is
-preserved — post-merge deletes re-sync) but deleted docs still occupy
-postings and the collection statistics still count them. A delete-heavy
-index converges stats and reclaims space by rebuilding over the alive
-corpus (the append-incremental build machinery makes that a
-stages-2-3-only cost for the unchanged shards); merge-time physical
-drop (filter + docid renumber + stat recompute inside MergeAssemble)
-is the designed-but-unshipped optimization.
+PHYSICAL reclaim is :func:`.build.compact_index`, not a merge:
+``merge_segments`` carries the tombstone file into the merged index
+(the masked serving view is preserved — post-merge deletes re-sync)
+but deleted docs still occupy postings and the collection statistics
+still count them. ``compact_index`` decodes each segment, drops the
+deleted docs' postings, renumbers docids densely and recomputes the
+statistics; its output carries no tombstone file.
 """
 
 from __future__ import annotations

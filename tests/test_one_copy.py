@@ -4,6 +4,7 @@ re-assembles from decoded segments — without losing deletes, counting a
 doc twice after a crash, or writing a segment with postings missing."""
 
 import glob
+import json
 import os
 import shutil
 
@@ -17,6 +18,7 @@ from searchenginepp_ray.index.build import build_index, compact_index
 from searchenginepp_ray.index.engine import QueryEngine
 from searchenginepp_ray.index.tombstone import TOMBSTONE_FILE, delete_docs
 from searchenginepp_ray.sources.parquet_corpus import ColumnSpec
+from searchenginepp_ray.state.lineage import verify_lineage
 
 CFG = BuildConfig(profile=SIMPLE_PROFILE, docs_per_segment=64)
 SPEC = ColumnSpec(text_col="text", docno_cols=("docno",))
@@ -90,7 +92,6 @@ def test_append_keeps_deletes(ray_session, tmp_path):
     served = _served(idx)
     assert "d0007" not in served and "d0199" in served
     assert os.path.exists(os.path.join(str(idx), "global", TOMBSTONE_FILE))
-    import json
     with open(os.path.join(str(idx), "global", "metadata.json")) as f:
         assert json.load(f)["n_tombstones"] == 1
 
@@ -99,14 +100,20 @@ def test_append_keeps_deletes(ray_session, tmp_path):
     assert "d0007" in _served(idx)
 
 
-@pytest.mark.parametrize("positions", [False, True],
-                         ids=["plain", "positions"])
+@pytest.mark.parametrize("positions,landed", [
+    (False, ("terms.parquet",)),
+    (True, ("terms.parquet", "positions.parquet")),
+    (True, ("terms.parquet", "positions.parquet.tmp")),
+], ids=["plain", "positions", "positions-between-replaces"])
 def test_mixed_segment_crash_counts_no_doc_twice(ray_session, tmp_path,
-                                                 monkeypatch, positions):
+                                                 monkeypatch, positions,
+                                                 landed):
     """A crash between a mixed segment's ``terms.parquet`` replace and
     its manifest write leaves a segment that already holds the new
-    docs' postings under the old manifest. The rerun takes from it only
-    the docs without a posting run, so every segment equals a fresh
+    docs' postings under the old manifest — in a positional build
+    possibly beside the old ``positions.parquet``, with the new one
+    still under its temporary name. The rerun takes from it only the
+    docs without a posting run, so every segment equals a fresh
     build's."""
     cfg = BuildConfig(profile=SIMPLE_PROFILE, docs_per_segment=64,
                       positions=positions)
@@ -126,9 +133,9 @@ def test_mixed_segment_crash_counts_no_doc_twice(ray_session, tmp_path,
     monkeypatch.undo()
     # the mixed segment's new term table (and sidecar) landed, its
     # manifest did not
-    for name in ("terms.parquet", "positions.parquet") if positions \
-            else ("terms.parquet",):
-        shutil.copy(os.path.join(str(fresh), "db_2", name),
+    for name in landed:
+        shutil.copy(os.path.join(str(fresh), "db_2",
+                                 name.removesuffix(".tmp")),
                     os.path.join(str(idx), "db_2", name))
 
     summary = build_index(str(corpus), str(idx), cfg, SPEC)
@@ -166,3 +173,37 @@ def test_append_refuses_a_missing_segment(ray_session, tmp_path):
     with pytest.raises(ValueError, match="segment 0"):
         build_index(str(corpus), str(idx), CFG, SPEC)
     assert _segments(idx) == before
+
+
+def test_segment_without_postings(ray_session, tmp_path):
+    """A segment whose docs have no postings (here one empty doc, as an
+    empty ``__init__.py`` in a code corpus) records its docs in its
+    manifest, so a compaction decodes it and an append re-assembles it
+    into a fresh build's segments."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    _write_part(corpus / "a.parquet", 0, 128)
+    pq.write_table(pa.table({"docno": ["empty"], "text": [""]}),
+                   str(corpus / "a1.parquet"))  # docid 129, segment 2
+    idx = tmp_path / "idx"
+    build_index(str(corpus), str(idx), CFG, SPEC)
+    with open(os.path.join(str(idx), "db_2", "manifest.json")) as f:
+        m = json.load(f)
+    assert (m["base_docid"], m["n_docs"], m["n_postings"]) == (129, 1, 0)
+    assert verify_lineage(str(idx))["problems"] == []
+
+    compacted = tmp_path / "compacted"
+    assert compact_index(str(idx), str(compacted))["n_docs"] == 129
+    assert verify_lineage(str(compacted))["problems"] == []
+    assert len(_served(compacted)) == 128
+
+    _write_part(corpus / "b.parquet", 128, 178)
+    assert build_index(str(corpus), str(idx), CFG, SPEC)["n_docs"] == 179
+    fresh = tmp_path / "fresh"
+    build_index(str(corpus), str(fresh), CFG, SPEC)
+    for k, v in _segments(fresh).items():
+        if k.endswith(".parquet"):
+            assert _segments(idx)[k] == v, k
+    delete_docs(str(idx), ["d0005"])
+    assert compact_index(str(idx), str(compacted))["n_docs"] == 178
+    assert len(_served(compacted)) == 177
