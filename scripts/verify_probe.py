@@ -1,7 +1,8 @@
 """Verify-surface probe (the verify skill's surface 2, as a standing
 script): adversarial corpus → build → serve → append → delete → append
-→ compact, asserting at every step DAAT == BMM and exact equality with
-an INDEPENDENT scalar BM25 oracle built by re-tokenizing the corpus.
+→ compact → merge, asserting at every step DAAT == BMM and exact
+equality with an INDEPENDENT scalar BM25 oracle built by re-tokenizing
+the corpus.
 
 Usage: python scripts/verify_probe.py   (owns its Ray session)
 
@@ -16,7 +17,9 @@ they do not.
 Every source of segment postings is exercised: the first build
 assembles from stage-1 posting runs, each append re-assembles the old
 segments from their decoded postings (the last one mixed with new
-runs), and compaction renumbers decoded segments into new runs."""
+runs), compaction renumbers decoded segments into new runs, and the
+merge re-encodes the compacted segments in groups — then serves with
+the compacted index deleted, from its own doc index and statistics."""
 
 from __future__ import annotations
 
@@ -105,7 +108,8 @@ def main() -> None:
 
     ray.init(address="local", num_cpus=8, include_dashboard=False)
     from searchenginepp_ray.config import BuildConfig
-    from searchenginepp_ray.index.build import build_index, compact_index
+    from searchenginepp_ray.index.build import (build_index, compact_index,
+                                                merge_segments)
     from searchenginepp_ray.index.engine import QueryEngine
     from searchenginepp_ray.index.tombstone import delete_docs
     from searchenginepp_ray.sources.corpus_gen import docno_of, generate_corpus
@@ -113,7 +117,7 @@ def main() -> None:
 
     shutil.rmtree(CORPUS, ignore_errors=True)
     os.makedirs(CORPUS)
-    for d in (INDEX, INDEX + "-compacted"):
+    for d in (INDEX, INDEX + "-compacted", INDEX + "-merged"):
         shutil.rmtree(d, ignore_errors=True)
     cfg = BuildConfig(docs_per_segment=100)
     rows: list[tuple[str, str]] = []
@@ -148,6 +152,9 @@ def main() -> None:
     step("append after delete")
     compact_index(INDEX, INDEX + "-compacted")
     step("compact", INDEX + "-compacted", compacted=True)
+    merge_segments(INDEX + "-compacted", INDEX + "-merged", group_size=2)
+    shutil.rmtree(INDEX + "-compacted")
+    step("merge", INDEX + "-merged", compacted=True)
     ray.shutdown()
 
 

@@ -45,13 +45,3 @@ def decode(buf: np.ndarray, count: int, start_bit: int = 0) -> np.ndarray:
     vals[0] = zeros[0] + 1
     np.subtract(zeros[1:], zeros[:-1], out=vals[1:])
     return vals.astype(np.uint64)
-
-
-def serialize_bit_offset(byte_off: int, bit_off: int) -> int:
-    """(byte_off << 3) | bit_off — reference src/codes/unary.hpp:18-22."""
-    assert bit_off < 8
-    return (byte_off << 3) | bit_off
-
-
-def deserialize_bit_offset(ser: int) -> tuple[int, int]:
-    return ser >> 3, ser & 0b111

@@ -20,19 +20,26 @@ rerun skips any stage/partition whose manifest matches):
    reference's k-way lexicon merge, reference src/builder.cpp:127-170)
    into the term-sorted global lexicon + collection metadata (reference
    src/builder.cpp:177-181) without re-reading any posting.
-3. **Assemble segments** — one task per segment gathers its posting
-   runs, sorts them by (term, docid), VarByte/unary-encodes whole
-   columns in single numpy passes, computes sigmas + 15,000-posting
-   block-max skip pointers (reference src/builder.cpp:192-268), and
-   writes ``db_<seg>/terms.parquet`` + a lineage manifest.
+3. **Assemble segments** — one task per segment runs the segment
+   writer (:class:`AssembleSegment`): it gathers the segment's postings,
+   cuts its vocabulary into term-range chunks within a posting budget,
+   and per chunk puts the postings in (term, docid) order,
+   VarByte/unary-encodes whole columns in single numpy passes and
+   computes sigmas + 15,000-posting block-max skip pointers (reference
+   src/builder.cpp:192-268); then it writes ``db_<seg>/terms.parquet``
+   + a lineage manifest.
 
-The postings live in one place, the segments. A posting run —
-term codes over a sorted run vocabulary, docid, tf [and positions] —
-is the one input of stage 3. It comes from a stage-1 shard (transient:
-the runs are deleted once every segment's manifest is written) or from
-an existing segment decoded with :func:`read_segment_postings`: an
-append re-assembles each old segment from its own postings, and
-compaction renumbers decoded segments into new runs.
+The postings live in one place, the segments, and every segment is
+written by the one writer. Its posting sources, in docid order, are
+stage-1 posting runs — term codes over a sorted run vocabulary, docid,
+tf [and positions], transient: deleted once every segment's manifest
+is written — and existing segments, decoded one term-range chunk at a
+time from their encoded rows. An append re-assembles each old segment
+from its own postings (plus the mixed last segment's new runs);
+compaction renumbers decoded segments into new runs
+(:func:`read_segment_postings`); :func:`merge_segments` copies each
+group's doc index parts and runs the writer over the group's source
+segments; ``import-ref`` feeds it the postings it decodes.
 
 Stages 2-3 rerun over the whole index on every append and compaction,
 so they too stay in Arrow and numpy end to end: terms are Arrow string
@@ -667,32 +674,35 @@ def build_index(
 
 def _assemble_stage(out_dir: str, docs_dir: str, global_dir: str,
                     meta: dict, cfg: BuildConfig, lineage_key: str,
-                    force: bool) -> list[dict]:
+                    force: bool, src_dir: str | None = None,
+                    groups: dict[int, list[int]] | None = None) -> list[dict]:
     """Build stage 3 (segment assembly) over a docs/ layout; one task
     per segment, each writing its own ``db_N/``. Shared by
-    :func:`build_index` and :func:`compact_index`.
+    :func:`build_index`, :func:`compact_index` and
+    :func:`merge_segments`.
 
-    Before any task starts, every segment still to assemble must have
-    its postings somewhere: a doc part without a posting run needs the
-    old ``db_N`` to decode them from. Otherwise it raises
-    ``ValueError`` and writes no segment — a segment is never written
-    with postings missing."""
-    seg_ids = sorted(
-        int(name.split("=")[1])
-        for name in os.listdir(docs_dir)
-        if name.startswith("seg=")
-    )
-    for s in seg_ids:
-        seg_dir = os.path.join(out_dir, f"db_{s}")
-        if not force and _manifest_key(seg_dir) == lineage_key:
+    Segment ``N`` takes the postings of its docs without a posting run
+    from the segments ``groups[N]`` of ``src_dir`` (default: its own
+    old ``db_N`` in ``out_dir``). Before any task starts, each of them
+    must exist for every segment still to assemble that has such docs.
+    Otherwise it raises ``ValueError`` and writes no segment — a
+    segment is never written with postings missing."""
+    src_dir = src_dir or out_dir
+    if groups is None:
+        groups = {int(name.split("=")[1]): [int(name.split("=")[1])]
+                  for name in os.listdir(docs_dir) if name.startswith("seg=")}
+    for s, srcs in groups.items():
+        if not force and _manifest_key(os.path.join(out_dir, f"db_{s}")) \
+                == lineage_key:
             continue
-        if (not all(os.path.exists(_run_path(docs_dir, s, f))
-                    for f in _doc_parts(docs_dir, s))
-                and not _segment_exists(seg_dir)):
+        missing = [os.path.join(src_dir, f"db_{g}") for g in srcs
+                   if not _segment_exists(os.path.join(src_dir, f"db_{g}"))]
+        if missing and not all(os.path.exists(_run_path(docs_dir, s, f))
+                               for f in _doc_parts(docs_dir, s)):
             raise ValueError(
                 f"segment {s}: documents without a posting run and no "
-                f"{seg_dir} to decode their postings from; rebuild with "
-                "force=True")
+                f"{missing[0]} to decode their postings from; rebuild "
+                "with force=True")
     assemble = AssembleSegment(
         out_dir=out_dir,
         docs_dir=docs_dir,
@@ -702,8 +712,10 @@ def _assemble_stage(out_dir: str, docs_dir: str, global_dir: str,
         global_dir=global_dir,
         lineage_key=lineage_key,
         force=force,
+        src_dir=src_dir,
     )
-    return _map_tasks([{"seg": s} for s in seg_ids], assemble)
+    return _map_tasks([{"seg": s, "srcs": groups[s]} for s in sorted(groups)],
+                      assemble)
 
 
 def _doc_parts(docs_dir: str, seg: int) -> list[str]:
@@ -733,35 +745,36 @@ def _manifest_key(seg_dir: str) -> str | None:
         return None
 
 
-def _union_vocab(runs: list[Run]) -> tuple[pa.Array, np.ndarray]:
-    """The sorted union of the runs' vocabularies, without terms no
-    posting uses, and every posting's code into it, in run order. Work
-    is vocabulary-sized except one gather per posting."""
-    rank, uniq = sorted_codes(pa.concat_arrays([r.vocab for r in runs]))
-    bases = np.cumsum([0] + [len(r.vocab) for r in runs[:-1]])
-    codes = np.concatenate([rank[b + r.codes] for b, r in zip(bases, runs)])
-    used = np.bincount(codes, minlength=len(uniq)) > 0
-    if not used.all():
-        codes = (np.cumsum(used) - 1)[codes]
-        uniq = uniq.filter(pa.array(used))
-    return uniq, codes
+def _union_vocab(vocabs: list[pa.Array]) -> tuple[pa.Array, list[np.ndarray]]:
+    """The sorted union of vocabularies, and each vocabulary's codes
+    into it. Terms no posting uses stay in the union: the segment
+    writer drops them."""
+    rank, uniq = sorted_codes(pa.concat_arrays(vocabs))
+    bounds = np.cumsum([0] + [len(v) for v in vocabs])
+    return uniq, [rank[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _decode_segment(seg_dir: str, positions: bool) -> tuple[Run, tuple[int, int]]:
-    """A built segment's postings as one term-sorted run, and the
-    (base docid, doc count) its manifest records. Raises ``ValueError``
-    when the segment is missing."""
+def _segment_range(seg_dir: str) -> tuple[int, int]:
+    """The (base docid, doc count) a built segment's manifest records,
+    once a replace a crash interrupted is completed. Raises
+    ``ValueError`` when the segment is missing."""
     _finish_replace(seg_dir)
     if not _segment_exists(seg_dir):
         raise ValueError(f"{seg_dir} is missing: its postings cannot be "
                          "decoded; rebuild with force=True")
     with open(os.path.join(seg_dir, "manifest.json")) as f:
         m = json.load(f)
+    return int(m["base_docid"]), int(m["n_docs"])
+
+
+def _decode_segment(seg_dir: str, positions: bool) -> tuple[Run, tuple[int, int]]:
+    """A built segment's postings as one term-sorted run, and the
+    (base docid, doc count) its manifest records."""
+    rng = _segment_range(seg_dir)
     dec = read_segment_postings(seg_dir)
     pos = read_segment_positions(seg_dir, dec["tfs"]) if positions else None
     codes = np.repeat(np.arange(len(dec["df"]), dtype=np.int64), dec["df"])
-    return (Run(dec["terms"], codes, dec["docids"], dec["tfs"], pos),
-            (int(m["base_docid"]), int(m["n_docs"])))
+    return Run(dec["terms"], codes, dec["docids"], dec["tfs"], pos), rng
 
 
 def _finish_replace(seg_dir: str) -> None:
@@ -789,16 +802,145 @@ def _map_tasks(items: list[dict], fn) -> list[dict]:
     ).take_all()
 
 
+#: per-chunk decoded-posting budget of the segment writer — the bound on
+#: a writer task's DECODED working set (flat int64 arrays are ~10-20×
+#: the encoded bytes, so this is what sizes task RSS). 4M postings ≈ 4M
+#: × ~50 B of flats/scratch ≈ 200 MB peak per chunk.
+SEGMENT_CHUNK_POSTINGS = 4_000_000
+
+
+class _Postings(NamedTuple):
+    """Postings whose ``codes`` index the segment writer's vocabulary
+    (in a chunk: from the chunk's first term on); ``pos`` (positional
+    builds) holds every posting's ``tf`` occurrence positions, flat, in
+    posting order."""
+
+    codes: np.ndarray
+    docids: np.ndarray
+    tfs: np.ndarray
+    pos: np.ndarray | None
+
+
+def _by_term(p: _Postings) -> _Postings:
+    """``p`` in (term, docid) order. ``p`` lists its postings in docid
+    order within each term (runs over ascending docid ranges, each in
+    (doc, term) or (term, docid) order, concatenated), so a stable sort
+    on the term codes alone is enough (O2 in SURVEY §2.6); each
+    posting's position slice follows it."""
+    order = np.argsort(p.codes, kind="stable")
+    tfs = p.tfs[order]
+    pos = None
+    if p.pos is not None:
+        starts = np.cumsum(p.tfs) - p.tfs
+        pos = p.pos[np.repeat(starts[order], tfs) + _ranges(tfs)]
+    return _Postings(p.codes[order], p.docids[order], tfs, pos)
+
+
+class _SortedPostings:
+    """A posting source already in (term, docid) order — a segment's
+    stage-1 runs after one sort, or an imported segment — sliced per
+    term range."""
+
+    def __init__(self, p: _Postings, n_terms: int):
+        self.p = p
+        self.counts = np.bincount(p.codes, minlength=n_terms)
+        self._at = np.concatenate(([0], np.cumsum(self.counts)))
+        self._pos_at = (None if p.pos is None
+                        else np.concatenate(([0], np.cumsum(p.tfs))))
+
+    def chunk(self, ta: int, tb: int) -> _Postings:
+        a, b = int(self._at[ta]), int(self._at[tb])
+        p = self.p
+        return _Postings(p.codes[a:b] - ta, p.docids[a:b], p.tfs[a:b],
+                         None if p.pos is None
+                         else p.pos[self._pos_at[a]: self._pos_at[b]])
+
+
+class _SegmentPostings:
+    """The postings of docids ``lo..hi`` in existing segments (an
+    append's old segment, a merge's source group), held as their
+    encoded term rows and decoded one term range at a time. Call
+    :meth:`bind` with the rows' codes in the writer's vocabulary before
+    :meth:`chunk`."""
+
+    def __init__(self, seg_dirs: list[str], lo: int, hi: int, positions: bool):
+        blocks = set()
+        for d in seg_dirs:
+            with open(os.path.join(d, "manifest.json")) as f:
+                blocks.add(int(json.load(f)["skip_block_size"]))
+        # one restart period decodes every row: mixed-B sources would
+        # decode silently wrong
+        if len(blocks) != 1:
+            raise ValueError(f"mixed skip_block_size {sorted(blocks)} "
+                             f"across source segments {seg_dirs}")
+        self.B = blocks.pop()
+        self.lo, self.hi, self.where = lo, hi, ", ".join(seg_dirs)
+        cols = ["term", "df_local", "docid_bytes", "freq_bytes"]
+        self.rows = pa.concat_tables([
+            pq.read_table(os.path.join(d, "terms.parquet"), columns=cols)
+            for d in seg_dirs]).combine_chunks()
+        self.pos_rows = pa.concat_tables([
+            pq.read_table(os.path.join(d, "positions.parquet"),
+                          columns=["pos_bytes"])
+            for d in seg_dirs]).combine_chunks() if positions else None
+        self.vocab = self.rows["term"].combine_chunks()
+
+    def bind(self, codes: np.ndarray, n_terms: int) -> "_SegmentPostings":
+        # rows are segment-major: a stable sort on the term codes puts
+        # them in (term, segment) = (term, docid) order, so a term range
+        # decodes straight into (term, docid) order
+        self.order = np.argsort(codes, kind="stable")
+        self.codes = codes[self.order]
+        df = self.rows["df_local"].to_numpy().astype(np.int64)[self.order]
+        # an upper bound: the docid filter applies at decode
+        self.counts = np.bincount(self.codes, weights=df,
+                                  minlength=n_terms).astype(np.int64)
+        self._at = np.searchsorted(self.codes, np.arange(n_terms + 1))
+        return self
+
+    def chunk(self, ta: int, tb: int) -> _Postings:
+        r0, r1 = int(self._at[ta]), int(self._at[tb])
+        rows = pa.array(self.order[r0:r1])
+        dec = decode_postings_rows(self.rows.take(rows), self.B)
+        docids, tfs = dec["docids"], dec["tfs"]
+        codes = np.repeat(self.codes[r0:r1] - ta, dec["df"])
+        pos = None
+        if self.pos_rows is not None:
+            pos = _decode_pos_rows(self.pos_rows["pos_bytes"].take(rows),
+                                   tfs, self.where)
+        keep = (docids >= self.lo) & (docids <= self.hi)
+        if keep.all():
+            return _Postings(codes, docids, tfs, pos)
+        return _Postings(codes[keep], docids[keep], tfs[keep],
+                         None if pos is None else pos[np.repeat(keep, tfs)])
+
+
 class AssembleSegment:
-    """Builds one index segment per input row. Each task semi-joins ONLY
-    its source segments' vocabularies against the global lexicon via the
-    per-segment ``global/seg_df/seg=N`` files stage 2 wrote — a pruned
-    O(segment-vocab) read per task, replacing the round-2 whole-lexicon
-    ``ray.put`` broadcast (unbounded at a 100 TB code corpus's
-    identifier vocabulary)."""
+    """The one segment writer: build, append, compaction and merge
+    assemble every segment through it, and ``import-ref`` feeds it the
+    postings it decodes.
+
+    One task per output segment ``seg``. Its docs are the doc index
+    parts in ``docs_dir/seg=N``; a part's postings come from the part's
+    stage-1 run, or, without one, from the segments ``srcs`` of
+    ``src_dir`` (an append's old segment, a merge's source group) —
+    decoded one term range at a time from their encoded rows. The
+    union vocabulary is cut into term-range chunks of at most
+    ``chunk_budget`` postings (a term never splits), and each chunk is
+    decoded, put in (term, docid) order and encoded on its own, so a
+    task's decoded working set is bounded by the budget plus its
+    stage-1 runs. Every lexicon row is term-local, so the chunk tables
+    concatenate into the segment table with no offset fixup: the bytes
+    do not depend on the budget.
+
+    Each task semi-joins only its source segments' vocabularies against
+    the global lexicon via the per-segment ``global/seg_df/seg=N`` files
+    stage 2 wrote — a pruned O(segment-vocab) read per task, replacing
+    the round-2 whole-lexicon ``ray.put`` broadcast (unbounded at a
+    100 TB code corpus's identifier vocabulary)."""
 
     def __init__(self, out_dir, docs_dir, cfg, n_docs, avgdl, global_dir,
-                 lineage_key, force, seg_groups=None):
+                 lineage_key, force, src_dir=None):
         self.out_dir = out_dir
         self.docs_dir = docs_dir
         self.cfg = cfg
@@ -806,10 +948,10 @@ class AssembleSegment:
         self.avgdl = avgdl
         self.lineage_key = lineage_key
         self.force = force
-        # seg_groups: merged-segment id -> list of source segment ids;
-        # used by the segment merge (MergeAssemble)
-        self.seg_groups = seg_groups
+        self.src_dir = src_dir or out_dir
         self.global_dir = global_dir
+        # read here, in the driver, so the tasks use the driver's value
+        self.chunk_budget = SEGMENT_CHUNK_POSTINGS
         self._terms = None
 
     def _load_global_for(self, src_segs: list[int]) -> None:
@@ -817,8 +959,8 @@ class AssembleSegment:
         set of :meth:`_encode_terms`) and the aligned numpy ``_df/_idf``
         to the union of the source segments' global-df slices — exactly
         the vocabulary this task's postings can reference, nothing more.
-        The merge path unions several slices with one Arrow ``group_by``
-        (a term's (df, idf) row is identical across segments)."""
+        A merge unions several slices with one Arrow ``group_by`` (a
+        term's (df, idf) row is identical across segments)."""
         cols = ["term", "df", "idf"]
         tables = [
             pq.read_table(f, columns=cols)
@@ -842,10 +984,11 @@ class AssembleSegment:
         self._idf = t["idf"].to_numpy()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = [self._assemble(int(seg)) for seg in batch["seg"].to_pylist()]
+        rows = [self._assemble(int(seg), srcs) for seg, srcs in
+                zip(batch["seg"].to_pylist(), batch["srcs"].to_pylist())]
         return pa.Table.from_pylist(rows)
 
-    def _assemble(self, seg: int) -> dict:
+    def _assemble(self, seg: int, srcs: list[int]) -> dict:
         import time as _time
 
         seg_dir = os.path.join(self.out_dir, f"db_{seg}")
@@ -855,10 +998,10 @@ class AssembleSegment:
 
         _timings = {}
         _t = _time.perf_counter()
-        self._load_global_for([seg])
+        self._load_global_for(srcs)
         files = _doc_parts(self.docs_dir, seg)
         parts = [pq.read_table(f, columns=["docid", "doclen"]) for f in files]
-        runs = self._segment_runs(seg, files, parts)
+        runs, old = self._sources(seg, srcs, files, parts)
         t = pa.concat_tables(parts)
         t = t.take(pc.sort_indices(t, sort_keys=[("docid", "ascending")]))
         docid = t["docid"].to_numpy()
@@ -866,51 +1009,38 @@ class AssembleSegment:
         _timings["read"] = _time.perf_counter() - _t
         _t = _time.perf_counter()
 
-        if len(docid) == 0 or not any(len(r.docids) for r in runs):
-            return self._write_empty(seg, files, docid, doclen)
-        base0 = int(docid[0])
-        if int(docid[-1]) - base0 != len(docid) - 1:
+        if len(docid) and int(docid[-1]) - int(docid[0]) != len(docid) - 1:
             raise ValueError(
                 f"docids must be dense: {len(docid)} docs span "
-                f"{base0}..{int(docid[-1])}")
-        uniq_terms, codes = _union_vocab(runs)
-        docid_c = np.concatenate([r.docids for r in runs])
-        tf_c = np.concatenate([r.tfs for r in runs])
-        _timings["flatten"] = _time.perf_counter() - _t
-        _t = _time.perf_counter()
+                f"{int(docid[0])}..{int(docid[-1])}")
+        vocab, codes = _union_vocab([r.vocab for r in runs]
+                                    + ([old.vocab] if old else []))
+        sources = [old.bind(codes[-1], len(vocab))] if old else []
+        if runs:
+            cat = _Postings(
+                np.concatenate([c[r.codes] for c, r in zip(codes, runs)]),
+                np.concatenate([r.docids for r in runs]),
+                np.concatenate([r.tfs for r in runs]),
+                np.concatenate([r.pos for r in runs]) if self.cfg.positions
+                else None)
+            del runs
+            _timings["flatten"] = _time.perf_counter() - _t
+            _t = _time.perf_counter()
+            cat = _by_term(cat)  # rebinding drops the unsorted copy
+            # the runs' docs follow every old segment's
+            sources.append(_SortedPostings(cat, len(vocab)))
+            _timings["sort"] = _time.perf_counter() - _t
+        return self._write_chunks(seg, files, docid, doclen, vocab, sources,
+                                  _timings)
 
-        # (term, docid) sort: the runs cover ascending docid ranges and
-        # each run lists a term's postings in docid order, so a stable
-        # sort on term codes alone yields (term, docid) order (O2 in
-        # SURVEY §2.6); a decoded segment's run is already term-sorted
-        order = np.argsort(codes, kind="stable")
-        codes_s = codes[order]
-        docid_s = docid_c[order]
-        tf_s = tf_c[order]
-        dl_s = doclen[docid_s - np.uint64(base0)]
-        pos_s = None
-        if self.cfg.positions:
-            # per-posting position slices follow the posting permutation;
-            # posting starts in the flat stream are the tf prefix sums
-            pos_c = np.concatenate([r.pos for r in runs])
-            pair_starts = np.cumsum(tf_c) - tf_c
-            pos_s = pos_c[np.repeat(pair_starts[order], tf_s) + _ranges(tf_s)]
-        _timings["sort"] = _time.perf_counter() - _t
-
-        return self._encode_write(
-            seg, files, docid, doclen, uniq_terms, codes_s, docid_s, tf_s,
-            dl_s, _timings, pos_s=pos_s,
-        )
-
-    def _segment_runs(self, seg: int, files: list[str],
-                      parts: list[pa.Table]) -> list[Run]:
-        """The segment's postings as runs in docid order: the old
-        segment's decoded postings of the docs in parts without a run
-        (an append's old docs, which precede every new doc), then each
-        doc part's stage-1 run. Only the docids of parts without a run
-        are taken from ``db_<seg>``, so postings a crashed earlier
-        assembly already wrote there for docs that have runs never
-        count twice."""
+    def _sources(self, seg: int, srcs: list[int], files: list[str],
+                 parts: list[pa.Table]) -> tuple[list[Run], _SegmentPostings | None]:
+        """The segment's stage-1 runs, and the postings of the docs of
+        the parts without a run (an append's old docs, which precede
+        every doc with a run; a merge's docs) in the source segments
+        that hold them. Only those docids are taken, so postings a
+        crashed earlier assembly already wrote there for docs that have
+        runs never count twice."""
         runs, run_lo, no_run = [], [], []
         for f, p in zip(files, parts):
             rp = _run_path(self.docs_dir, seg, f)
@@ -919,42 +1049,87 @@ class AssembleSegment:
                 if len(p):
                     run_lo.append(pc.min(p["docid"]).as_py())
             elif len(p):
-                no_run.append(p["docid"])
+                no_run.append(p)
         if not no_run:
-            return runs
-        docids = pa.chunked_array(no_run)
+            return runs, None
+        docids = pa.concat_tables(no_run)["docid"]
         lo, hi = pc.min(docids).as_py(), pc.max(docids).as_py()
-        old, (old_lo, old_n) = _decode_segment(
-            os.path.join(self.out_dir, f"db_{seg}"), self.cfg.positions)
-        if lo < old_lo or hi >= min([old_lo + old_n] + run_lo):
+        dirs, covered = [], 0
+        for s in srcs:
+            d = os.path.join(self.src_dir, f"db_{s}")
+            base, n = _segment_range(d)
+            if max(lo, base) <= min(hi, base + n - 1):
+                dirs.append(d)
+                covered += min(hi, base + n - 1) - max(lo, base) + 1
+        if covered != len(docids) or hi >= min(run_lo, default=hi + 1):
             raise ValueError(
                 f"segment {seg}: docs {lo}..{hi} have no posting run and "
-                f"db_{seg} holds docs {old_lo}..{old_lo + old_n - 1} only; "
-                "rebuild with force=True")
-        keep = (old.docids >= lo) & (old.docids <= hi)
-        return [Run(
-            old.vocab, old.codes[keep], old.docids[keep], old.tfs[keep],
-            None if old.pos is None else old.pos[np.repeat(keep, old.tfs)]),
-        ] + runs
+                f"the segments {srcs} of {self.src_dir} do not hold them "
+                "all; rebuild with force=True")
+        return runs, _SegmentPostings(dirs, lo, hi, self.cfg.positions)
 
-    def _encode_write(self, seg, files, docid, doclen, uniq_terms, codes_s,
-                      docid_s, tf_s, dl_s, _timings, pos_s=None) -> dict:
-        """Shared encode tail: (term-code, docid)-sorted posting arrays →
-        encoded segment on disk. Used by the run-based build path and
-        ``import-ref`` (the merge path chunks by term range and calls
-        :meth:`_encode_terms` directly). ``pos_s`` (positional builds): per-posting flat
-        occurrence positions aligned with the sorted posting order
-        (posting i owns the ``tf_s[i]`` values after ``sum(tf_s[:i])``)."""
+    def _write_chunks(self, seg, files, docid, doclen, vocab, sources,
+                      _timings) -> dict:
+        """Encode the sources' postings — each source in (term, docid)
+        order, the sources in docid order, their codes indexing
+        ``vocab`` — one term-range chunk at a time, and write the
+        segment. Used by :meth:`_assemble` and ``import-ref``."""
+        counts = sum((s.counts for s in sources), np.zeros(len(vocab), np.int64))
+        cum = np.concatenate(([0], np.cumsum(counts)))
+        base0 = np.uint64(docid[0] if len(docid) else 0)
+        terms_tables, pos_tables = [], []
+        n_postings = 0
+        ta = 0
+        while ta < len(vocab):
+            # greedy cut at term boundaries up to the posting budget
+            # (≥ 1 term per chunk, so a megaterm fits by itself)
+            tb = int(np.searchsorted(cum, cum[ta] + self.chunk_budget,
+                                     side="right")) - 1
+            tb = min(max(tb, ta + 1), len(vocab))
+            out = self._encode_chunk(sources, vocab, ta, tb, doclen, base0,
+                                     _timings)
+            if out is not None:
+                terms_tables.append(out[0])
+                pos_tables.append(out[1])
+                n_postings += out[2]
+            ta = tb
+        if not n_postings:
+            return self._write_empty(seg, files, docid, doclen)
+        return self._write_segment(
+            seg, files, docid, doclen, terms_tables,
+            pos_tables if self.cfg.positions else None, n_postings, _timings)
+
+    def _encode_chunk(self, sources, vocab, ta, tb, doclen, base0, _timings):
+        """The terms ``ta..tb-1``: decoded from every source, put in
+        (term, docid) order and encoded — ``(terms_table,
+        positions_table | None, n_postings)``, or None when they have
+        no postings."""
         import time as _time
 
         _t = _time.perf_counter()
-        terms_table, pos_table = self._encode_terms(
-            uniq_terms, codes_s, docid_s, tf_s, dl_s, pos_s=pos_s)
-        _timings["encode"] = _time.perf_counter() - _t
-        return self._write_segment(
-            seg, files, docid, doclen, [terms_table],
-            [pos_table] if pos_table is not None else None,
-            int(len(docid_s)), _timings)
+        parts = [p for p in (s.chunk(ta, tb) for s in sources) if len(p.docids)]
+        if not parts:
+            return None
+        p = parts[0]
+        if len(parts) > 1:
+            p = _Postings(*(None if c[0] is None else np.concatenate(c)
+                            for c in zip(*parts)))
+            del parts
+            p = _by_term(p)
+        # terms without a posting here (another segment's share of a
+        # shard vocabulary, a source's docs outside its range) are dropped
+        terms, codes = vocab[ta:tb], p.codes
+        used = np.bincount(codes, minlength=tb - ta) > 0
+        if not used.all():
+            codes = (np.cumsum(used) - 1)[codes]
+            terms = terms.filter(pa.array(used))
+        dl = doclen[p.docids - base0]
+        _timings["sort"] = _timings.get("sort", 0.0) + _time.perf_counter() - _t
+        _t = _time.perf_counter()
+        tt, pt = self._encode_terms(terms, codes, p.docids, p.tfs, dl,
+                                    pos_s=p.pos)
+        _timings["encode"] = _timings.get("encode", 0.0) + _time.perf_counter() - _t
+        return tt, pt, len(p.docids)
 
     def _encode_terms(self, uniq_terms, codes_s, docid_s, tf_s, dl_s,
                       pos_s=None) -> tuple[pa.Table, pa.Table | None]:
@@ -962,8 +1137,8 @@ class AssembleSegment:
         posting arrays into per-term lexicon rows. Every value in a row
         is term-local (byte slices, block offsets relative to the term's
         own streams), so chunk tables concatenate into a full segment
-        table with no offset fixup — the property the bounded-memory
-        merge relies on. Returns ``(terms_table, positions_table|None)``."""
+        table with no offset fixup — the property the chunked segment
+        writer relies on. Returns ``(terms_table, positions_table|None)``."""
         n_terms = len(uniq_terms)
         df_local = np.bincount(codes_s, minlength=n_terms).astype(np.int64)
         term_starts = np.concatenate(([0], np.cumsum(df_local)[:-1]))
@@ -1185,7 +1360,7 @@ class AssembleSegment:
             }
         )
         # the positional sidecar must exist (empty) for every
-        # positional segment — the merge reads it unconditionally
+        # positional segment — its readers open it unconditionally
         pos = [pa.table({"term": pa.array([], pa.string()),
                          "pos_bytes": pa.array([], pa.large_binary())})]
         return self._write_segment(seg, files, docid, doclen, [empty],
@@ -1208,7 +1383,7 @@ def decode_pos_stream(gaps: np.ndarray, tfs: np.ndarray) -> np.ndarray:
     """Absolute occurrence positions from a decoded delta-gap stream:
     each posting's first gap is absolute (the encode's restart), the
     rest are deltas; ``tfs`` gives the per-posting run lengths. Shared
-    by the positional merge and the searcher's phrase path."""
+    by the segment writer and the searcher's phrase path."""
     tf64 = np.asarray(tfs, dtype=np.int64)
     if len(gaps) == 0:
         return np.zeros(0, dtype=np.int64)
@@ -1222,19 +1397,25 @@ def read_segment_positions(seg_dir: str, tfs: np.ndarray) -> np.ndarray:
     """Fully-decoded flat occurrence positions of a built positional
     segment, aligned with :func:`read_segment_postings`'s posting order
     (``tfs`` is that function's per-posting frequency array)."""
-    from .searcher import _np_offsets
-
     t = pq.read_table(os.path.join(seg_dir, "positions.parquet"),
                       columns=["pos_bytes"])
-    if len(t) == 0:
+    return _decode_pos_rows(t["pos_bytes"], tfs, seg_dir)
+
+
+def _decode_pos_rows(pos_bytes, tfs: np.ndarray, where: str) -> np.ndarray:
+    """Flat occurrence positions of the postings of some positional
+    sidecar rows, from the rows' ``pos_bytes`` and the postings'
+    ``tfs``."""
+    from .searcher import _np_offsets
+
+    if len(pos_bytes) == 0:
         return np.zeros(0, dtype=np.int64)
-    offs, vals = _np_offsets(t["pos_bytes"])
-    gaps = varbyte.decode(vals[offs[0]: offs[-1]])
-    out = decode_pos_stream(gaps, tfs)
+    offs, vals = _np_offsets(pos_bytes)
+    out = decode_pos_stream(varbyte.decode(vals[offs[0]: offs[-1]]), tfs)
     n_want = int(np.asarray(tfs, dtype=np.int64).sum())
     if len(out) != n_want:
         raise ValueError(
-            f"{seg_dir}: positions decode to {len(out)} values, "
+            f"{where}: positions decode to {len(out)} values, "
             f"the postings' tfs sum to {n_want}")
     return out
 
@@ -1288,13 +1469,9 @@ def decode_postings_rows(t: pa.Table, B: int) -> dict:
 
 def read_segment_postings(seg_dir: str) -> dict:
     """Fully-decoded posting data of a built segment (the whole-segment
-    form of :func:`decode_postings_rows`).
-
-    This is the read side of the k-way segment merge: because segments
-    are disjoint increasing docid ranges, per-term posting lists
-    CONCATENATE in (term, docid) order — no per-posting sort exists in
-    the merge at all (S5, the reference's k-way lexicon merge
-    src/builder.cpp:127-170 re-expressed over column batches)."""
+    form of :func:`decode_postings_rows`) — what compaction renumbers.
+    The segment writer decodes a source segment one term range at a
+    time instead (:class:`_SegmentPostings`)."""
     with open(os.path.join(seg_dir, "manifest.json")) as f:
         manifest = json.load(f)
     B = int(manifest["skip_block_size"])
@@ -1305,168 +1482,6 @@ def read_segment_postings(seg_dir: str) -> dict:
     out = decode_postings_rows(t, B)
     out["terms"] = t["term"].combine_chunks()
     return out
-
-
-#: per-chunk decoded-posting budget for the streaming k-way merge — the
-#: bound on a merge task's DECODED working set (flat int64 arrays are
-#: ~10-20× the encoded bytes, so this is what actually sizes task RSS).
-#: 4M postings ≈ 4M × ~50 B of flats/scratch ≈ 200 MB peak per chunk.
-MERGE_CHUNK_POSTINGS = 4_000_000
-
-
-class MergeAssemble(AssembleSegment):
-    """Segment-merge assembly: reads the SOURCE SEGMENTS (not raw docs)
-    and concatenates their per-term posting lists — already (term,
-    docid)-sorted by construction.
-
-    STREAMING by term range: the task holds every source segment's term
-    table in its ENCODED form (byte streams stay varbyte/unary), then
-    decodes → merges → re-encodes one bounded chunk of the merged
-    vocabulary at a time (``chunk_postings`` postings per chunk, default
-    :data:`MERGE_CHUNK_POSTINGS`, cut at term boundaries). Peak RSS per
-    task is therefore encoded-segment size + ONE chunk's decoded flats —
-    constant in the merged-segment size — instead of the whole merged
-    segment decoded at once. Every lexicon row is term-local, so chunk
-    tables concatenate into the final segment table with no offset
-    fixup.
-
-    The term union of the source tables stays in Arrow: their term
-    columns are dictionary-encoded once, the sorted dictionary (an Arrow
-    string array) is sliced per chunk, and the global-df union of the
-    source segments' slices is one Arrow ``group_by``
-    (:meth:`_load_global_for`)."""
-
-    def __init__(self, src_index_dir: str, chunk_postings: int | None = None,
-                 **kwargs):
-        super().__init__(**kwargs)
-        self.src_index_dir = src_index_dir
-        self.chunk_postings = int(chunk_postings or MERGE_CHUNK_POSTINGS)
-
-    def _assemble(self, seg: int) -> dict:
-        import time as _time
-
-        seg_dir = os.path.join(self.out_dir, f"db_{seg}")
-        manifest_path = os.path.join(seg_dir, "manifest.json")
-        if not self.force and os.path.exists(manifest_path):
-            with open(manifest_path) as f:
-                m = json.load(f)
-            if m.get("lineage_key") == self.lineage_key:
-                return m  # checkpointed — skip
-
-        _timings = {}
-        _t = _time.perf_counter()
-        src_segs = self.seg_groups[seg] if self.seg_groups else [seg]
-        self._load_global_for(src_segs)
-        src_dirs = [os.path.join(self.src_index_dir, f"db_{s}") for s in src_segs]
-        files_set: set[str] = set()
-        skip_B = None
-        for d in src_dirs:
-            with open(os.path.join(d, "manifest.json")) as f:
-                sm = json.load(f)
-            files_set.update(sm["doc_files"])
-            b = int(sm["skip_block_size"])
-            # decode applies ONE restart period to every source's
-            # streams — mixed-B sources would decode silently wrong
-            if skip_B is not None and skip_B != b:
-                raise ValueError(
-                    f"mixed skip_block_size across source segments "
-                    f"({skip_B} vs {b} in {d})")
-            skip_B = b
-        files = sorted(files_set)
-        dt = pads.dataset(files).to_table(columns=["docid", "doclen"])
-        dt = dt.take(pc.sort_indices(dt, sort_keys=[("docid", "ascending")]))
-        docid = dt["docid"].to_numpy(zero_copy_only=False)
-        doclen = dt["doclen"].to_numpy(zero_copy_only=False)
-
-        # encoded term tables only — byte streams stay compressed until
-        # their chunk decodes them
-        cols = ["term", "df_local", "docid_bytes", "freq_bytes"]
-        metas = [
-            pq.read_table(os.path.join(d, "terms.parquet"), columns=cols)
-            for d in src_dirs
-        ]
-        concat = pa.concat_tables(metas).combine_chunks()
-        pos_concat = None
-        if self.cfg.positions:
-            pos_concat = pa.concat_tables([
-                pq.read_table(os.path.join(d, "positions.parquet"),
-                              columns=["pos_bytes"])
-                for d in src_dirs
-            ]).combine_chunks()
-        lens = concat["df_local"].to_numpy().astype(np.int64)
-        _timings["read"] = _time.perf_counter() - _t
-        _t = _time.perf_counter()
-
-        if len(docid) == 0 or int(lens.sum()) == 0:
-            return self._write_empty(seg, files, docid, doclen)
-
-        # term union: dictionary-encode the concatenated per-segment term
-        # columns (row count = Σ per-seg vocab, not Σ postings)
-        row_codes, uniq_terms = sorted_codes(concat["term"].chunk(0))
-        n_terms = len(uniq_terms)
-
-        # rows are seg-major; a STABLE sort by term code yields (term,
-        # seg) = (term, docid) row order — no per-posting sort anywhere
-        row_order = np.argsort(row_codes, kind="stable")
-        codes_o = row_codes[row_order]
-        lens_o = lens[row_order]
-
-        # chunk cuts: term boundaries in the ordered row space, greedy
-        # up to the posting budget (≥ 1 term per chunk so a megaterm
-        # still fits in one chunk by itself)
-        term_row_bounds = np.searchsorted(codes_o, np.arange(n_terms + 1))
-        post_cum = np.concatenate(([0], np.cumsum(lens_o)))
-        term_post_cum = post_cum[term_row_bounds]
-        base0 = int(docid[0])
-        if int(docid[-1]) - base0 != len(docid) - 1:
-            raise ValueError(
-                f"docids must be dense: {len(docid)} docs span "
-                f"{base0}..{int(docid[-1])}")
-
-        terms_tables, pos_tables = [], []
-        n_postings = 0
-        _timings["kway"] = 0.0
-        _timings["encode"] = 0.0
-        ta = 0
-        while ta < n_terms:
-            _t = _time.perf_counter()
-            tb = int(np.searchsorted(
-                term_post_cum, term_post_cum[ta] + self.chunk_postings,
-                side="right")) - 1
-            tb = min(max(tb, ta + 1), n_terms)
-            rows = row_order[term_row_bounds[ta]: term_row_bounds[tb]]
-            sub = concat.take(pa.array(rows))
-            dec = decode_postings_rows(sub, skip_B)
-            docid_s, tf_s = dec["docids"], dec["tfs"]
-            chunk_lens = lens_o[term_row_bounds[ta]: term_row_bounds[tb]]
-            codes_s = np.repeat(
-                codes_o[term_row_bounds[ta]: term_row_bounds[tb]] - ta,
-                chunk_lens)
-            dl_s = doclen[(docid_s.astype(np.int64) - base0)]
-            pos_s = None
-            if pos_concat is not None:
-                from .searcher import _np_offsets
-
-                psub = pos_concat.take(pa.array(rows))
-                offs, vals = _np_offsets(psub["pos_bytes"])
-                pgaps = varbyte.decode(vals[offs[0]: offs[-1]]) if len(
-                    psub) else np.zeros(0, np.uint64)
-                pos_s = decode_pos_stream(pgaps, tf_s)
-            _timings["kway"] += _time.perf_counter() - _t
-            _t = _time.perf_counter()
-            tt, pt = self._encode_terms(
-                uniq_terms[ta:tb], codes_s, docid_s, tf_s, dl_s, pos_s=pos_s)
-            terms_tables.append(tt)
-            if pt is not None:
-                pos_tables.append(pt)
-            n_postings += int(len(docid_s))
-            _timings["encode"] += _time.perf_counter() - _t
-            ta = tb
-
-        return self._write_segment(
-            seg, files, docid, doclen, terms_tables,
-            pos_tables if pos_concat is not None else None,
-            n_postings, _timings)
 
 
 def read_global_term_df(
@@ -1494,24 +1509,29 @@ def merge_segments(
     out_dir: str,
     group_size: int = 32,
     cfg: BuildConfig | None = None,
-    chunk_postings: int | None = None,
 ) -> dict:
-    """Segment merge/compaction: combine ``group_size`` adjacent
-    docid-range segments into one (the analog of the reference's
-    per-700MB-chunk segment granularity, reference src/builder.cpp:23).
+    """Segment merge: combine ``group_size`` adjacent docid-range
+    segments into one (the analog of the reference's per-700MB-chunk
+    segment granularity, reference src/builder.cpp:23).
 
     Small segments are right for the *build* (bounded per-task memory,
     fine-grained retries); serving wants fewer, larger segments (less
     per-segment overhead per query). Because segments are docid ranges,
-    merging = re-encoding the source segments' decoded postings — posting
-    lists concatenate docid-sorted by construction, and sigmas /
-    block-max skip pointers are recomputed for the merged lists. The
-    merged index shares the source's ``docs/`` and ``global/`` state.
+    merging = re-encoding the source segments' decoded postings through
+    the segment writer (:class:`AssembleSegment`, one term-range chunk
+    at a time) — posting lists concatenate docid-sorted by
+    construction, and sigmas / block-max skip pointers are recomputed
+    for the merged lists. The merged index is self-contained, like a
+    reference segment: each group's doc index parts are copied into
+    ``out_dir/docs/seg=g/`` and ``global/`` into ``out_dir/global/``,
+    so it keeps serving the same answers after the source is rebuilt
+    or deleted. Deletes made on the source after a merge reach the
+    merged index when the merge is rerun (its finished segments are
+    kept; the tombstone file is re-synced).
     """
     import time as _time
 
     t0 = _time.perf_counter()
-    docs_dir = os.path.join(index_dir, "docs")
     with open(os.path.join(index_dir, "global", "metadata.json")) as f:
         meta = json.load(f)
     # Derive the merge cfg from the params the index was BUILT with
@@ -1544,19 +1564,10 @@ def merge_segments(
 
     os.makedirs(out_dir, exist_ok=True)
     out_global = os.path.join(out_dir, "global")
-    # a pre-existing out_dir may hold the global/ of a PREVIOUS build of
-    # the same source path — segments would be rebuilt (their per-segment
-    # lineage check fails) but n_docs/avgdl/idf would stay stale. Compare
-    # lineage keys and wipe the whole merged output on mismatch.
-    if os.path.isdir(out_global):
-        try:
-            with open(os.path.join(out_global, "metadata.json")) as f:
-                existing_key = json.load(f).get("lineage_key")
-        except OSError:
-            existing_key = None
-        if existing_key != meta["lineage_key"]:
-            for d in os.listdir(out_dir):
-                shutil.rmtree(os.path.join(out_dir, d), ignore_errors=True)
+    # ":docs": a merged segment written when merged indexes still read
+    # the source's doc index is rebuilt, not reused
+    lineage_key = meta["lineage_key"] + f":merged{group_size}:docs"
+    _wipe_on_lineage_change(out_dir, meta["lineage_key"])
     if not os.path.isdir(out_global):
         shutil.copytree(os.path.join(index_dir, "global"), out_global)
     else:
@@ -1565,16 +1576,12 @@ def merge_segments(
         # re-synced unconditionally — the source index is authoritative;
         # without this a post-merge delete would resurrect in the merged
         # copy
-        from .tombstone import TOMBSTONE_FILE
-
         src_tomb = os.path.join(index_dir, "global", TOMBSTONE_FILE)
         dst_tomb = os.path.join(out_global, TOMBSTONE_FILE)
         n_tombs = 0
         if os.path.exists(src_tomb):
             shutil.copy2(src_tomb, dst_tomb)
-            import pyarrow.parquet as _pq
-
-            n_tombs = _pq.ParquetFile(dst_tomb).metadata.num_rows
+            n_tombs = pq.ParquetFile(dst_tomb).metadata.num_rows
         elif os.path.exists(dst_tomb):
             os.remove(dst_tomb)
         # keep the merged metadata's audit count in step with the file
@@ -1586,33 +1593,30 @@ def merge_segments(
             with open(mpath, "w") as f:
                 json.dump(mmeta, f)
 
-    src_segs = sorted(
-        int(d.split("=")[1]) for d in os.listdir(docs_dir) if d.startswith("seg=")
-    )
-    groups = {}
-    for s in src_segs:
+    src_docs = os.path.join(index_dir, "docs")
+    groups: dict[int, list[int]] = {}
+    for s in sorted(int(d.split("=")[1]) for d in os.listdir(src_docs)
+                    if d.startswith("seg=")):
         groups.setdefault(s // group_size, []).append(s)
-
-    assemble = MergeAssemble(
-        src_index_dir=index_dir,
-        chunk_postings=chunk_postings,
-        out_dir=out_dir,
-        docs_dir=docs_dir,
-        cfg=cfg,
-        n_docs=meta["n_docs"],
-        avgdl=meta["avgdl"],
-        # merge tasks semi-join the same per-source-segment global-df
-        # slices the build wrote — no whole-lexicon broadcast here either
-        global_dir=os.path.join(index_dir, "global"),
-        lineage_key=meta["lineage_key"] + f":merged{group_size}",
-        force=False,
-        seg_groups=groups,
-    )
-    # One task per core: the streaming term-range merge bounds each
-    # task's working set to the chunk budget (re-measured at 2M docs
-    # ×32: fully parallel merges 4.0 s vs 33.6 s serialized,
-    # byte-identical output).
-    manifests = _map_tasks([{"seg": s} for s in sorted(groups)], assemble)
+    # each merged segment's doc index: its sources' parts, renamed by
+    # source segment (a shard spanning two segments wrote one part name
+    # into both)
+    out_docs = os.path.join(out_dir, "docs")
+    for g, srcs in groups.items():
+        if _manifest_key(os.path.join(out_dir, f"db_{g}")) == lineage_key:
+            continue
+        d = os.path.join(out_docs, f"seg={g}")
+        shutil.rmtree(d, ignore_errors=True)
+        os.makedirs(d)
+        for s in srcs:
+            for f in _doc_parts(src_docs, s):
+                shutil.copyfile(f, os.path.join(d, f"{s:05d}-{os.path.basename(f)}"))
+    # One task per merged segment: the writer's term-range chunks bound
+    # each task's working set (re-measured at 2M docs ×32: fully
+    # parallel merges 4.0 s vs 33.6 s serialized, byte-identical output).
+    manifests = _assemble_stage(out_dir, out_docs, out_global, meta, cfg,
+                                lineage_key, False, src_dir=index_dir,
+                                groups=groups)
 
     summary = {
         "n_docs": meta["n_docs"],
@@ -1627,6 +1631,29 @@ def merge_segments(
     with open(os.path.join(out_dir, "summary.json"), "w") as f:
         json.dump(summary, f)
     return summary
+
+
+def _wipe_on_lineage_change(out_dir: str, lineage_key: str) -> None:
+    """Empty a reused ``out_dir`` of :func:`compact_index` or
+    :func:`merge_segments` whose ``global/`` belongs to another lineage:
+    its segments would be rebuilt (their own key check fails) but stale
+    ``db_N`` beyond the new segment count would still be served, and
+    n_docs/avgdl/idf would stay stale."""
+    out_global = os.path.join(out_dir, "global")
+    if not os.path.isdir(out_global):
+        return
+    try:
+        with open(os.path.join(out_global, "metadata.json")) as f:
+            existing_key = json.load(f).get("lineage_key")
+    except OSError:
+        existing_key = None
+    if existing_key != lineage_key:
+        for d in os.listdir(out_dir):
+            p = os.path.join(out_dir, d)
+            if os.path.isdir(p):
+                shutil.rmtree(p)
+            else:
+                os.remove(p)
 
 
 @ray.remote(num_cpus=1)
@@ -1746,21 +1773,7 @@ def compact_index(index_dir: str, out_dir: str, force: bool = False) -> dict:
     out_docs = os.path.join(out_dir, "docs")
     out_global = os.path.join(out_dir, "global")
     os.makedirs(out_dir, exist_ok=True)
-    # a reused out_dir may hold a PREVIOUS compaction (e.g. fewer deletes
-    # → more segments): stale db_N dirs beyond the new segment count
-    # would be served by list_segment_dirs with resurrected docs and
-    # wrong numbering. Same lineage-mismatch wipe as merge_segments.
-    if os.path.isdir(out_global):
-        try:
-            with open(os.path.join(out_global, "metadata.json")) as f:
-                existing_key = json.load(f).get("lineage_key")
-        except OSError:
-            existing_key = None
-        if existing_key != lineage_key:
-            for d in os.listdir(out_dir):
-                shutil.rmtree(os.path.join(out_dir, d), ignore_errors=True)
-                if os.path.isfile(os.path.join(out_dir, d)):
-                    os.remove(os.path.join(out_dir, d))
+    _wipe_on_lineage_change(out_dir, lineage_key)
     stage_secs: dict[str, float] = {}
 
     # ---- stage A2: decoded segments → filtered, renumbered runs ----

@@ -126,9 +126,12 @@ class SegmentSearcher:
         docids = dt["docid"].to_numpy()
         self.base_docid = int(docids[0]) if len(docids) else 0
         self.n_docs_seg = len(docids)
-        assert self.n_docs_seg == 0 or (
-            int(docids[-1]) - self.base_docid == self.n_docs_seg - 1
-        ), "docids must be dense within a segment"
+        if self.n_docs_seg and \
+                int(docids[-1]) - self.base_docid != self.n_docs_seg - 1:
+            raise ValueError(
+                f"{seg_dir}: docids must be dense within a segment, "
+                f"{self.n_docs_seg} docs span {self.base_docid}.."
+                f"{int(docids[-1])}")
         self.doclen = dt["doclen"].to_numpy().astype(np.float64)
         self.docnos = dt["docno"]
 
@@ -248,7 +251,9 @@ class SegmentSearcher:
         df = int(self.df_local[ti])
         B = self.skip_block_size
         n_blocks = (df + B - 1) // B
-        assert 0 <= block < n_blocks, (block, n_blocks)
+        if not 0 <= block < n_blocks:
+            raise ValueError(f"{self.seg_dir}: block {block} of term {ti} "
+                             f"is outside its {n_blocks} blocks")
         n_in_block = min(B, df - block * B)
 
         so = self._skip_offs[ti]
@@ -260,7 +265,9 @@ class SegmentSearcher:
         )
         base = int(self._docid_offs[ti])
         gaps = varbyte.decode(self._docid_vals[base + docid_off : base + next_off])
-        assert len(gaps) == n_in_block
+        if len(gaps) != n_in_block:
+            raise ValueError(f"{self.seg_dir}: block {block} of term {ti} "
+                             f"decodes to {len(gaps)} docids, not {n_in_block}")
         docids = np.cumsum(gaps)
 
         freq_bit = int(self._skip_freq_off_v[so + block])
@@ -914,7 +921,9 @@ class SegmentSearcher:
     def _pos_streams(self):
         """Lazy (offsets, values) view of the positional sidecar — read
         once per actor on first phrase query (non-phrase workloads never
-        touch the file)."""
+        touch the file). Its rows align with the term rows loaded at
+        start only while the segment is the one loaded: a segment
+        rebuilt since (an append) raises ``ValueError``."""
         if getattr(self, "_pos_offs", None) is None:
             p = os.path.join(self.seg_dir, "positions.parquet")
             if not os.path.exists(p):
@@ -922,6 +931,12 @@ class SegmentSearcher:
                     f"{self.seg_dir} has no positional sidecar — build "
                     "with BuildConfig(positions=True) for phrase queries")
             t = pq.read_table(p, columns=["pos_bytes"])
+            with open(os.path.join(self.seg_dir, "manifest.json")) as f:
+                key = json.load(f).get("lineage_key")
+            if key != self.manifest.get("lineage_key"):
+                raise ValueError(
+                    f"{self.seg_dir} was rebuilt after this engine loaded "
+                    "it; reload the engine to serve phrase queries")
             self._pos_offs, self._pos_vals = _np_offsets(t["pos_bytes"])
             self._pos_cache: OrderedDict[int, np.ndarray] = OrderedDict()
         return self._pos_offs, self._pos_vals

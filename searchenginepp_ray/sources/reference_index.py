@@ -33,7 +33,7 @@ bytes incl. NUL, values); the NUL-joined head strings sit at
 
 The importer re-encodes postings into this engine's segment layout
 (delta-gap VarByte with block restarts, per-term unary, sigmas/skips
-recomputed with the build's own kernels via ``AssembleSegment``), bakes
+recomputed by the build's own segment writer, ``AssembleSegment``), bakes
 idf = log2(N/df) from the reference's global lexicon, and writes the
 ``global/`` state the serving stack expects plus ``docs/``, the
 document index ``(docid, docno, doclen)`` — the reference's
@@ -162,7 +162,8 @@ def import_reference_index(
     ``profile`` must name the normalizer the REFERENCE index was built
     with (it only affects query-time tokenization — the postings are
     taken verbatim)."""
-    from ..index.build import DOCS_SCHEMA, AssembleSegment
+    from ..index.build import (DOCS_SCHEMA, AssembleSegment, _Postings,
+                               _SortedPostings)
 
     cfg = cfg or BuildConfig(profile=profile)
     if cfg.positions:
@@ -226,7 +227,6 @@ def import_reference_index(
                 else np.zeros(0, np.int64))
         codes_s = np.repeat(np.arange(len(lex), dtype=np.int64), df_local)
         dl_arr = doclens
-        dl_s = dl_arr[(docid_s.astype(np.int64) - base_docid)]
 
         # the document index part (docs/seg=N); the postings live in the
         # segment alone, which append and compaction decode
@@ -242,18 +242,20 @@ def import_reference_index(
             "doclen": pa.array(dl_arr.astype(np.uint64)),
         }, schema=DOCS_SCHEMA), doc_file)
 
-        # shared encode tail: identical sigma/skip construction to a
-        # native build (block restarts, exact upper bounds)
-        timings: dict = {}
-        manifest = assemble._encode_write(
+        # the build's segment writer: identical chunked encode and
+        # sigma/skip construction to a native build (block restarts,
+        # exact upper bounds)
+        manifest = assemble._write_chunks(
             seg, [doc_file], docids_arr, dl_arr.astype(np.uint64),
-            uniq_terms, codes_s, docid_s, tf_s, dl_s, timings)
+            uniq_terms, [_SortedPostings(_Postings(codes_s, docid_s, tf_s, None),
+                                         len(uniq_terms))], {})
         n_postings_total += manifest["n_postings"]
 
-        # per-segment global-df semi-join slice — what merge_segments /
-        # compaction read (_load_global_for); without it a post-import
-        # merge would silently see an empty global lexicon (the encode
-        # above already refused any term missing from g_terms)
+        # per-segment global-df semi-join slice — what the segment
+        # writer reads (_load_global_for) when merge_segments re-encodes
+        # these segments from its copy of global/; without it a
+        # post-import merge would refuse every term (the encode above
+        # already refused any term missing from g_terms)
         gidx = pc.index_in(uniq_terms, value_set=g_terms).to_numpy()
         seg_df_dir = os.path.join(out_dir, "global", "seg_df", f"seg={seg}")
         os.makedirs(seg_df_dir, exist_ok=True)

@@ -102,12 +102,6 @@ def test_unary_roundtrip_property(vals):
     assert got.tolist() == vals[k:]
 
 
-def test_bit_offset_packing():
-    # reference src/codes/unary.hpp:18-44
-    assert unary.serialize_bit_offset(5, 3) == (5 << 3) | 3
-    assert unary.deserialize_bit_offset((5 << 3) | 3) == (5, 3)
-
-
 # ---------- delta-gap segment encoding ----------
 
 from hypothesis import given as _given

@@ -431,11 +431,12 @@ def test_merge_segments_identical_results(built, tmp_path_factory):
             assert [(d, s) for d, _, s in x] == [(d, s) for d, _, s in y], mode
 
 
-def test_merge_chunked_byte_identical(built, tmp_path_factory):
-    """The streaming term-range merge (forced tiny posting budget →
-    many chunks per segment) writes BYTE-identical segment files to a
-    one-chunk merge — the bounded-working-set path changes memory
-    shape only, not a single output byte."""
+def test_merge_chunked_byte_identical(built, tmp_path_factory,
+                                      chunk_budget):
+    """The term-range chunked segment writer (forced tiny posting
+    budget → many chunks per segment) writes BYTE-identical segment
+    files to a one-chunk merge — the bounded-working-set path changes
+    memory shape only, not a single output byte."""
     import os
 
     from searchenginepp_ray.index.build import merge_segments
@@ -444,10 +445,10 @@ def test_merge_chunked_byte_identical(built, tmp_path_factory):
     cfg = BuildConfig(docs_per_segment=300)
     one = str(tmp_path_factory.mktemp("m_one") / "idx")
     many = str(tmp_path_factory.mktemp("m_many") / "idx")
-    a = merge_segments(summary["out_dir"], one, group_size=2, cfg=cfg,
-                       chunk_postings=10**9)  # everything in one chunk
-    b = merge_segments(summary["out_dir"], many, group_size=2, cfg=cfg,
-                       chunk_postings=50)  # tiny budget → many chunks
+    chunk_budget(10**9)  # everything in one chunk
+    a = merge_segments(summary["out_dir"], one, group_size=2, cfg=cfg)
+    chunk_budget(50)  # tiny budget → many chunks
+    b = merge_segments(summary["out_dir"], many, group_size=2, cfg=cfg)
     assert a["n_postings"] == b["n_postings"] > 50  # chunking engaged
     segs = sorted(d for d in os.listdir(one) if d.startswith("db_"))
     assert segs
@@ -455,6 +456,47 @@ def test_merge_chunked_byte_identical(built, tmp_path_factory):
         pa_ = open(os.path.join(one, d, "terms.parquet"), "rb").read()
         pb_ = open(os.path.join(many, d, "terms.parquet"), "rb").read()
         assert pa_ == pb_, f"{d} differs between chunked and one-chunk merge"
+
+
+@pytest.mark.parametrize("positions", [False, True],
+                         ids=["plain", "positions"])
+def test_build_and_append_chunked_byte_identical(ray_session, tmp_path,
+                                                 chunk_budget, positions):
+    """A build and an append with a tiny posting budget write the same
+    ``db_*`` bytes as with the whole segment in one chunk — the append
+    decoding its old segments one term range at a time."""
+    import glob
+    import os
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    t = pq.read_table(write_corpus(str(tmp_path / "all.parquet"), 500,
+                                   seed=5, rows_per_group=64))
+    pq.write_table(t.slice(0, 400), str(corpus / "a.parquet"),
+                   row_group_size=64)
+    cfg = BuildConfig(docs_per_segment=150, positions=positions)
+
+    def segments(idx):
+        return {os.path.relpath(p, idx): open(p, "rb").read()
+                for p in sorted(glob.glob(os.path.join(idx, "db_*", "*.parquet")))}
+
+    got = {}
+    for budget in (10**9, 60):
+        chunk_budget(budget)
+        idx = str(tmp_path / f"idx{budget}")
+        s = build_index(str(corpus), idx, cfg, CODE_CORPUS, force=True)
+        assert s["n_postings"] > 60  # chunking engaged
+        got[budget, "build"] = segments(idx)
+        pq.write_table(t.slice(400), str(corpus / "b.parquet"),
+                       row_group_size=64)
+        build_index(str(corpus), idx, cfg, CODE_CORPUS)
+        got[budget, "append"] = segments(idx)
+        os.remove(corpus / "b.parquet")
+    for phase in ("build", "append"):
+        one, many = got[10**9, phase], got[60, phase]
+        assert one and one.keys() == many.keys()
+        for k in one:
+            assert one[k] == many[k], (phase, k)
 
 
 def test_merge_resume_skips_finished_segments(built, tmp_path_factory):

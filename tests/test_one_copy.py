@@ -207,3 +207,50 @@ def test_segment_without_postings(ray_session, tmp_path):
     delete_docs(str(idx), ["d0005"])
     assert compact_index(str(idx), str(compacted))["n_docs"] == 178
     assert len(_served(compacted)) == 177
+
+
+def test_merged_index_owns_its_doc_index(ray_session, tmp_path):
+    """A merged index copies its doc index: after the source is rebuilt
+    from other docs, and after the source is deleted, it serves the same
+    (docid, docno, score) top-k as right after the merge."""
+    def write(prefix):
+        pq.write_table(pa.table({
+            "docno": [f"{prefix}{i}" for i in range(60)],
+            "text": [f"alpha {'zeta ' if i % 3 == 0 and prefix == 'a' else ''}"
+                     f"w{i}" for i in range(60)]}), str(corpus / "c.parquet"))
+
+    def served():
+        eng = QueryEngine(str(merged), use_actors=False)
+        return eng.search("zeta alpha", k=10, mode="daat")
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write("a")
+    cfg = BuildConfig(profile=SIMPLE_PROFILE, docs_per_segment=20)
+    idx, merged = tmp_path / "idx", tmp_path / "merged"
+    build_index(str(corpus), str(idx), cfg, SPEC)
+    build.merge_segments(str(idx), str(merged), group_size=3)
+    want = served()
+    assert [h[1] for h in want[:3]] == ["a0", "a3", "a6"]
+    write("b")
+    build_index(str(corpus), str(idx), cfg, SPEC, force=True)
+    assert served() == want
+    shutil.rmtree(idx)
+    assert served() == want
+    for m in glob.glob(os.path.join(str(merged), "db_*", "manifest.json")):
+        with open(m) as f:
+            assert all(p.startswith(str(merged) + os.sep)
+                       for p in json.load(f)["doc_files"])
+
+
+def test_doc_index_gap_refused(ray_session, tmp_path):
+    """A doc index part with a docid gap is refused with ValueError when
+    the engine loads (a check that survives ``python -O``)."""
+    corpus, _ = _corpus(tmp_path, n_old=40)
+    idx = tmp_path / "idx"
+    build_index(str(corpus), str(idx), CFG, SPEC)
+    part = sorted(glob.glob(os.path.join(str(idx), "docs", "seg=0", "*.parquet")))[0]
+    t = pq.read_table(part)
+    pq.write_table(pa.concat_tables([t.slice(0, 5), t.slice(6)]), part)
+    with pytest.raises(ValueError, match="dense"):
+        QueryEngine(str(idx), use_actors=False)

@@ -260,7 +260,8 @@ def test_phrase_empty_and_near_multitoken(pos_built):
         eng.near_search_batch([("return if", "const", 3)])
 
 
-def test_positional_merge_with_empty_segment(ray_session, tmp_path_factory):
+def test_positional_merge_with_empty_segment(ray_session, tmp_path_factory,
+                                             chunk_budget):
     """A docid range that tokenizes entirely empty still merges: the
     empty segment carries an empty positional sidecar."""
     import pyarrow as pa
@@ -287,9 +288,10 @@ def test_positional_merge_with_empty_segment(ray_session, tmp_path_factory):
     idx = str(tmp / "idx")
     build_index(corpus, idx, cfg)
     merged = str(tmp / "merged")
-    # tiny chunk budget: exercises the STREAMING term-range merge on the
+    # tiny chunk budget: exercises the term-range chunked writer on the
     # positional sidecar too (many chunks per merged segment)
-    merge_segments(idx, merged, group_size=3, chunk_postings=40)
+    chunk_budget(40)
+    merge_segments(idx, merged, group_size=3)
     e1 = QueryEngine(idx, use_actors=False, cfg=cfg)
     e2 = QueryEngine(merged, use_actors=False, cfg=cfg)
     assert e1.phrase_search_batch(["return if"]) \
@@ -445,3 +447,27 @@ def test_fuzzy_expansion_and_scoring(pos_built):
         expand_fuzzy(idx, words, cap=1)
     with pytest.raises(ValueError, match="empty"):
         expand_fuzzy(idx, [])
+
+
+def test_live_engine_after_append_refuses_phrases(ray_session, tmp_path):
+    """An in-process positional engine loaded before an append reads the
+    positional sidecar lazily, after the append rewrote it: the first
+    phrase query raises a ValueError that asks for a reload, and a
+    reloaded engine serves the appended docs."""
+    t = pq.read_table(write_corpus(str(tmp_path / "all.parquet"), 300,
+                                   seed=3, rows_per_group=64))
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    pq.write_table(t.slice(0, 200), str(corpus / "a.parquet"),
+                   row_group_size=64)
+    cfg = BuildConfig(docs_per_segment=80, positions=True)
+    idx = str(tmp_path / "idx")
+    build_index(str(corpus), idx, cfg)
+    eng = QueryEngine(idx, use_actors=False, cfg=cfg)
+    pq.write_table(t.slice(200), str(corpus / "b.parquet"),
+                   row_group_size=64)
+    build_index(str(corpus), idx, cfg)
+    with pytest.raises(ValueError, match="reload"):
+        eng.phrase_search_batch(["return if"])
+    fresh = QueryEngine(idx, use_actors=False, cfg=cfg)
+    assert fresh.phrase_search_batch(["return if"])[0]
