@@ -351,8 +351,8 @@ def main(argv=None) -> int:
 
     f = sub.add_parser(
         "fsck", help="verify index integrity (decode every posting list, "
-        "check manifests, skip fences, doc tables; --deep adds the "
-        "cross-segment df_global check)")
+        "check manifests, skip fences, impacts, doc tables; --deep adds the "
+        "global df == Σ df_local check)")
     f.add_argument("index_dir")
     f.add_argument("--deep", action="store_true")
     f.add_argument("--num-cpus", type=int, default=None)

@@ -2,51 +2,64 @@
 
 Three super-stages, exchanging data through partitioned files on disk
 (the disk-based shuffle also serves as the checkpoint boundary — a
-rerun skips any stage/partition whose manifest matches):
+rerun skips any stage/partition whose marker or manifest matches):
 
 1. **Tokenize** — ``Dataset`` of (file, row-group) shards →
    ``map_batches(TokenizeShards)`` (stateless tasks; normalizer state is
    process-cached). Per shard and segment (segment = docid range,
    replacing the reference's 700 MB chunk cut, reference
-   src/builder.cpp:23, 304-330) a task writes the document index part
-   ``docs/seg=N/part-*.parquet`` ``(docid, docno, doclen)`` and a
-   posting run ``docs/_runs/seg=N/part-*.arrow``, plus per-shard
-   (seg, term) df partials counted from the tokenizer's pair codes. The
-   stage is columnar from the Parquet read to the writes: no document
-   text, token, term or docno becomes a Python object on a warm build.
-2. **Global stats** — the tokenize tasks already wrote vocabulary-sized
-   per-shard df/doclen partials; one task sums them per term with an
-   Arrow ``group_by`` (the partial/final pattern replacing the
-   reference's k-way lexicon merge, reference src/builder.cpp:127-170)
-   into the term-sorted global lexicon + collection metadata (reference
-   src/builder.cpp:177-181) without re-reading any posting.
-3. **Assemble segments** — one task per segment runs the segment
+   src/builder.cpp:23, 304-330) a task writes a posting run
+   ``docs/_runs/seg=N/part-*.arrow`` and then the document index part
+   ``docs/seg=N/part-*.parquet`` ``(docid, docno, doclen)``; the doc
+   part of the shard's last segment is written last and atomically, so
+   its existence marks the shard done. The stage is columnar from the
+   Parquet read to the writes: no document text, token, term or docno
+   becomes a Python object on a warm build.
+2. **Assemble segments** — one task per segment runs the segment
    writer (:class:`AssembleSegment`): it gathers the segment's postings,
    cuts its vocabulary into term-range chunks within a posting budget,
    and per chunk puts the postings in (term, docid) order,
    VarByte/unary-encodes whole columns in single numpy passes and
-   computes sigmas + 15,000-posting block-max skip pointers (reference
+   builds the 15,000-posting skip blocks (reference
    src/builder.cpp:192-268); then it writes ``db_<seg>/terms.parquet``
-   + a lineage manifest.
+   + a manifest. It reads no global state.
+3. **Global stats** — one task sums ``df_local`` per term over every
+   segment's ``(term, df_local)`` columns with an Arrow ``group_by``
+   (the partial/final pattern replacing the reference's k-way lexicon
+   merge, reference src/builder.cpp:127-170) into the term-sorted
+   global lexicon ``global/term_df`` + collection metadata (reference
+   src/builder.cpp:177-181), ``sum_doclen`` taken from the segment
+   manifests.
+
+**What a segment stores** is what its own docs determine, and nothing
+computed from N, df or avgdl: per term ``df_local``, the docid and freq
+streams, the skip lists (last docid, docid byte offset, freq bit
+offset per block) and per block the score-free *impacts* — the
+(tf, doclen) pairs no other posting of the block beats on both
+(:func:`block_impacts`). The searcher takes idf from ``global/term_df``
+and computes the sigmas and block-max bounds over the impacts when it
+loads (both scorers rise with tf and fall with doclen, so the maximum
+over the impacts is the maximum over the block). Each segment's
+lineage key covers only its own shard items, params and format, so an
+append re-assembles only the mixed last segment and the new ones; the
+old segments stay byte for byte as they were.
 
 The postings live in one place, the segments, and every segment is
 written by the one writer. Its posting sources, in docid order, are
 stage-1 posting runs — term codes over a sorted run vocabulary, docid,
 tf [and positions], transient: deleted once every segment's manifest
 is written — and existing segments, decoded one term-range chunk at a
-time from their encoded rows. An append re-assembles each old segment
-from its own postings (plus the mixed last segment's new runs);
-compaction renumbers decoded segments into new runs
-(:func:`read_segment_postings`); :func:`merge_segments` copies each
-group's doc index parts and runs the writer over the group's source
-segments; ``import-ref`` feeds it the postings it decodes.
+time from their encoded rows. An append re-assembles the mixed last
+segment from its own postings plus the new runs; compaction renumbers
+decoded segments into new runs (:func:`read_segment_postings`);
+:func:`merge_segments` copies each group's doc index parts and runs
+the writer over the group's source segments; ``import-ref`` feeds it
+the postings it decodes.
 
-Stages 2-3 rerun over the whole index on every append and compaction,
-so they too stay in Arrow and numpy end to end: terms are Arrow string
-arrays (dictionary-encoded, sorted by the dictionary permutation,
-looked up in the global lexicon with ``pc.index_in``), never Python
-strings, and no pandas frame is built. Integrity checks raise
-``ValueError`` (they survive ``python -O``).
+Everything stays in Arrow and numpy end to end: terms are Arrow string
+arrays (dictionary-encoded, sorted by the dictionary permutation),
+never Python strings, and no pandas frame is built. Integrity checks
+raise ``ValueError`` (they survive ``python -O``).
 
 Skew note: posting lists are keyed by (term, segment); the segment (a
 bounded docid range) acts as the salt for hot terms — a term's postings
@@ -79,11 +92,11 @@ from . import scorer as scorer_mod
 from .hash_partition import _key_hash, _shuffle_width
 from .tombstone import TOMBSTONE_FILE
 
-#: On-disk build format version, folded into the lineage key so caches
-#: from older layouts (single-file global lexicon, seg-less partials,
-#: token lists in ``docs/``) rebuild instead of half-loading. Bump on
-#: any layout change.
-_BUILD_FORMAT = "fmt4"
+#: On-disk build format version, folded into the lineage keys and
+#: recorded in every segment manifest: an append onto an older layout
+#: rebuilds, and the engine and ``fsck`` refuse a segment of any other
+#: format (there is no compatibility reader). Bump on any layout change.
+_BUILD_FORMAT = "fmt5"
 
 #: the document index (reference ``document_index``): one row per doc
 DOCS_SCHEMA = pa.schema(
@@ -96,6 +109,29 @@ DOCS_SCHEMA = pa.schema(
 
 #: ``docs/`` subdirectory of the posting runs, ``_runs/seg=N/part-*.arrow``
 RUNS_DIR = "_runs"
+
+#: the global lexicon ``global/term_df/part-K``
+TERM_DF_SCHEMA = pa.schema(
+    [("term", pa.string()), ("df", pa.int64()), ("idf", pa.float64())])
+
+#: a segment's ``terms.parquet``: one row per term, every value
+#: determined by the segment's own docs; the three ``skip_*`` lists and
+#: ``impact_n`` hold one value per skip block, ``impact_tf`` and
+#: ``impact_doclen`` the blocks' impacts (:func:`block_impacts`)
+SEGMENT_SCHEMA = pa.schema(
+    [
+        ("term", pa.string()),
+        ("df_local", pa.uint64()),
+        ("docid_bytes", pa.large_binary()),
+        ("freq_bytes", pa.large_binary()),
+        ("skip_last_docid", pa.list_(pa.uint64())),
+        ("skip_docid_off", pa.list_(pa.uint64())),
+        ("skip_freq_off", pa.list_(pa.uint64())),
+        ("impact_n", pa.list_(pa.uint32())),
+        ("impact_tf", pa.list_(pa.uint32())),
+        ("impact_doclen", pa.list_(pa.uint32())),
+    ]
+)
 
 
 class Run(NamedTuple):
@@ -152,13 +188,22 @@ def _write_parts(docs_dir: str, name: str, docids: np.ndarray,
                  run: Run, pair_doc: np.ndarray) -> list[dict]:
     """The stage-1 layout for one docid-ascending group of docs — its
     docs come from one corpus shard (build) or one old segment
-    (compaction): per segment a document index part and a posting run,
-    both named ``name``, then the group's df partials, written last
-    (their existence marks the group done). ``run.codes`` are the
-    postings' term codes and ``pair_doc`` their docs' row numbers."""
-    out = []
+    (compaction): per segment a posting run and a document index part,
+    both named ``name``. Every run is written before the first doc
+    part, and the doc parts in segment order, each atomically, so the
+    doc part of the group's last segment marks the group done.
+    ``run.codes`` are the postings' term codes and ``pair_doc`` their
+    docs' row numbers."""
     pair_seg = segs[pair_doc]
-    for seg in np.unique(segs).tolist():
+    seg_ids = np.unique(segs).tolist()
+    for seg in seg_ids:
+        take = pair_seg == seg
+        _write_run(
+            os.path.join(docs_dir, RUNS_DIR, f"seg={seg}", name + ".arrow"),
+            Run(run.vocab, run.codes[take], run.docids[take], run.tfs[take],
+                None if run.pos is None else run.pos[np.repeat(take, run.tfs)]))
+    out = []
+    for seg in seg_ids:
         rows = np.flatnonzero(segs == seg)
         lo, hi = int(rows[0]), int(rows[-1]) + 1  # docids ascend: a slice
         part = pa.table({"docid": docids[lo:hi], "docno": docnos[lo:hi],
@@ -167,19 +212,7 @@ def _write_parts(docs_dir: str, name: str, docids: np.ndarray,
         os.makedirs(os.path.dirname(final), exist_ok=True)
         pq.write_table(part, final + ".tmp")
         os.replace(final + ".tmp", final)
-        take = pair_seg == seg
-        _write_run(
-            os.path.join(docs_dir, RUNS_DIR, f"seg={seg}", name + ".arrow"),
-            Run(run.vocab, run.codes[take], run.docids[take], run.tfs[take],
-                None if run.pos is None else run.pos[np.repeat(take, run.tfs)]))
         out.append({"seg": seg, "file": final, "n_docs": hi - lo})
-    # shard-local df/doclen partials (vocabulary-sized): the global-stats
-    # stage aggregates these tiny files instead of re-reading postings
-    pfinal = os.path.join(docs_dir, "_partials", name + ".parquet")
-    os.makedirs(os.path.dirname(pfinal), exist_ok=True)
-    pq.write_table(_partials(segs, doclens, pair_doc, run.codes, run.vocab),
-                   pfinal + ".tmp")
-    os.replace(pfinal + ".tmp", pfinal)
     return out
 
 
@@ -192,9 +225,9 @@ class TokenizeShards:
     Columnar from the Parquet read to the writes: docnos are joined
     column-wise in Arrow, the tokenizer runs on the Arrow column
     (:func:`..normalizer.batch.tokenize_codes`), and its (doc, term)
-    pair codes become both the posting runs and the per-segment df
-    partials — no document text, token, term or docno becomes a Python
-    object on a warm build, and no term string is gathered per posting.
+    pair codes become the posting runs — no document text, token, term
+    or docno becomes a Python object on a warm build, and no term
+    string is gathered per posting.
 
     Each task writes its own outputs (see :func:`_write_parts`;
     write-temp-then-rename so retries are idempotent) and returns only
@@ -276,80 +309,39 @@ def _write_sorted_slices(t: pa.Table, key: np.ndarray, path_of) -> None:
         os.replace(tmp, final)
 
 
-@ray.remote
-def _global_stage_single(
-    partial_files: list[str], n_docs: int, term_df_dir: str, seg_df_dir: str,
-    P: int,
-) -> int:
-    """Build stage 2 in one task, in Arrow: sum the partials' ``df_part``
-    per term (``group_by``), sort by term and derive idf; write the
-    lexicon as ``P`` term-hash partitions ``term_df/part-K``, and each
-    segment's slice of it (its distinct terms ``join``-ed to the
-    lexicon) as ``seg_df/seg=N``. Every file is term-sorted. A corpus
-    whose documents normalize to no terms has empty partials and writes
-    neither. Returns sum_doclen."""
-    t = pa.concat_tables([pq.read_table(f) for f in partial_files])
-    sum_doclen = int(pc.sum(t["doclen_part"]).as_py() or 0)
-    if len(t) == 0:
-        return sum_doclen
-    g = t.group_by("term").aggregate([("df_part", "sum")])
+def _write_term_df(term_df_dir: str, terms: pa.Array, df: np.ndarray,
+                   n_docs: int, P: int) -> None:
+    """Write the global lexicon ``(term, df, idf)``, term-sorted, as
+    ``P`` term-hash partitions ``term_df/part-K`` — the global-stats writer,
+    also used by ``import-ref``."""
+    g = pa.table({"term": terms, "df": pa.array(df, pa.int64())})
     g = g.take(pc.sort_indices(g, sort_keys=[("term", "ascending")]))
-    df = g["df_part_sum"].to_numpy()
-    g = pa.table({"term": g["term"], "df": df, "idf": scorer_mod.idf(n_docs, df)})
+    df = g["df"].to_numpy()
+    g = pa.table({"term": g["term"], "df": df, "idf": scorer_mod.idf(n_docs, df)},
+                 schema=TERM_DF_SCHEMA)
     _write_sorted_slices(
         g, _key_hash(g, ["term"]) % np.uint64(P),
         lambda k: os.path.join(term_df_dir, f"part-{k:05d}.parquet"))
-    # a term recurs once per shard that saw it: dedup (seg, term) first
-    st = t.group_by(["seg", "term"]).aggregate([]).join(g, "term")
-    st = st.take(pc.sort_indices(st, sort_keys=[("term", "ascending")]))
-    _write_sorted_slices(
-        st.select(["term", "df", "idf"]), st["seg"].to_numpy(),
-        lambda s: os.path.join(seg_df_dir, f"seg={s}", "terms.parquet"))
+
+
+@ray.remote
+def _global_stage_single(seg_dirs: list[str], n_docs: int, term_df_dir: str,
+                         P: int) -> int:
+    """Build stage 3 in one task, in Arrow: sum every segment's
+    ``df_local`` per term (``group_by``) into the global lexicon
+    (:func:`_write_term_df`); an index whose documents normalize to no
+    terms writes none. Returns sum_doclen, summed from the segment
+    manifests."""
+    sum_doclen = sum(int(_read_json(os.path.join(d, "manifest.json"))["sum_doclen"])
+                     for d in seg_dirs)
+    t = pa.concat_tables([pq.read_table(os.path.join(d, "terms.parquet"),
+                                        columns=["term", "df_local"])
+                          for d in seg_dirs])
+    if len(t):
+        g = t.group_by("term").aggregate([("df_local", "sum")])
+        _write_term_df(term_df_dir, g["term"].combine_chunks(),
+                       g["df_local_sum"].to_numpy(), n_docs, P)
     return sum_doclen
-
-
-_EMPTY_PARTIALS = pa.table(
-    {
-        "term": pa.array([], pa.string()),
-        "seg": pa.array([], pa.int32()),
-        "df_part": pa.array([], pa.int64()),
-        "doclen_part": pa.array([], pa.int64()),
-    }
-)
-
-
-def _partials(segs: np.ndarray, doclens: np.ndarray, pair_doc: np.ndarray,
-              pair_term: np.ndarray, vocab: pa.Array) -> pa.Table:
-    """Per-(segment, term) partial document frequency, counted with one
-    ``np.bincount`` per segment over the (doc, term) pair codes (terms
-    are unique per doc; a shard spans at most a couple of segments),
-    plus each segment's doclen sum spread on its first row (so the
-    global groupby yields Σdoclen for free without a second pass over
-    the docs). Rows come out term-sorted within each segment.
-
-    Carrying the segment id is what lets build stage 2 emit per-SEGMENT
-    global-df semi-join files instead of materializing one global lexicon
-    on the driver and broadcasting it to every assemble task."""
-    pair_seg = segs[pair_doc]
-    out = []
-    for seg in np.unique(segs):
-        df = np.bincount(pair_term[pair_seg == seg], minlength=len(vocab))
-        nz = np.flatnonzero(df)
-        if len(nz) == 0:
-            continue
-        doclen_part = np.zeros(len(nz), dtype=np.int64)
-        doclen_part[0] = int(doclens[segs == seg].sum())
-        out.append(
-            pa.table(
-                {
-                    "term": vocab.take(pa.array(nz)),
-                    "seg": pa.array(np.full(len(nz), seg, np.int32)),
-                    "df_part": pa.array(df[nz].astype(np.int64)),
-                    "doclen_part": pa.array(doclen_part),
-                }
-            )
-        )
-    return pa.concat_tables(out) if out else _EMPTY_PARTIALS
 
 
 def _shard_ordinal(shard) -> int:
@@ -398,23 +390,30 @@ def _read_shard_any(shard, columns):
     return read_shard(shard, columns)
 
 
-def _append_compatible(sig_path: str, new_sig: dict) -> bool:
-    """True iff the previously-built shard list is a prefix of the new
-    one under identical params/format — the append-only case where every
-    old shard's bytes, base docid and segment assignment are unchanged,
-    so its stage-1 outputs remain valid verbatim."""
+def _read_json(path: str) -> dict | None:
     try:
-        with open(sig_path) as f:
-            old = json.load(f)
+        with open(path) as f:
+            return json.load(f)
     except (OSError, ValueError):
-        return False
-    if old.get("params") != new_sig["params"] or \
+        return None
+
+
+def _append_compatible(old: dict | None, new_sig: dict) -> bool:
+    """True iff the previously-built shard list ``old`` is a prefix of
+    the new one under identical params/format — the append-only case
+    where every old shard's bytes, base docid and segment assignment
+    are unchanged, so its stage-1 outputs remain valid verbatim."""
+    if not old or old.get("params") != new_sig["params"] or \
             old.get("format") != new_sig["format"]:
         return False
     old_shards = old.get("shards", [])
     new_shards = new_sig["shards"]
     return (0 < len(old_shards) <= len(new_shards)
             and new_shards[:len(old_shards)] == old_shards)
+
+
+def _key(*parts) -> str:
+    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()[:16]
 
 
 def _stage_marker(path: str, key: str) -> bool:
@@ -424,22 +423,21 @@ def _stage_marker(path: str, key: str) -> bool:
         return False
 
 
-def _global_stage(docs_dir: str, global_dir: str, n_docs: int,
+def _global_stage(seg_dirs: list[str], global_dir: str, n_docs: int,
                   cfg: BuildConfig, lineage_key: str) -> None:
-    """Build stage 2 (global stats): aggregate the per-shard
-    ``docs/_partials`` in one task (:func:`_global_stage_single`, an
-    Arrow ``group_by`` sum, term sort and ``join``) into the partitioned
-    global lexicon (``global/term_df/part-K``, ``K`` a term hash mod
-    :func:`_shuffle_width`) + per-segment semi-join slices
-    (``global/seg_df/seg=N``), all term-sorted, and write
-    ``global/metadata.json``.
-    Shared by :func:`build_index` and :func:`compact_index` — both run
-    it over a docs/ layout, so a compacted index's global state is
-    byte-identical to a fresh build's over the same alive docs. Every
-    file is rewritten from the partials, so a rerun over an existing
-    ``global/`` reproduces it byte for byte. The tombstone file is the
-    one file kept: the deletes it records outlive the statistics (its
-    count is carried into the new metadata as ``n_tombstones``)."""
+    """Build stage 3 (global stats), after the segments are assembled:
+    sum ``df_local`` per term over the segments ``seg_dirs`` in one task
+    (:func:`_global_stage_single`, an Arrow ``group_by`` sum and term
+    sort) into the partitioned global lexicon (``global/term_df/part-K``,
+    ``K`` a term hash mod :func:`_shuffle_width`), term-sorted, and
+    write ``global/metadata.json``.
+    Shared by :func:`build_index` and :func:`compact_index`, so a
+    compacted index's global state is byte-identical to a fresh build's
+    over the same alive docs. Every file is rewritten from the
+    segments, so a rerun over an existing ``global/`` reproduces it
+    byte for byte. The tombstone file is the one file kept: the deletes
+    it records outlive the statistics (its count is carried into the
+    new metadata as ``n_tombstones``)."""
     os.makedirs(global_dir, exist_ok=True)
     for name in os.listdir(global_dir):
         if name != TOMBSTONE_FILE:
@@ -452,21 +450,10 @@ def _global_stage(docs_dir: str, global_dir: str, n_docs: int,
     n_tombstones = (pq.read_metadata(tomb).num_rows
                     if os.path.exists(tomb) else None)
     term_df_dir = os.path.join(global_dir, "term_df")
-    seg_df_dir = os.path.join(global_dir, "seg_df")
     os.makedirs(term_df_dir)
-    os.makedirs(seg_df_dir)
-
-    pdir = os.path.join(docs_dir, "_partials")
-    partial_files = sorted(
-        os.path.join(pdir, f)
-        for f in os.listdir(pdir)
-        if f.endswith(".parquet")
-    )
     sum_doclen = ray.get(
-        _global_stage_single.remote(
-            partial_files, n_docs, term_df_dir, seg_df_dir, _shuffle_width()
-        )
-    )
+        _global_stage_single.remote(seg_dirs, n_docs, term_df_dir,
+                                    _shuffle_width()))
     n_terms_global = sum(
         pq.read_metadata(os.path.join(term_df_dir, f)).num_rows
         for f in os.listdir(term_df_dir)
@@ -489,10 +476,10 @@ def _global_stage(docs_dir: str, global_dir: str, n_docs: int,
                     "fix_latin1": cfg.profile.fix_latin1,
                     "latin1_case": cfg.profile.latin1_case,
                 },
-                # build constants baked into the on-disk encoding
-                # (delta-gap restart period, sigma/UB scoring params):
-                # readers and merge MUST use these, not their own
-                # defaults
+                # build constants: the delta-gap restart period baked
+                # into the encoding, and the BM25 constants the engine
+                # scores and bounds with — readers and merge MUST use
+                # these, not their own defaults
                 "build_params": {
                     "skip_block_size": cfg.skip_block_size,
                     "bm25_k1": cfg.bm25_k1,
@@ -519,22 +506,29 @@ def build_index(
 ) -> dict:
     """Run the full build. Returns summary stats (docs, terms, postings…).
 
-    Resumable: each super-stage writes a marker keyed on the input shard
-    list + build params; a rerun with the same key skips the stage, and
-    segment assembly additionally skips per-segment on its manifest. A
-    segment's files are replaced before its manifest is written, and a
-    positional segment's two tables are both written whole before
-    either replace, so a rerun after a crash at any point resumes.
+    Resumable: tokenize and global stats write a marker keyed on the
+    input shard list + build params + format; a rerun with the same key
+    skips the stage, and tokenize skips every shard whose last doc part
+    exists.
+    Segment assembly skips each segment whose manifest carries its own
+    lineage key (its shard items + params + format). A segment's files
+    are replaced before its manifest is written, and a positional
+    segment's two tables are both written whole before either replace,
+    so a rerun after a crash at any point resumes.
 
     Append-incremental: when the old shard list is a prefix of the new
-    one (same params and format), only the new shards tokenize; each
-    old segment is re-assembled from its own decoded postings, and the
-    mixed last segment adds the new shards' runs. The index's deletes
-    (``global/tombstones.parquet``) carry over, so a deleted doc stays
-    deleted. Any other change of shard list, params or format — and
-    ``force`` — rebuilds from scratch: the old segments and tombstones
-    are removed with the old ``docs/``, since the docnos they name may
-    no longer be the same documents.
+    one (same params and format), only the new shards tokenize; the old
+    segments keep their keys and are not touched, the mixed last
+    segment is re-assembled from its own decoded postings plus the new
+    shards' runs, and the global stats sum the new segment set. The
+    index's deletes (``global/tombstones.parquet``) carry over, so a
+    deleted doc stays deleted. Any other change of shard list, params or format —
+    and ``force`` — rebuilds from scratch: the old segments and
+    tombstones are removed with the old ``docs/``, since the docnos they
+    name may no longer be the same documents. The lineage names the
+    shard layout, not the corpus bytes, so a ``force`` build folds a
+    fresh token into its keys (kept by later appends): an index merged
+    from the old build then sees a new lineage.
     """
     import time as _time
 
@@ -569,58 +563,64 @@ def build_index(
         spec = spec or CODE_CORPUS
         shards = corpus_shards(corpus_paths)
     n_docs_total = sum(s.num_rows for s in shards)
-    lineage_key = hashlib.sha256(
-        json.dumps([sorted(_shard_to_item(s).items()) for s in shards]).encode()
-        + cfg.params_id.encode()
-        + _BUILD_FORMAT.encode()
-    ).hexdigest()[:16]
+    items = [sorted(_shard_to_item(s).items()) for s in shards]
+    shard_sig = json.loads(json.dumps({
+        "params": cfg.params_id, "format": _BUILD_FORMAT, "shards": items}))
 
     docs_dir = os.path.join(out_dir, "docs")
     global_dir = os.path.join(out_dir, "global")
     os.makedirs(out_dir, exist_ok=True)
-
-    # ---- stage 1: tokenize → doc index parts + posting runs by segment ----
-    marker1 = os.path.join(out_dir, "_docs_done")
     # append-incremental contract: the shard-list signature lets a rerun
     # whose NEW shard list starts with the old one (same params/format,
     # files only appended — base docids of old shards unchanged) keep the
-    # old shards' tokenize outputs and partials; only the appended shards
-    # tokenize. Stages 2-3 always recompute on a lineage change (df/idf
-    # shift with N), which is exactly the correct split: tokenize cost is
-    # per-byte-of-corpus, assemble cost is per-index.
+    # old shards' doc parts and the segments built from them; only the
+    # appended shards tokenize, and only the segments they reach are
+    # re-assembled
     sig_path = os.path.join(out_dir, "_docs_shards.json")
-    shard_sig = json.loads(json.dumps({
-        "params": cfg.params_id, "format": _BUILD_FORMAT,
-        "shards": [sorted(_shard_to_item(s).items()) for s in shards],
-    }))
+    old_sig = _read_json(sig_path)
+    keep = not force and _append_compatible(old_sig, shard_sig)
+    token = (os.urandom(8).hex() if force
+             else old_sig.get("token", "") if keep else "")
+    shard_sig["token"] = token
+    lineage_key = _key(items, cfg.params_id, _BUILD_FORMAT, token)
+    dps = cfg.docs_per_segment
+    seg_items: dict[int, list] = {}
+    for s, item in zip(shards, items):
+        if s.num_rows:
+            for seg in range((s.base_docid - 1) // dps,
+                             (s.base_docid + s.num_rows - 2) // dps + 1):
+                seg_items.setdefault(seg, []).append(item)
+    seg_keys = {seg: _key(it, cfg.params_id, _BUILD_FORMAT, token)
+                for seg, it in seg_items.items()}
+
+    # ---- stage 1: tokenize → posting runs + doc index parts by segment ----
+    marker1 = os.path.join(out_dir, "_docs_done")
     if force or not _stage_marker(marker1, lineage_key):
         # crash-resume within the stage: an in-progress marker carries the
-        # lineage key; if it matches, completed shards (their partial file
-        # exists — written last, atomically) are skipped instead of wiping
-        # the whole stage. A key mismatch wipes UNLESS the old shard list
-        # is a strict prefix of the new one (append-incremental).
+        # lineage key; if it matches, completed shards (the doc part of
+        # their last segment exists — written last, atomically) are
+        # skipped instead of wiping the whole stage. A key mismatch wipes
+        # UNLESS the old shard list is a prefix of the new one
+        # (append-incremental).
         wip = os.path.join(out_dir, "_docs_wip")
-        if force or not _stage_marker(wip, lineage_key):
-            if force or not _append_compatible(sig_path, shard_sig):
-                shutil.rmtree(docs_dir, ignore_errors=True)
-                for d in os.listdir(out_dir):
-                    if d.startswith("db_"):
-                        shutil.rmtree(os.path.join(out_dir, d))
-                tomb = os.path.join(global_dir, TOMBSTONE_FILE)
-                if os.path.exists(tomb):
-                    os.remove(tomb)
-        os.makedirs(out_dir, exist_ok=True)
+        if force or not (_stage_marker(wip, lineage_key) or keep):
+            shutil.rmtree(docs_dir, ignore_errors=True)
+            for d in os.listdir(out_dir):
+                if d.startswith("db_"):
+                    shutil.rmtree(os.path.join(out_dir, d))
+            tomb = os.path.join(global_dir, TOMBSTONE_FILE)
+            if os.path.exists(tomb):
+                os.remove(tomb)
         with open(wip, "w") as f:
             f.write(lineage_key)
         with open(sig_path + ".tmp", "w") as f:
             json.dump(shard_sig, f)
         os.replace(sig_path + ".tmp", sig_path)
-        pdir = os.path.join(docs_dir, "_partials")
-        done = set(os.listdir(pdir)) if os.path.isdir(pdir) else set()
         shard_items = [
-            _shard_to_item(s)
-            for s in shards
-            if f"part-{s.base_docid:012d}-{_shard_ordinal(s):05d}.parquet" not in done
+            _shard_to_item(s) for s in shards
+            if s.num_rows and not os.path.exists(os.path.join(
+                docs_dir, f"seg={(s.base_docid + s.num_rows - 2) // dps}",
+                f"part-{s.base_docid:012d}-{_shard_ordinal(s):05d}.parquet"))
         ]
         if shard_items:
             # tasks write their own seg=N/part-* files; only tiny
@@ -632,31 +632,27 @@ def build_index(
     stage_secs["tokenize"] = _time.perf_counter() - _t0
     _t0 = _time.perf_counter()
 
-    # ---- stage 2: global stats (df + metadata) ----
-    # One task merges the vocabulary-sized per-shard (seg, term)
-    # partials, as the reference merges its lexicon on one thread
-    # (src/builder.cpp:127-181): the global lexicon is written
-    # term-hash-partitioned (global/term_df/part-K) and each segment's
-    # slice of it (global/seg_df/seg=N) is exactly the vocabulary its
-    # assemble task needs, pre-sorted, read with one pruned file read.
+    # ---- stage 2: assemble segments (no global state needed) ----
+    manifests = _assemble_stage(out_dir, docs_dir, seg_keys, cfg, force)
+    shutil.rmtree(os.path.join(docs_dir, RUNS_DIR), ignore_errors=True)
+    stage_secs["assemble"] = _time.perf_counter() - _t0
+    _t0 = _time.perf_counter()
+
+    # ---- stage 3: global stats (df + metadata) over the segments ----
+    # One task sums the segments' vocabulary-sized (term, df_local)
+    # columns, as the reference merges its lexicon on one thread
+    # (src/builder.cpp:127-181); the global lexicon is written
+    # term-hash-partitioned (global/term_df/part-K).
     marker2 = os.path.join(out_dir, "_global_done")
     if force or not _stage_marker(marker2, lineage_key):
-        _global_stage(docs_dir, global_dir, n_docs_total, cfg, lineage_key)
+        _global_stage([os.path.join(out_dir, f"db_{m['seg']}") for m in manifests],
+                      global_dir, n_docs_total, cfg, lineage_key)
         with open(marker2, "w") as f:
             f.write(lineage_key)
     stage_secs["global_stats"] = _time.perf_counter() - _t0
-    _t0 = _time.perf_counter()
 
     with open(os.path.join(global_dir, "metadata.json")) as f:
         meta = json.load(f)
-
-    # ---- stage 3: assemble segments ----
-    manifests = _assemble_stage(
-        out_dir, docs_dir, global_dir, meta, cfg, lineage_key, force
-    )
-    shutil.rmtree(os.path.join(docs_dir, RUNS_DIR), ignore_errors=True)
-    stage_secs["assemble"] = _time.perf_counter() - _t0
-
     summary = {
         "stage_secs": {k: round(v, 3) for k, v in stage_secs.items()},
         "n_docs": meta["n_docs"],
@@ -672,13 +668,14 @@ def build_index(
     return summary
 
 
-def _assemble_stage(out_dir: str, docs_dir: str, global_dir: str,
-                    meta: dict, cfg: BuildConfig, lineage_key: str,
-                    force: bool, src_dir: str | None = None,
+def _assemble_stage(out_dir: str, docs_dir: str, seg_keys: dict[int, str],
+                    cfg: BuildConfig, force: bool, src_dir: str | None = None,
                     groups: dict[int, list[int]] | None = None) -> list[dict]:
-    """Build stage 3 (segment assembly) over a docs/ layout; one task
-    per segment, each writing its own ``db_N/``. Shared by
-    :func:`build_index`, :func:`compact_index` and
+    """Segment assembly over a docs/ layout: one task per segment ``N``
+    of ``seg_keys`` whose manifest does not carry its key
+    ``seg_keys[N]`` (every one with ``force``), each writing its own
+    ``db_N/``. Returns every segment's manifest, in segment order.
+    Shared by :func:`build_index`, :func:`compact_index` and
     :func:`merge_segments`.
 
     Segment ``N`` takes the postings of its docs without a posting run
@@ -688,14 +685,14 @@ def _assemble_stage(out_dir: str, docs_dir: str, global_dir: str,
     Otherwise it raises ``ValueError`` and writes no segment — a
     segment is never written with postings missing."""
     src_dir = src_dir or out_dir
-    if groups is None:
-        groups = {int(name.split("=")[1]): [int(name.split("=")[1])]
-                  for name in os.listdir(docs_dir) if name.startswith("seg=")}
-    for s, srcs in groups.items():
-        if not force and _manifest_key(os.path.join(out_dir, f"db_{s}")) \
-                == lineage_key:
+    groups = groups or {s: [s] for s in seg_keys}
+    done, todo = [], []
+    for s in sorted(seg_keys):
+        seg_dir = os.path.join(out_dir, f"db_{s}")
+        if not force and _manifest_key(seg_dir) == seg_keys[s]:
+            done.append(_read_json(os.path.join(seg_dir, "manifest.json")))
             continue
-        missing = [os.path.join(src_dir, f"db_{g}") for g in srcs
+        missing = [os.path.join(src_dir, f"db_{g}") for g in groups[s]
                    if not _segment_exists(os.path.join(src_dir, f"db_{g}"))]
         if missing and not all(os.path.exists(_run_path(docs_dir, s, f))
                                for f in _doc_parts(docs_dir, s)):
@@ -703,19 +700,10 @@ def _assemble_stage(out_dir: str, docs_dir: str, global_dir: str,
                 f"segment {s}: documents without a posting run and no "
                 f"{missing[0]} to decode their postings from; rebuild "
                 "with force=True")
-    assemble = AssembleSegment(
-        out_dir=out_dir,
-        docs_dir=docs_dir,
-        cfg=cfg,
-        n_docs=meta["n_docs"],
-        avgdl=meta["avgdl"],
-        global_dir=global_dir,
-        lineage_key=lineage_key,
-        force=force,
-        src_dir=src_dir,
-    )
-    return _map_tasks([{"seg": s, "srcs": groups[s]} for s in sorted(groups)],
-                      assemble)
+        todo.append({"seg": s, "srcs": groups[s], "key": seg_keys[s]})
+    if todo:
+        done += _map_tasks(todo, AssembleSegment(out_dir, docs_dir, cfg, src_dir))
+    return sorted(done, key=lambda m: m["seg"])
 
 
 def _doc_parts(docs_dir: str, seg: int) -> list[str]:
@@ -933,72 +921,30 @@ class AssembleSegment:
     concatenate into the segment table with no offset fixup: the bytes
     do not depend on the budget.
 
-    Each task semi-joins only its source segments' vocabularies against
-    the global lexicon via the per-segment ``global/seg_df/seg=N`` files
-    stage 2 wrote — a pruned O(segment-vocab) read per task, replacing
-    the round-2 whole-lexicon ``ray.put`` broadcast (unbounded at a
-    100 TB code corpus's identifier vocabulary)."""
+    A segment depends on its own docs alone: the writer reads no
+    global state, and stores per block the score-free impacts
+    (:func:`block_impacts`) from which the searcher computes the block
+    bounds and sigmas with the collection statistics it serves with."""
 
-    def __init__(self, out_dir, docs_dir, cfg, n_docs, avgdl, global_dir,
-                 lineage_key, force, src_dir=None):
+    def __init__(self, out_dir, docs_dir, cfg, src_dir=None):
         self.out_dir = out_dir
         self.docs_dir = docs_dir
         self.cfg = cfg
-        self.n_docs = n_docs
-        self.avgdl = avgdl
-        self.lineage_key = lineage_key
-        self.force = force
         self.src_dir = src_dir or out_dir
-        self.global_dir = global_dir
         # read here, in the driver, so the tasks use the driver's value
         self.chunk_budget = SEGMENT_CHUNK_POSTINGS
-        self._terms = None
-
-    def _load_global_for(self, src_segs: list[int]) -> None:
-        """Sets ``_terms`` (an Arrow string array, the hash-lookup value
-        set of :meth:`_encode_terms`) and the aligned numpy ``_df/_idf``
-        to the union of the source segments' global-df slices — exactly
-        the vocabulary this task's postings can reference, nothing more.
-        A merge unions several slices with one Arrow ``group_by`` (a
-        term's (df, idf) row is identical across segments)."""
-        cols = ["term", "df", "idf"]
-        tables = [
-            pq.read_table(f, columns=cols)
-            for f in (os.path.join(self.global_dir, "seg_df", f"seg={s}",
-                                   "terms.parquet") for s in src_segs)
-            if os.path.exists(f)
-        ]
-        if not tables:
-            t = pa.table({"term": pa.array([], pa.string()),
-                          "df": pa.array([], pa.int64()),
-                          "idf": pa.array([], pa.float64())})
-        elif len(tables) == 1:
-            t = tables[0]
-        else:
-            u = pa.concat_tables(tables).group_by("term").aggregate(
-                [("df", "min"), ("idf", "min")])
-            t = pa.table({"term": u["term"], "df": u["df_min"],
-                          "idf": u["idf_min"]})
-        self._terms = t["term"].combine_chunks()
-        self._df = t["df"].to_numpy().astype(np.int64)
-        self._idf = t["idf"].to_numpy()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = [self._assemble(int(seg), srcs) for seg, srcs in
-                zip(batch["seg"].to_pylist(), batch["srcs"].to_pylist())]
+        rows = [self._assemble(int(seg), srcs, key) for seg, srcs, key in
+                zip(batch["seg"].to_pylist(), batch["srcs"].to_pylist(),
+                    batch["key"].to_pylist())]
         return pa.Table.from_pylist(rows)
 
-    def _assemble(self, seg: int, srcs: list[int]) -> dict:
+    def _assemble(self, seg: int, srcs: list[int], key: str) -> dict:
         import time as _time
-
-        seg_dir = os.path.join(self.out_dir, f"db_{seg}")
-        if not self.force and _manifest_key(seg_dir) == self.lineage_key:
-            with open(os.path.join(seg_dir, "manifest.json")) as f:
-                return json.load(f)  # checkpointed — skip
 
         _timings = {}
         _t = _time.perf_counter()
-        self._load_global_for(srcs)
         files = _doc_parts(self.docs_dir, seg)
         parts = [pq.read_table(f, columns=["docid", "doclen"]) for f in files]
         runs, old = self._sources(seg, srcs, files, parts)
@@ -1030,8 +976,8 @@ class AssembleSegment:
             # the runs' docs follow every old segment's
             sources.append(_SortedPostings(cat, len(vocab)))
             _timings["sort"] = _time.perf_counter() - _t
-        return self._write_chunks(seg, files, docid, doclen, vocab, sources,
-                                  _timings)
+        return self._write_chunks(seg, key, files, docid, doclen, vocab,
+                                  sources, _timings)
 
     def _sources(self, seg: int, srcs: list[int], files: list[str],
                  parts: list[pa.Table]) -> tuple[list[Run], _SegmentPostings | None]:
@@ -1068,7 +1014,7 @@ class AssembleSegment:
                 "all; rebuild with force=True")
         return runs, _SegmentPostings(dirs, lo, hi, self.cfg.positions)
 
-    def _write_chunks(self, seg, files, docid, doclen, vocab, sources,
+    def _write_chunks(self, seg, key, files, docid, doclen, vocab, sources,
                       _timings) -> dict:
         """Encode the sources' postings — each source in (term, docid)
         order, the sources in docid order, their codes indexing
@@ -1094,9 +1040,9 @@ class AssembleSegment:
                 n_postings += out[2]
             ta = tb
         if not n_postings:
-            return self._write_empty(seg, files, docid, doclen)
+            return self._write_empty(seg, key, files, docid, doclen)
         return self._write_segment(
-            seg, files, docid, doclen, terms_tables,
+            seg, key, files, docid, doclen, terms_tables,
             pos_tables if self.cfg.positions else None, n_postings, _timings)
 
     def _encode_chunk(self, sources, vocab, ta, tb, doclen, base0, _timings):
@@ -1144,19 +1090,6 @@ class AssembleSegment:
         term_starts = np.concatenate(([0], np.cumsum(df_local)[:-1]))
         term_ends = np.cumsum(df_local)
 
-        # global idf lookup: a hash probe of the segment's terms into the
-        # global-df slice (J2 baked in at build time)
-        gidx = pc.index_in(uniq_terms, value_set=self._terms)
-        if gidx.null_count:
-            missing = uniq_terms.filter(pc.is_null(gidx))
-            raise ValueError(
-                f"local lexicon ⊄ global lexicon: {len(missing)} segment "
-                f"term(s) have no global df row, e.g. {missing[0].as_py()!r}")
-        gidx = gidx.to_numpy()
-        idf_per_term = self._idf[gidx]
-        df_global = self._df[gidx]
-        idf_per_posting = idf_per_term[codes_s]
-
         # ---- encode docids: delta-gap + VarByte (the reference VarBytes
         # absolute docids, src/indexBuilder/IndexBuilder.hpp:63-69; we gap
         # within each term's list for ~2-4x smaller docid streams, with an
@@ -1194,25 +1127,12 @@ class AssembleSegment:
         bits = (np.cumsum(delta[:-1]) > 0).astype(np.uint8)
         fq_bytes = np.packbits(bits, bitorder="little")
 
-        # ---- scores → sigmas + skip-pointer block maxima (Q7) ----
-        bm25 = scorer_mod.Bm25Scorer(self.cfg.bm25_k1, self.cfg.bm25_b)
-        tfidf = scorer_mod.TfidfScorer()
-        bm25_s = bm25.score(tf_s, idf_per_posting, dl_s, self.avgdl)
-        tfidf_s = tfidf.score(tf_s, idf_per_posting)
-
-        B = self.cfg.skip_block_size
-        # block starts: every B postings within each term
+        # ---- skip blocks (Q7): every B postings within each term ----
         n_blocks_per_term = (df_local + B - 1) // B
         block_term = np.repeat(np.arange(n_terms), n_blocks_per_term)
         block_idx_in_term = _ranges(n_blocks_per_term)
         block_starts = term_starts[block_term] + block_idx_in_term * B
         block_ends = np.minimum(block_starts + B, term_ends[block_term])
-
-        bm25_ub = np.maximum.reduceat(bm25_s, block_starts) if len(block_starts) else np.zeros(0)
-        tfidf_ub = np.maximum.reduceat(tfidf_s, block_starts) if len(block_starts) else np.zeros(0)
-        # reduceat quirk: reduceat uses [start_i, start_{i+1}) ranges; since
-        # block starts are strictly increasing and blocks tile the posting
-        # array contiguously, ranges match [block_start, block_end).
         last_docid = docid_s[block_ends - 1] if len(block_ends) else np.zeros(0, dtype=np.uint64)
         # offsets relative to the term's stream starts (reference
         # src/index/Index.template.hpp:210-219)
@@ -1220,18 +1140,14 @@ class AssembleSegment:
         # (byte_off << 3) | bit_off == the plain bit offset within the
         # term's freq stream (reference src/codes/unary.hpp:18-22)
         blk_freq_off = posting_bit_start[block_starts] - term_freq_byte_offs[block_term] * 8
-
-        # quantize exactly like the on-disk reference (types.hpp:120-131)
-        q = scorer_mod.quantize_scores
-        dq = scorer_mod.dequantize_scores
-        bm25_sigma = dq(q(np.maximum.reduceat(bm25_s, term_starts)))
-        tfidf_sigma = dq(q(np.maximum.reduceat(tfidf_s, term_starts)))
-        bm25_ub = dq(q(bm25_ub))
-        tfidf_ub = dq(q(tfidf_ub))
+        # the score-free impacts replace the reference's stored block
+        # maxima: the searcher scores them with its own statistics
+        imp_n, imp_tf, imp_dl = block_impacts(tf_s, dl_s, block_starts)
 
         block_bounds = np.concatenate(
             ([0], np.cumsum(n_blocks_per_term))
         ).astype(np.int32)
+        imp_bounds = np.concatenate(([0], np.cumsum(imp_n)))[block_bounds]
 
         def _binary_col(values: np.ndarray, offsets: np.ndarray) -> pa.Array:
             return pa.LargeBinaryArray.from_buffers(
@@ -1240,28 +1156,24 @@ class AssembleSegment:
                 [None, pa.py_buffer(offsets.astype(np.int64)), pa.py_buffer(values)],
             )
 
-        def _list_f64(values: np.ndarray) -> pa.Array:
-            return pa.ListArray.from_arrays(block_bounds, pa.array(values, pa.float64()))
-
-        def _list_u64(values: np.ndarray) -> pa.Array:
-            return pa.ListArray.from_arrays(block_bounds, pa.array(values.astype(np.uint64)))
+        def _list(values: np.ndarray, typ, bounds=block_bounds) -> pa.Array:
+            return pa.ListArray.from_arrays(
+                pa.array(bounds, pa.int32()), pa.array(values.astype(typ)))
 
         terms_table = pa.table(
             {
                 "term": uniq_terms,
                 "df_local": pa.array(df_local, pa.uint64()),
-                "df_global": pa.array(df_global, pa.uint64()),
-                "idf": pa.array(idf_per_term, pa.float64()),
                 "docid_bytes": _binary_col(db_bytes, term_byte_offs),
                 "freq_bytes": _binary_col(fq_bytes, term_freq_byte_offs),
-                "bm25_sigma": pa.array(bm25_sigma, pa.float64()),
-                "tfidf_sigma": pa.array(tfidf_sigma, pa.float64()),
-                "skip_last_docid": _list_u64(last_docid),
-                "skip_bm25_ub": _list_f64(bm25_ub),
-                "skip_tfidf_ub": _list_f64(tfidf_ub),
-                "skip_docid_off": _list_u64(blk_docid_off),
-                "skip_freq_off": _list_u64(blk_freq_off),
-            }
+                "skip_last_docid": _list(last_docid, np.uint64),
+                "skip_docid_off": _list(blk_docid_off, np.uint64),
+                "skip_freq_off": _list(blk_freq_off, np.uint64),
+                "impact_n": _list(imp_n, np.uint32),
+                "impact_tf": _list(imp_tf, np.uint32, imp_bounds),
+                "impact_doclen": _list(imp_dl, np.uint32, imp_bounds),
+            },
+            schema=SEGMENT_SCHEMA,
         )
 
         pos_table = None
@@ -1286,7 +1198,7 @@ class AssembleSegment:
             })
         return terms_table, pos_table
 
-    def _write_segment(self, seg, files, docid, doclen, terms_tables,
+    def _write_segment(self, seg, key, files, docid, doclen, terms_tables,
                        pos_tables, n_postings, _timings) -> dict:
         """Write tail shared by the single-chunk build path and the
         term-range-chunked merge: concatenate chunk tables (pure row
@@ -1329,7 +1241,8 @@ class AssembleSegment:
             "skip_block_size": self.cfg.skip_block_size,
             "params_id": self.cfg.params_id,
             "profile_id": self.cfg.profile.profile_id,
-            "lineage_key": self.lineage_key,
+            "format": _BUILD_FORMAT,
+            "lineage_key": key,
         }
         tmp = manifest_path + ".tmp"
         with open(tmp, "w") as f:
@@ -1337,34 +1250,66 @@ class AssembleSegment:
         os.replace(tmp, manifest_path)
         return manifest
 
-    def _write_empty(self, seg: int, files: list[str], docid: np.ndarray,
-                     doclen: np.ndarray) -> dict:
+    def _write_empty(self, seg: int, key: str, files: list[str],
+                     docid: np.ndarray, doclen: np.ndarray) -> dict:
         """A segment without postings: no docs, or docs that are all
         empty or stopword-only. Its manifest still records those docs,
         so an append or a compaction decodes it like any other."""
-        empty = pa.table(
-            {
-                "term": pa.array([], pa.string()),
-                "df_local": pa.array([], pa.uint64()),
-                "df_global": pa.array([], pa.uint64()),
-                "idf": pa.array([], pa.float64()),
-                "docid_bytes": pa.array([], pa.large_binary()),
-                "freq_bytes": pa.array([], pa.large_binary()),
-                "bm25_sigma": pa.array([], pa.float64()),
-                "tfidf_sigma": pa.array([], pa.float64()),
-                "skip_last_docid": pa.array([], pa.list_(pa.uint64())),
-                "skip_bm25_ub": pa.array([], pa.list_(pa.float64())),
-                "skip_tfidf_ub": pa.array([], pa.list_(pa.float64())),
-                "skip_docid_off": pa.array([], pa.list_(pa.uint64())),
-                "skip_freq_off": pa.array([], pa.list_(pa.uint64())),
-            }
-        )
+        empty = SEGMENT_SCHEMA.empty_table()
         # the positional sidecar must exist (empty) for every
         # positional segment — its readers open it unconditionally
         pos = [pa.table({"term": pa.array([], pa.string()),
                          "pos_bytes": pa.array([], pa.large_binary())})]
-        return self._write_segment(seg, files, docid, doclen, [empty],
+        return self._write_segment(seg, key, files, docid, doclen, [empty],
                                    pos if self.cfg.positions else None, 0, {})
+
+
+def block_impacts(tf: np.ndarray, dl: np.ndarray, block_starts: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The impacts of contiguous posting blocks: per block, the (tf,
+    doclen) pairs that no other posting of the block beats on both —
+    higher-or-equal tf and shorter-or-equal doc. Both scorers rise with
+    tf and fall with doclen, so a block's best score under any
+    statistics is the best over its impacts (Lucene's competitive
+    impacts, read by its block-max WAND).
+
+    ``tf``/``dl`` are the postings' frequencies and doc lengths, and
+    ``block_starts`` the first posting of each block (ascending, the
+    blocks tile the arrays). Returns ``(n per block, tf, doclen)``, each
+    block's pairs in descending tf (so descending doclen).
+
+    No sort: each block owns one slot per tf rank up to its largest tf
+    (ranks over the distinct tfs of the whole call, from a
+    ``bincount``), laid out from the highest rank down; a scatter-min
+    keeps each slot's shortest doc, and a pair is an impact when every
+    earlier slot of its block holds a longer doc — a prefix minimum,
+    kept inside each block by adding ``nb - 1 - block`` above the 32
+    doclen bits (an earlier block's values are all larger)."""
+    nb = len(block_starts)
+    if nb == 0:
+        return (np.zeros(0, np.int64),) * 3
+    tf = np.asarray(tf, np.int64)
+    dl = np.asarray(dl, np.int64)
+    if int(dl.max()) >= 1 << 32:
+        raise ValueError(f"doclen {int(dl.max())} does not fit 32 bits")
+    seen = np.bincount(tf) > 0
+    tf_of_rank = np.flatnonzero(seen)
+    rank = (np.cumsum(seen) - 1)[tf]
+    width = np.maximum.reduceat(rank, block_starts) + 1
+    slot0 = np.concatenate(([0], np.cumsum(width)))
+    bias = np.arange(nb - 1, -1, -1, dtype=np.int64) << 32
+    block = np.repeat(np.arange(nb), np.diff(np.append(block_starts, len(tf))))
+    empty = np.iinfo(np.int64).max
+    table = np.full(int(slot0[-1]), empty, np.int64)
+    np.minimum.at(table, slot0[block + 1] - 1 - rank, dl + bias[block])
+    earlier = np.empty_like(table)
+    earlier[0] = empty
+    np.minimum.accumulate(table[:-1], out=earlier[1:])
+    imp = np.flatnonzero(table < earlier)
+    imp_block = np.searchsorted(slot0, imp, side="right") - 1
+    return (np.bincount(imp_block, minlength=nb),
+            tf_of_rank[slot0[imp_block + 1] - 1 - imp],
+            table[imp] - bias[imp_block])
 
 
 def _ranges(counts: np.ndarray) -> np.ndarray:
@@ -1487,21 +1432,11 @@ def read_segment_postings(seg_dir: str) -> dict:
 def read_global_term_df(
     index_dir: str, columns: list[str] | None = None
 ) -> pa.Table:
-    """Read the build's global lexicon (term → df, idf), term-sorted.
-
-    Stage 2 writes the lexicon term-hash-partitioned
-    (``global/term_df/part-K``); this helper reads every partition back
-    into one vocabulary-sized table. Serving and assembly read only the
-    per-segment ``global/seg_df/seg=N`` slices instead. Falls back to
-    the pre-fmt3 single-file layout."""
-    d = os.path.join(index_dir, "global", "term_df")
-    if os.path.isdir(d):
-        t = pads.dataset(d).to_table(columns=columns)
-    else:  # legacy single-file layout
-        t = pq.read_table(
-            os.path.join(index_dir, "global", "term_df.parquet"), columns=columns
-        )
-    return t.take(pc.sort_indices(t, sort_keys=[("term", "ascending")]))
+    """Read the build's global lexicon (term → df, idf): every
+    ``global/term_df/part-K`` partition, in partition order (each one
+    term-sorted), as one vocabulary-sized table."""
+    return pads.dataset(os.path.join(index_dir, "global", "term_df"),
+                        schema=TERM_DF_SCHEMA).to_table(columns=columns)
 
 
 def merge_segments(
@@ -1520,14 +1455,18 @@ def merge_segments(
     merging = re-encoding the source segments' decoded postings through
     the segment writer (:class:`AssembleSegment`, one term-range chunk
     at a time) — posting lists concatenate docid-sorted by
-    construction, and sigmas / block-max skip pointers are recomputed
-    for the merged lists. The merged index is self-contained, like a
+    construction, and skip blocks and their impacts are rebuilt for
+    the merged lists. The merged index is self-contained, like a
     reference segment: each group's doc index parts are copied into
-    ``out_dir/docs/seg=g/`` and ``global/`` into ``out_dir/global/``,
-    so it keeps serving the same answers after the source is rebuilt
-    or deleted. Deletes made on the source after a merge reach the
-    merged index when the merge is rerun (its finished segments are
-    kept; the tombstone file is re-synced).
+    ``out_dir/docs/seg=g/`` and ``global/`` into ``out_dir/global/``
+    (the merged segments hold the same docs, so the same lexicon), so
+    it keeps serving the same answers after the source is rebuilt or
+    deleted. A merged segment's lineage key covers its source
+    segments' keys, so a rerun keeps the finished segments of the same
+    groups, rebuilds the others and removes every segment outside the
+    new groups (a rerun at another ``group_size``). Deletes made on the
+    source after a merge reach the merged index when the merge is rerun
+    (the tombstone file is re-synced).
     """
     import time as _time
 
@@ -1535,9 +1474,10 @@ def merge_segments(
     with open(os.path.join(index_dir, "global", "metadata.json")) as f:
         meta = json.load(f)
     # Derive the merge cfg from the params the index was BUILT with
-    # (recorded in global/metadata.json) — re-encoding restarts or
-    # recomputing sigmas with different constants would silently corrupt
-    # the merged index. An explicitly-passed cfg must agree.
+    # (recorded in global/metadata.json) — decoding or re-encoding with
+    # another restart period would silently corrupt the merged index,
+    # and it keeps the BM25 constants the engine serves it with. An
+    # explicitly-passed cfg must agree.
     bp = meta.get("build_params")
     if bp is not None:
         from ..config import NormalizerProfile as _NP
@@ -1564,9 +1504,6 @@ def merge_segments(
 
     os.makedirs(out_dir, exist_ok=True)
     out_global = os.path.join(out_dir, "global")
-    # ":docs": a merged segment written when merged indexes still read
-    # the source's doc index is rebuilt, not reused
-    lineage_key = meta["lineage_key"] + f":merged{group_size}:docs"
     _wipe_on_lineage_change(out_dir, meta["lineage_key"])
     if not os.path.isdir(out_global):
         shutil.copytree(os.path.join(index_dir, "global"), out_global)
@@ -1598,12 +1535,24 @@ def merge_segments(
     for s in sorted(int(d.split("=")[1]) for d in os.listdir(src_docs)
                     if d.startswith("seg=")):
         groups.setdefault(s // group_size, []).append(s)
+    seg_keys = {g: _key("merged", [_manifest_key(os.path.join(index_dir, f"db_{s}"))
+                                   for s in srcs], _BUILD_FORMAT)
+                for g, srcs in groups.items()}
+    # a previous run at another group size left segments (and their doc
+    # index) outside the new groups: they would be served
+    out_docs = os.path.join(out_dir, "docs")
+    for name in os.listdir(out_dir):
+        if name.startswith("db_") and int(name[3:]) not in groups:
+            shutil.rmtree(os.path.join(out_dir, name))
+    if os.path.isdir(out_docs):
+        for name in os.listdir(out_docs):
+            if name.startswith("seg=") and int(name[4:]) not in groups:
+                shutil.rmtree(os.path.join(out_docs, name))
     # each merged segment's doc index: its sources' parts, renamed by
     # source segment (a shard spanning two segments wrote one part name
     # into both)
-    out_docs = os.path.join(out_dir, "docs")
     for g, srcs in groups.items():
-        if _manifest_key(os.path.join(out_dir, f"db_{g}")) == lineage_key:
+        if _manifest_key(os.path.join(out_dir, f"db_{g}")) == seg_keys[g]:
             continue
         d = os.path.join(out_docs, f"seg={g}")
         shutil.rmtree(d, ignore_errors=True)
@@ -1614,9 +1563,8 @@ def merge_segments(
     # One task per merged segment: the writer's term-range chunks bound
     # each task's working set (re-measured at 2M docs ×32: fully
     # parallel merges 4.0 s vs 33.6 s serialized, byte-identical output).
-    manifests = _assemble_stage(out_dir, out_docs, out_global, meta, cfg,
-                                lineage_key, False, src_dir=index_dir,
-                                groups=groups)
+    manifests = _assemble_stage(out_dir, out_docs, seg_keys, cfg, False,
+                                src_dir=index_dir, groups=groups)
 
     summary = {
         "n_docs": meta["n_docs"],
@@ -1671,9 +1619,9 @@ def _compact_segment(seg_dir: str, doc_files: list[str], tomb_ref,
                      new_base: int, cfg: BuildConfig, out_docs_dir: str) -> int:
     """Stage-A2 of compaction, on one decoded segment: drop the
     tombstoned docs and their postings, renumber docids densely from
-    ``new_base``, split at the NEW segment bounds and write doc index
-    parts, posting runs and ``_partials`` — the exact layout stage 1 of
-    a fresh build writes, so stages 2-3 run unchanged over it."""
+    ``new_base``, split at the NEW segment bounds and write posting
+    runs and doc index parts — the exact layout stage 1 of a fresh
+    build writes, so assembly and global stats run unchanged over it."""
     t = pads.dataset(doc_files).to_table(columns=["docid", "docno", "doclen"])
     t = t.take(pc.sort_indices(t, sort_keys=[("docid", "ascending")]))
     old, (base, n_docs) = _decode_segment(seg_dir, cfg.positions)
@@ -1705,25 +1653,25 @@ def compact_index(index_dir: str, out_dir: str, force: bool = False) -> dict:
     """PHYSICAL tombstone reclaim — the index lifecycle's fourth phase
     (build → delete → merge → compact). Produces at ``out_dir`` an
     index over only the ALIVE documents: postings dropped, docids
-    renumbered densely, df/idf/avgdl/n_docs/sigmas all recomputed — the
-    statistics that :mod:`tombstone` intentionally leaves stale finally
-    converge here. The output carries no tombstone file.
+    renumbered densely, df/avgdl/n_docs recomputed (and with them the
+    idf and bounds the engine derives at load) — the statistics that
+    :mod:`tombstone` intentionally leaves stale finally converge here.
+    The output carries no tombstone file.
 
     Equivalence contract: the result is BYTE-IDENTICAL to a fresh
     ``build_index`` over the alive corpus with the same config
     (pytest-pinned) — compaction IS that rebuild, minus its dominant
     cost: stage 1's per-byte tokenize never reruns because the segments
     already hold the postings; stage A decodes them into posting runs
-    and only the per-index stages (global stats + assembly) recompute,
-    exactly the append-incremental build's cost split. Beyond-reference:
+    and only assembly and global stats recompute. Beyond-reference:
     the C++ engine has no delete or reclaim path (its builder is
     one-shot, src/builder.cpp).
 
     Scale shape: stage A maps over segments (one counting pass over the
     doc index for dense renumber offsets — scalars to the driver — then
     one decode+filter+renumber+write pass per segment, each task writing
-    its own partitioned output); stages 2-3 are the build's own
-    machinery. The tombstone set is delete-sized and ray.put-broadcast
+    its own partitioned output); assembly and global stats are the
+    build's own machinery. The tombstone set is delete-sized and ray.put-broadcast
     once. Idempotent/resumable via the same stage markers as a build.
     Raises ``ValueError`` before writing ``out_dir`` when every document
     is tombstoned, and when a segment of the source is missing."""
@@ -1794,21 +1742,22 @@ def compact_index(index_dir: str, out_dir: str, force: bool = False) -> dict:
     stage_secs["compact_docs"] = _time.perf_counter() - t0
     _t = _time.perf_counter()
 
-    # ---- stages 2-3: the build's own machinery over the new docs ----
+    # ---- assembly and global stats: the build's own machinery ----
+    seg_keys = {s: _key(lineage_key, s) for s in
+                range((n_alive_total - 1) // cfg.docs_per_segment + 1)}
+    manifests = _assemble_stage(out_dir, out_docs, seg_keys, cfg, force)
+    shutil.rmtree(os.path.join(out_docs, RUNS_DIR), ignore_errors=True)
+    stage_secs["assemble"] = _time.perf_counter() - _t
+    _t = _time.perf_counter()
     marker2 = os.path.join(out_dir, "_global_done")
     if force or not _stage_marker(marker2, lineage_key):
-        _global_stage(out_docs, out_global, n_alive_total, cfg, lineage_key)
+        _global_stage([os.path.join(out_dir, f"db_{s}") for s in seg_keys],
+                      out_global, n_alive_total, cfg, lineage_key)
         with open(marker2, "w") as f:
             f.write(lineage_key)
     stage_secs["global_stats"] = _time.perf_counter() - _t
-    _t = _time.perf_counter()
     with open(os.path.join(out_global, "metadata.json")) as f:
         out_meta = json.load(f)
-    manifests = _assemble_stage(
-        out_dir, out_docs, out_global, out_meta, cfg, lineage_key, force
-    )
-    shutil.rmtree(os.path.join(out_docs, RUNS_DIR), ignore_errors=True)
-    stage_secs["assemble"] = _time.perf_counter() - _t
 
     summary = {
         "stage_secs": {k: round(v, 3) for k, v in stage_secs.items()},

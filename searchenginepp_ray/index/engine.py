@@ -40,6 +40,7 @@ import ray
 
 from ..config import BuildConfig, NormalizerProfile
 from ..normalizer.word_normalizer import normalize_tokens
+from .build import _BUILD_FORMAT, read_global_term_df
 from .searcher import SegmentSearcher
 
 
@@ -54,11 +55,32 @@ def list_segment_dirs(index_dir: str) -> list[str]:
     )
 
 
+def check_format(seg_dirs: list[str]) -> None:
+    """Refuse an index with a segment of another build format: there is
+    no compatibility reader, so serving or checking one would read
+    columns that are not there (or mean something else)."""
+    for d in seg_dirs:
+        try:
+            with open(os.path.join(d, "manifest.json")) as f:
+                fmt = json.load(f).get("format")
+        except (OSError, ValueError):
+            continue  # a missing or unreadable manifest fails on its own
+        if fmt != _BUILD_FORMAT:
+            raise ValueError(
+                f"{d} has build format {fmt!r}, this engine reads "
+                f"{_BUILD_FORMAT!r} only; rebuild the index with force=True")
+
+
 class SegmentGroupWorker:
     """Holds several SegmentSearchers; merges their per-query top-k."""
 
     def __init__(self, seg_dirs: list[str], **searcher_args):
-        self.searchers = [SegmentSearcher(d, **searcher_args) for d in seg_dirs]
+        # the global lexicon, read once per worker: each searcher looks
+        # its vocabulary up in it for idf
+        term_df = read_global_term_df(os.path.dirname(seg_dirs[0]),
+                                      ["term", "idf"]).combine_chunks()
+        self.searchers = [SegmentSearcher(d, term_df=term_df, **searcher_args)
+                          for d in seg_dirs]
 
     def query_batch(self, toks_batch, k, mode, scorer_name):
         # segment-major so each searcher's cross-query batch path
@@ -204,9 +226,9 @@ class QueryEngine:
                 "normalizer profile mismatch: index was built with a different "
                 "profile than the query engine is configured with"
             )
-        # BM25 constants are baked into the index's sigmas / block-max UBs
-        # at build time — score with the recorded ones, and refuse a cfg
-        # that silently disagrees (pruning bounds would be wrong).
+        # the index records the BM25 constants it was built for — score
+        # and compute the block bounds with them, and refuse a cfg that
+        # silently disagrees (it would rank with other constants).
         bp = self.meta.get("build_params")
         if bp is not None:
             if cfg_supplied and (
@@ -214,13 +236,14 @@ class QueryEngine:
             ):
                 raise ValueError(
                     "bm25 k1/b mismatch: the supplied cfg disagrees with the "
-                    "constants this index's sigmas/UBs were built with "
+                    "constants this index was built for "
                     f"(index: k1={bp['bm25_k1']} b={bp['bm25_b']})"
                 )
             k1_eff, b_eff = bp["bm25_k1"], bp["bm25_b"]
         else:
             k1_eff, b_eff = cfg.bm25_k1, cfg.bm25_b
         self.seg_dirs = list_segment_dirs(index_dir)
+        check_format(self.seg_dirs)
         args = dict(
             n_docs_global=self.meta["n_docs"],
             avgdl=self.meta["avgdl"],
@@ -362,7 +385,7 @@ class QueryEngine:
         """Dirichlet query-likelihood retrieval (beyond-reference scorer
         family): two scatter/gather phases. Phase 1 gathers global ctf
         for the batch's union of query terms (|terms| ints per worker —
-        the index bakes df/idf, not ctf). Phase 2 scatters the queries
+        the lexicon holds df/idf, not ctf). Phase 2 scatters the queries
         with the ctf map + the exact integer collection length from the
         global metadata; per-segment top-k merges like every other mode.
         Exact at any segment count: ctf and T are global, the candidate

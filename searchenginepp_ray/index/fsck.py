@@ -23,12 +23,19 @@ parallel scan of segment-sized units, never a driver loop):
   docid of each decoded block, and block-by-block decode concatenates
   to the full-list decode (the lazy query paths' load-bearing
   invariant).
+* impacts: the stored per-block (tf, doclen) impacts equal the impacts
+  recomputed from the decoded blocks — the searcher's block bounds and
+  sigmas are computed from them, so a wrong impact is a wrong bound.
 * tombstones (if present): sorted, unique.
 
-``deep=True`` adds the CROSS-segment check: every term's
-``df_global`` recorded in the segments equals the sum of its
-``df_local`` over all segments (one vectorized aggregation over the
-per-segment term tables — vocabulary-sized traffic, no text).
+``deep=True`` adds the CROSS-segment check: every term's ``df`` in
+``global/term_df`` equals the sum of its ``df_local`` over all
+segments, and every segment term is in ``global/term_df``
+(vocabulary-sized traffic, no text).
+
+An index whose segments record another build format is refused with
+``ValueError`` before any check runs (there is no compatibility
+reader).
 
 Returns a report dict; ``ok`` is False iff any check failed. The CLI
 (``fsck`` subcommand) prints the report as JSON and exits non-zero on
@@ -98,12 +105,14 @@ def _fsck_segment(seg_dir: str, deep: bool = False) -> dict:
     lo = s.base_docid
     hi = s.base_docid + s.n_docs_seg
     total_postings = 0
+    decoded = []
     for ti in range(len(terms)):
         try:
             docids, tfs = s.postings(ti)
         except Exception as e:  # noqa: BLE001
             err(f"term {terms[ti]!r}: postings undecodable: {e}")
             continue
+        decoded.append((docids, tfs))
         total_postings += len(docids)
         if len(docids) != int(s.df_local[ti]):
             err(f"term {terms[ti]!r}: decoded {len(docids)} postings, "
@@ -136,6 +145,13 @@ def _fsck_segment(seg_dir: str, deep: bool = False) -> dict:
     if total_postings != manifest["n_postings"]:
         err(f"Σ postings {total_postings} != manifest n_postings "
             f"{manifest['n_postings']}")
+    if len(decoded) == len(terms):  # an undecodable list is reported above
+        try:
+            msg = _impact_error(seg_dir, s, decoded)
+        except Exception as e:  # noqa: BLE001
+            msg = f"impacts unverifiable: {e!r}"
+        if msg:
+            err(msg)
 
     # --- positional sidecar (when the manifest declares one) ---
     if manifest.get("positions"):
@@ -172,17 +188,43 @@ def _fsck_segment(seg_dir: str, deep: bool = False) -> dict:
     }
     if deep:
         # vocabulary-sized payload ONLY in deep mode — a shallow fsck of
-        # a huge index must not funnel every term string to the driver.
-        # df_global isn't held by the searcher (it only needs idf) —
-        # read it straight from the term table for the cross-segment
-        # consistency check.
+        # a huge index must not funnel every term string to the driver
         out["terms"] = list(terms)
         out["df_local"] = s.df_local.astype(np.int64).tolist()
-        out["df_global"] = pq.read_table(
-            os.path.join(seg_dir, "terms.parquet"),
-            columns=["df_global"],
-        )["df_global"].to_numpy().astype(np.int64).tolist()
     return out
+
+
+def _impact_error(seg_dir: str, s, decoded) -> str | None:
+    """Compare the segment's stored impacts with the impacts of its
+    ``decoded`` (docids, tfs) lists cut into skip blocks; the first
+    block that differs, or None."""
+    from .build import _ranges, block_impacts
+
+    if not decoded:  # no terms, so no impact rows
+        return None
+    df = np.array([len(d) for d, _ in decoded], np.int64)
+    B = s.skip_block_size
+    nb = (df + B - 1) // B
+    starts = np.repeat(np.cumsum(df) - df, nb) + _ranges(nb) * B
+    docids = np.concatenate([d for d, _ in decoded])
+    dl = s.doclen[(docids - np.uint64(s.base_docid)).astype(np.int64)]
+    want = block_impacts(np.concatenate([t for _, t in decoded]), dl, starts)
+    t = pq.read_table(os.path.join(seg_dir, "terms.parquet"),
+                      columns=["impact_n", "impact_tf", "impact_doclen"])
+    got = [t[c].combine_chunks().values.to_numpy(zero_copy_only=False)
+           for c in t.column_names]
+    if len(got[0]) != len(want[0]):
+        return (f"impact_n has {len(got[0])} blocks, the decoded lists "
+                f"{len(want[0])}")
+    bad = np.flatnonzero(got[0] != want[0])
+    if not len(bad):  # same counts: compare the pairs, block by block
+        diff = np.flatnonzero((got[1] != want[1]) | (got[2] != want[2]))
+        bad = np.repeat(np.arange(len(want[0])), want[0])[diff]
+    if not len(bad):
+        return None
+    ti = int(np.searchsorted(np.cumsum(nb), bad[0], side="right"))
+    return (f"term {s.terms[ti]!r}: block {int(bad[0]) - int(nb[:ti].sum())} "
+            "impacts differ from its decoded postings")
 
 
 def fsck_index(index_dir: str, deep: bool = False) -> dict:
@@ -203,7 +245,7 @@ def fsck_index(index_dir: str, deep: bool = False) -> dict:
         report["errors"].append("global metadata missing n_docs")
         return report
 
-    from .engine import list_segment_dirs
+    from .engine import check_format, list_segment_dirs
 
     seg_dirs = list_segment_dirs(index_dir)
     if not seg_dirs:
@@ -211,37 +253,34 @@ def fsck_index(index_dir: str, deep: bool = False) -> dict:
         report["errors"].append("no segments")
         return report
 
+    check_format(seg_dirs)
     fsck_remote = ray.remote(num_cpus=1)(_fsck_segment)
     results = ray.get([fsck_remote.remote(d, deep) for d in seg_dirs])
 
     n_docs = 0
     df_sum: dict[str, int] = {}
-    df_global_seen: dict[str, int] = {}
     for r in results:
         for e in r["errors"]:
             report["errors"].append(f"{os.path.basename(r['seg_dir'])}: {e}")
         n_docs += r.get("n_docs", 0)
-        if deep and not r["errors"] and "terms" in r:
+        if deep and "terms" in r:
             for t, dl in zip(r["terms"], r["df_local"]):
                 df_sum[t] = df_sum.get(t, 0) + dl
-            if r.get("df_global"):
-                for t, dg in zip(r["terms"], r["df_global"]):
-                    prev = df_global_seen.setdefault(t, dg)
-                    if prev != dg:
-                        report["errors"].append(
-                            f"term {t!r}: df_global disagrees across "
-                            f"segments ({prev} vs {dg})")
 
     if n_docs != gmeta["n_docs"]:
         report["errors"].append(
             f"Σ segment docs {n_docs} != global n_docs {gmeta['n_docs']}")
 
     if deep:
-        for t, dg in df_global_seen.items():
-            if df_sum.get(t) != dg:
-                report["errors"].append(
-                    f"term {t!r}: df_global {dg} != Σ df_local "
-                    f"{df_sum.get(t)}")
+        from .build import read_global_term_df
+
+        g = read_global_term_df(index_dir, ["term", "df"])
+        gdf = dict(zip(g["term"].to_pylist(), g["df"].to_pylist()))
+        bad = [f"term {t!r}: global df {gdf.get(t)} != Σ df_local "
+               f"{df_sum.get(t, 0)}"
+               for t in sorted(gdf.keys() | df_sum.keys())
+               if gdf.get(t) != df_sum.get(t, 0)]
+        report["errors"].extend(bad[:50])
 
     tomb = os.path.join(index_dir, "global", "tombstones.parquet")
     if os.path.exists(tomb):

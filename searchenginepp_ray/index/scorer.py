@@ -9,9 +9,10 @@ Semantics pinned to the reference:
   (reference src/index/query_scorer.cpp:47-57).
 - BM25: tf / (k1*((1-b) + b*dl/avgdl) + tf) * idf with k1=0.82, b=0.68
   (reference src/index/query_scorer.cpp:123-126, query_scorer.hpp:65).
-- Sigma / block upper bounds are quantized on disk as
-  ``uint64(score * 100)`` and dequantized ``/ 100.0``
-  (reference src/index/types.hpp:93, 120-131, 153-165).
+- Sigma / block upper bounds are quantized as ``uint64(score * 100)``
+  and dequantized ``/ 100.0``, as the reference stores them on disk
+  (reference src/index/types.hpp:93, 120-131, 153-165); the searcher
+  computes them at load from each block's impacts.
 """
 
 from __future__ import annotations
@@ -44,11 +45,6 @@ class TfidfScorer:
         tf = np.asarray(tf, dtype=np.float64)
         return np.where(tf == 0, 0.0, (1.0 + np.log2(np.maximum(tf, 1))) * term_idf)
 
-    def sigma_of(self, seg_term_row):
-        return seg_term_row["tfidf_sigma"]
-
-    block_ub_col = "skip_tfidf_ub"
-
 
 class Bm25Scorer:
     #: every per-posting contribution is >= 0 (idf = log2(N/df) >= 0,
@@ -71,14 +67,10 @@ class Bm25Scorer:
         dl = np.asarray(dl, dtype=np.float64)
         return tf / (self.k1 * ((1.0 - self.b) + self.b * dl / avgdl) + tf) * term_idf
 
-    def sigma_of(self, seg_term_row):
-        return seg_term_row["bm25_sigma"]
-
-    block_ub_col = "skip_bm25_ub"
-
 
 def quantize_scores(scores: np.ndarray) -> np.ndarray:
-    """uint64(score * 100) — the on-disk representation of upper bounds."""
+    """uint64(score * 100) — the reference's on-disk representation of
+    upper bounds."""
     return (np.asarray(scores, dtype=np.float64) * FIXED_POINT_FACTOR).astype(np.uint64)
 
 
@@ -98,13 +90,12 @@ class TfidfFastLogScorer:
     equivalent of the MSB trick is the exact float exponent
     (``frexp`` exponent − 1), bit-exact for any uint tf < 2^53.
 
-    Safe with the stored (standard-log) sigmas/block UBs: floor(log2 tf)
+    Safe with the (standard-log) TF-IDF sigmas/block UBs: floor(log2 tf)
     ≤ log2 tf, so standard bounds over-estimate and pruning stays sound.
     """
 
     name = "tfidf_fast"
     needs_doc_metadata = False
-    block_ub_col = "skip_tfidf_ub"
 
     @property
     def cache_key(self) -> tuple:
@@ -114,9 +105,6 @@ class TfidfFastLogScorer:
         tf = np.asarray(tf, dtype=np.float64)
         _, exp = np.frexp(np.maximum(tf, 1))
         return np.where(tf == 0, 0.0, exp.astype(np.float64) * term_idf)
-
-    def sigma_of(self, seg_term_row):
-        return seg_term_row["tfidf_sigma"]
 
 
 def make_scorer(name: str, k1: float = BM25_K1, b: float = BM25_B):

@@ -48,7 +48,8 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from ..codecs import unary, varbyte
-from .scorer import Bm25Scorer, make_scorer
+from .scorer import (Bm25Scorer, TfidfScorer, dequantize_scores,
+                     make_scorer, quantize_scores)
 
 
 def _np_offsets(binary_arr) -> tuple[np.ndarray, np.ndarray]:
@@ -72,6 +73,7 @@ class SegmentSearcher:
         cache_terms: int = 8192,
         prewarm_df: int | None = 5000,
         tombstones: list[str] | None = None,
+        term_df: pa.Table | None = None,
     ):
         self.seg_dir = seg_dir
         with open(os.path.join(seg_dir, "manifest.json")) as f:
@@ -79,15 +81,12 @@ class SegmentSearcher:
         t = pq.read_table(os.path.join(seg_dir, "terms.parquet"))
         self.terms = t["term"].to_pylist()
         self.term_index = {term: i for i, term in enumerate(self.terms)}
-        self.idf = t["idf"].to_numpy()
         self.df_local = t["df_local"].to_numpy()
-        self.bm25_sigma = t["bm25_sigma"].to_numpy()
-        self.tfidf_sigma = t["tfidf_sigma"].to_numpy()
         self._docid_offs, self._docid_vals = _np_offsets(t["docid_bytes"])
         self._freq_offs, self._freq_vals = _np_offsets(t["freq_bytes"])
         skips = t.select(
-            ["skip_last_docid", "skip_bm25_ub", "skip_tfidf_ub",
-             "skip_docid_off", "skip_freq_off"]
+            ["skip_last_docid", "skip_docid_off", "skip_freq_off",
+             "impact_n", "impact_tf", "impact_doclen"]
         ).combine_chunks()
 
         # flatten the per-term skip lists to (values, offsets) numpy pairs
@@ -98,10 +97,37 @@ class SegmentSearcher:
             return arr.values.to_numpy(zero_copy_only=False), np.asarray(arr.offsets)
 
         self._skip_last_v, self._skip_offs = _flat(skips["skip_last_docid"])
-        self._skip_bm25_v, _ = _flat(skips["skip_bm25_ub"])
-        self._skip_tfidf_v, _ = _flat(skips["skip_tfidf_ub"])
         self._skip_docid_off_v, _ = _flat(skips["skip_docid_off"])
         self._skip_freq_off_v, _ = _flat(skips["skip_freq_off"])
+        impacts = [_flat(skips[c])[0]
+                   for c in ("impact_n", "impact_tf", "impact_doclen")]
+
+        # The segment stores nothing computed from the collection: idf
+        # comes from the global lexicon (one hash probe of the segment
+        # vocabulary), and each block's bound is the best score over its
+        # impacts under the statistics served with — the value the build
+        # once stored, bit for bit (same scorer arithmetic, same
+        # quantization).
+        if term_df is None:
+            from .build import read_global_term_df
+
+            term_df = read_global_term_df(os.path.dirname(seg_dir),
+                                          ["term", "idf"])
+        gidx = pc.index_in(t["term"], value_set=term_df["term"])
+        if gidx.null_count:
+            missing = t["term"].filter(pc.is_null(gidx))
+            raise ValueError(
+                f"{seg_dir}: {len(missing)} segment term(s) missing from the "
+                f"global lexicon, e.g. {missing[0].as_py()!r}; rebuild the "
+                "index")
+        self.idf = term_df["idf"].to_numpy()[gidx.to_numpy()]
+        self._skip_bm25_v, self._skip_tfidf_v = self._block_bounds(
+            *impacts, Bm25Scorer(k1, b), avgdl)
+        term_blocks = self._skip_offs[:-1]
+        self.bm25_sigma = (np.maximum.reduceat(self._skip_bm25_v, term_blocks)
+                           if len(term_blocks) else np.zeros(0))
+        self.tfidf_sigma = (np.maximum.reduceat(self._skip_tfidf_v, term_blocks)
+                            if len(term_blocks) else np.zeros(0))
         # Only the dgap-blockrestart encoding exists on disk (pre-dgap
         # indexes lack the skip_*_off columns selected above, so they can
         # never reach this point anyway — the legacy branch was dead code).
@@ -195,6 +221,23 @@ class SegmentSearcher:
             hot = np.flatnonzero(self.df_local >= prewarm_df)
             for ti in hot[: cache_terms // 2]:
                 self.postings(int(ti))
+
+    def _block_bounds(self, n_imp: np.ndarray, tf: np.ndarray, dl: np.ndarray,
+                      bm25: Bm25Scorer, avgdl: float
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """Per skip block, the quantized BM25 and TF-IDF bound: the
+        best score over the block's ``n_imp`` impacts ``(tf, dl)``. Both
+        scorers rise with tf and fall with doclen, so that is the best
+        over the block."""
+        if len(n_imp) == 0:
+            return np.zeros(0), np.zeros(0)
+        n_imp = n_imp.astype(np.int64)
+        block_term = np.repeat(np.arange(len(self.idf)), np.diff(self._skip_offs))
+        idf = np.repeat(self.idf[block_term], n_imp)
+        first = np.cumsum(n_imp) - n_imp
+        q, dq = quantize_scores, dequantize_scores
+        return (dq(q(np.maximum.reduceat(bm25.score(tf, idf, dl, avgdl), first))),
+                dq(q(np.maximum.reduceat(TfidfScorer().score(tf, idf), first))))
 
     # ---------- posting access ----------
 
@@ -431,7 +474,7 @@ class SegmentSearcher:
     def term_ctf_batch(self, terms: list[str]) -> dict[str, int]:
         """Per-term collection frequency WITHIN this segment (Σ tf over
         the term's postings) — phase 1 of Dirichlet query-likelihood
-        serving. The index bakes df/idf but not ctf (the reference's
+        serving. The lexicon holds df/idf but not ctf (the reference's
         lexicon has no LM scorer either), so ctf for the handful of
         query terms is derived from the postings at query time; the
         driver sums the per-segment values into global ctf. Traffic is

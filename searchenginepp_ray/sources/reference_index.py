@@ -32,22 +32,24 @@ bytes incl. NUL, values); the NUL-joined head strings sit at
 ``offset_heads``.
 
 The importer re-encodes postings into this engine's segment layout
-(delta-gap VarByte with block restarts, per-term unary, sigmas/skips
-recomputed by the build's own segment writer, ``AssembleSegment``), bakes
-idf = log2(N/df) from the reference's global lexicon, and writes the
-``global/`` state the serving stack expects plus ``docs/``, the
-document index ``(docid, docno, doclen)`` — the reference's
-``document_index``. The postings are kept in the segments only; merge
-and compaction decode them from there, as for a native build. Sigma/skip
-values from the reference file are deliberately IGNORED — they are
-2-decimal quantized on disk, whereas this engine recomputes exact
-bounds; ranks are unaffected (upper bounds only gate pruning).
+(delta-gap VarByte with block restarts, per-term unary, skip blocks and
+their impacts built by the build's own segment writer,
+``AssembleSegment``), writes the reference's global lexicon as
+``global/term_df`` (df and idf = log2(N/df)) through the build's global
+stage writer, and writes the ``global/`` metadata the serving stack
+expects plus ``docs/``, the document index ``(docid, docno, doclen)`` —
+the reference's ``document_index``. The postings are kept in the
+segments only; merge and compaction decode them from there, as for a
+native build. Sigma/skip values from the reference file are
+deliberately IGNORED — the engine computes its bounds at load from the
+impacts; ranks are unaffected (upper bounds only gate pruning).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -162,8 +164,9 @@ def import_reference_index(
     ``profile`` must name the normalizer the REFERENCE index was built
     with (it only affects query-time tokenization — the postings are
     taken verbatim)."""
-    from ..index.build import (DOCS_SCHEMA, AssembleSegment, _Postings,
-                               _SortedPostings)
+    from ..index.build import (DOCS_SCHEMA, AssembleSegment, _key, _Postings,
+                               _SortedPostings, _write_term_df)
+    from ..index.hash_partition import _shuffle_width
 
     cfg = cfg or BuildConfig(profile=profile)
     if cfg.positions:
@@ -176,7 +179,6 @@ def import_reference_index(
         gl = parse_disk_map(f.read(), 1)
     g_terms = pa.array([t for t, _ in gl], pa.string())
     g_df = np.asarray([v[0] for _, v in gl], dtype=np.int64)
-    g_idf = np.log2(np.float64(n_docs) / g_df.astype(np.float64))
     avgdl = sum_doclen / n_docs
 
     seg_ids = sorted(
@@ -185,11 +187,7 @@ def import_reference_index(
     )
     lineage_key = f"ref-import:{os.path.abspath(ref_dir)}"
 
-    assemble = AssembleSegment(
-        out_dir=out_dir, docs_dir=None, cfg=cfg, n_docs=n_docs,
-        avgdl=avgdl, global_dir=None, lineage_key=lineage_key, force=True,
-    )
-    assemble._terms, assemble._df, assemble._idf = g_terms, g_df, g_idf
+    assemble = AssembleSegment(out_dir=out_dir, docs_dir=None, cfg=cfg)
 
     docs_root = os.path.join(out_dir, "docs")
     n_postings_total = 0
@@ -242,38 +240,30 @@ def import_reference_index(
             "doclen": pa.array(dl_arr.astype(np.uint64)),
         }, schema=DOCS_SCHEMA), doc_file)
 
-        # the build's segment writer: identical chunked encode and
-        # sigma/skip construction to a native build (block restarts,
-        # exact upper bounds)
+        # every segment term needs a global df row: the engine takes
+        # each term's idf from the lexicon
+        missing = pc.is_null(pc.index_in(uniq_terms, value_set=g_terms))
+        if pc.any(missing).as_py():
+            raise ValueError(
+                f"{d}: lexicon term {uniq_terms.filter(missing)[0].as_py()!r} "
+                "is not in the global lexicon")
+
+        # the build's segment writer: identical chunked encode, skip
+        # blocks and impacts to a native build
         manifest = assemble._write_chunks(
-            seg, [doc_file], docids_arr, dl_arr.astype(np.uint64),
-            uniq_terms, [_SortedPostings(_Postings(codes_s, docid_s, tf_s, None),
-                                         len(uniq_terms))], {})
+            seg, _key(lineage_key, seg), [doc_file], docids_arr,
+            dl_arr.astype(np.uint64), uniq_terms,
+            [_SortedPostings(_Postings(codes_s, docid_s, tf_s, None),
+                             len(uniq_terms))], {})
         n_postings_total += manifest["n_postings"]
 
-        # per-segment global-df semi-join slice — what the segment
-        # writer reads (_load_global_for) when merge_segments re-encodes
-        # these segments from its copy of global/; without it a
-        # post-import merge would refuse every term (the encode above
-        # already refused any term missing from g_terms)
-        gidx = pc.index_in(uniq_terms, value_set=g_terms).to_numpy()
-        seg_df_dir = os.path.join(out_dir, "global", "seg_df", f"seg={seg}")
-        os.makedirs(seg_df_dir, exist_ok=True)
-        pq.write_table(pa.table({
-            "term": uniq_terms,
-            "df": pa.array(g_df[gidx]),
-            "idf": pa.array(g_idf[gidx]),
-        }), os.path.join(seg_df_dir, "terms.parquet"))
-
-    # global state: legacy single-file term_df (read_global_term_df
-    # supports it) + the metadata the engine loads at init
+    # global state: the partitioned lexicon, through the build's
+    # global-stats writer, and the metadata the engine loads at init
     gdir = os.path.join(out_dir, "global")
-    os.makedirs(gdir, exist_ok=True)
-    pq.write_table(pa.table({
-        "term": g_terms,
-        "df": pa.array(g_df),
-        "idf": pa.array(g_idf),
-    }), os.path.join(gdir, "term_df.parquet"))
+    shutil.rmtree(os.path.join(gdir, "term_df"), ignore_errors=True)
+    os.makedirs(os.path.join(gdir, "term_df"))
+    _write_term_df(os.path.join(gdir, "term_df"), g_terms, g_df, n_docs,
+                   _shuffle_width())
     meta = {
         "n_docs": int(n_docs),
         "sum_doclen": int(sum_doclen),

@@ -3,15 +3,16 @@
 Every build artifact carries provenance:
 
 - stage markers (``_docs_done`` / ``_docs_wip`` / ``_global_done``) keyed
-  by the lineage hash of (input shard layout + build params);
+  by the lineage hash of (input shard layout + build params + format);
 - per-segment ``manifest.json`` (segment id, docid range, row/term/posting
-  counts, source files, encodings, profile/params ids, per-phase timings);
+  counts, source files, encodings, profile/params ids, build format, the
+  segment's own lineage key, per-phase timings);
 - ``global/metadata.json`` (collection stats + normalizer profile flags).
 
 :func:`index_report` aggregates them into one metrics frame — the
 "per-partition lineage + metrics" surface of the north rule; a resumed
 run consults exactly these records to skip finished work
-(see ``index.build``: stage markers, per-shard partials, per-segment
+(see ``index.build``: stage markers, per-shard doc parts, per-segment
 manifest short-circuit).
 """
 
@@ -21,6 +22,8 @@ import json
 import os
 
 import pandas as pd
+
+from ..index.build import _BUILD_FORMAT
 
 
 def read_manifests(index_dir: str) -> list[dict]:
@@ -70,9 +73,9 @@ def verify_lineage(index_dir: str) -> dict:
         problems.append("sum(segment n_docs) != metadata n_docs")
     if sum(m["sum_doclen"] for m in ms) != meta["sum_doclen"]:
         problems.append("sum(segment doclen) != metadata sum_doclen")
-    keys = {m["lineage_key"] for m in ms}
-    if len(keys) > 1:
-        problems.append(f"mixed lineage keys across segments: {keys}")
+    formats = {m.get("format") for m in ms}
+    if ms and formats != {_BUILD_FORMAT}:
+        problems.append(f"segment build formats {formats} != {_BUILD_FORMAT!r}")
     profiles = {m["profile_id"] for m in ms}
     if profiles and profiles != {meta["profile_id"]}:
         problems.append("segment profile differs from metadata profile")

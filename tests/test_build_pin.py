@@ -1,23 +1,35 @@
-"""Content pin of the per-index build stages (global stats + assemble).
+"""Content pin of the per-index build stages (assemble + global stats).
 
 A small corpus is built plain and positional over three segments with a
 skip-block size small enough that common terms span many blocks, then
-appended to, tombstoned + compacted, and merged. The column values of
-every ``db_*/terms.parquet``, ``db_*/positions.parquet`` and ``global/``
-Parquet table are hashed with schema metadata stripped (so the pin does
-not depend on the Parquet writer's version or on who wrote the schema)
-and compared with digests recorded from an earlier implementation of
-the kernels: a rewrite of build stages 2-3 must reproduce every value.
+appended to, tombstoned + compacted, and merged. Pins per phase:
 
+- ``KEPT``: the segment columns that stayed when segments stopped
+  storing collection statistics (``term``, ``df_local``, the docid and
+  freq streams, the three skip lists) and ``positions.parquet`` —
+  recorded from the build that still stored them;
+- ``DROPPED``: per column, the idf, df_global, sigmas and block bounds
+  that build stored. The searcher now computes them at load (idf from
+  ``global/term_df``, bounds from the stored impacts) and must hash to
+  the same digests, so its arrays equal the stored ones bit for bit;
+- ``FMT5``: every ``db_*`` and ``global/`` Parquet table of the current
+  format, and ``TERM_DF`` the ``global/term_df`` tables alone (which
+  equal the earlier build's).
+
+Tables are hashed with schema metadata stripped (so the pin does not
+depend on the Parquet writer's version or on who wrote the schema).
 The ``global/term_df/part-K`` names depend on the term-hash width, which
 follows the session's CPU count (``tests/conftest.py`` starts Ray with 4).
 """
 
 import hashlib
+import json
 import os
 import shutil
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -26,7 +38,10 @@ from searchenginepp_ray.index.build import (
     build_index,
     compact_index,
     merge_segments,
+    read_global_term_df,
 )
+from searchenginepp_ray.index.engine import QueryEngine, list_segment_dirs
+from searchenginepp_ray.index.searcher import SegmentSearcher
 from searchenginepp_ray.index.tombstone import delete_docs
 from searchenginepp_ray.sources.corpus_gen import docno_of, generate_corpus
 
@@ -39,25 +54,141 @@ _EXTRA = [
     "ünïcödé ñandú ñandú ß straße 東京",
 ]
 
-#: sha256 per phase over the stripped tables of that index, recorded
-#: from the pandas/object-array kernels the Arrow kernels replaced
-PINNED = {
-    ("plain", "build"):
-        "452174fe59630f572297a906331399828472ee348022adc8598ad354a6be101a",
+#: the columns segments no longer store
+DROPPED_COLUMNS = ["df_global", "idf", "bm25_sigma", "tfidf_sigma",
+                   "skip_bm25_ub", "skip_tfidf_ub"]
+
+#: the kept segment columns, and the positional sidecar
+KEPT_COLUMNS = ["term", "df_local", "docid_bytes", "freq_bytes",
+                "skip_last_docid", "skip_docid_off", "skip_freq_off"]
+
+#: sha256 per phase of the kept columns, recorded from the build
+#: that stored the collection statistics in the segments
+KEPT = {
     ("plain", "append"):
-        "49c632f580e67fc061b7eb50de1acda6ffaaad56d2d81334638a5a28a8e089bd",
+        "660fa98f2fd94e8f05458bf2006ca88808fe59f85b7a328acf22eb6bb08ae628",
+    ("plain", "build"):
+        "0cf7567178ba68bd775a84fbc3c2d338bc7cfbd88c771e1ea28822a96a724fc8",
     ("plain", "compact"):
-        "d1bab47714c24fe9cbc8624b6ec92137e9487f4a897445f655d589f0e15bb1de",
+        "081209205cfb8cb9d7262c7acda67cf6d6ef7d790cb5479ff6f3c55d056db3de",
     ("plain", "merge"):
-        "8ee4e197d2ccf299260867382fe5d1b4c13fd58b702e64acb1cfea95cfb1e756",
-    ("positions", "build"):
-        "fad4043221d33030992226d307906e145728ecf60231caa5a798b3369dd6a29a",
+        "0623fe14c7d03e1077dc1ef81fbc5677bb5da64a410d5ceb13fd2f28968ab1de",
     ("positions", "append"):
-        "416ea66e992553dab86240c043d1098bdb9a3316b55281614110eca788d7e059",
+        "db00b363538758566ced219ce2bc490da546618a56e8823438e3a11dc961bc62",
+    ("positions", "build"):
+        "b1dfec0924b14cc2bb3adceb08505721b4b1046f86964c8839e3a70d82913cf9",
     ("positions", "compact"):
-        "7ffc25b7077cb40e48f9e72f6e21a2bc182d3871dec1b0ec28b9cc2ff28c8a66",
+        "697d6495b75071c6780f31cef6811620ee6b09b219fff228464b2babdb77275c",
     ("positions", "merge"):
-        "c2e89a7d15aefebb9c9fc38dd4d241bcd8c1b96f455fc26ee465ebcb5286f4cb",
+        "ebf02d63e5e4689b37c56dc8f0563b93b6a70fa1f05d53fb436fe428c7b95358",
+}
+
+#: sha256 per phase and dropped column, recorded from the same build
+DROPPED = {
+    ("plain", "append"): {
+        "df_global": "9d732ae4cfdb651fc393bea7344343cbcc92745f68c5f9dc8dc1c3466a9d70ef",
+        "idf": "34959af1f27d53608b1e1767c8aee826e9ba5454f41fb492edb8bf01e79a97e8",
+        "bm25_sigma": "2377425f1a2e809a32c5a09132a1310517fef7fc3387b0170e8e76347a7cceb4",
+        "tfidf_sigma": "ff3b5db60c00fabc74a59df96b7f43023053765eb1ff8e833a1d6cfdf3573780",
+        "skip_bm25_ub": "bf9801e281d5f0f68b40d7db740e9721d7f3b88cc1a15369c102d8d36ee162bd",
+        "skip_tfidf_ub": "8d431dfcb79802f116e517175f6f32ae6d3ba9ca5609df874fecade922d48a6c",
+    },
+    ("plain", "build"): {
+        "df_global": "215bff911f0d7799486b6ced76deb27e133932288675466352f9d57d0708f3e0",
+        "idf": "c851a5618bd2c99bc15a09e32803562701ca70dc2d29723d8f595a17c4025dee",
+        "bm25_sigma": "31f7d669149e538eb1f9fdb1d80cb9567e92c43fc1f41364a50000c44fca7ede",
+        "tfidf_sigma": "1fba1dd81ef499136a6537b478dd16887fc0901e17ceaa65e77d504d3dec1045",
+        "skip_bm25_ub": "6b13df9864495721c2e265ff5b93c0da53b4271f1827e8c7b9c77dc360834351",
+        "skip_tfidf_ub": "91d52abdcaa5b69bad2d02eea61b52d58c4b507dc8902a6ee649ca9e3947c40f",
+    },
+    ("plain", "compact"): {
+        "df_global": "2cd28ce99415d24d12879a78358a52f106eb8db49f53e3b866d12376577b6d25",
+        "idf": "2f8020ec6ca83228d94d28e38afde21917303d1e58282f46f2b755802dea193f",
+        "bm25_sigma": "f6e9f82d947d9116a7cf7597b235dc63faed836ea738db8a48a9f5517034bdd8",
+        "tfidf_sigma": "f87c71f66af4647ef9bb3f19e3b88e6929ea9dcf380eefb0f1c51350d7a1bff3",
+        "skip_bm25_ub": "f1abb8bd6f1b83f753a387759543e1d38d7e574ac789757c7bc02fee49c4d260",
+        "skip_tfidf_ub": "ea297b2bf224cfbb1e9da28691ec2989fff9fa78b6bb94471640ce096881ffd9",
+    },
+    ("plain", "merge"): {
+        "df_global": "18d69b6b10195b5d57b0d691faa3ebd5595067edadea70afff52205de0dbd6d5",
+        "idf": "a53ca489aed9ec0fd0ecf99b7511a78d7763ce7acd394fd3174459322c34d494",
+        "bm25_sigma": "aa1b0adabb692c1f8bf5fefcc95768b95a5a9da6f144c30b680061ee37ae7cc6",
+        "tfidf_sigma": "74decc99ad9592fafcca7e3d3152e51c1fdbe9197fd775d8e1059bd1d2381bdf",
+        "skip_bm25_ub": "43bbe1a70b4c3019e7cda599380dd6afaf82aef0eea8ea6317b18ab69220f7ed",
+        "skip_tfidf_ub": "63fda85ea50ff45d45626df21019f2571e354cb328b069d58681bba6f60c63f8",
+    },
+    ("positions", "append"): {
+        "df_global": "9d732ae4cfdb651fc393bea7344343cbcc92745f68c5f9dc8dc1c3466a9d70ef",
+        "idf": "34959af1f27d53608b1e1767c8aee826e9ba5454f41fb492edb8bf01e79a97e8",
+        "bm25_sigma": "2377425f1a2e809a32c5a09132a1310517fef7fc3387b0170e8e76347a7cceb4",
+        "tfidf_sigma": "ff3b5db60c00fabc74a59df96b7f43023053765eb1ff8e833a1d6cfdf3573780",
+        "skip_bm25_ub": "bf9801e281d5f0f68b40d7db740e9721d7f3b88cc1a15369c102d8d36ee162bd",
+        "skip_tfidf_ub": "8d431dfcb79802f116e517175f6f32ae6d3ba9ca5609df874fecade922d48a6c",
+    },
+    ("positions", "build"): {
+        "df_global": "215bff911f0d7799486b6ced76deb27e133932288675466352f9d57d0708f3e0",
+        "idf": "c851a5618bd2c99bc15a09e32803562701ca70dc2d29723d8f595a17c4025dee",
+        "bm25_sigma": "31f7d669149e538eb1f9fdb1d80cb9567e92c43fc1f41364a50000c44fca7ede",
+        "tfidf_sigma": "1fba1dd81ef499136a6537b478dd16887fc0901e17ceaa65e77d504d3dec1045",
+        "skip_bm25_ub": "6b13df9864495721c2e265ff5b93c0da53b4271f1827e8c7b9c77dc360834351",
+        "skip_tfidf_ub": "91d52abdcaa5b69bad2d02eea61b52d58c4b507dc8902a6ee649ca9e3947c40f",
+    },
+    ("positions", "compact"): {
+        "df_global": "2cd28ce99415d24d12879a78358a52f106eb8db49f53e3b866d12376577b6d25",
+        "idf": "2f8020ec6ca83228d94d28e38afde21917303d1e58282f46f2b755802dea193f",
+        "bm25_sigma": "f6e9f82d947d9116a7cf7597b235dc63faed836ea738db8a48a9f5517034bdd8",
+        "tfidf_sigma": "f87c71f66af4647ef9bb3f19e3b88e6929ea9dcf380eefb0f1c51350d7a1bff3",
+        "skip_bm25_ub": "f1abb8bd6f1b83f753a387759543e1d38d7e574ac789757c7bc02fee49c4d260",
+        "skip_tfidf_ub": "ea297b2bf224cfbb1e9da28691ec2989fff9fa78b6bb94471640ce096881ffd9",
+    },
+    ("positions", "merge"): {
+        "df_global": "18d69b6b10195b5d57b0d691faa3ebd5595067edadea70afff52205de0dbd6d5",
+        "idf": "a53ca489aed9ec0fd0ecf99b7511a78d7763ce7acd394fd3174459322c34d494",
+        "bm25_sigma": "aa1b0adabb692c1f8bf5fefcc95768b95a5a9da6f144c30b680061ee37ae7cc6",
+        "tfidf_sigma": "74decc99ad9592fafcca7e3d3152e51c1fdbe9197fd775d8e1059bd1d2381bdf",
+        "skip_bm25_ub": "43bbe1a70b4c3019e7cda599380dd6afaf82aef0eea8ea6317b18ab69220f7ed",
+        "skip_tfidf_ub": "63fda85ea50ff45d45626df21019f2571e354cb328b069d58681bba6f60c63f8",
+    },
+}
+
+#: sha256 per phase of the ``global/term_df`` tables
+TERM_DF = {
+    ("plain", "append"):
+        "3db32d27809895bc726d74e1de0a7d7a9f4f9b5a49193eb22f78eecb1d0b0a91",
+    ("plain", "build"):
+        "da61db2fa9e78b2eec83437763d4a9ba4bfcc5961ef5b9c8aec8ac579fa7a0e8",
+    ("plain", "compact"):
+        "5e606c3af6ca2b7a8552a3bb47ad69e68d32319b1d7136b4b03d8737f6b2e975",
+    ("plain", "merge"):
+        "3db32d27809895bc726d74e1de0a7d7a9f4f9b5a49193eb22f78eecb1d0b0a91",
+    ("positions", "append"):
+        "3db32d27809895bc726d74e1de0a7d7a9f4f9b5a49193eb22f78eecb1d0b0a91",
+    ("positions", "build"):
+        "da61db2fa9e78b2eec83437763d4a9ba4bfcc5961ef5b9c8aec8ac579fa7a0e8",
+    ("positions", "compact"):
+        "5e606c3af6ca2b7a8552a3bb47ad69e68d32319b1d7136b4b03d8737f6b2e975",
+    ("positions", "merge"):
+        "3db32d27809895bc726d74e1de0a7d7a9f4f9b5a49193eb22f78eecb1d0b0a91",
+}
+
+#: sha256 per phase over every ``db_*`` and ``global/`` table (fmt5)
+FMT5 = {
+    ("plain", "append"):
+        "8c5bbc7dd6780e47f7da1b611332eff4a50e85a4830e5bd5eca12bf83a4abca2",
+    ("plain", "build"):
+        "264d8181bf8d08ad45ffbabeb8800fb771f14395b690a803411767865dc73847",
+    ("plain", "compact"):
+        "706e590fedba6bd77dab0b0455623cf63580a7611739d80fd281163036421b8d",
+    ("plain", "merge"):
+        "d99148939651af9c31d573385825558f8133e283bba8e100fed54faff0b6331c",
+    ("positions", "append"):
+        "062b72838182b53ed1e62cb6ad75f7e46cb1b33cbee5a30659c6d7f3b0d33e01",
+    ("positions", "build"):
+        "84615cd706f9ba43c09e4bd38d790cb4ca16938845762dab3de69e397f21f732",
+    ("positions", "compact"):
+        "3aafa108af2f0605f028bbce9aa254949bd8ad6e15fee1069e95bdfb0da33b5e",
+    ("positions", "merge"):
+        "aa7aac85de6d1ee0b280a23204193170b006b23aee39d5396602a0191d2d3549",
 }
 
 
@@ -75,8 +206,8 @@ def _corpus() -> pa.Table:
                              t.slice(400)])
 
 
-def _table_digest(path: str) -> str:
-    t = pq.read_table(path).replace_schema_metadata(None)
+def _table_digest(t: pa.Table) -> str:
+    t = t.replace_schema_metadata(None)
     h = hashlib.sha256()
     for field, col in zip(t.schema, t.columns):
         h.update(f"{field.name}:{field.type}\n".encode())
@@ -97,8 +228,67 @@ def _index_digest(idx: str) -> str:
         for fn in sorted(files):
             if fn.endswith(".parquet"):
                 h.update(os.path.join(rel, fn).encode())
-                h.update(_table_digest(os.path.join(dirpath, fn)).encode())
+                h.update(_table_digest(
+                    pq.read_table(os.path.join(dirpath, fn))).encode())
     return h.hexdigest()
+
+
+def _kept_digest(idx: str) -> str:
+    h = hashlib.sha256()
+    for d in list_segment_dirs(idx):
+        h.update(os.path.basename(d).encode())
+        h.update(_table_digest(pq.read_table(os.path.join(d, "terms.parquet"),
+                                             columns=KEPT_COLUMNS)).encode())
+        p = os.path.join(d, "positions.parquet")
+        if os.path.exists(p):
+            h.update(_table_digest(pq.read_table(p)).encode())
+    return h.hexdigest()
+
+
+def _loaded_digests(idx: str) -> dict[str, str]:
+    """Per dropped column, the hash of what the searcher computes at
+    load (``df_global`` looked up in ``global/term_df``), laid out as
+    the column was: values per segment, then a list column's offsets."""
+    with open(os.path.join(idx, "global", "metadata.json")) as f:
+        meta = json.load(f)
+    bp = meta["build_params"]
+    g = read_global_term_df(idx, ["term", "df"])
+    hs = {c: hashlib.sha256() for c in DROPPED_COLUMNS}
+    for d in list_segment_dirs(idx):
+        s = SegmentSearcher(d, meta["n_docs"], meta["avgdl"], k1=bp["bm25_k1"],
+                            b=bp["bm25_b"], prewarm_df=None)
+        gidx = pc.index_in(pa.array(s.terms, pa.string()), value_set=g["term"])
+        offs = np.asarray(s._skip_offs, np.int64).tobytes()
+        for c, parts in (
+                ("df_global", [g["df"].to_numpy()[gidx.to_numpy()]]),
+                ("idf", [s.idf]), ("bm25_sigma", [s.bm25_sigma]),
+                ("tfidf_sigma", [s.tfidf_sigma]),
+                ("skip_bm25_ub", [s._skip_bm25_v, offs]),
+                ("skip_tfidf_ub", [s._skip_tfidf_v, offs])):
+            hs[c].update(os.path.basename(d).encode())
+            dtype = np.int64 if c == "df_global" else np.float64
+            for v in parts:
+                hs[c].update(v if isinstance(v, bytes)
+                             else np.ascontiguousarray(v, dtype).tobytes())
+    return {c: h.hexdigest() for c, h in hs.items()}
+
+
+def _term_df_digest(idx: str) -> str:
+    h = hashlib.sha256()
+    d = os.path.join(idx, "global", "term_df")
+    for fn in sorted(os.listdir(d)):
+        h.update(fn.encode())
+        h.update(_table_digest(pq.read_table(os.path.join(d, fn))).encode())
+    return h.hexdigest()
+
+
+def _digests(idx: str) -> dict:
+    return {
+        "kept": _kept_digest(idx),
+        "dropped": _loaded_digests(idx),
+        "term_df": _term_df_digest(idx),
+        "fmt5": _index_digest(idx),
+    }
 
 
 def _lifecycle(tmp, positions: bool) -> dict:
@@ -111,12 +301,12 @@ def _lifecycle(tmp, positions: bool) -> dict:
                    row_group_size=64)
     idx = str(tmp / "idx")
     build_index(str(corpus), idx, cfg)
-    out = {"build": _index_digest(idx)}
+    out = {"build": _digests(idx)}
 
     pq.write_table(t.slice(360), str(corpus / "b.parquet"),
                    row_group_size=64)
     build_index(str(corpus), idx, cfg)
-    out["append"] = _index_digest(idx)
+    out["append"] = _digests(idx)
 
     src = str(tmp / "tombstoned")
     shutil.copytree(idx, src)
@@ -126,11 +316,11 @@ def _lifecycle(tmp, positions: bool) -> dict:
     delete_docs(src, docnos[::7])
     compacted = str(tmp / "compacted")
     compact_index(src, compacted)
-    out["compact"] = _index_digest(compacted)
+    out["compact"] = _digests(compacted)
 
     merged = str(tmp / "merged")
     merge_segments(idx, merged, group_size=2)
-    out["merge"] = _index_digest(merged)
+    out["merge"] = _digests(merged)
     out["_idx"] = idx
     return out
 
@@ -144,25 +334,27 @@ def lifecycles(ray_session, tmp_path_factory):
     }
 
 
-@pytest.mark.parametrize("kind,phase", sorted(PINNED))
+@pytest.mark.parametrize("kind,phase", sorted(KEPT))
 def test_build_stage_content_pin(lifecycles, kind, phase):
-    assert lifecycles[kind][phase] == PINNED[(kind, phase)]
+    """The kept columns are unchanged, the searcher computes at load
+    exactly the statistics and bounds the segments once stored, and the
+    current format's tables are pinned."""
+    got = lifecycles[kind][phase]
+    assert got["kept"] == KEPT[(kind, phase)]
+    assert got["dropped"] == DROPPED[(kind, phase)]
+    assert got["term_df"] == TERM_DF[(kind, phase)]
+    assert got["fmt5"] == FMT5[(kind, phase)]
 
 
-def test_merge_refuses_lexicon_gap(lifecycles, tmp_path):
-    """A segment term missing from the global lexicon slice is refused
-    with ``ValueError`` (an ``assert`` would vanish under ``python -O``
-    and the merge would write wrong df/idf)."""
+def test_searcher_refuses_lexicon_gap(lifecycles, tmp_path):
+    """A segment term missing from the global lexicon has no idf: the
+    engine refuses to load with ``ValueError`` (an ``assert`` would
+    vanish under ``python -O`` and serve a wrong idf)."""
     src = str(tmp_path / "src")
     shutil.copytree(lifecycles["plain"]["_idx"], src)
-    seg_df = os.path.join(src, "global", "seg_df")
-    s0 = pq.read_table(os.path.join(seg_df, "seg=0", "terms.parquet"))
-    s1 = set(pq.read_table(os.path.join(seg_df, "seg=1", "terms.parquet"))
-             ["term"].to_pylist())
-    # a term of segment 0 only, so the merged segment's union misses it
-    drop = next(i for i, term in enumerate(s0["term"].to_pylist())
-                if term not in s1)
-    pq.write_table(pa.concat_tables([s0.slice(0, drop), s0.slice(drop + 1)]),
-                   os.path.join(seg_df, "seg=0", "terms.parquet"))
+    d = os.path.join(src, "global", "term_df")
+    part = os.path.join(d, sorted(os.listdir(d))[0])
+    t = pq.read_table(part)
+    pq.write_table(t.slice(1), part)
     with pytest.raises(ValueError, match="global lexicon"):
-        merge_segments(src, str(tmp_path / "merged"), group_size=2)
+        QueryEngine(src, use_actors=False)

@@ -306,7 +306,7 @@ def test_crash_resume_tokenize_stage(ray_session, tmp_path_factory,
     full_dir = str(tmp / "full")
     want = build_index(corpus_path, full_dir, cfg, CODE_CORPUS)
 
-    # a real crash after stages 1-2: no segment was assembled, so the
+    # a real crash after stage 1: no segment was assembled, so the
     # postings exist only in the stage-1 runs
     crash_dir = str(tmp / "crashed")
 
@@ -319,41 +319,38 @@ def test_crash_resume_tokenize_stage(ray_session, tmp_path_factory,
     monkeypatch.undo()
     assert not any(d.startswith("db_") for d in os.listdir(crash_dir))
 
-    # stage 1 half-finished: drop the done-markers and the last three
-    # shards' partials and runs; the wip marker is present
+    # stage 1 half-finished: drop the done-marker and the last three
+    # shards' doc parts (their done-markers) and runs; the wip marker is
+    # present
     os.remove(os.path.join(crash_dir, "_docs_done"))
-    os.remove(os.path.join(crash_dir, "_global_done"))
-    pdir = os.path.join(crash_dir, "docs", "_partials")
-    runs = os.path.join(crash_dir, "docs", "_runs")
-    victims = sorted(os.listdir(pdir))[-3:]
+    docs = os.path.join(crash_dir, "docs")
+    runs = os.path.join(docs, "_runs")
+    victims = sorted({f for seg in os.listdir(docs) if seg.startswith("seg=")
+                      for f in os.listdir(os.path.join(docs, seg))})[-3:]
     for v in victims:
-        os.remove(os.path.join(pdir, v))
-        name = v[: -len(".parquet")] + ".arrow"
-        for seg in os.listdir(runs):
-            if os.path.exists(os.path.join(runs, seg, name)):
-                os.remove(os.path.join(runs, seg, name))
+        for seg in os.listdir(docs):
+            for p in (os.path.join(docs, seg, v),
+                      os.path.join(runs, seg, v[: -len(".parquet")] + ".arrow")):
+                if os.path.exists(p):
+                    os.remove(p)
     with open(os.path.join(full_dir, "_docs_done")) as f:
         key = f.read()
     with open(os.path.join(crash_dir, "_docs_wip"), "w") as f:
         f.write(key)
 
     surviving = {
-        (d, f): os.path.getmtime(os.path.join(crash_dir, "docs", d, f))
-        for d in os.listdir(os.path.join(crash_dir, "docs"))
-        if d != "_runs"
-        for f in os.listdir(os.path.join(crash_dir, "docs", d))
+        (d, f): os.path.getmtime(os.path.join(docs, d, f))
+        for d in os.listdir(docs) if d.startswith("seg=")
+        for f in os.listdir(os.path.join(docs, d))
     }
     got = build_index(corpus_path, crash_dir, cfg, CODE_CORPUS)
     assert got["n_docs"] == want["n_docs"]
     assert got["n_postings"] == want["n_postings"]
     assert got["n_terms_global"] == want["n_terms_global"]
     # surviving shard outputs were reused, not rewritten
-    untouched = 0
-    for (d, f), mtime in surviving.items():
-        p = os.path.join(crash_dir, "docs", d, f)
-        if os.path.exists(p) and os.path.getmtime(p) == mtime and "_partials" in d:
-            untouched += 1
-    assert untouched >= len(surviving) // 4
+    untouched = sum(os.path.getmtime(os.path.join(docs, d, f)) == mtime
+                    for (d, f), mtime in surviving.items())
+    assert untouched == len(surviving) > 0
     # per-segment term tables byte-identical to the uninterrupted build
     for d in sorted(os.listdir(full_dir)):
         if d.startswith("db_"):
@@ -553,7 +550,8 @@ def test_lineage_report_and_invariants(built):
     assert int(rep["n_docs"].sum()) == summary["n_docs"]
     assert int(rep["n_postings"].sum()) == summary["n_postings"]
     assert (rep["docid_encoding"] == "varbyte-dgap-blockrestart").all()
-    assert rep["lineage_key"].nunique() == 1
+    # each segment's lineage key covers its own shards only
+    assert rep["lineage_key"].nunique() == len(rep)
     v = verify_lineage(summary["out_dir"])
     assert v["problems"] == [], v
 
@@ -672,6 +670,7 @@ def test_append_incremental_build(ray_session, tmp_path):
     """Appending corpus files and re-running build_index keeps the old
     shards' tokenize outputs (append-incremental) and still produces an
     index byte-identical to a from-scratch build of the full corpus."""
+    import glob
     import hashlib
     import os
 
@@ -699,18 +698,22 @@ def test_append_incremental_build(ray_session, tmp_path):
     idx = tmp_path / "idx"
     build_index(str(corpus), str(idx), cfg, spec)
 
-    pdir = idx / "docs" / "_partials"
-    old_partials = {f: os.path.getmtime(pdir / f) for f in os.listdir(pdir)}
+    def doc_parts():
+        return {p: os.path.getmtime(p) for p in
+                glob.glob(str(idx / "docs" / "seg=*" / "*.parquet"))}
+
+    old_parts = doc_parts()
 
     # append a file that sorts AFTER the existing ones
     write_part(corpus / "c.parquet", 300, 420)
     summary = build_index(str(corpus), str(idx), cfg, spec)
     assert summary["n_docs"] == 420
 
-    # old tokenize outputs were reused, not rebuilt
-    for f, mt in old_partials.items():
-        assert os.path.getmtime(pdir / f) == mt, f
-    assert len(os.listdir(pdir)) > len(old_partials)
+    # old tokenize outputs (each shard's doc parts) were reused, not rebuilt
+    new_parts = doc_parts()
+    for f, mt in old_parts.items():
+        assert new_parts[f] == mt, f
+    assert len(new_parts) > len(old_parts)
 
     # byte-identical to a from-scratch build of the full corpus
     fresh = tmp_path / "idx_fresh"
@@ -903,7 +906,8 @@ def test_merge_resyncs_tombstones(built, tmp_path_factory):
 def test_fsck_clean_and_corrupted(built, tmp_path_factory):
     """fsck passes a freshly built index (shallow + deep) and pinpoints
     semantic corruption: a tampered df_local, a tampered manifest
-    sum_doclen, and a cross-segment df_global inconsistency."""
+    sum_doclen, a global df that no longer sums the segments' df_local,
+    and a tampered block impact."""
     import json
     import os
     import shutil
@@ -943,8 +947,25 @@ def test_fsck_clean_and_corrupted(built, tmp_path_factory):
     msgs = "\n".join(rep["errors"])
     assert "df_local" in msgs
     assert "sum_doclen" in msgs
-    # the deep check sees the df_global sum broken by the df_local bump
-    assert "df_global" in msgs
+    # the deep check sees the global df sum broken by the df_local bump
+    assert f"term {t['term'][0].as_py()!r}: global df" in msgs
+
+    # 3) one block impact's doclen off by one: the bounds computed from
+    # it would be wrong, so the per-segment check names the block
+    bad2 = str(tmp / "bad_impact")
+    shutil.copytree(summary["out_dir"], bad2)
+    tp = os.path.join(bad2, "db_1", "terms.parquet")
+    t = pq.read_table(tp)
+    col = t["impact_doclen"].combine_chunks()
+    vals = col.values.to_pylist()
+    vals[0] += 1
+    t = t.set_column(t.schema.get_field_index("impact_doclen"), "impact_doclen",
+                     pa.ListArray.from_arrays(col.offsets,
+                                              pa.array(vals, pa.uint32())))
+    pq.write_table(t, tp)
+    rep = fsck_index(bad2)
+    assert rep["errors"] == [f"db_1: term {t['term'][0].as_py()!r}: block 0 "
+                             "impacts differ from its decoded postings"]
 
 
 def test_compact_index_equals_fresh_build(built, tmp_path_factory):
@@ -1244,6 +1265,7 @@ def test_global_stage_is_replay_safe(ray_session, tmp_path_factory):
     import os
 
     from searchenginepp_ray.index.build import _global_stage
+    from searchenginepp_ray.index.engine import list_segment_dirs
 
     tmp = tmp_path_factory.mktemp("replay")
     corpus_path = str(tmp / "corpus.parquet")
@@ -1265,10 +1287,9 @@ def test_global_stage_is_replay_safe(ray_session, tmp_path_factory):
 
     before = snap(gdir)
     assert any(k.startswith("term_df") for k in before)
-    assert any(k.startswith("seg_df") for k in before)
     with open(os.path.join(gdir, "metadata.json")) as f:
         meta = json.load(f)
-    _global_stage(os.path.join(idx, "docs"), gdir, meta["n_docs"], cfg,
+    _global_stage(list_segment_dirs(idx), gdir, meta["n_docs"], cfg,
                   meta["lineage_key"])
     after = snap(gdir)
     assert set(before) == set(after)

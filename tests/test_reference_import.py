@@ -156,8 +156,8 @@ def test_imported_matches_scalar_oracle(imported):
 
 
 def test_imported_index_merges_and_serves(imported, tmp_path):
-    """The importer writes the global/seg_df slices the merge path
-    semi-joins, so an imported index supports the FULL lifecycle:
+    """The importer writes the partitioned global lexicon the engine
+    reads idf from, so an imported index supports the FULL lifecycle:
     merge_segments over it serves identical (docid, score) rankings."""
     from searchenginepp_ray.index.build import merge_segments
 
@@ -176,8 +176,9 @@ def test_imported_index_merges_and_serves(imported, tmp_path):
 
 def test_imported_index_passes_deep_fsck(imported):
     """Full integrity check over the imported index: every posting list
-    decodes, skip fences hold, df_global cross-checks — the importer's
-    output is indistinguishable from a native build's to the checker."""
+    decodes, skip fences and impacts hold, the global df sums the
+    segments' df_local — the importer's output is indistinguishable
+    from a native build's to the checker."""
     from searchenginepp_ray.index.fsck import fsck_index
 
     summary, _ = imported

@@ -1,8 +1,10 @@
-"""Build stage 1 (``TokenizeShards``): columnar docnos, the df partials
-counted from the tokenizer's pair codes, and refusal of docno columns
-the columnar join cannot format."""
+"""Build stage 1 (``TokenizeShards``): columnar docnos, the per-segment
+df partials (each segment's ``df_local``) and the global df counted from
+the tokenizer's pair codes, and refusal of docno columns the columnar
+join cannot format."""
 
 import glob
+import json
 import os
 import shutil
 
@@ -13,7 +15,13 @@ import pyarrow.parquet as pq
 import pytest
 
 from searchenginepp_ray.config import BuildConfig
-from searchenginepp_ray.index.build import _docnos, build_index, compact_index
+from searchenginepp_ray.index.build import (
+    _docnos,
+    build_index,
+    compact_index,
+    read_global_term_df,
+)
+from searchenginepp_ray.index.engine import list_segment_dirs
 from searchenginepp_ray.index.tombstone import delete_docs
 from searchenginepp_ray.normalizer.batch import tokenize_batch
 from searchenginepp_ray.sources.corpus_gen import docno_of, generate_corpus
@@ -77,47 +85,49 @@ def _value_counts_partials(docs: pa.Table, profile) -> tuple[dict, dict]:
         for term, n in zip(vc.field("values").to_pylist(),
                            vc.field("counts").to_pylist()):
             df[(seg, term)] = n
-        if len(vc):
-            dl[seg] = int(pc.sum(part["doclen"]).as_py())
+        dl[seg] = int(pc.sum(part["doclen"]).as_py() or 0)
     return df, dl
 
 
 def _check_partials(idx: str, texts: dict, profile) -> int:
-    """Every ``_partials`` file equals the value-counts partials of the
-    corpus rows of the doc parts written under the same name, tokenized
-    again; returns the files checked."""
-    pfiles = sorted(glob.glob(os.path.join(idx, "docs", "_partials", "*.parquet")))
-    for pf in pfiles:
-        name = os.path.basename(pf)
-        parts = []
-        for f in glob.glob(os.path.join(idx, "docs", "seg=*", name)):
-            seg = int(os.path.basename(os.path.dirname(f)).split("=")[1])
-            docnos = pq.read_table(f, columns=["docno"])["docno"].to_pylist()
-            parts.append(pa.table({
-                "text": [texts[d] for d in docnos],
-                "seg": pa.array(np.full(len(docnos), seg, np.int32))}))
-        exp_df, exp_dl = _value_counts_partials(pa.concat_tables(parts), profile)
-        p = pq.read_table(pf)
-        rows = list(zip(p["seg"].to_pylist(), p["term"].to_pylist(),
-                        p["df_part"].to_pylist(), p["doclen_part"].to_pylist()))
-        assert {(s, t): n for s, t, n, _ in rows} == exp_df
-        assert len(rows) == len(exp_df)
-        got_dl = {}
-        for s, _, _, d in rows:
-            got_dl[s] = got_dl.get(s, 0) + d
-        assert got_dl == exp_dl
-        for seg in set(got_dl):  # term-sorted within each segment
-            terms = [t for s, t, _, _ in rows if s == seg]
-            assert terms == sorted(terms)
-    return len(pfiles)
+    """Every segment's per-term ``df_local`` and manifest ``sum_doclen``
+    equal the value-counts partials of the corpus rows of its doc parts,
+    tokenized again, its terms are sorted, and ``global/term_df`` holds
+    their sums; returns the segments checked."""
+    parts = []
+    for f in glob.glob(os.path.join(idx, "docs", "seg=*", "*.parquet")):
+        seg = int(os.path.basename(os.path.dirname(f)).split("=")[1])
+        docnos = pq.read_table(f, columns=["docno"])["docno"].to_pylist()
+        parts.append(pa.table({
+            "text": [texts[d] for d in docnos],
+            "seg": pa.array(np.full(len(docnos), seg, np.int32))}))
+    exp_df, exp_dl = _value_counts_partials(pa.concat_tables(parts), profile)
+    segs = list_segment_dirs(idx)
+    got_df, total = {}, {}
+    for d in segs:
+        seg = int(os.path.basename(d)[3:])
+        t = pq.read_table(os.path.join(d, "terms.parquet"),
+                          columns=["term", "df_local"])
+        terms = t["term"].to_pylist()
+        assert terms == sorted(terms)
+        for term, n in zip(terms, t["df_local"].to_pylist()):
+            got_df[(seg, term)] = n
+            total[term] = total.get(term, 0) + n
+        with open(os.path.join(d, "manifest.json")) as f:
+            assert json.load(f)["sum_doclen"] == exp_dl[seg]
+    assert got_df == exp_df
+    g = read_global_term_df(idx, ["term", "df"])
+    assert dict(zip(g["term"].to_pylist(), g["df"].to_pylist())) == total
+    return len(segs)
 
 
 @pytest.mark.parametrize("positions", [False, True],
                          ids=["plain", "positions"])
 def test_code_partials_match_value_counts(ray_session, tmp_path, positions):
-    """The partials counted from the tokenizer's pair codes (build) and
-    from decoded segment postings (compaction) equal the value-counts
-    partials per (segment, term)."""
+    """The per-segment df counted from the tokenizer's pair codes (build)
+    and from decoded segment postings (compaction) equal the
+    value-counts partials per (segment, term), and the global df their
+    sums."""
     t = generate_corpus(300, seed=5)
     corpus = _write(tmp_path, "corpus", t)
     cfg = BuildConfig(docs_per_segment=100, positions=positions)
@@ -127,7 +137,7 @@ def test_code_partials_match_value_counts(ray_session, tmp_path, positions):
     idx = str(tmp_path / "idx")
     build_index(corpus, idx, cfg)
     # 64-row shards, some span two segments
-    assert _check_partials(idx, texts, cfg.profile) == 5
+    assert _check_partials(idx, texts, cfg.profile) == 3
 
     src = str(tmp_path / "tombstoned")
     shutil.copytree(idx, src)
