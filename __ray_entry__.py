@@ -107,7 +107,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "search_bm25_rm3": lambda sf: search_docs.search_bm25_rm3(sf),
         # Dirichlet query-likelihood: the LM scorer family served from
         # the same binary index (ctf gathered from postings at query
-        # time — phase-1 scatter — since the lexicon bakes df/idf only)
+        # time — phase-1 scatter — since the lexicon holds df only)
         "search_lm_dirichlet": lambda sf: search_docs.search_lm_dirichlet(sf),
         # HYBRID retrieval: BM25 (inverted index) + embedding cosine
         # (text_knn) fused by reciprocal ranks — one SQL statement
@@ -198,7 +198,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # min query-term pair distance from the positional sidecar
         "search_bm25_prox": lambda sf: search_docs.search_bm25_prox(sf),
         # spell-tolerant retrieval: SymSpell expansion streamed over the
-        # partitioned global lexicon, then standard OR-BM25
+        # global lexicon, then standard OR-BM25
         "search_fuzzy": lambda sf: search_docs.search_fuzzy(sf),
         # query-by-document: seed doc's top TF-IDF terms as the query,
         # seed excluded from its own results (Lucene MoreLikeThis shape)

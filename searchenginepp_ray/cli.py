@@ -71,29 +71,12 @@ def cmd_query(args) -> int:
     from .config import BuildConfig, FULL_PROFILE, SIMPLE_PROFILE
     from .index.engine import QueryEngine
 
-    profile = args.profile
-    if profile == "auto":
-        # adopt the profile the index records in global/metadata.json —
-        # the reason profile_id/profile_flags are written at build time
-        # (serving with a mismatched normalizer silently mis-tokenizes
-        # queries, so the engine refuses it; auto makes the refusal
-        # unreachable from the CLI)
-        import json
-        import os
-
-        try:
-            with open(os.path.join(args.index_dir, "global",
-                                   "metadata.json")) as f:
-                pid = json.load(f).get("profile_id")
-            profile = "simple" if pid == SIMPLE_PROFILE.profile_id else "full"
-        except (OSError, ValueError):
-            # missing OR corrupt metadata (ValueError covers
-            # JSONDecodeError): fall back, let the engine decide
-            profile = "full"
-    cfg = BuildConfig(
-        profile=SIMPLE_PROFILE if profile == "simple" else FULL_PROFILE,
-        docs_per_segment=args.docs_per_segment,
-    )
+    # auto adopts the profile the index records (the engine reads it);
+    # an explicit profile must agree with it, or the engine refuses
+    cfg = None
+    if args.profile != "auto":
+        cfg = BuildConfig(
+            profile=SIMPLE_PROFILE if args.profile == "simple" else FULL_PROFILE)
     eng = QueryEngine(
         args.index_dir, scorer=args.scorer, use_actors=not args.no_actors,
         num_workers=args.workers, cfg=cfg,
@@ -296,7 +279,6 @@ def main(argv=None) -> int:
                    default="auto",
                    help="normalizer profile; 'auto' (default) adopts the "
                         "profile recorded in the index's metadata")
-    q.add_argument("--docs-per-segment", type=int, default=65_536)
     q.add_argument("--no-actors", action="store_true",
                    help="serve every shard in this process; a pool of "
                         "one shard already does, with no Ray actor "

@@ -68,10 +68,6 @@ class BuildConfig:
     # BM25 constants, reference src/index/query_scorer.hpp:65
     bm25_k1: float = 0.82
     bm25_b: float = 0.68
-    # Salting threshold: a (segment, term) group larger than this is split
-    # into docid-range salt buckets during the shuffle and re-concatenated
-    # in salt order (docid order) at encode time.
-    hot_term_salt_docs: int = 1_000_000
     # Positional sidecar: record every posting's token positions
     # (delta-gap VarByte per posting, one stream per term) enabling
     # indexed phrase retrieval. Off by default — positions roughly

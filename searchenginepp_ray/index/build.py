@@ -27,19 +27,21 @@ rerun skips any stage/partition whose marker or manifest matches):
    segment's ``(term, df_local)`` columns with an Arrow ``group_by``
    (the partial/final pattern replacing the reference's k-way lexicon
    merge, reference src/builder.cpp:127-170) into the term-sorted
-   global lexicon ``global/term_df`` + collection metadata (reference
-   src/builder.cpp:177-181), ``sum_doclen`` taken from the segment
-   manifests.
+   global lexicon ``global/term_df.parquet`` ``(term, df)`` + collection
+   metadata ``global/metadata.json`` (reference src/builder.cpp:177-181),
+   ``sum_doclen`` taken from the segment manifests. This module is the
+   one that knows the ``global/`` layout: every reader goes through
+   :func:`read_global_term_df` and :func:`read_metadata`.
 
 **What a segment stores** is what its own docs determine, and nothing
 computed from N, df or avgdl: per term ``df_local``, the docid and freq
 streams, the skip lists (last docid, docid byte offset, freq bit
 offset per block) and per block the score-free *impacts* — the
 (tf, doclen) pairs no other posting of the block beats on both
-(:func:`block_impacts`). The searcher takes idf from ``global/term_df``
-and computes the sigmas and block-max bounds over the impacts when it
-loads (both scorers rise with tf and fall with doclen, so the maximum
-over the impacts is the maximum over the block). Each segment's
+(:func:`block_impacts`). The searcher computes idf from the global df,
+and the sigmas and block-max bounds over the impacts, when it loads
+(both scorers rise with tf and fall with doclen, so the maximum over
+the impacts is the maximum over the block). Each segment's
 lineage key covers only its own shard items, params and format, so an
 append re-assembles only the mixed last segment and the new ones; the
 old segments stay byte for byte as they were.
@@ -61,11 +63,12 @@ arrays (dictionary-encoded, sorted by the dictionary permutation),
 never Python strings, and no pandas frame is built. Integrity checks
 raise ``ValueError`` (they survive ``python -O``).
 
-Skew note: posting lists are keyed by (term, segment); the segment (a
-bounded docid range) acts as the salt for hot terms — a term's postings
-in one group are capped at ``docs_per_segment`` and the per-segment
-sub-lists concatenate in docid order by construction. This is the
-salted-key split of SURVEY.md §7.4 with salt == segment id.
+Skew note: no stage shuffles postings by term, so no key is salted. A
+hot term's postings are split by segment (a bounded docid range: at
+most ``docs_per_segment`` postings per segment), and within a segment
+the writer's term-range chunks hold at most ``SEGMENT_CHUNK_POSTINGS``
+decoded postings unless one term alone is larger (a term never
+splits).
 """
 
 from __future__ import annotations
@@ -84,19 +87,17 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..config import BuildConfig
+from ..config import BuildConfig, NormalizerProfile
 from ..normalizer.batch import sorted_codes, string_array, tokenize_codes
 from ..codecs import varbyte
 from ..sources.parquet_corpus import ColumnSpec, CorpusShard, corpus_shards, read_shard
-from . import scorer as scorer_mod
-from .hash_partition import _key_hash, _shuffle_width
 from .tombstone import TOMBSTONE_FILE
 
 #: On-disk build format version, folded into the lineage keys and
 #: recorded in every segment manifest: an append onto an older layout
 #: rebuilds, and the engine and ``fsck`` refuse a segment of any other
 #: format (there is no compatibility reader). Bump on any layout change.
-_BUILD_FORMAT = "fmt5"
+_BUILD_FORMAT = "fmt6"
 
 #: the document index (reference ``document_index``): one row per doc
 DOCS_SCHEMA = pa.schema(
@@ -110,9 +111,20 @@ DOCS_SCHEMA = pa.schema(
 #: ``docs/`` subdirectory of the posting runs, ``_runs/seg=N/part-*.arrow``
 RUNS_DIR = "_runs"
 
-#: the global lexicon ``global/term_df/part-K``
-TERM_DF_SCHEMA = pa.schema(
-    [("term", pa.string()), ("df", pa.int64()), ("idf", pa.float64())])
+#: the global lexicon ``global/term_df.parquet``, term-sorted (the
+#: reference's ``global_lexicon`` disk_map of term → df,
+#: src/builder.cpp:127-170); idf is computed from df when it is read
+TERM_DF_SCHEMA = pa.schema([("term", pa.string()), ("df", pa.int64())])
+
+#: the ``global/metadata.json`` keys, every one present in every index;
+#: ``profile_flags`` and ``build_params`` hold the ``BuildConfig`` the
+#: index was built with (the reference pins the normalizer flags at
+#: compile time, CMakeLists.txt:29-32)
+_META_KEYS = ("n_docs", "sum_doclen", "avgdl", "n_terms_global", "params_id",
+              "profile_id", "profile_flags", "build_params", "lineage_key")
+_PROFILE_FLAGS = ("stemming", "fix_latin1", "latin1_case")
+_BUILD_PARAMS = ("skip_block_size", "bm25_k1", "bm25_b", "docs_per_segment",
+                 "positions")
 
 #: a segment's ``terms.parquet``: one row per term, every value
 #: determined by the segment's own docs; the three ``skip_*`` lists and
@@ -293,55 +305,107 @@ def _docnos(t: pa.Table, spec: ColumnSpec) -> pa.Array:
     return out.combine_chunks()
 
 
-def _write_sorted_slices(t: pa.Table, key: np.ndarray, path_of) -> None:
-    """Write ``t`` (term-sorted) as one Parquet file per distinct
-    ``key`` value, each slice keeping the term order."""
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    t = t.take(pa.array(order))
-    cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
-    for lo, hi in zip(np.concatenate(([0], cuts)),
-                      np.concatenate((cuts, [len(key)]))):
-        final = path_of(int(key[lo]))
-        os.makedirs(os.path.dirname(final), exist_ok=True)
-        tmp = final + ".tmp"
-        pq.write_table(t.slice(lo, hi - lo), tmp)
-        os.replace(tmp, final)
+#: the global lexicon's file name under ``global/``
+TERM_DF_FILE = "term_df.parquet"
 
 
-def _write_term_df(term_df_dir: str, terms: pa.Array, df: np.ndarray,
-                   n_docs: int, P: int) -> None:
-    """Write the global lexicon ``(term, df, idf)``, term-sorted, as
-    ``P`` term-hash partitions ``term_df/part-K`` — the global-stats writer,
-    also used by ``import-ref``."""
-    g = pa.table({"term": terms, "df": pa.array(df, pa.int64())})
-    g = g.take(pc.sort_indices(g, sort_keys=[("term", "ascending")]))
-    df = g["df"].to_numpy()
-    g = pa.table({"term": g["term"], "df": df, "idf": scorer_mod.idf(n_docs, df)},
+def term_df_path(index_dir: str) -> str:
+    """The global lexicon file of an index."""
+    return os.path.join(index_dir, "global", TERM_DF_FILE)
+
+
+def _write_term_df(global_dir: str, terms: pa.Array, df: np.ndarray) -> int:
+    """Write the global lexicon ``(term, df)``, term-sorted, as one file
+    (write-temp-then-rename); returns its row count. The global-stats
+    writer, also used by ``import-ref``."""
+    g = pa.table({"term": terms, "df": pa.array(df, pa.int64())},
                  schema=TERM_DF_SCHEMA)
-    _write_sorted_slices(
-        g, _key_hash(g, ["term"]) % np.uint64(P),
-        lambda k: os.path.join(term_df_dir, f"part-{k:05d}.parquet"))
+    g = g.take(pc.sort_indices(g, sort_keys=[("term", "ascending")]))
+    final = os.path.join(global_dir, TERM_DF_FILE)
+    pq.write_table(g, final + ".tmp")
+    os.replace(final + ".tmp", final)
+    return len(g)
+
+
+def read_global_term_df(index_dir: str, columns: list[str] | None = None,
+                        filter=None) -> pa.Table:
+    """Read the global lexicon ``(term, df)``, term-sorted; ``filter``
+    (an Arrow expression on ``term``) prunes the read by row-group
+    statistics."""
+    return pq.read_table(term_df_path(index_dir), columns=columns,
+                         filters=filter)
+
+
+def write_metadata(global_dir: str, cfg: BuildConfig, n_docs: int,
+                   sum_doclen: int, n_terms_global: int,
+                   lineage_key: str) -> None:
+    """Write ``global/metadata.json`` (write-temp-then-rename): the
+    collection statistics and the ``BuildConfig`` the index was built
+    with, which :func:`read_metadata` gives back."""
+    meta = {
+        "n_docs": n_docs,
+        "sum_doclen": sum_doclen,
+        "avgdl": sum_doclen / max(n_docs, 1),
+        "n_terms_global": n_terms_global,
+        "params_id": cfg.params_id,
+        "profile_id": cfg.profile.profile_id,
+        "profile_flags": {k: getattr(cfg.profile, k) for k in _PROFILE_FLAGS},
+        "build_params": {k: getattr(cfg, k) for k in _BUILD_PARAMS},
+        "lineage_key": lineage_key,
+    }
+    path = os.path.join(global_dir, "metadata.json")
+    with open(path + ".tmp", "w") as f:
+        json.dump(meta, f)
+    os.replace(path + ".tmp", path)
+
+
+def read_metadata(index_dir: str) -> tuple[dict, BuildConfig]:
+    """``global/metadata.json`` and the ``BuildConfig`` it records — the
+    normalizer profile, the delta-gap restart period baked into the
+    encoding and the BM25 constants the engine scores and bounds with;
+    readers, compaction and merge use these, not their own defaults.
+    Raises ``ValueError`` when a key is missing or the recorded ids
+    disagree with the recorded flags and params."""
+    path = os.path.join(index_dir, "global", "metadata.json")
+    with open(path) as f:
+        meta = json.load(f)
+    missing = [k for k in _META_KEYS if k not in meta]
+    if not missing:
+        missing = ([f"profile_flags.{k}" for k in _PROFILE_FLAGS
+                    if k not in meta["profile_flags"]]
+                   + [f"build_params.{k}" for k in _BUILD_PARAMS
+                      if k not in meta["build_params"]])
+    if missing:
+        raise ValueError(f"{path} lacks {missing}; rebuild the index with "
+                         "force=True")
+    cfg = BuildConfig(
+        profile=NormalizerProfile(**{k: meta["profile_flags"][k]
+                                     for k in _PROFILE_FLAGS}),
+        **{k: meta["build_params"][k] for k in _BUILD_PARAMS})
+    if cfg.profile.profile_id != meta["profile_id"]:
+        raise ValueError(f"{path}: profile_id {meta['profile_id']} disagrees "
+                         f"with profile_flags {meta['profile_flags']}")
+    if cfg.params_id != meta["params_id"]:
+        raise ValueError(f"{path}: params_id {meta['params_id']} disagrees "
+                         f"with build_params {meta['build_params']}")
+    return meta, cfg
 
 
 @ray.remote
-def _global_stage_single(seg_dirs: list[str], n_docs: int, term_df_dir: str,
-                         P: int) -> int:
+def _global_stage_single(seg_dirs: list[str], global_dir: str) -> tuple[int, int]:
     """Build stage 3 in one task, in Arrow: sum every segment's
     ``df_local`` per term (``group_by``) into the global lexicon
-    (:func:`_write_term_df`); an index whose documents normalize to no
-    terms writes none. Returns sum_doclen, summed from the segment
-    manifests."""
+    (:func:`_write_term_df`; empty when the documents normalize to no
+    terms). Returns (sum_doclen, summed from the segment manifests, and
+    the lexicon's term count)."""
     sum_doclen = sum(int(_read_json(os.path.join(d, "manifest.json"))["sum_doclen"])
                      for d in seg_dirs)
     t = pa.concat_tables([pq.read_table(os.path.join(d, "terms.parquet"),
                                         columns=["term", "df_local"])
                           for d in seg_dirs])
-    if len(t):
-        g = t.group_by("term").aggregate([("df_local", "sum")])
-        _write_term_df(term_df_dir, g["term"].combine_chunks(),
-                       g["df_local_sum"].to_numpy(), n_docs, P)
-    return sum_doclen
+    g = t.group_by("term").aggregate([("df_local", "sum")])
+    return sum_doclen, _write_term_df(global_dir, g["term"].combine_chunks(),
+                                      g["df_local_sum"].to_numpy())
 
 
 def _shard_ordinal(shard) -> int:
@@ -428,16 +492,14 @@ def _global_stage(seg_dirs: list[str], global_dir: str, n_docs: int,
     """Build stage 3 (global stats), after the segments are assembled:
     sum ``df_local`` per term over the segments ``seg_dirs`` in one task
     (:func:`_global_stage_single`, an Arrow ``group_by`` sum and term
-    sort) into the partitioned global lexicon (``global/term_df/part-K``,
-    ``K`` a term hash mod :func:`_shuffle_width`), term-sorted, and
-    write ``global/metadata.json``.
+    sort) into the global lexicon ``global/term_df.parquet``, and write
+    ``global/metadata.json`` (:func:`write_metadata`).
     Shared by :func:`build_index` and :func:`compact_index`, so a
     compacted index's global state is byte-identical to a fresh build's
     over the same alive docs. Every file is rewritten from the
     segments, so a rerun over an existing ``global/`` reproduces it
-    byte for byte. The tombstone file is the one file kept: the deletes
-    it records outlive the statistics (its count is carried into the
-    new metadata as ``n_tombstones``)."""
+    byte for byte, on any cluster. The tombstone file is the one file
+    kept: the deletes it records outlive the statistics."""
     os.makedirs(global_dir, exist_ok=True)
     for name in os.listdir(global_dir):
         if name != TOMBSTONE_FILE:
@@ -446,53 +508,9 @@ def _global_stage(seg_dirs: list[str], global_dir: str, n_docs: int,
                 shutil.rmtree(p)
             else:
                 os.remove(p)
-    tomb = os.path.join(global_dir, TOMBSTONE_FILE)
-    n_tombstones = (pq.read_metadata(tomb).num_rows
-                    if os.path.exists(tomb) else None)
-    term_df_dir = os.path.join(global_dir, "term_df")
-    os.makedirs(term_df_dir)
-    sum_doclen = ray.get(
-        _global_stage_single.remote(seg_dirs, n_docs, term_df_dir,
-                                    _shuffle_width()))
-    n_terms_global = sum(
-        pq.read_metadata(os.path.join(term_df_dir, f)).num_rows
-        for f in os.listdir(term_df_dir)
-        if f.endswith(".parquet")
-    )
-    with open(os.path.join(global_dir, "metadata.json"), "w") as f:
-        json.dump(
-            {
-                "n_docs": n_docs,
-                "sum_doclen": sum_doclen,
-                "avgdl": sum_doclen / max(n_docs, 1),
-                "n_terms_global": n_terms_global,
-                "params_id": cfg.params_id,
-                "profile_id": cfg.profile.profile_id,
-                # flags spelled out so query-side tooling can adopt
-                # the build profile without being told (the reference
-                # pins these at compile time, CMakeLists.txt:29-32)
-                "profile_flags": {
-                    "stemming": cfg.profile.stemming,
-                    "fix_latin1": cfg.profile.fix_latin1,
-                    "latin1_case": cfg.profile.latin1_case,
-                },
-                # build constants: the delta-gap restart period baked
-                # into the encoding, and the BM25 constants the engine
-                # scores and bounds with — readers and merge MUST use
-                # these, not their own defaults
-                "build_params": {
-                    "skip_block_size": cfg.skip_block_size,
-                    "bm25_k1": cfg.bm25_k1,
-                    "bm25_b": cfg.bm25_b,
-                    "docs_per_segment": cfg.docs_per_segment,
-                    "positions": cfg.positions,
-                },
-                "lineage_key": lineage_key,
-                **({} if n_tombstones is None
-                   else {"n_tombstones": n_tombstones}),
-            },
-            f,
-        )
+    sum_doclen, n_terms = ray.get(
+        _global_stage_single.remote(seg_dirs, global_dir))
+    write_metadata(global_dir, cfg, n_docs, sum_doclen, n_terms, lineage_key)
 
 
 def build_index(
@@ -640,9 +658,8 @@ def build_index(
 
     # ---- stage 3: global stats (df + metadata) over the segments ----
     # One task sums the segments' vocabulary-sized (term, df_local)
-    # columns, as the reference merges its lexicon on one thread
-    # (src/builder.cpp:127-181); the global lexicon is written
-    # term-hash-partitioned (global/term_df/part-K).
+    # columns into one term-sorted lexicon, as the reference merges its
+    # lexicon on one thread (src/builder.cpp:127-181).
     marker2 = os.path.join(out_dir, "_global_done")
     if force or not _stage_marker(marker2, lineage_key):
         _global_stage([os.path.join(out_dir, f"db_{m['seg']}") for m in manifests],
@@ -651,8 +668,7 @@ def build_index(
             f.write(lineage_key)
     stage_secs["global_stats"] = _time.perf_counter() - _t0
 
-    with open(os.path.join(global_dir, "metadata.json")) as f:
-        meta = json.load(f)
+    meta, _ = read_metadata(out_dir)
     summary = {
         "stage_secs": {k: round(v, 3) for k, v in stage_secs.items()},
         "n_docs": meta["n_docs"],
@@ -1429,16 +1445,6 @@ def read_segment_postings(seg_dir: str) -> dict:
     return out
 
 
-def read_global_term_df(
-    index_dir: str, columns: list[str] | None = None
-) -> pa.Table:
-    """Read the build's global lexicon (term → df, idf): every
-    ``global/term_df/part-K`` partition, in partition order (each one
-    term-sorted), as one vocabulary-sized table."""
-    return pads.dataset(os.path.join(index_dir, "global", "term_df"),
-                        schema=TERM_DF_SCHEMA).to_table(columns=columns)
-
-
 def merge_segments(
     index_dir: str,
     out_dir: str,
@@ -1471,36 +1477,18 @@ def merge_segments(
     import time as _time
 
     t0 = _time.perf_counter()
-    with open(os.path.join(index_dir, "global", "metadata.json")) as f:
-        meta = json.load(f)
-    # Derive the merge cfg from the params the index was BUILT with
-    # (recorded in global/metadata.json) — decoding or re-encoding with
-    # another restart period would silently corrupt the merged index,
-    # and it keeps the BM25 constants the engine serves it with. An
-    # explicitly-passed cfg must agree.
-    bp = meta.get("build_params")
-    if bp is not None:
-        from ..config import NormalizerProfile as _NP
-
-        derived = BuildConfig(
-            profile=_NP(**meta["profile_flags"]),
-            docs_per_segment=bp["docs_per_segment"],
-            skip_block_size=bp["skip_block_size"],
-            bm25_k1=bp["bm25_k1"],
-            bm25_b=bp["bm25_b"],
-            positions=bp.get("positions", False),
+    # the merge cfg is the one the index was BUILT with — decoding or
+    # re-encoding with another restart period would silently corrupt the
+    # merged index, and it keeps the BM25 constants the engine serves it
+    # with. An explicitly-passed cfg must agree.
+    meta, built = read_metadata(index_dir)
+    if cfg is not None and cfg.params_id != built.params_id:
+        raise ValueError(
+            "merge cfg disagrees with the index's recorded build params "
+            f"({cfg.params_id} != {built.params_id}); pass cfg=None to "
+            "derive it from the index"
         )
-        if cfg is not None and cfg.params_id != derived.params_id:
-            raise ValueError(
-                "merge cfg disagrees with the index's recorded build params "
-                f"({cfg.params_id} != {derived.params_id}); pass cfg=None to "
-                "derive it from the index"
-            )
-        cfg = derived
-    else:
-        cfg = cfg or BuildConfig()
-    if meta["profile_id"] != cfg.profile.profile_id:
-        raise ValueError("profile mismatch between index and merge cfg")
+    cfg = built
 
     os.makedirs(out_dir, exist_ok=True)
     out_global = os.path.join(out_dir, "global")
@@ -1515,20 +1503,10 @@ def merge_segments(
         # copy
         src_tomb = os.path.join(index_dir, "global", TOMBSTONE_FILE)
         dst_tomb = os.path.join(out_global, TOMBSTONE_FILE)
-        n_tombs = 0
         if os.path.exists(src_tomb):
             shutil.copy2(src_tomb, dst_tomb)
-            n_tombs = pq.ParquetFile(dst_tomb).metadata.num_rows
         elif os.path.exists(dst_tomb):
             os.remove(dst_tomb)
-        # keep the merged metadata's audit count in step with the file
-        mpath = os.path.join(out_global, "metadata.json")
-        with open(mpath) as f:
-            mmeta = json.load(f)
-        if mmeta.get("n_tombstones", 0) != n_tombs:
-            mmeta["n_tombstones"] = n_tombs
-            with open(mpath, "w") as f:
-                json.dump(mmeta, f)
 
     src_docs = os.path.join(index_dir, "docs")
     groups: dict[int, list[int]] = {}
@@ -1587,13 +1565,11 @@ def _wipe_on_lineage_change(out_dir: str, lineage_key: str) -> None:
     its segments would be rebuilt (their own key check fails) but stale
     ``db_N`` beyond the new segment count would still be served, and
     n_docs/avgdl/idf would stay stale."""
-    out_global = os.path.join(out_dir, "global")
-    if not os.path.isdir(out_global):
+    if not os.path.isdir(os.path.join(out_dir, "global")):
         return
     try:
-        with open(os.path.join(out_global, "metadata.json")) as f:
-            existing_key = json.load(f).get("lineage_key")
-    except OSError:
+        existing_key = read_metadata(out_dir)[0]["lineage_key"]
+    except (OSError, ValueError):
         existing_key = None
     if existing_key != lineage_key:
         for d in os.listdir(out_dir):
@@ -1680,21 +1656,7 @@ def compact_index(index_dir: str, out_dir: str, force: bool = False) -> dict:
     from .tombstone import load_tombstones
 
     t0 = _time.perf_counter()
-    with open(os.path.join(index_dir, "global", "metadata.json")) as f:
-        meta = json.load(f)
-    bp = meta.get("build_params")
-    if bp is None:
-        raise ValueError("source index predates build_params metadata")
-    from ..config import NormalizerProfile as _NP
-
-    cfg = BuildConfig(
-        profile=_NP(**meta["profile_flags"]),
-        docs_per_segment=bp["docs_per_segment"],
-        skip_block_size=bp["skip_block_size"],
-        bm25_k1=bp["bm25_k1"],
-        bm25_b=bp["bm25_b"],
-        positions=bp.get("positions", False),
-    )
+    meta, cfg = read_metadata(index_dir)
     tombs = load_tombstones(index_dir)
     lineage_key = hashlib.sha256(
         (meta["lineage_key"] + ":compact:"
@@ -1756,8 +1718,7 @@ def compact_index(index_dir: str, out_dir: str, force: bool = False) -> dict:
         with open(marker2, "w") as f:
             f.write(lineage_key)
     stage_secs["global_stats"] = _time.perf_counter() - _t
-    with open(os.path.join(out_global, "metadata.json")) as f:
-        out_meta = json.load(f)
+    out_meta, _ = read_metadata(out_dir)
 
     summary = {
         "stage_secs": {k: round(v, 3) for k, v in stage_secs.items()},

@@ -38,10 +38,10 @@ import os
 
 import ray
 
-from ..config import BuildConfig, NormalizerProfile
+from ..config import BuildConfig
 from ..normalizer.word_normalizer import normalize_tokens
-from .build import _BUILD_FORMAT, read_global_term_df
-from .searcher import SegmentSearcher
+from .build import _BUILD_FORMAT, read_metadata
+from .searcher import SegmentSearcher, read_global_idf
 
 
 def list_segment_dirs(index_dir: str) -> list[str]:
@@ -75,11 +75,12 @@ class SegmentGroupWorker:
     """Holds several SegmentSearchers; merges their per-query top-k."""
 
     def __init__(self, seg_dirs: list[str], **searcher_args):
-        # the global lexicon, read once per worker: each searcher looks
-        # its vocabulary up in it for idf
-        term_df = read_global_term_df(os.path.dirname(seg_dirs[0]),
-                                      ["term", "idf"]).combine_chunks()
-        self.searchers = [SegmentSearcher(d, term_df=term_df, **searcher_args)
+        # the global lexicon's idf, computed once per worker: each
+        # searcher looks its vocabulary up in it
+        global_idf = read_global_idf(os.path.dirname(seg_dirs[0]),
+                                     searcher_args["n_docs_global"])
+        self.searchers = [SegmentSearcher(d, global_idf=global_idf,
+                                          **searcher_args)
                           for d in seg_dirs]
 
     def query_batch(self, toks_batch, k, mode, scorer_name):
@@ -191,65 +192,38 @@ class QueryEngine:
         index_dir: str,
         scorer: str = "bm25",
         use_actors: bool = True,
-        profile: NormalizerProfile | None = None,
         cfg: BuildConfig | None = None,
         num_workers: int | None = None,
         num_cpus_per_actor: float = 1,
     ):
-        cfg_supplied = cfg is not None
-        cfg = cfg or BuildConfig()
         self.index_dir = index_dir
-        with open(os.path.join(index_dir, "global", "metadata.json")) as f:
-            self.meta = json.load(f)
-        meta_profile = (
-            NormalizerProfile(**self.meta["profile_flags"])
-            if "profile_flags" in self.meta
-            else None
-        )
-        if profile is not None:
-            # explicit profile arg: honored, checked against the index below
-            self.profile = profile
-        elif meta_profile is not None:
-            # adopt the build profile recorded in the index metadata — but an
-            # explicitly-supplied cfg (e.g. the CLI's --profile flag) must
-            # agree rather than being silently overridden
-            if cfg_supplied and cfg.profile.profile_id != meta_profile.profile_id:
-                raise ValueError(
-                    "normalizer profile mismatch: the supplied cfg's profile "
-                    "differs from the profile this index was built with"
-                )
-            self.profile = meta_profile
-        else:
-            self.profile = cfg.profile
-        if self.meta["profile_id"] != self.profile.profile_id:
+        # the engine serves with the profile and BM25 constants the
+        # index was built with; a supplied cfg (e.g. the CLI's --profile
+        # flag) must agree rather than being silently overridden, since
+        # another normalizer mis-tokenizes queries and other constants
+        # rank differently
+        self.meta, built = read_metadata(index_dir)
+        if cfg is not None and cfg.profile.profile_id != built.profile.profile_id:
             raise ValueError(
-                "normalizer profile mismatch: index was built with a different "
-                "profile than the query engine is configured with"
+                "normalizer profile mismatch: the supplied cfg's profile "
+                "differs from the profile this index was built with"
             )
-        # the index records the BM25 constants it was built for — score
-        # and compute the block bounds with them, and refuse a cfg that
-        # silently disagrees (it would rank with other constants).
-        bp = self.meta.get("build_params")
-        if bp is not None:
-            if cfg_supplied and (
-                cfg.bm25_k1 != bp["bm25_k1"] or cfg.bm25_b != bp["bm25_b"]
-            ):
-                raise ValueError(
-                    "bm25 k1/b mismatch: the supplied cfg disagrees with the "
-                    "constants this index was built for "
-                    f"(index: k1={bp['bm25_k1']} b={bp['bm25_b']})"
-                )
-            k1_eff, b_eff = bp["bm25_k1"], bp["bm25_b"]
-        else:
-            k1_eff, b_eff = cfg.bm25_k1, cfg.bm25_b
+        if cfg is not None and (cfg.bm25_k1, cfg.bm25_b) != (built.bm25_k1,
+                                                            built.bm25_b):
+            raise ValueError(
+                "bm25 k1/b mismatch: the supplied cfg disagrees with the "
+                "constants this index was built for "
+                f"(index: k1={built.bm25_k1} b={built.bm25_b})"
+            )
+        self.profile = built.profile
         self.seg_dirs = list_segment_dirs(index_dir)
         check_format(self.seg_dirs)
         args = dict(
             n_docs_global=self.meta["n_docs"],
             avgdl=self.meta["avgdl"],
             scorer=scorer,
-            k1=k1_eff,
-            b=b_eff,
+            k1=built.bm25_k1,
+            b=built.bm25_b,
         )
         # tombstoned docs (index/tombstone.py): delete-sized list, read
         # once here; each searcher turns it into its own segment mask
@@ -385,7 +359,7 @@ class QueryEngine:
         """Dirichlet query-likelihood retrieval (beyond-reference scorer
         family): two scatter/gather phases. Phase 1 gathers global ctf
         for the batch's union of query terms (|terms| ints per worker —
-        the lexicon holds df/idf, not ctf). Phase 2 scatters the queries
+        the lexicon holds df, not ctf). Phase 2 scatters the queries
         with the ctf map + the exact integer collection length from the
         global metadata; per-segment top-k merges like every other mode.
         Exact at any segment count: ctf and T are global, the candidate

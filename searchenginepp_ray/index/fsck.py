@@ -29,8 +29,8 @@ parallel scan of segment-sized units, never a driver loop):
 * tombstones (if present): sorted, unique.
 
 ``deep=True`` adds the CROSS-segment check: every term's ``df`` in
-``global/term_df`` equals the sum of its ``df_local`` over all
-segments, and every segment term is in ``global/term_df``
+the global lexicon equals the sum of its ``df_local`` over all
+segments, and every segment term is in the global lexicon
 (vocabulary-sized traffic, no text).
 
 An index whose segments record another build format is refused with
@@ -232,20 +232,15 @@ def fsck_index(index_dir: str, deep: bool = False) -> dict:
     segment, a small driver merge (error strings + vocabulary-sized df
     arrays in deep mode only)."""
     report: dict = {"index_dir": index_dir, "ok": True, "errors": []}
-    gmeta_path = os.path.join(index_dir, "global", "metadata.json")
+    from .build import read_global_term_df, read_metadata
+    from .engine import check_format, list_segment_dirs
+
     try:
-        with open(gmeta_path) as f:
-            gmeta = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+        gmeta, _ = read_metadata(index_dir)
+    except (OSError, ValueError) as e:
         report["ok"] = False
         report["errors"].append(f"global metadata unreadable: {e}")
         return report
-    if "n_docs" not in gmeta:
-        report["ok"] = False
-        report["errors"].append("global metadata missing n_docs")
-        return report
-
-    from .engine import check_format, list_segment_dirs
 
     seg_dirs = list_segment_dirs(index_dir)
     if not seg_dirs:
@@ -272,8 +267,6 @@ def fsck_index(index_dir: str, deep: bool = False) -> dict:
             f"Σ segment docs {n_docs} != global n_docs {gmeta['n_docs']}")
 
     if deep:
-        from .build import read_global_term_df
-
         g = read_global_term_df(index_dir, ["term", "df"])
         gdf = dict(zip(g["term"].to_pylist(), g["df"].to_pylist()))
         bad = [f"term {t!r}: global df {gdf.get(t)} != Σ df_local "

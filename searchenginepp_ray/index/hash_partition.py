@@ -1,5 +1,5 @@
-"""Hash partitioning — the 64-bit key hash that assigns terms to global
-partitions, and the hash-partitioned groupby-apply built on it.
+"""Hash partitioning — a deterministic 64-bit key hash, and the
+hash-partitioned groupby-apply built on it.
 
 ``hash_groupby_apply`` is the scale-safe replacement for
 ``Dataset.groupby(keys).aggregate(...)`` when the key cardinality is
@@ -11,10 +11,6 @@ hash-partitioned on the key columns into ``P`` coarse partitions (P
 tracks cluster CPUs, so partition sizes shrink as the cluster grows),
 each partition holds every row of its keys, and the per-partition
 callable aggregates them in C.
-
-The index build's term-partition assignment is :func:`_key_hash` on the
-``term`` column modulo :func:`_shuffle_width`, so any change to these
-functions changes segment and global-lexicon bytes.
 """
 
 from __future__ import annotations

@@ -48,8 +48,12 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from ..codecs import unary, varbyte
-from .scorer import (Bm25Scorer, TfidfScorer, dequantize_scores,
+from .scorer import (Bm25Scorer, TfidfScorer, dequantize_scores, idf,
                      make_scorer, quantize_scores)
+
+#: LRU capacity of a searcher's decoded-postings cache, in terms (half of
+#: it is prewarmed with the hot terms at load)
+CACHE_TERMS = 8192
 
 
 def _np_offsets(binary_arr) -> tuple[np.ndarray, np.ndarray]:
@@ -61,6 +65,16 @@ def _np_offsets(binary_arr) -> tuple[np.ndarray, np.ndarray]:
     return offsets, values
 
 
+def read_global_idf(index_dir: str, n_docs: int) -> pa.Table:
+    """The global lexicon as ``(term, idf)``: idf = log2(N/df) over the
+    whole term-sorted lexicon in one call, so every segment of an index
+    serves the same idf array."""
+    from .build import read_global_term_df
+
+    g = read_global_term_df(index_dir).combine_chunks()
+    return pa.table({"term": g["term"], "idf": idf(n_docs, g["df"].to_numpy())})
+
+
 class SegmentSearcher:
     def __init__(
         self,
@@ -70,10 +84,9 @@ class SegmentSearcher:
         scorer: str = "bm25",
         k1: float = 0.82,
         b: float = 0.68,
-        cache_terms: int = 8192,
         prewarm_df: int | None = 5000,
         tombstones: list[str] | None = None,
-        term_df: pa.Table | None = None,
+        global_idf: pa.Table | None = None,
     ):
         self.seg_dir = seg_dir
         with open(os.path.join(seg_dir, "manifest.json")) as f:
@@ -103,24 +116,22 @@ class SegmentSearcher:
                    for c in ("impact_n", "impact_tf", "impact_doclen")]
 
         # The segment stores nothing computed from the collection: idf
-        # comes from the global lexicon (one hash probe of the segment
-        # vocabulary), and each block's bound is the best score over its
-        # impacts under the statistics served with — the value the build
-        # once stored, bit for bit (same scorer arithmetic, same
-        # quantization).
-        if term_df is None:
-            from .build import read_global_term_df
-
-            term_df = read_global_term_df(os.path.dirname(seg_dir),
-                                          ["term", "idf"])
-        gidx = pc.index_in(t["term"], value_set=term_df["term"])
+        # comes from the global lexicon's ``(term, idf)`` (one hash probe
+        # of the segment vocabulary; :func:`read_global_idf` unless the
+        # worker passes it), and each block's bound is the best score
+        # over its impacts under the statistics served with — the value
+        # the build once stored, bit for bit (same scorer arithmetic,
+        # same quantization).
+        if global_idf is None:
+            global_idf = read_global_idf(os.path.dirname(seg_dir), n_docs_global)
+        gidx = pc.index_in(t["term"], value_set=global_idf["term"])
         if gidx.null_count:
             missing = t["term"].filter(pc.is_null(gidx))
             raise ValueError(
                 f"{seg_dir}: {len(missing)} segment term(s) missing from the "
                 f"global lexicon, e.g. {missing[0].as_py()!r}; rebuild the "
                 "index")
-        self.idf = term_df["idf"].to_numpy()[gidx.to_numpy()]
+        self.idf = global_idf["idf"].to_numpy()[gidx.to_numpy()]
         self._skip_bm25_v, self._skip_tfidf_v = self._block_bounds(
             *impacts, Bm25Scorer(k1, b), avgdl)
         term_blocks = self._skip_offs[:-1]
@@ -165,7 +176,7 @@ class SegmentSearcher:
         self.avgdl = avgdl
         self.default_scorer = make_scorer(scorer, k1, b)
         self._cache: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-        self._cache_cap = cache_terms
+        self._cache_cap = CACHE_TERMS
         # single-block decode cache for the lazy query paths + decode
         # accounting (``decoded_postings`` lets tests assert that lazy
         # traversal touches a strict subset of the postings)
@@ -219,7 +230,7 @@ class SegmentSearcher:
             # actor, parallel across the pool) so first queries don't pay
             # the big decodes; cold terms stay lazy + LRU-cached
             hot = np.flatnonzero(self.df_local >= prewarm_df)
-            for ti in hot[: cache_terms // 2]:
+            for ti in hot[: CACHE_TERMS // 2]:
                 self.postings(int(ti))
 
     def _block_bounds(self, n_imp: np.ndarray, tf: np.ndarray, dl: np.ndarray,

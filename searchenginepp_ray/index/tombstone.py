@@ -13,7 +13,8 @@ index is compacted — see below).
 Beyond-reference: the C++ engine has no delete path at all.
 
 Scale shape: the tombstone set is delete-sized, not corpus-sized — one
-small sorted Parquet under ``global/`` read once per engine construction
+small sorted Parquet under ``global/`` (the only record of the deletes:
+no count of them is kept anywhere else) read once per engine construction
 and turned into a per-segment bool mask inside each actor (an ``is_in``
 against the segment's own docnos; segments with no deleted docs keep a
 ``None`` mask and an untouched fast path).
@@ -29,7 +30,6 @@ statistics; its output carries no tombstone file.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from collections.abc import Iterable
@@ -75,19 +75,4 @@ def delete_docs(index_dir: str, docnos: Iterable[str]) -> int:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-    # keep an audit line in the global metadata for lineage inspectors
-    meta_path = os.path.join(gdir, "metadata.json")
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            meta = json.load(f)
-        meta["n_tombstones"] = len(merged)
-        fd, tmp = tempfile.mkstemp(dir=gdir, suffix=".meta.tmp")
-        os.close(fd)
-        try:
-            with open(tmp, "w") as f:
-                json.dump(meta, f)
-            os.replace(tmp, meta_path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
     return len(merged)

@@ -25,7 +25,8 @@ import numpy as np
 import pandas as pd
 
 from ..config import BuildConfig, FULL_PROFILE, SIMPLE_PROFILE
-from ..index.build import build_index
+from ..index.build import (build_index, read_global_term_df, read_metadata,
+                           term_df_path)
 from ..index.engine import QueryEngine
 from ..sources.parquet_corpus import DOCUMENTS_CORPUS
 
@@ -129,20 +130,19 @@ WILDCARD_QUERIES = ("s", "va", "qu", "zz")
 def expand_prefix(index_dir: str, prefix: str,
                   cap: int = 1024) -> list[str]:
     """All index vocabulary terms starting with ``prefix``, resolved
-    from the PARTITIONED global lexicon with one filtered read (each
-    ``term_df/part-K`` file is term-sorted, so parquet row-group
-    statistics prune the scan to the prefix range). Capped: a prefix
-    expanding past ``cap`` terms is a user error at any corpus size
-    (classic engines refuse it rather than scoring the vocabulary)."""
+    from the global lexicon with one filtered read (the lexicon is
+    term-sorted, so parquet row-group statistics prune the scan to the
+    prefix range). Capped: a prefix expanding past ``cap`` terms is a
+    user error at any corpus size (classic engines refuse it rather
+    than scoring the vocabulary)."""
     import pyarrow.dataset as pads
 
     if not prefix:
         raise ValueError("empty wildcard prefix")
     hi = prefix[:-1] + chr(ord(prefix[-1]) + 1)
-    d = pads.dataset(os.path.join(index_dir, "global", "term_df"))
-    t = d.to_table(columns=["term"],
-                   filter=(pads.field("term") >= prefix)
-                   & (pads.field("term") < hi))
+    t = read_global_term_df(index_dir, ["term"],
+                            filter=(pads.field("term") >= prefix)
+                            & (pads.field("term") < hi))
     if len(t) > cap:
         raise ValueError(
             f"wildcard {prefix!r}* expands to {len(t)} terms (cap {cap})")
@@ -153,9 +153,9 @@ def search_wildcard(sf_dir: str, k: int = 10, mode: str = "daat",
                     prefixes: tuple = WILDCARD_QUERIES) -> pd.DataFrame:
     """Wildcard (prefix) retrieval: each query ``p*`` expands against
     the index's own global lexicon (one pruned read of the sorted
-    term_df partition files — never the corpus) and the expansion runs
-    as a standard disjunctive query: score = Σ over matched vocabulary
-    terms of BM25. Returns (query_id, rank, doc_id, score)."""
+    lexicon file — never the corpus) and the expansion runs as a
+    standard disjunctive query: score = Σ over matched vocabulary terms
+    of BM25. Returns (query_id, rank, doc_id, score)."""
     eng = get_engine(sf_dir, simple=True, scorer="bm25")
     tok_lists = [expand_prefix(eng.index_dir, p) for p in prefixes]
     return _to_frame(eng.search_batch(tok_lists, k=k, mode=mode))
@@ -169,16 +169,14 @@ FUZZY_SEARCH_QUERIES = ("tble scann", "sprk windoww", "vale merge", "qzx")
 def expand_fuzzy(index_dir: str, words: list[str],
                  max_dist: int = 1, cap: int = 1024) -> list[str]:
     """Union of index-vocabulary terms within edit distance ``max_dist``
-    of any query word, resolved by STREAMING the partitioned global
-    lexicon through the SymSpell deletion-neighborhood matcher
+    of any query word, resolved by STREAMING the global lexicon through
+    the SymSpell deletion-neighborhood matcher
     (text_stats.fuzzy_hits_batch): the query side ships as a tiny
     broadcast set of deletion keys riding the task closure; the
-    vocabulary side is one ``map_batches`` over the term-sorted
-    ``term_df/part-K`` files reading ONLY the term column; only matched
-    terms return (a bounded handful per word, never vocabulary-sized).
+    vocabulary side is one ``map_batches`` over the term-sorted lexicon
+    file reading ONLY the term column; only matched terms return (a
+    bounded handful per word, never vocabulary-sized).
     Capped like wildcard expansion: past ``cap`` terms is a user error."""
-    import glob as _glob
-
     import pyarrow as pa
     import ray.data as rd
 
@@ -201,10 +199,8 @@ def expand_fuzzy(index_dir: str, words: list[str],
         return pa.table(
             {"term": terms.take(pa.array(sorted(set(idxs)), pa.int64()))})
 
-    files = sorted(_glob.glob(os.path.join(index_dir, "global",
-                                           "term_df", "*")))
-    hits = rd.read_parquet(files, columns=["term"]).map_batches(
-        match, batch_format="pyarrow").to_pandas()
+    hits = rd.read_parquet(term_df_path(index_dir), columns=["term"]) \
+        .map_batches(match, batch_format="pyarrow").to_pandas()
     # an expansion with zero hits can come back schema-less
     terms = sorted(set(hits["term"])) if "term" in hits.columns else []
     if len(terms) > cap:
@@ -218,8 +214,8 @@ def search_fuzzy(sf_dir: str, k: int = 10, mode: str = "bmm",
                  max_dist: int = 1) -> pd.DataFrame:
     """Spell-tolerant retrieval: each query's words expand to every
     index-vocabulary term within edit distance ``max_dist`` (SymSpell
-    deletion-neighborhood streaming over the partitioned global
-    lexicon — never a corpus touch), and the union expansion runs as a
+    deletion-neighborhood streaming over the global lexicon — never a
+    corpus touch), and the union expansion runs as a
     standard disjunctive query: score = Σ BM25 over matched vocabulary
     terms. The retrieval twin of :func:`..text_stats.fuzzy_term_match`
     (which returns the match table itself). Returns
@@ -878,11 +874,9 @@ def search_bm25_rm3(sf_dir: str, k_fb: int = 5, m_exp: int = 3,
     Scale shape: pass 1 and pass 2 are the segment-actor engine
     (bounded work per query); the only corpus touch in between is ONE
     pruned parquet read of the ≤ n_queries × k_fb feedback docs (filter
-    pushdown on doc_id) and a term-filtered read of the index's
-    partitioned global lexicon for just the candidate terms — nothing
-    data-sized reaches the driver."""
-    import json
-
+    pushdown on doc_id) and a term-filtered read of the index's global
+    lexicon for just the candidate terms — nothing data-sized reaches
+    the driver."""
     import numpy as np
     import pyarrow.dataset as pads
     import ray.data
@@ -920,17 +914,12 @@ def search_bm25_rm3(sf_dir: str, k_fb: int = 5, m_exp: int = 3,
         .to_pandas()  # bounded by the feedback set, not the corpus
     )
     cand_terms = sorted(set(fb_tf["term"]))
-    # term-filtered read of the partitioned global lexicon (df + n_docs)
-    df_tbl = (
-        ray.data.read_parquet(
-            os.path.join(out_dir, "global", "term_df"),
-            columns=["term", "df"],
-            filter=pads.field("term").isin(cand_terms))
-        .to_pandas()
-    )
-    with open(os.path.join(out_dir, "global", "metadata.json")) as f:
-        n_docs = json.load(f)["n_docs"]
-    dfs = dict(zip(df_tbl["term"], df_tbl["df"]))
+    # term-filtered read of the global lexicon (df + n_docs)
+    df_tbl = read_global_term_df(
+        out_dir, ["term", "df"],
+        filter=pads.field("term").isin(cand_terms))
+    n_docs = read_metadata(out_dir)[0]["n_docs"]
+    dfs = dict(zip(df_tbl["term"].to_pylist(), df_tbl["df"].to_pylist()))
 
     expanded = []
     for qi, q in enumerate(DOC_QUERIES):
@@ -995,9 +984,7 @@ def get_tombstoned_engine(sf_dir: str, mod: int = TOMB_MOD) -> QueryEngine:
     cfg = _cfg(simple=True)
     base = _index_dir(sf_dir, cfg)
     build_index(f"{sf_dir}/documents.parquet", base, cfg, DOCUMENTS_CORPUS)
-    with open(os.path.join(base, "global", "metadata.json")) as f:
-        meta = json.load(f)
-    lineage = str(meta.get("lineage_key", meta["n_docs"]))
+    lineage = read_metadata(base)[0]["lineage_key"]
     key = (os.path.abspath(sf_dir), cfg.params_id, "tomb", mod, lineage)
     eng = _ENGINES.get(key)
     if eng is not None:
@@ -1195,11 +1182,9 @@ def search_more_like_this(sf_dir: str, seed_ids: tuple = MLT_SEED_IDS,
 
     Scale shape: ONE pruned parquet read of the seed docs (filter
     pushdown on doc_id, bounded by the seed set), a term-filtered read
-    of the partitioned global lexicon for just the seeds' vocabulary,
+    of the global lexicon for just the seeds' vocabulary,
     then the standard segment-actor engine — the same corpus-touch
     contract as RM3's expansion stage."""
-    import json
-
     import pyarrow.dataset as pads
     import ray.data
 
@@ -1232,16 +1217,11 @@ def search_more_like_this(sf_dir: str, seed_ids: tuple = MLT_SEED_IDS,
         .to_pandas()  # bounded by the seed set
     )
     cand_terms = sorted(set(seed_tf["term"]))
-    df_tbl = (
-        ray.data.read_parquet(
-            os.path.join(out_dir, "global", "term_df"),
-            columns=["term", "df"],
-            filter=pads.field("term").isin(cand_terms))
-        .to_pandas()
-    )
-    with open(os.path.join(out_dir, "global", "metadata.json")) as f:
-        n_docs = json.load(f)["n_docs"]
-    dfs = dict(zip(df_tbl["term"], df_tbl["df"]))
+    df_tbl = read_global_term_df(
+        out_dir, ["term", "df"],
+        filter=pads.field("term").isin(cand_terms))
+    n_docs = read_metadata(out_dir)[0]["n_docs"]
+    dfs = dict(zip(df_tbl["term"].to_pylist(), df_tbl["df"].to_pylist()))
 
     tok_lists = []
     for sid in ids:

@@ -35,10 +35,10 @@ The importer re-encodes postings into this engine's segment layout
 (delta-gap VarByte with block restarts, per-term unary, skip blocks and
 their impacts built by the build's own segment writer,
 ``AssembleSegment``), writes the reference's global lexicon as
-``global/term_df`` (df and idf = log2(N/df)) through the build's global
-stage writer, and writes the ``global/`` metadata the serving stack
-expects plus ``docs/``, the document index ``(docid, docno, doclen)`` —
-the reference's ``document_index``. The postings are kept in the
+``global/term_df.parquet`` ``(term, df)`` and the ``global/`` metadata
+the serving stack expects through the build's own writers, plus
+``docs/``, the document index ``(docid, docno, doclen)`` — the
+reference's ``document_index``. The postings are kept in the
 segments only; merge and compaction decode them from there, as for a
 native build. Sigma/skip values from the reference file are
 deliberately IGNORED — the engine computes its bounds at load from the
@@ -47,9 +47,7 @@ impacts; ranks are unaffected (upper bounds only gate pruning).
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
 import struct
 
 import numpy as np
@@ -165,8 +163,7 @@ def import_reference_index(
     with (it only affects query-time tokenization — the postings are
     taken verbatim)."""
     from ..index.build import (DOCS_SCHEMA, AssembleSegment, _key, _Postings,
-                               _SortedPostings, _write_term_df)
-    from ..index.hash_partition import _shuffle_width
+                               _SortedPostings, _write_term_df, write_metadata)
 
     cfg = cfg or BuildConfig(profile=profile)
     if cfg.positions:
@@ -257,37 +254,13 @@ def import_reference_index(
                              len(uniq_terms))], {})
         n_postings_total += manifest["n_postings"]
 
-    # global state: the partitioned lexicon, through the build's
-    # global-stats writer, and the metadata the engine loads at init
+    # global state through the build's global-stats writers: the
+    # lexicon, and the metadata the engine loads at init
     gdir = os.path.join(out_dir, "global")
-    shutil.rmtree(os.path.join(gdir, "term_df"), ignore_errors=True)
-    os.makedirs(os.path.join(gdir, "term_df"))
-    _write_term_df(os.path.join(gdir, "term_df"), g_terms, g_df, n_docs,
-                   _shuffle_width())
-    meta = {
-        "n_docs": int(n_docs),
-        "sum_doclen": int(sum_doclen),
-        "avgdl": avgdl,
-        "n_terms_global": int(len(g_terms)),
-        "params_id": cfg.params_id,
-        "profile_id": cfg.profile.profile_id,
-        "profile_flags": {
-            "stemming": cfg.profile.stemming,
-            "fix_latin1": cfg.profile.fix_latin1,
-            "latin1_case": cfg.profile.latin1_case,
-        },
-        "build_params": {
-            "skip_block_size": cfg.skip_block_size,
-            "bm25_k1": cfg.bm25_k1,
-            "bm25_b": cfg.bm25_b,
-            "docs_per_segment": cfg.docs_per_segment,
-            "positions": False,
-        },
-        "lineage_key": lineage_key,
-        "imported_from": os.path.abspath(ref_dir),
-    }
-    with open(os.path.join(gdir, "metadata.json"), "w") as f:
-        json.dump(meta, f)
+    os.makedirs(gdir, exist_ok=True)
+    _write_term_df(gdir, g_terms, g_df)
+    write_metadata(gdir, cfg, int(n_docs), int(sum_doclen), len(g_terms),
+                   lineage_key)
     return {
         "n_docs": int(n_docs),
         "sum_doclen": int(sum_doclen),

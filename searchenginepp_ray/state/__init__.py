@@ -2,6 +2,6 @@
 per-segment manifests + global metadata, and the index_report /
 verify_lineage inspectors)."""
 
-from .lineage import index_report, read_manifests, read_metadata, verify_lineage
+from .lineage import index_report, read_manifests, verify_lineage
 
-__all__ = ["index_report", "read_manifests", "read_metadata", "verify_lineage"]
+__all__ = ["index_report", "read_manifests", "verify_lineage"]

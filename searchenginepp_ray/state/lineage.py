@@ -7,7 +7,9 @@ Every build artifact carries provenance:
 - per-segment ``manifest.json`` (segment id, docid range, row/term/posting
   counts, source files, encodings, profile/params ids, build format, the
   segment's own lineage key, per-phase timings);
-- ``global/metadata.json`` (collection stats + normalizer profile flags).
+- ``global/metadata.json`` (collection stats + the build's normalizer
+  profile flags and params), read through
+  :func:`..index.build.read_metadata`.
 
 :func:`index_report` aggregates them into one metrics frame — the
 "per-partition lineage + metrics" surface of the north rule; a resumed
@@ -23,7 +25,7 @@ import os
 
 import pandas as pd
 
-from ..index.build import _BUILD_FORMAT
+from ..index.build import _BUILD_FORMAT, read_metadata
 
 
 def read_manifests(index_dir: str) -> list[dict]:
@@ -36,11 +38,6 @@ def read_manifests(index_dir: str) -> list[dict]:
                 with open(p) as f:
                     out.append(json.load(f))
     return sorted(out, key=lambda m: m["seg"])
-
-
-def read_metadata(index_dir: str) -> dict:
-    with open(os.path.join(index_dir, "global", "metadata.json")) as f:
-        return json.load(f)
 
 
 def index_report(index_dir: str) -> pd.DataFrame:
@@ -66,7 +63,7 @@ def index_report(index_dir: str) -> pd.DataFrame:
 
 def verify_lineage(index_dir: str) -> dict:
     """Cross-check invariants between metadata, manifests and markers."""
-    meta = read_metadata(index_dir)
+    meta, _ = read_metadata(index_dir)
     ms = read_manifests(index_dir)
     problems = []
     if sum(m["n_docs"] for m in ms) != meta["n_docs"]:

@@ -10,20 +10,21 @@ appended to, tombstoned + compacted, and merged. Pins per phase:
   recorded from the build that still stored them;
 - ``DROPPED``: per column, the idf, df_global, sigmas and block bounds
   that build stored. The searcher now computes them at load (idf from
-  ``global/term_df``, bounds from the stored impacts) and must hash to
-  the same digests, so its arrays equal the stored ones bit for bit;
-- ``FMT5``: every ``db_*`` and ``global/`` Parquet table of the current
-  format, and ``TERM_DF`` the ``global/term_df`` tables alone (which
-  equal the earlier build's).
+  the global df, bounds from the stored impacts) and must hash to the
+  same digests, so its arrays equal the stored ones bit for bit;
+- ``DB``: every ``db_*`` Parquet table, recorded when the global lexicon
+  was still written as term-hash partitions (the segments did not
+  change with it);
+- ``TERM_DF``: the global lexicon ``global/term_df.parquet``, equal to
+  the ``(term, df)`` rows of those partitions, concatenated and
+  term-sorted;
+- ``GLOBAL``: every ``global/`` Parquet table of the current format.
 
 Tables are hashed with schema metadata stripped (so the pin does not
 depend on the Parquet writer's version or on who wrote the schema).
-The ``global/term_df/part-K`` names depend on the term-hash width, which
-follows the session's CPU count (``tests/conftest.py`` starts Ray with 4).
 """
 
 import hashlib
-import json
 import os
 import shutil
 
@@ -39,6 +40,8 @@ from searchenginepp_ray.index.build import (
     compact_index,
     merge_segments,
     read_global_term_df,
+    read_metadata,
+    term_df_path,
 )
 from searchenginepp_ray.index.engine import QueryEngine, list_segment_dirs
 from searchenginepp_ray.index.searcher import SegmentSearcher
@@ -151,44 +154,66 @@ DROPPED = {
     },
 }
 
-#: sha256 per phase of the ``global/term_df`` tables
+#: sha256 per phase of the global lexicon, recorded as the term-sorted
+#: ``(term, df)`` rows of the term-hash partitions it replaces
 TERM_DF = {
     ("plain", "append"):
-        "3db32d27809895bc726d74e1de0a7d7a9f4f9b5a49193eb22f78eecb1d0b0a91",
+        "fabd7050020ebcce68b5b19a1e8d0aabf914c0fafc88e08f999db284f9103fa4",
     ("plain", "build"):
-        "da61db2fa9e78b2eec83437763d4a9ba4bfcc5961ef5b9c8aec8ac579fa7a0e8",
+        "93a99bfa68c14986e793a3cc5225395736afeb1a7a7f0b91e9a0eb521a89bcda",
     ("plain", "compact"):
-        "5e606c3af6ca2b7a8552a3bb47ad69e68d32319b1d7136b4b03d8737f6b2e975",
+        "4c302f89667007ebde3b5bc8b322eb8048a03cfe0af9856df5b19fcc89d56ef9",
     ("plain", "merge"):
-        "3db32d27809895bc726d74e1de0a7d7a9f4f9b5a49193eb22f78eecb1d0b0a91",
+        "fabd7050020ebcce68b5b19a1e8d0aabf914c0fafc88e08f999db284f9103fa4",
     ("positions", "append"):
-        "3db32d27809895bc726d74e1de0a7d7a9f4f9b5a49193eb22f78eecb1d0b0a91",
+        "fabd7050020ebcce68b5b19a1e8d0aabf914c0fafc88e08f999db284f9103fa4",
     ("positions", "build"):
-        "da61db2fa9e78b2eec83437763d4a9ba4bfcc5961ef5b9c8aec8ac579fa7a0e8",
+        "93a99bfa68c14986e793a3cc5225395736afeb1a7a7f0b91e9a0eb521a89bcda",
     ("positions", "compact"):
-        "5e606c3af6ca2b7a8552a3bb47ad69e68d32319b1d7136b4b03d8737f6b2e975",
+        "4c302f89667007ebde3b5bc8b322eb8048a03cfe0af9856df5b19fcc89d56ef9",
     ("positions", "merge"):
-        "3db32d27809895bc726d74e1de0a7d7a9f4f9b5a49193eb22f78eecb1d0b0a91",
+        "fabd7050020ebcce68b5b19a1e8d0aabf914c0fafc88e08f999db284f9103fa4",
 }
 
-#: sha256 per phase over every ``db_*`` and ``global/`` table (fmt5)
-FMT5 = {
+#: sha256 per phase over every ``db_*`` table, recorded with the
+#: partitioned lexicon
+DB = {
     ("plain", "append"):
-        "8c5bbc7dd6780e47f7da1b611332eff4a50e85a4830e5bd5eca12bf83a4abca2",
+        "82cef283bf52540694fee5f06d00f5993e5f2b18c62289d013eb2c51d77cb183",
     ("plain", "build"):
-        "264d8181bf8d08ad45ffbabeb8800fb771f14395b690a803411767865dc73847",
+        "d8f549c0664df8a6a3ad472e034e0a933a020feb204babf6fab6fdbde5c5600e",
     ("plain", "compact"):
-        "706e590fedba6bd77dab0b0455623cf63580a7611739d80fd281163036421b8d",
+        "46af126e628fdbbefdac6a54f2a3c1be5a775c4e9c1c420afe0699dd5d016711",
     ("plain", "merge"):
-        "d99148939651af9c31d573385825558f8133e283bba8e100fed54faff0b6331c",
+        "e754970d7fc0fcb29a8ee16d8b090a3d92325cfb515d3aa9f95245f77bf5c782",
     ("positions", "append"):
-        "062b72838182b53ed1e62cb6ad75f7e46cb1b33cbee5a30659c6d7f3b0d33e01",
+        "34742130209bd0a4204803aa962303e080a61e66b6cc6a55ead7f10a26f0baf2",
     ("positions", "build"):
-        "84615cd706f9ba43c09e4bd38d790cb4ca16938845762dab3de69e397f21f732",
+        "00878e96359d2b1c174d8dcf66d0fccb5c04874a884392a35f1687c30d0e5bc0",
     ("positions", "compact"):
-        "3aafa108af2f0605f028bbce9aa254949bd8ad6e15fee1069e95bdfb0da33b5e",
+        "5c8fd51e8a7a1dc8c28374b10a09bdf86782a1917f8e2febb656cc9689c4515a",
     ("positions", "merge"):
-        "aa7aac85de6d1ee0b280a23204193170b006b23aee39d5396602a0191d2d3549",
+        "cb39201b68345014cc570d9722b4f29284a7a1c01ccbd3d0da4350d9bf97c769",
+}
+
+#: sha256 per phase over every ``global/`` table
+GLOBAL = {
+    ("plain", "append"):
+        "e81ed74b19454e3eed9aac859cd3b9167972853a273a6d2acbb52621c0256797",
+    ("plain", "build"):
+        "51f7caa33b8127aff734cfe1287208f89b25adfe4716a852002de3fa094a45cc",
+    ("plain", "compact"):
+        "48d56b5f2227f8e233da8063d5c372cae939dc961ef467ffb88e4422a1d61d8b",
+    ("plain", "merge"):
+        "e81ed74b19454e3eed9aac859cd3b9167972853a273a6d2acbb52621c0256797",
+    ("positions", "append"):
+        "e81ed74b19454e3eed9aac859cd3b9167972853a273a6d2acbb52621c0256797",
+    ("positions", "build"):
+        "51f7caa33b8127aff734cfe1287208f89b25adfe4716a852002de3fa094a45cc",
+    ("positions", "compact"):
+        "48d56b5f2227f8e233da8063d5c372cae939dc961ef467ffb88e4422a1d61d8b",
+    ("positions", "merge"):
+        "e81ed74b19454e3eed9aac859cd3b9167972853a273a6d2acbb52621c0256797",
 }
 
 
@@ -215,15 +240,14 @@ def _table_digest(t: pa.Table) -> str:
     return h.hexdigest()
 
 
-def _index_digest(idx: str) -> str:
-    """Hash of every segment and global Parquet table under ``idx``,
-    keyed by relative path."""
+def _index_digest(idx: str, top_dirs) -> str:
+    """Hash of every Parquet table under ``idx`` whose top directory
+    passes ``top_dirs``, keyed by relative path."""
     h = hashlib.sha256()
     for dirpath, dirnames, files in sorted(os.walk(idx)):
         dirnames.sort()
         rel = os.path.relpath(dirpath, idx)
-        top = rel.split(os.sep)[0]
-        if not (top.startswith("db_") or top == "global"):
+        if not top_dirs(rel.split(os.sep)[0]):
             continue
         for fn in sorted(files):
             if fn.endswith(".parquet"):
@@ -249,14 +273,12 @@ def _loaded_digests(idx: str) -> dict[str, str]:
     """Per dropped column, the hash of what the searcher computes at
     load (``df_global`` looked up in ``global/term_df``), laid out as
     the column was: values per segment, then a list column's offsets."""
-    with open(os.path.join(idx, "global", "metadata.json")) as f:
-        meta = json.load(f)
-    bp = meta["build_params"]
-    g = read_global_term_df(idx, ["term", "df"])
+    meta, cfg = read_metadata(idx)
+    g = read_global_term_df(idx)
     hs = {c: hashlib.sha256() for c in DROPPED_COLUMNS}
     for d in list_segment_dirs(idx):
-        s = SegmentSearcher(d, meta["n_docs"], meta["avgdl"], k1=bp["bm25_k1"],
-                            b=bp["bm25_b"], prewarm_df=None)
+        s = SegmentSearcher(d, meta["n_docs"], meta["avgdl"], k1=cfg.bm25_k1,
+                            b=cfg.bm25_b, prewarm_df=None)
         gidx = pc.index_in(pa.array(s.terms, pa.string()), value_set=g["term"])
         offs = np.asarray(s._skip_offs, np.int64).tobytes()
         for c, parts in (
@@ -273,21 +295,13 @@ def _loaded_digests(idx: str) -> dict[str, str]:
     return {c: h.hexdigest() for c, h in hs.items()}
 
 
-def _term_df_digest(idx: str) -> str:
-    h = hashlib.sha256()
-    d = os.path.join(idx, "global", "term_df")
-    for fn in sorted(os.listdir(d)):
-        h.update(fn.encode())
-        h.update(_table_digest(pq.read_table(os.path.join(d, fn))).encode())
-    return h.hexdigest()
-
-
 def _digests(idx: str) -> dict:
     return {
         "kept": _kept_digest(idx),
         "dropped": _loaded_digests(idx),
-        "term_df": _term_df_digest(idx),
-        "fmt5": _index_digest(idx),
+        "term_df": _table_digest(pq.read_table(term_df_path(idx))),
+        "db": _index_digest(idx, lambda top: top.startswith("db_")),
+        "global": _index_digest(idx, lambda top: top == "global"),
     }
 
 
@@ -336,14 +350,17 @@ def lifecycles(ray_session, tmp_path_factory):
 
 @pytest.mark.parametrize("kind,phase", sorted(KEPT))
 def test_build_stage_content_pin(lifecycles, kind, phase):
-    """The kept columns are unchanged, the searcher computes at load
-    exactly the statistics and bounds the segments once stored, and the
-    current format's tables are pinned."""
+    """The kept columns and the segment tables are unchanged, the
+    searcher computes at load exactly the statistics and bounds the
+    segments once stored, the one-file lexicon holds the rows of the
+    partitions it replaces, and the current ``global/`` tables are
+    pinned."""
     got = lifecycles[kind][phase]
     assert got["kept"] == KEPT[(kind, phase)]
     assert got["dropped"] == DROPPED[(kind, phase)]
+    assert got["db"] == DB[(kind, phase)]
     assert got["term_df"] == TERM_DF[(kind, phase)]
-    assert got["fmt5"] == FMT5[(kind, phase)]
+    assert got["global"] == GLOBAL[(kind, phase)]
 
 
 def test_searcher_refuses_lexicon_gap(lifecycles, tmp_path):
@@ -352,9 +369,7 @@ def test_searcher_refuses_lexicon_gap(lifecycles, tmp_path):
     vanish under ``python -O`` and serve a wrong idf)."""
     src = str(tmp_path / "src")
     shutil.copytree(lifecycles["plain"]["_idx"], src)
-    d = os.path.join(src, "global", "term_df")
-    part = os.path.join(d, sorted(os.listdir(d))[0])
-    t = pq.read_table(part)
-    pq.write_table(t.slice(1), part)
+    path = term_df_path(src)
+    pq.write_table(pq.read_table(path).slice(1), path)
     with pytest.raises(ValueError, match="global lexicon"):
         QueryEngine(src, use_actors=False)

@@ -7,7 +7,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from searchenginepp_ray.config import BuildConfig, FULL_PROFILE
-from searchenginepp_ray.index.build import build_index
+from searchenginepp_ray.index.build import build_index, term_df_path
 from searchenginepp_ray.index.engine import QueryEngine
 from searchenginepp_ray.sources.corpus_gen import write_corpus, docno_of
 from searchenginepp_ray.sources.parquet_corpus import CODE_CORPUS
@@ -1027,12 +1027,8 @@ def test_compact_index_equals_fresh_build(built, tmp_path_factory):
         assert filecmp.cmp(os.path.join(fresh_dir, d, "terms.parquet"),
                            os.path.join(out, d, "terms.parquet"),
                            shallow=False), d
-    ftd = os.path.join(fresh_dir, "global", "term_df")
-    ctd = os.path.join(out, "global", "term_df")
-    assert sorted(os.listdir(ftd)) == sorted(os.listdir(ctd))
-    for f in os.listdir(ftd):
-        assert filecmp.cmp(os.path.join(ftd, f), os.path.join(ctd, f),
-                           shallow=False), f
+    assert filecmp.cmp(term_df_path(fresh_dir), term_df_path(out),
+                       shallow=False)
     with open(os.path.join(fresh_dir, "global", "metadata.json")) as f:
         fm = json.load(f)
     with open(os.path.join(out, "global", "metadata.json")) as f:
@@ -1286,7 +1282,7 @@ def test_global_stage_is_replay_safe(ray_session, tmp_path_factory):
         return out
 
     before = snap(gdir)
-    assert any(k.startswith("term_df") for k in before)
+    assert sorted(before) == ["metadata.json", "term_df.parquet"]
     with open(os.path.join(gdir, "metadata.json")) as f:
         meta = json.load(f)
     _global_stage(list_segment_dirs(idx), gdir, meta["n_docs"], cfg,

@@ -16,7 +16,7 @@ from searchenginepp_ray.config import SIMPLE_PROFILE, BuildConfig
 from searchenginepp_ray.index import build
 from searchenginepp_ray.index.build import build_index, compact_index
 from searchenginepp_ray.index.engine import QueryEngine
-from searchenginepp_ray.index.tombstone import TOMBSTONE_FILE, delete_docs
+from searchenginepp_ray.index.tombstone import TOMBSTONE_FILE, delete_docs, load_tombstones
 from searchenginepp_ray.sources.parquet_corpus import ColumnSpec
 from searchenginepp_ray.state.lineage import verify_lineage
 
@@ -78,8 +78,7 @@ def test_docs_hold_the_document_index_only(ray_session, tmp_path):
 
 def test_append_keeps_deletes(ray_session, tmp_path):
     """A doc deleted before an append stays deleted after it: the
-    append carries the tombstone file and its count through the global
-    stats stage. A forced rebuild starts a new index without them."""
+    append carries the tombstone file through the global stats stage. A forced rebuild starts a new index without them."""
     corpus, append = _corpus(tmp_path)
     idx = tmp_path / "idx"
     build_index(str(corpus), str(idx), CFG, SPEC)
@@ -92,8 +91,7 @@ def test_append_keeps_deletes(ray_session, tmp_path):
     served = _served(idx)
     assert "d0007" not in served and "d0199" in served
     assert os.path.exists(os.path.join(str(idx), "global", TOMBSTONE_FILE))
-    with open(os.path.join(str(idx), "global", "metadata.json")) as f:
-        assert json.load(f)["n_tombstones"] == 1
+    assert load_tombstones(str(idx)) == ["d0007"]
 
     build_index(str(corpus), str(idx), CFG, SPEC, force=True)
     assert not os.path.exists(os.path.join(str(idx), "global", TOMBSTONE_FILE))

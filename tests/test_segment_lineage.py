@@ -64,7 +64,7 @@ def test_append_leaves_old_segments_alone(ray_session, tmp_path):
                                             recursive=True))}
 
     got, want = tables(idx), tables(fresh)
-    assert got.keys() == want.keys() and any("term_df" in k for k in got)
+    assert got.keys() == want.keys() and "global/term_df.parquet" in got
     for k in want:
         assert got[k].equals(want[k]), k
     assert _hits(idx, "alpha") == _hits(fresh, "alpha")
@@ -119,10 +119,10 @@ def test_other_build_format_refused(ray_session, tmp_path):
     build_index(str(corpus), str(idx), cfg, SPEC)
     mp = idx / "db_1" / "manifest.json"
     m = json.loads(mp.read_text())
-    assert m["format"] == "fmt5"
-    m["format"] = "fmt4"
+    assert m["format"] == "fmt6"
+    m["format"] = "fmt5"
     mp.write_text(json.dumps(m))
-    with pytest.raises(ValueError, match="'fmt4'.*rebuild"):
+    with pytest.raises(ValueError, match="'fmt5'.*rebuild"):
         QueryEngine(str(idx), use_actors=False)
-    with pytest.raises(ValueError, match="'fmt4'.*rebuild"):
+    with pytest.raises(ValueError, match="'fmt5'.*rebuild"):
         fsck_index(str(idx))
