@@ -4,7 +4,8 @@
 sf0.001 ``documents`` table with the reference's CI normalizer profile,
 then BM25 top-k through the segment-actor engine). ``queries()`` exposes
 the search operators from SURVEY.md §2 plus the training-data operators
-(dedup / similarity / text analysis / filters / sampling / export); each
+(dedup / similarity / embeddings / text analysis / filters / cleaning /
+sampling); each
 SQL-expressible one has a matching DuckDB oracle over the ``documents``
 and ``embeddings`` tables in ``oracle_sql()``.
 
@@ -64,16 +65,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # one masked pass per facet over cached per-actor masks
         "search_bm25_grouped_topk":
             lambda sf: search_docs.search_topk_grouped(sf),
-        # supervised model training as a pipeline: logistic regression
-        # by full-batch GD on hashed bag-of-words features (feature
-        # pass touches text once; each iteration = one streaming pass
-        # over the materialized features, P x 65 floats to the driver)
-        "logreg_train": lambda sf: _classifier().logreg_train(sf),
-        # multinomial naive-Bayes lang classifier trained on the corpus's
-        # own labels and applied back: one term-keyed exchange (postings
-        # + map-side (term,lang) ctf partials), one doc-keyed argmax
-        # exchange, confusion-matrix output
-        "naive_bayes_lang": lambda sf: _classifier().naive_bayes_lang(sf),
         "search_bm25_conj_topk": lambda sf: search_docs.search_topk(sf, mode="daat_conj", scorer="bm25"),
         "search_tfidf_topk": lambda sf: search_docs.search_topk(sf, mode="daat", scorer="tfidf"),
         "search_bm25_bmm_topk": lambda sf: search_docs.search_topk(sf, mode="bmm", scorer="bm25"),
@@ -212,15 +203,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # ...and its SELECTION step: deterministic Gumbel-top-k
         # importance resampling (content-addressed md5 uniforms)
         "importance_resample": lambda sf: _filters().importance_resample(sf),
-        # tokenizer TRAINING: BPE iteration-0 pair statistics (oracle-
-        # checked) and the full merge-learning loop (rows-only; pinned
-        # by a pytest vs a sequential Sennrich reference)
-        "bpe_pair_counts": lambda sf: _tokenizer().bpe_pair_counts(sf),
-        "bpe_train": lambda sf: _tokenizer().bpe_train(sf),
-        # tokenizer APPLICATION: encode the corpus with the learned
-        # merges (vocabulary-sided; rows-only — iterative semantics,
-        # pinned by a pytest vs a sequential Sennrich encode)
-        "bpe_tokenize": lambda sf: _tokenizer().bpe_tokenize(sf),
         # --- dedup family ---
         "exact_dedup": lambda sf: dedup.exact_dedup(sf),
         # incremental ingestion dedup: incoming slice anti-joined
@@ -347,24 +329,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # curriculum ordering: exact global rank by (quality DESC,
         # doc_id) via histogram offsets on the bounded 6 dp score grid
         "curriculum_order": lambda sf: sample.curriculum_order(sf),
-        # deterministic content-addressed shard export + manifest
-        # checksums (the terminal training-export stage)
-        # sequence-packing planner: every doc's position in the
-        # fixed-length packed token stream — exact global prefix sum
-        # via range partials + broadcast offsets (no sort)
-        "sequence_pack": lambda sf: _export().sequence_pack(sf),
-        "shard_export": lambda sf: _export().shard_export(sf),
-        # context-window chunking (fixed-size overlapping word chunks,
-        # md5-checksummed content) — streaming flat-map, no exchange
-        "chunk_documents": lambda sf: _export().chunk_documents(sf),
-        # content-defined chunking (token-hash boundaries, edit-robust)
-        # + chunk-level keep-first dedup: one streaming chunk pass, one
-        # exchange on chunk_md5
-        "cdc_chunk_dedup": lambda sf: _export().cdc_chunk_dedup(sf),
-        # the composed end-to-end training pipeline: clean -> benchmark
-        # decontamination -> chunk -> content-addressed shards, with the
-        # WHOLE composition value-checked by one SQL statement
-        "training_export": lambda sf: _export().training_export(sf),
         # scalar int8-range quantization of the embedding column
         # (global per-dim min/max pass + streaming code pass)
         "embedding_quantize": lambda sf: similarity.embedding_quantize(sf),
@@ -394,29 +358,10 @@ def _embed():
     return embed
 
 
-def _tokenizer():
-    from searchenginepp_ray.pipelines import tokenizer
-
-    return tokenizer
-
-
 def _filters():
     from searchenginepp_ray.pipelines import filters
 
     return filters
-
-
-def _classifier():
-    from searchenginepp_ray.pipelines import classifier
-
-    return classifier
-
-
-def _export():
-    from searchenginepp_ray.pipelines import export
-
-    return export
-
 
 
 def oracle_sql() -> dict[str, str]:
@@ -436,7 +381,6 @@ def oracle_sql() -> dict[str, str]:
         "search_bm25_appended_topk": osql.search_topk_sql("bm25",
                                                           conj=False),
         "search_bm25_grouped_topk": osql.search_topk_grouped_sql(),
-        "logreg_train": osql.logreg_train_sql(),
         "search_bm25_conj_topk": osql.search_topk_sql("bm25", conj=True),
         "search_tfidf_topk": osql.search_topk_sql("tfidf", conj=False),
         "search_bm25_bmm_topk": osql.search_topk_sql("bm25", conj=False),
@@ -476,12 +420,6 @@ def oracle_sql() -> dict[str, str]:
         "regex_search": osql.regex_search_sql(),
         "importance_weights": osql.importance_weights_sql(),
         "importance_resample": osql.importance_resample_sql(),
-        "bpe_pair_counts": osql.bpe_pair_counts_sql(),
-        "sequence_pack": osql.sequence_pack_sql(),
-        "shard_export": osql.shard_export_sql(),
-        "chunk_documents": osql.chunk_documents_sql(),
-        "cdc_chunk_dedup": osql.cdc_chunk_dedup_sql(),
-        "training_export": osql.training_export_sql(),
         "embedding_quantize": osql.embedding_quantize_sql(),
         "exact_dedup": osql.exact_dedup_sql(),
         "dedup_incremental": osql.dedup_incremental_sql(),
@@ -506,7 +444,6 @@ def oracle_sql() -> dict[str, str]:
         "knn_graph": osql.knn_graph_sql(),
         "deterministic_sample": osql.deterministic_sample_sql(),
         "compression_ratio_stored": osql.compression_ratio_stored_sql(),
-        "naive_bayes_lang": osql.naive_bayes_lang_sql(),
         "term_complete": osql.term_complete_sql(),
         "term_heavy_hitters": osql.term_heavy_hitters_sql(),
         "vocab_stats": osql.vocab_stats_sql(),
@@ -544,6 +481,5 @@ def oracle_sql() -> dict[str, str]:
         # hll_distinct_terms (xxhash precision tier; the portable
         # vocab_distinct_hll IS hash-checked), compression_ratio (default-level zlib block
         # chunking; the level-0 compression_ratio_stored twin IS
-        # hash-checked), bpe_train/tokenize
-        # (iterative merge semantics)
+        # hash-checked)
     }

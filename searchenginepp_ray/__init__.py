@@ -2,8 +2,8 @@
 top-k query engine, built from scratch with the query/data-processing
 capabilities of the C++ reference engine (scarburato/searchenginepp), plus
 large-scale training-data pipeline operators (dedup, similarity search,
-text analysis, filters, sampling, training export, connected
-components and a distributed hash join)."""
+embeddings, text analysis, filters, cleaning, sampling and connected
+components)."""
 
 __version__ = "0.1.0"
 

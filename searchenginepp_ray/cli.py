@@ -68,18 +68,12 @@ def cmd_build(args) -> int:
 
 def cmd_query(args) -> int:
     ray = _ray_init(args.num_cpus)
-    from .config import BuildConfig, FULL_PROFILE, SIMPLE_PROFILE
     from .index.engine import QueryEngine
 
-    # auto adopts the profile the index records (the engine reads it);
-    # an explicit profile must agree with it, or the engine refuses
-    cfg = None
-    if args.profile != "auto":
-        cfg = BuildConfig(
-            profile=SIMPLE_PROFILE if args.profile == "simple" else FULL_PROFILE)
+    # the engine serves with the profile and BM25 constants the index records
     eng = QueryEngine(
         args.index_dir, scorer=args.scorer, use_actors=not args.no_actors,
-        num_workers=args.workers, cfg=cfg,
+        num_workers=args.workers,
     )
     if getattr(args, "interactive", False):
         # interactive prompt, the reference engine's serving mode
@@ -161,24 +155,6 @@ def cmd_compact(args) -> int:
 
     print(compact_corpus(args.corpus, args.out, target_mb=args.target_mb,
                          force=args.force))
-    ray.shutdown()
-    return 0
-
-
-def cmd_train_export(args) -> int:
-    """``train-export`` — the composed end-to-end training pipeline
-    (quality floors + exact dedup -> benchmark exclusion + trigram
-    decontamination -> context-window chunking -> content-addressed
-    chunk-text shards) over any documents-shaped parquet; prints the
-    shard manifest."""
-    ray = _ray_init(args.num_cpus)
-    from .pipelines.export import training_export
-
-    manifest = training_export(
-        args.corpus, n_shards=args.shards, out_dir=args.out,
-        bench_mod=args.bench_mod,
-    ).to_pandas().sort_values("shard_id")
-    print(manifest.to_string(index=False))
     ray.shutdown()
     return 0
 
@@ -275,10 +251,6 @@ def main(argv=None) -> int:
     q.add_argument("-i", "--interactive", action="store_true",
                    help="interactive prompt loop (the reference "
                         "engine's serving mode; empty line or 'q' exits)")
-    q.add_argument("--profile", choices=("auto", "full", "simple"),
-                   default="auto",
-                   help="normalizer profile; 'auto' (default) adopts the "
-                        "profile recorded in the index's metadata")
     q.add_argument("--no-actors", action="store_true",
                    help="serve every shard in this process; a pool of "
                         "one shard already does, with no Ray actor "
@@ -316,20 +288,6 @@ def main(argv=None) -> int:
                    help="rewrite parts even if their manifest matches")
     k.add_argument("--num-cpus", type=int, default=None)
     k.set_defaults(fn=cmd_compact)
-
-    t = sub.add_parser(
-        "train-export",
-        help="composed training pipeline: clean -> decontaminate -> chunk "
-             "-> content-addressed chunk-text shards + manifest",
-    )
-    t.add_argument("corpus", help="documents-shaped parquet file, or a dir "
-                                  "containing documents.parquet")
-    t.add_argument("-o", "--out", required=True, help="output shard dir")
-    t.add_argument("--shards", type=int, default=8)
-    t.add_argument("--bench-mod", type=int, default=97,
-                   help="doc_id %% N == 0 designates the benchmark subset")
-    t.add_argument("--num-cpus", type=int, default=None)
-    t.set_defaults(fn=cmd_train_export)
 
     f = sub.add_parser(
         "fsck", help="verify index integrity (decode every posting list, "

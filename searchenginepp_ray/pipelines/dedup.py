@@ -237,36 +237,6 @@ def _sig_matrix(
     return sig_mat, S, shc
 
 
-def minhash_signatures(
-    sf_dir: str, num_perm: int = 64, shingle: int = 3
-) -> ray.data.Dataset:
-    """Per-doc minhash signature (num_perm u64 mins over salted hashes).
-
-    Fully vectorized: one ``reduceat`` min per permutation chunk over the
-    flattened shingle-hash array (duplicate shingles can stay — min is
-    idempotent, so no per-doc dedup pass is needed here)."""
-
-    salts = _salts(num_perm)
-
-    def sig(t: pa.Table) -> pa.Table:
-        n = len(t)
-        if n == 0:
-            return pa.table(
-                {"doc_id": pa.array([], pa.int64()),
-                 "sig": pa.array([], pa.list_(pa.uint64(), num_perm))}
-            )
-        sig_mat, _, _ = _sig_matrix(t["text"], num_perm, shingle, salts)
-        flat = np.ascontiguousarray(sig_mat.T).reshape(-1)
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "sig": pa.FixedSizeListArray.from_arrays(pa.array(flat), num_perm),
-            }
-        )
-
-    return documents_ds(sf_dir).map_batches(sig, batch_format="pyarrow")
-
-
 def _set_blob(S: np.ndarray, shc: np.ndarray) -> pa.LargeBinaryArray:
     """Per-doc DISTINCT sorted shingle hashes packed as little-endian u64
     bytes (one blob per doc — binary survives shuffles that typed lists
@@ -1196,6 +1166,37 @@ def _band_bucket_rows(t: pa.Table, num_perm: int, bands: int,
          "sh": sh})
 
 
+#: per-(corpus, params) band tables of :func:`minhash_band_index_build`
+_BAND_CACHE = "/tmp/seppray_band_cache"
+
+
+def _publish_dir(final: str, write) -> str:
+    """Publish a cache directory whole or not at all: ``write(tmp)`` fills
+    a process-unique directory beside ``final`` (its ``_done.json``
+    included), which is then renamed into place, so no reader ever finds
+    a marker over a partly written directory. A builder that loses the
+    race drops its copy and keeps the winner's. Returns ``final``."""
+    import os
+    import shutil
+    import tempfile
+
+    parent = os.path.dirname(final)
+    os.makedirs(parent, exist_ok=True)
+    tmp = tempfile.mkdtemp(dir=parent, prefix=os.path.basename(final) + ".")
+    try:
+        write(tmp)
+        try:
+            os.rename(tmp, final)
+        except OSError:
+            if not os.path.exists(os.path.join(final, "_done.json")):
+                # a partial directory left by an in-place writer
+                shutil.rmtree(final, ignore_errors=True)
+                os.rename(tmp, final)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)  # gone once renamed
+    return final
+
+
 def minhash_band_index_build(sf_dir: str, mod: int = 2, shingle: int = 3,
                              num_perm: int = 128, bands: int = 64,
                              nbuckets: int = 32) -> str:
@@ -1211,7 +1212,6 @@ def minhash_band_index_build(sf_dir: str, mod: int = 2, shingle: int = 3,
     import hashlib
     import json
     import os
-    import shutil
 
     import pyarrow.parquet as pq
 
@@ -1223,9 +1223,8 @@ def minhash_band_index_build(sf_dir: str, mod: int = 2, shingle: int = 3,
         f"{os.path.abspath(sf_dir)}:bandidx:{mod}:{shingle}:{num_perm}:"
         f"{bands}:{nbuckets}:{fingerprint}:v1".encode()
     ).hexdigest()[:12]
-    out = os.path.join("/tmp/seppray_band_cache", key)
-    marker = os.path.join(out, "_done.json")
-    if os.path.exists(marker):
+    out = os.path.join(_BAND_CACHE, key)
+    if os.path.exists(os.path.join(out, "_done.json")):
         return out
     salts = _salts(num_perm)
 
@@ -1234,16 +1233,15 @@ def minhash_band_index_build(sf_dir: str, mod: int = 2, shingle: int = 3,
         tt = t.filter(pa.array(ids % mod == 0))
         return _band_bucket_rows(tt, num_perm, bands, salts, shingle, nbuckets)
 
-    shutil.rmtree(out, ignore_errors=True)
-    os.makedirs(out, exist_ok=True)
-    documents_ds(sf_dir).map_batches(
-        base_rows, batch_format="pyarrow"
-    ).write_parquet(os.path.join(out, "data"), partition_cols=["bucket"])
-    with open(marker + ".tmp", "w") as f:
-        json.dump({"mod": mod, "shingle": shingle, "num_perm": num_perm,
-                   "bands": bands, "nbuckets": nbuckets}, f)
-    os.replace(marker + ".tmp", marker)
-    return out
+    def write(tmp: str) -> None:
+        documents_ds(sf_dir).map_batches(
+            base_rows, batch_format="pyarrow"
+        ).write_parquet(os.path.join(tmp, "data"), partition_cols=["bucket"])
+        with open(os.path.join(tmp, "_done.json"), "w") as f:
+            json.dump({"mod": mod, "shingle": shingle, "num_perm": num_perm,
+                       "bands": bands, "nbuckets": nbuckets}, f)
+
+    return _publish_dir(out, write)
 
 
 def _band_index_params(index_dir: str) -> dict:

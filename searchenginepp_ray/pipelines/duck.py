@@ -81,22 +81,6 @@ def md5_bucket(arr, n_buckets: int) -> pa.Array:
     return _plain(out["b"])
 
 
-def md5_string_agg(values) -> str:
-    """``md5(string_agg(v, ',' ORDER BY position))`` over an
-    already-ordered string array — the manifest-checksum kernel
-    (C-speed; no per-row Python join). Position is carried explicitly
-    so the result never depends on scan-order guarantees."""
-    import numpy as np
-
-    vals = _plain(values)
-    con = connection()
-    con.register("_sepp_agg_in", pa.table({
-        "i": pa.array(np.arange(len(vals), dtype=np.int64)), "v": vals}))
-    return con.execute(
-        "SELECT md5(string_agg(v, ',' ORDER BY i)) FROM _sepp_agg_in"
-    ).fetchone()[0]
-
-
 def md5_prefix_int(arr, n_hex: int = 13) -> np.ndarray:
     """Vectorized ``CAST('0x' || first n_hex md5 hex chars AS BIGINT)``
     — the integer md5 prefix both engines can evaluate verbatim

@@ -784,46 +784,6 @@ def deterministic_sample_sql(frac: float = 0.1) -> str:
     """
 
 
-def naive_bayes_lang_sql() -> str:
-    """Oracle for classifier.naive_bayes_lang: multinomial NB with
-    add-one smoothing, recomputed in SQL with the identical decomposition
-    log2 p(l) + Σ tf·log2(ctf_{t,l}+1) − n_d·log2(T_l+V) and the shared
-    6 dp grid + lang-ASC argmax tie-break. Zero-token docs are excluded
-    (no dl row); unseen (term, lang) pairs contribute log2(1)=0 and are
-    simply absent from the join."""
-    return f"""WITH {tok_cte()},
-tf AS (SELECT doc_id, term, COUNT(*) AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n FROM toks GROUP BY doc_id),
-v AS (SELECT CAST(COUNT(DISTINCT term) AS DOUBLE) AS v FROM toks),
-nn AS (SELECT CAST(COUNT(*) AS DOUBLE) AS n FROM documents),
-pri AS (SELECT lang, CAST(COUNT(*) AS DOUBLE) AS nd FROM documents GROUP BY lang),
-tl AS (SELECT d.lang, CAST(COUNT(*) AS DOUBLE) AS t
-       FROM toks JOIN documents d USING (doc_id) GROUP BY d.lang),
-ctfl AS (SELECT t.term, d.lang, CAST(COUNT(*) AS DOUBLE) AS c
-         FROM toks t JOIN documents d USING (doc_id) GROUP BY t.term, d.lang),
-spart AS (SELECT tf.doc_id, c.lang, SUM(tf.tf * log2(c.c + 1)) AS s
-          FROM tf JOIN ctfl c USING (term) GROUP BY tf.doc_id, c.lang),
-cand AS (
-    SELECT dl.doc_id, p.lang,
-           log2(p.nd / (SELECT n FROM nn))
-             + COALESCE(s.s, 0.0)
-             - dl.n * log2(COALESCE(t.t, 0) + (SELECT v FROM v)) AS score
-    FROM dl CROSS JOIN pri p
-    LEFT JOIN spart s ON s.doc_id = dl.doc_id AND s.lang = p.lang
-    LEFT JOIN tl t ON t.lang = p.lang
-),
-pred AS (
-    SELECT doc_id, lang,
-           row_number() OVER (PARTITION BY doc_id
-               ORDER BY floor(score * 1e6 + 0.5) / 1e6 DESC, lang ASC) AS rn
-    FROM cand
-)
-SELECT d.lang, p.lang AS lang_pred, CAST(COUNT(*) AS BIGINT) AS n_docs
-FROM pred p JOIN documents d USING (doc_id)
-WHERE p.rn = 1
-GROUP BY d.lang, p.lang"""
-
-
 def corpus_diff_sql(add_mod: int = 13, add_res: int = 3, rm_res: int = 7,
                     chg_mod: int = 11, chg_res: int = 4) -> str:
     """Oracle for dedup.corpus_diff: the two version slices as CTEs,
@@ -1290,24 +1250,6 @@ SELECT g AS gram, CAST(c AS BIGINT) AS n, CAST(rank AS BIGINT) AS rank,
 FROM r WHERE rank <= {int(k)}"""
 
 
-def bpe_pair_counts_sql(k: int = 50) -> str:
-    """Oracle for tokenizer.bpe_pair_counts: adjacent char pairs of the
-    word-frequency dict, top-k by weighted count, (a, b) ASC ties."""
-    return f"""WITH {_word_toks_cte()},
-uw AS (SELECT unnest(w) AS word FROM wtoks),
-wc AS (SELECT word, CAST(COUNT(*) AS BIGINT) AS n FROM uw GROUP BY word),
-pos AS (SELECT word, n, unnest(generate_series(1, length(word) - 1)) AS i
-        FROM wc WHERE length(word) >= 2),
-pcnt AS (SELECT substr(word, i, 1) AS a, substr(word, i + 1, 1) AS b,
-                SUM(n) AS n
-         FROM pos GROUP BY a, b),
-r AS (SELECT a, b, n,
-             row_number() OVER (ORDER BY n DESC, a ASC, b ASC) AS rank
-      FROM pcnt)
-SELECT a, b, CAST(n AS BIGINT) AS n, CAST(rank AS BIGINT) AS rank
-FROM r WHERE rank <= {int(k)}"""
-
-
 def repetition_stats_sql() -> str:
     """Oracle for filters.repetition_stats (Gopher-style n-gram
     repetition): top-bigram concentration + duplicate-trigram fraction
@@ -1381,23 +1323,6 @@ SELECT d.doc_id,
 FROM documents d WHERE d.doc_id % {bench_mod} <> 0"""
 
 
-def shard_export_sql(n_shards: int = 8) -> str:
-    """Oracle for export.shard_export — the md5-bucket rule is the
-    verbatim expression duck.md5_bucket evaluates; ids_md5 checksums the
-    full shard assignment."""
-    return f"""
-WITH s AS (
-    SELECT doc_id, length(text) AS lc,
-           CAST(('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8)) AS BIGINT)
-               % {int(n_shards)} AS shard_id
-    FROM documents)
-SELECT shard_id,
-       CAST(COUNT(*) AS BIGINT) AS n_docs,
-       CAST(SUM(lc) AS BIGINT) AS total_chars,
-       md5(string_agg(CAST(doc_id AS VARCHAR), ',' ORDER BY doc_id)) AS ids_md5
-FROM s GROUP BY shard_id"""
-
-
 def embedding_quantize_sql() -> str:
     """Oracle for similarity.embedding_quantize: per-dim global min/max,
     then floor((x-mn)*255/(mx-mn)+0.5) codes in long format. floor(v+.5)
@@ -1414,91 +1339,6 @@ SELECT e.vec_id, e.dim,
                  THEN floor((e.x - mm.mn) * 255 / (mm.mx - mm.mn) + 0.5)
                  ELSE 0 END AS BIGINT) AS code
 FROM e JOIN mm USING (dim)"""
-
-
-def chunk_documents_sql(size: int = 32, stride: int = 24) -> str:
-    """Oracle for export.chunk_documents — same tokenization CTE, chunk
-    grid via generate_series, md5 of the 1-based inclusive array slice."""
-    return f"""WITH {_word_toks_cte()},
-pos AS (
-    SELECT doc_id, w,
-           unnest(generate_series(0, (len(w) - 1) // {int(stride)})) AS ci
-    FROM wtoks WHERE len(w) > 0)
-SELECT doc_id,
-       CAST(ci AS BIGINT) AS chunk_idx,
-       CAST(least({int(size)}, len(w) - ci * {int(stride)}) AS BIGINT) AS n_tokens,
-       md5(array_to_string(
-           w[ci * {int(stride)} + 1 : least(ci * {int(stride)} + {int(size)}, len(w))],
-           ' ')) AS chunk_md5
-FROM pos"""
-
-
-def cdc_chunk_dedup_sql(divisor: int = 8) -> str:
-    """Oracle for export.cdc_chunk_dedup: positions via
-    generate_subscripts, boundary tokens by the verbatim md5-bucket
-    expression, chunk id = exclusive running sum of boundary flags,
-    keep-first via a window over chunk_md5."""
-    return f"""WITH {_word_toks_cte()},
-ft AS (SELECT doc_id, CAST(generate_subscripts(w, 1) AS BIGINT) AS pos,
-              unnest(w) AS term
-       FROM wtoks),
-bnd AS (SELECT doc_id, pos, term,
-               CASE WHEN CAST(('0x' || substr(md5(term), 1, 8)) AS BIGINT)
-                         % {int(divisor)} = 0 THEN 1 ELSE 0 END AS b
-        FROM ft),
-cid AS (SELECT doc_id, pos, term,
-               CAST(COALESCE(SUM(b) OVER (
-                   PARTITION BY doc_id ORDER BY pos
-                   ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0)
-                    AS BIGINT) AS ci
-        FROM bnd),
-chunks AS (SELECT doc_id, ci AS chunk_idx,
-                  CAST(COUNT(*) AS BIGINT) AS n_tokens,
-                  md5(string_agg(term, ' ' ORDER BY pos)) AS chunk_md5
-           FROM cid GROUP BY doc_id, ci)
-SELECT doc_id, chunk_idx, n_tokens, chunk_md5,
-       CAST((row_number() OVER (PARTITION BY chunk_md5
-                                ORDER BY doc_id, chunk_idx) = 1)
-            AS BIGINT) AS keep
-FROM chunks"""
-
-
-def training_export_sql(size: int = 32, stride: int = 24,
-                        n_shards: int = 8, bench_mod: int = 97) -> str:
-    """Oracle for export.training_export — the FULL composition (quality
-    floors + exact dedup -> benchmark exclusion + trigram
-    decontamination -> chunking -> md5-bucket sharding) reproduced in
-    one SQL statement, value-checked down to the per-shard ordered
-    (doc_id, chunk_idx) checksum."""
-    ctes = _clean_ctes()
-    return f"""WITH {tok_cte()},
-{ctes},
-{_word_toks_cte()},
-gpos AS (SELECT doc_id, w, unnest(generate_series(1, greatest(len(w) - 2, 0))) AS i FROM wtoks),
-grams AS (SELECT doc_id, array_to_string(w[i:i+2], ' ') AS g FROM gpos),
-bench AS (SELECT DISTINCT g FROM grams WHERE doc_id % {bench_mod} = 0),
-cont AS (SELECT DISTINCT doc_id FROM grams
-         WHERE doc_id % {bench_mod} <> 0 AND g IN (SELECT g FROM bench)),
-surv AS (SELECT doc_id FROM kept
-         WHERE doc_id % {bench_mod} <> 0
-           AND doc_id NOT IN (SELECT doc_id FROM cont)),
-swt AS (SELECT w.doc_id, w.w FROM wtoks w JOIN surv USING (doc_id)),
-cpos AS (SELECT doc_id, w,
-                unnest(generate_series(0, (len(w) - 1) // {int(stride)})) AS ci
-         FROM swt WHERE len(w) > 0),
-chunks AS (
-    SELECT doc_id, CAST(ci AS BIGINT) AS chunk_idx,
-           CAST(least({int(size)}, len(w) - ci * {int(stride)}) AS BIGINT) AS n_tokens,
-           CAST(doc_id AS VARCHAR) || ':' || CAST(ci AS VARCHAR) AS key
-    FROM cpos),
-sh AS (SELECT *, CAST(('0x' || substr(md5(key), 1, 8)) AS BIGINT)
-                     % {int(n_shards)} AS shard_id
-       FROM chunks)
-SELECT shard_id,
-       CAST(COUNT(*) AS BIGINT) AS n_chunks,
-       CAST(SUM(n_tokens) AS BIGINT) AS total_tokens,
-       md5(string_agg(key, ',' ORDER BY doc_id, chunk_idx)) AS ids_md5
-FROM sh GROUP BY shard_id"""
 
 
 def knn_graph_sql(k: int = 5) -> str:
@@ -1783,31 +1623,6 @@ SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n_spans,
        md5(COALESCE(string_agg(CASE WHEN keep THEN line END,
                                ' ' ORDER BY pos), '')) AS clean_md5
 FROM k GROUP BY doc_id"""
-
-
-def sequence_pack_sql(seq_len: int = 512) -> str:
-    """Oracle for export.sequence_pack: the global ordered prefix sum
-    as a window cumulative SUM over doc_id order, sequence ids by
-    integer division."""
-    L = int(seq_len)
-    return f"""WITH {tok_cte()},
-tc AS (
-  SELECT d.doc_id, CAST(COALESCE(t.n, 0) AS BIGINT) AS n
-  FROM documents d LEFT JOIN (
-    SELECT doc_id, COUNT(*) AS n FROM toks GROUP BY doc_id
-  ) t USING (doc_id)),
-s AS (
-  SELECT doc_id, n,
-         CAST(COALESCE(SUM(n) OVER (ORDER BY doc_id
-              ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0)
-              AS BIGINT) AS start_tok
-  FROM tc)
-SELECT doc_id, n AS n_tokens, start_tok,
-       CAST(CASE WHEN n > 0 THEN start_tok // {L} ELSE -1 END
-            AS BIGINT) AS first_seq,
-       CAST(CASE WHEN n > 0 THEN (start_tok + n - 1) // {L} ELSE -1 END
-            AS BIGINT) AS last_seq
-FROM s"""
 
 
 def quality_select_sql(q_num: int = 1, q_den: int = 2) -> str:
@@ -2281,55 +2096,6 @@ def search_topk_grouped_sql(k: int = 3) -> str:
     """Oracle for search_docs.search_topk_grouped: the shared BM25
     stack ranked per (query, lang)."""
     return _bm25_ranked_sql(k, grouped_by_lang=True)
-
-
-def logreg_train_sql(dims: int = 64, iters: int = 5, lr: float = 0.5,
-                     pos_lang: str = "en") -> str:
-    """Oracle for classifier.logreg_train: the full-batch GD recurrence
-    unrolled as chained CTEs — identical md5 feature-hash rule,
-    identical floor(x·1e9+0.5)/1e9 rounding of each gradient and weight
-    update, so both engines iterate on identical doubles."""
-    D = int(dims)
-    its = []
-    for i in range(1, int(iters) + 1):
-        its.append(f"""z{i} AS (
-    SELECT f.doc_id, SUM(w.v * f.x) AS z
-    FROM feat f JOIN w{i - 1} w USING (j) GROUP BY f.doc_id
-),
-g{i} AS (
-    SELECT f.j,
-           floor(SUM((1.0 / (1.0 + exp(-z.z)) - lab.y) * f.x)
-                 / (SELECT v FROM nn) * 1e9 + 0.5) / 1e9 AS g
-    FROM feat f JOIN z{i} z USING (doc_id) JOIN lab USING (doc_id)
-    GROUP BY f.j
-),
-w{i} AS (
-    SELECT w.j,
-           floor((w.v - {float(lr)} * COALESCE(g.g, 0.0)) * 1e9 + 0.5)
-               / 1e9 AS v
-    FROM w{i - 1} w LEFT JOIN g{i} g USING (j)
-)""")
-    chain = ",\n".join(its)
-    return f"""WITH {_word_toks_cte()},
-ft AS (SELECT doc_id, unnest(w) AS term FROM wtoks),
-ntk AS (SELECT doc_id, CAST(len(w) AS DOUBLE) AS n FROM wtoks),
-bct AS (SELECT doc_id,
-               CAST(('0x' || substr(md5(term), 1, 8)) AS BIGINT) % {D} AS j,
-               CAST(COUNT(*) AS DOUBLE) AS c
-        FROM ft GROUP BY doc_id, j),
-feat AS (
-    SELECT b.doc_id, b.j, b.c / ntk.n AS x
-    FROM bct b JOIN ntk USING (doc_id) WHERE ntk.n > 0
-    UNION ALL
-    SELECT doc_id, {D} AS j, 1.0 AS x FROM documents),
-lab AS (SELECT doc_id,
-               CASE WHEN lang = '{pos_lang}' THEN 1.0 ELSE 0.0 END AS y
-        FROM documents),
-nn AS (SELECT CAST(COUNT(*) AS DOUBLE) AS v FROM documents),
-w0 AS (SELECT unnest(range({D + 1})) AS j, 0.0 AS v),
-{chain}
-SELECT CAST(j AS BIGINT) AS dim, v AS weight
-FROM w{int(iters)} ORDER BY dim"""
 
 
 def search_near_sql(queries: tuple | None = None) -> str:

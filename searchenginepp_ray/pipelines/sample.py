@@ -597,8 +597,8 @@ def epoch_shuffle(sf_dir: str, epoch: int = 1, shard_size: int = 100,
     mid-epoch from a position, none of which holds for
     ``random_shuffle``. Returns (doc_id, pos, shard).
 
-    Scale shape (rank-without-sort, the :func:`sequence_pack` offsets
-    pattern on a hashed key): a GLOBAL sort of 100 TB just to assign
+    Scale shape (rank-without-sort: prefix-histogram offsets on a
+    hashed key): a GLOBAL sort of 100 TB just to assign
     positions is an all-to-all of the full payload; instead pass 1
     streams a 64Ki-bucket histogram of the key's 16-bit prefix (one
     tiny partial per batch, driver holds 64Ki ints → exclusive

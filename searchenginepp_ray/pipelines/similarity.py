@@ -144,6 +144,11 @@ def _train_centroids(sf_dir: str, nlist: int, sample_size: int,
     return cents
 
 
+#: per-(corpus, params) IVF indexes of :func:`ivf_build` and
+#: :func:`ivf_append_build`
+_IVF_CACHE = "/tmp/seppray_ivf_cache"
+
+
 def ivf_build(sf_dir: str, nlist: int = 16, sample_size: int = 2048,
               iters: int = 5) -> tuple[str, np.ndarray]:
     """Build (or reuse) the IVF index: embeddings written as Parquet
@@ -155,6 +160,8 @@ def ivf_build(sf_dir: str, nlist: int = 16, sample_size: int = 2048,
     import os
 
     import pyarrow.parquet as pq
+
+    from .dedup import _publish_dir
 
     # cache key includes a CONTENT fingerprint of the source file (size +
     # mtime + row count), not just its path — regenerating
@@ -168,10 +175,9 @@ def ivf_build(sf_dir: str, nlist: int = 16, sample_size: int = 2048,
         f"{os.path.abspath(sf_dir)}:ivf:{nlist}:{sample_size}:{iters}:"
         f"{fingerprint}:v2".encode()
     ).hexdigest()[:12]
-    out = os.path.join("/tmp/seppray_ivf_cache", key)
-    marker = os.path.join(out, "_done.json")
+    out = os.path.join(_IVF_CACHE, key)
     cents_path = os.path.join(out, "centroids.npy")
-    if os.path.exists(marker):
+    if os.path.exists(os.path.join(out, "_done.json")):
         return out, np.load(cents_path)
 
     cents = _train_centroids(sf_dir, nlist, sample_size, iters)
@@ -183,18 +189,16 @@ def ivf_build(sf_dir: str, nlist: int = 16, sample_size: int = 2048,
         bucket = (m @ c.T).argmax(axis=1).astype(np.int32)
         return t.append_column("bucket", pa.array(bucket))
 
-    import shutil
+    def write(tmp: str) -> None:
+        embeddings_ds(sf_dir).map_batches(assign, batch_format="pyarrow").write_parquet(
+            os.path.join(tmp, "data"), partition_cols=["bucket"]
+        )
+        np.save(os.path.join(tmp, "centroids.npy"), cents)
+        with open(os.path.join(tmp, "_done.json"), "w") as f:
+            json.dump({"nlist": int(nlist)}, f)
 
-    shutil.rmtree(out, ignore_errors=True)
-    os.makedirs(out, exist_ok=True)
-    embeddings_ds(sf_dir).map_batches(assign, batch_format="pyarrow").write_parquet(
-        os.path.join(out, "data"), partition_cols=["bucket"]
-    )
-    np.save(cents_path, cents)
-    with open(marker + ".tmp", "w") as f:
-        json.dump({"nlist": int(nlist)}, f)
-    os.replace(marker + ".tmp", marker)
-    return out, cents
+    _publish_dir(out, write)
+    return out, np.load(cents_path)  # the winner's, if another build won
 
 
 def knn_ivf(sf_dir: str, n_queries: int = 5, k: int = 5, nlist: int = 16,
@@ -303,7 +307,7 @@ def ivf_append_build(sf_dir: str, nlist: int = 16, sample_size: int = 2048,
         f"{os.path.abspath(sf_dir)}:ivfapp:{nlist}:{sample_size}:{iters}:"
         f"{append_mod}:{fingerprint}:v2".encode()
     ).hexdigest()[:12]
-    out = os.path.join("/tmp/seppray_ivf_cache", key)
+    out = os.path.join(_IVF_CACHE, key)
     cents_path = os.path.join(out, "centroids.npy")
     base_marker = os.path.join(out, "_base_done.json")
     app_marker = os.path.join(out, "_append_done.json")

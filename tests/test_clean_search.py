@@ -2,8 +2,8 @@
 keepers semi-joined to texts, full index rebuild, BM25 serving) must
 equal a DuckDB oracle that cleans in SQL and recomputes the whole scoring
 stack (tf, doclen, N, avgdl, df) over the cleaned corpus. Also the
-distributed semi/anti-join (``clean._mark_members``) the clean and
-export pipelines share, vs pandas ``isin``."""
+distributed semi/anti-join (``clean._mark_members``) the clean
+pipeline uses, vs pandas ``isin``."""
 
 import duckdb
 import numpy as np

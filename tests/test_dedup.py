@@ -97,9 +97,7 @@ def test_shingle_hash_batch_property():
     check()
 
 
-def test_minhash_signature_invariants(ray_session):
-    ds = dedup.minhash_signatures(SF).take(20)
-    assert all(len(r["sig"]) == 64 for r in ds)
+def test_minhash_signature_invariants():
     # identical texts → identical signatures
     t = pa.table({"doc_id": pa.array([1, 2], pa.int64()),
                   "text": pa.array(["the same doc text here"] * 2)})
@@ -804,3 +802,62 @@ def test_dedup_incremental_minhash_degenerate_slices(ray_session, tmp_path):
         str(tmp_path / "b" / "documents.parquet"))
     got = dedup.dedup_incremental_minhash(str(tmp_path / "b")).to_pandas()
     assert sorted(got["doc_id"].tolist()) == [1, 3]
+
+
+def test_caches_publish_whole(ray_session, tmp_path, monkeypatch):
+    """The band-table and IVF caches appear whole or not at all: while a
+    builder writes the data, the final cache path does not exist, and
+    none of its work directories is left beside the result. A builder
+    that loses the race keeps the winner's copy."""
+    import os
+
+    from searchenginepp_ray.pipelines import similarity
+
+    listed = []
+
+    class Spy:
+        """A dataset that lists the cache root when it is written."""
+
+        def __init__(self, ds, root):
+            self._ds, self._root = ds, root
+
+        def __getattr__(self, name):
+            return getattr(self._ds, name)
+
+        def map_batches(self, *a, **k):
+            return Spy(self._ds.map_batches(*a, **k), self._root)
+
+        def write_parquet(self, *a, **k):
+            listed.append(sorted(os.listdir(self._root)))
+            return self._ds.write_parquet(*a, **k)
+
+    for mod, ds_name, cache, build in [
+            (dedup, "documents_ds", "_BAND_CACHE",
+             lambda: dedup.minhash_band_index_build(SF)),
+            (similarity, "embeddings_ds", "_IVF_CACHE",
+             lambda: similarity.ivf_build(SF)[0])]:
+        root = str(tmp_path / cache)
+        monkeypatch.setattr(mod, cache, root)
+        ds_fn = getattr(mod, ds_name)
+        monkeypatch.setattr(mod, ds_name,
+                            lambda sf, f=ds_fn, r=root: Spy(f(sf), r))
+        listed.clear()
+        out = build()
+        assert os.path.dirname(out) == root
+        assert listed and all(os.path.basename(out) not in ls for ls in listed)
+        assert os.listdir(root) == [os.path.basename(out)]
+        assert os.path.exists(os.path.join(out, "_done.json"))
+
+    final = str(tmp_path / "race" / "key")
+
+    def mark(d, who):
+        with open(os.path.join(d, "_done.json"), "w") as f:
+            f.write(who)
+
+    def loser(tmp):
+        dedup._publish_dir(final, lambda d: mark(d, "winner"))
+        mark(tmp, "loser")
+
+    assert dedup._publish_dir(final, loser) == final
+    assert open(os.path.join(final, "_done.json")).read() == "winner"
+    assert os.listdir(os.path.dirname(final)) == ["key"]

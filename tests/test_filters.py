@@ -202,37 +202,6 @@ def test_grams_match_naive(texts, w):
     assert got == want
 
 
-@settings(max_examples=150, deadline=None)
-@given(_texts, st.integers(min_value=2, max_value=6),
-       st.integers(min_value=1, max_value=6))
-def test_chunk_batch_matches_naive(texts, size, stride):
-    import pyarrow as pa
-
-    from searchenginepp_ray.pipelines.export import _chunk_batch
-
-    stride = min(stride, size)  # overlap contract: stride <= size
-    t = pa.table({
-        "doc_id": pa.array(range(len(texts)), pa.int64()),
-        "text": pa.array(texts, pa.string()),
-    })
-    got = _chunk_batch(t, size, stride, keep_text=True).to_pandas()
-    import hashlib
-
-    want = []
-    for d, text in enumerate(texts):
-        toks = _ref_words(text)
-        s = 0
-        ci = 0
-        while s < len(toks):
-            piece = toks[s:s + size]
-            want.append((d, ci, len(piece),
-                         hashlib.md5(" ".join(piece).encode()).hexdigest(),
-                         " ".join(piece)))
-            ci += 1
-            s += stride
-    assert list(map(tuple, got.itertuples(index=False))) == want
-
-
 def test_rounding_parity_on_half_grid(ray_session, tmp_path):
     """1/128 = 0.0078125 lands exactly on the 6-dp half grid, where
     np.round (half-to-even) and SQL ROUND (half-away) disagree; both

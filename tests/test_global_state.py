@@ -52,15 +52,21 @@ def _global_files(idx):
 
 def test_cli_query_auto_adopts_any_recorded_profile(ray_session, tmp_path,
                                                     capsys, monkeypatch):
-    """``query --profile auto`` serves an index built with a profile that
-    is neither simple nor full, as ``QueryEngine`` does."""
-    idx = _build(tmp_path, BuildConfig(profile=STEM_ONLY, docs_per_segment=32))
-    want = QueryEngine(idx, use_actors=False).search("dogs", k=10)
-    assert want
+    """``query`` serves an index with the profile and BM25 constants it
+    records, as ``QueryEngine`` does: a profile that is neither simple
+    nor full, and the simple profile with another ``bm25_k1``."""
     monkeypatch.setattr(ray, "shutdown", lambda: None)  # keep the session
-    assert cli.main(["query", idx, "--query", "dogs", "--no-actors"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [ln.split()[2] for ln in lines] == [docno for _, docno, _ in want]
+    for name, cfg in [
+            ("stem", BuildConfig(profile=STEM_ONLY, docs_per_segment=32)),
+            ("k1", BuildConfig(profile=SIMPLE_PROFILE, docs_per_segment=32,
+                               bm25_k1=1.2))]:
+        idx = _build(tmp_path, cfg, name=name)
+        eng = QueryEngine(idx, use_actors=False)
+        want = eng.search("dogs", k=10)
+        assert want
+        assert cli.main(["query", idx, "--query", "dogs", "--no-actors"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == eng.trec_lines("1", want)
 
 
 def test_engine_refuses_a_cfg_that_disagrees(ray_session, tmp_path):

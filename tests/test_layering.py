@@ -138,3 +138,27 @@ def test_every_top_level_name_is_referenced():
             if words[name] == own:
                 dead.append(f"{mod.relative_to(root)}:{line}: {name}")
     assert dead == []
+
+
+def test_every_module_has_a_non_test_importer():
+    """A module that only the tests import is dead code with tests. Every
+    module of the package is imported by another module of the package,
+    ``__ray_entry__.py``, the scripts or the benchmark harness."""
+    root = PKG.parent
+    importers = (sorted(PKG.rglob("*.py")) + [root / "__ray_entry__.py"]
+                 + sorted((root / "scripts").glob("*.py"))
+                 + sorted((root / "perfbench").glob("*.py")))
+    imported = collections.defaultdict(set)
+    for p in importers:
+        for _, name in _imported_modules(p):
+            imported[name].add(p)
+    orphans = []
+    for mod in sorted(PKG.rglob("*.py")):
+        if mod.stem in ("__init__", "__main__"):
+            continue
+        dotted = ".".join(mod.relative_to(root).with_suffix("").parts)
+        if not any(p != mod for name, ps in imported.items()
+                   if name == dotted or name.startswith(dotted + ".")
+                   for p in ps):
+            orphans.append(dotted)
+    assert orphans == []

@@ -197,7 +197,7 @@ def test_interactive_repl_over_imported_index(tmp_path):
     import_reference_index(FIXTURE, out, profile=SIMPLE_PROFILE)
     p = subprocess.run(
         [sys.executable, "-m", "searchenginepp_ray", "query", out,
-         "--interactive", "--profile", "simple", "--no-actors", "-k", "2"],
+         "--interactive", "--no-actors", "-k", "2"],
         input="zebra\nq\n", capture_output=True, text=True, timeout=300,
         cwd=os.path.join(os.path.dirname(__file__), ".."))
     assert p.returncode == 0, p.stderr[-2000:]

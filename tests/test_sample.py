@@ -280,3 +280,20 @@ def test_vocab_distinct_hll_accuracy(ray_session, sf_dir):
         for t in pc.list_flatten(b["terms"]).to_pylist()))
     rel = abs(got["distinct_terms_hll"][0] / exact - 1.0)
     assert rel < 0.14, (got["distinct_terms_hll"][0], exact)
+
+
+def test_stratified_sample_rates_and_determinism(ray_session, sf_dir):
+    from searchenginepp_ray.pipelines.sample import stratified_sample
+
+    a = stratified_sample(sf_dir).to_pandas()
+    b = stratified_sample(sf_dir).to_pandas()
+    # deterministic: identical membership across runs
+    assert sorted(a["doc_id"]) == sorted(b["doc_id"])
+    # strata rates: en is downsampled ~0.1, everything else ~0.5
+    full = pd.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang"])
+    n_en_full = int((full["lang"] == "en").sum())
+    n_en = int((a["lang"] == "en").sum())
+    assert n_en < n_en_full * 0.3
+    n_rest_full = int((full["lang"] != "en").sum())
+    n_rest = int((a["lang"] != "en").sum())
+    assert 0.25 * n_rest_full < n_rest < 0.75 * n_rest_full

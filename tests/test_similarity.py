@@ -450,3 +450,31 @@ def test_ivf_append_lifecycle(ray_session, sf_dir):
     pd.testing.assert_frame_equal(
         app[["query_id", "neighbor_id", "rank"]],
         bf[["query_id", "neighbor_id", "rank"]])
+
+
+def test_embedding_quantize_bounds_and_reconstruction(ray_session, sf_dir):
+    from searchenginepp_ray.pipelines.similarity import (
+        _vec_matrix, embedding_quantize, embeddings_ds)
+
+    codes = embedding_quantize(sf_dir).to_pandas()
+    assert codes["code"].between(0, 255).all()
+
+    # exact per-dim min/max from a direct read
+    t = embeddings_ds(sf_dir).to_pandas()
+    import pyarrow as pa
+
+    m = _vec_matrix(pa.array(list(t["embedding"])))
+    mn, mx = m.min(axis=0), m.max(axis=0)
+    span = mx - mn
+
+    wide = codes.pivot(index="vec_id", columns="dim", values="code")
+    wide = wide.sort_index()
+    order = np.argsort(t["vec_id"].to_numpy())
+    m_sorted = m[order]
+    recon = mn + wide.to_numpy() * span / 255.0
+    err = np.abs(recon - m_sorted)
+    # half-step quantization error bound per element
+    assert (err <= span / 510.0 + 1e-12).all()
+    # min and max of each dim code to 0 / 255 exactly
+    assert (wide.to_numpy().min(axis=0) == 0).all()
+    assert (wide.to_numpy().max(axis=0) == 255).all()

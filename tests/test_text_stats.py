@@ -146,7 +146,7 @@ def test_unigram_logprob_hand_corpus(ray_session, tmp_path):
 
 def test_documents_ds_accepts_jsonl(ray_session, tmp_path):
     """The text-pipeline family runs unchanged over a .jsonl corpus path
-    (clean / train-export CLI interchange format)."""
+    (the clean CLI's interchange format)."""
     import json
 
     import pyarrow as pa
