@@ -4,10 +4,9 @@
 sf0.001 ``documents`` table with the reference's CI normalizer profile,
 then BM25 top-k through the segment-actor engine). ``queries()`` exposes
 the search operators from SURVEY.md §2 plus the training-data operators
-(dedup / similarity / embeddings / text analysis / filters / cleaning /
-sampling); each
-SQL-expressible one has a matching DuckDB oracle over the ``documents``
-and ``embeddings`` tables in ``oracle_sql()``.
+(dedup / text embeddings / text analysis / filters / cleaning /
+sampling); each SQL-expressible one has a matching DuckDB oracle over
+the ``documents`` table in ``oracle_sql()``.
 
 Ray is initialised by the driver BEFORE this module is imported; nothing
 here calls ``ray.init``/``ray.shutdown``.
@@ -29,7 +28,7 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    from searchenginepp_ray.pipelines import clean, dedup, sample, similarity, text_stats
+    from searchenginepp_ray.pipelines import clean, dedup, sample, text_stats
     from searchenginepp_ray.pipelines import search_docs
 
     return {
@@ -244,59 +243,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # unchanged): map-side md5, one doc_id-keyed exchange
         "corpus_diff": lambda sf: dedup.corpus_diff(sf),
         "simhash_near_dup_pairs": lambda sf: dedup.simhash_near_dup_pairs(sf),
-        "embedding_near_dup": lambda sf: dedup.embedding_near_dup(sf),
-        "embedding_near_dup_lsh": lambda sf: dedup.embedding_near_dup_lsh(sf),
-        # one table, zero hyperplanes => every vector in one bucket: the
-        # LSH machinery degenerates to the exact kernel and gets the
-        # same SQL value-hash check as embedding_near_dup
-        "embedding_near_dup_lsh_exhaustive": lambda sf: dedup.embedding_near_dup_lsh(
-            sf, n_planes=0, n_tables=1
-        ),
-        # --- similarity search ---
-        "knn_brute_force": lambda sf: similarity.knn_brute_force(sf),
-        # MMR-diversified nearest neighbors: greedy 0.7·rel −
-        # 0.3·max-sim re-rank of the exact top-n_cand, all comparisons
-        # on the exact integer micro-grid
-        "knn_mmr": lambda sf: similarity.knn_mmr(sf),
-        "knn_ivf": lambda sf: similarity.knn_ivf(sf),
-        # nprobe == nlist scans every bucket: IVF degenerates to exact
-        # brute force, making the bucketed machinery SQL-oracle-checkable
-        "knn_ivf_full_probe": lambda sf: similarity.knn_ivf(sf, nprobe=16),
-        # ANN ingestion lifecycle: base IVF build + append shipment into
-        # the existing bucket partitions (frozen centroids, O(appended)
-        # cost); full probe ⇒ exact ⇒ the brute-force oracle value-checks
-        # the whole append path
-        "knn_ivf_appended":
-            lambda sf: similarity.knn_ivf_appended(sf),
-        "embedding_norm_stats": lambda sf: similarity.embedding_norm_stats(sf),
-        # exact k-NN GRAPH (all-vs-all top-k): block-pair self-join with
-        # per-block tie-safe partial top-k, one exchange on vec_id
-        "knn_graph": lambda sf: similarity.knn_graph(sf),
-        # per-label centroid (class prototypes): one (sumvec, count)
-        # partial per label per batch, tiny final exchange
-        "label_centroids": lambda sf: similarity.label_centroids(sf),
-        # distributed Lloyd's k-means (deterministic init + shared
-        # rounding rule => the unrolled-CTE oracle is hash-exact); one
-        # streaming pass + one k×dims exchange per iteration
-        # product quantization: m sub-space codebooks trained in
-        # one shared streaming pass + (vec_id, block, code) encoding —
-        # the vector-compression scale path
-        "pq_encode": lambda sf: similarity.pq_encode(sf),
-        # ADC serving over the PQ codes (approximate; recall pytest)
-        "knn_pq": lambda sf: similarity.knn_pq(sf),
-        "kmeans_embeddings": lambda sf: similarity.kmeans_embeddings(sf),
-        # SemDeDup: k-means bucketing prunes candidate pairs, per-cluster
-        # micro-grid cosine edges, keep-farthest-from-centroid per
-        # component — one assign pass + ONE cluster-keyed exchange
-        "semantic_dedup": lambda sf: similarity.semantic_dedup(sf),
-        # per-cluster count + inertia vs the FINAL centroids — the
-        # elbow/drift readout that value-checks the centroid matrix
-        "kmeans_inertia": lambda sf: similarity.kmeans_inertia(sf),
-        # distributed covariance (augmented-Gram map-side partials, one
-        # dims^2 exchange) — the PCA/whitening primitive; eigensolve of
-        # the 64x64 result is driver-side by design
-        "embedding_covariance":
-            lambda sf: similarity.embedding_covariance(sf),
         # --- sampling + sketches ---
         # content-addressed Bernoulli sample (stable across reruns)
         "deterministic_sample": lambda sf: sample.deterministic_sample(sf),
@@ -329,9 +275,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # curriculum ordering: exact global rank by (quality DESC,
         # doc_id) via histogram offsets on the bounded 6 dp score grid
         "curriculum_order": lambda sf: sample.curriculum_order(sf),
-        # scalar int8-range quantization of the embedding column
-        # (global per-dim min/max pass + streaming code pass)
-        "embedding_quantize": lambda sf: similarity.embedding_quantize(sf),
         # embedding GENERATION (deterministic feature-hashed TF-IDF
         # "model": posting explode + term-side idf exchange + (doc,dim)
         # aggregation) — long format so the oracle is a grouped sum
@@ -341,8 +284,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # doc_embedding, one doc exchange with a sort/cumcount kernel)
         "doc_keywords": lambda sf: _embed().doc_keywords(sf),
         # index-based all-pairs similarity join: TF-IDF cosine >= t
-        # enumerated per POSTING LIST (df-capped), never O(N^2) —
-        # the text complement of embedding_near_dup
+        # enumerated per POSTING LIST (df-capped), never O(N^2)
         "doc_similarity_pairs":
             lambda sf: _embed().doc_similarity_pairs(sf),
         # composed semantic search: embedding GENERATION -> dense pivot
@@ -420,7 +362,6 @@ def oracle_sql() -> dict[str, str]:
         "regex_search": osql.regex_search_sql(),
         "importance_weights": osql.importance_weights_sql(),
         "importance_resample": osql.importance_resample_sql(),
-        "embedding_quantize": osql.embedding_quantize_sql(),
         "exact_dedup": osql.exact_dedup_sql(),
         "dedup_incremental": osql.dedup_incremental_sql(),
         "dedup_incremental_minhash": osql.dedup_incremental_minhash_sql(),
@@ -431,17 +372,6 @@ def oracle_sql() -> dict[str, str]:
         "dup_components": osql.dup_components_sql(),
         "containment_pairs": osql.containment_pairs_sql(),
         "dup_components_best": osql.dup_components_best_sql(),
-        "embedding_near_dup": osql.embedding_near_dup_sql(),
-        # exhaustive bucketing == the exact kernel, same oracle
-        "embedding_near_dup_lsh_exhaustive": osql.embedding_near_dup_sql(),
-        "knn_brute_force": osql.knn_brute_force_sql(),
-        "knn_mmr": osql.knn_mmr_sql(),
-        # exhaustive probe == exact brute force, same oracle
-        "knn_ivf_full_probe": osql.knn_brute_force_sql(),
-        # full probe over base ∪ appended == exact brute force
-        "knn_ivf_appended": osql.knn_brute_force_sql(),
-        "embedding_norm_stats": osql.embedding_norm_stats_sql(),
-        "knn_graph": osql.knn_graph_sql(),
         "deterministic_sample": osql.deterministic_sample_sql(),
         "compression_ratio_stored": osql.compression_ratio_stored_sql(),
         "term_complete": osql.term_complete_sql(),
@@ -465,19 +395,11 @@ def oracle_sql() -> dict[str, str]:
         "doc_keywords": osql.doc_keywords_sql(),
         "doc_similarity_pairs": osql.doc_similarity_pairs_sql(),
         "text_knn": osql.text_knn_sql(),
-        "label_centroids": osql.label_centroids_sql(),
-        "pq_encode": osql.pq_encode_sql(),
-        "kmeans_embeddings": osql.kmeans_embeddings_sql(),
-        "semantic_dedup": osql.semantic_dedup_sql(),
-        "kmeans_inertia": osql.kmeans_inertia_sql(),
         "ngram_diversity": osql.ngram_diversity_sql(),
-        "embedding_covariance": osql.embedding_covariance_sql(),
         # rows-only (non-SQL-expressible): minhash_dedup_pairs (float
         # jaccard variant; the exact-integer ngram_jaccard_dedup IS
-        # oracle-checked), simhash (internal 64-bit hash), knn_ivf +
-        # embedding_near_dup_lsh (approximate by design;
-        # hash-gated degenerate twins exist where exactness is
-        # reachable),
+        # oracle-checked), simhash and simhash_near_dup_pairs (internal
+        # 64-bit hash), corpus_clean_neardup (MinHash near-dup removal),
         # hll_distinct_terms (xxhash precision tier; the portable
         # vocab_distinct_hll IS hash-checked), compression_ratio (default-level zlib block
         # chunking; the level-0 compression_ratio_stored twin IS

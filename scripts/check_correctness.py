@@ -16,7 +16,7 @@ import ray
 
 sys.path.insert(0, ".")
 
-TABLES = ("documents", "embeddings")
+TABLES = ("documents",)
 
 
 def to_pandas(obj) -> pd.DataFrame:

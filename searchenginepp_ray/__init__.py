@@ -1,9 +1,9 @@
 """searchenginepp_ray — a Ray-Data-native inverted-index build + BM25/TF-IDF
 top-k query engine, built from scratch with the query/data-processing
 capabilities of the C++ reference engine (scarburato/searchenginepp), plus
-large-scale training-data pipeline operators (dedup, similarity search,
-embeddings, text analysis, filters, cleaning, sampling and connected
-components)."""
+large-scale training-data pipeline operators over the documents table
+(dedup, feature-hashed text embeddings, text analysis, filters, cleaning,
+sampling and connected components)."""
 
 __version__ = "0.1.0"
 

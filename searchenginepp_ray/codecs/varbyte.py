@@ -59,9 +59,3 @@ def decode(buf: np.ndarray) -> np.ndarray:
         np.uint64(7) * byte_slot.astype(np.uint64)
     )
     return np.add.reduceat(parts, starts)
-
-
-def decode_count(buf: np.ndarray) -> int:
-    """Number of values in a VarByte stream (= count of terminator bytes)."""
-    b = np.asarray(buf, dtype=np.uint8)
-    return int(((b & 0x80) == 0).sum())

@@ -198,10 +198,10 @@ class QueryEngine:
     ):
         self.index_dir = index_dir
         # the engine serves with the profile and BM25 constants the
-        # index was built with; a supplied cfg (e.g. the CLI's --profile
-        # flag) must agree rather than being silently overridden, since
-        # another normalizer mis-tokenizes queries and other constants
-        # rank differently
+        # index was built with; a supplied cfg (as search_docs and
+        # scripts/verify_probe.py pass) must agree rather than being
+        # silently overridden, since another normalizer mis-tokenizes
+        # queries and other constants rank differently
         self.meta, built = read_metadata(index_dir)
         if cfg is not None and cfg.profile.profile_id != built.profile.profile_id:
             raise ValueError(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray
 
 from ..config import SIMPLE_PROFILE
 from .duck import md5_hex

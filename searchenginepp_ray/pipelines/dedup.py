@@ -8,8 +8,6 @@ a large-scale training-data pipeline needs:
 - n-gram Jaccard: exact pairwise verification of LSH candidates, emitted
   as exact integer (|A∩B|, |A∪B|) so a DuckDB oracle can match it
   bit-for-bit
-- embedding-cosine near-dup: exact block-pair self-join (no full-matrix
-  broadcast) + an LSH-bucketed approximate variant for the scale path
 
 Hot-path rules (the 100 TB shape):
 
@@ -571,217 +569,6 @@ def simhash_near_dup_pairs(
     )
 
 
-# ---------- embedding-cosine near-dup ----------
-
-def _rg_offsets(pf) -> np.ndarray:
-    """Cumulative row offsets of a parquet file's row groups:
-    ``offs[i] .. offs[i+1]`` is row group ``i``'s row range."""
-    md = pf.metadata
-    return np.cumsum(
-        [0] + [md.row_group(i).num_rows for i in range(md.num_row_groups)]
-    ).astype(np.int64)
-
-
-def _read_row_range(pf, rg_offs: np.ndarray, start: int, stop: int,
-                    columns: list[str]) -> tuple[pa.Table, int]:
-    """Rows ``[start, stop)`` read from ONLY the covering row groups —
-    never the whole file. Returns (table, rows_physically_read); the
-    second value exists so tests can assert the read is O(stop-start),
-    not O(file)."""
-    g0 = int(np.searchsorted(rg_offs, start, side="right") - 1)
-    g1 = int(np.searchsorted(rg_offs, stop - 1, side="right") - 1)
-    t = pf.read_row_groups(list(range(g0, g1 + 1)), columns=columns)
-    return t.slice(start - int(rg_offs[g0]), stop - start), t.num_rows
-
-
-def embedding_near_dup(sf_dir: str, threshold: float = 0.45, chunk: int = 2048):
-    """Exact near-duplicate pairs by embedding cosine >= threshold.
-
-    Block-pair self-join: the table is split into row-range chunks; one
-    task per chunk pair (i <= j) loads just its two chunks (row-group-
-    pruned parquet read via :func:`_read_row_range`, LRU-cached per
-    actor) and emits its above-threshold pairs from one matmul. Nothing
-    is broadcast and no task ever holds more than two chunks — the
-    exact-O(N²) baseline in its scalable shape. (For the sub-O(N²)
-    approximate path see :func:`embedding_near_dup_lsh`.)"""
-    import pyarrow.parquet as pq
-
-    from .similarity import _normalize, _vec_matrix
-
-    path = f"{sf_dir}/embeddings.parquet"
-    n_rows = pq.ParquetFile(path).metadata.num_rows
-    n_chunks = max(1, (n_rows + chunk - 1) // chunk)
-    tasks = [
-        {"ci": i, "cj": j} for i in range(n_chunks) for j in range(i, n_chunks)
-    ]
-
-    class PairBlock:
-        def __init__(self):
-            self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            self._pf = pq.ParquetFile(path)
-            self._rg_offs = _rg_offsets(self._pf)
-            self.rows_read = 0  # physical rows decoded (test/observability)
-
-        def _load(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-            hit = self._cache.get(c)
-            if hit is not None:
-                return hit
-            start = c * chunk
-            stop = min(start + chunk, n_rows)
-            t, n_read = _read_row_range(
-                self._pf, self._rg_offs, start, stop, ["vec_id", "embedding"]
-            )
-            self.rows_read += n_read
-            ids = t["vec_id"].to_numpy()
-            m = _normalize(_vec_matrix(t["embedding"]))
-            if len(self._cache) >= 4:  # bound per-actor memory
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[c] = (ids, m)
-            return ids, m
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            out_a, out_b, out_c = [], [], []
-            for ci, cj in zip(t["ci"].to_pylist(), t["cj"].to_pylist()):
-                ids_i, m_i = self._load(ci)
-                ids_j, m_j = self._load(cj)
-                sims = m_i @ m_j.T
-                ii, jj = np.nonzero(sims >= threshold)
-                if ci == cj:  # diagonal block: upper triangle only
-                    tri = ii < jj
-                    ii, jj = ii[tri], jj[tri]
-                a = ids_i[ii]
-                b = ids_j[jj]
-                lo = np.minimum(a, b)
-                hi = np.maximum(a, b)
-                keep = lo < hi  # drops any self-id pair
-                out_a.append(lo[keep])
-                out_b.append(hi[keep])
-                out_c.append(
-                    np.round(sims[ii, jj][keep] * 1000).astype(np.int64)
-                )
-            if not out_a:
-                return pa.table(
-                    {"vec_a": pa.array([], pa.int64()),
-                     "vec_b": pa.array([], pa.int64()),
-                     "cosine_milli": pa.array([], pa.int64())}
-                )
-            return pa.table(
-                {"vec_a": pa.array(np.concatenate(out_a).astype(np.int64)),
-                 "vec_b": pa.array(np.concatenate(out_b).astype(np.int64)),
-                 # integer millicosine: exact cross-engine comparability
-                 "cosine_milli": pa.array(np.concatenate(out_c))}
-            )
-
-    return ray.data.from_items(tasks).map_batches(
-        PairBlock, batch_size=4, concurrency=(1, 8), batch_format="pyarrow",
-        num_cpus=1,
-    )
-
-
-def embedding_near_dup_lsh(
-    sf_dir: str, threshold: float = 0.45, n_planes: int = 8, n_tables: int = 12,
-):
-    """Approximate near-dup pairs via sign-random-projection LSH: each
-    vector lands in ``n_tables`` buckets (one per hyperplane table); the
-    exact cosine kernel runs per bucket — sub-O(N²), the 100 TB path.
-    Recall for cosine c is 1-(1-(1-acos(c)/π)^n_planes)^n_tables (≈ 0.99
-    at c = 0.9 with these defaults); pairs below ~0.5 cosine may be
-    missed — this is the documented approximation trade."""
-    from .similarity import _normalize, _vec_matrix, embeddings_ds
-
-    # deterministic hyperplanes, sized to the embedding dim read lazily
-    rng = np.random.Generator(np.random.PCG64(7))
-
-    P = _shuffle_width()
-    planes_ref: dict[str, object] = {}
-
-    def to_buckets(t: pa.Table) -> pa.Table:
-        m = _normalize(_vec_matrix(t["embedding"]))
-        dim = m.shape[1]
-        if "planes" not in planes_ref:
-            r = np.random.Generator(np.random.PCG64(7))
-            planes_ref["planes"] = r.standard_normal((n_tables, n_planes, dim))
-        planes = planes_ref["planes"]
-        ids = t["vec_id"].to_numpy()
-        n = len(ids)
-        outs = {"table_id": [], "bucket": [], "vec_id": [], "emb": []}
-        emb = t["embedding"]
-        for ti in range(n_tables):
-            signs = (m @ planes[ti].T) > 0  # (n, n_planes)
-            bucket = signs @ (1 << np.arange(n_planes, dtype=np.int64))
-            outs["table_id"].append(np.full(n, ti, dtype=np.int32))
-            outs["bucket"].append(bucket.astype(np.int64))
-            outs["vec_id"].append(ids)
-            outs["emb"].append(emb)
-        tbl = pa.table(
-            {"table_id": pa.array(np.concatenate(outs["table_id"])),
-             "bucket": pa.array(np.concatenate(outs["bucket"])),
-             "vec_id": pa.array(np.concatenate(outs["vec_id"])),
-             "embedding": pa.concat_arrays(
-                 [c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
-                  for c in outs["emb"]]
-             )}
-        )
-        part = (
-            (tbl["bucket"].to_numpy() * np.int64(n_tables)
-             + tbl["table_id"].to_numpy().astype(np.int64)) % np.int64(P)
-        ).astype(np.int32)
-        return tbl.append_column("_part", pa.array(part))
-
-    def bucket_pairs(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"vec_a": pa.array([], pa.int64()),
-             "vec_b": pa.array([], pa.int64()),
-             "cosine_milli": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        tid = t["table_id"].to_numpy()
-        bkt = t["bucket"].to_numpy()
-        ids = t["vec_id"].to_numpy()
-        m = _normalize(_vec_matrix(t["embedding"]))
-        order = np.lexsort((ids, bkt, tid))
-        tid, bkt, ids, m = tid[order], bkt[order], ids[order], m[order]
-        change = np.empty(len(ids), dtype=bool)
-        change[0] = True
-        change[1:] = (tid[1:] != tid[:-1]) | (bkt[1:] != bkt[:-1])
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], len(ids))
-        sel = (ends - starts) >= 2
-        out_a, out_b, out_c = [], [], []
-        for s, e in zip(starts[sel], ends[sel]):
-            mm = m[s:e]
-            sims = mm @ mm.T
-            ia, ib = np.triu_indices(e - s, k=1)
-            ok = sims[ia, ib] >= threshold
-            a, b = ids[s:e][ia[ok]], ids[s:e][ib[ok]]
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            out_a.append(lo)
-            out_b.append(hi)
-            out_c.append(np.round(sims[ia[ok], ib[ok]] * 1000).astype(np.int64))
-        if not out_a:
-            return empty
-        a = np.concatenate(out_a)
-        b = np.concatenate(out_b)
-        c = np.concatenate(out_c)
-        abc = np.unique(np.stack([a, b, c], axis=1), axis=0)
-        return pa.table(
-            {"vec_a": pa.array(abc[:, 0]), "vec_b": pa.array(abc[:, 1]),
-             "cosine_milli": pa.array(abc[:, 2])}
-        )
-
-    from .agg import hash_groupby_sum
-
-    return hash_groupby_sum(
-        embeddings_ds(sf_dir)
-        .map_batches(to_buckets, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(bucket_pairs, batch_format="pyarrow"),
-        ["vec_a", "vec_b"],
-        {"cosine_milli": ("cosine_milli", "min")},
-    )
-
-
 def dup_components(
     sf_dir: str, shingle: int = 3, thr_num: int = 4, thr_den: int = 5,
     num_perm: int = 128, bands: int = 64,
@@ -1261,8 +1048,7 @@ def minhash_band_append(index_dir: str, sf_dir: str, doc_ids,
     the base table's part files are HARDLINKED into ``out_dir`` (default
     ``index_dir + \"-appended\"``) and the new rows land as extra part
     files in the same bucket directories — O(appended docs) work and
-    disk, the :func:`~.similarity.ivf_append_build` layout pattern,
-    while the PRISTINE base dir (which may be the shared per-corpus
+    disk — while the PRISTINE base dir (which may be the shared per-corpus
     cache :func:`minhash_band_index_build` hands to every default-path
     caller) stays byte-untouched. Returns the appended table's dir, to
     be passed as ``index_dir`` for the next shipment's probe. Params

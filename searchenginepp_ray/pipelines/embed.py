@@ -23,8 +23,8 @@ Scale shape (no driver funnels, two exchanges):
 
 Output is LONG format (doc_id, dim, weight): exactly SQL-groupable for
 the oracle; :func:`doc_embedding_vectors` pivots it to a dense
-``FixedSizeList`` column for downstream ANN (one vectorized per-doc
-scatter per partition), feeding the knn/LSH family.
+``FixedSizeList`` column (one vectorized per-doc scatter per
+partition), which :func:`text_knn` ranks by cosine.
 """
 
 from __future__ import annotations
@@ -191,6 +191,38 @@ def doc_keywords(sf_dir: str, m: int = 5) -> ray.data.Dataset:
     return hash_groupby_apply(weighted, ["doc_id"], topm)
 
 
+def _normalize(m: np.ndarray) -> np.ndarray:
+    n = np.linalg.norm(m, axis=1, keepdims=True)
+    return m / np.maximum(n, 1e-30)
+
+
+def _vec_matrix(col, dtype=np.float64) -> np.ndarray:
+    """(n, dim) matrix from an Arrow list-of-float column — zero-copy
+    flatten + reshape (one vectorized dtype cast at most), replacing the
+    ~5-10× slower ``np.asarray(col.to_pylist())`` ingest on every vector
+    op. Requires equal-length lists (embeddings are)."""
+    import pyarrow.compute as pc
+
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    n = len(col)
+    if n == 0:
+        return np.empty((0, 0), dtype=dtype)
+    if isinstance(col, pa.ExtensionArray):
+        # Ray's tensor extension (what a pandas round-trip of ndarray
+        # rows infers): its to_numpy() is already the (n, dim) matrix
+        return col.to_numpy().astype(dtype, copy=False)
+    if pa.types.is_fixed_size_list(col.type):
+        dim = col.type.list_size
+    else:
+        lens = pc.list_value_length(col).to_numpy()
+        dim = int(lens[0])
+        if not (lens == dim).all():
+            raise ValueError("embedding column is ragged — cannot matrixize")
+    flat = col.flatten().to_numpy(zero_copy_only=False)
+    return flat.reshape(n, dim).astype(dtype, copy=False)
+
+
 def doc_embedding_vectors(sf_dir: str, dims: int = DIMS,
                           dtype=None) -> ray.data.Dataset:
     """Dense form: (doc_id, embedding FixedSizeList<float32, dims>) —
@@ -216,10 +248,9 @@ def text_knn(sf_dir: str, n_queries: int = 5, k: int = 5,
     """The COMPOSED semantic-search query: embedding GENERATION
     (:func:`doc_embedding`, the deterministic feature-hashed TF-IDF
     model) → dense pivot → exact cosine top-k of every document against
-    the first ``n_queries`` documents. This is the text-side twin of
-    ``knn_brute_force`` with the vectors produced by the pipeline itself
-    rather than read from a table — the end-to-end shape of embed-then-
-    retrieve corpus curation, value-checked by ONE SQL statement.
+    the first ``n_queries`` documents — the end-to-end shape of
+    embed-then-retrieve corpus curation, value-checked by ONE SQL
+    statement.
 
     Determinism contract: similarity is computed from the ROUNDED
     (6 dp) long-format weights — which the doc_embedding oracle proves
@@ -258,8 +289,6 @@ def text_knn(sf_dir: str, n_queries: int = 5, k: int = 5,
     q_ref = ray.put((q_ids, qn))
 
     def partial_topk(t: pa_mod.Table) -> pa_mod.Table:
-        from .similarity import _normalize, _vec_matrix
-
         q_ids, qn = ray.get(q_ref)
         m = _vec_matrix(t["embedding"])
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -305,9 +334,7 @@ def doc_similarity_pairs(sf_dir: str, threshold: float = 0.6,
     INDEX-BASED similarity join (inverted-list / "all-pairs" shape): two
     docs can only be similar if they share a term, so candidate pairs are
     enumerated per POSTING LIST instead of per doc pair, and the exact
-    O(N²) scan never happens. The classic text complement of the
-    embedding-space near-dup family (embedding_near_dup works on dense
-    vectors; this works straight off the postings).
+    O(N²) scan never happens: it works straight off the postings.
 
     Similarity contract (identical in the SQL oracle): weights are
     ``tf · log2(N/df)`` over terms with ``df ≤ max(16, floor(N ·

@@ -276,7 +276,7 @@ def compression_ratio(sf_dir: str, level: int = 6):
 
 def compression_ratio_stored(sf_dir: str):
     """Degenerate-parameter hash gate for :func:`compression_ratio`
-    (the knn_ivf_full_probe pattern): zlib level 0 emits STORED deflate
+    (exact by construction): zlib level 0 emits STORED deflate
     blocks, and below one block boundary the output size is the closed
     form ``n + 11`` (2-byte zlib header + 5-byte stored-block header +
     payload + 4-byte adler32) — one SQL expression. The pipeline still

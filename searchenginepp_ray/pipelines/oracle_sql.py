@@ -513,32 +513,6 @@ SELECT (SELECT CAST(COUNT(*) AS BIGINT) FROM documents) AS n_docs,
        (SELECT CAST(COUNT(*) AS BIGINT) FROM (SELECT DISTINCT doc_id, term FROM toks)) AS n_postings"""
 
 
-def knn_brute_force_sql(n_queries: int = 5, k: int = 5) -> str:
-    return f"""WITH q AS (
-    SELECT vec_id AS query_id, CAST(embedding AS DOUBLE[]) AS qe
-    FROM embeddings WHERE vec_id < {n_queries}
-),
-sims AS (
-    SELECT q.query_id, e.vec_id AS neighbor_id,
-           list_cosine_similarity(q.qe, CAST(e.embedding AS DOUBLE[])) AS cos
-    FROM q CROSS JOIN embeddings e
-),
-ranked AS (
-    SELECT query_id, neighbor_id, cos,
-           row_number() OVER (PARTITION BY query_id ORDER BY cos DESC, neighbor_id ASC) AS rank
-    FROM sims
-)
-SELECT query_id, neighbor_id, CAST(rank AS BIGINT) AS rank, floor(cos * 1e6 + 0.5) / 1e6 AS cosine
-FROM ranked WHERE rank <= {k}"""
-
-
-def embedding_norm_stats_sql() -> str:
-    return """SELECT label,
-       CAST(COUNT(*) AS BIGINT) AS n,
-       ROUND(AVG(sqrt(list_aggregate(list_transform(CAST(embedding AS DOUBLE[]), x -> x*x), 'sum'))), 6) AS mean_norm
-FROM embeddings GROUP BY label"""
-
-
 def vocab_distinct_hll_sql() -> str:
     """Oracle for sample.vocab_distinct_hll: the identical portable HLL
     over the corpus's distinct vocabulary (shared tok CTE), one output
@@ -686,16 +660,6 @@ WHERE n.doc_id % {m} <> 0
           >= (len(n.s) + len(b.s) - len(list_intersect(n.s, b.s)))
              * {thr_num})
 """
-
-
-def embedding_near_dup_sql(threshold: float = 0.45) -> str:
-    return f"""
-        SELECT a.vec_id AS vec_a, b.vec_id AS vec_b,
-               CAST(round(CAST(list_cosine_similarity(a.embedding, b.embedding)
-                               AS DOUBLE) * 1000) AS BIGINT) AS cosine_milli
-        FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-        WHERE list_cosine_similarity(a.embedding, b.embedding) >= {threshold}
-    """
 
 
 def bpe_token_count_sql() -> str:
@@ -953,126 +917,6 @@ def dataset_split_sql(val_frac: float = 0.1, test_frac: float = 0.1,
 FROM documents"""
 
 
-def kmeans_embeddings_sql(k: int = 8, iters: int = 3) -> str:
-    """Oracle for similarity.kmeans_embeddings: the Lloyd recurrence
-    unrolled as chained CTEs. Init = k lowest-vec_id vectors; assignment
-    ties break to the lowest cluster id (row_number ORDER BY dist,
-    cluster); centroid update = member mean under the SHARED
-    floor(x*1e9+0.5)/1e9 rounding rule, so both engines iterate on
-    identical centroid doubles; empty clusters COALESCE to their previous
-    centroid."""
-
-
-    parts = _kmeans_ctes(k, iters)
-    return ("WITH " + ",\n".join(parts)
-            + f"\nSELECT vec_id, cluster FROM a{iters + 1}")
-
-
-def _lloyd_assign_cte(i: int, csrc: str) -> str:
-    """Assignment step of the shared Lloyd recurrence: argmin
-    list_distance with ties to the lowest cluster id."""
-    return f"""a{i} AS (SELECT vec_id, cluster FROM (
-    SELECT e.vec_id, c.cluster,
-           row_number() OVER (PARTITION BY e.vec_id
-                              ORDER BY list_distance(e.v, c.v) ASC,
-                                       c.cluster ASC) AS rn
-    FROM e CROSS JOIN {csrc} c) WHERE rn = 1)"""
-
-
-def _lloyd_update_cte(i: int) -> str:
-    """Update step of the shared Lloyd recurrence: member mean under the
-    shared 9 dp half-away rounding, empty clusters keep the previous
-    centroid."""
-    return f"""x{i} AS (SELECT a.cluster,
-           CAST(generate_subscripts(e.v, 1) AS BIGINT) AS dim,
-           unnest(e.v) AS x
-    FROM a{i} a JOIN e USING (vec_id)),
-g{i} AS (SELECT cluster, list(floor(mx * 1e9 + 0.5) / 1e9 ORDER BY dim) AS v
-    FROM (SELECT cluster, dim, AVG(x) AS mx FROM x{i} GROUP BY cluster, dim)
-    GROUP BY cluster),
-c{i} AS (SELECT p.cluster, COALESCE(g.v, p.v) AS v
-    FROM c{i - 1} p LEFT JOIN g{i} g USING (cluster))"""
-
-
-def _kmeans_ctes(k: int, iters: int,
-                 assign_cte=_lloyd_assign_cte,
-                 update_cte=_lloyd_update_cte) -> list[str]:
-    """The shared Lloyd-recurrence CTE chain: ``e`` (cast vectors),
-    ``c0``..``c{iters}`` (centroids), ``a{iters+1}`` (final
-    assignment)."""
-    parts = [
-        "e AS (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS v FROM embeddings)",
-        f"""c0 AS (SELECT CAST(row_number() OVER (ORDER BY vec_id) - 1 AS BIGINT)
-           AS cluster, v
-    FROM (SELECT * FROM e ORDER BY vec_id LIMIT {int(k)}))""",
-    ]
-    for i in range(1, iters + 1):
-        parts.append(assign_cte(i, f"c{i - 1}"))
-        parts.append(update_cte(i))
-    parts.append(assign_cte(iters + 1, f"c{iters}"))
-    return parts
-
-
-def semantic_dedup_sql(k: int = 8, iters: int = 3,
-                       threshold_micro: int = 450_000) -> str:
-    """Oracle for similarity.semantic_dedup: the kmeans CTE chain
-    (identical recurrence to :func:`kmeans_embeddings_sql`), then
-    within-cluster pairs thresholded on the shared integer micro-unit
-    cosine grid, recursive reachability closure (component = min
-    reachable vec_id), and keep = row 1 per component ordered by
-    (rounded centroid cosine ASC, vec_id ASC)."""
-
-
-    parts = _kmeans_ctes(k, iters)
-    fa, fc = f"a{iters + 1}", f"c{iters}"
-    parts.append(f"""asn AS (SELECT a.vec_id, a.cluster, e.v
-    FROM {fa} a JOIN e USING (vec_id))""")
-    parts.append(f"""ccz AS (SELECT a.vec_id, a.cluster,
-           CAST(floor(list_cosine_similarity(a.v, c.v) * 1e6 + 0.5)
-                AS BIGINT) AS ccos_micro
-    FROM asn a JOIN {fc} c USING (cluster))""")
-    parts.append(f"""pr AS (SELECT x.vec_id AS a, y.vec_id AS b
-    FROM asn x JOIN asn y
-      ON x.cluster = y.cluster AND x.vec_id < y.vec_id
-    WHERE floor(list_cosine_similarity(x.v, y.v) * 1e6 + 0.5)
-          >= {int(threshold_micro)})""")
-    parts.append("edges AS (SELECT a, b FROM pr UNION SELECT b, a FROM pr)")
-    parts.append("""reach(src, dst) AS (
-    SELECT a, b FROM edges
-    UNION
-    SELECT r.src, e2.b FROM reach r JOIN edges e2 ON r.dst = e2.a)""")
-    parts.append("""comp AS (SELECT src AS vec_id,
-           CAST(LEAST(src, MIN(dst)) AS BIGINT) AS component
-    FROM reach GROUP BY src)""")
-    parts.append("""mem AS (SELECT z.vec_id, z.cluster, z.ccos_micro,
-           COALESCE(cp.component, z.vec_id) AS component
-    FROM ccz z LEFT JOIN comp cp USING (vec_id))""")
-    parts.append("""rr AS (SELECT mem.*,
-           row_number() OVER (PARTITION BY component
-                              ORDER BY ccos_micro ASC, vec_id ASC) AS rn
-    FROM mem)""")
-    return ("WITH RECURSIVE " + ",\n".join(parts) + """
-SELECT vec_id, cluster, component, ccos_micro / 1e6 AS centroid_cos,
-       CAST((rn = 1) AS BIGINT) AS keep
-FROM rr""")
-
-
-def kmeans_inertia_sql(k: int = 8, iters: int = 3) -> str:
-    """Oracle for similarity.kmeans_inertia: ONE shared Lloyd CTE chain
-    (it already contains both the final assignment and the final
-    centroids), then per-cluster COUNT + SUM(list_distance²) on the
-    6 dp floor grid."""
-    parts = _kmeans_ctes(k, iters)
-    return ("WITH " + ",\n".join(parts) + f"""
-SELECT a.cluster, CAST(COUNT(*) AS BIGINT) AS n,
-       floor(SUM(power(list_distance(e.v, c.v), 2)) * 1e6 + 0.5) / 1e6
-           AS inertia
-FROM a{iters + 1} a
-JOIN e USING (vec_id)
-JOIN c{iters} c USING (cluster)
-GROUP BY a.cluster""")
-
-
 def ngram_diversity_sql(max_n: int = 3) -> str:
     """Oracle for filters.ngram_diversity: per-n distinct/total gram
     counts over the word-token arrays, diversity on the shared 6 dp
@@ -1123,26 +967,6 @@ SELECT doc_id, term, CAST(rank AS BIGINT) AS rank,
 FROM r WHERE rank <= {int(m)}"""
 
 
-def embedding_covariance_sql() -> str:
-    """Oracle for similarity.embedding_covariance: upper-triangle
-    covariance via the Σxᵢxⱼ / per-dim sums / N decomposition (the same
-    quantities the augmented-Gram partials carry)."""
-    return """WITH expl AS (
-    SELECT vec_id,
-           CAST(generate_subscripts(embedding, 1) - 1 AS BIGINT) AS dim,
-           CAST(unnest(embedding) AS DOUBLE) AS x
-    FROM embeddings),
-s AS (SELECT a.dim AS i, b.dim AS j, SUM(a.x * b.x) AS s
-      FROM expl a JOIN expl b USING (vec_id)
-      WHERE a.dim <= b.dim GROUP BY i, j),
-m AS (SELECT dim, SUM(x) AS m FROM expl GROUP BY dim),
-n AS (SELECT CAST(COUNT(*) AS DOUBLE) AS v FROM embeddings)
-SELECT s.i AS dim_i, s.j AS dim_j,
-       floor((s.s - ma.m * mb.m / (SELECT v FROM n)) / (SELECT v FROM n)
-             * 1e6 + 0.5) / 1e6 AS cov
-FROM s JOIN m ma ON ma.dim = s.i JOIN m mb ON mb.dim = s.j"""
-
-
 def text_knn_sql(n_queries: int = 5, k: int = 5, dims: int = 64) -> str:
     """Oracle for embed.text_knn: ONE statement composing the
     doc_embedding weights (rounded 6 dp — bit-identical across engines,
@@ -1168,20 +992,6 @@ r AS (SELECT query_id, neighbor_id, cosine,
       FROM cosv)
 SELECT query_id, neighbor_id, CAST(rank AS BIGINT) AS rank, cosine
 FROM r WHERE rank <= {int(k)}"""
-
-
-def label_centroids_sql() -> str:
-    """Oracle for similarity.label_centroids (per-label mean vector,
-    long format via unnest + generate_subscripts)."""
-    return """
-        WITH expl AS (
-            SELECT label,
-                   CAST(generate_subscripts(embedding, 1) - 1 AS BIGINT) AS dim,
-                   unnest(embedding) AS x
-            FROM embeddings)
-        SELECT label, dim, ROUND(AVG(x), 6) AS mean_weight
-        FROM expl GROUP BY label, dim
-    """
 
 
 # ---------- training-data filters (pipelines/filters.py) ----------
@@ -1321,43 +1131,6 @@ hit AS (SELECT doc_id FROM cpos JOIN bpos USING (p)
 SELECT d.doc_id,
        (d.doc_id IN (SELECT doc_id FROM hit)) AS contaminated_bloom
 FROM documents d WHERE d.doc_id % {bench_mod} <> 0"""
-
-
-def embedding_quantize_sql() -> str:
-    """Oracle for similarity.embedding_quantize: per-dim global min/max,
-    then floor((x-mn)*255/(mx-mn)+0.5) codes in long format. floor(v+.5)
-    on both engines — no round-half parity hazard."""
-    return """
-WITH e AS (
-    SELECT vec_id,
-           CAST(generate_subscripts(embedding, 1) - 1 AS BIGINT) AS dim,
-           CAST(unnest(embedding) AS DOUBLE) AS x
-    FROM embeddings),
-mm AS (SELECT dim, MIN(x) AS mn, MAX(x) AS mx FROM e GROUP BY dim)
-SELECT e.vec_id, e.dim,
-       CAST(CASE WHEN mm.mx > mm.mn
-                 THEN floor((e.x - mm.mn) * 255 / (mm.mx - mm.mn) + 0.5)
-                 ELSE 0 END AS BIGINT) AS code
-FROM e JOIN mm USING (dim)"""
-
-
-def knn_graph_sql(k: int = 5) -> str:
-    """Oracle for similarity.knn_graph — exact all-vs-all cosine top-k,
-    self excluded, (cos DESC, neighbor ASC) tie-break."""
-    return f"""
-WITH e AS (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS ve FROM embeddings),
-sims AS (
-    SELECT a.vec_id, b.vec_id AS neighbor_id,
-           list_cosine_similarity(a.ve, b.ve) AS cos
-    FROM e a CROSS JOIN e b WHERE a.vec_id <> b.vec_id),
-ranked AS (
-    SELECT vec_id, neighbor_id, cos,
-           row_number() OVER (PARTITION BY vec_id
-                              ORDER BY cos DESC, neighbor_id ASC) AS rank
-    FROM sims)
-SELECT vec_id, neighbor_id, CAST(rank AS BIGINT) AS rank,
-       floor(cos * 1e6 + 0.5) / 1e6 AS cosine
-FROM ranked WHERE rank <= {int(k)}"""
 
 
 def phrase_search_sql(phrases: tuple[str, ...] | None = None) -> str:
@@ -1677,57 +1450,6 @@ per AS (
 SELECT doc_id, n AS n_bigrams,
        floor(s / n * 1e6 + 0.5) / 1e6 AS avg_logprob
 FROM per"""
-
-
-def pq_encode_sql(m: int = 4, k: int = 4, iters: int = 2) -> str:
-    """Oracle for similarity.pq_encode: m independent Lloyd recurrences
-    over the block sub-slices, unrolled as chained CTEs with the same
-    deterministic contract as kmeans_embeddings_sql (block carried
-    through every CTE)."""
-    sub = f"(SELECT dims FROM dd)"
-
-    def assign_cte(i: int, csrc: str) -> str:
-        return f"""a{i} AS (SELECT vec_id, block, cluster FROM (
-    SELECT e.vec_id, e.block, c.cluster,
-           row_number() OVER (PARTITION BY e.vec_id, e.block
-                              ORDER BY list_distance(e.v, c.v) ASC,
-                                       c.cluster ASC) AS rn
-    FROM e JOIN {csrc} c USING (block)) WHERE rn = 1)"""
-
-    def update_cte(i: int) -> str:
-        return f"""x{i} AS (SELECT a.block, a.cluster,
-           CAST(generate_subscripts(e.v, 1) AS BIGINT) AS dim,
-           unnest(e.v) AS x
-    FROM a{i} a JOIN e USING (vec_id, block)),
-g{i} AS (SELECT block, cluster,
-                list(floor(mx * 1e9 + 0.5) / 1e9 ORDER BY dim) AS v
-    FROM (SELECT block, cluster, dim, AVG(x) AS mx
-          FROM x{i} GROUP BY block, cluster, dim)
-    GROUP BY block, cluster),
-c{i} AS (SELECT p.block, p.cluster, COALESCE(g.v, p.v) AS v
-    FROM c{i - 1} p LEFT JOIN g{i} g USING (block, cluster))"""
-
-    parts = [
-        f"""dd AS (SELECT len(embedding) // {int(m)} AS dims
-    FROM embeddings LIMIT 1)""",
-        f"""e AS (SELECT vec_id, b.block,
-           (CAST(embedding AS DOUBLE[]))
-               [b.block * {sub} + 1 : (b.block + 1) * {sub}] AS v
-    FROM embeddings,
-         LATERAL (SELECT unnest(generate_series(0, {int(m) - 1}))
-                  AS block) b)""",
-        f"""c0 AS (SELECT block,
-           CAST(row_number() OVER (PARTITION BY block ORDER BY vec_id) - 1
-                AS BIGINT) AS cluster, v
-    FROM e QUALIFY row_number() OVER (PARTITION BY block ORDER BY vec_id)
-         <= {int(k)})""",
-    ]
-    for i in range(1, iters + 1):
-        parts.append(assign_cte(i, f"c{i - 1}"))
-        parts.append(update_cte(i))
-    parts.append(assign_cte(iters + 1, f"c{iters}"))
-    return ("WITH " + ",\n".join(parts)
-            + f"\nSELECT vec_id, block, cluster AS code FROM a{iters + 1}")
 
 
 def search_hybrid_rrf_sql(n_queries: int = 5, k_in: int = 10,
@@ -2276,69 +1998,6 @@ ranked AS (
 SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS BIGINT) AS rank,
        doc_id, ROUND(s, 6) AS score
 FROM ranked WHERE rank <= {int(k)}"""
-
-
-def knn_mmr_sql(n_queries: int = 4, n_cand: int = 16, k: int = 5) -> str:
-    """Oracle for similarity.knn_mmr: the greedy MMR loop UNROLLED to
-    ``k`` CTE stages. All comparisons happen on the shared integer
-    micro-grid (rel/sim = floor(cos·1e6 + 0.5); λ = 0.7 as the exact
-    integer rule score10 = 7·rel − 3·max_sim), so every pick and tie
-    matches the engine bit-for-bit."""
-    steps = []
-    for i in range(2, int(k) + 1):
-        steps.append(f"""sel{i} AS (
-    SELECT c.query_id, c.vec_id, c.rel,
-           7*c.rel - 3*MAX(p.sim) AS score10
-    FROM cand c
-    JOIN pair p ON p.query_id = c.query_id AND p.va = c.vec_id
-    JOIN picked{i-1} s ON s.query_id = p.query_id AND s.vec_id = p.vb
-    LEFT JOIN picked{i-1} x
-           ON x.query_id = c.query_id AND x.vec_id = c.vec_id
-    WHERE x.vec_id IS NULL
-    GROUP BY c.query_id, c.vec_id, c.rel
-    QUALIFY row_number() OVER (PARTITION BY c.query_id
-                               ORDER BY (7*c.rel - 3*MAX(p.sim)) DESC,
-                                        c.vec_id ASC) = 1
-),
-picked{i} AS (
-    SELECT * FROM picked{i-1}
-    UNION ALL
-    SELECT query_id, vec_id, rel, score10, {i} AS rank FROM sel{i}
-)""")
-    chain = ",\n".join(steps)
-    return f"""WITH q AS (
-    SELECT vec_id AS query_id, CAST(embedding AS DOUBLE[]) AS qe
-    FROM embeddings WHERE vec_id < {int(n_queries)}
-),
-sims AS (
-    SELECT q.query_id, e.vec_id,
-           CAST(floor(list_cosine_similarity(q.qe,
-                CAST(e.embedding AS DOUBLE[])) * 1e6 + 0.5) AS BIGINT) AS rel
-    FROM q CROSS JOIN embeddings e
-),
-cand AS (
-    SELECT query_id, vec_id, rel FROM sims
-    QUALIFY row_number() OVER (PARTITION BY query_id
-                               ORDER BY rel DESC, vec_id ASC) <= {int(n_cand)}
-),
-ce AS (
-    SELECT c.query_id, c.vec_id, CAST(e.embedding AS DOUBLE[]) AS emb
-    FROM cand c JOIN embeddings e USING (vec_id)
-),
-pair AS (
-    SELECT a.query_id, a.vec_id AS va, b.vec_id AS vb,
-           CAST(floor(list_cosine_similarity(a.emb, b.emb) * 1e6 + 0.5)
-                AS BIGINT) AS sim
-    FROM ce a JOIN ce b ON a.query_id = b.query_id
-),
-picked1 AS (
-    SELECT query_id, vec_id, rel, 7*rel AS score10, 1 AS rank FROM cand
-    QUALIFY row_number() OVER (PARTITION BY query_id
-                               ORDER BY rel DESC, vec_id ASC) = 1
-),
-{chain}
-SELECT query_id, CAST(rank AS BIGINT) AS rank, vec_id, score10
-FROM picked{int(k)}"""
 
 
 def search_more_like_this_sql(seed_ids: tuple | None = None,

@@ -23,6 +23,7 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from ..config import BuildConfig, FULL_PROFILE, SIMPLE_PROFILE
 from ..index.build import (build_index, read_global_term_df, read_metadata,
@@ -177,7 +178,6 @@ def expand_fuzzy(index_dir: str, words: list[str],
     file reading ONLY the term column; only matched terms return (a
     bounded handful per word, never vocabulary-sized).
     Capped like wildcard expansion: past ``cap`` terms is a user error."""
-    import pyarrow as pa
     import ray.data as rd
 
     from .text_stats import _deletes1, fuzzy_hits_batch
@@ -465,8 +465,8 @@ def get_cleaned_engine(sf_dir: str, scorer: str = "bm25") -> QueryEngine:
 
     cfg = _cfg(simple=True)
     # cache key carries a CONTENT fingerprint of the source corpus (size +
-    # mtime + rows, like ivf_build's) — regenerating documents.parquet in
-    # place invalidates the cached cleaned corpus instead of serving it stale
+    # mtime + rows) — regenerating documents.parquet in place invalidates
+    # the cached cleaned corpus instead of serving it stale
     src = f"{sf_dir}/documents.parquet"
     st = os.stat(src)
     fingerprint = f"{st.st_size}:{st.st_mtime_ns}:{pq.ParquetFile(src).metadata.num_rows}"
@@ -527,7 +527,6 @@ def index_term_df(sf_dir: str, simple: bool = True) -> pd.DataFrame:
     Distributed: parallel column-pruned segment reads + a vocabulary-sized
     groupby (no driver-side loop over segments)."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     get_engine(sf_dir, simple=simple)
     out_dir = _index_dir(sf_dir, _cfg(simple))
@@ -562,16 +561,15 @@ def search_snippets(sf_dir: str, k: int = 10, mode: str = "bmm",
     final snippet rows. Reference parity: none (the reference emits
     TREC id/score runs only; this is beyond-reference)."""
     import numpy as np
-    import pyarrow as pa
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
     import ray.data
 
     from ..normalizer.batch import ordered_tokens_batch
-    from .oracle_sql import _query_values
 
     hits = search_topk(sf_dir, k=k, mode=mode)
-    _, per_q = _query_values()
+    eng = get_engine(sf_dir)
+    per_q = {qi: eng.normalize_query(q) for qi, q in enumerate(DOC_QUERIES)}
     q_docs: dict[int, set[int]] = {
         qi: set(g["doc_id"].tolist()) for qi, g in hits.groupby("query_id")
     }
@@ -658,6 +656,23 @@ def search_boolean(sf_dir: str, k: int = 10) -> pd.DataFrame:
     return _to_frame(eng.search_batch(toks, k=k, mode="boolean"))
 
 
+def _head_table(path: str, n: int, columns: list[str]) -> pa.Table:
+    """First ``n`` rows only — a bounded driver-side read (streams record
+    batches and stops; never loads the whole column)."""
+    import pyarrow.parquet as pq
+
+    pf = pq.ParquetFile(path)
+    batches, got = [], 0
+    for b in pf.iter_batches(batch_size=min(max(n, 1), 4096), columns=columns):
+        batches.append(b)
+        got += len(b)
+        if got >= n:
+            break
+    t = pa.Table.from_batches(batches)
+    pf.close()
+    return t.slice(0, n)
+
+
 def _bm25_rounded_topk(sf_dir: str, texts: list[str], q_ids,
                        k_in: int) -> pd.DataFrame:
     """BM25 top-``k_in`` per query on the ROUNDED-6dp-grid contract
@@ -726,7 +741,6 @@ def search_hybrid_rrf(sf_dir: str, n_queries: int = 5, k_in: int = 10,
     import numpy as np
 
     from .embed import text_knn
-    from .similarity import _head_table
     from .text_stats import round6_half_up
 
     t = _head_table(f"{sf_dir}/documents.parquet", n_queries,
@@ -784,10 +798,8 @@ def retrieval_triplets(sf_dir: str, n_queries: int = 5, n_hard: int = 3,
     set is top-pool-bounded, so keeping pool + n_rand candidates per
     batch guarantees coverage)."""
     import numpy as np
-    import pyarrow as pa
 
     from .duck import md5_hex
-    from .similarity import _head_table
     from .text_stats import documents_ds
 
     t = _head_table(f"{sf_dir}/documents.parquet", n_queries,
@@ -894,8 +906,6 @@ def search_bm25_rm3(sf_dir: str, k_fb: int = 5, m_exp: int = 3,
     # one pruned read of the feedback docs; per-doc tf via the shared
     # normalizer (bounded: <= n_queries * k_fb docs)
     def tf_rows(t):
-        import pyarrow as pa
-
         ids, terms, tfs = [], [], []
         for d, text in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
             for term, f in term_frequencies(text, cfg.profile).items():
@@ -1072,8 +1082,6 @@ def search_topk_grouped(sf_dir: str, k: int = 3) -> pd.DataFrame:
     batch and across calls, so the per-facet cost after warmup is one
     masked Maxscore/DAAT pass — no index rebuild, no per-facet engine.
     Returns (query_id, lang, rank, doc_id, score)."""
-    import pyarrow as pa
-
     import ray.data
 
     eng = get_engine(sf_dir, simple=True, scorer="bm25")
@@ -1197,8 +1205,6 @@ def search_more_like_this(sf_dir: str, seed_ids: tuple = MLT_SEED_IDS,
     ids = sorted(set(int(i) for i in seed_ids))
 
     def tf_rows(t):
-        import pyarrow as pa
-
         out_i, out_t, out_f = [], [], []
         for d, text in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
             for term, f in term_frequencies(text, cfg.profile).items():

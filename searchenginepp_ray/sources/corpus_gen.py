@@ -90,29 +90,6 @@ def generate_corpus(n_rows: int, seed: int = 42) -> pa.Table:
     )
 
 
-def write_corpus(
-    out_path: str, n_rows: int, seed: int = 42, rows_per_group: int = 2048
-) -> str:
-    """Write the corpus parquet (multiple row groups → parallel shards).
-
-    Skips the write if an identical corpus already exists at ``out_path``.
-    """
-    marker = f"{n_rows}:{seed}:{rows_per_group}:v1"
-    marker_path = out_path + ".gen"
-    if (
-        os.path.exists(out_path)
-        and os.path.exists(marker_path)
-        and open(marker_path).read() == marker
-    ):
-        return out_path
-    os.makedirs(os.path.dirname(out_path), exist_ok=True)
-    table = generate_corpus(n_rows, seed)
-    pq.write_table(table, out_path, row_group_size=rows_per_group)
-    with open(marker_path, "w") as f:
-        f.write(marker)
-    return out_path
-
-
 def docno_of(repo: str, path: str, commit: str) -> str:
     return f"{repo}:{path}@{commit}"
 

@@ -13,7 +13,7 @@ def test_varbyte_golden_decode():
     # reference tests/test_codes_variable_blocks.cpp:7-16
     buf = np.array([0x03, 0xEE, 0x91, 0x04], dtype=np.uint8)
     assert varbyte.decode(buf).tolist() == [3, 67822]
-    assert varbyte.decode_count(buf) == 2
+    assert len(varbyte.decode(buf)) == 2
 
 
 def test_varbyte_golden_encode():

@@ -9,8 +9,9 @@ import pyarrow.parquet as pq
 from searchenginepp_ray.config import BuildConfig
 from searchenginepp_ray.index.build import build_index
 from searchenginepp_ray.sources.compact import compact_corpus, plan_compaction
-from searchenginepp_ray.sources.corpus_gen import write_corpus
 from searchenginepp_ray.sources.parquet_corpus import CODE_CORPUS
+
+from .corpus import write_corpus
 
 
 def _small_files(tmp, n_files=12, n_docs=240):

@@ -1,6 +1,6 @@
 """Dedup-family operators: vectorized kernel parity with scalar
-references, LSH/verify end-to-end exactness, and the embedding near-dup
-block-pair join vs a brute-force numpy oracle."""
+references, LSH/verify end-to-end exactness, and whole-or-nothing
+publishing of the band-table cache."""
 
 import hashlib
 
@@ -175,23 +175,6 @@ def test_simhash_near_dup_pairs_lossless_blocking(ray_session):
     assert len(want) > 0  # planted dups exist
 
 
-def test_embedding_near_dup_matches_bruteforce(ray_session):
-    got = dedup.embedding_near_dup(SF, chunk=150).to_pandas()  # >1 chunk pair
-    t = pq.read_table(f"{SF}/embeddings.parquet", columns=["vec_id", "embedding"])
-    ids = t["vec_id"].to_numpy()
-    m = np.asarray(t["embedding"].to_pylist(), dtype=np.float64)
-    m /= np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-30)
-    sims = m @ m.T
-    ii, jj = np.nonzero(np.triu(sims >= 0.45, k=1))
-    want = sorted(
-        (int(min(ids[i], ids[j])), int(max(ids[i], ids[j])),
-         int(round(sims[i, j] * 1000)))
-        for i, j in zip(ii, jj)
-    )
-    have = sorted(zip(got["vec_a"], got["vec_b"], got["cosine_milli"]))
-    assert [tuple(map(int, h)) for h in have] == want
-
-
 def test_corpus_clean_neardup_removes_noncanonical(ray_session):
     """The near-dup clean keeps exactly one (the min-id) member of every
     connected near-dup component AMONG THE QUALITY PASSERS — a passer
@@ -242,32 +225,6 @@ def test_exact_dedup_groups(ray_session):
     got = {r["text_md5"]: (r["keep_doc_id"], r["n_dups"]) for _, r in df.iterrows()}
     for h, docs in md5s.items():
         assert got[h] == (min(docs), len(docs))
-
-
-def test_read_row_range_prunes_row_groups(tmp_path):
-    """embedding_near_dup's chunk loader must read only the row groups
-    covering a chunk — rows physically read is O(chunk), never O(file)."""
-    path = str(tmp_path / "emb.parquet")
-    n, rg = 1000, 100
-    t = pa.table({"vec_id": pa.array(np.arange(n), pa.int64()),
-                  "embedding": pa.array([[float(i), 1.0] for i in range(n)],
-                                        pa.list_(pa.float64()))})
-    pq.write_table(t, path, row_group_size=rg)
-    pf = pq.ParquetFile(path)
-    offs = dedup._rg_offsets(pf)
-    assert offs.tolist() == list(range(0, n + 1, rg))
-    # a chunk strictly inside the file touches only its covering groups
-    got, n_read = dedup._read_row_range(pf, offs, 250, 450, ["vec_id"])
-    assert got["vec_id"].to_pylist() == list(range(250, 450))
-    assert n_read == 300  # row groups 2..4 → 3×100 rows, not 1000
-    # chunk aligned to a single row group reads exactly that group
-    got, n_read = dedup._read_row_range(pf, offs, 700, 800, ["vec_id"])
-    assert got["vec_id"].to_pylist() == list(range(700, 800))
-    assert n_read == rg
-    # tail chunk
-    got, n_read = dedup._read_row_range(pf, offs, 950, 1000, ["vec_id"])
-    assert got["vec_id"].to_pylist() == list(range(950, 1000))
-    assert n_read == rg
 
 
 def test_connected_components_multi_component(ray_session):
@@ -340,22 +297,6 @@ def test_cc_kernel_random_graph_matches_union_find():
         want.setdefault(find(x), set()).add(x)
     want_map = {x: min(mem) for mem in want.values() for x in mem}
     assert dict(zip(nodes.tolist(), comp.tolist())) == want_map
-
-
-def test_lsh_exhaustive_equals_exact_kernel(ray_session):
-    """One table with zero hyperplanes puts every vector in a single
-    bucket, so the SRP-LSH path must reproduce the exact O(N^2) kernel's
-    pairs verbatim — value-checking the bucket fan-out, per-bucket
-    scoring, and cross-table pair dedup with zero approximation slack."""
-    from searchenginepp_ray.pipelines import dedup
-
-    sf = "/root/testdata/sf0.01"
-    lsh = dedup.embedding_near_dup_lsh(sf, n_planes=0, n_tables=1).to_pandas()
-    exact = dedup.embedding_near_dup(sf).to_pandas()
-    key = ["vec_a", "vec_b"]
-    assert lsh.sort_values(key).reset_index(drop=True).equals(
-        exact.sort_values(key).reset_index(drop=True)
-    )
 
 
 def test_dup_components_matches_recursive_cte_oracle(ray_session, sf_dir):
@@ -805,13 +746,11 @@ def test_dedup_incremental_minhash_degenerate_slices(ray_session, tmp_path):
 
 
 def test_caches_publish_whole(ray_session, tmp_path, monkeypatch):
-    """The band-table and IVF caches appear whole or not at all: while a
+    """The band-table cache appears whole or not at all: while the
     builder writes the data, the final cache path does not exist, and
     none of its work directories is left beside the result. A builder
     that loses the race keeps the winner's copy."""
     import os
-
-    from searchenginepp_ray.pipelines import similarity
 
     listed = []
 
@@ -831,22 +770,15 @@ def test_caches_publish_whole(ray_session, tmp_path, monkeypatch):
             listed.append(sorted(os.listdir(self._root)))
             return self._ds.write_parquet(*a, **k)
 
-    for mod, ds_name, cache, build in [
-            (dedup, "documents_ds", "_BAND_CACHE",
-             lambda: dedup.minhash_band_index_build(SF)),
-            (similarity, "embeddings_ds", "_IVF_CACHE",
-             lambda: similarity.ivf_build(SF)[0])]:
-        root = str(tmp_path / cache)
-        monkeypatch.setattr(mod, cache, root)
-        ds_fn = getattr(mod, ds_name)
-        monkeypatch.setattr(mod, ds_name,
-                            lambda sf, f=ds_fn, r=root: Spy(f(sf), r))
-        listed.clear()
-        out = build()
-        assert os.path.dirname(out) == root
-        assert listed and all(os.path.basename(out) not in ls for ls in listed)
-        assert os.listdir(root) == [os.path.basename(out)]
-        assert os.path.exists(os.path.join(out, "_done.json"))
+    root = str(tmp_path / "_BAND_CACHE")
+    monkeypatch.setattr(dedup, "_BAND_CACHE", root)
+    ds_fn = dedup.documents_ds
+    monkeypatch.setattr(dedup, "documents_ds", lambda sf: Spy(ds_fn(sf), root))
+    out = dedup.minhash_band_index_build(SF)
+    assert os.path.dirname(out) == root
+    assert listed and all(os.path.basename(out) not in ls for ls in listed)
+    assert os.listdir(root) == [os.path.basename(out)]
+    assert os.path.exists(os.path.join(out, "_done.json"))
 
     final = str(tmp_path / "race" / "key")
 

@@ -41,7 +41,7 @@ def planted(ray_session, tmp_path_factory):
     from searchenginepp_ray.config import BuildConfig, FULL_PROFILE
     from searchenginepp_ray.index.build import build_index
     from searchenginepp_ray.index.engine import QueryEngine
-    from searchenginepp_ray.sources.corpus_gen import write_corpus
+    from .corpus import write_corpus
     from searchenginepp_ray.sources.parquet_corpus import CODE_CORPUS
 
     from .oracle import OracleIndex

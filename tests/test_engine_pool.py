@@ -13,8 +13,9 @@ import pytest
 from searchenginepp_ray.config import BuildConfig
 from searchenginepp_ray.index.build import build_index
 from searchenginepp_ray.index.engine import QueryEngine, SegmentGroupWorker
-from searchenginepp_ray.sources.corpus_gen import write_corpus
 from searchenginepp_ray.sources.parquet_corpus import CODE_CORPUS
+
+from .corpus import write_corpus
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -115,8 +116,8 @@ _STARVATION_SCRIPT = textwrap.dedent("""
     from searchenginepp_ray.index.build import build_index, compact_index
     from searchenginepp_ray.index.engine import QueryEngine
     from searchenginepp_ray.index.tombstone import delete_docs
-    from searchenginepp_ray.sources.corpus_gen import write_corpus
     from searchenginepp_ray.sources.parquet_corpus import CODE_CORPUS
+    from tests.corpus import write_corpus
 
     corpus = os.path.join(tmp, "corpus.parquet")
     write_corpus(corpus, 300, seed=3, rows_per_group=64)

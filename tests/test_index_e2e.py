@@ -9,9 +9,10 @@ import pytest
 from searchenginepp_ray.config import BuildConfig, FULL_PROFILE
 from searchenginepp_ray.index.build import build_index, term_df_path
 from searchenginepp_ray.index.engine import QueryEngine
-from searchenginepp_ray.sources.corpus_gen import write_corpus, docno_of
+from searchenginepp_ray.sources.corpus_gen import docno_of
 from searchenginepp_ray.sources.parquet_corpus import CODE_CORPUS
 
+from .corpus import write_corpus
 from .oracle import OracleIndex
 
 N_DOCS = 800
@@ -258,7 +259,6 @@ def test_lazy_bmm_decodes_fewer_postings(ray_session, tmp_path_factory):
     DAAT. Needs multi-block lists, so the index is built with a tiny
     skip_block_size."""
     from searchenginepp_ray.index.searcher import SegmentSearcher
-    from searchenginepp_ray.sources.corpus_gen import write_corpus
 
     tmp = tmp_path_factory.mktemp("lazy")
     corpus_path = str(tmp / "corpus.parquet")
@@ -591,7 +591,6 @@ def test_block_offset_decode_matches_full(built, tmp_path_factory):
     (src/index/Index.cpp:169-214). Exercised across MANY blocks by
     building a tiny-skip-block index."""
     from searchenginepp_ray.index.searcher import SegmentSearcher
-    from searchenginepp_ray.sources.corpus_gen import write_corpus
 
     tmp = tmp_path_factory.mktemp("blk")
     corpus_path = str(tmp / "corpus.parquet")

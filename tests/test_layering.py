@@ -2,8 +2,9 @@
 sources, lineage state, effectiveness functions, config) must not import
 the ``pipelines`` package, not even inside a function: pipelines build on
 the core, never the other way round. No module of the package reads a
-``SEPPRAY_*`` tuning knob, and every top-level name of the package is
-referenced somewhere besides its own definition."""
+``SEPPRAY_*`` tuning knob, every top-level name and module of the
+package has a caller outside the tests, and no operator imports its own
+oracle."""
 
 import ast
 import collections
@@ -118,14 +119,13 @@ def _top_level_names(path: pathlib.Path) -> list[tuple[int, str]]:
 
 def test_every_top_level_name_is_referenced():
     """A top-level name that nothing mentions outside its own definition
-    line is dead code. The search reads the package, ``__ray_entry__.py``,
-    the tests, the scripts and the benchmark harness."""
+    line is dead code, and so is one that only the tests mention. The
+    search reads the package, ``__ray_entry__.py``, the scripts and the
+    benchmark harness, not the tests."""
     root = PKG.parent
     files = (sorted(PKG.rglob("*.py")) + [root / "__ray_entry__.py"]
-             + sorted((root / "tests").rglob("*.py"))
              + sorted((root / "scripts").glob("*.py"))
-             + sorted((root / "perfbench").glob("*.py"))
-             + sorted((root / "perfbench" / "tests").glob("*.py")))
+             + sorted((root / "perfbench").glob("*.py")))
     texts = {p: p.read_text() for p in files}
     words = collections.Counter()
     for text in texts.values():
@@ -162,3 +162,18 @@ def test_every_module_has_a_non_test_importer():
                    for p in ps):
             orphans.append(dotted)
     assert orphans == []
+
+
+def test_no_package_module_imports_the_oracles():
+    """The DuckDB oracles check the operators, so an operator that takes
+    its inputs from ``oracle_sql`` checks itself against itself. No
+    module of the package other than ``oracle_sql`` imports it."""
+    oracles = "searchenginepp_ray.pipelines.oracle_sql"
+    bad = [
+        f"{p.relative_to(PKG.parent)}:{line}: {name}"
+        for p in sorted(PKG.rglob("*.py"))
+        if p != PKG / "pipelines" / "oracle_sql.py"
+        for line, name in _imported_modules(p)
+        if name == oracles or name.startswith(oracles + ".")
+    ]
+    assert bad == []

@@ -18,7 +18,8 @@ from searchenginepp_ray.normalizer.batch import (
     tokenize_batch_positions,
 )
 from searchenginepp_ray.normalizer.word_normalizer import normalize_tokens
-from searchenginepp_ray.sources.corpus_gen import write_corpus
+
+from .corpus import write_corpus
 
 ADVERSARIAL = [
     "the quick brown fox the quick",
