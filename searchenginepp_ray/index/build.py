@@ -56,7 +56,9 @@ segment from its own postings plus the new runs; compaction renumbers
 decoded segments into new runs (:func:`read_segment_postings`);
 :func:`merge_segments` copies each group's doc index parts and runs
 the writer over the group's source segments; ``import-ref`` feeds it
-the postings it decodes.
+the postings it decodes. Every Parquet file of an index goes through
+:func:`.parquet_out.write_index_parquet`, which picks each column's
+encoding.
 
 Everything stays in Arrow and numpy end to end: terms are Arrow string
 arrays (dictionary-encoded, sorted by the dictionary permutation),
@@ -91,6 +93,7 @@ from ..config import BuildConfig, NormalizerProfile
 from ..normalizer.batch import sorted_codes, string_array, tokenize_codes
 from ..codecs import varbyte
 from ..sources.parquet_corpus import ColumnSpec, CorpusShard, corpus_shards, read_shard
+from .parquet_out import write_index_parquet
 from .tombstone import TOMBSTONE_FILE
 
 #: On-disk build format version, folded into the lineage keys and
@@ -222,7 +225,7 @@ def _write_parts(docs_dir: str, name: str, docids: np.ndarray,
                          "doclen": doclens[lo:hi]}, schema=DOCS_SCHEMA)
         final = os.path.join(docs_dir, f"seg={seg}", name + ".parquet")
         os.makedirs(os.path.dirname(final), exist_ok=True)
-        pq.write_table(part, final + ".tmp")
+        write_index_parquet(part, final + ".tmp")
         os.replace(final + ".tmp", final)
         out.append({"seg": seg, "file": final, "n_docs": hi - lo})
     return out
@@ -322,7 +325,7 @@ def _write_term_df(global_dir: str, terms: pa.Array, df: np.ndarray) -> int:
                  schema=TERM_DF_SCHEMA)
     g = g.take(pc.sort_indices(g, sort_keys=[("term", "ascending")]))
     final = os.path.join(global_dir, TERM_DF_FILE)
-    pq.write_table(g, final + ".tmp")
+    write_index_parquet(g, final + ".tmp")
     os.replace(final + ".tmp", final)
     return len(g)
 
@@ -1236,7 +1239,7 @@ class AssembleSegment:
         # every file is written whole before the first replace, so a
         # crash between the replaces leaves what _finish_replace needs
         for name, table in out.items():
-            pq.write_table(table, os.path.join(seg_dir, name + ".tmp"))
+            write_index_parquet(table, os.path.join(seg_dir, name + ".tmp"))
         for name in out:
             os.replace(os.path.join(seg_dir, name + ".tmp"),
                        os.path.join(seg_dir, name))

@@ -37,6 +37,8 @@ from collections.abc import Iterable
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .parquet_out import write_index_parquet
+
 TOMBSTONE_FILE = "tombstones.parquet"
 
 
@@ -69,7 +71,7 @@ def delete_docs(index_dir: str, docnos: Iterable[str]) -> int:
     fd, tmp = tempfile.mkstemp(dir=gdir, suffix=".tombstones.tmp")
     os.close(fd)
     try:
-        pq.write_table(
+        write_index_parquet(
             pa.table({"docno": pa.array(merged, pa.string())}), tmp)
         os.replace(tmp, _path(index_dir))
     finally:

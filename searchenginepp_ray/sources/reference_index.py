@@ -53,7 +53,6 @@ import struct
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from ..codecs import unary, varbyte
 from ..config import SIMPLE_PROFILE, BuildConfig, NormalizerProfile
@@ -164,6 +163,7 @@ def import_reference_index(
     taken verbatim)."""
     from ..index.build import (DOCS_SCHEMA, AssembleSegment, _key, _Postings,
                                _SortedPostings, _write_term_df, write_metadata)
+    from ..index.parquet_out import write_index_parquet
 
     cfg = cfg or BuildConfig(profile=profile)
     if cfg.positions:
@@ -231,11 +231,12 @@ def import_reference_index(
                                 f"part-{base_docid:012d}-00000.parquet")
         docids_arr = np.arange(base_docid, base_docid + len(docnos),
                                dtype=np.uint64)
-        pq.write_table(pa.table({
+        write_index_parquet(pa.table({
             "docid": pa.array(docids_arr),
             "docno": pa.array(docnos, pa.string()),
             "doclen": pa.array(dl_arr.astype(np.uint64)),
-        }, schema=DOCS_SCHEMA), doc_file)
+        }, schema=DOCS_SCHEMA), doc_file + ".tmp")
+        os.replace(doc_file + ".tmp", doc_file)
 
         # every segment term needs a global df row: the engine takes
         # each term's idf from the lexicon
