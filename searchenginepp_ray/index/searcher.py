@@ -16,8 +16,11 @@ Scoring semantics are rank-identical to the reference:
   every doc's contributions in exactly that order, so double-precision
   sums match bit-for-bit.
 - DAAT disjunctive/conjunctive (reference src/index/Index.template.hpp:98-165)
-  via dense per-segment accumulators; conjunctive keeps docs whose
-  matched-term count equals the query length.
+  via dense per-segment accumulators: one term-major pass fills a score
+  array and a per-doc matched-term counter, and the candidates are read
+  off the counter with no sort (``cnt != 0`` disjunctive, ``cnt ==
+  len(query)`` conjunctive — a segment-length match bitmap, the
+  one-level case of HERO's bitmap intersection).
 - top-k tie-break standardized to (score desc, docid asc) — the
   reference's boundary-keeping min-heap keeps lowest docids on ties
   (strict ``>``, reference src/index/Index.hpp:60-77) and its final
@@ -381,6 +384,22 @@ class SegmentSearcher:
 
     # ---------- DAAT (Q2/Q3) ----------
 
+    def _accumulate(self, idxs: list[int], scorer
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Term-major scatter-add of the query's scored postings in
+        lexicographic term order (``idxs`` ascends, so every doc's sum
+        adds in the reference's order): the per-doc score ``acc`` and
+        the per-doc matched-term counter ``cnt``, both segment-length.
+        The candidate set is read off ``cnt`` — a doc matching only
+        idf-0 terms scores 0.0 and is still a candidate."""
+        acc = np.zeros(self.n_docs_seg, dtype=np.float64)
+        cnt = np.zeros(self.n_docs_seg, dtype=np.int32)
+        for i in idxs:
+            _, local, s = self.scored_postings(i, scorer)
+            acc[local] += s
+            cnt[local] += 1
+        return acc, cnt
+
     def query_daat(self, qterms: list[str], k: int, conj: bool = False,
                    scorer=None, mask: np.ndarray | None = None,
                    after: tuple[float, int] | None = None):
@@ -401,19 +420,11 @@ class SegmentSearcher:
         idxs = self._resolve_terms(qterms, conj)
         if not idxs:
             return []
-        acc = np.zeros(self.n_docs_seg, dtype=np.float64)
-        cnt = np.zeros(self.n_docs_seg, dtype=np.int32)
-        touched = []
-        for i in idxs:
-            _, local, s = self.scored_postings(i, scorer)
-            acc[local] += s
-            cnt[local] += 1
-            touched.append(local)
-        cand = np.unique(np.concatenate(touched))
-        if conj:
-            cand = cand[cnt[cand] == len(idxs)]
-        if mask is not None and len(cand):
-            cand = cand[mask[cand]]
+        acc, cnt = self._accumulate(idxs, scorer)
+        hit = cnt == len(idxs) if conj else cnt != 0
+        if mask is not None:
+            hit &= mask
+        cand = np.flatnonzero(hit)
         if after is not None and len(cand):
             cs, cd = after
             sc = acc[cand]
@@ -446,7 +457,7 @@ class SegmentSearcher:
         for i in idxs:
             docids, _ = self.postings(i)
             cnt[(docids - self.base_docid).astype(np.int64)] += 1
-        cand = np.flatnonzero(cnt)
+        cand = np.flatnonzero(cnt != 0)
         if self._alive_mask is not None and len(cand):
             cand = cand[self._alive_mask[cand]]
         n_or = int(len(cand))
@@ -522,7 +533,7 @@ class SegmentSearcher:
         if n_q == 0:
             return []
         acc = np.zeros(self.n_docs_seg, dtype=np.float64)
-        touched = []
+        hit = np.zeros(self.n_docs_seg, dtype=bool)
         for term in terms:
             ti = self.term_index.get(term)
             if ti is None:
@@ -531,12 +542,10 @@ class SegmentSearcher:
             local = (docids - self.base_docid).astype(np.int64)
             c = float(ctf[term])
             acc[local] += np.log2(1.0 + (tfs.astype(np.float64) * T) / (mu * c))
-            touched.append(local)
-        if not touched:
-            return []
-        cand = np.unique(np.concatenate(touched))
-        if self._alive_mask is not None and len(cand):
-            cand = cand[self._alive_mask[cand]]
+            hit[local] = True
+        if self._alive_mask is not None:
+            hit &= self._alive_mask
+        cand = np.flatnonzero(hit)
         if len(cand) == 0:
             return []
         scores = acc[cand] + n_q * np.log2(mu / (self.doclen[cand] + mu))
@@ -621,18 +630,11 @@ class SegmentSearcher:
         idxs = self._resolve_terms(pos, conj=True)
         if not idxs:
             return []
-        acc = np.zeros(self.n_docs_seg, dtype=np.float64)
-        cnt = np.zeros(self.n_docs_seg, dtype=np.int32)
-        touched = []
-        for i in idxs:
-            _, local, s = self.scored_postings(i, scorer)
-            acc[local] += s
-            cnt[local] += 1
-            touched.append(local)
-        cand = np.unique(np.concatenate(touched))
-        cand = cand[cnt[cand] == len(idxs)]
-        if mask is not None and len(cand):
-            cand = cand[mask[cand]]
+        acc, cnt = self._accumulate(idxs, scorer)
+        hit = cnt == len(idxs)
+        if mask is not None:
+            hit &= mask
+        cand = np.flatnonzero(hit)
         for t in neg:
             if len(cand) == 0:
                 return []
@@ -716,7 +718,7 @@ class SegmentSearcher:
         theta = -np.inf
         cand_ids: list[np.ndarray] = []
         cand_scores: list[np.ndarray] = []
-        seen: np.ndarray | None = None
+        seen = np.zeros(self.n_docs_seg, dtype=bool)
         n_collected = 0
         for rank in range(len(order) - 1, -1, -1):
             # strict <: docs scoring exactly θ still get scored so the
@@ -725,10 +727,7 @@ class SegmentSearcher:
                 break  # no unscored doc can beat θ — safe stop
             docids = self._all_docids(idxs[order[rank]])
             cand = (docids.astype(np.int64) - self.base_docid)
-            if seen is not None:
-                cand = cand[
-                    seen[np.searchsorted(seen, cand).clip(0, len(seen) - 1)] != cand
-                ] if len(seen) else cand
+            cand = cand[~seen[cand]]
             if mask is not None and len(cand):
                 cand = cand[mask[cand]]
             if len(cand) == 0:
@@ -740,8 +739,7 @@ class SegmentSearcher:
             cand_ids.append(cand)
             cand_scores.append(acc)
             n_collected += len(cand)
-            seen = np.concatenate(cand_ids)
-            seen.sort()
+            seen[cand] = True
             if n_collected >= k:
                 allsc = np.concatenate(cand_scores)
                 kth = np.partition(allsc, len(allsc) - k)[len(allsc) - k]
@@ -843,10 +841,11 @@ class SegmentSearcher:
             return self.query_boolean(qterms, k, scorer=scorer, mask=alive)
         if mode == "bmm":
             # cost-based dispatch: Maxscore's pruning cannot pay on tiny
-            # segments (every list is a block or two), while its per-rank
-            # machinery costs ~10-15% over a straight accumulator — and
-            # the two are bit-identical by construction (tested across k
-            # and scorers), so picking the cheaper plan is free
+            # segments (every list is a block or two); on lifecycle's
+            # 16,384-doc code segment its in-process p50 is 0.53-0.54× the
+            # sort-free DAAT's (1 CPU, 400 queries, k=20). The two are
+            # bit-identical by construction (tested across k and
+            # scorers), so picking the cheaper plan is free
             if self.n_docs_seg < self.maxscore_min_docs:
                 return self.query_daat(qterms, k, conj=False, scorer=scorer,
                                        mask=alive)

@@ -1290,3 +1290,122 @@ def test_global_stage_is_replay_safe(ray_session, tmp_path_factory):
     assert set(before) == set(after)
     for k in before:
         assert before[k] == after[k], f"replay changed global/{k}"
+
+
+def test_candidate_set_is_every_matched_doc(ray_session, tmp_path):
+    """Which docs are candidates, pinned on every accumulator path.
+    ``common`` is in every doc (idf 0), so a doc matching only it scores
+    0.0 and is still a candidate; a doc matching no query term is not;
+    a conjunction with a term missing here is empty. Every mode equals
+    the scalar oracle and the others: plain, tombstoned with
+    search-after cursors, filtered, boolean with a negated term, and
+    query likelihood."""
+    import shutil
+
+    import pyarrow as pa
+
+    from searchenginepp_ray.config import SIMPLE_PROFILE
+    from searchenginepp_ray.index.tombstone import delete_docs
+    from searchenginepp_ray.sources.parquet_corpus import DOCUMENTS_CORPUS
+
+    n, k = 48, 10
+    rare, pair, first = {3, 17, 30}, {3, 30, 40}, {1, 2}
+    texts, langs = [], []
+    for i in range(n):
+        words = ["common"] + ["filler"] * (i % 3)
+        words += ["rare"] * (i in rare) + ["pair"] * ((1 + i % 2) * (i in pair))
+        words += ["segone"] * (i in first)
+        texts.append(" ".join(words))
+        langs.append("es" if i % 2 else "en")
+    src = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.table({"doc_id": pa.array(range(1000, 1000 + n), pa.int64()),
+                             "text": texts, "lang": langs}), src)
+    cfg = BuildConfig(profile=SIMPLE_PROFILE, docs_per_segment=24)
+    idx = str(tmp_path / "idx")
+    build_index(src, idx, cfg, DOCUMENTS_CORPUS)
+    oracle = OracleIndex([(str(1000 + i), t) for i, t in enumerate(texts)],
+                         SIMPLE_PROFILE)
+    assert oracle.idf("common") == 0.0
+
+    dead_rows = {0, 3, 5, 17, 20, 33}
+    tidx = str(tmp_path / "tomb")
+    shutil.copytree(idx, tidx)
+    delete_docs(tidx, [str(1000 + i) for i in dead_rows])
+
+    def engine(path):
+        eng = QueryEngine(path, use_actors=False, cfg=cfg)
+        assert sum(len(w.searchers) for w in eng.workers) == 2
+        for w in eng.workers:
+            for s in w.searchers:
+                s.maxscore_min_docs = 0  # bmm takes the Maxscore path
+        return eng
+
+    plain, tomb = engine(idx), engine(tidx)
+    # docids are 1-based row positions; tombstones keep the statistics
+    views = ((set(), plain), ({i + 1 for i in dead_rows}, tomb))
+
+    def want(gone, terms, kk, conj=False, keep=lambda d: True):
+        rows = oracle.query(terms, 10_000, conj=conj)
+        return [r for r in rows if r[0] not in gone and keep(r[0])][:kk]
+
+    queries = [["common"], ["common", "rare"], ["rare"], ["pair", "rare"],
+               ["common", "segone"], ["common", "zzzmissing"]]
+    for gone, eng in views:
+        for terms in queries:
+            for kk in (k, 100):
+                daat = eng.search(terms, kk, mode="daat")
+                _assert_same(daat, want(gone, terms, kk))
+                assert eng.search(terms, kk, mode="bmm") == daat
+                _assert_same(eng.search(terms, kk, mode="daat_conj"),
+                             want(gone, terms, kk, conj=True))
+    # fewer than k docs score > 0: the rest are idf-0 matches at 0.0
+    got = plain.search(["common", "rare"], k, mode="daat")
+    assert [r[2] > 0 for r in got] == [True] * 3 + [False] * (k - 3)
+    assert [r[2] for r in plain.search(["common"], k, mode="daat_conj")] \
+        == [0.0] * k
+    # a missing term empties a conjunction, in both segments and in one
+    assert plain.search(["common", "zzzmissing"], k, mode="daat_conj") == []
+    assert [r[0] - 1 for r in plain.search(["common", "segone"], 100,
+                                           mode="daat_conj")] == sorted(first)
+
+    # search-after pages over the tombstoned index == the alive slice
+    for terms in (["common"], ["common", "rare"], ["pair", "rare"]):
+        page = tomb.search_batch([terms], k=4, mode="bmm")[0]
+        served = list(page)
+        while len(page) == 4:
+            cur = (page[-1][2], page[-1][0])
+            page = tomb.search_after_batch([terms], k=4, cursors=[cur])[0]
+            served.extend(page)
+        _assert_same(served, want(views[1][0], terms, 10_000))
+
+    # filtered: the predicate mask restricts candidates, scores unchanged
+    lang_of = {i + 1: lang for i, lang in enumerate(langs)}
+    for gone, eng in views:
+        for value in ("es", "en"):
+            qs = queries[:4]
+            by_mode = {mode: eng.search_batch_filtered(
+                qs, k, column="lang", value=value, src_path=src, mode=mode)
+                for mode in ("daat", "bmm")}
+            assert by_mode["daat"] == by_mode["bmm"]
+            for terms, got in zip(qs, by_mode["daat"]):
+                _assert_same(got, want(gone, terms, k,
+                                       keep=lambda d: lang_of[d] == value))
+
+    # boolean: MUST terms conjunctive, MUST-NOT docs removed, the
+    # survivors ranked by the positive terms only (0.0 for ``common``)
+    has_rare = {i + 1 for i in rare}
+    for gone, eng in views:
+        for pos in (["common"], ["pair"]):
+            for kk in (k, 100):
+                got = eng.search(pos + ["-rare"], kk, mode="boolean")
+                _assert_same(got, want(gone, pos, kk, conj=True,
+                                       keep=lambda d: d not in has_rare))
+    assert [r[2] for r in plain.search(["common", "-rare"], k,
+                                       mode="boolean")] == [0.0] * k
+
+    # query likelihood: the same disjunctive candidate set
+    for gone, eng in views:
+        for kk in (k, 100):
+            for terms, got in zip(queries, eng.search_lm_batch(queries, k=kk)):
+                rows = oracle.query_lm(terms, 10_000)
+                _assert_same(got, [r for r in rows if r[0] not in gone][:kk])
