@@ -4,9 +4,8 @@
 sf0.001 ``documents`` table with the reference's CI normalizer profile,
 then BM25 top-k through the segment-actor engine). ``queries()`` exposes
 the search operators from SURVEY.md §2 plus the training-data operators
-(dedup / text embeddings / text analysis / filters / cleaning /
-sampling); each SQL-expressible one has a matching DuckDB oracle over
-the ``documents`` table in ``oracle_sql()``.
+(dedup / text analysis / filters); each SQL-expressible one has a
+matching DuckDB oracle over the ``documents`` table in ``oracle_sql()``.
 
 Ray is initialised by the driver BEFORE this module is imported; nothing
 here calls ``ray.init``/``ray.shutdown``.
@@ -28,7 +27,7 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    from searchenginepp_ray.pipelines import clean, dedup, sample, text_stats
+    from searchenginepp_ray.pipelines import dedup, text_stats
     from searchenginepp_ray.pipelines import search_docs
 
     return {
@@ -67,9 +66,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "search_bm25_conj_topk": lambda sf: search_docs.search_topk(sf, mode="daat_conj", scorer="bm25"),
         "search_tfidf_topk": lambda sf: search_docs.search_topk(sf, mode="daat", scorer="tfidf"),
         "search_bm25_bmm_topk": lambda sf: search_docs.search_topk(sf, mode="bmm", scorer="bm25"),
-        # full-stack training-data composition: quality/lang floors +
-        # exact dedup -> cleaned parquet -> index build -> BM25 serving
-        "search_bm25_cleaned_topk": lambda sf: search_docs.search_topk_cleaned(sf, mode="bmm"),
         # deep pagination (search-after): page 2 = ranks k+1..2k via a
         # per-query (score, docid) cursor — heap depth stays k per
         # segment at any page depth
@@ -99,14 +95,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # the same binary index (ctf gathered from postings at query
         # time — phase-1 scatter — since the lexicon holds df only)
         "search_lm_dirichlet": lambda sf: search_docs.search_lm_dirichlet(sf),
-        # HYBRID retrieval: BM25 (inverted index) + embedding cosine
-        # (text_knn) fused by reciprocal ranks — one SQL statement
-        # value-checks the whole composition
-        "search_hybrid_rrf": lambda sf: search_docs.search_hybrid_rrf(sf),
-        # contrastive-retrieval training triplets: BM25 positive +
-        # hard negatives, content-addressed random negatives
-        "retrieval_triplets":
-            lambda sf: search_docs.retrieval_triplets(sf),
         "index_stats": lambda sf: search_docs.index_stats(sf),
         "index_term_df": lambda sf: search_docs.index_term_df(sf),
         # --- text analysis ---
@@ -211,8 +199,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # table + exact-Jaccard verify (O(shipment) probe cost)
         "dedup_incremental_minhash":
             lambda sf: dedup.dedup_incremental_minhash(sf),
-        "corpus_clean": lambda sf: clean.corpus_clean(sf),
-        "corpus_clean_neardup": lambda sf: clean.corpus_clean_neardup(sf),
         "minhash_dedup_pairs": lambda sf: dedup.minhash_dedup_pairs(sf),
         "ngram_jaccard_dedup": lambda sf: dedup.ngram_jaccard_dedup(sf),
         # exact-substring dedup transformation on the aligned span
@@ -243,61 +229,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # unchanged): map-side md5, one doc_id-keyed exchange
         "corpus_diff": lambda sf: dedup.corpus_diff(sf),
         "simhash_near_dup_pairs": lambda sf: dedup.simhash_near_dup_pairs(sf),
-        # --- sampling + sketches ---
-        # content-addressed Bernoulli sample (stable across reruns)
-        "deterministic_sample": lambda sf: sample.deterministic_sample(sf),
-        # HLL distinct-terms estimate (register partials, max-merge)
-        "hll_distinct_terms": lambda sf: sample.hll_distinct_terms(sf),
-        # the PORTABLE-register HLL sibling — oracle-hash-checked
-        "vocab_distinct_hll": lambda sf: sample.vocab_distinct_hll(sf),
-        # per-stratum content-addressed sampling (corpus rebalancing)
-        # budgeted per-group curation: exact top-q% per lang by
-        # quality score — grouped selection at scaling k with NO sort
-        # (grid histogram threshold + tie-only exchange)
-        "quality_select": lambda sf: sample.quality_select(sf),
-        "stratified_sample": lambda sf: sample.stratified_sample(sf),
-        # per-source (host-level) cap: content-addressed rank, one
-        # source-keyed exchange, vectorized per-partition rank kernel
-        "source_cap": lambda sf: sample.source_cap(sf),
-        # mixture planning table: per-(source, lang) doc/token counts +
-        # token share — map-side partials into a tiny native aggregate
-        "source_mixture": lambda sf: sample.source_mixture(sf),
-        # mixture APPLICATION: deterministic per-language downsample to
-        # exact integer target weights (md5-rank caps from the counts)
-        "lang_mix_sample": lambda sf: sample.lang_mix_sample(sf),
-        # deterministic salted train/val/test split (disjoint +
-        # exhaustive by construction; stable across reruns/clusters)
-        "dataset_split": lambda sf: sample.dataset_split(sf),
-        # deterministic per-epoch training order: global permutation
-        # rank WITHOUT a global sort (prefix histogram + one
-        # bounded-bucket exchange; only int/hex rows move)
-        "epoch_shuffle": lambda sf: sample.epoch_shuffle(sf),
-        # curriculum ordering: exact global rank by (quality DESC,
-        # doc_id) via histogram offsets on the bounded 6 dp score grid
-        "curriculum_order": lambda sf: sample.curriculum_order(sf),
-        # embedding GENERATION (deterministic feature-hashed TF-IDF
-        # "model": posting explode + term-side idf exchange + (doc,dim)
-        # aggregation) — long format so the oracle is a grouped sum
-        "doc_embedding": lambda sf: _embed().doc_embedding(sf),
-        # top-m TF-IDF keyword extraction per doc (grouped top-k at
-        # per-doc cardinality; same explode + term exchange as
-        # doc_embedding, one doc exchange with a sort/cumcount kernel)
-        "doc_keywords": lambda sf: _embed().doc_keywords(sf),
-        # index-based all-pairs similarity join: TF-IDF cosine >= t
-        # enumerated per POSTING LIST (df-capped), never O(N^2)
-        "doc_similarity_pairs":
-            lambda sf: _embed().doc_similarity_pairs(sf),
-        # composed semantic search: embedding GENERATION -> dense pivot
-        # -> exact cosine top-k vs the first 5 docs (rank over the
-        # shared-rounded cosine so the composition is hash-checkable)
-        "text_knn": lambda sf: _embed().text_knn(sf),
     }
-
-
-def _embed():
-    from searchenginepp_ray.pipelines import embed
-
-    return embed
 
 
 def _filters():
@@ -332,7 +264,6 @@ def oracle_sql() -> dict[str, str]:
         "search_explain": osql.search_explain_sql(),
         "search_hit_counts": osql.search_hit_counts_sql(),
         "search_lm_dirichlet": osql.search_lm_dirichlet_sql(),
-        "search_bm25_cleaned_topk": osql.search_topk_cleaned_sql("bm25"),
         "index_stats": osql.index_stats_sql(),
         "index_term_df": osql.term_df_sql(),
         "quality_score": osql.quality_score_sql(),
@@ -342,8 +273,6 @@ def oracle_sql() -> dict[str, str]:
         "bigram_logprob": osql.bigram_logprob_sql(),
         "fuzzy_term_match": osql.fuzzy_term_match_sql(),
         "search_snippets": osql.search_snippets_sql(),
-        "search_hybrid_rrf": osql.search_hybrid_rrf_sql(),
-        "retrieval_triplets": osql.retrieval_triplets_sql(),
         "repetition_stats": osql.repetition_stats_sql(),
         "pii_redact": osql.pii_redact_sql(),
         "decontaminate": osql.decontaminate_sql(),
@@ -365,43 +294,26 @@ def oracle_sql() -> dict[str, str]:
         "exact_dedup": osql.exact_dedup_sql(),
         "dedup_incremental": osql.dedup_incremental_sql(),
         "dedup_incremental_minhash": osql.dedup_incremental_minhash_sql(),
-        "corpus_clean": osql.corpus_clean_sql(),
         "ngram_jaccard_dedup": osql.ngram_jaccard_sql(),
         "span_dedup": osql.span_dedup_sql(),
         "boilerplate_spans": osql.boilerplate_spans_sql(),
         "dup_components": osql.dup_components_sql(),
         "containment_pairs": osql.containment_pairs_sql(),
         "dup_components_best": osql.dup_components_best_sql(),
-        "deterministic_sample": osql.deterministic_sample_sql(),
         "compression_ratio_stored": osql.compression_ratio_stored_sql(),
         "term_complete": osql.term_complete_sql(),
         "term_heavy_hitters": osql.term_heavy_hitters_sql(),
         "vocab_stats": osql.vocab_stats_sql(),
-        "vocab_distinct_hll": osql.vocab_distinct_hll_sql(),
         "corpus_report": osql.corpus_report_sql(),
         "term_df_drift": osql.term_df_drift_sql(),
         "search_boolean": osql.search_boolean_sql(),
-        "quality_select": osql.quality_select_sql(),
-        "stratified_sample": osql.stratified_sample_sql(),
         "simhash_md5": osql.simhash_md5_sql(),
         "corpus_diff": osql.corpus_diff_sql(),
-        "source_cap": osql.source_cap_sql(),
-        "source_mixture": osql.source_mixture_sql(),
-        "lang_mix_sample": osql.lang_mix_sample_sql(),
-        "dataset_split": osql.dataset_split_sql(),
-        "epoch_shuffle": osql.epoch_shuffle_sql(),
-        "curriculum_order": osql.curriculum_order_sql(),
-        "doc_embedding": osql.doc_embedding_sql(),
-        "doc_keywords": osql.doc_keywords_sql(),
-        "doc_similarity_pairs": osql.doc_similarity_pairs_sql(),
-        "text_knn": osql.text_knn_sql(),
         "ngram_diversity": osql.ngram_diversity_sql(),
         # rows-only (non-SQL-expressible): minhash_dedup_pairs (float
         # jaccard variant; the exact-integer ngram_jaccard_dedup IS
         # oracle-checked), simhash and simhash_near_dup_pairs (internal
-        # 64-bit hash), corpus_clean_neardup (MinHash near-dup removal),
-        # hll_distinct_terms (xxhash precision tier; the portable
-        # vocab_distinct_hll IS hash-checked), compression_ratio (default-level zlib block
+        # 64-bit hash), compression_ratio (default-level zlib block
         # chunking; the level-0 compression_ratio_stored twin IS
         # hash-checked)
     }

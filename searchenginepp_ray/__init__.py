@@ -2,8 +2,7 @@
 top-k query engine, built from scratch with the query/data-processing
 capabilities of the C++ reference engine (scarburato/searchenginepp), plus
 large-scale training-data pipeline operators over the documents table
-(dedup, feature-hashed text embeddings, text analysis, filters, cleaning,
-sampling and connected components)."""
+(dedup, text analysis, filters and connected components)."""
 
 __version__ = "0.1.0"
 

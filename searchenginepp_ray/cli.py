@@ -126,26 +126,6 @@ def cmd_query(args) -> int:
     return 0
 
 
-def cmd_clean(args) -> int:
-    """``clean`` — the training-data corpus-cleaning pipeline (quality +
-    language floors + exact dedup, optionally MinHash near-dup removal)
-    over any documents-shaped parquet (doc_id, text); writes the KEPT
-    documents as partitioned parquet."""
-    ray = _ray_init(args.num_cpus)
-    from .pipelines.clean import (
-        cleaned_documents_ds, corpus_clean_neardup, texts_for_keepers,
-    )
-
-    if args.near_dup:
-        ds = texts_for_keepers(args.corpus, corpus_clean_neardup(args.corpus))
-    else:
-        ds = cleaned_documents_ds(args.corpus)
-    ds.write_parquet(args.out)
-    print({"out": args.out})
-    ray.shutdown()
-    return 0
-
-
 def cmd_compact(args) -> int:
     """``compact`` — rewrite a many-small-files parquet corpus into
     ~target-MB files (deterministic plan, streaming copy, per-part
@@ -261,20 +241,6 @@ def main(argv=None) -> int:
                    help="exact-phrase retrieval over the positional "
                         "sidecar (prints qid\\tdocno\\tcount)")
     q.set_defaults(fn=cmd_query)
-
-    c = sub.add_parser(
-        "clean",
-        help="corpus cleaning: quality/language floors + exact dedup "
-             "(optionally MinHash near-dup removal); writes kept docs as parquet",
-    )
-    c.add_argument("corpus", help="documents-shaped parquet file, or a dir "
-                                  "containing documents.parquet")
-    c.add_argument("-o", "--out", required=True, help="output parquet dir")
-    c.add_argument("--near-dup", action="store_true",
-                   help="also remove MinHash+LSH near-duplicates (component "
-                        "losers) among the quality passers")
-    c.add_argument("--num-cpus", type=int, default=None)
-    c.set_defaults(fn=cmd_clean)
 
     k = sub.add_parser(
         "compact",

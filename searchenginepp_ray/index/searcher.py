@@ -177,6 +177,7 @@ class SegmentSearcher:
 
         self.n_docs_global = n_docs_global
         self.avgdl = avgdl
+        self.bm25_k1, self.bm25_b = k1, b
         self.default_scorer = make_scorer(scorer, k1, b)
         self._cache: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._cache_cap = CACHE_TERMS
@@ -370,6 +371,13 @@ class SegmentSearcher:
             self._dense_cache.popitem(last=False)
         return dense
 
+    def _scorer(self, name: str | None):
+        """The scorer a per-call ``scorer_name`` asks for, built with the
+        BM25 constants this index was loaded with (the ones its sigmas
+        and block bounds assume); no name serves the default scorer."""
+        return (make_scorer(name, self.bm25_k1, self.bm25_b) if name
+                else self.default_scorer)
+
     def _resolve_terms(self, qterms: list[str], conj: bool):
         """Semi/anti-join of query terms vs the local lexicon (J1)."""
         idxs = []
@@ -438,7 +446,7 @@ class SegmentSearcher:
                     after: tuple[float, int] | None,
                     scorer_name: str | None = None):
         """Search-after entry point (page N+1 given page N's last hit)."""
-        scorer = make_scorer(scorer_name) if scorer_name else None
+        scorer = self._scorer(scorer_name)
         return self.query_daat(qterms, k, conj=False, scorer=scorer,
                                mask=self._alive_mask, after=after)
 
@@ -475,7 +483,7 @@ class SegmentSearcher:
         so only skip blocks containing the requested docs decode.
         Zero contributions (idf == 0, i.e. a term in every doc) are
         dropped — the oracle filters the identical expression."""
-        scorer = make_scorer(scorer_name) if scorer_name else self.default_scorer
+        scorer = self._scorer(scorer_name)
         cand = np.asarray(list(docids), np.int64)
         cand = np.unique(cand[(cand >= self.base_docid)
                               & (cand < self.base_docid + self.n_docs_seg)])
@@ -595,7 +603,7 @@ class SegmentSearcher:
         if mode not in ("daat", "bmm"):
             raise ValueError(f"filtered search supports modes "
                              f"'daat'/'bmm', not {mode!r}")
-        scorer = make_scorer(scorer_name) if scorer_name else self.default_scorer
+        scorer = self._scorer(scorer_name)
         mask = self.predicate_mask(src_path, column, value, fp)
         if self._alive_mask is not None:
             mask = mask & self._alive_mask
@@ -829,7 +837,7 @@ class SegmentSearcher:
     # ---------- generic dispatch ----------
 
     def query(self, qterms: list[str], k: int, mode: str = "daat", scorer_name: str | None = None):
-        scorer = make_scorer(scorer_name) if scorer_name else None
+        scorer = self._scorer(scorer_name)
         alive = self._alive_mask
         if mode == "daat":
             return self.query_daat(qterms, k, conj=False, scorer=scorer,
@@ -876,7 +884,7 @@ class SegmentSearcher:
             # alive mask on every mode
             return [self.query(q, k, mode, scorer_name) for q in queries]
         if mode in ("daat", "bmm") and len(queries) >= 4:
-            scorer = make_scorer(scorer_name) if scorer_name else self.default_scorer
+            scorer = self._scorer(scorer_name)
             resolved = [self._resolve_terms(q, conj=False) for q in queries]
             union = sorted({i for idxs in resolved if idxs for i in idxs})
             if union and self._dense_batch_worthwhile(union):

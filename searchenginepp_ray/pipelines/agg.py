@@ -1,7 +1,7 @@
-"""Aggregation helpers over :func:`..index.hash_partition.hash_groupby_apply`
-(the hash-partitioned groupby shared with the index build): named
-aggregations, and the within-run pair enumerator used by the
-posting-list pair joins.
+"""Aggregation helpers over :func:`.hash_partition.hash_groupby_apply`
+(the pipelines' hash-partitioned groupby): named aggregations, the
+within-run pair enumerator used by the posting-list pair joins, and the
+6 dp rounding rule every oracle-checked float output shares.
 
 Used by every pipeline whose group count scales with the data (per-term,
 per-content-hash, per-pair aggregates). Native
@@ -16,7 +16,7 @@ import numpy as np
 import pandas as pd
 import ray.data
 
-from ..index.hash_partition import hash_groupby_apply
+from .hash_partition import hash_groupby_apply
 
 
 def hash_groupby_sum(
@@ -66,3 +66,15 @@ def pairs_within_runs(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         - np.repeat(np.cumsum(cnts) - cnts, cnts)
     fi = np.repeat(first_idx, cnts)
     return fi, fi + 1 + within
+
+
+def round6_half_up(x: np.ndarray) -> np.ndarray:
+    """Half-AWAY-from-zero rounding to 6 dp for non-negative ratios —
+    ``floor(x*1e6 + 0.5)/1e6``, the bit-identical twin of the SQL
+    oracles' ``floor(expr * 1000000 + 0.5) / 1000000``. ``np.round``
+    rounds half-to-even while DuckDB ``ROUND`` rounds half-away, and
+    integer ratios with power-of-two denominators (e.g. 1/128 =
+    0.0078125) land EXACTLY on the half grid, where the two rules
+    disagree — a reachable oracle-hash mismatch. Both engines evaluate
+    this same floor expression instead."""
+    return np.floor(x * 1e6 + 0.5) / 1e6

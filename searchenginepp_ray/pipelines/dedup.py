@@ -30,7 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ..index.hash_partition import _GOLDEN, _hash_strings, _shuffle_width, _splitmix64
+from .hash_partition import _GOLDEN, _hash_strings, _shuffle_width, _splitmix64
 from .text_stats import documents_ds
 
 
@@ -613,7 +613,7 @@ def dup_components_best(
     argmax kernel. Integer-exact throughout: no float tie hazard."""
     import pandas as pd
 
-    from ..index.hash_partition import hash_groupby_apply
+    from .hash_partition import hash_groupby_apply
     from .text_stats import token_count
 
     comp = dup_components(sf_dir, shingle, thr_num, thr_den,
@@ -726,7 +726,7 @@ def span_dedup(sf_dir: str, width: int = 10):
     never enter the dedup flow — always kept."""
     import pandas as pd
 
-    from ..index.hash_partition import hash_groupby_apply
+    from .hash_partition import hash_groupby_apply
 
     W = int(width)
 
@@ -776,7 +776,7 @@ def _reassemble_minus_drops(sf_dir: str, drops, W: int):
     (doc_id, n_spans, n_kept, clean_md5) for every doc."""
     import pandas as pd
 
-    from ..index.hash_partition import hash_groupby_apply
+    from .hash_partition import hash_groupby_apply
     from .duck import md5_hex
 
     def tag_docs(t: pa.Table) -> pa.Table:
@@ -852,7 +852,7 @@ def boilerplate_spans(sf_dir: str, width: int = 10, min_count: int = 2):
     kept."""
     import pandas as pd
 
-    from ..index.hash_partition import hash_groupby_apply
+    from .hash_partition import hash_groupby_apply
 
     W = int(width)
     N = int(min_count)
@@ -886,12 +886,11 @@ def dedup_incremental(sf_dir: str, mod: int = 2):
 
     Scale shape: ONE content-hash-keyed exchange carries (md5, doc_id,
     side) rows from both slices — the anti-join happens where the hash
-    co-locates, exactly the :func:`~.clean._mark_members` anti-join
-    shape keyed on content instead of an id; nothing is broadcast and
-    neither slice is materialized anywhere."""
+    co-locates (a semi/anti-join keyed on content); nothing is
+    broadcast and neither slice is materialized anywhere."""
     import pandas as pd
 
-    from ..index.hash_partition import hash_groupby_apply
+    from .hash_partition import hash_groupby_apply
     from .duck import md5_hex
 
     def tag(t: pa.Table) -> pa.Table:
@@ -1134,7 +1133,7 @@ def dedup_incremental_minhash(sf_dir: str, mod: int = 2, shingle: int = 3,
     import pandas as pd
     import pyarrow.parquet as pq
 
-    from ..index.hash_partition import hash_groupby_apply
+    from .hash_partition import hash_groupby_apply
 
     if index_dir is None:
         index_dir = minhash_band_index_build(
@@ -1314,7 +1313,7 @@ def corpus_diff(sf_dir: str, add_mod: int = 13, add_res: int = 3,
     import pandas as pd
     import pyarrow.compute as pc
 
-    from ..index.hash_partition import hash_groupby_apply
+    from .hash_partition import hash_groupby_apply
     from .duck import md5_hex
     from .text_stats import documents_ds
 
@@ -1383,7 +1382,7 @@ def containment_pairs(sf_dir: str, shingle: int = 3, thr_num: int = 4,
     import pandas as pd
     import pyarrow.parquet as pq_
 
-    from ..index.hash_partition import hash_groupby_apply
+    from .hash_partition import hash_groupby_apply
     from .agg import hash_groupby_sum
 
     path = sf_dir if sf_dir.endswith(".parquet") \

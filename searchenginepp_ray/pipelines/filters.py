@@ -32,7 +32,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from .text_stats import documents_ds, round6_half_up
+from .agg import round6_half_up
+from .search_docs import PHRASE_QUERIES
+from .text_stats import documents_ds
 
 #: word tokenizer shared verbatim with the SQL oracles: lowercase, then
 #: split on any non-[a-z0-9] run, dropping empty tokens.
@@ -122,7 +124,7 @@ def repetition_stats(sf_dir: str):
             "doc_id": t["doc_id"],
             "n_tokens": pa.array(n_tokens),
             # half-away rounding shared with the oracle (see
-            # text_stats.round6_half_up: np.round's half-to-even
+            # agg.round6_half_up: np.round's half-to-even
             # disagrees with SQL ROUND exactly on p/2^k ratios)
             "top_bigram_frac": pa.array(round6_half_up(top_bi)),
             "dup_trigram_frac": pa.array(round6_half_up(dup_tri)),
@@ -160,7 +162,7 @@ def _bench_gram_hashes(sf_dir: str, w: int, bench_mod: int) -> np.ndarray:
     benchmark subset is small by construction; per-batch partials are
     already deduped, so what reaches the driver is bounded by the
     benchmark gram vocabulary, not the corpus."""
-    from ..index.hash_partition import _hash_strings
+    from .hash_partition import _hash_strings
 
     def partial(t: pa.Table) -> pa.Table:
         mask = np.asarray(t["doc_id"].to_numpy() % bench_mod == 0)
@@ -209,7 +211,7 @@ def decontaminate(sf_dir: str, w: int = 3, bench_mod: int = 97):
     bench_ref = ray.put(_bench_gram_hashes(sf_dir, w, bench_mod))
 
     def flag(t: pa.Table) -> pa.Table:
-        from ..index.hash_partition import _hash_strings
+        from .hash_partition import _hash_strings
 
         bench = ray.get(bench_ref)
         mask = np.asarray(t["doc_id"].to_numpy() % bench_mod != 0)
@@ -400,7 +402,7 @@ def dup_span_stats(sf_dir: str, w: int = 8):
     token stream — and nothing corpus-sized touches the driver."""
     import pandas as pd
 
-    from ..index.hash_partition import _hash_strings, hash_groupby_apply
+    from .hash_partition import _hash_strings, hash_groupby_apply
     from .agg import hash_groupby_sum
 
     def explode(t: pa.Table) -> pa.Table:
@@ -470,7 +472,7 @@ def collocations(sf_dir: str, min_count: int = 5, k: int = 20):
     two totals come from one cheap pre-pass of per-batch scalar sums."""
     import pandas as pd
 
-    from ..index.hash_partition import hash_groupby_apply
+    from .hash_partition import hash_groupby_apply
 
     def count_scalars(t: pa.Table) -> pa.Table:
         _, flat, n_tokens = _words_flat(t["text"])
@@ -559,20 +561,6 @@ def collocations(sf_dir: str, min_count: int = 5, k: int = 20):
     out["rank"] = np.arange(1, len(out) + 1, dtype=np.int64)
     out["pmi"] = round6_half_up(out.pop("pmi_raw").to_numpy())
     return out[["gram", "n", "rank", "pmi"]].reset_index(drop=True)
-
-
-#: phrase queries shared verbatim with the SQL oracle — plain word
-#: sequences under the WORD_SPLIT tokenization (no regex metachars).
-#: Mix of lengths (1/2/3/4 words) plus a guaranteed zero-hit phrase so
-#: the empty path is oracle-pinned too.
-PHRASE_QUERIES = (
-    "spark",
-    "table table",
-    "value fast",
-    "scan query big",
-    "window stream sort query",
-    "zebra stripes never occur",
-)
 
 
 def phrase_search(sf_dir: str, phrases: tuple[str, ...] = PHRASE_QUERIES):
@@ -714,7 +702,6 @@ def importance_weights(sf_dir: str, target_lang: str = "en",
     from ..normalizer.batch import tokenize_batch
     from .agg import hash_groupby_sum
     from .duck import md5_bucket
-    from .text_stats import documents_ds, round6_half_up
 
     B = int(n_buckets)
 
@@ -908,10 +895,36 @@ def ngram_diversity(sf_dir: str, max_n: int = 3):
     return agg.map_batches(finish, batch_format="pandas")
 
 
+def _threshold_hex(frac: float, digits: int = 4) -> str:
+    """Keep-threshold as a ``digits``-long lowercase hex string: a row is
+    kept iff its md5 prefix (uniform over [0, 16^digits)) is strictly
+    below floor(frac * 16^digits)."""
+    space = 16 ** digits
+    t = int(frac * space)
+    return format(t, f"0{digits + 1}x")[1:]  # zero-padded, drop carry slot
+
+
+def split_codes(t: pa.Table, salt: str, t_test: str,
+                t_val: str) -> np.ndarray:
+    """THE split-assignment rule (int8 codes 0=train/1=val/2=test):
+    md5 of ``salt:doc_id``, 4-hex-digit prefix against the two
+    thresholds (:func:`_threshold_hex`). :func:`split_leakage` labels
+    every doc with it; its SQL oracle expresses the identical rule as a
+    CASE."""
+    from .duck import md5_hex
+
+    ids = pc.cast(t["doc_id"], pa.string())
+    keyed = pc.binary_join_element_wise(
+        pa.array([salt + ":"] * len(t), pa.string()), ids, "")
+    p = pc.utf8_slice_codeunits(md5_hex(keyed), 0, 4) \
+        .to_numpy(zero_copy_only=False)
+    return np.where(p < t_test, 2, np.where(p < t_val, 1, 0)).astype(np.int8)
+
+
 def split_leakage(sf_dir: str, w: int = 8, val_frac: float = 0.1,
                   test_frac: float = 0.1, salt: str = "split"):
     """Train→eval contamination audit: for the val and test splits of
-    :func:`.sample.dataset_split`'s assignment, how many docs share at
+    :func:`split_codes`' salted assignment, how many docs share at
     least one word ``w``-gram with ANY train doc. The data-scaling
     complement of :func:`decontaminate`: there the contamination side
     is a small benchmark (hash set broadcast, corpus streams); here the
@@ -923,7 +936,7 @@ def split_leakage(sf_dir: str, w: int = 8, val_frac: float = 0.1,
     leak needs an xxhash collision, negligible; the SQL oracle matches
     exact gram strings, pinning no-collision at gate scale). Split
     assignment is the exact salted md5-prefix rule of
-    ``dataset_split`` — the audit sees the same splits the export ships.
+    :func:`split_codes`, which the SQL oracle expresses as a CASE.
 
     Scale shape: ONE gram-keyed hash exchange carries map-side-deduped
     int rows only — train grams collapse to (hash) per batch (doc
@@ -935,16 +948,14 @@ def split_leakage(sf_dir: str, w: int = 8, val_frac: float = 0.1,
     doc_id-only streaming count. Text never crosses a wire."""
     import pandas as pd
 
-    from ..index.hash_partition import _hash_strings, hash_groupby_apply
-    from .sample import _threshold_hex, split_codes
-    from .text_stats import documents_ds
+    from .hash_partition import _hash_strings, hash_groupby_apply
 
     t_test = _threshold_hex(test_frac)
     t_val = _threshold_hex(test_frac + val_frac)
 
     def labels(t: pa.Table) -> np.ndarray:
-        # int8 split codes (0=train, 1=val, 2=test) — dataset_split's
-        # own rule, one shared definition
+        # int8 split codes (0=train, 1=val, 2=test) — the one shared
+        # definition of the split rule
         return split_codes(t, salt, t_test, t_val)
 
     def explode(t: pa.Table) -> pa.Table:

@@ -20,10 +20,9 @@ pattern the BMM searcher uses for tiny segments):
   scalar per round (count of changed labels) to detect the fixpoint,
   so the pair graph can exceed driver memory by any factor.
 
-This replaces the round-2 driver-side union-find in
-``corpus_clean_neardup`` (the one residual driver funnel flagged at
-100 TB: a dup-heavy crawl corpus can produce pair sets larger than any
-single machine).
+The dedup family labels its near-dup pair graphs with it
+(``dedup.dup_components``): a dup-heavy crawl corpus can produce pair
+sets larger than any single machine.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from ..index.hash_partition import hash_groupby_apply
+from .hash_partition import hash_groupby_apply
 
 #: Largest edge count solved in one in-memory task (5M edges ≈ 80 MB).
 CC_INMEM_EDGES = 5_000_000
@@ -198,12 +197,3 @@ def connected_components(
         f"connected_components did not converge in {max_rounds} rounds "
         "(graph diameter exceeds the round budget)"
     )
-
-
-def component_losers(components: ray.data.Dataset) -> ray.data.Dataset:
-    """Nodes that are NOT their component's canonical (minimum) id."""
-    def non_canon(t: pa.Table) -> pa.Table:
-        keep = t["node"].to_numpy() != t["component"].to_numpy()
-        return pa.table({"node": t["node"].filter(pa.array(keep))})
-
-    return components.map_batches(non_canon, batch_format="pyarrow")

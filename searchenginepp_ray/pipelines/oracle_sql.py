@@ -154,81 +154,6 @@ SELECT d.doc_id,
 FROM documents d LEFT JOIN per p USING (doc_id)"""
 
 
-def _clean_ctes(
-    min_tokens: int = 5, min_distinct_ratio: float = 0.2,
-    max_stopword_ratio: float = 0.9, lang_threshold: float = 0.08,
-) -> str:
-    """CTE chain ``per, pass, kept`` mirroring pipelines.clean.corpus_clean
-    (assumes ``toks`` is already defined): quality + language floors, then
-    the min doc_id of each exact-content group among the passers."""
-    stops = ", ".join(f"'{s}'" for s in QUALITY_STOPS)
-    return f"""per AS (
-    SELECT doc_id,
-           COUNT(*) AS n_tok,
-           COUNT(DISTINCT term) AS n_dis,
-           SUM(CASE WHEN term IN ({stops}) THEN 1 ELSE 0 END) AS n_stop
-    FROM toks GROUP BY doc_id
-),
-pass AS (
-    SELECT d.doc_id, md5(d.text) AS h
-    FROM documents d JOIN per p USING (doc_id)
-    WHERE p.n_tok >= {min_tokens}
-      AND p.n_dis * 1.0 / p.n_tok >= {min_distinct_ratio}
-      AND p.n_stop * 1.0 / p.n_tok <= {max_stopword_ratio}
-      AND p.n_stop * 1.0 / p.n_tok >= {lang_threshold}
-),
-kept AS (SELECT CAST(MIN(doc_id) AS BIGINT) AS doc_id FROM pass GROUP BY h)"""
-
-
-def corpus_clean_sql(
-    min_tokens: int = 5, min_distinct_ratio: float = 0.2,
-    max_stopword_ratio: float = 0.9, lang_threshold: float = 0.08,
-) -> str:
-    """Oracle for pipelines.clean.corpus_clean."""
-    ctes = _clean_ctes(min_tokens, min_distinct_ratio, max_stopword_ratio,
-                       lang_threshold)
-    return f"""WITH {tok_cte()},
-{ctes}
-SELECT doc_id FROM kept"""
-
-
-def search_topk_cleaned_sql(scorer: str = "bm25", k: int = 10) -> str:
-    """Oracle for the composed clean → index → search pipeline
-    (pipelines.search_docs.search_topk_cleaned): the corpus is first
-    restricted to corpus_clean's keepers, then the ENTIRE scoring stack
-    (tf, doclen, N, avgdl, df) is recomputed over the cleaned corpus —
-    exactly what rebuilding the index over the cleaned parquet does."""
-    cfg = BuildConfig()
-    rows, _ = _query_values()
-    expr = _bm25_score_expr(cfg.bm25_k1, cfg.bm25_b) if scorer == "bm25" else _tfidf_score_expr()
-    return f"""WITH {tok_cte()},
-{_clean_ctes()},
-ctoks AS (SELECT t.doc_id, t.term FROM toks t JOIN kept USING (doc_id)),
-tf AS (SELECT doc_id, term, COUNT(*) AS tf FROM ctoks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, CAST(COUNT(*) AS DOUBLE) AS dl FROM ctoks GROUP BY doc_id),
-stats AS (SELECT (SELECT CAST(COUNT(*) AS DOUBLE) FROM kept) AS n_docs,
-                 (SELECT COUNT(*) FROM ctoks) * 1.0
-                   / (SELECT COUNT(*) FROM kept) AS avgdl),
-df AS (SELECT term, CAST(COUNT(DISTINCT doc_id) AS DOUBLE) AS df FROM ctoks GROUP BY term),
-q(query_id, term) AS (VALUES {rows}),
-scores AS (
-    SELECT q.query_id, tf.doc_id, SUM({expr}) AS s
-    FROM q
-    JOIN tf ON tf.term = q.term
-    JOIN df ON df.term = q.term
-    JOIN dl ON dl.doc_id = tf.doc_id, stats
-    GROUP BY q.query_id, tf.doc_id
-),
-ranked AS (
-    SELECT query_id, doc_id, s,
-           row_number() OVER (PARTITION BY query_id ORDER BY s DESC, doc_id ASC) AS rank
-    FROM scores
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS BIGINT) AS rank,
-       doc_id, ROUND(s, 6) AS score
-FROM ranked WHERE rank <= {k}"""
-
-
 def exact_dedup_sql() -> str:
     return """SELECT md5(text) AS text_md5,
        CAST(MIN(doc_id) AS BIGINT) AS keep_doc_id,
@@ -513,42 +438,6 @@ SELECT (SELECT CAST(COUNT(*) AS BIGINT) FROM documents) AS n_docs,
        (SELECT CAST(COUNT(*) AS BIGINT) FROM (SELECT DISTINCT doc_id, term FROM toks)) AS n_postings"""
 
 
-def vocab_distinct_hll_sql() -> str:
-    """Oracle for sample.vocab_distinct_hll: the identical portable HLL
-    over the corpus's distinct vocabulary (shared tok CTE), one output
-    row."""
-    return f"""WITH {tok_cte()},
-vocab AS (SELECT DISTINCT term FROM toks),
-h AS (SELECT CAST(('0x' || substr(md5(term), 1, 13)) AS BIGINT) AS v
-      FROM vocab),
-r0 AS (SELECT v % 512 AS bucket, v // 512 AS x FROM h),
-s1 AS (SELECT bucket, x | (x >> 1) AS a FROM r0),
-s2 AS (SELECT bucket, a | (a >> 2) AS a FROM s1),
-s3 AS (SELECT bucket, a | (a >> 4) AS a FROM s2),
-s4 AS (SELECT bucket, a | (a >> 8) AS a FROM s3),
-s5 AS (SELECT bucket, a | (a >> 16) AS a FROM s4),
-s6 AS (SELECT bucket, a | (a >> 32) AS a FROM s5),
-r AS (SELECT bucket, 44 - bit_count(CAST(a AS BIGINT)) AS rho FROM s6),
-regs AS (SELECT bucket, MAX(rho) AS m FROM r GROUP BY bucket),
-grid AS (SELECT unnest(generate_series(0, 511)) AS bucket),
-filled AS (SELECT grid.bucket, coalesce(regs.m, 0) AS m
-           FROM grid LEFT JOIN regs USING (bucket)),
-agg AS (SELECT CAST(SUM(CAST(1 AS BIGINT) << (44 - m)) AS BIGINT) AS denom,
-               CAST(SUM(CASE WHEN m = 0 THEN 1 ELSE 0 END) AS BIGINT)
-                   AS zeros
-        FROM filled),
-est AS (SELECT zeros,
-               (0.7213 / (1.0 + 1.079 / 512.0)) * 262144.0
-                   * 17592186044416.0 / denom AS e_raw
-        FROM agg)
-SELECT CAST(512 AS BIGINT) AS n_registers,
-       zeros AS zero_registers,
-       floor(CASE WHEN e_raw <= 1280.0 AND zeros > 0
-             THEN 512.0 * ln(512.0 / zeros) ELSE e_raw END * 1e6 + 0.5)
-           / 1e6 AS distinct_terms_hll
-FROM est"""
-
-
 def compression_ratio_stored_sql() -> str:
     """Oracle for filters.compression_ratio_stored: zlib level-0 STORED
     framing below one deflate block is exactly n + 11 bytes (2-byte
@@ -735,19 +624,6 @@ FROM r WHERE rn = 1
 """
 
 
-def deterministic_sample_sql(frac: float = 0.1) -> str:
-    """Oracle for sample.deterministic_sample — the same md5-prefix rule
-    in SQL (lexicographic hex comparison == numeric comparison)."""
-    from .sample import _threshold_hex
-
-    thr = _threshold_hex(frac)
-    return f"""
-        SELECT doc_id, text, lang, source, n_chars
-        FROM documents
-        WHERE substr(md5(CAST(doc_id AS VARCHAR)), 1, {len(thr)}) < '{thr}'
-    """
-
-
 def corpus_diff_sql(add_mod: int = 13, add_res: int = 3, rm_res: int = 7,
                     chg_mod: int = 11, chg_res: int = 4) -> str:
     """Oracle for dedup.corpus_diff: the two version slices as CTEs,
@@ -766,35 +642,6 @@ SELECT COALESCE(o.doc_id, n.doc_id) AS doc_id,
             WHEN o.m <> n.m THEN 'changed'
             ELSE 'unchanged' END AS status
 FROM old o FULL OUTER JOIN new n ON o.doc_id = n.doc_id"""
-
-
-def lang_mix_sample_sql(weights_pm: dict[str, int] | None = None,
-                        salt: str = "mix1") -> str:
-    """Oracle for sample.lang_mix_sample: per-language counts → integer
-    T and caps → per-language row_number over the identical salted
-    md5-prefix key."""
-    from .sample import MIX_WEIGHTS_PM
-
-    weights_pm = weights_pm or MIX_WEIGHTS_PM
-    w_rows = ", ".join(f"('{k}', {v})" for k, v in sorted(weights_pm.items()))
-    return f"""WITH w(lang, pm) AS (VALUES {w_rows}),
-cnt AS (SELECT lang, CAST(COUNT(*) AS BIGINT) AS n
-        FROM documents GROUP BY lang),
-tt AS (SELECT MIN(cnt.n * 1000 // w.pm) AS t
-       FROM w JOIN cnt USING (lang)),
-caps AS (SELECT w.lang, w.pm * (SELECT t FROM tt) // 1000 AS cap FROM w),
-keyed AS (
-    SELECT doc_id, lang,
-           CAST(('0x' || substr(md5('{salt}:' || CAST(doc_id AS VARCHAR)),
-                                1, 13)) AS BIGINT) AS key
-    FROM documents),
-r AS (SELECT doc_id, lang,
-             row_number() OVER (PARTITION BY lang
-                                ORDER BY key, doc_id) AS mix_rank
-      FROM keyed)
-SELECT r.doc_id, r.lang, CAST(r.mix_rank AS BIGINT) AS mix_rank
-FROM r JOIN caps ON caps.lang = r.lang
-WHERE r.mix_rank <= caps.cap"""
 
 
 def simhash_md5_sql() -> str:
@@ -825,98 +672,6 @@ SELECT doc_id,
 FROM votes GROUP BY doc_id"""
 
 
-def source_cap_sql(cap: int = 15, salt: str = "cap1") -> str:
-    """Oracle for sample.source_cap: per-source row_number over the
-    identical 52-bit salted md5-prefix key (ties → doc_id)."""
-    return f"""WITH keyed AS (
-    SELECT doc_id, source,
-           CAST(('0x' || substr(md5('{salt}:' || CAST(doc_id AS VARCHAR)),
-                                1, 13)) AS BIGINT) AS key
-    FROM documents)
-SELECT doc_id, source,
-       CAST(row_number() OVER (PARTITION BY source
-                               ORDER BY key, doc_id) AS BIGINT) AS src_rank,
-       CAST((row_number() OVER (PARTITION BY source
-                                ORDER BY key, doc_id) <= {int(cap)})
-            AS BIGINT) AS keep
-FROM keyed"""
-
-
-def source_mixture_sql() -> str:
-    """Oracle for sample.source_mixture: per-(source, lang) doc/token
-    counts over the word-token arrays, share on the shared 6 dp grid."""
-    return f"""WITH {_word_toks_cte()},
-tc AS (SELECT doc_id, CAST(len(w) AS BIGINT) AS n FROM wtoks),
-j AS (SELECT d.source, d.lang, tc.n
-      FROM documents d JOIN tc USING (doc_id)),
-tot AS (SELECT CAST(SUM(n) AS DOUBLE) AS t FROM j)
-SELECT source, lang, CAST(COUNT(*) AS BIGINT) AS n_docs,
-       CAST(SUM(n) AS BIGINT) AS n_tokens,
-       floor(SUM(n) / (SELECT t FROM tot) * 1e6 + 0.5) / 1e6 AS token_share
-FROM j GROUP BY source, lang"""
-
-
-def stratified_sample_sql(fracs: dict | None = None,
-                          default_frac: float | None = None) -> str:
-    """Oracle for sample.stratified_sample — the per-stratum md5 rule as
-    a CASE over the lang column."""
-    from .sample import STRATA_DEFAULT_FRAC, STRATA_FRACS, _threshold_hex
-
-    fracs = STRATA_FRACS if fracs is None else fracs
-    default_frac = STRATA_DEFAULT_FRAC if default_frac is None else default_frac
-    arms = "\n                 ".join(
-        f"WHEN '{lang}' THEN '{_threshold_hex(f)}'"
-        for lang, f in sorted(fracs.items())
-    )
-    return f"""
-        SELECT doc_id, text, lang, source, n_chars
-        FROM documents
-        WHERE substr(md5(CAST(doc_id AS VARCHAR)), 1, 4) <
-              CASE lang {arms}
-                 ELSE '{_threshold_hex(default_frac)}' END
-    """
-
-
-def doc_embedding_sql(dims: int = 64) -> str:
-    """Oracle for embed.doc_embedding: feature-hashed TF-IDF in long
-    format — the md5 bucket expression is literally the one the Ray
-    kernel evaluates (both run DuckDB md5), so dims agree bit-for-bit;
-    weights are rounded to 6 dp against cross-engine log2/sum ULPs."""
-    return f"""WITH {tok_cte()},
-tf AS (
-    SELECT doc_id, term, CAST(COUNT(*) AS BIGINT) AS tf
-    FROM toks GROUP BY doc_id, term
-),
-dfs AS (
-    SELECT term, CAST(COUNT(DISTINCT doc_id) AS BIGINT) AS df
-    FROM toks GROUP BY term
-),
-nn AS (SELECT CAST(COUNT(*) AS DOUBLE) AS n FROM documents)
-SELECT t.doc_id,
-       CAST(('0x' || substr(md5(t.term), 1, 8)) AS BIGINT) % {int(dims)} AS dim,
-       ROUND(SUM(t.tf * log2((SELECT n FROM nn) / d.df)), 6) AS weight
-FROM tf t JOIN dfs d USING (term)
-GROUP BY t.doc_id, dim
-"""
-
-
-def dataset_split_sql(val_frac: float = 0.1, test_frac: float = 0.1,
-                      salt: str = "split") -> str:
-    """Oracle for sample.dataset_split: the identical salted md5-prefix
-    CASE rule."""
-    from .sample import _threshold_hex
-
-    t_test = _threshold_hex(test_frac)
-    t_val = _threshold_hex(test_frac + val_frac)
-    return f"""SELECT doc_id,
-       CASE WHEN substr(md5('{salt}:' || CAST(doc_id AS VARCHAR)), 1, 4)
-                 < '{t_test}' THEN 'test'
-            WHEN substr(md5('{salt}:' || CAST(doc_id AS VARCHAR)), 1, 4)
-                 < '{t_val}' THEN 'val'
-            ELSE 'train' END AS split
-FROM documents"""
-
-
 def ngram_diversity_sql(max_n: int = 3) -> str:
     """Oracle for filters.ngram_diversity: per-n distinct/total gram
     counts over the word-token arrays, diversity on the shared 6 dp
@@ -935,63 +690,6 @@ SELECT n, distinct_grams, total_grams,
        floor(distinct_grams * 1.0 / total_grams * 1e6 + 0.5) / 1e6 AS diversity
 FROM ({un})
 WHERE total_grams > 0"""
-
-
-def doc_keywords_sql(m: int = 5) -> str:
-    """Oracle for embed.doc_keywords: top-m TF-IDF terms per doc via
-    row_number over UNROUNDED weights (term ASC tie-break), weight
-    reported under the shared floor rule."""
-    return f"""WITH {tok_cte()},
-tf AS (
-    SELECT doc_id, term, CAST(COUNT(*) AS BIGINT) AS tf
-    FROM toks GROUP BY doc_id, term
-),
-dfs AS (
-    SELECT term, CAST(COUNT(DISTINCT doc_id) AS BIGINT) AS df
-    FROM toks GROUP BY term
-),
-nn AS (SELECT CAST(COUNT(*) AS DOUBLE) AS n FROM documents),
-w AS (
-    SELECT t.doc_id, t.term,
-           t.tf * log2((SELECT n FROM nn) / d.df) AS w
-    FROM tf t JOIN dfs d USING (term)
-),
-r AS (
-    SELECT doc_id, term, w,
-           row_number() OVER (PARTITION BY doc_id
-                              ORDER BY w DESC, term ASC) AS rank
-    FROM w
-)
-SELECT doc_id, term, CAST(rank AS BIGINT) AS rank,
-       floor(w * 1e6 + 0.5) / 1e6 AS weight
-FROM r WHERE rank <= {int(m)}"""
-
-
-def text_knn_sql(n_queries: int = 5, k: int = 5, dims: int = 64) -> str:
-    """Oracle for embed.text_knn: ONE statement composing the
-    doc_embedding weights (rounded 6 dp — bit-identical across engines,
-    proven by the doc_embedding gate) with cosine top-k; ranking over
-    the ROUNDED cosine, ties to neighbor_id ASC."""
-    emb = doc_embedding_sql(dims)
-    return f"""WITH emb AS ({emb}),
-nrm AS (SELECT doc_id, sqrt(SUM(weight * weight)) AS nn
-        FROM emb GROUP BY doc_id),
-q AS (SELECT * FROM emb WHERE doc_id < {int(n_queries)}),
-dots AS (SELECT q.doc_id AS query_id, e.doc_id AS neighbor_id,
-                SUM(q.weight * e.weight) AS dot
-         FROM q JOIN emb e USING (dim) GROUP BY query_id, neighbor_id),
-cosv AS (SELECT d.query_id, d.neighbor_id,
-                floor(d.dot / (nq.nn * ne.nn) * 1e6 + 0.5) / 1e6 AS cosine
-         FROM dots d
-         JOIN nrm nq ON nq.doc_id = d.query_id
-         JOIN nrm ne ON ne.doc_id = d.neighbor_id),
-r AS (SELECT query_id, neighbor_id, cosine,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY cosine DESC, neighbor_id ASC)
-                 AS rank
-      FROM cosv)
-SELECT query_id, neighbor_id, CAST(rank AS BIGINT) AS rank, cosine
-FROM r WHERE rank <= {int(k)}"""
 
 
 # ---------- training-data filters (pipelines/filters.py) ----------
@@ -1137,7 +835,7 @@ def phrase_search_sql(phrases: tuple[str, ...] | None = None) -> str:
     """Oracle for filters.phrase_search: per phrase, overlapping
     consecutive-token occurrence counts via the gram-position CTE
     (same list-slice gram assembly as dup_span_stats_sql)."""
-    from .filters import PHRASE_QUERIES
+    from .search_docs import PHRASE_QUERIES
 
     phrases = phrases or PHRASE_QUERIES
     subs = []
@@ -1398,29 +1096,6 @@ SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n_spans,
 FROM k GROUP BY doc_id"""
 
 
-def quality_select_sql(q_num: int = 1, q_den: int = 2) -> str:
-    """Oracle for sample.quality_select: per-lang top-q% by the round6
-    distinct-ratio GRID (both engines rank on the identical integer
-    grid value), ties → lowest doc_id, k in integer math."""
-    return f"""WITH {tok_cte()},
-sc AS (
-  SELECT d.doc_id, d.lang,
-         CAST(floor(COALESCE(t.nd, 0) * 1.0
-                    / GREATEST(COALESCE(t.n, 0), 1) * 1000000 + 0.5)
-              AS BIGINT) AS s
-  FROM documents d LEFT JOIN (
-    SELECT doc_id, COUNT(DISTINCT term) AS nd, COUNT(*) AS n
-    FROM toks GROUP BY doc_id
-  ) t USING (doc_id)),
-r AS (
-  SELECT doc_id, lang, s,
-         row_number() OVER (PARTITION BY lang ORDER BY s DESC, doc_id) AS rn,
-         COUNT(*) OVER (PARTITION BY lang) AS cnt
-  FROM sc)
-SELECT doc_id, lang, s / 1000000.0 AS distinct_ratio
-FROM r WHERE rn <= (cnt * {int(q_num)} + {int(q_den)} - 1) // {int(q_den)}"""
-
-
 def bigram_logprob_sql() -> str:
     """Oracle for text_stats.bigram_logprob: exact bigram/context
     STRING counts (pins the Ray side's 64-bit-hash stance), identical
@@ -1450,74 +1125,6 @@ per AS (
 SELECT doc_id, n AS n_bigrams,
        floor(s / n * 1e6 + 0.5) / 1e6 AS avg_logprob
 FROM per"""
-
-
-def search_hybrid_rrf_sql(n_queries: int = 5, k_in: int = 10,
-                          k_out: int = 5, kappa: int = 60,
-                          dims: int = 64) -> str:
-    """Oracle for search_docs.search_hybrid_rrf: ONE statement
-    composing the full SQL BM25 stack (query = each query doc's own
-    normalized tokens, deduped — the engine's normalize_query contract)
-    with the text_knn embedding stack, fused by reciprocal ranks. Both
-    components rank on their ROUNDED 6 dp scores with doc_id-ASC ties
-    (the op's cross-engine contract); the fused score is the sum of two
-    identical doubles."""
-    cfg = BuildConfig()
-    expr = _bm25_score_expr(cfg.bm25_k1, cfg.bm25_b)
-    emb = doc_embedding_sql(dims)
-    nq, K = int(n_queries), int(kappa)
-    return f"""WITH {tok_cte()},
-tf AS (SELECT doc_id, term, COUNT(*) AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, CAST(COUNT(*) AS DOUBLE) AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT CAST(COUNT(*) AS DOUBLE) FROM documents) AS n_docs,
-                 (SELECT COUNT(*) FROM toks) * 1.0
-                   / (SELECT COUNT(*) FROM documents) AS avgdl),
-df AS (SELECT term, CAST(COUNT(DISTINCT doc_id) AS DOUBLE) AS df
-       FROM toks GROUP BY term),
-q AS (SELECT DISTINCT doc_id AS query_id, term FROM toks
-      WHERE doc_id < {nq}),
-bscores AS (
-    SELECT q.query_id, tf.doc_id,
-           floor(SUM({expr}) * 1e6 + 0.5) / 1e6 AS s
-    FROM q
-    JOIN tf ON tf.term = q.term
-    JOIN df ON df.term = q.term
-    JOIN dl ON dl.doc_id = tf.doc_id, stats
-    GROUP BY q.query_id, tf.doc_id),
-bm AS (SELECT query_id, doc_id,
-              row_number() OVER (PARTITION BY query_id
-                                 ORDER BY s DESC, doc_id ASC) AS ra
-       FROM bscores QUALIFY ra <= {int(k_in)}),
-emb AS ({emb}),
-nrm AS (SELECT doc_id, sqrt(SUM(weight * weight)) AS nn
-        FROM emb GROUP BY doc_id),
-eq AS (SELECT * FROM emb WHERE doc_id < {nq}),
-dots AS (SELECT eq.doc_id AS query_id, e.doc_id, SUM(eq.weight * e.weight) AS dot
-         FROM eq JOIN emb e USING (dim) GROUP BY query_id, e.doc_id),
-cosv AS (SELECT d.query_id, d.doc_id,
-                floor(d.dot / (nq2.nn * ne.nn) * 1e6 + 0.5) / 1e6 AS cosine
-         FROM dots d
-         JOIN nrm nq2 ON nq2.doc_id = d.query_id
-         JOIN nrm ne ON ne.doc_id = d.doc_id),
-kn AS (SELECT query_id, doc_id,
-              row_number() OVER (PARTITION BY query_id
-                                 ORDER BY cosine DESC, doc_id ASC) AS rb
-       FROM cosv QUALIFY rb <= {int(k_in)}),
-u AS (SELECT COALESCE(bm.query_id, kn.query_id) AS query_id,
-             COALESCE(bm.doc_id, kn.doc_id) AS doc_id,
-             (CASE WHEN bm.ra IS NOT NULL
-                   THEN 1.0 / ({K} + bm.ra) ELSE 0.0 END)
-           + (CASE WHEN kn.rb IS NOT NULL
-                   THEN 1.0 / ({K} + kn.rb) ELSE 0.0 END) AS f
-      FROM bm FULL OUTER JOIN kn USING (query_id, doc_id)),
-fused AS (SELECT query_id, doc_id, f,
-                 row_number() OVER (PARTITION BY query_id
-                                    ORDER BY f DESC, doc_id ASC) AS rank
-          FROM u)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS BIGINT) AS rank,
-       CAST(doc_id AS BIGINT) AS doc_id,
-       floor(f * 1e6 + 0.5) / 1e6 AS rrf
-FROM fused WHERE rank <= {int(k_out)}"""
 
 
 def importance_resample_sql(n_out: int = 100, target_lang: str = "en",
@@ -1552,71 +1159,6 @@ tot AS (SELECT CAST(COUNT(*) AS BIGINT) AS t FROM toks)
 SELECT term, CAST(COUNT(*) AS BIGINT) AS freq
 FROM toks GROUP BY term
 HAVING CAST(COUNT(*) AS BIGINT) * {int(k)} > (SELECT t FROM tot)"""
-
-
-def retrieval_triplets_sql(n_queries: int = 5, n_hard: int = 3,
-                           n_rand: int = 3, pool: int = 10,
-                           salt: str = "neg") -> str:
-    """Oracle for search_docs.retrieval_triplets: the rounded-grid BM25
-    stack (query = each query doc's own tokens), self-dropped and
-    re-ranked for pos/hard_neg; rand_neg = the n_rand smallest salted
-    md5 keys among docs outside self ∪ the BM25 pool."""
-    cfg = BuildConfig()
-    expr = _bm25_score_expr(cfg.bm25_k1, cfg.bm25_b)
-    nq, s = int(n_queries), salt.replace("'", "''")
-    return f"""WITH {tok_cte()},
-tf AS (SELECT doc_id, term, COUNT(*) AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, CAST(COUNT(*) AS DOUBLE) AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT CAST(COUNT(*) AS DOUBLE) FROM documents) AS n_docs,
-                 (SELECT COUNT(*) FROM toks) * 1.0
-                   / (SELECT COUNT(*) FROM documents) AS avgdl),
-df AS (SELECT term, CAST(COUNT(DISTINCT doc_id) AS DOUBLE) AS df
-       FROM toks GROUP BY term),
-q AS (SELECT DISTINCT doc_id AS query_id, term FROM toks
-      WHERE doc_id < {nq}),
-bscores AS (
-    SELECT q.query_id, tf.doc_id,
-           floor(SUM({expr}) * 1e6 + 0.5) / 1e6 AS sc
-    FROM q
-    JOIN tf ON tf.term = q.term
-    JOIN df ON df.term = q.term
-    JOIN dl ON dl.doc_id = tf.doc_id, stats
-    GROUP BY q.query_id, tf.doc_id),
-ball AS (SELECT query_id, doc_id, sc,
-                row_number() OVER (PARTITION BY query_id
-                                   ORDER BY sc DESC, doc_id ASC) AS rn
-         FROM bscores QUALIFY rn <= {int(pool) + 1}),
-b AS (SELECT query_id, doc_id, sc,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY sc DESC, doc_id ASC) AS r
-      FROM ball WHERE doc_id <> query_id),
-posneg AS (
-    SELECT query_id,
-           CASE WHEN r = 1 THEN 'pos' ELSE 'hard_neg' END AS kind,
-           CAST(CASE WHEN r = 1 THEN 1 ELSE r - 1 END AS BIGINT) AS rank,
-           doc_id
-    FROM b WHERE r <= 1 + {int(n_hard)}),
-rn AS (
-    SELECT qq.query_id, d.doc_id,
-           md5('{s}:' || CAST(qq.query_id AS VARCHAR) || ':'
-               || CAST(d.doc_id AS VARCHAR)) AS h
-    -- query universe = ALL first-n docs: a token-less query doc still
-    -- draws its n_rand random negatives (the pipeline emits them)
-    FROM (SELECT doc_id AS query_id FROM documents
-          WHERE doc_id < {nq}) qq CROSS JOIN documents d
-    WHERE d.doc_id <> qq.query_id
-      AND NOT EXISTS (SELECT 1 FROM b
-                      WHERE b.query_id = qq.query_id
-                        AND b.doc_id = d.doc_id)),
-rneg AS (
-    SELECT query_id, doc_id,
-           row_number() OVER (PARTITION BY query_id
-                              ORDER BY h ASC, doc_id ASC) AS rank
-    FROM rn QUALIFY rank <= {int(n_rand)})
-SELECT query_id, kind, rank, doc_id FROM posneg
-UNION ALL
-SELECT query_id, 'rand_neg' AS kind, CAST(rank AS BIGINT) AS rank, doc_id
-FROM rneg"""
 
 
 def vocab_stats_sql() -> str:
@@ -1657,7 +1199,7 @@ def split_leakage_sql(w: int = 8, val_frac: float = 0.1,
     split rule, exact gram STRINGS (the Ray side matches 64-bit gram
     hashes — this gate pins the no-collision stance), distinct leaked
     docs per eval split."""
-    from .sample import _threshold_hex
+    from .filters import _threshold_hex
 
     t_test = _threshold_hex(test_frac)
     t_val = _threshold_hex(test_frac + val_frac)
@@ -1695,22 +1237,6 @@ FROM counts c
 LEFT JOIN (SELECT split, COUNT(*) AS n FROM leaked GROUP BY split) l
        USING (split)
 ORDER BY split"""
-
-
-def epoch_shuffle_sql(epoch: int = 1, shard_size: int = 100,
-                      salt: str = "epoch") -> str:
-    """Oracle for sample.epoch_shuffle: the identical salted md5 epoch
-    key as one window rank (the engine computes the same rank with a
-    bucket histogram + one bounded-bucket exchange instead of a global
-    sort)."""
-    return f"""SELECT doc_id,
-       CAST(row_number() OVER (
-            ORDER BY md5('{salt}{int(epoch)}:' || CAST(doc_id AS VARCHAR)),
-                     doc_id) - 1 AS BIGINT) AS pos,
-       CAST((row_number() OVER (
-            ORDER BY md5('{salt}{int(epoch)}:' || CAST(doc_id AS VARCHAR)),
-                     doc_id) - 1) // {int(shard_size)} AS BIGINT) AS shard
-FROM documents"""
 
 
 def _bm25_ranked_sql(k: int, candidate_where: str = "",
@@ -2049,69 +1575,6 @@ ranked AS (
 SELECT CAST(seed_id AS BIGINT) AS query_id, CAST(rank AS BIGINT) AS rank,
        doc_id, ROUND(s, 6) AS score
 FROM ranked WHERE rank <= {int(k)}"""
-
-
-def curriculum_order_sql() -> str:
-    """Oracle for sample.curriculum_order: global row_number over
-    (distinct-token-ratio quality DESC, doc_id ASC) on the shared 6 dp
-    grid — the same quality expression as quality_score_sql."""
-    return f"""WITH {tok_cte()},
-per AS (
-    SELECT doc_id, COUNT(*) AS n_tok, COUNT(DISTINCT term) AS n_dis
-    FROM toks GROUP BY doc_id
-),
-q AS (
-    SELECT d.doc_id,
-           floor(COALESCE(p.n_dis * 1.0 / p.n_tok, 0.0) * 1000000 + 0.5)
-             / 1000000 AS quality
-    FROM documents d LEFT JOIN per p USING (doc_id)
-)
-SELECT CAST(row_number() OVER (ORDER BY quality DESC, doc_id ASC)
-            AS BIGINT) AS rank,
-       doc_id, quality
-FROM q"""
-
-
-def doc_similarity_pairs_sql(threshold: float = 0.6,
-                             max_df_frac: float = 0.05) -> str:
-    """Oracle for embed.doc_similarity_pairs: identical df cap (both
-    engines floor the same double product), identical tf·log2(N/df)
-    weights, norms over the capped vocabulary, dots via the term
-    self-join, cosine compared on the shared 6 dp floor grid."""
-    return f"""WITH {tok_cte()},
-tf AS (
-    SELECT doc_id, term, CAST(COUNT(*) AS BIGINT) AS tf
-    FROM toks GROUP BY doc_id, term
-),
-dfs AS (
-    SELECT term, CAST(COUNT(DISTINCT doc_id) AS BIGINT) AS df
-    FROM toks GROUP BY term
-),
-nn AS (SELECT CAST(COUNT(*) AS DOUBLE) AS n,
-              GREATEST(16, CAST(floor(COUNT(*) * {max_df_frac}) AS BIGINT))
-                  AS max_df
-       FROM documents),
-w AS (
-    SELECT t.doc_id, t.term, t.tf * log2((SELECT n FROM nn) / d.df) AS w
-    FROM tf t JOIN dfs d USING (term)
-    WHERE d.df <= (SELECT max_df FROM nn)
-),
-norms AS (
-    SELECT doc_id, sqrt(SUM(w * w)) AS nrm FROM w GROUP BY doc_id
-),
-dots AS (
-    SELECT x.doc_id AS doc_a, y.doc_id AS doc_b, SUM(x.w * y.w) AS dot
-    FROM w x JOIN w y USING (term)
-    WHERE x.doc_id < y.doc_id
-    GROUP BY x.doc_id, y.doc_id
-)
-SELECT doc_a, doc_b,
-       floor(dot / (na.nrm * nb.nrm) * 1000000 + 0.5) / 1000000 AS cosine
-FROM dots
-JOIN norms na ON na.doc_id = doc_a
-JOIN norms nb ON nb.doc_id = doc_b
-WHERE floor(dot / (na.nrm * nb.nrm) * 1000000 + 0.5) / 1000000
-      >= {threshold}"""
 
 
 def containment_pairs_sql(shingle: int = 3, thr_num: int = 4,

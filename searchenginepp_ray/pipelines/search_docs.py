@@ -24,12 +24,14 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import BuildConfig, FULL_PROFILE, SIMPLE_PROFILE
 from ..index.build import (build_index, read_global_term_df, read_metadata,
                            term_df_path)
 from ..index.engine import QueryEngine
 from ..sources.parquet_corpus import DOCUMENTS_CORPUS
+from .agg import round6_half_up
 
 #: fixed query set for the documents corpus (vocabulary from the driver's
 #: synthetic documents table)
@@ -40,7 +42,22 @@ DOC_QUERIES = [
     "customer query row",
 ]
 
-_ENGINES: dict[tuple, QueryEngine] = {}
+#: phrase queries shared verbatim with the SQL oracle — plain word
+#: sequences under the WORD_SPLIT tokenization (no regex metachars).
+#: Mix of lengths (1/2/3/4 words) plus a guaranteed zero-hit phrase so
+#: the empty path is oracle-pinned too. Served from the positional index
+#: here and by the corpus scan ``filters.phrase_search``.
+PHRASE_QUERIES = (
+    "spark",
+    "table table",
+    "value fast",
+    "scan query big",
+    "window stream sort query",
+    "zebra stripes never occur",
+)
+
+#: one serving engine per index directory, started on first use
+_ENGINES: dict[str, QueryEngine] = {}
 
 
 def _cfg(simple: bool) -> BuildConfig:
@@ -55,24 +72,35 @@ def _index_dir(sf_dir: str, cfg: BuildConfig) -> str:
     return os.path.join("/tmp", "seppray_index_cache", key)
 
 
-def get_engine(sf_dir: str, simple: bool = True, scorer: str = "bm25") -> QueryEngine:
-    cfg = _cfg(simple)
-    key = (os.path.abspath(sf_dir), cfg.params_id, scorer)
-    eng = _ENGINES.get(key)
+def _serve(out_dir: str, cfg: BuildConfig, prepare) -> QueryEngine:
+    """The one engine serving the index at ``out_dir``: on first use
+    ``prepare()`` materializes the index (each stage is a cache hit on
+    a warm ``/tmp``) and the engine starts; later calls, whatever their
+    scorer, reuse it (a per-call ``scorer_name`` picks TF-IDF).
+
+    Production shape: bounded actor pool, each actor owns a shard of
+    segments; tests exercise use_actors=False via QueryEngine directly.
+    Fractional num_cpus: serving actors are idle between queries and
+    must not starve batch stages that run in the same session (an
+    engine pinned to whole CPUs deadlocks later actor-pool stages)."""
+    eng = _ENGINES.get(out_dir)
     if eng is None:
-        out_dir = _index_dir(sf_dir, cfg)
-        build_index(
-            f"{sf_dir}/documents.parquet", out_dir, cfg, DOCUMENTS_CORPUS
-        )
-        # production shape: bounded actor pool, each actor owns a shard of
-        # segments; tests exercise use_actors=False via QueryEngine directly.
-        # Fractional num_cpus: serving actors are idle between queries and
-        # must not starve batch stages that run in the same session (an
-        # engine pinned to whole CPUs deadlocks later actor-pool stages)
-        eng = QueryEngine(out_dir, scorer=scorer, use_actors=True,
-                          num_workers=4, num_cpus_per_actor=0.25, cfg=cfg)
-        _ENGINES[key] = eng
+        prepare()
+        eng = QueryEngine(out_dir, use_actors=True, num_workers=4,
+                          num_cpus_per_actor=0.25, cfg=cfg)
+        _ENGINES[out_dir] = eng
     return eng
+
+
+def _documents_engine(sf_dir: str, cfg: BuildConfig) -> QueryEngine:
+    """Engine over the documents corpus built under ``cfg``."""
+    out_dir = _index_dir(sf_dir, cfg)
+    return _serve(out_dir, cfg, lambda: build_index(
+        f"{sf_dir}/documents.parquet", out_dir, cfg, DOCUMENTS_CORPUS))
+
+
+def get_engine(sf_dir: str, simple: bool = True) -> QueryEngine:
+    return _documents_engine(sf_dir, _cfg(simple))
 
 
 def get_positional_engine(sf_dir: str) -> QueryEngine:
@@ -82,18 +110,8 @@ def get_positional_engine(sf_dir: str) -> QueryEngine:
     so this index caches beside, never over, the plain one."""
     from dataclasses import replace
 
-    cfg = replace(_cfg(simple=True), positions=True)
-    key = (os.path.abspath(sf_dir), cfg.params_id, "positional")
-    eng = _ENGINES.get(key)
-    if eng is None:
-        out_dir = _index_dir(sf_dir, cfg)
-        build_index(
-            f"{sf_dir}/documents.parquet", out_dir, cfg, DOCUMENTS_CORPUS
-        )
-        eng = QueryEngine(out_dir, scorer="bm25", use_actors=True,
-                          num_workers=4, num_cpus_per_actor=0.25, cfg=cfg)
-        _ENGINES[key] = eng
-    return eng
+    return _documents_engine(sf_dir, replace(_cfg(simple=True),
+                                            positions=True))
 
 
 def search_phrase_indexed(sf_dir: str) -> pd.DataFrame:
@@ -106,8 +124,6 @@ def search_phrase_indexed(sf_dir: str) -> pd.DataFrame:
     + positions, never the corpus. The right plan once query volume
     amortizes the positional build; the scan stays right for ad-hoc
     sweeps. Returns (query, doc_id, n) sorted by (query, doc_id)."""
-    from .filters import PHRASE_QUERIES
-
     eng = get_positional_engine(sf_dir)
     hits = eng.phrase_search_batch(list(PHRASE_QUERIES))
     rows = [
@@ -157,7 +173,7 @@ def search_wildcard(sf_dir: str, k: int = 10, mode: str = "daat",
     lexicon file — never the corpus) and the expansion runs as a
     standard disjunctive query: score = Σ over matched vocabulary terms
     of BM25. Returns (query_id, rank, doc_id, score)."""
-    eng = get_engine(sf_dir, simple=True, scorer="bm25")
+    eng = get_engine(sf_dir)
     tok_lists = [expand_prefix(eng.index_dir, p) for p in prefixes]
     return _to_frame(eng.search_batch(tok_lists, k=k, mode=mode))
 
@@ -167,24 +183,78 @@ def search_wildcard(sf_dir: str, k: int = 10, mode: str = "daat",
 FUZZY_SEARCH_QUERIES = ("tble scann", "sprk windoww", "vale merge", "qzx")
 
 
-def expand_fuzzy(index_dir: str, words: list[str],
-                 max_dist: int = 1, cap: int = 1024) -> list[str]:
-    """Union of index-vocabulary terms within edit distance ``max_dist``
-    of any query word, resolved by STREAMING the global lexicon through
-    the SymSpell deletion-neighborhood matcher
-    (text_stats.fuzzy_hits_batch): the query side ships as a tiny
+def _levenshtein(a: str, b: str) -> int:
+    """Unit-cost edit distance (insert/delete/substitute) — the same
+    metric as DuckDB's ``levenshtein()``. Only runs on SymSpell
+    CANDIDATES (a handful per query), never the whole vocabulary."""
+    if len(a) < len(b):
+        a, b = b, a
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
+                           prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+def _deletes1(s: str) -> set[str]:
+    """The SymSpell distance-1 deletion neighborhood of ``s``, plus
+    ``s`` itself."""
+    return {s[: i] + s[i + 1:] for i in range(len(s))} | {s}
+
+
+def fuzzy_hits_batch(terms: pa.Array, queries: tuple[str, ...],
+                     qdel: dict[str, set[str]], probe_arr: pa.Array,
+                     max_dist: int) -> tuple[list[str], list[int], list[int]]:
+    """The SymSpell per-batch kernel shared by the lexicon matcher
+    (:func:`lexicon_fuzzy_hits`) and ``text_stats.fuzzy_term_match``:
+    candidate terms via ``maxlen`` vectorized deletion-key probes
+    against the broadcast set, exact DP verification on candidates
+    only. Returns parallel (query, term row index, distance) hit
+    lists."""
+    lens = np.asarray(pc.utf8_length(terms)).astype(np.int64)
+    maxlen = int(lens.max()) if len(lens) else 0
+    # candidate mask: term itself, or any single-deletion variant,
+    # hits the broadcast deletion-key set
+    cand = np.asarray(pc.is_in(terms, value_set=probe_arr))
+    for i in range(maxlen):
+        dele = pc.binary_join_element_wise(
+            pc.utf8_slice_codeunits(terms, 0, i),
+            pc.utf8_slice_codeunits(terms, i + 1, np.iinfo(np.int32).max),
+            "")
+        hit = np.asarray(pc.is_in(dele, value_set=probe_arr))
+        cand |= hit & (lens > i)
+    out_q: list[str] = []
+    out_i: list[int] = []
+    out_d: list[int] = []
+    for i in np.flatnonzero(cand):
+        term = terms[int(i)].as_py()
+        tdel = _deletes1(term)
+        for q in queries:
+            if tdel.isdisjoint(qdel[q]):
+                continue
+            d = _levenshtein(q, term)
+            if d <= max_dist:
+                out_q.append(q)
+                out_i.append(int(i))
+                out_d.append(d)
+    return out_q, out_i, out_d
+
+
+def lexicon_fuzzy_hits(index_dir: str, words: list[str],
+                       max_dist: int = 1) -> pd.DataFrame:
+    """(query, term, df, dist) for every index-vocabulary term within
+    edit distance ``max_dist`` of a query word, resolved by STREAMING
+    the global lexicon through the SymSpell deletion-neighborhood
+    matcher (:func:`fuzzy_hits_batch`): the query side ships as a tiny
     broadcast set of deletion keys riding the task closure; the
     vocabulary side is one ``map_batches`` over the term-sorted lexicon
-    file reading ONLY the term column; only matched terms return (a
-    bounded handful per word, never vocabulary-sized).
-    Capped like wildcard expansion: past ``cap`` terms is a user error."""
+    file reading only its ``(term, df)`` columns; only matched terms
+    return (a bounded handful per word, never vocabulary-sized)."""
     import ray.data as rd
 
-    from .text_stats import _deletes1, fuzzy_hits_batch
-
-    words = sorted({w for w in words if w})
-    if not words:
-        raise ValueError("empty fuzzy query")
     qdel = {w: _deletes1(w) for w in words}
     probe_arr = pa.array(sorted(frozenset().union(*qdel.values())),
                          pa.string())
@@ -194,15 +264,31 @@ def expand_fuzzy(index_dir: str, words: list[str],
         terms = t["term"]
         if isinstance(terms, pa.ChunkedArray):
             terms = terms.combine_chunks()
-        _, idxs, _ = fuzzy_hits_batch(terms, wtup, qdel, probe_arr,
-                                      max_dist)
-        return pa.table(
-            {"term": terms.take(pa.array(sorted(set(idxs)), pa.int64()))})
+        out_q, out_i, out_d = fuzzy_hits_batch(terms, wtup, qdel,
+                                               probe_arr, max_dist)
+        hit = t.take(pa.array(out_i, pa.int64()))
+        return pa.table({"query": pa.array(out_q, pa.string()),
+                         "term": hit["term"], "df": hit["df"],
+                         "dist": pa.array(out_d, pa.int64())})
 
-    hits = rd.read_parquet(term_df_path(index_dir), columns=["term"]) \
+    hits = rd.read_parquet(term_df_path(index_dir), columns=["term", "df"]) \
         .map_batches(match, batch_format="pyarrow").to_pandas()
     # an expansion with zero hits can come back schema-less
-    terms = sorted(set(hits["term"])) if "term" in hits.columns else []
+    if "term" not in hits.columns:
+        return pd.DataFrame(columns=["query", "term", "df", "dist"])
+    return hits
+
+
+def expand_fuzzy(index_dir: str, words: list[str],
+                 max_dist: int = 1, cap: int = 1024) -> list[str]:
+    """Union of index-vocabulary terms within edit distance ``max_dist``
+    of any query word (:func:`lexicon_fuzzy_hits` over the global
+    lexicon). Capped like wildcard expansion: past ``cap`` terms is a
+    user error."""
+    words = sorted({w for w in words if w})
+    if not words:
+        raise ValueError("empty fuzzy query")
+    terms = sorted(set(lexicon_fuzzy_hits(index_dir, words, max_dist)["term"]))
     if len(terms) > cap:
         raise ValueError(
             f"fuzzy query {words!r} expands to {len(terms)} terms (cap {cap})")
@@ -217,10 +303,9 @@ def search_fuzzy(sf_dir: str, k: int = 10, mode: str = "bmm",
     deletion-neighborhood streaming over the global lexicon — never a
     corpus touch), and the union expansion runs as a
     standard disjunctive query: score = Σ BM25 over matched vocabulary
-    terms. The retrieval twin of :func:`..text_stats.fuzzy_term_match`
-    (which returns the match table itself). Returns
+    terms. Returns
     (query_id, rank, doc_id, score)."""
-    eng = get_engine(sf_dir, simple=True, scorer="bm25")
+    eng = get_engine(sf_dir)
     tok_lists = [expand_fuzzy(eng.index_dir, q.split(), max_dist)
                  for q in queries]
     return _to_frame(eng.search_batch(tok_lists, k=k, mode=mode))
@@ -246,8 +331,6 @@ def search_bm25_prox(sf_dir: str, k: int = 10, n_cand: int = 30,
     on doc_id. Returns (query_id, rank, doc_id, score) with the final
     score on the 6 dp grid."""
     from itertools import combinations
-
-    from .text_stats import round6_half_up
 
     eng = get_positional_engine(sf_dir)
     cands = eng.search_batch(DOC_QUERIES, k=n_cand, mode="bmm")
@@ -344,18 +427,17 @@ def search_did_you_mean(sf_dir: str, k: int = 10) -> pd.DataFrame:
     token is replaced by its best vocabulary match within edit distance
     1 — min distance first (so exact hits correct to themselves), then
     max df, then term ASC — and the corrected query runs through the
-    standard BM25 stack. Composes two already-oracle-checked stacks
-    (:func:`~.text_stats.fuzzy_term_match`'s SymSpell
-    deletion-neighborhood candidates + exact DP verify, and
-    :func:`search_topk`'s serving path); ONE SQL statement value-checks
-    the whole composition. Tokens with no candidate pass through
-    uncorrected (they match nothing, like any unknown term).
+    standard BM25 stack. The candidates and their df come from the
+    index's own global lexicon (:func:`lexicon_fuzzy_hits`, the matcher
+    :func:`search_fuzzy` expands with), never the corpus; ONE SQL
+    statement value-checks the whole composition. Tokens with no
+    candidate pass through uncorrected (they match nothing, like any
+    unknown term).
     Reference parity: none (beyond-reference serving surface)."""
-    from .text_stats import fuzzy_term_match
-
-    tokens = tuple(sorted({t for q in DYM_QUERIES for t in q}))
+    eng = get_engine(sf_dir)
+    tokens = sorted({t for q in DYM_QUERIES for t in q})
     # bounded collect: candidate rows only (a handful per token)
-    cand = fuzzy_term_match(sf_dir, queries=tokens).to_pandas()
+    cand = lexicon_fuzzy_hits(eng.index_dir, tokens)
     best: dict[str, str] = {}
     if len(cand):
         cand = cand.sort_values(
@@ -363,14 +445,14 @@ def search_did_you_mean(sf_dir: str, k: int = 10) -> pd.DataFrame:
             ascending=[True, True, False, True])
         best = dict(cand.groupby("query", sort=False).first()["term"])
     corrected = [[best.get(t, t) for t in q] for q in DYM_QUERIES]
-    eng = get_engine(sf_dir, simple=True, scorer="bm25")
     return _to_frame(eng.search_batch(corrected, k=k, mode="bmm"))
 
 
 def search_topk(sf_dir: str, k: int = 10, mode: str = "daat",
                 scorer: str = "bm25", simple: bool = True) -> pd.DataFrame:
-    eng = get_engine(sf_dir, simple=simple, scorer=scorer)
-    return _to_frame(eng.search_batch(DOC_QUERIES, k=k, mode=mode))
+    eng = get_engine(sf_dir, simple=simple)
+    return _to_frame(eng.search_batch(DOC_QUERIES, k=k, mode=mode,
+                                      scorer_name=scorer))
 
 
 def search_bm25_page2(sf_dir: str, k: int = 10) -> pd.DataFrame:
@@ -382,7 +464,7 @@ def search_bm25_page2(sf_dir: str, k: int = 10) -> pd.DataFrame:
     scoring pass (QueryEngine.search_after_batch). Queries whose page 1
     came back short produce an empty page 2 (nothing follows the end).
     Reference parity: none (beyond-reference serving surface)."""
-    eng = get_engine(sf_dir, simple=True, scorer="bm25")
+    eng = get_engine(sf_dir)
     # page 1 via DAAT: the cursor compare is EXACT equality on doubles
     # and query_after scores page 2 with query_daat, so the cursor must
     # come from the same accumulation path — a 1-ulp difference at the
@@ -405,7 +487,7 @@ def search_hit_counts(sf_dir: str) -> pd.DataFrame:
     reads. No scoring, no top-k: per-segment candidate counting summed
     across disjoint docid ranges. Reference parity: none
     (beyond-reference serving surface)."""
-    eng = get_engine(sf_dir, simple=True, scorer="bm25")
+    eng = get_engine(sf_dir)
     counts = eng.search_count_batch(DOC_QUERIES)  # one pass, both modes
     return pd.DataFrame({
         "query_id": np.arange(len(DOC_QUERIES), dtype=np.int64),
@@ -423,7 +505,7 @@ def search_explain(sf_dir: str, k: int = 10) -> pd.DataFrame:
     ranking pass summed). The explain pass re-touches ONLY the k hit
     docs per query (block-pruned gather on the segment actors).
     Reference parity: none (beyond-reference serving surface)."""
-    eng = get_engine(sf_dir, simple=True, scorer="bm25")
+    eng = get_engine(sf_dir)
     top, expl = eng.search_explain_batch(DOC_QUERIES, k=k, mode="daat")
     rows = []
     for qi, (results, contribs) in enumerate(zip(top, expl)):
@@ -447,59 +529,8 @@ def search_lm_dirichlet(sf_dir: str, k: int = 10, mu: float = 2000.0) -> pd.Data
     scatter/gather phases over the segment actors. Oracle-checked
     end-to-end (the SQL recomputes tf/ctf/dl/T from the corpus and
     scores with the identical expression)."""
-    eng = get_engine(sf_dir, simple=True, scorer="bm25")
+    eng = get_engine(sf_dir)
     return _to_frame(eng.search_lm_batch(DOC_QUERIES, k=k, mu=mu))
-
-
-def get_cleaned_engine(sf_dir: str, scorer: str = "bm25") -> QueryEngine:
-    """Engine over the CLEANED corpus — the full-stack training-data
-    composition: quality/language floors + exact dedup
-    (``pipelines.clean.corpus_clean``) → cleaned parquet → index build →
-    segment-actor serving. Original doc_ids ride through as docnos, so
-    results are comparable with a SQL oracle that cleans in SQL.
-
-    The cleaned corpus + index are cached under /tmp keyed by
-    (sf_dir, build params, clean version) via the build's own
-    checkpoint markers."""
-    import pyarrow.parquet as pq
-
-    cfg = _cfg(simple=True)
-    # cache key carries a CONTENT fingerprint of the source corpus (size +
-    # mtime + rows) — regenerating documents.parquet in place invalidates
-    # the cached cleaned corpus instead of serving it stale
-    src = f"{sf_dir}/documents.parquet"
-    st = os.stat(src)
-    fingerprint = f"{st.st_size}:{st.st_mtime_ns}:{pq.ParquetFile(src).metadata.num_rows}"
-    key = (os.path.abspath(sf_dir), cfg.params_id, scorer, "cleaned", fingerprint)
-    eng = _ENGINES.get(key)
-    if eng is None:
-        base = hashlib.sha256(
-            f"{os.path.abspath(sf_dir)}:{cfg.params_id}:cleaned:{fingerprint}:v1".encode()
-        ).hexdigest()[:12]
-        root = os.path.join("/tmp", "seppray_index_cache", base)
-        corpus_dir = os.path.join(root, "corpus")
-        marker = os.path.join(root, "_corpus_done")
-        if not os.path.exists(marker):
-            import shutil
-
-            from .clean import cleaned_documents_ds
-
-            shutil.rmtree(corpus_dir, ignore_errors=True)
-            cleaned_documents_ds(sf_dir).write_parquet(corpus_dir)
-            with open(marker, "w") as f:
-                f.write("ok")
-        out_dir = os.path.join(root, "index")
-        build_index(corpus_dir, out_dir, cfg, DOCUMENTS_CORPUS)
-        eng = QueryEngine(out_dir, scorer=scorer, use_actors=True,
-                          num_workers=4, num_cpus_per_actor=0.25, cfg=cfg)
-        _ENGINES[key] = eng
-    return eng
-
-
-def search_topk_cleaned(sf_dir: str, k: int = 10, mode: str = "daat",
-                        scorer: str = "bm25") -> pd.DataFrame:
-    eng = get_cleaned_engine(sf_dir, scorer=scorer)
-    return _to_frame(eng.search_batch(DOC_QUERIES, k=k, mode=mode))
 
 
 def index_stats(sf_dir: str, simple: bool = True) -> pd.DataFrame:
@@ -560,8 +591,6 @@ def search_snippets(sf_dir: str, k: int = 10, mode: str = "bmm",
     + one ``is_in`` per query); per-ROW Python runs only on the ≤ k×Q
     final snippet rows. Reference parity: none (the reference emits
     TREC id/score runs only; this is beyond-reference)."""
-    import numpy as np
-    import pyarrow.compute as pc
     import pyarrow.dataset as pads
     import ray.data
 
@@ -650,226 +679,10 @@ def search_boolean(sf_dir: str, k: int = 10) -> pd.DataFrame:
     the normalizer strips ``-`` from every vocabulary term); the
     searcher's anti-join decodes only the negative list's skip blocks
     that can contain a surviving candidate."""
-    eng = get_engine(sf_dir, simple=True, scorer="bm25")
+    eng = get_engine(sf_dir)
     toks = [sorted(set(pos)) + ["-" + t for t in sorted(set(neg))]
             for pos, neg in BOOL_QUERIES]
     return _to_frame(eng.search_batch(toks, k=k, mode="boolean"))
-
-
-def _head_table(path: str, n: int, columns: list[str]) -> pa.Table:
-    """First ``n`` rows only — a bounded driver-side read (streams record
-    batches and stops; never loads the whole column)."""
-    import pyarrow.parquet as pq
-
-    pf = pq.ParquetFile(path)
-    batches, got = [], 0
-    for b in pf.iter_batches(batch_size=min(max(n, 1), 4096), columns=columns):
-        batches.append(b)
-        got += len(b)
-        if got >= n:
-            break
-    t = pa.Table.from_batches(batches)
-    pf.close()
-    return t.slice(0, n)
-
-
-def _bm25_rounded_topk(sf_dir: str, texts: list[str], q_ids,
-                       k_in: int) -> pd.DataFrame:
-    """BM25 top-``k_in`` per query on the ROUNDED-6dp-grid contract
-    (ties → doc_id ASC) — the cross-engine ranking both the hybrid
-    fusion and the triplet miner share. The engine ranks on raw floats
-    and rounding is monotone, so an unfetched doc can only tie into the
-    top k_in if the LAST fetched row's rounded score equals the k_in-th
-    kept rounded score — fetch deeper until that boundary is clean (or
-    the fetch is exhausted) for every query. Returns
-    (query_id, doc_id, rank, s)."""
-    import numpy as np
-
-    from .text_stats import round6_half_up
-
-    eng = get_engine(sf_dir, simple=True, scorer="bm25")
-    k_fetch = k_in + 10
-    while True:
-        rows = []
-        safe = True
-        for qi, results in enumerate(eng.search_batch(texts, k=k_fetch,
-                                                      mode="bmm")):
-            rr = [(int(q_ids[qi]), int(docno),
-                   float(round6_half_up(np.array([score]))[0]))
-                  for _docid, docno, score in results]
-            if len(rr) == k_fetch:
-                kept = sorted((s for _, _, s in rr), reverse=True)
-                if kept[k_in - 1] == rr[-1][2]:
-                    safe = False
-            rows.extend(rr)
-        if safe:
-            break
-        k_fetch *= 4
-    bm = pd.DataFrame(rows, columns=["query_id", "doc_id", "s"])
-    bm = bm.sort_values(["query_id", "s", "doc_id"],
-                        ascending=[True, False, True])
-    bm["rank"] = (bm.groupby("query_id").cumcount() + 1).astype("int64")
-    return bm.groupby("query_id").head(k_in).reset_index(drop=True)
-
-
-def search_hybrid_rrf(sf_dir: str, n_queries: int = 5, k_in: int = 10,
-                      k_out: int = 5, kappa: int = 60) -> pd.DataFrame:
-    """HYBRID retrieval with reciprocal-rank fusion (Cormack et al.):
-    for each of the first ``n_queries`` documents used as a query, fuse
-    (a) lexical BM25 over the inverted index (the query is the doc's
-    own text) with (b) semantic cosine top-k over the pipeline's
-    feature-hashed TF-IDF embeddings (:func:`~..embed.text_knn`), by
-
-        rrf(d) = Σ_r 1 / (kappa + rank_r(d))
-
-    over the rankers that returned ``d`` in their top ``k_in``; output
-    the fused top ``k_out``. This is the modern engine's hybrid search
-    composition — both component stacks are individually
-    oracle-checked, and the fusion is SQL-expressible, so ONE statement
-    value-checks the whole thing.
-
-    Determinism contract: each component ranks on its ROUNDED (6 dp
-    floor-half-up) score with doc_id-ASC ties, so cross-engine
-    summation ULPs can't flip a rank; the fused score sums two
-    identical doubles (commutative-exact) and ties break on doc_id.
-
-    Scale shape: both components are the already-scale-shaped pipelines
-    (segment-actor BM25 serving; streaming embed + partial top-k); the
-    fusion itself touches only 2 · n_queries · k_in rank rows — driver
-    arithmetic on top-k lists, the textbook place for driver-side
-    work."""
-    import numpy as np
-
-    from .embed import text_knn
-    from .text_stats import round6_half_up
-
-    t = _head_table(f"{sf_dir}/documents.parquet", n_queries,
-                    ["doc_id", "text"])
-    q_ids = t["doc_id"].to_numpy()
-    if sorted(q_ids.tolist()) != list(range(n_queries)):
-        raise ValueError(
-            "hybrid query set expects doc_ids 0..n-1 at the head of the "
-            f"corpus (got {q_ids.tolist()})")
-    texts = t["text"].to_pylist()
-
-    bm = _bm25_rounded_topk(sf_dir, texts, q_ids, k_in) \
-        .rename(columns={"rank": "ra"})[["query_id", "doc_id", "ra"]]
-
-    kn = text_knn(sf_dir, n_queries, k_in).to_pandas().rename(
-        columns={"neighbor_id": "doc_id", "rank": "rb"})
-    kn = kn[["query_id", "doc_id", "rb"]]
-
-    u = bm.merge(kn, on=["query_id", "doc_id"], how="outer")
-    fa = np.where(u["ra"].notna(), 1.0 / (kappa + u["ra"].fillna(0)), 0.0)
-    fb = np.where(u["rb"].notna(), 1.0 / (kappa + u["rb"].fillna(0)), 0.0)
-    u["f"] = fa + fb
-    u = u.sort_values(["query_id", "f", "doc_id"],
-                      ascending=[True, False, True])
-    u["rank"] = (u.groupby("query_id").cumcount() + 1).astype(np.int64)
-    u = u[u["rank"] <= k_out].reset_index(drop=True)
-    u["rrf"] = round6_half_up(u["f"].to_numpy())
-    u["query_id"] = u["query_id"].astype(np.int64)
-    u["doc_id"] = u["doc_id"].astype(np.int64)
-    return u[["query_id", "rank", "doc_id", "rrf"]]
-
-
-def retrieval_triplets(sf_dir: str, n_queries: int = 5, n_hard: int = 3,
-                       n_rand: int = 3, pool: int = 10,
-                       salt: str = "neg") -> pd.DataFrame:
-    """Contrastive-retrieval TRAINING-DATA mining: for each of the
-    first ``n_queries`` documents used as a query, emit the labeled
-    example set a dual-encoder trains on — (query_id, kind, rank,
-    doc_id) with kind ∈ {pos, hard_neg, rand_neg}:
-
-    * ``pos`` — the top BM25 hit excluding the query doc itself;
-    * ``hard_neg`` — the next ``n_hard`` BM25 hits (lexically close but
-      not the positive: the standard in-batch hard negatives);
-    * ``rand_neg`` — ``n_rand`` corpus docs drawn by CONTENT-ADDRESSED
-      sampling (smallest salted md5 of ``salt:query:doc``), excluding
-      the query and its BM25 top-``pool`` — reproducible across
-      reruns/cluster sizes, salt-decorrelated, SQL-expressible.
-
-    Scale shape: the BM25 side is the rounded-grid engine contract
-    (:func:`_bm25_rounded_topk`); the random negatives are a streaming
-    per-query bottom-k over the corpus — each batch hashes its
-    (query × doc) grid with the C-speed md5 kernel and keeps n_rand
-    candidates per query, the driver merges n_queries · n_rand ·
-    n_blocks survivor rows and drops excluded ids last (the exclusion
-    set is top-pool-bounded, so keeping pool + n_rand candidates per
-    batch guarantees coverage)."""
-    import numpy as np
-
-    from .duck import md5_hex
-    from .text_stats import documents_ds
-
-    t = _head_table(f"{sf_dir}/documents.parquet", n_queries,
-                    ["doc_id", "text"])
-    q_ids = t["doc_id"].to_numpy()
-    if sorted(q_ids.tolist()) != list(range(n_queries)):
-        raise ValueError("retrieval_triplets expects doc_ids 0..n-1 at "
-                         f"the head of the corpus (got {q_ids.tolist()})")
-    texts = t["text"].to_pylist()
-
-    bm = _bm25_rounded_topk(sf_dir, texts, q_ids, pool + 1)
-    # _bm25_rounded_topk output is already (query_id, s desc, doc_id)
-    # ordered and the self-drop filter preserves it — only re-rank
-    bm = bm[bm["doc_id"] != bm["query_id"]]
-    bm["r"] = bm.groupby("query_id").cumcount() + 1
-    pos = bm[bm["r"] == 1]
-    hard = bm[(bm["r"] >= 2) & (bm["r"] <= 1 + n_hard)]
-    excl = {int(q): set(g["doc_id"]) | {int(q)}
-            for q, g in bm.groupby("query_id")}
-    for q in q_ids:
-        excl.setdefault(int(q), {int(q)})
-    # exclusion-proof candidate depth: at most pool+2 excluded ids per
-    # query corpus-wide (self + the post-self-drop BM25 pool), so a
-    # batch's per-query bottom-(pool+2+n_rand) always covers the n_rand
-    # globally-smallest non-excluded hashes
-    keep_per_q = pool + 2 + n_rand
-    qs = [int(x) for x in q_ids]
-
-    def cand(tb: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ids = tb["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ids_str = pc.cast(tb["doc_id"], pa.string())
-        out_q, out_d, out_h = [], [], []
-        for q in qs:
-            keys = pc.binary_join_element_wise(
-                pa.scalar(f"{salt}:{q}:"), ids_str, "")
-            h = md5_hex(keys).to_numpy(zero_copy_only=False)
-            k = min(keep_per_q, len(ids))
-            idx = np.argsort(h, kind="stable")[:k]
-            out_q.extend([q] * k)
-            out_d.extend(ids[idx].tolist())
-            out_h.extend(h[idx].tolist())
-        return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                         "doc_id": pa.array(out_d, pa.int64()),
-                         "h": pa.array(out_h, pa.string())})
-
-    surv = documents_ds(sf_dir, ("doc_id",)) \
-        .map_batches(cand, batch_format="pyarrow").to_pandas()
-    rows = []
-    for q, g in surv.groupby("query_id"):
-        ex = excl[int(q)]
-        g = g.sort_values(["h", "doc_id"])
-        g = g[~g["doc_id"].isin(ex)].head(n_rand)
-        for j, d in enumerate(g["doc_id"], start=1):
-            rows.append((int(q), "rand_neg", j, int(d)))
-    out = pd.concat([
-        pd.DataFrame({"query_id": pos["query_id"].to_numpy(np.int64),
-                      "kind": "pos",
-                      "rank": np.ones(len(pos), np.int64),
-                      "doc_id": pos["doc_id"].to_numpy(np.int64)}),
-        pd.DataFrame({"query_id": hard["query_id"].to_numpy(np.int64),
-                      "kind": "hard_neg",
-                      "rank": (hard["r"] - 1).to_numpy(np.int64),
-                      "doc_id": hard["doc_id"].to_numpy(np.int64)}),
-        pd.DataFrame(rows, columns=["query_id", "kind", "rank",
-                                    "doc_id"]),
-    ], ignore_index=True)
-    return out.sort_values(["query_id", "kind", "rank"]) \
-        .reset_index(drop=True)
 
 
 def search_bm25_rm3(sf_dir: str, k_fb: int = 5, m_exp: int = 3,
@@ -889,13 +702,12 @@ def search_bm25_rm3(sf_dir: str, k_fb: int = 5, m_exp: int = 3,
     pushdown on doc_id) and a term-filtered read of the index's global
     lexicon for just the candidate terms — nothing data-sized reaches
     the driver."""
-    import numpy as np
     import pyarrow.dataset as pads
     import ray.data
 
     from ..normalizer.word_normalizer import term_frequencies
 
-    eng = get_engine(sf_dir, simple=True, scorer="bm25")
+    eng = get_engine(sf_dir)
     cfg = _cfg(True)
     out_dir = _index_dir(sf_dir, cfg)
     first = eng.search_batch(DOC_QUERIES, k=k_fb, mode=mode)
@@ -966,7 +778,7 @@ def search_topk_filtered(sf_dir: str, lang: str = FILTER_LANG,
     pruned two-column read of its docno range
     (``SegmentSearcher.predicate_mask``) — no driver-side doc list at
     any corpus size."""
-    eng = get_engine(sf_dir, simple=True, scorer="bm25")
+    eng = get_engine(sf_dir)
     res = eng.search_batch_filtered(
         DOC_QUERIES, k=k, column="lang", value=lang,
         src_path=f"{sf_dir}/documents.parquet")
@@ -996,28 +808,25 @@ def get_tombstoned_engine(sf_dir: str, mod: int = TOMB_MOD) -> QueryEngine:
     build_index(f"{sf_dir}/documents.parquet", base, cfg, DOCUMENTS_CORPUS)
     lineage = read_metadata(base)[0]["lineage_key"]
     key = (os.path.abspath(sf_dir), cfg.params_id, "tomb", mod, lineage)
-    eng = _ENGINES.get(key)
-    if eng is not None:
-        return eng
     out = os.path.join(
         "/tmp", "seppray_index_cache",
         "tomb_" + hashlib.sha256(repr(key).encode()).hexdigest()[:12])
-    marker = os.path.join(out, "_tombstoned.json")
-    ok = False
-    if os.path.exists(marker):
-        with open(marker) as f:
-            ok = json.load(f).get("lineage") == lineage
-    if not ok:
-        shutil.rmtree(out, ignore_errors=True)
-        shutil.copytree(base, out)
-        n = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
-        delete_docs(out, (str(d) for d in range(0, n, mod)))
-        with open(marker, "w") as f:
-            json.dump({"lineage": lineage}, f)
-    eng = QueryEngine(out, scorer="bm25", use_actors=True,
-                      num_workers=4, num_cpus_per_actor=0.25, cfg=cfg)
-    _ENGINES[key] = eng
-    return eng
+
+    def tombstone():
+        marker = os.path.join(out, "_tombstoned.json")
+        ok = False
+        if os.path.exists(marker):
+            with open(marker) as f:
+                ok = json.load(f).get("lineage") == lineage
+        if not ok:
+            shutil.rmtree(out, ignore_errors=True)
+            shutil.copytree(base, out)
+            n = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
+            delete_docs(out, (str(d) for d in range(0, n, mod)))
+            with open(marker, "w") as f:
+                json.dump({"lineage": lineage}, f)
+
+    return _serve(out, cfg, tombstone)
 
 
 def search_topk_tombstoned(sf_dir: str, k: int = 10,
@@ -1048,17 +857,11 @@ def get_compacted_engine(sf_dir: str, mod: int = TOMB_MOD) -> QueryEngine:
     lineage = (str(src_eng.meta.get("lineage_key", "")),
                tuple(load_tombstones(src)))
     key = (os.path.abspath(sf_dir), cfg.params_id, "compacted", mod, lineage)
-    eng = _ENGINES.get(key)
-    if eng is not None:
-        return eng
     out = os.path.join(
         "/tmp", "seppray_index_cache",
         "compact_" + hashlib.sha256(repr(key).encode()).hexdigest()[:12])
-    compact_index(src, out)  # stage markers make reruns cache hits
-    eng = QueryEngine(out, scorer="bm25", use_actors=True,
-                      num_workers=4, num_cpus_per_actor=0.25, cfg=cfg)
-    _ENGINES[key] = eng
-    return eng
+    # stage markers make reruns cache hits
+    return _serve(out, cfg, lambda: compact_index(src, out))
 
 
 def search_topk_compacted(sf_dir: str, k: int = 10,
@@ -1084,7 +887,7 @@ def search_topk_grouped(sf_dir: str, k: int = 3) -> pd.DataFrame:
     Returns (query_id, lang, rank, doc_id, score)."""
     import ray.data
 
-    eng = get_engine(sf_dir, simple=True, scorer="bm25")
+    eng = get_engine(sf_dir)
     # facet enumeration stays distributed: per-batch unique -> driver
     # merge of (distinct values x batches), never the raw lang column
     lang_parts = ray.data.read_parquet(
@@ -1127,11 +930,6 @@ def get_appended_engine(sf_dir: str) -> QueryEngine:
     import pyarrow.parquet as pq_
 
     cfg = _cfg(simple=True)
-    key = (os.path.abspath(sf_dir), cfg.params_id, "appended")
-    eng = _ENGINES.get(key)
-    if eng is not None:
-        return eng
-
     src = f"{sf_dir}/documents.parquet"
     st = os.stat(src)
     n_rows = pq_.ParquetFile(src).metadata.num_rows
@@ -1141,29 +939,28 @@ def get_appended_engine(sf_dir: str) -> QueryEngine:
     base = os.path.join("/tmp", "seppray_index_cache", f"app_{fp}")
     parts = [os.path.join(base, "part1.parquet"),
              os.path.join(base, "part2.parquet")]
-    marker = os.path.join(base, "_split_done.json")
-    if not os.path.exists(marker):
-        os.makedirs(base, exist_ok=True)
-        t = pq_.read_table(src)
-        half = len(t) // 2
-        pq_.write_table(t.slice(0, half), parts[0] + ".tmp",
-                        row_group_size=4096)
-        pq_.write_table(t.slice(half), parts[1] + ".tmp",
-                        row_group_size=4096)
-        os.replace(parts[0] + ".tmp", parts[0])
-        os.replace(parts[1] + ".tmp", parts[1])
-        with open(marker, "w") as f:
-            json.dump({"rows": n_rows, "half": half}, f)
-
     out_dir = os.path.join(base, "idx")
-    # shipment 1, then shipment 1+2 — the second run takes the
-    # append-incremental path (old shard list is a strict prefix)
-    build_index([parts[0]], out_dir, cfg, DOCUMENTS_CORPUS)
-    build_index(parts, out_dir, cfg, DOCUMENTS_CORPUS)
-    eng = QueryEngine(out_dir, scorer="bm25", use_actors=True,
-                      num_workers=4, num_cpus_per_actor=0.25, cfg=cfg)
-    _ENGINES[key] = eng
-    return eng
+
+    def build():
+        marker = os.path.join(base, "_split_done.json")
+        if not os.path.exists(marker):
+            os.makedirs(base, exist_ok=True)
+            t = pq_.read_table(src)
+            half = len(t) // 2
+            pq_.write_table(t.slice(0, half), parts[0] + ".tmp",
+                            row_group_size=4096)
+            pq_.write_table(t.slice(half), parts[1] + ".tmp",
+                            row_group_size=4096)
+            os.replace(parts[0] + ".tmp", parts[0])
+            os.replace(parts[1] + ".tmp", parts[1])
+            with open(marker, "w") as f:
+                json.dump({"rows": n_rows, "half": half}, f)
+        # shipment 1, then shipment 1+2 — the second run takes the
+        # append-incremental path (old shard list is a strict prefix)
+        build_index([parts[0]], out_dir, cfg, DOCUMENTS_CORPUS)
+        build_index(parts, out_dir, cfg, DOCUMENTS_CORPUS)
+
+    return _serve(out_dir, cfg, build)
 
 
 def search_topk_appended(sf_dir: str, k: int = 10,
@@ -1197,9 +994,8 @@ def search_more_like_this(sf_dir: str, seed_ids: tuple = MLT_SEED_IDS,
     import ray.data
 
     from ..normalizer.word_normalizer import term_frequencies
-    from .text_stats import round6_half_up
 
-    eng = get_engine(sf_dir, simple=True, scorer="bm25")
+    eng = get_engine(sf_dir)
     cfg = _cfg(True)
     out_dir = _index_dir(sf_dir, cfg)
     ids = sorted(set(int(i) for i in seed_ids))

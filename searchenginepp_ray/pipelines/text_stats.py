@@ -16,6 +16,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 from ..config import SIMPLE_PROFILE
+from .agg import round6_half_up
 
 #: small embedded stopword list for quality/langid scoring (kept tiny and
 #: embedded verbatim in the oracle SQL's IN (...) list)
@@ -23,17 +24,6 @@ QUALITY_STOPS = (
     "the", "a", "of", "and", "to", "in", "is", "it", "for", "on",
     "with", "as", "this", "that", "at", "by", "an", "be", "or", "are",
 )
-
-def round6_half_up(x: np.ndarray) -> np.ndarray:
-    """Half-AWAY-from-zero rounding to 6 dp for non-negative ratios —
-    ``floor(x*1e6 + 0.5)/1e6``, the bit-identical twin of the SQL
-    oracles' ``floor(expr * 1000000 + 0.5) / 1000000``. ``np.round``
-    rounds half-to-even while DuckDB ``ROUND`` rounds half-away, and
-    integer ratios with power-of-two denominators (e.g. 1/128 =
-    0.0078125) land EXACTLY on the half grid, where the two rules
-    disagree — a reachable oracle-hash mismatch. Both engines evaluate
-    this same floor expression instead."""
-    return np.floor(x * 1e6 + 0.5) / 1e6
 
 
 def documents_ds(sf_dir: str, columns=("doc_id", "text")) -> ray.data.Dataset:
@@ -147,7 +137,7 @@ def corpus_report(sf_dir: str):
     import pandas as pd
 
     from ..normalizer.batch import tokenize_batch
-    from ..index.hash_partition import hash_groupby_apply
+    from .hash_partition import hash_groupby_apply
     from .duck import md5_hex
 
     def rows(t: pa.Table) -> pa.Table:
@@ -327,6 +317,45 @@ def lang_id(sf_dir: str, threshold: float = 0.08):
     return term_counts_ds(sf_dir).map_batches(per_doc, batch_format="pyarrow")
 
 
+def _explode_posts_df(t: pa.Table, partial: str = "df") -> pa.Table:
+    """One term_counts batch → posting rows (term, doc_id, tf, is_post=1)
+    PLUS per-batch per-term partials (term, 0, part, is_post=0), tagged
+    into one stream so the term-side exchange runs once. ``partial``
+    selects the partial statistic: ``"df"`` (docs-per-term — terms are
+    unique per doc, so it's the flat stream's value_counts) or ``"ctf"``
+    (collection term frequency — grouped tf sum). Used by
+    :func:`unigram_logprob`."""
+    terms = t["terms"]
+    if isinstance(terms, pa.ChunkedArray):
+        terms = terms.combine_chunks()
+    flat_terms = pc.list_flatten(terms)
+    flat_tfs = pc.list_flatten(t["tfs"]).cast(pa.int64())
+    n_per = np.asarray(pc.list_value_length(terms)).astype(np.int64)
+    doc_ids = pa.array(np.repeat(
+        t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64),
+        n_per))
+
+    def _c(a):
+        return a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a
+
+    if partial == "df":
+        vc = flat_terms.value_counts()
+        p_terms, p_vals = _c(vc.field("values")), vc.field("counts").cast(pa.int64())
+    else:  # "ctf"
+        g = (pa.table({"term": flat_terms, "tf": flat_tfs})
+             .group_by("term").aggregate([("tf", "sum")]))
+        p_terms, p_vals = _c(g["term"]), _c(g["tf_sum"].cast(pa.int64()))
+    n_post, n_p = len(flat_terms), len(p_terms)
+    return pa.table({
+        "term": pa.concat_arrays([_c(flat_terms), p_terms]),
+        "doc_id": pa.concat_arrays(
+            [doc_ids, pa.array(np.zeros(n_p, np.int64))]),
+        "tf": pa.concat_arrays([_c(flat_tfs), _c(p_vals)]),
+        "is_post": pa.array(
+            np.r_[np.ones(n_post, np.int8), np.zeros(n_p, np.int8)]),
+    })
+
+
 def unigram_logprob(sf_dir: str):
     """Per-doc average log2 unigram probability under the corpus's own
     unigram LM — the perplexity-style quality filter (docs far below the
@@ -351,7 +380,7 @@ def unigram_logprob(sf_dir: str):
     matching the SQL side's join-over-toks semantics."""
     import pandas as pd
 
-    from ..index.hash_partition import hash_groupby_apply
+    from .hash_partition import hash_groupby_apply
     from .agg import hash_groupby_sum
 
     tc = term_counts_ds(sf_dir)
@@ -362,8 +391,6 @@ def unigram_logprob(sf_dir: str):
     )
 
     def explode(t: pa.Table) -> pa.Table:
-        from .embed import _explode_posts_df
-
         return _explode_posts_df(t, partial="ctf")
 
     def per_term(df: pd.DataFrame) -> pd.DataFrame:
@@ -504,66 +531,6 @@ def bpe_token_count(sf_dir: str):
 FUZZY_QUERIES = ("tble", "scann", "vale", "sprk", "windoww", "merge", "qzx")
 
 
-def _levenshtein(a: str, b: str) -> int:
-    """Unit-cost edit distance (insert/delete/substitute) — the same
-    metric as DuckDB's ``levenshtein()``. Only runs on SymSpell
-    CANDIDATES (a handful per query), never the whole vocabulary."""
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
-                           prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
-
-
-def _deletes1(s: str) -> set[str]:
-    """The SymSpell distance-1 deletion neighborhood of ``s``, plus
-    ``s`` itself."""
-    return {s[: i] + s[i + 1:] for i in range(len(s))} | {s}
-
-
-def fuzzy_hits_batch(terms: pa.Array, queries: tuple[str, ...],
-                     qdel: dict[str, set[str]], probe_arr: pa.Array,
-                     max_dist: int) -> tuple[list[str], list[int], list[int]]:
-    """The SymSpell per-batch kernel shared by :func:`fuzzy_term_match`
-    and the fuzzy retrieval expansion (search_docs.expand_fuzzy):
-    candidate terms via ``maxlen`` vectorized deletion-key probes
-    against the broadcast set, exact DP verification on candidates
-    only. Returns parallel (query, term row index, distance) hit
-    lists."""
-    lens = np.asarray(pc.utf8_length(terms)).astype(np.int64)
-    maxlen = int(lens.max()) if len(lens) else 0
-    # candidate mask: term itself, or any single-deletion variant,
-    # hits the broadcast deletion-key set
-    cand = np.asarray(pc.is_in(terms, value_set=probe_arr))
-    for i in range(maxlen):
-        dele = pc.binary_join_element_wise(
-            pc.utf8_slice_codeunits(terms, 0, i),
-            pc.utf8_slice_codeunits(terms, i + 1, np.iinfo(np.int32).max),
-            "")
-        hit = np.asarray(pc.is_in(dele, value_set=probe_arr))
-        cand |= hit & (lens > i)
-    out_q: list[str] = []
-    out_i: list[int] = []
-    out_d: list[int] = []
-    for i in np.flatnonzero(cand):
-        term = terms[int(i)].as_py()
-        tdel = _deletes1(term)
-        for q in queries:
-            if tdel.isdisjoint(qdel[q]):
-                continue
-            d = _levenshtein(q, term)
-            if d <= max_dist:
-                out_q.append(q)
-                out_i.append(int(i))
-                out_d.append(d)
-    return out_q, out_i, out_d
-
-
 def fuzzy_term_match(sf_dir: str, queries: tuple[str, ...] = FUZZY_QUERIES,
                      max_dist: int = 1):
     """Fuzzy term lookup (spelling correction over the index vocabulary):
@@ -583,6 +550,8 @@ def fuzzy_term_match(sf_dir: str, queries: tuple[str, ...] = FUZZY_QUERIES,
     beyond the df aggregate itself; output is hit rows only.
     Reference parity: none (beyond-reference; the reference engine has
     no fuzzy matching)."""
+    from .search_docs import _deletes1, fuzzy_hits_batch
+
     qdel: dict[str, set[str]] = {q: _deletes1(q) for q in queries}
     probe = frozenset().union(*qdel.values()) if qdel else frozenset()
     probe_arr = pa.array(sorted(probe), pa.string())
@@ -624,7 +593,7 @@ def term_complete(sf_dir: str, prefix: str = "s", k: int = 10):
     semantics ride the hash-partitioned vocabulary instead."""
     import pandas as pd
 
-    from ..index.hash_partition import hash_groupby_apply
+    from .hash_partition import hash_groupby_apply
 
     def partial(t: pa.Table) -> pa.Table:
         terms = pc.list_flatten(t["terms"])
@@ -681,7 +650,7 @@ def bigram_logprob(sf_dir: str):
 
     from ..config import SIMPLE_PROFILE
     from ..normalizer.batch import ordered_tokens_batch
-    from ..index.hash_partition import _hash_strings, hash_groupby_apply
+    from .hash_partition import _hash_strings, hash_groupby_apply
     from .agg import hash_groupby_sum
 
     V = float(term_df(sf_dir).count())
@@ -844,7 +813,7 @@ def vocab_stats(sf_dir: str):
     driver combines P rows."""
     import pandas as pd
 
-    from ..index.hash_partition import hash_groupby_apply
+    from .hash_partition import hash_groupby_apply
 
     def ctf_partial(t: pa.Table) -> pa.Table:
         flat = pc.list_flatten(t["terms"])
@@ -908,7 +877,7 @@ def term_df_drift(sf_dir: str, k: int = 20, add_mod: int = 13,
     import pyarrow.compute as pc
 
     from ..normalizer.batch import tokenize_batch
-    from ..index.hash_partition import hash_groupby_apply
+    from .hash_partition import hash_groupby_apply
 
     def df_partials(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)

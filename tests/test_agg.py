@@ -5,7 +5,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from searchenginepp_ray.index.hash_partition import hash_groupby_apply
+from searchenginepp_ray.pipelines.hash_partition import hash_groupby_apply
 from searchenginepp_ray.pipelines.agg import hash_groupby_sum
 
 

@@ -175,46 +175,6 @@ def test_simhash_near_dup_pairs_lossless_blocking(ray_session):
     assert len(want) > 0  # planted dups exist
 
 
-def test_corpus_clean_neardup_removes_noncanonical(ray_session):
-    """The near-dup clean keeps exactly one (the min-id) member of every
-    connected near-dup component AMONG THE QUALITY PASSERS — a passer
-    must never lose to a doc that itself failed the floors (that content
-    would vanish entirely from the output)."""
-    from searchenginepp_ray.pipelines.clean import (
-        _clean_pass, corpus_clean, corpus_clean_neardup)
-
-    clean = set(corpus_clean(SF).to_pandas()["doc_id"])
-    nd = set(corpus_clean_neardup(SF).to_pandas()["doc_id"])
-    assert nd <= clean
-    passers = set(_clean_pass(SF, 5, 0.2, 0.9, 0.08).to_pandas()["doc_id"])
-    pairs = dedup.minhash_dedup_pairs(SF).to_pandas()
-    # union-find reference over the passer-restricted pair graph
-    parent = {}
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-    kept_edges = [
-        (int(a), int(b)) for a, b in zip(pairs["doc_a"], pairs["doc_b"])
-        if int(a) in passers and int(b) in passers
-    ]
-    for a, b in kept_edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            lo, hi = sorted((ra, rb))
-            parent[hi] = lo
-    comps = {}
-    for a, b in kept_edges:
-        for x in (a, b):
-            comps.setdefault(find(x), set()).add(x)
-    removed = clean - nd
-    expect_removed = {x for root, mem in comps.items() for x in mem
-                      if x != min(mem)} & clean
-    assert removed == expect_removed
-    assert len(comps) > 0  # planted dups exercised the path
-
-
 def test_exact_dedup_groups(ray_session):
     df = dedup.exact_dedup(SF).to_pandas()
     t = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text"])
@@ -233,8 +193,7 @@ def test_connected_components_multi_component(ray_session):
     minimum for every node."""
     import ray.data
 
-    from searchenginepp_ray.pipelines.graph import (
-        component_losers, connected_components)
+    from searchenginepp_ray.pipelines.graph import connected_components
 
     edges = [(10, 20), (20, 30), (30, 40),   # chain 10-20-30-40
              (1, 2), (2, 3), (1, 3),          # triangle
@@ -246,9 +205,6 @@ def test_connected_components_multi_component(ray_session):
             for r in connected_components(pairs).take_all()}
     assert comp == {10: 10, 20: 10, 30: 10, 40: 10,
                     1: 1, 2: 1, 3: 1, 100: 100, 200: 100}
-    losers = sorted(r["node"] for r in component_losers(
-        connected_components(pairs)).take_all())
-    assert losers == [2, 3, 20, 30, 40, 200]
 
 
 def test_connected_components_distributed_path(ray_session):

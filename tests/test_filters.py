@@ -9,6 +9,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from searchenginepp_ray.pipelines.filters import _threshold_hex
+
 
 def _write_docs(tmp_path, texts):
     path = str(tmp_path / "documents.parquet")
@@ -553,7 +555,6 @@ def test_split_leakage_planted(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
     from searchenginepp_ray.pipelines.filters import split_leakage
-    from searchenginepp_ray.pipelines.sample import _threshold_hex
 
     t_test = _threshold_hex(0.25)
     t_val = _threshold_hex(0.5)
@@ -638,3 +639,9 @@ def test_compression_ratio_stored_closed_form(ray_session, tmp_path):
     with pytest.raises(ray.exceptions.RayTaskError,
                        match="closed-form gate requires"):
         compression_ratio_stored(big).to_pandas()
+
+
+def test_threshold_hex():
+    assert _threshold_hex(0.1) == "1999"
+    assert _threshold_hex(0.5) == "8000"
+    assert _threshold_hex(0.0) == "0000"

@@ -1409,3 +1409,36 @@ def test_candidate_set_is_every_matched_doc(ray_session, tmp_path):
             for terms, got in zip(queries, eng.search_lm_batch(queries, k=kk)):
                 rows = oracle.query_lm(terms, 10_000)
                 _assert_same(got, [r for r in rows if r[0] not in gone][:kk])
+
+
+def test_scorer_name_bm25_serves_the_index_constants(ray_session, tmp_path):
+    """A per-call ``scorer_name="bm25"`` scores with the k1/b the index
+    was built with, the constants its sigmas and block bounds assume:
+    on an index built with non-default constants every entry point
+    answers exactly as with the default scorer, per query and batched."""
+    corpus_path = str(tmp_path / "corpus.parquet")
+    write_corpus(corpus_path, N_DOCS, seed=42, rows_per_group=128)
+    cfg = BuildConfig(docs_per_segment=N_DOCS, bm25_k1=0.3, bm25_b=0.9)
+    out_dir = str(tmp_path / "index")
+    build_index(corpus_path, out_dir, cfg, CODE_CORPUS)
+    engine = QueryEngine(out_dir, use_actors=False, cfg=cfg)
+    for w in engine.workers:
+        for s in w.searchers:
+            s.maxscore_min_docs = 0  # bmm takes the Maxscore path
+
+    for mode in ("daat", "bmm", "daat_conj"):
+        want = engine.search_batch(QUERIES, K, mode)
+        assert repr(engine.search_batch(QUERIES, K, mode,
+                                        scorer_name="bm25")) == repr(want)
+        for q, w in zip(QUERIES, want):
+            assert repr(engine.search(q, K, mode, scorer_name="bm25")) \
+                == repr(w)
+
+    page1 = engine.search_batch(QUERIES, 5, mode="daat")
+    cursors = [(r[-1][2], r[-1][0]) if len(r) == 5 else None for r in page1]
+    assert repr(engine.search_after_batch(QUERIES, 5, cursors,
+                                          scorer_name="bm25")) \
+        == repr(engine.search_after_batch(QUERIES, 5, cursors))
+    assert repr(engine.search_explain_batch(QUERIES, 5, mode="daat",
+                                            scorer_name="bm25")) \
+        == repr(engine.search_explain_batch(QUERIES, 5, mode="daat"))

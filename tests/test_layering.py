@@ -1,7 +1,8 @@
 """The engine core (index build and serving, normalizer, codecs, corpus
 sources, lineage state, effectiveness functions, config) must not import
 the ``pipelines`` package, not even inside a function: pipelines build on
-the core, never the other way round. No module of the package reads a
+the core, never the other way round. The search surface imports no
+training-data family. No module of the package reads a
 ``SEPPRAY_*`` tuning knob, every top-level name and module of the
 package has a caller outside the tests, and no operator imports its own
 oracle."""
@@ -45,6 +46,23 @@ def test_core_does_not_import_pipelines():
         for p in files
         for line, name in _imported_modules(p)
         if name.startswith("searchenginepp_ray.pipelines")
+    ]
+    assert bad == []
+
+
+def test_search_surface_imports_no_training_data_family():
+    """The search surface serves from the engine core: of the
+    ``pipelines`` package, ``pipelines/search_docs.py`` imports only the
+    shared ``agg`` helpers, not even inside a function, and so none of
+    the training-data families (``clean``, ``dedup``, ``embed``,
+    ``filters``, ``graph``, ``sample``, ``text_stats``, ``duck``). Any
+    of them can then go without touching a search operator."""
+    path = PKG / "pipelines" / "search_docs.py"
+    pipes = "searchenginepp_ray.pipelines."
+    bad = [
+        f"search_docs.py:{line}: {name}"
+        for line, name in _imported_modules(path)
+        if name.startswith(pipes) and not name.startswith(pipes + "agg.")
     ]
     assert bad == []
 

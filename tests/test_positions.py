@@ -425,7 +425,7 @@ def test_fuzzy_expansion_and_scoring(pos_built):
     expansion scores identically under DAAT and BMM, and cap/empty
     misuse raise."""
     from searchenginepp_ray.pipelines.search_docs import expand_fuzzy
-    from searchenginepp_ray.pipelines.text_stats import _levenshtein
+    from searchenginepp_ray.pipelines.search_docs import _levenshtein
 
     corpus, idx, cfg, _ = pos_built
     eng = QueryEngine(idx, use_actors=False, cfg=cfg)

@@ -73,110 +73,6 @@ def test_snippets_match_oracle_constructed(ray_session, tmp_path):
         got, want[got.columns], check_dtype=False, atol=1e-9)
 
 
-def test_search_hybrid_rrf_oracle_and_fusion(ray_session, sf_dir):
-    """Oracle agreement at sf0.001 plus fusion sanity: each query doc
-    (top of both component rankings) fuses to rank 1 of its own list,
-    and every fused score is a valid sum of reciprocal ranks."""
-    import sys
-
-    import duckdb
-    import pandas as pd
-
-    sys.path.insert(0, ".")
-    import __ray_entry__ as e
-
-    got = e.queries()["search_hybrid_rrf"](sf_dir)
-    got = (got if isinstance(got, pd.DataFrame) else got.to_pandas())
-    con = duckdb.connect()
-    for tname in ("documents",):
-        con.execute(f"CREATE VIEW {tname} AS SELECT * FROM "
-                    f"read_parquet('{sf_dir}/{tname}.parquet')")
-    want = con.execute(e.oracle_sql()["search_hybrid_rrf"]).df()
-    got = got.sort_values(["query_id", "rank"]).reset_index(drop=True)
-    want = want.sort_values(["query_id", "rank"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(
-        got[sorted(got.columns)], want[sorted(want.columns)],
-        check_dtype=False, atol=1e-9)
-    for qid, g in got.groupby("query_id"):
-        # the query doc is cosine rank 1 (self-similarity 1.0), so it
-        # always fuses into its own top list even when BM25's length
-        # normalization ranks other docs above it lexically
-        assert qid in set(g["doc_id"])
-        # max possible fused score is 1/61 + 1/61
-        assert (g["rrf"] <= 2 / 61 + 1e-9).all()
-        assert (g["rrf"] > 0).all()
-
-
-def test_retrieval_triplets_structure(ray_session, sf_dir):
-    """Oracle agreement at sf0.001 plus structural pins: per query
-    exactly 1 pos + n_hard hard + n_rand rand rows, all doc_ids
-    distinct within a query, the query doc never among them, and
-    rand_negs disjoint from the BM25 pool-derived kinds."""
-    import sys
-
-    import duckdb
-    import pandas as pd
-
-    sys.path.insert(0, ".")
-    import __ray_entry__ as e
-
-    got = e.queries()["retrieval_triplets"](sf_dir)
-    got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
-    con = duckdb.connect()
-    con.execute("CREATE VIEW documents AS SELECT * FROM "
-                f"read_parquet('{sf_dir}/documents.parquet')")
-    want = con.execute(e.oracle_sql()["retrieval_triplets"]).df()
-    key = ["query_id", "kind", "rank"]
-    got = got.sort_values(key).reset_index(drop=True)
-    want = want.sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(
-        got[sorted(got.columns)], want[sorted(want.columns)],
-        check_dtype=False)
-    for qid, g in got.groupby("query_id"):
-        kinds = g["kind"].value_counts()
-        assert kinds["pos"] == 1
-        assert kinds["hard_neg"] == 3 and kinds["rand_neg"] == 3
-        assert g["doc_id"].is_unique
-        assert qid not in set(g["doc_id"])
-        bm_side = set(g[g["kind"] != "rand_neg"]["doc_id"])
-        assert bm_side.isdisjoint(set(g[g["kind"] == "rand_neg"]["doc_id"]))
-
-
-def test_retrieval_triplets_tokenless_queries(ray_session, tmp_path):
-    """Query docs with no tokens (empty / punctuation-only text) still
-    draw their random negatives, and both engines agree on it."""
-    import sys
-
-    import duckdb
-    import pandas as pd
-
-    sys.path.insert(0, ".")
-    from searchenginepp_ray.pipelines.oracle_sql import \
-        retrieval_triplets_sql
-    from searchenginepp_ray.pipelines.search_docs import retrieval_triplets
-
-    texts = (["", "... !!!", "hash sort merge"]
-             + [f"hash sort merge doc {i} filler words" for i in range(30)])
-    d = str(tmp_path)
-    pq.write_table(pa.table({
-        "doc_id": pa.array(range(len(texts)), pa.int64()),
-        "text": pa.array(texts, pa.string()),
-    }), f"{d}/documents.parquet")
-    got = (retrieval_triplets(d, n_queries=3)
-           .sort_values(["query_id", "kind", "rank"]).reset_index(drop=True))
-    con = duckdb.connect()
-    con.execute("CREATE VIEW documents AS SELECT * FROM "
-                f"read_parquet('{d}/documents.parquet')")
-    want = (con.execute(retrieval_triplets_sql(n_queries=3)).df()
-            .sort_values(["query_id", "kind", "rank"]).reset_index(drop=True))
-    pd.testing.assert_frame_equal(
-        got[sorted(got.columns)], want[sorted(want.columns)],
-        check_dtype=False)
-    for q in (0, 1):
-        g = got[got["query_id"] == q]
-        assert set(g["kind"]) == {"rand_neg"} and len(g) == 3
-
-
 def test_rm3_expansion_changes_and_is_deterministic(ray_session, sf_dir):
     """The feedback pass really expands (results differ from the plain
     first pass for at least one query) and the two-pass loop is
@@ -213,7 +109,7 @@ def test_search_filtered_equals_postfiltered_full_ranking(ray_session,
     k = 10
     got = search_topk_filtered(sf_dir, lang="es", k=k)
 
-    eng = get_engine(sf_dir, simple=True, scorer="bm25")
+    eng = get_engine(sf_dir, simple=True)
     full = _to_frame(eng.search_batch(DOC_QUERIES, k=len(docs),
                                       mode="daat"))
     want = (full[full["doc_id"].isin(allowed)]

@@ -173,8 +173,8 @@ def test_fuzzy_term_match_vs_bruteforce(ray_session, tmp_path):
     deletion 'a' but are distance 2) and multi-match queries."""
     import pyarrow.parquet as pq
 
-    from searchenginepp_ray.pipelines.text_stats import (
-        _levenshtein, fuzzy_term_match)
+    from searchenginepp_ray.pipelines.search_docs import _levenshtein
+    from searchenginepp_ray.pipelines.text_stats import fuzzy_term_match
 
     vocab_docs = [
         "ab ba cat cart care bat bath xylophone scan scans",
@@ -214,7 +214,7 @@ from hypothesis import strategies as st
                 min_size=2, max_size=6))
 def test_levenshtein_dp_properties(words):
     """DP metric sanity: symmetry, identity, triangle vs single edits."""
-    from searchenginepp_ray.pipelines.text_stats import _levenshtein
+    from searchenginepp_ray.pipelines.search_docs import _levenshtein
 
     for a in words:
         assert _levenshtein(a, a) == 0
