@@ -639,9 +639,3 @@ def test_compression_ratio_stored_closed_form(ray_session, tmp_path):
     with pytest.raises(ray.exceptions.RayTaskError,
                        match="closed-form gate requires"):
         compression_ratio_stored(big).to_pandas()
-
-
-def test_threshold_hex():
-    assert _threshold_hex(0.1) == "1999"
-    assert _threshold_hex(0.5) == "8000"
-    assert _threshold_hex(0.0) == "0000"
