@@ -20,9 +20,9 @@ parallel scan of segment-sized units, never a driver loop):
   == ``df_local``, the freq stream decodes to the same length with all
   tfs ≥ 1; Σ df_local == ``n_postings``.
 * skip metadata: per-block fences (``skip_last_docid``) equal the last
-  docid of each decoded block, and block-by-block decode concatenates
-  to the full-list decode (the lazy query paths' load-bearing
-  invariant).
+  docid of each decoded block, and block-by-block decode through the
+  skip offsets concatenates to the full-list decode. No query path
+  reads the fences or offsets; this check is their only reader.
 * impacts: the stored per-block (tf, doclen) impacts equal the impacts
   recomputed from the decoded blocks — the searcher's block bounds and
   sigmas are computed from them, so a wrong impact is a wrong bound.
@@ -133,7 +133,7 @@ def _fsck_segment(seg_dir: str, deep: bool = False) -> dict:
             fences = s._skip_last_v[off: s._skip_offs[ti + 1]]
             parts = []
             for b in range(nb):
-                bd, _ = s.block(ti, b)
+                bd, _ = s.decode_block(ti, b)
                 parts.append(bd)
                 if len(bd) and int(fences[b]) != int(bd[-1]):
                     err(f"term {terms[ti]!r}: block {b} fence "

@@ -28,12 +28,13 @@ Scoring semantics are rank-identical to the reference:
   (src/engine.cpp:124); we document the deterministic choice.
 - ``mode="bmm"`` — the one Block-Max Maxscore path (the reference's
   src/index/Index.cpp:15-133): vectorized Maxscore with sigma-ordered
-  safe pruning (:meth:`SegmentSearcher.query_maxscore`), decoding
-  non-generator lists only at the skip blocks that hold candidates.
-  Results are exactly DAAT's (the quantization-truncated sigmas get
-  their one-quantum margin back, so the bound is sound); segments below
-  ``maxscore_min_docs`` serve ``bmm`` through DAAT, the cheaper plan
-  with the same results.
+  safe pruning (:meth:`SegmentSearcher.query_maxscore`). Pruning saves
+  scoring, not decoding: every list is read whole from the one
+  decoded-posting cache (:meth:`SegmentSearcher.postings`) that every
+  mode shares. Results are exactly DAAT's (the quantization-truncated
+  sigmas get their one-quantum margin back, so the bound is sound);
+  segments below ``maxscore_min_docs`` serve ``bmm`` through DAAT, the
+  cheaper plan with the same results.
 - ``mode="boolean"`` — conjunctive positive terms with ``-term``
   exclusions.
 """
@@ -179,13 +180,11 @@ class SegmentSearcher:
         self.avgdl = avgdl
         self.bm25_k1, self.bm25_b = k1, b
         self.default_scorer = make_scorer(scorer, k1, b)
+        # the one decoded-posting cache: every mode reads whole lists
+        # through :meth:`postings`, so a list decodes once per searcher
+        # while it stays cached
         self._cache: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._cache_cap = CACHE_TERMS
-        # single-block decode cache for the lazy query paths + decode
-        # accounting (``decoded_postings`` lets tests assert that lazy
-        # traversal touches a strict subset of the postings)
-        self._blk_cache: OrderedDict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
-        self._blk_cache_cap = 4096
         # full score arrays per (term, scorer-params): a pure function of
         # the immutable index, so safe to cache — repeated query terms
         # become pure gathers/scatter-adds instead of re-scoring
@@ -193,16 +192,13 @@ class SegmentSearcher:
         # densified per-term score vectors (segment-length), byte-capped:
         # candidate scoring becomes one fancy-index instead of a binary
         # search per candidate. At huge segments the cap holds few terms
-        # and _score_at falls back to searchsorted/blocks.
+        # and _score_at falls back to searchsorted.
         self._dense_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._dense_cap_bytes = 256 << 20
-        # dense 0/1 match vectors per term (scorer-independent) + reusable
-        # accumulator scratch — the cross-query batch path's state. The
-        # scratch avoids a fresh multi-hundred-KB allocation (and its
+        # reusable accumulator scratch — the cross-query batch path's
+        # state. It avoids a fresh multi-hundred-KB allocation (and its
         # first-touch page faults) per query.
-        self._match_cache: OrderedDict[int, np.ndarray] = OrderedDict()
         self._acc_scratch: np.ndarray | None = None
-        self._cnt_scratch: np.ndarray | None = None
         self._part_scratch: np.ndarray | None = None
         self._mask_scratch: np.ndarray | None = None
         # per-predicate candidate masks for filtered search (keyed by the
@@ -228,11 +224,13 @@ class SegmentSearcher:
         #: accumulator (identical results, cheaper plan); tests pin it to
         #: 0 to force the Maxscore path on tiny fixtures
         self.maxscore_min_docs = 16_384
+        #: postings decoded so far (:meth:`postings` and
+        #: :meth:`decode_block` count them)
         self.decoded_postings = 0
         if prewarm_df:
             # eagerly decode hot-term posting lists at load (once per
             # actor, parallel across the pool) so first queries don't pay
-            # the big decodes; cold terms stay lazy + LRU-cached
+            # the big decodes; cold terms decode on first use
             hot = np.flatnonzero(self.df_local >= prewarm_df)
             for ti in hot[: CACHE_TERMS // 2]:
                 self.postings(int(ti))
@@ -285,19 +283,6 @@ class SegmentSearcher:
         B = self.skip_block_size
         return (int(self.df_local[ti]) + B - 1) // B
 
-    def block(self, ti: int, blk: int) -> tuple[np.ndarray, np.ndarray]:
-        """LRU-cached :meth:`decode_block`."""
-        key = (ti, blk)
-        hit = self._blk_cache.get(key)
-        if hit is not None:
-            self._blk_cache.move_to_end(key)
-            return hit
-        out = self.decode_block(ti, blk)
-        self._blk_cache[key] = out
-        if len(self._blk_cache) > self._blk_cache_cap:
-            self._blk_cache.popitem(last=False)
-        return out
-
     def decode_block(self, ti: int, block: int) -> tuple[np.ndarray, np.ndarray]:
         """Decode ONE skip block of term ``ti`` directly from the packed
         streams using the stored skip offsets — the reference's ``nextGEQ``
@@ -305,7 +290,9 @@ class SegmentSearcher:
         offset is a byte offset into the term's (delta-gap) docid stream,
         whose block starts are absolute restarts, and the freq offset is a
         bit offset into the term's unary stream (F7 packing). No upstream
-        state is needed."""
+        state is needed. No query path calls it (they read whole lists
+        through :meth:`postings`); ``fsck`` checks the skip metadata
+        with it."""
         df = int(self.df_local[ti])
         B = self.skip_block_size
         n_blocks = (df + B - 1) // B
@@ -479,10 +466,10 @@ class SegmentSearcher:
         """(docid, term, contribution) rows for this segment's subset of
         the given GLOBAL docids — the per-term decomposition of each
         doc's final score (Σ contributions == the ranked score, same
-        addition order). Uses the block-pruned :meth:`_score_at` kernel,
-        so only skip blocks containing the requested docs decode.
-        Zero contributions (idf == 0, i.e. a term in every doc) are
-        dropped — the oracle filters the identical expression."""
+        addition order), gathered at the requested docs by
+        :meth:`_score_at` from the cached lists. Zero contributions
+        (idf == 0, i.e. a term in every doc) are dropped — the oracle
+        filters the identical expression."""
         scorer = self._scorer(scorer_name)
         cand = np.asarray(list(docids), np.int64)
         cand = np.unique(cand[(cand >= self.base_docid)
@@ -626,12 +613,8 @@ class SegmentSearcher:
         punctuation pass strips ``-`` from every indexed/queried token,
         so no vocabulary term can start with it.
 
-        The anti-join is BLOCK-LAZY: the negative list decodes only the
-        skip blocks that can contain a surviving candidate (per-block
-        last-docid fences, the same nextGEQ machinery as the reference's
-        co-traversal, src/index/Index.cpp:169-214) — a hot negative term
-        (huge df) costs candidate-proportional block decodes, not a full
-        list decode."""
+        The anti-join reads each negative term's whole list from the
+        decoded-posting cache (:meth:`postings`)."""
         scorer = scorer or self.default_scorer
         pos = [t for t in qterms if not t.startswith("-")]
         neg = sorted({t[1:] for t in qterms if t.startswith("-")})
@@ -650,13 +633,7 @@ class SegmentSearcher:
             if ti is None:
                 continue
             cand_glob = (cand + self.base_docid).astype(np.uint64)
-            sl = self._skip_last_v[self._skip_offs[ti]: self._skip_offs[ti + 1]]
-            blocks = np.unique(np.searchsorted(sl, cand_glob, side="left"))
-            blocks = blocks[blocks < self.n_blocks(ti)]
-            hit = np.zeros(len(cand), dtype=bool)
-            for b in blocks:
-                hit |= np.isin(cand_glob, self.block(ti, int(b))[0])
-            cand = cand[~hit]
+            cand = cand[~np.isin(cand_glob, self.postings(ti)[0])]
         if len(cand) == 0:
             return []
         return self._topk(cand, acc[cand], k)
@@ -717,11 +694,11 @@ class SegmentSearcher:
         # deviate from its DAAT at quantization boundaries.)
         upper_bounds = np.cumsum(sigmas[order] + 0.01)
 
-        # LAZY traversal: only candidate-GENERATOR lists (descending sigma
-        # until the bound check stops the scan) are fully decoded; every
-        # other list is probed block-at-a-time at candidate positions via
-        # the stored skip offsets (:meth:`_score_at`) — the reference's
-        # never-decode-the-whole-list mmap shape
+        # Candidate-GENERATOR lists (descending sigma until the bound
+        # check stops the scan) supply the candidates; every query list
+        # is scored only at them (:meth:`_score_at`). Lists are read
+        # whole from the decoded-posting cache the other modes share,
+        # where the reference's mmap cursors decode one block at a time
         # (src/index/Index.cpp:169-214).
         theta = -np.inf
         cand_ids: list[np.ndarray] = []
@@ -733,7 +710,7 @@ class SegmentSearcher:
             # (score desc, docid asc) tie-break stays exact vs DAAT
             if n_collected >= k and upper_bounds[rank] < theta:
                 break  # no unscored doc can beat θ — safe stop
-            docids = self._all_docids(idxs[order[rank]])
+            docids = self.postings(idxs[order[rank]])[0]
             cand = (docids.astype(np.int64) - self.base_docid)
             cand = cand[~seen[cand]]
             if mask is not None and len(cand):
@@ -756,31 +733,14 @@ class SegmentSearcher:
             return []
         return self._topk(np.concatenate(cand_ids), np.concatenate(cand_scores), k)
 
-    def _all_docids(self, ti: int) -> np.ndarray:
-        """All docids of term ``ti`` — from the full-decode LRU when hot,
-        else assembled block-by-block through the block LRU (so a
-        following :meth:`_score_at` probe of the same blocks is a cache
-        hit, not a second decode)."""
-        hit = self._cache.get(ti)
-        if hit is not None:
-            self._cache.move_to_end(ti)
-            return hit[0]
-        nb = self.n_blocks(ti)
-        if nb == 0:
-            return np.empty(0, dtype=np.uint64)
-        if nb == 1:
-            return self.block(ti, 0)[0]
-        return np.concatenate([self.block(ti, b)[0] for b in range(nb)])
-
     def _score_at(self, ti: int, cand_glob: np.ndarray, scorer) -> np.ndarray:
         """Score contributions of term ``ti`` at the given (sorted,
         global) candidate docids — 0 where the term doesn't match.
 
-        Uses the full-decode LRU when the list is already hot; otherwise
-        decodes ONLY the skip blocks that contain candidates (block lookup
-        through the per-term last-docid skip array). Per-posting
-        arithmetic is the identical vectorized scorer call either way, so
-        scores are bit-equal to the eager path."""
+        Gathers from the term's dense or full score vector when one is
+        cached; otherwise scores the matching postings of the decoded
+        list. Per-posting arithmetic is the identical vectorized scorer
+        call either way, so scores are bit-equal to the eager path."""
         out = np.zeros(len(cand_glob), dtype=np.float64)
         skey = (ti,) + scorer.cache_key
         dense = self._dense_cache.get(skey)
@@ -800,38 +760,17 @@ class SegmentSearcher:
             m = docids[pos] == cand_glob
             out[m] = s[pos[m]]
             return out
-        hit = self._cache.get(ti)
-        if hit is not None:
-            self._cache.move_to_end(ti)
-            docids, tfs = hit
-            if len(docids) == 0:
-                return out
-            pos = np.searchsorted(docids, cand_glob).clip(0, len(docids) - 1)
-            m = docids[pos] == cand_glob
-            if m.any():
-                sel = pos[m]
-                local = (docids[sel] - self.base_docid).astype(np.int64)
-                out[m] = scorer.score(
-                    tfs[sel], self.idf[ti], self.doclen[local], self.avgdl
-                )
+        docids, tfs = self.postings(ti)
+        if len(docids) == 0:
             return out
-        nb = self.n_blocks(ti)
-        if nb == 0:
-            return out
-        sl = self._skip_last_v[self._skip_offs[ti] : self._skip_offs[ti + 1]]
-        blks = np.searchsorted(sl, cand_glob, side="left")
-        for b in np.unique(blks[blks < nb]):
-            d, tf = self.block(ti, int(b))
-            sel_idx = np.flatnonzero(blks == b)
-            pos = np.searchsorted(d, cand_glob[sel_idx]).clip(0, len(d) - 1)
-            m = d[pos] == cand_glob[sel_idx]
-            if m.any():
-                mi = sel_idx[m]
-                pp = pos[m]
-                local = (d[pp] - self.base_docid).astype(np.int64)
-                out[mi] = scorer.score(
-                    tf[pp], self.idf[ti], self.doclen[local], self.avgdl
-                )
+        pos = np.searchsorted(docids, cand_glob).clip(0, len(docids) - 1)
+        m = docids[pos] == cand_glob
+        if m.any():
+            sel = pos[m]
+            local = (docids[sel] - self.base_docid).astype(np.int64)
+            out[m] = scorer.score(
+                tfs[sel], self.idf[ti], self.doclen[local], self.avgdl
+            )
         return out
 
     # ---------- generic dispatch ----------
@@ -848,12 +787,14 @@ class SegmentSearcher:
         if mode == "boolean":
             return self.query_boolean(qterms, k, scorer=scorer, mask=alive)
         if mode == "bmm":
-            # cost-based dispatch: Maxscore's pruning cannot pay on tiny
-            # segments (every list is a block or two); on lifecycle's
-            # 16,384-doc code segment its in-process p50 is 0.53-0.54× the
-            # sort-free DAAT's (1 CPU, 400 queries, k=20). The two are
-            # bit-identical by construction (tested across k and
-            # scorers), so picking the cheaper plan is free
+            # size dispatch: segments below maxscore_min_docs serve bmm
+            # through DAAT; the two are bit-identical by construction
+            # (tested across k and scorers). In-process p50 of Maxscore
+            # against DAAT (1 CPU, perfbench's seed-5 streams, k=20, 2×8
+            # alternating pairs of 200 queries on a fresh searcher, then
+            # the same queries warm): ×0.95-1.03 cold, ×0.99-1.08 warm on
+            # marco's 17,000-doc segment; ×1.16-1.21 cold, ×1.37-1.45
+            # warm on lifecycle's 16,384-doc segment
             if self.n_docs_seg < self.maxscore_min_docs:
                 return self.query_daat(qterms, k, conj=False, scorer=scorer,
                                        mask=alive)
@@ -874,8 +815,8 @@ class SegmentSearcher:
         (same lexicographic addition order; adding a non-matching term's
         0.0 is an IEEE identity), so results match the per-query paths
         exactly. Sparse workloads (rare terms, huge segments) fall back to
-        the lazy per-query Maxscore/DAAT paths, which decode strictly
-        less. The reference serves queries strictly one-at-a-time
+        the per-query Maxscore/DAAT paths, which score only the
+        candidates. The reference serves queries strictly one-at-a-time
         (src/engine.cpp:99-117); this batch shape is what its API cannot
         amortize."""
         if self._alive_mask is not None:
@@ -896,7 +837,7 @@ class SegmentSearcher:
     def _dense_batch_worthwhile(self, union: list[int]) -> bool:
         """Dense batching pays when the union lists blanket the segment:
         per-query cost is O(n_docs_seg × terms) regardless of df, so it
-        must only replace the lazy paths when the candidate space is
+        must only replace the per-query paths when the candidate space is
         already ~the whole segment."""
         entry_bytes = self.n_docs_seg * 8
         max_entries = self._dense_cap_bytes // max(entry_bytes, 1)
@@ -909,10 +850,9 @@ class SegmentSearcher:
         n = self.n_docs_seg
         if self._acc_scratch is None or len(self._acc_scratch) != n:
             self._acc_scratch = np.empty(n, dtype=np.float64)
-            self._cnt_scratch = np.empty(n, dtype=np.uint16)
             self._part_scratch = np.empty(n, dtype=np.float64)
             self._mask_scratch = np.empty(n, dtype=bool)
-        acc, cnt = self._acc_scratch, self._cnt_scratch
+        acc = self._acc_scratch
         part, mask = self._part_scratch, self._mask_scratch
         dense: dict[int, np.ndarray] = {}
         for ti in {i for idxs in resolved if idxs for i in idxs}:
@@ -954,28 +894,14 @@ class SegmentSearcher:
                     out.append(self._topk(sel, acc[sel], k))
                     continue
             # short/zero-score tail (< k positive docs, or a scorer that
-            # can go negative): exact matched-candidate set via dense 0/1
-            # match vectors (scorer-independent, LRU-cached)
-            np.copyto(cnt, self._dense_match(idxs[0]))
-            for i in idxs[1:]:
-                cnt += self._dense_match(i)
-            cand = np.flatnonzero(cnt)
+            # can go negative): the exact matched-candidate set, marked
+            # from the query lists' local ids
+            mask.fill(False)
+            for i in idxs:
+                mask[self.scored_postings(i, scorer)[1]] = True
+            cand = np.flatnonzero(mask)
             out.append(self._topk(cand, acc[cand], k) if len(cand) else [])
         return out
-
-    def _dense_match(self, ti: int) -> np.ndarray:
-        """Dense 0/1 matched-doc vector for term ``ti`` (LRU-cached)."""
-        m = self._match_cache.get(ti)
-        if m is not None:
-            self._match_cache.move_to_end(ti)
-            return m
-        docids, _ = self.postings(ti)
-        m = np.zeros(self.n_docs_seg, dtype=np.uint8)
-        m[(docids.astype(np.int64) - self.base_docid)] = 1
-        self._match_cache[ti] = m
-        if len(self._match_cache) > self._cache_cap:
-            self._match_cache.popitem(last=False)
-        return m
 
     # ---- positional sidecar (indexed phrase retrieval) ----------------
 

@@ -252,43 +252,89 @@ def test_bmm_ref_mode_is_rejected(built):
                   "--query", "hash sort"])
 
 
-def test_lazy_bmm_decodes_fewer_postings(ray_session, tmp_path_factory):
-    """The lazy BMM path must touch strictly fewer postings than a full
-    decode of every query list (the reference never decodes whole lists —
-    src/index/Index.cpp:169-214), while returning results identical to
-    DAAT. Needs multi-block lists, so the index is built with a tiny
-    skip_block_size."""
-    from searchenginepp_ray.index.searcher import SegmentSearcher
-
-    tmp = tmp_path_factory.mktemp("lazy")
+@pytest.fixture(scope="module")
+def multi_block(ray_session, tmp_path_factory):
+    """800 docs in one segment with skip_block_size=17, so most lists
+    span many skip blocks: (build summary, index dir, engine)."""
+    tmp = tmp_path_factory.mktemp("multiblock")
     corpus_path = str(tmp / "corpus.parquet")
     write_corpus(corpus_path, 800, seed=5, rows_per_group=128)
     cfg = BuildConfig(docs_per_segment=800, skip_block_size=17)
     out_dir = str(tmp / "idx")
     summary = build_index(corpus_path, out_dir, cfg, CODE_CORPUS)
-    engine = QueryEngine(out_dir, use_actors=False, cfg=cfg)
+    return summary, out_dir, QueryEngine(out_dir, use_actors=False, cfg=cfg)
 
-    queries = ["hash index merge sort", "return if else for int",
-               "query search vector string buffer"]
+
+def test_one_decode_per_list_across_modes(multi_block):
+    """Every mode reads whole lists through the one decoded-posting
+    cache: once ``bmm`` (forced onto Maxscore) has served a query, the
+    searcher has decoded exactly the query terms' lists, once each, and
+    ``daat``, ``daat_conj``, ``boolean`` with a negated term and
+    ``explain`` over the same terms decode nothing more. BMM returns
+    DAAT's results on these multi-block lists."""
+    from searchenginepp_ray.index.searcher import SegmentSearcher
+
+    summary, out_dir, engine = multi_block
     s = SegmentSearcher(
         f"{out_dir}/db_0", n_docs_global=summary["n_docs"],
         avgdl=summary["avgdl"], prewarm_df=None,
     )
-    s.maxscore_min_docs = 0  # force the lazy Maxscore path
-    full_cost = 0
-    for q in queries:
+    s.maxscore_min_docs = 0  # force the Maxscore path
+    seen: set[int] = set()
+    for q in ["hash index merge sort", "return if else for int",
+              "query search vector string buffer"]:
         toks = engine.normalize_query(q)
-        idxs = s._resolve_terms(toks, conj=False)
-        full_cost += int(s.df_local[idxs].sum())
-    results = {}
-    for q in queries:
-        results[q] = s.query(engine.normalize_query(q), k=3, mode="bmm")
-    assert 0 < s.decoded_postings < full_cost, (s.decoded_postings, full_cost)
-    for q in queries:  # lazy pruning must not change results vs DAAT
-        daat = s.query(engine.normalize_query(q), k=3, mode="daat")
-        assert [(d, sc) for d, _, sc in results[q]] == [
-            (d, sc) for d, _, sc in daat
-        ]
+        assert len(toks) >= 2, toks
+        seen.update(s._resolve_terms(toks, conj=False))
+        bmm = s.query(toks, k=3, mode="bmm")
+        decoded = s.decoded_postings
+        assert decoded == int(s.df_local[sorted(seen)].sum()), q
+        daat = s.query(toks, k=3, mode="daat")
+        assert [(d, sc) for d, _, sc in bmm] == [(d, sc) for d, _, sc in daat]
+        s.query(toks, k=3, mode="daat_conj")
+        s.query_boolean(toks[:1] + ["-" + t for t in toks[1:]], k=3)
+        s.explain(toks, [d for d, _, _ in daat])
+        assert s.decoded_postings == decoded, q
+
+
+def test_fsck_reports_tampered_skip_lists(multi_block, tmp_path_factory):
+    """fsck is the one reader of the skip fences and skip offsets: a
+    ``skip_last_docid`` fence or a ``skip_docid_off`` entry changed in
+    one multi-block list is reported against that term."""
+    import os
+    import shutil
+
+    import pyarrow as pa
+
+    from searchenginepp_ray.index.fsck import fsck_index
+
+    _, out_dir, _ = multi_block
+    assert fsck_index(out_dir)["ok"]
+    t = pq.read_table(os.path.join(out_dir, "db_0", "terms.parquet"))
+    ti = int(np.argmax(t["df_local"].to_numpy()))
+    term = t["term"][ti].as_py()
+    tmp = tmp_path_factory.mktemp("fsck_skip")
+
+    def tampered(name: str, col: str) -> dict:
+        bad = str(tmp / name)
+        shutil.copytree(out_dir, bad)
+        arr = t[col].combine_chunks()
+        vals = arr.values.to_numpy().copy()
+        vals[int(arr.offsets[ti].as_py()) + 1] += 1  # the list's block 1
+        tp = os.path.join(bad, "db_0", "terms.parquet")
+        pq.write_table(t.set_column(
+            t.schema.get_field_index(col), col,
+            pa.ListArray.from_arrays(arr.offsets, pa.array(vals))), tp)
+        return fsck_index(bad)
+
+    fence = int(t["skip_last_docid"][ti][1].as_py())
+    rep = tampered("fence", "skip_last_docid")
+    assert rep["errors"] == [f"db_0: term {term!r}: block 1 fence "
+                             f"{fence + 1} != last docid {fence}"]
+    # block 1 starting a byte late hands block 0 one byte too many
+    [msg] = tampered("offset", "skip_docid_off")["errors"]
+    assert msg.startswith(f"db_0: term {term!r}: block decode failed: "), msg
+    assert "block 0 of term" in msg, msg
 
 
 def test_crash_resume_tokenize_stage(ray_session, tmp_path_factory,
@@ -769,10 +815,9 @@ def test_boolean_query_equals_set_logic(built):
             (pos, neg)
 
 
-def test_boolean_negative_decode_is_block_lazy(ray_session, tmp_path_factory):
-    """With few candidates, the negative term's list must decode only
-    the skip blocks that can contain them — strictly fewer postings than
-    its df (the anti-join never does a full-list decode)."""
+def test_boolean_negative_multi_block_list(ray_session, tmp_path_factory):
+    """The anti-join removes every candidate that a negative term's
+    list holds, when that list spans many skip blocks."""
     import pyarrow as pa
 
     from searchenginepp_ray.index.searcher import SegmentSearcher
@@ -780,7 +825,7 @@ def test_boolean_negative_decode_is_block_lazy(ray_session, tmp_path_factory):
 
     tmp = tmp_path_factory.mktemp("boolneg")
     # "common" appears in EVERY doc (big negative list, many blocks);
-    # "rare" appears in 3 docs; half the rare docs also have "common2"
+    # "rare" appears in 3 docs; one of them also has "banned"
     rows = []
     for i in range(600):
         parts = ["common"]
@@ -800,16 +845,11 @@ def test_boolean_negative_decode_is_block_lazy(ray_session, tmp_path_factory):
     build_index(str(tmp / "c.parquet"), out, cfg,
                 ColumnSpec(text_col="text", docno_cols=("docno",)))
     seg = QueryEngine(out, use_actors=False, cfg=cfg).workers[0].searchers[0]
-    before = seg.decoded_postings
     res = seg.query_boolean(["rare", "-banned"], k=10)
     assert sorted(r[0] - seg.base_docid for r in res) == [5, 590]
-    # banned's df is 1 but common's list is irrelevant; re-run against
-    # the big list: candidates (3 docs) ⇒ ≤ 3 blocks of 16 decoded
-    before = seg.decoded_postings
+    # against the 600-posting list of 38 blocks: every candidate goes
     res = seg.query_boolean(["rare", "-common"], k=10)
     assert res == []
-    decoded_for_common = seg.decoded_postings - before
-    assert decoded_for_common <= 3 * 16  # not the 600-posting full list
 
 
 def test_csv_source_builds_identical_index(ray_session, tmp_path):
