@@ -340,15 +340,14 @@ class QueryEngine:
         every hit, the contribution of each matching query term, summing
         exactly to the ranked score (same per-term scorer kernel the
         ranking pass ran — contributions are the identical doubles).
-        Default mode is "daat" because DAAT adds per-term in sorted-term
-        order — the SAME addition order the explain pass uses, making
-        Σ contributions == ranked score an exact float identity; under
-        mode="bmm" Maxscore may add in sigma order on large segments, so
-        equality there holds only up to float addition order.
+        Every mode adds a doc's contributions in lexicographic term
+        order, the order the explain pass sums in, so Σ contributions ==
+        ranked score is an exact float identity in every mode.
         Returns (top, expl): ``top`` as in :meth:`search_batch`; ``expl``
-        per query a list of (docid, term, contribution). Second
-        scatter/gather is hit-pruned — only the k hit docs' skip blocks
-        decode on segments that don't hold them hot."""
+        per query a list of (docid, term, contribution). The second
+        scatter/gather scores each query term at the k hit docs only,
+        from the decoded-posting cache; a list not cached yet decodes
+        whole."""
         toks = self._query_tokens(queries)
         top = self.search_batch(toks, k, mode, scorer_name)
         docids_batch = [[r[0] for r in res] for res in top]

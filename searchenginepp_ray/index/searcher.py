@@ -15,12 +15,20 @@ Scoring semantics are rank-identical to the reference:
   src/index/Index.template.hpp:60), and our term-major accumulation adds
   every doc's contributions in exactly that order, so double-precision
   sums match bit-for-bit.
-- DAAT disjunctive/conjunctive (reference src/index/Index.template.hpp:98-165)
-  via dense per-segment accumulators: one term-major pass fills a score
-  array and a per-doc matched-term counter, and the candidates are read
-  off the counter with no sort (``cnt != 0`` disjunctive, ``cnt ==
-  len(query)`` conjunctive — a segment-length match bitmap, the
-  one-level case of HERO's bitmap intersection).
+- DAAT disjunctive (reference src/index/Index.template.hpp:98-165) via a
+  dense per-segment accumulator: one term-major scatter-add fills a
+  score array, excluded docs (tombstones, a filter, a search-after
+  cursor) are zeroed, and the candidates are the docs at or above a
+  lower bound on the k-th score (:func:`_kth_lower_bound`). A positive
+  bound proves its docs matched (a doc no list touched stays 0.0);
+  only when the bound is not positive (as when fewer than k docs score
+  above 0) is the exact matched set built, as a bool bitmap from the
+  lists' local ids.
+- DAAT conjunctive: rarest-first intersection — the shortest list's
+  docs, narrowed by one ``searchsorted`` probe per longer list in df
+  order (HERO's small-set-first shape) — then every list's scores
+  gathered at the survivors in lexicographic term order, the same
+  IEEE additions as the scatter-add.
 - top-k tie-break standardized to (score desc, docid asc) — the
   reference's boundary-keeping min-heap keeps lowest docids on ties
   (strict ``>``, reference src/index/Index.hpp:60-77) and its final
@@ -77,6 +85,27 @@ def read_global_idf(index_dir: str, n_docs: int) -> pa.Table:
 
     g = read_global_term_df(index_dir).combine_chunks()
     return pa.table({"term": g["term"], "idf": idf(n_docs, g["df"].to_numpy())})
+
+
+def _kth_lower_bound(a: np.ndarray, k: int):
+    """A lower bound on the k-th largest value of ``a`` (1 <= k <=
+    len(a)) that at least ``k`` elements reach: the k-th largest of the
+    maxima of the disjoint strided groups ``a[j::g]`` (at most 129
+    elements each, at least 4k groups). Each group max is a distinct
+    element of ``a``, so ``a >= bound`` keeps the top k and every tie
+    with them, exactly; with 4k groups the top values mostly fall in
+    distinct groups, so few more survive. The cost is one strided max
+    over ``a`` and a partition of ~len(a)/128 maxima, not a partition
+    of ``a`` (which is partitioned whole only below 8k elements)."""
+    n = len(a)
+    g = max(4 * k, -(-n // 128))
+    rows = n // g
+    if rows > 1:
+        m = a[: rows * g].reshape(rows, g).max(axis=0)
+        tail = a[rows * g:]  # shorter than g: a[rows·g + j] is in group j
+        np.maximum(m[: len(tail)], tail, out=m[: len(tail)])
+        a = m
+    return np.partition(a, len(a) - k)[len(a) - k]
 
 
 class SegmentSearcher:
@@ -199,8 +228,6 @@ class SegmentSearcher:
         # state. It avoids a fresh multi-hundred-KB allocation (and its
         # first-touch page faults) per query.
         self._acc_scratch: np.ndarray | None = None
-        self._part_scratch: np.ndarray | None = None
-        self._mask_scratch: np.ndarray | None = None
         # per-predicate candidate masks for filtered search (keyed by the
         # caller-supplied filter fingerprint; one bool per segment doc)
         self._pred_masks: OrderedDict[str, np.ndarray] = OrderedDict()
@@ -379,26 +406,14 @@ class SegmentSearcher:
 
     # ---------- DAAT (Q2/Q3) ----------
 
-    def _accumulate(self, idxs: list[int], scorer
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """Term-major scatter-add of the query's scored postings in
-        lexicographic term order (``idxs`` ascends, so every doc's sum
-        adds in the reference's order): the per-doc score ``acc`` and
-        the per-doc matched-term counter ``cnt``, both segment-length.
-        The candidate set is read off ``cnt`` — a doc matching only
-        idf-0 terms scores 0.0 and is still a candidate."""
-        acc = np.zeros(self.n_docs_seg, dtype=np.float64)
-        cnt = np.zeros(self.n_docs_seg, dtype=np.int32)
-        for i in idxs:
-            _, local, s = self.scored_postings(i, scorer)
-            acc[local] += s
-            cnt[local] += 1
-        return acc, cnt
-
     def query_daat(self, qterms: list[str], k: int, conj: bool = False,
                    scorer=None, mask: np.ndarray | None = None,
                    after: tuple[float, int] | None = None):
-        """``mask`` (optional segment-length bool array) restricts the
+        """Disjunctive (``conj=False``) or conjunctive top-``k``; every
+        doc's score adds its terms' contributions in lexicographic term
+        order, the reference's order.
+
+        ``mask`` (optional segment-length bool array) restricts the
         candidate set BEFORE top-k selection — exact filtered retrieval,
         not post-filtering: a masked-out doc can never displace an
         allowed one. Scores of surviving docs are bit-identical to the
@@ -415,19 +430,78 @@ class SegmentSearcher:
         idxs = self._resolve_terms(qterms, conj)
         if not idxs:
             return []
-        acc, cnt = self._accumulate(idxs, scorer)
-        hit = cnt == len(idxs) if conj else cnt != 0
+        if conj:
+            cand, sc = self._conjunctive(idxs, scorer, mask)
+            if after is not None:
+                keep = self._after(cand, sc, after)
+                cand, sc = cand[keep], sc[keep]
+            return self._topk(cand, sc, k) if len(cand) else []
+        acc = np.zeros(self.n_docs_seg, dtype=np.float64)
+        for i in idxs:  # ascending term index == lexicographic order
+            _, local, s = self.scored_postings(i, scorer)
+            acc[local] += s
+        keep = mask
+        if after is not None:
+            keep = self._after(np.arange(self.n_docs_seg), acc, after)
+            if mask is not None:
+                keep &= mask
+        if keep is not None:
+            acc[~keep] = 0.0
+        return self._disjunctive_topk(acc, idxs, scorer, k, keep)
+
+    def _after(self, local: np.ndarray, scores: np.ndarray,
+               after: tuple[float, int]) -> np.ndarray:
+        """Which of the docs ``local`` come strictly after the cursor
+        ``after`` = (score, global docid) in (score desc, docid asc)
+        order."""
+        cs, cd = after
+        return (scores < cs) | ((scores == cs) & (local + self.base_docid > cd))
+
+    def _disjunctive_topk(self, acc: np.ndarray, idxs: list[int], scorer,
+                          k: int, keep: np.ndarray | None = None):
+        """Top-``k`` of the docs matching any of the terms ``idxs``,
+        given their segment-length scores ``acc`` with every doc outside
+        ``keep`` zeroed. A positive lower bound on the k-th score proves
+        that the docs reaching it matched and are kept: a doc no list
+        touched, or one zeroed, is 0.0. Otherwise (fewer than k docs
+        score above 0, as with idf-0 matches, or the positive ones sit
+        in fewer than k of the bound's groups) the candidates are the
+        exact matched set."""
+        thresh = _kth_lower_bound(acc, min(k, len(acc)))
+        if thresh > 0.0:
+            cand = np.flatnonzero(acc >= thresh)
+        else:
+            hit = np.zeros(len(acc), dtype=bool)
+            for i in idxs:
+                hit[self.scored_postings(i, scorer)[1]] = True
+            if keep is not None:
+                hit &= keep
+            cand = np.flatnonzero(hit)
+        return self._topk(cand, acc[cand], k) if len(cand) else []
+
+    def _conjunctive(self, idxs: list[int], scorer,
+                     mask: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """(local ids, scores) of the docs (in ``mask``) matching every
+        term ``idxs``, rarest first: the shortest list's docs, narrowed
+        by one ``searchsorted`` probe into each longer list in df order.
+        Each survivor's score then adds the lists' contributions in
+        lexicographic term order, the scatter-add's IEEE additions."""
+        lists = [self.scored_postings(i, scorer)[1:] for i in idxs]
+        by_df = sorted(range(len(lists)), key=lambda j: len(lists[j][0]))
+        cand = lists[by_df[0]][0]
         if mask is not None:
-            hit &= mask
-        cand = np.flatnonzero(hit)
-        if after is not None and len(cand):
-            cs, cd = after
-            sc = acc[cand]
-            glob = cand + self.base_docid
-            cand = cand[(sc < cs) | ((sc == cs) & (glob > cd))]
-        if len(cand) == 0:
-            return []
-        return self._topk(cand, acc[cand], k)
+            cand = cand[mask[cand]]
+        for j in by_df[1:]:
+            if len(cand) == 0:
+                break
+            local = lists[j][0]
+            cand = cand[local.take(np.searchsorted(local, cand), mode="clip")
+                        == cand]
+        sc = np.zeros(len(cand), dtype=np.float64)
+        for local, s in lists:
+            sc += s[np.searchsorted(local, cand)]
+        return cand, sc
 
     def query_after(self, qterms: list[str], k: int,
                     after: tuple[float, int] | None,
@@ -605,9 +679,10 @@ class SegmentSearcher:
                       mask: np.ndarray | None = None):
         """Boolean retrieval with negation: a term prefixed ``-`` is a
         MUST-NOT. Positive terms are conjunctive (MUST — the reference's
-        ``daat_conj``); surviving candidates are anti-joined against each
-        negative term's postings and ranked by the scorer over the
-        positive terms only (a negative term never contributes score).
+        ``daat_conj``, the rarest-first :meth:`_conjunctive`); surviving
+        candidates are anti-joined against each negative term's postings
+        and ranked by the scorer over the positive terms only (a
+        negative term never contributes score).
 
         The ``-`` prefix is a safe in-band encoding: the normalizer's
         punctuation pass strips ``-`` from every indexed/queried token,
@@ -621,11 +696,7 @@ class SegmentSearcher:
         idxs = self._resolve_terms(pos, conj=True)
         if not idxs:
             return []
-        acc, cnt = self._accumulate(idxs, scorer)
-        hit = cnt == len(idxs)
-        if mask is not None:
-            hit &= mask
-        cand = np.flatnonzero(hit)
+        cand, sc = self._conjunctive(idxs, scorer, mask)
         for t in neg:
             if len(cand) == 0:
                 return []
@@ -633,18 +704,19 @@ class SegmentSearcher:
             if ti is None:
                 continue
             cand_glob = (cand + self.base_docid).astype(np.uint64)
-            cand = cand[~np.isin(cand_glob, self.postings(ti)[0])]
+            keep = ~np.isin(cand_glob, self.postings(ti)[0])
+            cand, sc = cand[keep], sc[keep]
         if len(cand) == 0:
             return []
-        return self._topk(cand, acc[cand], k)
+        return self._topk(cand, sc, k)
 
     def _topk(self, local_ids: np.ndarray, scores: np.ndarray, k: int):
         k_eff = min(k, len(local_ids))
         if len(local_ids) > 4 * k_eff:
-            # tie-safe prefilter: keep everything scoring >= the k-th best
-            # (ties at the boundary are resolved by docid in the sort below)
-            thresh = np.partition(scores, len(scores) - k_eff)[len(scores) - k_eff]
-            keep = scores >= thresh
+            # tie-safe prefilter: keep everything scoring >= a lower bound
+            # on the k-th best (ties at the boundary are resolved by docid
+            # in the sort below)
+            keep = np.flatnonzero(scores >= _kth_lower_bound(scores, k_eff))
             local_ids, scores = local_ids[keep], scores[keep]
         order = np.lexsort((local_ids, -scores))[:k_eff]
         out = []
@@ -726,9 +798,9 @@ class SegmentSearcher:
             n_collected += len(cand)
             seen[cand] = True
             if n_collected >= k:
-                allsc = np.concatenate(cand_scores)
-                kth = np.partition(allsc, len(allsc) - k)[len(allsc) - k]
-                theta = max(theta, kth)
+                # a lower bound on the k-th score is a safe θ
+                theta = max(theta, _kth_lower_bound(
+                    np.concatenate(cand_scores), k))
         if not cand_ids:
             return []
         return self._topk(np.concatenate(cand_ids), np.concatenate(cand_scores), k)
@@ -790,11 +862,12 @@ class SegmentSearcher:
             # size dispatch: segments below maxscore_min_docs serve bmm
             # through DAAT; the two are bit-identical by construction
             # (tested across k and scorers). In-process p50 of Maxscore
-            # against DAAT (1 CPU, perfbench's seed-5 streams, k=20, 2×8
-            # alternating pairs of 200 queries on a fresh searcher, then
-            # the same queries warm): ×0.95-1.03 cold, ×0.99-1.08 warm on
-            # marco's 17,000-doc segment; ×1.16-1.21 cold, ×1.37-1.45
-            # warm on lifecycle's 16,384-doc segment
+            # against the threshold-first DAAT (1 CPU, perfbench's seed-5
+            # streams, k=20, 2×8 alternating pairs of 200 queries on a
+            # fresh searcher, then the same queries warm): ×1.32-2.68
+            # cold, ×1.62-4.10 warm on marco's 17,000-doc segment;
+            # ×1.88-3.20 cold, ×2.55-5.27 warm on lifecycle's 16,384-doc
+            # segment (DAAT faster in 16/16 pairs of each)
             if self.n_docs_seg < self.maxscore_min_docs:
                 return self.query_daat(qterms, k, conj=False, scorer=scorer,
                                        mask=alive)
@@ -850,10 +923,7 @@ class SegmentSearcher:
         n = self.n_docs_seg
         if self._acc_scratch is None or len(self._acc_scratch) != n:
             self._acc_scratch = np.empty(n, dtype=np.float64)
-            self._part_scratch = np.empty(n, dtype=np.float64)
-            self._mask_scratch = np.empty(n, dtype=bool)
         acc = self._acc_scratch
-        part, mask = self._part_scratch, self._mask_scratch
         dense: dict[int, np.ndarray] = {}
         for ti in {i for idxs in resolved if idxs for i in idxs}:
             skey = (ti,) + scorer.cache_key
@@ -866,11 +936,6 @@ class SegmentSearcher:
                 if d is None:  # cap race — bail to the per-query paths
                     return None
             dense[ti] = d
-        # a positive k-th score proves its docs matched (nonnegative
-        # scorers: acc > 0 ⇒ ≥1 matching term), so the hot path needs no
-        # per-doc match bookkeeping at all — one threshold partition over
-        # the accumulator and a tiny tie-safe select
-        fast_sel = bool(getattr(scorer, "nonnegative", False)) and n > k
         out = []
         for idxs in resolved:
             if not idxs:
@@ -881,26 +946,7 @@ class SegmentSearcher:
             np.copyto(acc, dense[idxs[0]])
             for i in idxs[1:]:
                 acc += dense[i]
-            if fast_sel:
-                # in-place partition/compare on reused scratch: no fresh
-                # 8n-byte allocation (≈page-fault per 4 KiB on some hosts)
-                # per query
-                np.copyto(part, acc)
-                part.partition(n - k)
-                thresh = part[n - k]
-                if thresh > 0.0:
-                    np.greater_equal(acc, thresh, out=mask)
-                    sel = np.flatnonzero(mask)
-                    out.append(self._topk(sel, acc[sel], k))
-                    continue
-            # short/zero-score tail (< k positive docs, or a scorer that
-            # can go negative): the exact matched-candidate set, marked
-            # from the query lists' local ids
-            mask.fill(False)
-            for i in idxs:
-                mask[self.scored_postings(i, scorer)[1]] = True
-            cand = np.flatnonzero(mask)
-            out.append(self._topk(cand, acc[cand], k) if len(cand) else [])
+            out.append(self._disjunctive_topk(acc, idxs, scorer, k))
         return out
 
     # ---- positional sidecar (indexed phrase retrieval) ----------------

@@ -1482,3 +1482,129 @@ def test_scorer_name_bm25_serves_the_index_constants(ray_session, tmp_path):
     assert repr(engine.search_explain_batch(QUERIES, 5, mode="daat",
                                             scorer_name="bm25")) \
         == repr(engine.search_explain_batch(QUERIES, 5, mode="daat"))
+
+
+def test_kth_lower_bound_keeps_the_top_k():
+    """``_kth_lower_bound(a, k)`` never exceeds the k-th largest value
+    and at least k elements reach it, so ``a >= bound`` keeps the exact
+    top k with its ties: on tie-heavy, zero-heavy and negative arrays,
+    around the lengths where the group layout changes (4k, 8k), at
+    16,384 and at lengths that are no multiple of 128. On distinct
+    values it is tight: fewer than 2k elements survive."""
+    from searchenginepp_ray.index.searcher import _kth_lower_bound
+
+    rng = np.random.default_rng(24)
+    shapes = {
+        "distinct": lambda n: rng.permutation(n) * 0.5 + 1.0,
+        "levels": lambda n: rng.integers(0, 4, n).astype(np.float64),
+        "zeros": lambda n: np.where(rng.random(n) < 0.9, 0.0, rng.random(n)),
+        "negative": lambda n: rng.normal(-3.0, 1.0, n),
+    }
+    for k in (1, 10, 20):
+        for n in (4 * k - 1, 4 * k, 8 * k - 1, 8 * k, 8 * k + 1, 16_384,
+                  16_384 + 77, 1_000):
+            for shape, make in shapes.items():
+                a = make(n)
+                for kk in (min(k, n), n):
+                    bound = _kth_lower_bound(a, kk)
+                    kth = np.sort(a)[::-1][kk - 1]
+                    survivors = int((a >= bound).sum())
+                    assert bound <= kth and survivors >= kk, (shape, n, kk)
+                    if shape == "distinct" and kk < n:
+                        assert survivors < 2 * kk, (n, kk, survivors)
+    assert _kth_lower_bound(np.zeros(500), 10) == 0.0
+
+
+def test_topk_equals_full_lexsort(built):
+    """``_topk`` (threshold prefilter, then a sort of the survivors)
+    returns exactly the first k of a full (score desc, docid asc)
+    lexsort, ties and negative scores included."""
+    _, _, engine = built
+    s = engine.workers[0].searchers[0]
+    rng = np.random.default_rng(5)
+    n = s.n_docs_seg
+    for trial in range(40):
+        m = int(rng.integers(1, n + 1))
+        ids = np.sort(rng.choice(n, m, replace=False)).astype(np.int64)
+        scores = [rng.random(m), rng.integers(0, 3, m).astype(np.float64),
+                  rng.normal(size=m), np.zeros(m)][trial % 4]
+        for k in (1, 10, 20, m):
+            order = np.lexsort((ids, -scores))[:k]
+            want = [(int(ids[j]) + s.base_docid, s.docnos[int(ids[j])].as_py(),
+                     float(scores[j])) for j in order]
+            assert repr(s._topk(ids, scores, k)) == repr(want), (trial, k)
+
+
+def test_rarest_first_conjunction_matches_oracle(built, tmp_path_factory):
+    """``daat_conj`` and ``boolean`` start from the shortest list. For
+    queries whose rarest term sorts last, both equal the scalar oracle
+    in every mode (BM25 and TF-IDF, per query and batched, plain and
+    tombstoned), and every score is the disjunctive DAAT's double for
+    the same doc: the contributions add in lexicographic term order,
+    not in df order. A search-after walk over the tombstoned index
+    equals the alive slice of the oracle."""
+    import shutil
+
+    from searchenginepp_ray.index.tombstone import delete_docs
+
+    _, oracle, engine = built
+    df = oracle.df
+    common = sorted(t for t in df if 400 <= df[t] < oracle.n_docs)
+    rare = sorted((t for t in df if 100 <= df[t] <= 220), reverse=True)[:8]
+    queries = []
+    for i, r in enumerate(rare):
+        lower = [c for c in common if c < r]
+        higher = [c for c in common if c > r]
+        queries.append([lower[i % len(lower)], r])
+        queries.append(lower[:2] + [r])
+        if higher:  # the rarest term in the middle
+            queries.append([lower[-1], r, higher[0]])
+    assert len(queries) >= 8
+    for q in queries:
+        assert min(q, key=lambda t: df[t]) != sorted(q)[0]
+    assert any(oracle.query(q, 10, conj=True) for q in queries)
+
+    tidx = str(tmp_path_factory.mktemp("conj_tomb") / "idx")
+    shutil.copytree(engine.index_dir, tidx)
+    gone = set(range(1, oracle.n_docs + 1, 3))
+    delete_docs(tidx, [oracle.docno[d] for d in gone])
+    tomb = QueryEngine(tidx, use_actors=False)
+    assert tomb.workers[0].searchers[0]._alive_mask is not None
+
+    def deep(eng, q, mode, scorer_name=None):
+        return {r[0]: r[2] for r in eng.search(q, 10_000, mode=mode,
+                                                scorer_name=scorer_name)}
+
+    for eng, dead in ((engine, set()), (tomb, gone)):
+        for scorer in ("bm25", "tfidf"):
+            for q in queries:
+                want = [r for r in oracle.query(q, 10_000, conj=True,
+                                                scorer=scorer)
+                        if r[0] not in dead]
+                got = eng.search(q, K, mode="daat_conj", scorer_name=scorer)
+                _assert_same(got, want[:K])
+                disj = deep(eng, q, "daat", scorer)
+                conj = deep(eng, q, "daat_conj", scorer)
+                assert [conj[d] == disj[d] for d in conj] == [True] * len(conj)
+        batch = eng.search_batch(queries, K, mode="daat_conj")
+        assert batch == [eng.search(q, K, mode="daat_conj") for q in queries]
+        # boolean: the same conjunction, minus the docs of a negated term
+        for q in queries:
+            neg = common[-1] if common[-1] not in q else common[-2]
+            banned = {d for d, _ in oracle.postings[neg]}
+            want = [r for r in oracle.query(q, 10_000, conj=True)
+                    if r[0] not in dead | banned]
+            _assert_same(eng.search(q + ["-" + neg], K, mode="boolean"),
+                         want[:K])
+            assert repr(eng.search(q, K, mode="boolean")) \
+                == repr(eng.search(q, K, mode="daat_conj"))
+
+    for q in queries[:4]:
+        want = [r for r in oracle.query(q, 10_000) if r[0] not in gone]
+        page = tomb.search(q, 5, mode="daat")
+        served = list(page)
+        while len(page) == 5:
+            page = tomb.search_after_batch([q], k=5, cursors=[
+                (page[-1][2], page[-1][0])])[0]
+            served.extend(page)
+        _assert_same(served, want)
