@@ -30,10 +30,6 @@ def idf(n_docs: int, df):
 
 
 class TfidfScorer:
-    #: every per-posting contribution is >= 0 (idf = log2(N/df) >= 0,
-    #: tf weights positive) — lets the batch serving path prove that any
-    #: doc scoring above a positive threshold matched at least one term
-    nonnegative = True
     name = "tfidf"
     needs_doc_metadata = False
 
@@ -47,10 +43,6 @@ class TfidfScorer:
 
 
 class Bm25Scorer:
-    #: every per-posting contribution is >= 0 (idf = log2(N/df) >= 0,
-    #: tf weights positive) — lets the batch serving path prove that any
-    #: doc scoring above a positive threshold matched at least one term
-    nonnegative = True
     name = "bm25"
     needs_doc_metadata = True
 
@@ -79,10 +71,6 @@ def dequantize_scores(q: np.ndarray) -> np.ndarray:
 
 
 class TfidfFastLogScorer:
-    #: every per-posting contribution is >= 0 (idf = log2(N/df) >= 0,
-    #: tf weights positive) — lets the batch serving path prove that any
-    #: doc scoring above a positive threshold matched at least one term
-    nonnegative = True
     """TFIDF with the reference's ``USE_FAST_LOG`` integer log (F4):
     score = (1 + floor(log2(tf))) * idf — the de-Bruijn/MSB ``log2_64``
     of reference src/index/query_scorer.cpp:7-30,53 (compile-flag, off in

@@ -34,15 +34,13 @@ Scoring semantics are rank-identical to the reference:
   (strict ``>``, reference src/index/Index.hpp:60-77) and its final
   cross-segment sort leaves equal scores in unspecified order
   (src/engine.cpp:124); we document the deterministic choice.
-- ``mode="bmm"`` — the one Block-Max Maxscore path (the reference's
-  src/index/Index.cpp:15-133): vectorized Maxscore with sigma-ordered
-  safe pruning (:meth:`SegmentSearcher.query_maxscore`). Pruning saves
-  scoring, not decoding: every list is read whole from the one
-  decoded-posting cache (:meth:`SegmentSearcher.postings`) that every
-  mode shares. Results are exactly DAAT's (the quantization-truncated
-  sigmas get their one-quantum margin back, so the bound is sound);
-  segments below ``maxscore_min_docs`` serve ``bmm`` through DAAT, the
-  cheaper plan with the same results.
+- ``mode="bmm"`` — the reference's Block-Max Maxscore mode
+  (src/index/Index.cpp:15-133) is served by the disjunctive DAAT kernel
+  on every segment: a safe pruning returns DAAT's results, and on this
+  engine's whole-list reads the threshold-first scatter-add beat the
+  vectorized Maxscore in every regime measured (see :meth:`query`).
+  :meth:`SegmentSearcher.query_maxscore` (sigma-ordered safe pruning)
+  stays as a directly called kernel; no serving path calls it.
 - ``mode="boolean"`` — conjunctive positive terms with ``-term``
   exclusions.
 """
@@ -219,9 +217,8 @@ class SegmentSearcher:
         # become pure gathers/scatter-adds instead of re-scoring
         self._score_cache: OrderedDict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = OrderedDict()
         # densified per-term score vectors (segment-length), byte-capped:
-        # candidate scoring becomes one fancy-index instead of a binary
-        # search per candidate. At huge segments the cap holds few terms
-        # and _score_at falls back to searchsorted.
+        # the dense batch path adds them whole. At huge segments the cap
+        # holds few terms and batches take the per-query path.
         self._dense_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._dense_cap_bytes = 256 << 20
         # reusable accumulator scratch — the cross-query batch path's
@@ -234,12 +231,14 @@ class SegmentSearcher:
         # tombstone alive-mask: docs deleted from the index without a
         # rebuild (index/tombstone.py). None when nothing in this segment
         # is deleted; when set, EVERY query path must honor it (the
-        # query/query_batch dispatchers route to the mask-aware paths).
+        # per-query paths take it as their mask; the dense batch path
+        # zeroes the ``_dead_local`` docs).
         # Collection stats (idf, avgdl, sigmas) intentionally keep the
         # deleted docs until a merge reclaims them — the standard
         # tombstone contract (a delete must be cheap; stats converge at
         # compaction).
         self._alive_mask: np.ndarray | None = None
+        self._dead_local: np.ndarray | None = None
         if tombstones:
             dead = pc.is_in(
                 self.docnos,
@@ -247,10 +246,7 @@ class SegmentSearcher:
             ).to_numpy(zero_copy_only=False).astype(bool)
             if dead.any():
                 self._alive_mask = ~dead
-        #: below this segment size mode="bmm" dispatches to the plain
-        #: accumulator (identical results, cheaper plan); tests pin it to
-        #: 0 to force the Maxscore path on tiny fixtures
-        self.maxscore_min_docs = 16_384
+                self._dead_local = np.flatnonzero(dead)
         #: postings decoded so far (:meth:`postings` and
         #: :meth:`decode_block` count them)
         self.decoded_postings = 0
@@ -652,14 +648,10 @@ class SegmentSearcher:
                              column: str, value, fp: str,
                              mode: str = "bmm"):
         """Filtered batch entry point: exact top-k among docs matching
-        the predicate. ``mode="bmm"`` uses the same cost-based dispatch
-        as unfiltered serving (masked Maxscore on big segments — the
-        mask makes pruning MORE selective since masked docs never enter
-        θ or get scored; straight masked DAAT on tiny ones);
-        ``mode="daat"`` forces the accumulator path. Both return
-        identical results (pytest-pinned); other modes are rejected
-        (conjunctive/boolean filtering is not offered on this entry
-        point — silently coercing them to disjunctive would change
+        the predicate. ``mode="daat"`` and ``mode="bmm"`` both serve
+        through masked DAAT, as unfiltered serving does; other modes are
+        rejected (conjunctive/boolean filtering is not offered on this
+        entry point — silently coercing them to disjunctive would change
         semantics)."""
         if mode not in ("daat", "bmm"):
             raise ValueError(f"filtered search supports modes "
@@ -668,10 +660,6 @@ class SegmentSearcher:
         mask = self.predicate_mask(src_path, column, value, fp)
         if self._alive_mask is not None:
             mask = mask & self._alive_mask
-        use_ms = mode == "bmm" and self.n_docs_seg >= self.maxscore_min_docs
-        if use_ms:
-            return [self.query_maxscore(q, k, scorer=scorer, mask=mask)
-                    for q in queries]
         return [self.query_daat(q, k, conj=False, scorer=scorer, mask=mask)
                 for q in queries]
 
@@ -731,7 +719,10 @@ class SegmentSearcher:
 
     def query_maxscore(self, qterms: list[str], k: int, scorer=None,
                        mask: np.ndarray | None = None):
-        """Maxscore with sigma-ordered safe pruning, vectorized.
+        """Maxscore with sigma-ordered safe pruning, vectorized. No
+        serving path calls it (``mode="bmm"`` serves through
+        :meth:`query_daat`); the tests call it directly to keep its
+        exactness against DAAT pinned.
 
         ``mask`` (optional segment-length bool array) restricts
         candidates before they are scored or enter θ — filtered
@@ -809,40 +800,15 @@ class SegmentSearcher:
         """Score contributions of term ``ti`` at the given (sorted,
         global) candidate docids — 0 where the term doesn't match.
 
-        Gathers from the term's dense or full score vector when one is
-        cached; otherwise scores the matching postings of the decoded
-        list. Per-posting arithmetic is the identical vectorized scorer
-        call either way, so scores are bit-equal to the eager path."""
+        Gathers from the term's scored list (:meth:`scored_postings`,
+        scored once and cached), so scores are the DAAT kernel's own
+        doubles."""
         out = np.zeros(len(cand_glob), dtype=np.float64)
-        skey = (ti,) + scorer.cache_key
-        dense = self._dense_cache.get(skey)
-        if dense is not None:  # one fancy-index, zeros where absent
-            self._dense_cache.move_to_end(skey)
-            return dense[(cand_glob.astype(np.int64) - self.base_docid)]
-        shit = self._score_cache.get(skey)
-        if shit is not None:  # fully scored already: gather (and densify)
-            self._score_cache.move_to_end(skey)
-            docids, local, s = shit
-            if len(docids) == 0:
-                return out
-            dense = self._densify(skey, local, s)
-            if dense is not None:
-                return dense[(cand_glob.astype(np.int64) - self.base_docid)]
+        docids, _, s = self.scored_postings(ti, scorer)
+        if len(docids):
             pos = np.searchsorted(docids, cand_glob).clip(0, len(docids) - 1)
             m = docids[pos] == cand_glob
             out[m] = s[pos[m]]
-            return out
-        docids, tfs = self.postings(ti)
-        if len(docids) == 0:
-            return out
-        pos = np.searchsorted(docids, cand_glob).clip(0, len(docids) - 1)
-        m = docids[pos] == cand_glob
-        if m.any():
-            sel = pos[m]
-            local = (docids[sel] - self.base_docid).astype(np.int64)
-            out[m] = scorer.score(
-                tfs[sel], self.idf[ti], self.doclen[local], self.avgdl
-            )
         return out
 
     # ---------- generic dispatch ----------
@@ -850,7 +816,16 @@ class SegmentSearcher:
     def query(self, qterms: list[str], k: int, mode: str = "daat", scorer_name: str | None = None):
         scorer = self._scorer(scorer_name)
         alive = self._alive_mask
-        if mode == "daat":
+        if mode in ("daat", "bmm"):
+            # bmm serves through DAAT: Maxscore returns the same results
+            # (pinned by the tests that call query_maxscore directly) and
+            # lost to the threshold-first DAAT in every regime measured.
+            # Its p50 against DAAT's (in-process, 1 CPU, perfbench's
+            # seed-5 generators, 4 reps of 200 queries, caches cleared
+            # before each mode, answers equal): ×0.79-1.48 at k=10,
+            # ×1.23-1.35 at k=20 and ×1.41-1.83 at k=100 on a 65,536-doc
+            # marco segment (100k docs); ×1.28-2.25 on a tombstoned
+            # 65,536-doc code segment (the masked path)
             return self.query_daat(qterms, k, conj=False, scorer=scorer,
                                    mask=alive)
         if mode == "daat_conj":
@@ -858,20 +833,6 @@ class SegmentSearcher:
                                    mask=alive)
         if mode == "boolean":
             return self.query_boolean(qterms, k, scorer=scorer, mask=alive)
-        if mode == "bmm":
-            # size dispatch: segments below maxscore_min_docs serve bmm
-            # through DAAT; the two are bit-identical by construction
-            # (tested across k and scorers). In-process p50 of Maxscore
-            # against the threshold-first DAAT (1 CPU, perfbench's seed-5
-            # streams, k=20, 2×8 alternating pairs of 200 queries on a
-            # fresh searcher, then the same queries warm): ×1.32-2.68
-            # cold, ×1.62-4.10 warm on marco's 17,000-doc segment;
-            # ×1.88-3.20 cold, ×2.55-5.27 warm on lifecycle's 16,384-doc
-            # segment (DAAT faster in 16/16 pairs of each)
-            if self.n_docs_seg < self.maxscore_min_docs:
-                return self.query_daat(qterms, k, conj=False, scorer=scorer,
-                                       mask=alive)
-            return self.query_maxscore(qterms, k, scorer=scorer, mask=alive)
         raise ValueError(f"unknown mode {mode!r}")
 
     def query_batch(self, queries: list[list[str]], k: int, mode: str = "daat",
@@ -887,16 +848,13 @@ class SegmentSearcher:
         bookkeeping at all. Scores are BIT-IDENTICAL to :meth:`query_daat`
         (same lexicographic addition order; adding a non-matching term's
         0.0 is an IEEE identity), so results match the per-query paths
-        exactly. Sparse workloads (rare terms, huge segments) fall back to
-        the per-query Maxscore/DAAT paths, which score only the
-        candidates. The reference serves queries strictly one-at-a-time
+        exactly. On a tombstoned segment each query's deleted docs are
+        zeroed before its top-k, as the masked per-query DAAT does.
+        Sparse workloads (rare terms, huge segments) fall back to the
+        per-query DAAT path, which scatters only the query's lists. The
+        reference serves queries strictly one-at-a-time
         (src/engine.cpp:99-117); this batch shape is what its API cannot
         amortize."""
-        if self._alive_mask is not None:
-            # tombstoned segment: the dense batch path has no mask hook;
-            # route through the per-query dispatch, which applies the
-            # alive mask on every mode
-            return [self.query(q, k, mode, scorer_name) for q in queries]
         if mode in ("daat", "bmm") and len(queries) >= 4:
             scorer = self._scorer(scorer_name)
             resolved = [self._resolve_terms(q, conj=False) for q in queries]
@@ -946,7 +904,10 @@ class SegmentSearcher:
             np.copyto(acc, dense[idxs[0]])
             for i in idxs[1:]:
                 acc += dense[i]
-            out.append(self._disjunctive_topk(acc, idxs, scorer, k))
+            if self._dead_local is not None:
+                acc[self._dead_local] = 0.0
+            out.append(self._disjunctive_topk(acc, idxs, scorer, k,
+                                              self._alive_mask))
         return out
 
     # ---- positional sidecar (indexed phrase retrieval) ----------------

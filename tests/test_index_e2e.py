@@ -51,11 +51,6 @@ def built(ray_session, tmp_path_factory):
     ]
     oracle = OracleIndex(docs, FULL_PROFILE)
     engine = QueryEngine(out_dir, use_actors=False, cfg=cfg)
-    # fixtures use tiny segments; force the real Maxscore path so
-    # mode="bmm" tests exercise it rather than the small-segment fallback
-    for w in engine.workers:
-        for s in w.searchers:
-            s.maxscore_min_docs = 0
     return summary, oracle, engine
 
 
@@ -64,6 +59,26 @@ def _assert_same(got, want):
     assert [g[1] for g in got] == [w[1] for w in want]
     for g, w in zip(got, want):
         assert g[2] == pytest.approx(w[2], rel=1e-12, abs=1e-12)
+
+
+def _assert_maxscore_is_daat(engine, queries, k, scorer_name=None,
+                             mask=lambda s: s._alive_mask):
+    """``query_maxscore``, called directly on every searcher of an
+    in-process engine with the scorer and mask ``query_daat`` gets,
+    returns exactly ``query_daat``'s results: the pruning is safe.
+    ``mode="bmm"`` serves through DAAT, so only a direct call reaches
+    Maxscore. Returns the number of hits compared."""
+    n = 0
+    for w in engine.workers:
+        for s in w.searchers:
+            scorer, m = s._scorer(scorer_name), mask(s)
+            for q in queries:
+                terms = engine.normalize_query(q) if isinstance(q, str) else q
+                ms = s.query_maxscore(terms, k, scorer=scorer, mask=m)
+                assert repr(ms) == repr(s.query_daat(
+                    terms, k, scorer=scorer, mask=m)), (terms, k)
+                n += len(ms)
+    return n
 
 
 def test_build_summary(built):
@@ -140,6 +155,7 @@ def test_bmm_equals_daat(built):
             assert b[2] == pytest.approx(d[2], rel=1e-9)
         compared += len(daat)
     assert compared > 20  # the comparison is not vacuous
+    assert _assert_maxscore_is_daat(engine, QUERIES, K) > 20
 
 
 def test_query_batch_equals_per_query(built):
@@ -199,9 +215,10 @@ def engine_corpus_path(out_dir: str) -> str:
 
 
 def test_maxscore_exactly_equals_daat_many_k(built):
-    """mode="bmm" (vectorized Maxscore with the one-quantum-safe bound)
-    must return bit-identical (docid, score) lists to DAAT for every k,
-    both scorers — the pruning may skip work, never change results."""
+    """mode="bmm" and the vectorized Maxscore kernel (one-quantum-safe
+    bound, called directly per segment) must return bit-identical
+    (docid, score) lists to DAAT for every k, both scorers — the pruning
+    may skip work, never change results."""
     import random
 
     _, _, engine = built
@@ -215,6 +232,7 @@ def test_maxscore_exactly_equals_daat_many_k(built):
             bmm = engine.search_batch(queries, k=k, mode="bmm", scorer_name=scorer_name)
             for a, b in zip(daat, bmm):
                 assert [(d, s) for d, _, s in a] == [(d, s) for d, _, s in b]
+            _assert_maxscore_is_daat(engine, queries, k, scorer_name)
 
 
 def test_tfidf_fast_log_scorer(built):
@@ -225,6 +243,7 @@ def test_tfidf_fast_log_scorer(built):
 
     from searchenginepp_ray.index.scorer import TfidfFastLogScorer
 
+    assert "USE_FAST_LOG" in TfidfFastLogScorer.__doc__
     s = TfidfFastLogScorer()
     tf = np.array([0, 1, 2, 3, 7, 8, 1023, 1024])
     got = s.score(tf, 2.0)
@@ -237,6 +256,9 @@ def test_tfidf_fast_log_scorer(built):
         bmm = engine.search(q, k=10, mode="bmm", scorer_name="tfidf_fast")
         assert [(d, sc) for d, _, sc in daat] == [(d, sc) for d, _, sc in bmm]
         assert len(daat) > 0
+    assert _assert_maxscore_is_daat(
+        engine, ["hash index merge sort", "return if else"], 10,
+        "tfidf_fast") > 0
 
 
 def test_bmm_ref_mode_is_rejected(built):
@@ -267,11 +289,11 @@ def multi_block(ray_session, tmp_path_factory):
 
 def test_one_decode_per_list_across_modes(multi_block):
     """Every mode reads whole lists through the one decoded-posting
-    cache: once ``bmm`` (forced onto Maxscore) has served a query, the
+    cache: once Maxscore (called directly) has served a query, the
     searcher has decoded exactly the query terms' lists, once each, and
-    ``daat``, ``daat_conj``, ``boolean`` with a negated term and
-    ``explain`` over the same terms decode nothing more. BMM returns
-    DAAT's results on these multi-block lists."""
+    ``daat``, ``bmm``, ``daat_conj``, ``boolean`` with a negated term
+    and ``explain`` over the same terms decode nothing more. Maxscore
+    and ``bmm`` return DAAT's results on these multi-block lists."""
     from searchenginepp_ray.index.searcher import SegmentSearcher
 
     summary, out_dir, engine = multi_block
@@ -279,22 +301,52 @@ def test_one_decode_per_list_across_modes(multi_block):
         f"{out_dir}/db_0", n_docs_global=summary["n_docs"],
         avgdl=summary["avgdl"], prewarm_df=None,
     )
-    s.maxscore_min_docs = 0  # force the Maxscore path
     seen: set[int] = set()
     for q in ["hash index merge sort", "return if else for int",
               "query search vector string buffer"]:
         toks = engine.normalize_query(q)
         assert len(toks) >= 2, toks
         seen.update(s._resolve_terms(toks, conj=False))
-        bmm = s.query(toks, k=3, mode="bmm")
+        ms = s.query_maxscore(toks, k=3)
         decoded = s.decoded_postings
         assert decoded == int(s.df_local[sorted(seen)].sum()), q
         daat = s.query(toks, k=3, mode="daat")
-        assert [(d, sc) for d, _, sc in bmm] == [(d, sc) for d, _, sc in daat]
+        assert repr(ms) == repr(daat)
+        assert repr(s.query(toks, k=3, mode="bmm")) == repr(daat)
         s.query(toks, k=3, mode="daat_conj")
         s.query_boolean(toks[:1] + ["-" + t for t in toks[1:]], k=3)
         s.explain(toks, [d for d, _, _ in daat])
         assert s.decoded_postings == decoded, q
+
+
+def test_explain_scores_each_list_once(multi_block, monkeypatch):
+    """``explain`` gathers from the scored lists the DAAT kernel uses
+    (:meth:`SegmentSearcher.scored_postings`): a second ``explain`` over
+    the same terms, and Maxscore over them, call no scorer."""
+    from searchenginepp_ray.index.scorer import Bm25Scorer
+    from searchenginepp_ray.index.searcher import SegmentSearcher
+
+    summary, out_dir, engine = multi_block
+    s = SegmentSearcher(
+        f"{out_dir}/db_0", n_docs_global=summary["n_docs"],
+        avgdl=summary["avgdl"], prewarm_df=None,
+    )
+    calls = []
+    score = Bm25Scorer.score
+
+    def counted(self, *args):
+        calls.append(1)
+        return score(self, *args)
+
+    monkeypatch.setattr(Bm25Scorer, "score", counted)
+    toks = engine.normalize_query("hash index merge sort return")
+    docids = range(1, summary["n_docs"] + 1, 7)
+    first = s.explain(toks, docids)
+    assert first and calls
+    calls.clear()
+    assert s.explain(toks, docids) == first
+    s.query_maxscore(toks, k=5)
+    assert calls == []
 
 
 def test_fsck_reports_tampered_skip_lists(multi_block, tmp_path_factory):
@@ -1375,9 +1427,6 @@ def test_candidate_set_is_every_matched_doc(ray_session, tmp_path):
     def engine(path):
         eng = QueryEngine(path, use_actors=False, cfg=cfg)
         assert sum(len(w.searchers) for w in eng.workers) == 2
-        for w in eng.workers:
-            for s in w.searchers:
-                s.maxscore_min_docs = 0  # bmm takes the Maxscore path
         return eng
 
     plain, tomb = engine(idx), engine(tidx)
@@ -1398,6 +1447,7 @@ def test_candidate_set_is_every_matched_doc(ray_session, tmp_path):
                 assert eng.search(terms, kk, mode="bmm") == daat
                 _assert_same(eng.search(terms, kk, mode="daat_conj"),
                              want(gone, terms, kk, conj=True))
+            _assert_maxscore_is_daat(eng, queries, kk)
     # fewer than k docs score > 0: the rest are idf-0 matches at 0.0
     got = plain.search(["common", "rare"], k, mode="daat")
     assert [r[2] > 0 for r in got] == [True] * 3 + [False] * (k - 3)
@@ -1408,11 +1458,14 @@ def test_candidate_set_is_every_matched_doc(ray_session, tmp_path):
     assert [r[0] - 1 for r in plain.search(["common", "segone"], 100,
                                            mode="daat_conj")] == sorted(first)
 
-    # search-after pages over the tombstoned index == the alive slice
+    # search-after pages over the tombstoned index == the alive slice;
+    # a kernel that serves a doc at or before the cursor fails the cap
     for terms in (["common"], ["common", "rare"], ["pair", "rare"]):
         page = tomb.search_batch([terms], k=4, mode="bmm")[0]
         served = list(page)
-        while len(page) == 4:
+        for _ in range(n // 4 + 1):
+            if len(page) < 4:
+                break
             cur = (page[-1][2], page[-1][0])
             page = tomb.search_after_batch([terms], k=4, cursors=[cur])[0]
             served.extend(page)
@@ -1430,6 +1483,9 @@ def test_candidate_set_is_every_matched_doc(ray_session, tmp_path):
             for terms, got in zip(qs, by_mode["daat"]):
                 _assert_same(got, want(gone, terms, k,
                                        keep=lambda d: lang_of[d] == value))
+            _assert_maxscore_is_daat(eng, qs, k, mask=lambda s: np.logical_and(
+                s.predicate_mask(src, "lang", value, f"lang={value}"),
+                True if s._alive_mask is None else s._alive_mask))
 
     # boolean: MUST terms conjunctive, MUST-NOT docs removed, the
     # survivors ranked by the positive terms only (0.0 for ``common``)
@@ -1451,6 +1507,70 @@ def test_candidate_set_is_every_matched_doc(ray_session, tmp_path):
                 _assert_same(got, [r for r in rows if r[0] not in gone][:kk])
 
 
+def test_tombstoned_batches_take_the_dense_path(ray_session, tmp_path,
+                                               monkeypatch):
+    """Batches of 4+ queries over tombstoned segments whose lists
+    blanket them take the dense cross-query path in ``daat`` and
+    ``bmm``: each query's deleted docs are zeroed before its top-k, and
+    the matched-set fallback (``common`` has idf 0; k above the segment
+    size) honours the alive mask, so no deleted docno is returned. Each
+    segment's batch is repr-equal to per-query masked ``query_daat``,
+    and the merged results match the scalar oracle."""
+    import shutil
+
+    import pyarrow as pa
+
+    from searchenginepp_ray.config import SIMPLE_PROFILE
+    from searchenginepp_ray.index.searcher import SegmentSearcher
+    from searchenginepp_ray.index.tombstone import delete_docs
+    from searchenginepp_ray.sources.parquet_corpus import DOCUMENTS_CORPUS
+
+    n = 48
+    texts = [" ".join(["common"] + ["filler"] * (i % 3) + ["rare"] * (i % 7 == 3)
+                      + ["pair"] * (i % 5 == 0)) for i in range(n)]
+    src = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.table({"doc_id": pa.array(range(1000, 1000 + n), pa.int64()),
+                             "text": texts}), src)
+    cfg = BuildConfig(profile=SIMPLE_PROFILE, docs_per_segment=24)
+    idx = str(tmp_path / "idx")
+    build_index(src, idx, cfg, DOCUMENTS_CORPUS)
+    oracle = OracleIndex([(str(1000 + i), t) for i, t in enumerate(texts)],
+                         SIMPLE_PROFILE)
+    dead_rows = {0, 3, 5, 17, 20, 33, 40}
+    shutil.copytree(idx, str(tmp_path / "tomb"))
+    delete_docs(str(tmp_path / "tomb"), [str(1000 + i) for i in dead_rows])
+    eng = QueryEngine(str(tmp_path / "tomb"), use_actors=False, cfg=cfg)
+    searchers = [s for w in eng.workers for s in w.searchers]
+    assert len(searchers) == 2
+    assert all(s._alive_mask is not None for s in searchers)
+
+    dense_calls = []
+    dense = SegmentSearcher._query_batch_dense
+
+    def counted(self, *args):
+        dense_calls.append(self.seg_dir)
+        return dense(self, *args)
+
+    monkeypatch.setattr(SegmentSearcher, "_query_batch_dense", counted)
+    queries = [["common"], ["common", "filler"], ["filler", "rare"],
+               ["common", "pair", "rare"], ["zzzmissing"], ["pair"]]
+    dead = {str(1000 + i) for i in dead_rows}
+    for mode in ("daat", "bmm"):
+        for kk in (5, 100):
+            dense_calls.clear()
+            got = eng.search_batch(queries, kk, mode)
+            assert sorted(dense_calls) == sorted(s.seg_dir for s in searchers)
+            for terms, rows in zip(queries, got):
+                assert not dead & {r[1] for r in rows}, terms
+                want = [r for r in oracle.query(terms, 10_000)
+                        if r[0] - 1 not in dead_rows][:kk]
+                _assert_same(rows, want)
+            for s in searchers:
+                assert repr(s.query_batch(queries, kk, mode)) == repr(
+                    [s.query_daat(q, kk, mask=s._alive_mask) for q in queries])
+    assert len(eng.search(["common"], 100)) == n - len(dead_rows)
+
+
 def test_scorer_name_bm25_serves_the_index_constants(ray_session, tmp_path):
     """A per-call ``scorer_name="bm25"`` scores with the k1/b the index
     was built with, the constants its sigmas and block bounds assume:
@@ -1462,9 +1582,8 @@ def test_scorer_name_bm25_serves_the_index_constants(ray_session, tmp_path):
     out_dir = str(tmp_path / "index")
     build_index(corpus_path, out_dir, cfg, CODE_CORPUS)
     engine = QueryEngine(out_dir, use_actors=False, cfg=cfg)
-    for w in engine.workers:
-        for s in w.searchers:
-            s.maxscore_min_docs = 0  # bmm takes the Maxscore path
+    for scorer_name in (None, "bm25"):
+        assert _assert_maxscore_is_daat(engine, QUERIES, K, scorer_name) > 0
 
     for mode in ("daat", "bmm", "daat_conj"):
         want = engine.search_batch(QUERIES, K, mode)

@@ -127,10 +127,10 @@ def test_search_filtered_equals_postfiltered_full_ranking(ray_session,
 
 
 def test_masked_maxscore_equals_masked_daat(ray_session, sf_dir):
-    """Force the maxscore dispatch (maxscore_min_docs=0) on an
-    in-process engine: masked Maxscore returns exactly masked DAAT's
-    results for every query and facet value — the pruning under a mask
-    is safe."""
+    """On an in-process engine, Maxscore called directly on every
+    segment with the filter's mask returns exactly masked DAAT's results
+    for every query and facet value — the pruning under a mask is safe;
+    and ``mode="bmm"`` filtered search equals ``mode="daat"``."""
     from searchenginepp_ray.index.engine import QueryEngine
     from searchenginepp_ray.pipelines.search_docs import (
         DOC_QUERIES, _cfg, _index_dir, get_engine)
@@ -139,17 +139,27 @@ def test_masked_maxscore_equals_masked_daat(ray_session, sf_dir):
     cfg = _cfg(simple=True)
     eng = QueryEngine(_index_dir(sf_dir, cfg), scorer="bm25",
                       use_actors=False, cfg=cfg)
-    for w in eng.workers:
-        for s in w.searchers:
-            s.maxscore_min_docs = 0  # tiny segments: force the MS path
     src = f"{sf_dir}/documents.parquet"
     for lang in ("es", "en"):
-        ms = eng.search_batch_filtered(DOC_QUERIES, k=10, column="lang",
-                                       value=lang, src_path=src, mode="bmm")
+        bmm = eng.search_batch_filtered(DOC_QUERIES, k=10, column="lang",
+                                        value=lang, src_path=src, mode="bmm")
         da = eng.search_batch_filtered(DOC_QUERIES, k=10, column="lang",
                                        value=lang, src_path=src, mode="daat")
-        assert ms == da
-        assert any(len(r) for r in ms)
+        assert bmm == da
+        assert any(len(r) for r in da)
+        n_hits = 0
+        for w in eng.workers:
+            for s in w.searchers:
+                mask = s.predicate_mask(src, "lang", lang, f"lang={lang}")
+                if s._alive_mask is not None:
+                    mask = mask & s._alive_mask
+                for q in DOC_QUERIES:
+                    terms = eng.normalize_query(q)
+                    ms = s.query_maxscore(terms, 10, mask=mask)
+                    assert repr(ms) == repr(s.query_daat(terms, 10,
+                                                         mask=mask))
+                    n_hits += len(ms)
+        assert n_hits > 0
 
 
 def test_tombstoned_search_excludes_deleted_exactly(ray_session, sf_dir):
