@@ -345,9 +345,10 @@ class QueryEngine:
         ranked score is an exact float identity in every mode.
         Returns (top, expl): ``top`` as in :meth:`search_batch`; ``expl``
         per query a list of (docid, term, contribution). The second
-        scatter/gather scores each query term at the k hit docs only,
-        from the decoded-posting cache; a list not cached yet decodes
-        whole."""
+        scatter/gather gathers each query term's contributions at the k
+        hit docs from the scored-list cache (``scored_postings``), which
+        the ranking pass has just filled; a term not in that cache has
+        its whole list scored once."""
         toks = self._query_tokens(queries)
         top = self.search_batch(toks, k, mode, scorer_name)
         docids_batch = [[r[0] for r in res] for res in top]

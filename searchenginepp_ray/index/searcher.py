@@ -232,13 +232,12 @@ class SegmentSearcher:
         # rebuild (index/tombstone.py). None when nothing in this segment
         # is deleted; when set, EVERY query path must honor it (the
         # per-query paths take it as their mask; the dense batch path
-        # zeroes the ``_dead_local`` docs).
+        # zeroes the docs outside it).
         # Collection stats (idf, avgdl, sigmas) intentionally keep the
         # deleted docs until a merge reclaims them — the standard
         # tombstone contract (a delete must be cheap; stats converge at
         # compaction).
         self._alive_mask: np.ndarray | None = None
-        self._dead_local: np.ndarray | None = None
         if tombstones:
             dead = pc.is_in(
                 self.docnos,
@@ -246,7 +245,6 @@ class SegmentSearcher:
             ).to_numpy(zero_copy_only=False).astype(bool)
             if dead.any():
                 self._alive_mask = ~dead
-                self._dead_local = np.flatnonzero(dead)
         #: postings decoded so far (:meth:`postings` and
         #: :meth:`decode_block` count them)
         self.decoded_postings = 0
@@ -904,8 +902,8 @@ class SegmentSearcher:
             np.copyto(acc, dense[idxs[0]])
             for i in idxs[1:]:
                 acc += dense[i]
-            if self._dead_local is not None:
-                acc[self._dead_local] = 0.0
+            if self._alive_mask is not None:
+                acc[~self._alive_mask] = 0.0
             out.append(self._disjunctive_topk(acc, idxs, scorer, k,
                                               self._alive_mask))
         return out

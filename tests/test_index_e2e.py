@@ -155,7 +155,6 @@ def test_bmm_equals_daat(built):
             assert b[2] == pytest.approx(d[2], rel=1e-9)
         compared += len(daat)
     assert compared > 20  # the comparison is not vacuous
-    assert _assert_maxscore_is_daat(engine, QUERIES, K) > 20
 
 
 def test_query_batch_equals_per_query(built):
@@ -217,7 +216,7 @@ def engine_corpus_path(out_dir: str) -> str:
 def test_maxscore_exactly_equals_daat_many_k(built):
     """mode="bmm" and the vectorized Maxscore kernel (one-quantum-safe
     bound, called directly per segment) must return bit-identical
-    (docid, score) lists to DAAT for every k, both scorers — the pruning
+    (docid, score) lists to DAAT for every k and scorer — the pruning
     may skip work, never change results."""
     import random
 
@@ -226,7 +225,7 @@ def test_maxscore_exactly_equals_daat_many_k(built):
     vocab = ("return if else for hash index query search vector string "
              "buffer merge sort static const int read write parse var_3 fn_7").split()
     queries = [" ".join(rng.sample(vocab, rng.randint(1, 6))) for _ in range(40)]
-    for scorer_name in ("bm25", "tfidf"):
+    for scorer_name in ("bm25", "tfidf", "tfidf_fast"):
         for k in (1, 3, 20, 200):
             daat = engine.search_batch(queries, k=k, mode="daat", scorer_name=scorer_name)
             bmm = engine.search_batch(queries, k=k, mode="bmm", scorer_name=scorer_name)
@@ -238,7 +237,9 @@ def test_maxscore_exactly_equals_daat_many_k(built):
 def test_tfidf_fast_log_scorer(built):
     """F4: the USE_FAST_LOG integer-log TFIDF — (1 + floor(log2 tf)) * idf
     (reference src/index/query_scorer.cpp:7-30,53) — exact floor
-    semantics, and Maxscore pruning (standard-log bounds) stays exact."""
+    semantics, and ``bmm`` answers as ``daat`` under it (Maxscore's
+    standard-log bounds are pinned in
+    ``test_maxscore_exactly_equals_daat_many_k``)."""
     import numpy as np
 
     from searchenginepp_ray.index.scorer import TfidfFastLogScorer
@@ -256,9 +257,6 @@ def test_tfidf_fast_log_scorer(built):
         bmm = engine.search(q, k=10, mode="bmm", scorer_name="tfidf_fast")
         assert [(d, sc) for d, _, sc in daat] == [(d, sc) for d, _, sc in bmm]
         assert len(daat) > 0
-    assert _assert_maxscore_is_daat(
-        engine, ["hash index merge sort", "return if else"], 10,
-        "tfidf_fast") > 0
 
 
 def test_bmm_ref_mode_is_rejected(built):
@@ -289,11 +287,11 @@ def multi_block(ray_session, tmp_path_factory):
 
 def test_one_decode_per_list_across_modes(multi_block):
     """Every mode reads whole lists through the one decoded-posting
-    cache: once Maxscore (called directly) has served a query, the
-    searcher has decoded exactly the query terms' lists, once each, and
-    ``daat``, ``bmm``, ``daat_conj``, ``boolean`` with a negated term
-    and ``explain`` over the same terms decode nothing more. Maxscore
-    and ``bmm`` return DAAT's results on these multi-block lists."""
+    cache: once ``bmm`` has served a query, the searcher has decoded
+    exactly the query terms' lists, once each, and ``daat``,
+    ``daat_conj``, ``boolean`` with a negated term and ``explain`` over
+    the same terms decode nothing more. ``bmm`` returns DAAT's results
+    on these multi-block lists."""
     from searchenginepp_ray.index.searcher import SegmentSearcher
 
     summary, out_dir, engine = multi_block
@@ -307,12 +305,11 @@ def test_one_decode_per_list_across_modes(multi_block):
         toks = engine.normalize_query(q)
         assert len(toks) >= 2, toks
         seen.update(s._resolve_terms(toks, conj=False))
-        ms = s.query_maxscore(toks, k=3)
+        bmm = s.query(toks, k=3, mode="bmm")
         decoded = s.decoded_postings
         assert decoded == int(s.df_local[sorted(seen)].sum()), q
         daat = s.query(toks, k=3, mode="daat")
-        assert repr(ms) == repr(daat)
-        assert repr(s.query(toks, k=3, mode="bmm")) == repr(daat)
+        assert repr(bmm) == repr(daat)
         s.query(toks, k=3, mode="daat_conj")
         s.query_boolean(toks[:1] + ["-" + t for t in toks[1:]], k=3)
         s.explain(toks, [d for d, _, _ in daat])
@@ -322,7 +319,7 @@ def test_one_decode_per_list_across_modes(multi_block):
 def test_explain_scores_each_list_once(multi_block, monkeypatch):
     """``explain`` gathers from the scored lists the DAAT kernel uses
     (:meth:`SegmentSearcher.scored_postings`): a second ``explain`` over
-    the same terms, and Maxscore over them, call no scorer."""
+    the same terms calls no scorer."""
     from searchenginepp_ray.index.scorer import Bm25Scorer
     from searchenginepp_ray.index.searcher import SegmentSearcher
 
@@ -345,7 +342,6 @@ def test_explain_scores_each_list_once(multi_block, monkeypatch):
     assert first and calls
     calls.clear()
     assert s.explain(toks, docids) == first
-    s.query_maxscore(toks, k=5)
     assert calls == []
 
 
@@ -1447,7 +1443,7 @@ def test_candidate_set_is_every_matched_doc(ray_session, tmp_path):
                 assert eng.search(terms, kk, mode="bmm") == daat
                 _assert_same(eng.search(terms, kk, mode="daat_conj"),
                              want(gone, terms, kk, conj=True))
-            _assert_maxscore_is_daat(eng, queries, kk)
+                _assert_maxscore_is_daat(eng, [terms], kk)
     # fewer than k docs score > 0: the rest are idf-0 matches at 0.0
     got = plain.search(["common", "rare"], k, mode="daat")
     assert [r[2] > 0 for r in got] == [True] * 3 + [False] * (k - 3)
@@ -1582,8 +1578,6 @@ def test_scorer_name_bm25_serves_the_index_constants(ray_session, tmp_path):
     out_dir = str(tmp_path / "index")
     build_index(corpus_path, out_dir, cfg, CODE_CORPUS)
     engine = QueryEngine(out_dir, use_actors=False, cfg=cfg)
-    for scorer_name in (None, "bm25"):
-        assert _assert_maxscore_is_daat(engine, QUERIES, K, scorer_name) > 0
 
     for mode in ("daat", "bmm", "daat_conj"):
         want = engine.search_batch(QUERIES, K, mode)
